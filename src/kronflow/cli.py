@@ -28,7 +28,7 @@ from .dynamics import (
     time_average,
 )
 from .errors import UnsupportedStructureError, ValidationError
-from .exact_linalg import IntVecFin, parse_rational
+from .exact_linalg import IntVecFin, parse_int, parse_rational
 from .frequency import DEFAULT_DEPTH, FrequencyVector, SigmaSequence, parse_frequency_spec
 from .resonance_reduction import reduce_flow, reduce_vector, resonance_basis
 from .solenoid_geometry import (
@@ -107,7 +107,7 @@ def _precision(args) -> int:
     bits = args.precision
     if bits is None:
         env = os.environ.get("KRON_PRECISION")
-        bits = int(env) if env else 64
+        bits = parse_int(env, "KRON_PRECISION") if env else 64
     if bits < MIN_PRECISION_BITS:
         raise ValidationError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
     return bits
@@ -291,6 +291,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"kronflow {__version__}", file=sys.stderr)
     try:
+        if getattr(args, "depth", 1) < 1:
+            raise ValidationError(f"depth must be >= 1, got {args.depth}")
         bits = _precision(args)
         with mpmath.workprec(bits):
             args.fn(args)

@@ -3,16 +3,19 @@
 Everything here is arbitrary precision: rationals are ``fractions.Fraction``,
 integer vectors are finitely supported maps, and infinite invertible integer
 matrices are represented by a finite active block (implicit identity beyond
-it) together with a tracked inverse.  Integer kernels are computed by a
-column-style Hermite reduction with a tracked unimodular transform, then
-canonicalized so results are deterministic.
+it) together with a tracked inverse.  One Hermite primitive,
+``hermite_transform``, serves both integer kernels and flow reduction: a
+column reduction taken one column at a time from the last, which yields the
+canonical column Hermite basis of the kernel directly, an echelon basis of
+the image with integer preimages, and the inverse of the unimodular
+transform they form.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -27,6 +30,13 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed rational {text!r}: {exc}") from None
+
+
+def parse_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def format_rational(q: Fraction) -> str:
@@ -81,7 +91,7 @@ class IntVecFin:
 
     @classmethod
     def from_list(cls, values: Sequence[int], start: int = 1) -> "IntVecFin":
-        return cls((start + k, v) for k, v in enumerate(values))
+        return cls((start + k, v) for k, v in enumerate(values) if v)
 
     def __getitem__(self, i: int) -> int:
         return self._entries.get(i, 0)
@@ -103,9 +113,6 @@ class IntVecFin:
 
     def scale(self, c: int) -> "IntVecFin":
         return IntVecFin((i, c * v) for i, v in self._entries.items())
-
-    def shift(self, offset: int) -> "IntVecFin":
-        return IntVecFin((i + offset, v) for i, v in self._entries.items())
 
     def __add__(self, other: "IntVecFin") -> "IntVecFin":
         out = dict(self._entries)
@@ -245,13 +252,6 @@ class RowFiniteIntMatrix:
         }
         return RowFiniteIntMatrix(n, rows, inv)
 
-    def embed(self, offset: int) -> "RowFiniteIntMatrix":
-        """The same block acting on coordinates shifted up by ``offset``."""
-        n = self.dimension + offset
-        rows = {i + offset: self._rows[i].shift(offset) for i in self._rows}
-        inv = {i + offset: self._inv_rows[i].shift(offset) for i in self._inv_rows}
-        return RowFiniteIntMatrix(n, rows, inv)
-
     # -- algebra
 
     def apply(self, nu: IntVecFin) -> IntVecFin:
@@ -354,73 +354,25 @@ def unimodular_compose(a: RowFiniteIntMatrix, b: RowFiniteIntMatrix) -> RowFinit
     return RowFiniteIntMatrix(n, rows, inv)
 
 
-def compose_all(factors: Sequence[RowFiniteIntMatrix]) -> RowFiniteIntMatrix:
-    """Compose factors[k-1] ... factors[0] (first factor acts first)."""
-    out = RowFiniteIntMatrix.identity()
-    for f in factors:
-        out = unimodular_compose(f, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Integer kernels via column Hermite reduction.
+# One Hermite primitive, shared by integer kernels and flow reduction.
 
 
-def _column_reduce(mat: list[list[int]], transform: list[list[int]], reduce_left: bool) -> int:
-    """Bring ``mat`` to column echelon form by unimodular column operations,
-    mirroring every operation on ``transform``.  Returns the number of pivot
-    columns.  With ``reduce_left`` the entries left of each pivot are reduced
-    into [0, pivot), which yields the canonical column Hermite form.
+class HermiteTransform(NamedTuple):
+    """Result of ``hermite_transform`` on a rational m x n matrix M.
+
+    ``kernel`` is the canonical column Hermite basis of {nu in Z^n : M nu = 0}:
+    pivot rows strictly increasing, pivots positive, entries at later pivot
+    rows reduced into [0, pivot).  ``image`` is an echelon basis of the lattice
+    M Z^n in M's own coordinates and ``preimages[i]`` an integer vector with
+    M preimages[i] = image[i].  The rows [kernel; preimages] form a unimodular
+    matrix A; ``inverse_rows`` are the rows of A^-1.
     """
-    if not mat:
-        return 0
-    m, n = len(mat), len(mat[0])
 
-    def col_sub(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        for r in range(m):
-            mat[r][dst] -= q * mat[r][src]
-        for r in range(n):
-            transform[r][dst] -= q * transform[r][src]
-
-    def col_swap(i: int, j: int) -> None:
-        if i == j:
-            return
-        for r in range(m):
-            mat[r][i], mat[r][j] = mat[r][j], mat[r][i]
-        for r in range(n):
-            transform[r][i], transform[r][j] = transform[r][j], transform[r][i]
-
-    def col_negate(i: int) -> None:
-        for r in range(m):
-            mat[r][i] = -mat[r][i]
-        for r in range(n):
-            transform[r][i] = -transform[r][i]
-
-    pivot_col = 0
-    for r in range(m):
-        if pivot_col >= n:
-            break
-        while True:
-            live = [j for j in range(pivot_col, n) if mat[r][j] != 0]
-            if not live:
-                break
-            j_min = min(live, key=lambda j: abs(mat[r][j]))
-            others = [j for j in live if j != j_min]
-            if not others:
-                col_swap(pivot_col, j_min)
-                if mat[r][pivot_col] < 0:
-                    col_negate(pivot_col)
-                if reduce_left:
-                    piv = mat[r][pivot_col]
-                    for j in range(pivot_col):
-                        col_sub(j, pivot_col, mat[r][j] // piv)
-                pivot_col += 1
-                break
-            for j in others:
-                col_sub(j, j_min, mat[r][j] // mat[r][j_min])
-    return pivot_col
+    kernel: list[list[int]]
+    preimages: list[list[int]]
+    image: list[list[Fraction]]
+    inverse_rows: list[list[int]]
 
 
 def _lcm(values: Iterable[int]) -> int:
@@ -430,43 +382,105 @@ def _lcm(values: Iterable[int]) -> int:
     return out
 
 
-def integer_kernel(rows: Sequence[Sequence[Fraction]]) -> list[IntVecFin]:
-    """Basis of {nu in Z^n : M nu = 0} for a rational matrix M.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0; a != 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
-    The returned basis is primitive and in canonical column Hermite form
-    (pivots positive, entries left of each pivot reduced into [0, pivot)),
-    so identical inputs produce identical bases.  A zero matrix yields the
-    standard basis of Z^n.
+
+def _lin(x: list[int], y: list[int], a: int, b: int) -> list[int]:
+    return [a * u + b * v for u, v in zip(x, y)]
+
+
+def _hermite_reduce(basis: dict[int, list[list[int]]], k: int) -> None:
+    """Reduce basis[k] into [0, pivot) at every later pivot row, in increasing order."""
+    x, xd = basis[k]
+    for r in range(k + 1, len(x)):
+        if x[r] and r in basis:
+            y, yd = basis[r]
+            q = x[r] // y[r]
+            if q:
+                x, basis[r][1] = _lin(x, y, 1, -q), _lin(yd, xd, 1, q)
+    basis[k][0] = x
+
+
+def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
+    """Column Hermite reduction of M with a tracked unimodular transform.
+
+    Rows are scaled to integers, and column j is taken as its graph vector
+    (M e_j, e_j), the columns from last to first.  Before column j is taken,
+    ``basis`` is the Hermite basis of the graph lattice {(M t, t)} over
+    t in Z^{j+1..n}, rows ordered generators first: at most m image vectors,
+    pivoted in the M t part, and the kernel vectors, whose M t part is zero.
+    Column j is inserted by xgcd steps on the image vectors.  If its M t part
+    reduces to zero it is the primitive kernel vector with pivot j, and
+    reducing it against the later kernel vectors into [0, pivot) gives the
+    canonical kernel form directly.  The image vectors are re-reduced against
+    every later pivot at each step, which keeps their preimages reduced
+    modulo the kernel and the coefficients small.  Every vector t carries its
+    dual t* (its column of A^-1): an operation t_a += q t_b is mirrored as
+    t_b* -= q t_a*, at O(n) per operation.
     """
     if not rows or not rows[0]:
         raise ValidationError("integer_kernel requires at least one row and one column")
     n = len(rows[0])
-    int_rows: list[list[int]] = []
+    mat: list[list[int]] = []
+    scales: list[int] = []
     for row in rows:
         if len(row) != n:
             raise ValidationError("ragged matrix passed to integer_kernel")
         fracs = [Fraction(x) for x in row]
-        scale = _lcm(f.denominator for f in fracs)
-        int_rows.append([int(f * scale) for f in fracs])
+        scales.append(_lcm(f.denominator for f in fracs))
+        mat.append([int(f * scales[-1]) for f in fracs])
+    m = len(mat)
 
-    transform = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rank = _column_reduce(int_rows, transform, reduce_left=False)
-    kernel_cols = [[transform[r][j] for r in range(n)] for j in range(rank, n)]
-    if not kernel_cols:
-        return []
+    basis: dict[int, list[list[int]]] = {}  # pivot row -> [(M t, t), t*]
+    for j in range(n - 1, -1, -1):
+        g = [row[j] for row in mat] + [0] * n
+        g[m + j] = 1
+        dual = [0] * n
+        dual[j] = 1
+        p = next(r for r, x in enumerate(g) if x)
+        while p in basis:
+            b, bd = basis[p]
+            if g[p] % b[p] == 0:
+                q = g[p] // b[p]
+                g, basis[p][1] = _lin(g, b, 1, -q), _lin(bd, dual, 1, q)
+            else:
+                d, s, u = _xgcd(b[p], g[p])
+                x, y = b[p] // d, g[p] // d
+                basis[p] = [_lin(b, g, s, u), _lin(bd, dual, x, y)]
+                g, dual = _lin(b, g, -y, x), _lin(bd, dual, -u, s)
+            p = next(r for r in range(p + 1, m + n) if g[r])
+        if g[p] < 0:
+            g, dual = [-x for x in g], [-x for x in dual]
+        basis[p] = [g, dual]
+        for k in sorted(basis):
+            if k < m or k == p:
+                _hermite_reduce(basis, k)
 
-    # Canonicalize the basis itself: column Hermite form of the n x d matrix.
-    d = len(kernel_cols)
-    basis_mat = [[kernel_cols[j][r] for j in range(d)] for r in range(n)]
-    basis_transform = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    _column_reduce(basis_mat, basis_transform, reduce_left=True)
-    out = []
-    for j in range(d):
-        vec = IntVecFin((r + 1, basis_mat[r][j]) for r in range(n))
-        if vec.is_zero():
-            raise ValidationError("internal error: kernel basis degenerated")
-        out.append(vec)
-    return out
+    pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
+    image = [[Fraction(x, s) for x, s in zip(basis[r][0], scales)] for r in pivots if r < m]
+    return HermiteTransform(
+        [basis[r][0][m:] for r in pivots if r >= m],
+        [basis[r][0][m:] for r in pivots if r < m],
+        image,
+        [list(r) for r in zip(*(basis[r][1] for r in pivots))],
+    )
+
+
+def integer_kernel(rows: Sequence[Sequence[Fraction]]) -> list[IntVecFin]:
+    """Basis of {nu in Z^n : M nu = 0} for a rational matrix M.
+
+    The returned basis is primitive and in canonical column Hermite form
+    (pivots positive, entries at later pivot rows reduced into [0, pivot)),
+    so identical inputs produce identical bases.  A zero matrix yields the
+    standard basis of Z^n.
+    """
+    return [IntVecFin.from_list(t) for t in hermite_transform(rows).kernel]
 
 
 def in_integer_span(vec: IntVecFin, basis: Sequence[IntVecFin], n: int) -> bool:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import mpmath
 
 from .errors import UnsupportedStructureError, ValidationError
-from .exact_linalg import format_rational, parse_rational
+from .exact_linalg import format_rational, parse_int, parse_rational
 from .primes import factorize, is_prime, nth_prime, odd_indexed_prime
 
 DEFAULT_DEPTH = 16
@@ -197,15 +197,15 @@ class SigmaSequence:
     def from_json(cls, obj: Mapping) -> "SigmaSequence":
         if not isinstance(obj, Mapping) or "prefix" not in obj or "tail" not in obj:
             raise ValidationError("sequence needs 'prefix' and 'tail' fields")
-        prefix = tuple(int(v) for v in obj["prefix"])
+        prefix = tuple(parse_int(v, "sequence entry") for v in obj["prefix"])
         tail = obj["tail"]
         if isinstance(tail, str):
             return cls(prefix, tail)
         if isinstance(tail, Mapping):
             if "constant" in tail:
-                return cls(prefix, "constant", (int(tail["constant"]),))
+                return cls(prefix, "constant", (parse_int(tail["constant"], "sequence entry"),))
             if "periodic" in tail:
-                return cls(prefix, "periodic", tuple(int(v) for v in tail["periodic"]))
+                return cls(prefix, "periodic", tuple(parse_int(v, "sequence entry") for v in tail["periodic"]))
         raise ValidationError(f"malformed sequence tail {tail!r}")
 
 
@@ -524,15 +524,6 @@ def truncate(fv: FrequencyVector, depth: int) -> FrequencyVector:
     return finite_vector([coordinates(fv, j) for j in range(1, depth + 1)])
 
 
-def generators_of(fv: FrequencyVector, depth: int) -> list[Generator]:
-    """Generators with a nonzero coordinate among omega_1..omega_depth."""
-    seen: dict[Generator, None] = {}
-    for j in range(1, depth + 1):
-        for g in coordinates(fv, j):
-            seen.setdefault(g, None)
-    return sorted(seen, key=Generator.sort_key)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -545,7 +536,7 @@ def _generator_from_json(obj: Mapping) -> Generator:
     return Generator(
         str(obj["name"]),
         str(kind),
-        int(param) if param is not None else None,
+        parse_int(param, "generator param") if param is not None else None,
         obj.get("value"),
     )
 

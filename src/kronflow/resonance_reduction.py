@@ -5,9 +5,11 @@ frequencies as the integer kernel of their exact coordinate matrix.
 ``reduce_vector`` collapses one integer vector to (g, 0, 0, ...) by a tracked
 composition of elementary automorphisms, with a full audit trail whose
 per-pass entry sums are strictly decreasing positive integers (that is the
-termination argument, asserted literally).  ``reduce_flow`` iterates this over
-a resonance basis, conjugating the flow to one whose frequency vector starts
-with a zero block followed by a block with trivial integer kernel.
+termination argument, asserted literally); it is the certificate behind
+``kron reduce``.  ``reduce_flow`` conjugates the flow, in one Hermite
+transform of the coordinate matrix, to one whose frequency vector starts with
+a zero block followed by a block with trivial integer kernel: the automorphism
+stacks the resonance basis over integer preimages of an image basis.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from .exact_linalg import (
     IntVecFin,
     RowFiniteIntMatrix,
     gcd_of_vector,
+    hermite_transform,
     integer_kernel,
-    unimodular_compose,
 )
-from .frequency import FrequencyVector, coordinates, finite_vector, generators_of
+from .frequency import FrequencyVector, Generator, coordinates, finite_vector
 from .solenoid_geometry import TorusPoint
 
 # ---------------------------------------------------------------------------
@@ -51,8 +53,8 @@ class ResonanceBasis:
 
 def _coordinate_matrix(fv: FrequencyVector, depth: int):
     """Rows indexed by generators, columns by j = 1..depth; exact rationals."""
-    gens = generators_of(fv, depth)
     cols = [coordinates(fv, j) for j in range(1, depth + 1)]
+    gens = sorted({g for col in cols for g in col}, key=Generator.sort_key)
     rows = [[col.get(g, Fraction(0)) for col in cols] for g in gens]
     if not rows:
         rows = [[Fraction(0)] * depth]  # identically zero vector
@@ -245,44 +247,31 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     """Conjugate the depth-N truncation to (0_d, omega-bar) with omega-bar
     having trivial integer kernel at depth N.
 
-    Resonances are eliminated one at a time: take the first canonical basis
-    vector of the current resonance module restricted to the not-yet-zeroed
-    coordinates, reduce it to g*e_1 within that block by ``reduce_vector``,
-    and apply the transpose-inverse of that transform to the flow (its first
-    row is the primitive resonance, so the conjugated frequency acquires one
-    more zero).
+    One Hermite transform of the coordinate matrix gives A = [kernel basis;
+    image preimages]: its first d rows are the canonical resonance basis, so
+    (A omega)_i = 0 for i <= d, and the remaining rows map omega to an
+    echelon basis of the coordinate lattice, whose entries are independent.
+    A is unimodular because Z^N is the kernel plus the span of the
+    preimages.  A stays the identity when the kernel is trivial.
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     gens, rows = _coordinate_matrix(fv, depth)
-    cols = [[row[j] for row in rows] for j in range(depth)]  # per-j generator coords
-    total = RowFiniteIntMatrix.identity(depth)
-    zeros = 0
+    h = hermite_transform(rows)
+    zeros = len(h.kernel)
+    if zeros:
+        total = RowFiniteIntMatrix(
+            depth,
+            {i + 1: IntVecFin.from_list(r) for i, r in enumerate(h.kernel + h.preimages)},
+            {i + 1: IntVecFin.from_list(r) for i, r in enumerate(h.inverse_rows)},
+        )
+        columns = [[Fraction(0)] * len(rows)] * zeros + h.image
+    else:
+        total = RowFiniteIntMatrix.identity(depth)
+        columns = [[row[j] for row in rows] for j in range(depth)]
 
-    while zeros < depth:
-        active = [[row[j] for j in range(zeros, depth)] for row in rows]
-        kernel = integer_kernel(active)
-        if not kernel:
-            break
-        nu_local = kernel[0]
-        cert = reduce_vector(nu_local)
-        # A = (B^-1)* acting on the active block: its first row is nu/g,
-        # so (A omega)_{zeros+1} = (nu . omega)/g = 0.
-        block = cert.transform.inverse().transpose()
-        step_mat = block.embed(zeros) if zeros else block
-        total = unimodular_compose(step_mat, total)
-        rows = [step_mat.apply_fraction_column([row[j] for j in range(depth)]) for row in rows]
-        zeros += 1
-        for row in rows:
-            for j in range(zeros):
-                if row[j] != 0:
-                    raise ValidationError("internal error: zero block not preserved")
-
-    reduced_maps = [
-        {g: rows[gi][j] for gi, g in enumerate(gens) if rows[gi][j] != 0} for j in range(depth)
-    ]
+    reduced_maps = [{g: col[gi] for gi, g in enumerate(gens) if col[gi] != 0} for col in columns]
     reduced = finite_vector(reduced_maps)
-    # the loop exit condition certifies trivial kernel on the nonzero block
     tail_basis = resonance_basis(reduced, depth)
     independent = tail_basis.is_trivial() or all(
         max(v.support()) <= zeros for v in tail_basis.vectors

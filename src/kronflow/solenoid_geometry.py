@@ -56,11 +56,6 @@ class TorusPoint:
             return [2 * math.pi * float(v) for v in self.angles]
         return list(self.angles)
 
-    def as_float_point(self) -> "TorusPoint":
-        if not self.exact:
-            return self
-        return TorusPoint.floats(self.to_radians())
-
     def to_json(self):
         if self.exact:
             return [format_rational(v) for v in self.angles]

@@ -68,6 +68,23 @@ def span_contains_all(basis_cols: list[list[int]], vectors: np.ndarray) -> bool:
     return not np.any(residue)
 
 
+def rational_rank(rows) -> int:
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
 def euclid_gcd(values) -> int:
     g = 0
     for v in values:

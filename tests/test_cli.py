@@ -158,3 +158,45 @@ def test_precision_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KRON_PRECISION", "10")
     code, _ = run(capsys, "resonance", str(spec), "--depth", "2")
     assert code == 1
+
+
+def test_depth_zero_rejected_by_every_subcommand(tmp_path, capsys):
+    spec = tmp_path / "s2.json"
+    spec.write_text(SQRT_SPEC)
+    bo = tmp_path / "bo.json"
+    bo.write_text(BO_SPEC)
+    poly = tmp_path / "p.json"
+    poly.write_text(POLY)
+    s = str(spec)
+    argvs = [
+        ["classify", s],
+        ["resonance", s],
+        ["reduce-flow", s],
+        ["simulate", s, "--t1", "1", "--steps", "2", "--out", str(tmp_path / "t.csv")],
+        ["average", s, "--poly", str(poly)],
+        ["equidistribution", s, "--nu", "1,-1"],
+        ["bo", str(bo)],
+        ["iso", s, s],
+    ]
+    for argv in argvs:
+        code = main(argv + ["--depth", "0"])
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert "error: depth must be >= 1, got 0" in err, argv
+
+
+def test_malformed_sequence_entry_is_validation_error(tmp_path, capsys):
+    spec = tmp_path / "sol.json"
+    spec.write_text('{"kind": "solenoid", "generator": "1", "a": {"prefix": ["x"], "tail": {"constant": 2}}}')
+    code = main(["classify", str(spec)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: sequence entry must be an integer, got 'x'" in err
+
+
+def test_malformed_precision_env_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv("KRON_PRECISION", "abc")
+    code = main(["reduce", "--nu", "4,6"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: KRON_PRECISION must be an integer, got 'abc'" in err

@@ -16,7 +16,7 @@ from kronflow.exact_linalg import (
     rational_gcd,
     unimodular_compose,
 )
-from oracles import brute_force_kernel, euclid_gcd, span_contains_all
+from oracles import brute_force_kernel, euclid_gcd, rational_rank, span_contains_all
 
 
 def kernel_cols(basis, n):
@@ -124,6 +124,45 @@ def test_kernel_span_equals_brute_force(rows):
 def test_kernel_vectors_primitive(rows):
     for b in integer_kernel(rows):
         assert gcd_of_vector(b) == 1
+
+
+@st.composite
+def structured_rational_matrices(draw):
+    """m in 1..4, n in 1..10, with zero, duplicated and dependent rows."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 4))
+    elems = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    rows = [[draw(elems) for _ in range(n)]]
+    for _ in range(1, m):
+        kind = draw(st.sampled_from(["free", "zero", "duplicate", "dependent"]))
+        if kind == "free":
+            rows.append([draw(elems) for _ in range(n)])
+        elif kind == "zero":
+            rows.append([F(0)] * n)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(elems), draw(elems)
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_rational_matrices())
+def test_kernel_is_canonical_hermite_basis(rows):
+    n = len(rows[0])
+    basis = integer_kernel(rows)
+    assert len(basis) == n - rational_rank(rows)
+    # the brute-force grid is kept to at most 7^5, 5^7 or 3^10 points
+    bound = 3 if n <= 5 else 2 if n <= 7 else 1
+    assert spans_match(rows, basis, bound)
+    pivots = [min(b.support()) for b in basis]
+    assert pivots == sorted(set(pivots))
+    for k, b in enumerate(basis):
+        assert b[pivots[k]] > 0
+        for later in range(k + 1, len(basis)):
+            assert 0 <= b[pivots[later]] < basis[later][pivots[later]]
 
 
 # -- matrices

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from kronflow.resonance_reduction import (
 )
 from kronflow.dynamics import flow
 from kronflow.solenoid_geometry import TorusPoint
-from oracles import brute_force_kernel, euclid_gcd, span_contains_all
+from oracles import brute_force_kernel, euclid_gcd, rational_rank, span_contains_all
 
 
 # -- resonance_basis examples
@@ -247,3 +248,46 @@ def test_apply_automorphism_float_points():
     assert not out.exact
     assert abs(out.angles[0] - 0.5) < 1e-15
     assert abs(out.angles[1] - 0.75) < 1e-15
+
+
+# -- deep truncations (README families)
+
+DEEP_SPECS = {
+    "halving": '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}',
+    "bo": '{"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, '
+    '"s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}',
+    "product": '{"kind": "product", "components": [{"free": "1"}, '
+    '{"qa": {"prefix": [1], "tail": {"constant": 2}}}]}',
+}
+
+
+def _coordinate_rows(fv, depth):
+    cols = [coordinates(fv, j) for j in range(1, depth + 1)]
+    gens = sorted({g for col in cols for g in col}, key=str)
+    return [[col.get(g, F(0)) for col in cols] for g in gens]
+
+
+@pytest.mark.parametrize("depth", [64, 128])
+@pytest.mark.parametrize("family", sorted(DEEP_SPECS))
+def test_reduce_flow_deep(family, depth):
+    fv = parse_frequency_spec(DEEP_SPECS[family])
+    start = time.perf_counter()
+    red = reduce_flow(fv, depth)
+    assert time.perf_counter() - start < 2.0
+    assert red.zero_rank == depth - rational_rank(_coordinate_rows(fv, depth))
+    _assert_exact_transform(fv, red)
+    assert red.transform.verify_inverse()
+    basis = resonance_basis(fv, depth)
+    assert [red.transform.row(i) for i in range(1, red.zero_rank + 1)] == list(basis.vectors)
+    assert red.nonzero_block_independent
+
+
+def test_resonance_bo_depth_128():
+    fv = parse_frequency_spec(DEEP_SPECS["bo"])
+    start = time.perf_counter()
+    basis = resonance_basis(fv, 128)
+    assert time.perf_counter() - start < 2.0
+    rows = _coordinate_rows(fv, 128)
+    assert basis.rank == 128 - rational_rank(rows)
+    for nu in basis.vectors:
+        assert all(nu.dot_fractions(row) == 0 for row in rows)
