@@ -142,6 +142,7 @@ def _cmd_reduce_flow(args) -> None:
 def _cmd_simulate(args) -> None:
     fv = _load_spec(args.spec)
     theta0 = _parse_point(args.theta0) if args.theta0 else None
+    # all rows exist before --out is opened, so a rejected request leaves it intact
     rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, args.depth)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -7,6 +7,11 @@ integrand is a finite sum of exponentials), so the decay bound
 quadrature mode exists as a cross-check.  Exact flow is available whenever the
 initial point is exact, the time is rational (measured in turns), and all
 frequency coordinates sit on a single generator.
+
+The float paths (flow, trajectory sampling, quadrature, the minimality probe)
+evaluate omega_1..omega_N once per call, at the caller's working precision,
+and form the angles (Theta0 + omega t) mod 2*pi for all sample times at once
+as numpy arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import mpmath
 import numpy as np
@@ -24,16 +29,20 @@ import numpy as np
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, RowFiniteIntMatrix, parse_rational
 from .frequency import (
-    DEFAULT_PRECISION_BITS,
     FrequencyVector,
     Generator,
     coordinates,
     evaluate_float,
+    working_bits,
 )
 from .resonance_reduction import resonance_basis
 from .solenoid_geometry import TorusPoint
 
 NEAR_RESONANCE_FLOOR = 1e-9
+TAU = 2 * math.pi
+# minimality_probe samples in chunks that double from the first size up to the cap
+PROBE_FIRST_CHUNK = 1 << 14
+PROBE_MAX_CHUNK = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +164,19 @@ def _single_generator(fv: FrequencyVector, depth: int):
     return coeffs
 
 
+def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
+    """omega_1..omega_depth as doubles, each evaluated once at the working
+    precision."""
+    return np.array([float(evaluate_float(fv, j)) for j in range(1, depth + 1)])
+
+
+def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:
+    """Float angles (Theta0 + omega t) mod 2*pi, one row per time in ``ts``."""
+    base = np.array(theta0.to_radians())
+    omegas = _float_omegas(fv, theta0.depth)
+    return (base + omegas * np.asarray(ts, dtype=float)[:, None]) % TAU
+
+
 def flow(
     fv: FrequencyVector,
     theta0: TorusPoint | None,
@@ -184,10 +206,7 @@ def flow(
             vals = [(theta0.angles[j] + coeffs[j] * t) % 1 for j in range(depth)]
             return TorusPoint.exact_point(vals)
 
-    t_f = float(t)
-    base = theta0.to_radians()
-    omegas = [float(evaluate_float(fv, j)) for j in range(1, depth + 1)]
-    return TorusPoint.float_point([base[j] + omegas[j] * t_f for j in range(depth)])
+    return TorusPoint.float_point(_flow_angles(fv, theta0, [float(t)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +231,28 @@ def _nu_omega_combination(fv: FrequencyVector, nu: IntVecFin) -> dict[Generator,
 
 
 def nu_dot_omega(
-    fv: FrequencyVector, nu: IntVecFin, precision_bits: int = DEFAULT_PRECISION_BITS
+    fv: FrequencyVector, nu: IntVecFin, precision_bits: int | None = None
 ) -> tuple[bool, float]:
     """(resonant?, float value of nu . omega).
 
     Resonance is decided exactly in generator coordinates; the float value is
-    computed from the exact coordinates at the requested precision.
+    computed from the exact coordinates at ``working_bits(precision_bits)``.
+    A non-resonant nu whose value rounds to 0 at that precision is an error.
     """
     combo = _nu_omega_combination(fv, nu)
     if not combo:
         return True, 0.0
-    bits = max(precision_bits, DEFAULT_PRECISION_BITS)
+    bits = working_bits(precision_bits)
     with mpmath.workprec(bits):
         total = mpmath.mpf(0)
         for g, c in combo.items():
             total += mpmath.mpf(c.numerator) / c.denominator * g.float_value(bits)
     value = float(total)
+    if value == 0.0:
+        raise ValidationError(
+            f"omega . nu for non-resonant nu {nu.to_json()} rounds to 0 at {bits} bits; "
+            "raise --precision"
+        )
     if abs(value) < NEAR_RESONANCE_FLOOR:
         warnings.warn(
             f"|omega . nu| = {value:.3e} is below {NEAR_RESONANCE_FLOOR}; "
@@ -245,7 +270,7 @@ def _phase_at(nu: IntVecFin, theta: TorusPoint) -> float:
             if j > theta.depth:
                 raise ValidationError(f"monomial touches index {j} beyond depth {theta.depth}")
             frac += v * theta.angles[j - 1]
-        return 2 * math.pi * float(frac % 1)
+        return TAU * float(frac % 1)
     total = 0.0
     for j, v in nu.items():
         if j > theta.depth:
@@ -287,6 +312,20 @@ def time_average(
     return total.real
 
 
+def _polynomial_values(p: TrigPolynomial, angles: np.ndarray) -> np.ndarray:
+    """p at every row of a float angle array, summed like evaluate_polynomial."""
+    depth = angles.shape[1]
+    total = np.zeros(len(angles), dtype=complex)
+    for nu, (re, im) in p.items():
+        phase = np.zeros(len(angles))
+        for j, v in nu.items():
+            if j > depth:
+                raise ValidationError(f"monomial touches index {j} beyond depth {depth}")
+            phase += v * angles[:, j - 1]
+        total += (complex(re) + 1j * complex(im)) * np.exp(1j * phase)
+    return total.real
+
+
 def evaluate_polynomial(p: TrigPolynomial, theta: TorusPoint) -> float:
     total = 0.0 + 0.0j
     for nu, (re, im) in p.items():
@@ -306,11 +345,12 @@ def time_average_quadrature(
     handles non-polynomial observables."""
     if samples < 3:
         raise ValidationError("quadrature needs at least 3 samples")
-    fn = (lambda pt: evaluate_polynomial(observable, pt)) if isinstance(
-        observable, TrigPolynomial
-    ) else observable
     ts = np.linspace(0.0, t_final, samples)
-    vals = [fn(flow(fv, theta0, float(t))) for t in ts]
+    angles = _flow_angles(fv, theta0, ts)
+    if isinstance(observable, TrigPolynomial):
+        vals = _polynomial_values(observable, angles)
+    else:
+        vals = [observable(TorusPoint.float_point(row)) for row in angles]
     return float(np.trapezoid(vals, ts) / t_final)
 
 
@@ -395,23 +435,23 @@ def minimality_probe(
             "resonant vector at this depth: the orbit closure is a proper subgroup, "
             "so a density probe is meaningless (reduce the flow first)"
         )
-    omegas = np.array([float(evaluate_float(fv, j)) for j in range(1, depth + 1)])
+    omegas = _float_omegas(fv, depth)
     if target.depth != depth:
         raise ValidationError(f"target depth {target.depth} != probe depth {depth}")
     tgt = np.array(
         [float(v) for v in target.angles]
         if target.exact
-        else [v / (2 * math.pi) for v in target.angles]
+        else [v / TAU for v in target.angles]
     )
     weights = np.array([2.0 ** -(k + 1) for k in range(depth)])
     if step is None:
         step = epsilon / (4.0 * float(np.max(np.abs(omegas))))
 
-    turns = omegas / (2 * math.pi)
+    turns = omegas / TAU
     n_samples = int(t_max / step) + 1
     best_d, best_t = math.inf, None
-    chunk = 1_000_000
-    for start in range(0, n_samples, chunk):
+    start, chunk = 0, PROBE_FIRST_CHUNK
+    while start < n_samples:
         ts = (np.arange(start, min(start + chunk, n_samples)) * step)[:, None]
         frac = (ts * turns[None, :] - tgt[None, :]) % 1.0
         dists = (np.minimum(frac, 1.0 - frac) * weights[None, :]).sum(axis=1)
@@ -422,6 +462,8 @@ def minimality_probe(
         if hit_idx.size:
             i = int(hit_idx[0])
             return ProbeResult(True, float(ts[i, 0]), float(dists[i]), start + i + 1)
+        start += chunk
+        chunk = min(2 * chunk, PROBE_MAX_CHUNK)
     return ProbeResult(False, best_t, best_d, n_samples)
 
 
@@ -477,14 +519,15 @@ def sample_trajectory(
     t1: float,
     steps: int,
     depth: int,
-) -> Iterable[tuple[float, list[float]]]:
-    """Float trajectory samples (t, angles in [0, 2*pi)) on a uniform grid."""
+) -> list[tuple[float, list[float]]]:
+    """Float trajectory samples (t, angles in [0, 2*pi)) on a uniform grid of
+    steps + 1 times, all computed before returning."""
     if steps < 1:
         raise ValidationError("trajectory needs at least one step")
     if t1 < t0:
         raise ValidationError("time window is reversed")
     base = theta0 if theta0 is not None else TorusPoint.origin(depth)
-    for k in range(steps + 1):
-        t = t0 + (t1 - t0) * k / steps
-        pt = flow(fv, base, float(t), depth)
-        yield t, pt.to_radians() if pt.exact else list(pt.angles)
+    if base.depth != depth:
+        raise ValidationError(f"depth {depth} does not match point depth {base.depth}")
+    ts = [t0 + (t1 - t0) * k / steps for k in range(steps + 1)]
+    return list(zip(ts, _flow_angles(fv, base, ts).tolist()))

@@ -3,8 +3,9 @@
 A frequency vector is either a finite list of exact coordinate maps or one of
 three rule-based infinite families (solenoidal product rule, the quadratic
 integrable-flow rule, and the prime-power product construction).  Coordinates
-are exact rationals per generator; float values are produced on demand at a
-configurable mantissa width via mpmath.
+are exact rationals per generator; float values are produced on demand via
+mpmath, at the caller's working precision (``mpmath.workprec``) or an explicit
+mantissa width, never below 64 bits.
 
 Rational independence of the declared generators is an axiom of the input.
 The built-in kinds (the rational unit, square roots of distinct primes, and
@@ -26,7 +27,14 @@ from .exact_linalg import format_rational, parse_int, parse_rational
 from .primes import factorize, is_prime, nth_prime, odd_indexed_prime
 
 DEFAULT_DEPTH = 16
-DEFAULT_PRECISION_BITS = 64
+DEFAULT_PRECISION_BITS = 64  # floor of every float evaluation's mantissa
+
+
+def working_bits(precision_bits: int | None = None) -> int:
+    """``precision_bits``, or the caller's mpmath working precision when it is
+    None, raised to the DEFAULT_PRECISION_BITS floor."""
+    bits = mpmath.mp.prec if precision_bits is None else precision_bits
+    return max(bits, DEFAULT_PRECISION_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +75,8 @@ class Generator:
         else:
             raise ValidationError(f"generator {self.name!r}: unknown kind {self.kind!r}")
 
-    def float_value(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> mpmath.mpf:
-        with mpmath.workprec(max(precision_bits, DEFAULT_PRECISION_BITS)):
+    def float_value(self, precision_bits: int | None = None) -> mpmath.mpf:
+        with mpmath.workprec(working_bits(precision_bits)):
             if self.kind == "rational_unit":
                 return mpmath.mpf(1)
             if self.kind == "sqrt_prime":
@@ -501,11 +509,11 @@ def coordinates(fv: FrequencyVector, j: int) -> CoordMap:
 
 
 def evaluate_float(
-    fv: FrequencyVector, j: int, precision_bits: int = DEFAULT_PRECISION_BITS
+    fv: FrequencyVector, j: int, precision_bits: int | None = None
 ) -> mpmath.mpf:
-    """omega_j as a float with >= 64-bit working mantissa."""
+    """omega_j at ``working_bits(precision_bits)`` of mantissa."""
     coords = coordinates(fv, j)
-    bits = max(precision_bits, DEFAULT_PRECISION_BITS)
+    bits = working_bits(precision_bits)
     with mpmath.workprec(bits):
         total = mpmath.mpf(0)
         for gen, c in coords.items():

@@ -14,6 +14,7 @@ stacks the resonance basis over integer preimages of an image basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,9 +68,15 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     gens, rows = _coordinate_matrix(fv, depth)
     basis = integer_kernel(rows)
-    for nu in basis:  # exact re-check in generator coordinates
-        for row in rows:
-            if nu.dot_fractions(row) != 0:
+    # exact re-check in generator coordinates, on each row scaled to integers
+    # by the lcm of its denominators
+    scaled = []
+    for row in rows:
+        scale = math.lcm(*(q.denominator for q in row))
+        scaled.append([q.numerator * (scale // q.denominator) for q in row])
+    for nu in basis:
+        for row in scaled:
+            if sum(v * row[j - 1] for j, v in nu.items()) != 0:
                 raise ValidationError("internal error: kernel vector fails exact resonance check")
     return ResonanceBasis(tuple(basis), depth)
 

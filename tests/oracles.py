@@ -113,3 +113,29 @@ def express_in_span(target: Fraction, generators, coeff_bound: int):
         if sum(c * g for c, g in zip(combo, gens)) == target:
             return combo
     return None
+
+
+def flow_angles_per_sample(omegas, theta0_radians, t: float) -> list[float]:
+    """Float flow angles at one time, one coordinate at a time in Python
+    floats: (theta0_j + omega_j t) mod 2 pi."""
+    return [(b + w * float(t)) % (2 * math.pi) for b, w in zip(theta0_radians, omegas)]
+
+
+def probe_single_chunk(omegas, target_turns, epsilon: float, t_max: float, step: float):
+    """(hit, time, distance, samples) of the brute-force density probe, with
+    every sample time on the grid k * step evaluated in one array."""
+    turns = np.array(omegas) / (2 * math.pi)
+    tgt = np.array(target_turns)
+    weights = np.array([2.0 ** -(k + 1) for k in range(len(omegas))])
+    n_samples = int(t_max / step) + 1
+    if n_samples > 2_000_000:
+        raise ValueError(f"{n_samples} samples would not fit one small array")
+    ts = (np.arange(n_samples) * step)[:, None]
+    frac = (ts * turns[None, :] - tgt[None, :]) % 1.0
+    dists = (np.minimum(frac, 1.0 - frac) * weights[None, :]).sum(axis=1)
+    hits = np.nonzero(dists < epsilon)[0]
+    if hits.size:
+        i = int(hits[0])
+        return True, float(ts[i, 0]), float(dists[i]), i + 1
+    i = int(np.argmin(dists))
+    return False, float(ts[i, 0]), float(dists[i]), n_samples

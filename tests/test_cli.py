@@ -200,3 +200,38 @@ def test_malformed_precision_env_is_validation_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert "error: KRON_PRECISION must be an integer, got 'abc'" in err
+
+
+CANCEL_SPEC = '{"kind":"finite","terms":[{"1":"-14142135623730950488"},{"sqrt2":"10000000000000000000"}]}'
+
+
+def test_failed_simulate_keeps_existing_out_file(tmp_path, capsys):
+    spec = tmp_path / "s2.json"
+    spec.write_text(SQRT_SPEC)
+    out = tmp_path / "keep.csv"
+    out.write_text("t,theta_1\n0,1\n")
+    for bad in (["--steps", "0"], ["--steps", "4", "--depth", "5"]):
+        code = main(["simulate", str(spec), "--t1", "1", "--out", str(out)] + bad)
+        err = capsys.readouterr().err
+        assert code == 1 and "error:" in err, bad
+        assert out.read_text() == "t,theta_1\n0,1\n", bad
+
+
+def test_precision_reaches_equidistribution(tmp_path, capsys):
+    spec = tmp_path / "cancel.json"
+    spec.write_text(CANCEL_SPEC)
+    argv = ["equidistribution", str(spec), "--nu=1,1", "--T", "100", "--depth", "2"]
+    code, out = run(capsys, "--precision", "200", *argv)
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert abs(row["bound"] - 1.18433) < 1e-5 and row["pass"] is True
+
+
+def test_nu_dot_omega_rounding_to_zero_is_validation_error(tmp_path, capsys):
+    spec = tmp_path / "cancel.json"
+    spec.write_text(CANCEL_SPEC)
+    argv = ["equidistribution", str(spec), "--nu=1,1", "--T", "100", "--depth", "2"]
+    code = main(["--precision", "64", *argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "--precision" in err and "Traceback" not in err

@@ -199,3 +199,10 @@ def test_weighted_total_matches_series():
     s80 = spec.term(80)
     remainder = s80 * (80 / (1 - r) + r / (1 - r) ** 2)
     assert spec.weighted_total() == partial + remainder
+
+
+def test_evaluate_float_follows_working_precision():
+    fv = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
+    with mpmath.workprec(200):
+        err = abs(evaluate_float(fv, 2) - mpmath.sqrt(2))
+        assert err <= mpmath.mpf(2) ** -190

@@ -291,3 +291,13 @@ def test_resonance_bo_depth_128():
     assert basis.rank == 128 - rational_rank(rows)
     for nu in basis.vectors:
         assert all(nu.dot_fractions(row) == 0 for row in rows)
+
+
+def test_resonance_basis_rejects_a_wrong_kernel_vector(monkeypatch):
+    import kronflow.resonance_reduction as rr
+
+    fv = rational_vector(["1", "1/2", "1/3"])
+    # (1, -2, 0) is a relation; (1, -1, 0) is not: 1 - 1/2 != 0
+    monkeypatch.setattr(rr, "integer_kernel", lambda rows: [IntVecFin({1: 1, 2: -2}), IntVecFin({1: 1, 2: -1})])
+    with pytest.raises(ValidationError, match="fails exact resonance check"):
+        resonance_basis(fv, 3)
