@@ -11,18 +11,18 @@ import json
 from fractions import Fraction
 
 from kronflow import (
-    BoActionSpec,
+    BoRule,
+    FrequencyVector,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
     SubgroupOfQSpec,
-    build_frequency_from_groups,
+    build_product_vector,
     classification_report,
     closures_homeomorphic,
     parse_frequency_spec,
     solenoid_vector,
 )
-from kronflow.benjamin_ono import bo_rule
 
 ZOO = {
     "torus T^3 (1, sqrt2, sqrt3)": parse_frequency_spec(
@@ -33,11 +33,11 @@ ZOO = {
     ),
     "factorial rule 1/j!": solenoid_vector(SigmaSequence((1,), "increment")),
     "odd-indexed prime rule": solenoid_vector(SigmaSequence((1,), "odd_indexed_primes")),
-    "product Z + Z[1/2]": build_frequency_from_groups(
+    "product Z + Z[1/2]": build_product_vector(
         [SubgroupOfQSpec(free_generator=Fraction(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))]
     ),
-    "dyadic quadratic spectrum": bo_rule(
-        BoActionSpec(Generator("beta", "opaque"), RationalSequenceSpec((), Fraction(1, 2), Fraction(1, 2)))
+    "dyadic quadratic spectrum": FrequencyVector(
+        BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), Fraction(1, 2), Fraction(1, 2)))
     ),
 }
 

@@ -15,11 +15,13 @@ from .exact_linalg import (
 from .frequency import (
     DEFAULT_DEPTH,
     UNIT,
+    BoRule,
     FrequencyVector,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
     SubgroupOfQSpec,
+    build_product_vector,
     coordinates,
     evaluate_float,
     parse_frequency_spec,
@@ -36,13 +38,11 @@ from .classification import (
     SupernaturalNumber,
     baer_isomorphic,
     baer_to_qa,
-    build_frequency_from_groups,
     classification_report,
     closures_homeomorphic,
     decompose_module,
     free_baer_type,
     is_free,
-    module_rank,
     orbit_closure,
     qa_to_baer,
 )
@@ -77,9 +77,7 @@ from .dynamics import (
     time_average,
 )
 from .benjamin_ono import (
-    BoActionSpec,
     BoModuleReport,
-    bo_frequencies,
     bo_orbit_closure,
     bo_tail_module,
 )

@@ -16,11 +16,9 @@ values, so R is not free and the closure picks up a solenoid factor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .classification import (
     BaerType,
@@ -36,52 +34,8 @@ from .classification import (
 from .classification import INF, _ALL, _FINITE  # shared exponent/prime-set tags
 from .errors import ValidationError
 from .exact_linalg import format_rational, rational_gcd
-from .frequency import (
-    UNIT,
-    FrequencyVector,
-    Generator,
-    RationalSequenceSpec,
-    bo_vector,
-    truncate,
-    _resolve_generator,
-)
+from .frequency import UNIT, BoRule, FrequencyVector, RationalSequenceSpec
 from .primes import factorize
-
-
-@dataclass(frozen=True)
-class BoActionSpec:
-    """Birkhoff actions gamma_k = beta * s_k with beta an irrational scale."""
-
-    beta: Generator
-    s: RationalSequenceSpec
-
-    def __post_init__(self):
-        if self.beta.kind == "rational_unit":
-            raise ValidationError("the action scale beta must be an irrational generator")
-
-
-def parse_bo_spec(document: str | Mapping) -> BoActionSpec:
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"spec is not valid JSON: {exc}") from None
-    else:
-        obj = document
-    if not isinstance(obj, Mapping) or "s" not in obj:
-        raise ValidationError("action spec needs field 's'")
-    s = RationalSequenceSpec.from_json(obj["s"])
-    beta = _resolve_generator(obj.get("beta", {"name": "beta", "kind": "opaque"}), {})
-    return BoActionSpec(beta, s)
-
-
-def bo_rule(spec: BoActionSpec) -> FrequencyVector:
-    return bo_vector(spec.beta, spec.s)
-
-
-def bo_frequencies(spec: BoActionSpec, depth: int) -> FrequencyVector:
-    """Exact finite vector (omega_1..omega_depth) over the generators {1, beta}."""
-    return truncate(bo_rule(spec), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +172,7 @@ class BoModuleReport:
         }
 
 
-def bo_tail_module(spec: BoActionSpec, depth: int) -> BoModuleReport:
+def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     """Exact presentation of R (the subgroup generated by the sigma values)
     together with the truncated sigma/tail-sum tables and the closure verdict.
 
@@ -229,32 +183,31 @@ def bo_tail_module(spec: BoActionSpec, depth: int) -> BoModuleReport:
     """
     if depth < 2:
         raise ValidationError("tail-module report needs depth >= 2")
-    s = spec.s
+    s = rule.s
     sigma_values = tuple(s.sigma(j) for j in range(1, depth + 1))
     tail_sums = tuple(s.tail_sum(n) for n in range(1, depth))
     f, h, v = _span_data(s)
     r_type = _baer_of_span(f, h, v)
-    closure = bo_orbit_closure(spec, depth)
+    closure = bo_orbit_closure(rule)
     return BoModuleReport(sigma_values, tail_sums, r_type, closure, s.full_support(), depth)
 
 
-def module_descriptor(beta: Generator, s: RationalSequenceSpec, depth: int) -> ModuleDescriptor:
+def module_descriptor(rule: BoRule) -> ModuleDescriptor:
     """Components of the frequency module: Z on the unit generator (the
     squares reach 1 at j = 1), and the exact beta-coefficient subgroup, which
     is 2R since every beta-coordinate is -2 sigma_j."""
     comps = [ModuleComponent(UNIT, free_baer_type(Fraction(1)))]
-    f, h, v = _span_data(s)
+    f, h, v = _span_data(rule.s)
     if h is not None or f != 0:
         scaled = _baer_of_span(2 * f, 2 * h if h is not None else None, v)
-        comps.append(ModuleComponent(beta, scaled))
+        comps.append(ModuleComponent(rule.beta, scaled))
     return ModuleDescriptor(tuple(comps))
 
 
-def bo_orbit_closure(spec: BoActionSpec, depth: int) -> ClosureDescriptor:
+def bo_orbit_closure(rule: BoRule) -> ClosureDescriptor:
     """Circle (from Z) times the dual of R: nothing for trivial R, a circle
     for finite support (R cyclic), a solenoid otherwise."""
-    del depth
-    f, h, v = _span_data(spec.s)
+    f, h, v = _span_data(rule.s)
     factors: list[Circle | Solenoid] = [Circle()]
     r_type = _baer_of_span(f, h, v)
     if r_type is not None:
@@ -262,11 +215,11 @@ def bo_orbit_closure(spec: BoActionSpec, depth: int) -> ClosureDescriptor:
     return ClosureDescriptor(tuple(factors))
 
 
-def bo_report(spec: BoActionSpec, depth: int) -> dict:
+def bo_report(rule: BoRule, depth: int) -> dict:
     """Full JSON report embedding the module classification."""
     from .classification import classification_report
 
-    report = bo_tail_module(spec, depth)
+    report = bo_tail_module(rule, depth)
     out = report.to_json()
-    out["module"] = classification_report(bo_rule(spec), depth)
+    out["module"] = classification_report(FrequencyVector(rule), depth)
     return out

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import rational_gcd
@@ -30,8 +29,6 @@ from .frequency import (
     ProductConstruction,
     SigmaSequence,
     SolenoidRule,
-    SubgroupOfQSpec,
-    build_product_vector,
     coordinates,
 )
 from .primes import factorize, is_even_indexed_prime, is_odd_indexed_prime
@@ -193,9 +190,6 @@ class SupernaturalNumber:
         odd_a, even_a, exceptions = self.profile()
         return odd_a == 0 and even_a == 0 and all(e != INF for e in exceptions.values())
 
-    def same_assignment(self, other: "SupernaturalNumber") -> bool:
-        return self.profile() == other.profile()
-
     def to_json(self) -> dict:
         out = []
         for pset, exp in self.pairs:
@@ -280,14 +274,9 @@ def baer_isomorphic(t1: BaerType, t2: BaerType) -> bool:
 # Conversions between sequence presentations and Baer descriptors
 
 
-def qa_to_baer(a: SigmaSequence, depth: int | None = None) -> BaerType:
+def qa_to_baer(a: SigmaSequence) -> BaerType:
     """Lambda_p = total exponent of p across the sequence entries, with the
-    structured tail folded in analytically; i = 1.
-
-    The ``depth`` argument is accepted for interface symmetry; the prefix is
-    finite and the tail is resolved in closed form, so no sampling occurs.
-    """
-    del depth
+    structured tail folded in analytically (no sampling); i = 1."""
     prefix_exps = a.prefix_prime_exponents()
     pairs: list[tuple[tuple, int | float]] = []
     if a.tail_kind == "increment":
@@ -461,7 +450,7 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     if isinstance(v, BoRule):
         from . import benjamin_ono
 
-        return benjamin_ono.module_descriptor(v.beta, v.s, depth)
+        return benjamin_ono.module_descriptor(v)
     if isinstance(v, ProductConstruction):
         comps = []
         for gen, spec in v.components:
@@ -473,15 +462,6 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     raise UnsupportedStructureError(
         f"no decomposition rule for frequency variant {type(v).__name__}"
     )
-
-
-def module_rank(md: ModuleDescriptor) -> int:
-    """Number of rank-1 components (each contributes rank exactly 1).
-
-    Every supported variant yields finitely many generators at any depth, so
-    the rank here is always a finite count.
-    """
-    return md.rank
 
 
 def orbit_closure(fv: FrequencyVector, depth: int) -> ClosureDescriptor:
@@ -509,12 +489,6 @@ def closures_homeomorphic(fv1: FrequencyVector, fv2: FrequencyVector, depth: int
             return False
         right.pop(match)
     return True
-
-
-def build_frequency_from_groups(groups: Sequence[SubgroupOfQSpec]) -> FrequencyVector:
-    """Frequency vector whose module decomposes as the given subgroup list
-    (prime-power index layout; free components become powers of pi)."""
-    return build_product_vector(groups)
 
 
 def classification_report(fv: FrequencyVector, depth: int) -> dict:

@@ -17,7 +17,7 @@ import sys
 import mpmath
 
 from . import __version__
-from .benjamin_ono import bo_report, parse_bo_spec
+from .benjamin_ono import bo_report
 from .classification import classification_report, closures_homeomorphic, orbit_closure
 from .dynamics import (
     equidistribution_report,
@@ -68,10 +68,7 @@ def _load_json(path: str):
 
 
 def _parse_nu(text: str) -> IntVecFin:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"--nu expects comma-separated integers, got {text!r}") from None
+    values = [parse_int(v, "--nu entry") for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ValidationError("--nu is empty")
     return IntVecFin.from_list(values)
@@ -86,10 +83,7 @@ def _parse_sequence(text: str) -> SigmaSequence:
             return SigmaSequence.from_json(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--a JSON is malformed: {exc}") from None
-    try:
-        values = tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise ValidationError(f"--a expects comma-separated integers or JSON, got {text!r}") from None
+    values = tuple(parse_int(v, "--a entry") for v in text.split(",") if v.strip() != "")
     if not values:
         raise ValidationError("--a is empty")
     tail = values[-1] if len(values) > 1 and values[-1] > 1 else 2
@@ -195,7 +189,7 @@ def _cmd_solenoid(args) -> None:
         theta = _parse_point(args.theta)
         _emit(to_coordinates(a, theta).to_json())
     else:  # times
-        digits = tuple(int(v) for v in args.digits.split(",")) if args.digits else ()
+        digits = tuple(parse_int(v, "--digits entry") for v in args.digits.split(",")) if args.digits else ()
         coords = SolenoidCoords(parse_rational(args.tau), digits)
         times = approximating_times(a, coords)
         target = from_coordinates(a, coords)
@@ -206,8 +200,13 @@ def _cmd_solenoid(args) -> None:
 
 
 def _cmd_bo(args) -> None:
-    spec = parse_bo_spec(_load_json(args.spec))
-    _emit(bo_report(spec, args.depth))
+    doc = _load_json(args.spec)
+    if isinstance(doc, dict):
+        doc = {"kind": "bo", **doc}  # only `kron bo` may omit the kind
+        if doc["kind"] != "bo":
+            raise ValidationError(f"kron bo needs a spec of kind 'bo', got {doc['kind']!r}")
+    rule = parse_frequency_spec(doc).variant
+    _emit(bo_report(rule, args.depth))
 
 
 def _cmd_iso(args) -> None:

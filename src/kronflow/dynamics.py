@@ -27,7 +27,7 @@ import mpmath
 import numpy as np
 
 from .errors import ValidationError
-from .exact_linalg import IntVecFin, RowFiniteIntMatrix, parse_rational
+from .exact_linalg import IntVecFin, RowFiniteIntMatrix, parse_list, parse_rational
 from .frequency import (
     FrequencyVector,
     Generator,
@@ -118,7 +118,9 @@ def parse_polynomial(document: Mapping) -> TrigPolynomial:
     if not isinstance(document, Mapping) or "terms" not in document:
         raise ValidationError("polynomial spec needs field 'terms'")
     poly = TrigPolynomial.from_table({})
-    for k, term in enumerate(document["terms"]):
+    for k, term in enumerate(parse_list(document["terms"], "polynomial terms")):
+        if not isinstance(term, Mapping):
+            raise ValidationError(f"terms[{k}] must be an object, got {term!r}")
         if "const" in term:
             poly = poly + TrigPolynomial.constant(parse_rational(term["const"]))
         elif "cos" in term:

@@ -39,6 +39,12 @@ def parse_int(value, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
+def parse_list(value, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def format_rational(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -153,6 +159,8 @@ class IntVecFin:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, int]) -> "IntVecFin":
+        if not isinstance(obj, Mapping):
+            raise ValidationError(f"sparse vector must map indices to integers, got {obj!r}")
         try:
             return cls((int(k), int(v)) for k, v in obj.items())
         except (TypeError, ValueError) as exc:
@@ -236,9 +244,6 @@ class RowFiniteIntMatrix:
         if i <= self.dimension:
             return self._inv_rows[i]
         return IntVecFin({i: 1})
-
-    def entry(self, i: int, j: int) -> int:
-        return self.row(i)[j]
 
     def inverse(self) -> "RowFiniteIntMatrix":
         return RowFiniteIntMatrix(self.dimension, self._inv_rows, self._rows)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import mpmath
 
 from .errors import UnsupportedStructureError, ValidationError
-from .exact_linalg import format_rational, parse_int, parse_rational
+from .exact_linalg import format_rational, parse_int, parse_list, parse_rational
 from .primes import factorize, is_prime, nth_prime, odd_indexed_prime
 
 DEFAULT_DEPTH = 16
@@ -205,7 +205,7 @@ class SigmaSequence:
     def from_json(cls, obj: Mapping) -> "SigmaSequence":
         if not isinstance(obj, Mapping) or "prefix" not in obj or "tail" not in obj:
             raise ValidationError("sequence needs 'prefix' and 'tail' fields")
-        prefix = tuple(parse_int(v, "sequence entry") for v in obj["prefix"])
+        prefix = tuple(parse_int(v, "sequence entry") for v in parse_list(obj["prefix"], "sequence prefix"))
         tail = obj["tail"]
         if isinstance(tail, str):
             return cls(prefix, tail)
@@ -213,7 +213,8 @@ class SigmaSequence:
             if "constant" in tail:
                 return cls(prefix, "constant", (parse_int(tail["constant"], "sequence entry"),))
             if "periodic" in tail:
-                return cls(prefix, "periodic", tuple(parse_int(v, "sequence entry") for v in tail["periodic"]))
+                cycle = parse_list(tail["periodic"], "periodic tail")
+                return cls(prefix, "periodic", tuple(parse_int(v, "sequence entry") for v in cycle))
         raise ValidationError(f"malformed sequence tail {tail!r}")
 
 
@@ -309,7 +310,7 @@ class RationalSequenceSpec:
     def from_json(cls, obj: Mapping) -> "RationalSequenceSpec":
         if not isinstance(obj, Mapping):
             raise ValidationError("action sequence must be an object with 'prefix'/'tail'")
-        prefix = tuple(parse_rational(v) for v in obj.get("prefix", ()))
+        prefix = tuple(parse_rational(v) for v in parse_list(obj.get("prefix", ()), "action prefix"))
         tail = obj.get("tail")
         if tail is None:
             return cls(prefix)
@@ -387,6 +388,9 @@ class SolenoidRule:
 
 @dataclass(frozen=True)
 class BoRule:
+    """omega_j = j^2 - 2 beta sigma_j for the actions gamma_k = beta * s_k,
+    beta irrational (the integrable-flow family of ``benjamin_ono``)."""
+
     beta: Generator
     s: RationalSequenceSpec
 
@@ -541,11 +545,14 @@ def _generator_from_json(obj: Mapping) -> Generator:
         raise ValidationError("generator declarations need 'name' and 'kind'")
     kind = obj["kind"]
     param = obj.get("param")
+    value = obj.get("value")
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"generator {obj['name']!r}: value must be a decimal string, got {value!r}")
     return Generator(
         str(obj["name"]),
         str(kind),
         parse_int(param, "generator param") if param is not None else None,
-        obj.get("value"),
+        value,
     )
 
 
@@ -576,7 +583,7 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
         raise ValidationError("spec must be a JSON object")
     kind = obj.get("kind")
     declared = {}
-    for g in obj.get("generators", ()):
+    for g in parse_list(obj.get("generators", ()), "generators"):
         gen = _generator_from_json(g)
         declared[gen.name] = gen
 
@@ -584,7 +591,7 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
         if "terms" not in obj:
             raise ValidationError("finite spec needs field 'terms'")
         maps = []
-        for k, term in enumerate(obj["terms"]):
+        for k, term in enumerate(parse_list(obj["terms"], "finite terms")):
             if not isinstance(term, Mapping):
                 raise ValidationError(f"terms[{k}] must map generator names to rationals")
             maps.append(
@@ -612,7 +619,7 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
     if kind == "product":
         if "components" not in obj:
             raise ValidationError("product spec needs field 'components'")
-        specs = [SubgroupOfQSpec.from_json(c) for c in obj["components"]]
+        specs = [SubgroupOfQSpec.from_json(c) for c in parse_list(obj["components"], "product components")]
         return build_product_vector(specs)
 
     raise ValidationError(f"unknown spec kind {kind!r}")

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from kronflow.benjamin_ono import BoActionSpec, bo_orbit_closure, bo_tail_module
+from kronflow.benjamin_ono import bo_orbit_closure, bo_tail_module
 from kronflow.classification import (
     INF,
     Circle,
@@ -19,7 +19,6 @@ from kronflow.classification import (
     BaerType,
     baer_isomorphic,
     baer_to_qa,
-    build_frequency_from_groups,
     decompose_module,
     orbit_closure,
     qa_to_baer,
@@ -27,10 +26,12 @@ from kronflow.classification import (
 from kronflow.dynamics import TrigPolynomial, equidistribution_report, flow, time_average
 from kronflow.exact_linalg import IntVecFin
 from kronflow.frequency import (
+    BoRule,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
     SubgroupOfQSpec,
+    build_product_vector,
     parse_frequency_spec,
     rational_vector,
     solenoid_vector,
@@ -223,7 +224,7 @@ def test_criterion_5_baer_classification():
 
 def test_criterion_6_product_construction_pipeline():
     groups = [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))]
-    fv = build_frequency_from_groups(groups)
+    fv = build_product_vector(groups)
     cd = orbit_closure(fv, 16)
     assert len(cd.factors) == 2
     kinds = sorted(type(f).__name__ for f in cd.factors)
@@ -247,7 +248,7 @@ def test_criterion_6_product_construction_pipeline():
                     specs.append(SubgroupOfQSpec(qa=SigmaSequence(prefix, kind, cycle)))
                 else:
                     specs.append(SubgroupOfQSpec(qa=SigmaSequence(prefix, kind)))
-        md = decompose_module(build_frequency_from_groups(specs), 16)
+        md = decompose_module(build_product_vector(specs), 16)
         assert md.rank == n
         assert md.free_rank == sum(1 for s in specs if s.is_free)
         remaining = [c.baer for c in md.components if not c.free]
@@ -264,7 +265,7 @@ def test_criterion_6_product_construction_pipeline():
 
 def test_criterion_7_integrable_flow():
     beta = Generator("beta", "opaque")
-    dyadic = BoActionSpec(beta, RationalSequenceSpec((), F(1, 2), F(1, 2)))
+    dyadic = BoRule(beta, RationalSequenceSpec((), F(1, 2), F(1, 2)))
     rep = bo_tail_module(dyadic, 41)
     cd = rep.closure
     assert isinstance(cd.factors[0], Circle) and isinstance(cd.factors[1], Solenoid)
@@ -274,10 +275,10 @@ def test_criterion_7_integrable_flow():
     for j in range(1, 42):  # closed form vs 60-term partial-sum oracle, exact
         oracle = sigma_by_partial_sums(dyadic.s.term, j, F(1, 2), F(1, 2), cutoff=60)
         assert rep.sigma_values[j - 1] == oracle
-    zero = BoActionSpec(beta, RationalSequenceSpec(()))
+    zero = BoRule(beta, RationalSequenceSpec(()))
     md = decompose_module(parse_frequency_spec({"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, "s": {"prefix": []}}), 8)
     assert md.rank == 1 and md.components[0].baer.i == 1 and md.is_free
-    assert bo_orbit_closure(zero, 8).to_json() == ["circle"]
+    assert bo_orbit_closure(zero).to_json() == ["circle"]
     report(7, "integrable-flow pipeline", "dyadic -> circle x solenoid(2); telescoping n<=40 exact; zero-action control")
 
 

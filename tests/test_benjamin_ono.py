@@ -3,17 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from kronflow.benjamin_ono import (
-    BoActionSpec,
     _baer_of_span,
     _span_data,
     baer_contains,
-    bo_frequencies,
     bo_orbit_closure,
     bo_report,
-    bo_rule,
     bo_tail_module,
     module_descriptor,
-    parse_bo_spec,
     span_contains,
 )
 from kronflow.classification import (
@@ -25,14 +21,23 @@ from kronflow.classification import (
     is_free,
 )
 from kronflow.errors import ValidationError
-from kronflow.frequency import UNIT, Generator, RationalSequenceSpec, coordinates
+from kronflow.frequency import (
+    UNIT,
+    BoRule,
+    FrequencyVector,
+    Generator,
+    RationalSequenceSpec,
+    coordinates,
+    parse_frequency_spec,
+    truncate,
+)
 from oracles import sigma_by_partial_sums
 
 BETA = Generator("beta", "opaque")
-DYADIC = BoActionSpec(BETA, RationalSequenceSpec((), F(1, 2), F(1, 2)))
-TRIADIC2 = BoActionSpec(BETA, RationalSequenceSpec((), F(2, 3), F(1, 3)))
-PREFIX_ONLY = BoActionSpec(BETA, RationalSequenceSpec((F(1, 3),)))
-ZERO = BoActionSpec(BETA, RationalSequenceSpec(()))
+DYADIC = BoRule(BETA, RationalSequenceSpec((), F(1, 2), F(1, 2)))
+TRIADIC2 = BoRule(BETA, RationalSequenceSpec((), F(2, 3), F(1, 3)))
+PREFIX_ONLY = BoRule(BETA, RationalSequenceSpec((F(1, 3),)))
+ZERO = BoRule(BETA, RationalSequenceSpec(()))
 
 
 # -- sigma closed form vs partial-sum oracle
@@ -58,11 +63,11 @@ def test_sigma_prefix_only_example():
     assert [PREFIX_ONLY.s.sigma(j) for j in (1, 2, 3, 9)] == [F(1, 3)] * 4
 
 
-# -- bo_frequencies examples
+# -- truncated frequencies
 
 
 def test_frequencies_zero_actions():
-    fv = bo_frequencies(ZERO, 4)
+    fv = truncate(FrequencyVector(ZERO), 4)
     assert [coordinates(fv, j) for j in (1, 2, 3, 4)] == [
         {UNIT: F(1)},
         {UNIT: F(4)},
@@ -72,7 +77,7 @@ def test_frequencies_zero_actions():
 
 
 def test_frequencies_dyadic():
-    fv = bo_frequencies(DYADIC, 5)
+    fv = truncate(FrequencyVector(DYADIC), 5)
     for j in range(1, 6):
         coords = coordinates(fv, j)
         assert coords[UNIT] == j * j
@@ -80,7 +85,7 @@ def test_frequencies_dyadic():
 
 
 def test_frequencies_prefix_only():
-    fv = bo_frequencies(PREFIX_ONLY, 3)
+    fv = truncate(FrequencyVector(PREFIX_ONLY), 3)
     for j in (1, 2, 3):
         assert coordinates(fv, j) == {UNIT: F(j * j), BETA: F(-2, 3)}
 
@@ -151,7 +156,7 @@ def test_triadic_r_type():
 
 def test_general_ratio_supported():
     # r = 5/6: denominator not a prime power; span{r^k} still fills Z[1/6]
-    spec = BoActionSpec(BETA, RationalSequenceSpec((), F(1), F(5, 6)))
+    spec = BoRule(BETA, RationalSequenceSpec((), F(1), F(5, 6)))
     rep = bo_tail_module(spec, 8)
     assert rep.r_type.lam.resolve(2) == INF and rep.r_type.lam.resolve(3) == INF
     f, h, v = _span_data(spec.s)
@@ -162,26 +167,26 @@ def test_general_ratio_supported():
 
 
 def test_dyadic_closure_circle_times_solenoid():
-    cd = bo_orbit_closure(DYADIC, 12)
+    cd = bo_orbit_closure(DYADIC)
     assert len(cd.factors) == 2
     assert isinstance(cd.factors[0], Circle) and isinstance(cd.factors[1], Solenoid)
     assert cd.factors[1].lam.resolve(2) == INF
 
 
 def test_zero_actions_closure_single_circle():
-    cd = bo_orbit_closure(ZERO, 8)
+    cd = bo_orbit_closure(ZERO)
     assert cd.to_json() == ["circle"]
 
 
 def test_finite_actions_closure_torus():
-    assert bo_orbit_closure(PREFIX_ONLY, 8).to_json() == ["circle", "circle"]
+    assert bo_orbit_closure(PREFIX_ONLY).to_json() == ["circle", "circle"]
 
 
 # -- pipeline consistency
 
 
 def test_module_descriptor_agrees_with_tail_module():
-    md = decompose_module(bo_rule(DYADIC), 12)
+    md = decompose_module(FrequencyVector(DYADIC), 12)
     rep = bo_tail_module(DYADIC, 12)
     assert md.components[0].generator == UNIT
     assert md.components[0].baer.i == 1 and is_free(md.components[0].baer)
@@ -191,7 +196,7 @@ def test_module_descriptor_agrees_with_tail_module():
 
 def test_beta_component_is_exactly_twice_r():
     # beta coordinates are -2 sigma_j, so the beta span is 2R = S(2, all-inf at 3)
-    md = module_descriptor(BETA, TRIADIC2.s, 8)
+    md = module_descriptor(TRIADIC2)
     beta_comp = md.components[1].baer
     assert beta_comp.i == 2
     assert beta_comp.lam.resolve(3) == INF
@@ -210,7 +215,7 @@ def test_report_embeds_classification():
 
 
 def test_partial_support_flagged():
-    spec = BoActionSpec(BETA, RationalSequenceSpec((F(0), F(1, 2)), F(1, 2), F(1, 2)))
+    spec = BoRule(BETA, RationalSequenceSpec((F(0), F(1, 2)), F(1, 2), F(1, 2)))
     rep = bo_tail_module(spec, 8)
     assert rep.full_support is False
     # still classifiable: infinite nonnegative support forces a solenoid
@@ -221,12 +226,12 @@ def test_partial_support_flagged():
 
 
 def test_parse_bo_spec():
-    spec = parse_bo_spec('{"beta": {"name": "b", "kind": "opaque"}, "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}')
-    assert spec.s.term(1) == F(1, 3) and spec.s.term(2) == F(1, 2)
+    rule = parse_frequency_spec('{"kind": "bo", "beta": {"name": "b", "kind": "opaque"}, "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}').variant
+    assert rule.s.term(1) == F(1, 3) and rule.s.term(2) == F(1, 2)
     with pytest.raises(ValidationError):
-        parse_bo_spec('{"beta": "1", "s": {"prefix": []}}')  # rational scale rejected
+        parse_frequency_spec('{"kind": "bo", "beta": "1", "s": {"prefix": []}}')  # rational scale rejected
     with pytest.raises(ValidationError):
-        parse_bo_spec('{"s": {"prefix": [], "tail": {"c": "1/2", "r": "3/2"}}}')
+        parse_frequency_spec('{"kind": "bo", "s": {"prefix": [], "tail": {"c": "1/2", "r": "3/2"}}}')
 
 
 def test_random_specs_containments():
@@ -241,7 +246,7 @@ def test_random_specs_containments():
         r = F(rng.randint(1, 7), rng.randint(2, 9))
         if r >= 1:
             r = F(1, 2)
-        spec = BoActionSpec(BETA, RationalSequenceSpec(prefix, c, r))
+        spec = BoRule(BETA, RationalSequenceSpec(prefix, c, r))
         f, h, v = _span_data(spec.s)
         t = _baer_of_span(f, h, v)
         for j in range(1, 20):
@@ -260,7 +265,7 @@ def test_baer_contains_large_numerators_fast():
     # membership must not factorize the numerator (sigma numerators get huge)
     import time
 
-    spec = BoActionSpec(BETA, RationalSequenceSpec((), F(5, 7), F(6, 7)))
+    spec = BoRule(BETA, RationalSequenceSpec((), F(5, 7), F(6, 7)))
     rep = bo_tail_module(spec, 40)
     start = time.perf_counter()
     for j in range(30, 41):

@@ -10,13 +10,11 @@ from kronflow.classification import (
     SupernaturalNumber,
     baer_isomorphic,
     baer_to_qa,
-    build_frequency_from_groups,
     classification_report,
     closures_homeomorphic,
     decompose_module,
     free_baer_type,
     is_free,
-    module_rank,
     orbit_closure,
     qa_to_baer,
 )
@@ -24,6 +22,7 @@ from kronflow.errors import UnsupportedStructureError, ValidationError
 from kronflow.frequency import (
     SigmaSequence,
     SubgroupOfQSpec,
+    build_product_vector,
     parse_frequency_spec,
     rational_vector,
     solenoid_vector,
@@ -244,10 +243,10 @@ def test_decompose_pi_powers():
 
 
 def test_module_rank_examples():
-    assert module_rank(decompose_module(rational_vector(["1", "1/2", "1/3"]), 3)) == 1
+    assert decompose_module(rational_vector(["1", "1/2", "1/3"]), 3).rank == 1
     two = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
-    assert module_rank(decompose_module(two, 2)) == 2
-    assert module_rank(decompose_module(solenoid_vector(CONST2), 6)) == 1
+    assert decompose_module(two, 2).rank == 2
+    assert decompose_module(solenoid_vector(CONST2), 6).rank == 1
 
 
 # -- orbit_closure examples
@@ -296,18 +295,18 @@ def test_homeo_reflexive_and_symmetric():
 
 
 def test_build_single_free_group():
-    fv = build_frequency_from_groups([SubgroupOfQSpec(free_generator=F(1))])
+    fv = build_product_vector([SubgroupOfQSpec(free_generator=F(1))])
     assert orbit_closure(fv, 8).to_json() == ["circle"]
 
 
 def test_build_dyadic_roundtrip():
-    fv = build_frequency_from_groups([SubgroupOfQSpec(qa=CONST2)])
+    fv = build_product_vector([SubgroupOfQSpec(qa=CONST2)])
     md = decompose_module(fv, 16)
     assert md.rank == 1 and md.components[0].baer.lam.resolve(2) == INF
 
 
 def test_build_circle_times_solenoid():
-    fv = build_frequency_from_groups(
+    fv = build_product_vector(
         [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=CONST2)]
     )
     cd = orbit_closure(fv, 16)
@@ -319,7 +318,7 @@ def test_build_circle_times_solenoid():
 
 def test_build_empty_rejected():
     with pytest.raises(ValidationError):
-        build_frequency_from_groups([])
+        build_product_vector([])
 
 
 def random_group_spec(rng):
@@ -341,7 +340,7 @@ def test_roundtrip_random_group_lists():
     rng = random.Random(20240817)
     for _ in range(20):
         groups = [random_group_spec(rng) for _ in range(rng.randint(1, 4))]
-        fv = build_frequency_from_groups(groups)
+        fv = build_product_vector(groups)
         md = decompose_module(fv, 16)
         assert md.rank == len(groups)
         want_free = [g for g in groups if g.is_free]
@@ -368,18 +367,17 @@ def test_classification_report_shape():
 def test_cross_variant_homeomorphism():
     # dyadic quadratic spectrum (Z + beta-span) vs product [Z, Z[1/2]]:
     # same invariants, so the closures match across construction routes
-    from kronflow.benjamin_ono import BoActionSpec, bo_rule
-    from kronflow.frequency import Generator, RationalSequenceSpec
+    from kronflow.frequency import BoRule, FrequencyVector, Generator, RationalSequenceSpec
 
-    dyadic = bo_rule(
-        BoActionSpec(Generator("beta", "opaque"), RationalSequenceSpec((), F(1, 2), F(1, 2)))
+    dyadic = FrequencyVector(
+        BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), F(1, 2), F(1, 2)))
     )
-    product = build_frequency_from_groups(
+    product = build_product_vector(
         [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=CONST2)]
     )
     assert closures_homeomorphic(dyadic, product, 16)
-    triadic = bo_rule(
-        BoActionSpec(Generator("beta", "opaque"), RationalSequenceSpec((), F(2, 3), F(1, 3)))
+    triadic = FrequencyVector(
+        BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), F(2, 3), F(1, 3)))
     )
     assert not closures_homeomorphic(triadic, product, 16)
 

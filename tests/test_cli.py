@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kronflow.cli import main
 from kronflow.errors import UnsupportedStructureError
 
@@ -235,3 +237,75 @@ def test_nu_dot_omega_rounding_to_zero_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and "--precision" in err and "Traceback" not in err
+
+
+# each input used to escape cli.main as a TypeError/ValueError traceback;
+# "@<json>" is written to a file whose path replaces it
+MALFORMED_INPUTS = {
+    "solenoid prefix": ["classify", '@{"kind": "solenoid", "a": {"prefix": 5, "tail": {"constant": 2}}}'],
+    "periodic tail": ["classify", '@{"kind": "solenoid", "a": {"prefix": [1], "tail": {"periodic": 5}}}'],
+    "generators": ["classify", '@{"kind": "finite", "generators": 5, "terms": [{"1": "1"}]}'],
+    "components": ["classify", '@{"kind": "product", "components": 5}'],
+    "opaque value": [
+        "classify",
+        '@{"kind": "finite", "generators": [{"name": "b", "kind": "opaque", "value": 5}], "terms": [{"b": "1"}]}',
+    ],
+    "bo prefix": ["classify", '@{"kind": "bo", "s": {"prefix": 5}}'],
+    "poly terms": ["average", "@" + SQRT_SPEC, "--poly", '@{"terms": 5}'],
+    "poly term": ["average", "@" + SQRT_SPEC, "--poly", '@{"terms": [5]}'],
+    "digits x": ["solenoid", "times", "--a", "1,2", "--tau", "1/4", "--digits", "x"],
+    "digits empty entry": ["solenoid", "times", "--a", "1,2", "--tau", "1/4", "--digits", "1,,2"],
+    "member prefix": ["solenoid", "member", "--a", '{"prefix":5,"tail":2}', "--theta", "1/2,1/4"],
+}
+
+
+@pytest.mark.parametrize("argv", list(MALFORMED_INPUTS.values()), ids=list(MALFORMED_INPUTS))
+def test_malformed_input_is_validation_error(tmp_path, capsys, argv):
+    args = []
+    for k, arg in enumerate(argv):
+        if arg.startswith("@"):
+            path = tmp_path / f"in{k}.json"
+            path.write_text(arg[1:])
+            arg = str(path)
+        args.append(arg)
+    if args[0] != "solenoid":
+        args += ["--depth", "4"]
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
+
+
+BO_DECLARED = (
+    '{"kind": "bo", "generators": [{"name": "b", "kind": "opaque"}], "beta": "b",'
+    ' "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}'
+)
+BO_INLINE = (
+    '{"kind": "bo", "beta": {"name": "b", "kind": "opaque"},'
+    ' "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}'
+)
+
+
+def test_bo_honours_declared_generators(tmp_path, capsys):
+    declared = tmp_path / "declared.json"
+    declared.write_text(BO_DECLARED)
+    inline = tmp_path / "inline.json"
+    inline.write_text(BO_INLINE)
+    code, out = run(capsys, "bo", str(declared), "--depth", "8")
+    assert code == 0
+    code, want = run(capsys, "bo", str(inline), "--depth", "8")
+    assert code == 0 and out == want
+    code, classified = run(capsys, "classify", str(declared), "--depth", "8")
+    assert code == 0 and json.loads(out)["module"] == json.loads(classified)
+
+
+@pytest.mark.parametrize(
+    "doc", ['{"kind": "finite", "s": {"prefix": []}}', '{"kind": 5, "s": {"prefix": []}}', SOLENOID_SPEC, "[1, 2]"]
+)
+def test_bo_rejects_other_kinds(tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    code = main(["bo", str(spec), "--depth", "4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err
