@@ -22,7 +22,7 @@ from .classification import classification_report, closures_homeomorphic, orbit_
 from .dynamics import (
     equidistribution_report,
     haar_average,
-    nu_dot_omega,
+    nu_dot_omegas,
     parse_polynomial,
     sample_trajectory,
     time_average,
@@ -44,8 +44,7 @@ MIN_PRECISION_BITS = 53
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_spec(path: str) -> FrequencyVector:
@@ -151,14 +150,15 @@ def _cmd_average(args) -> None:
     poly = parse_polynomial(_load_json(args.poly))
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
     haar = haar_average(poly)
+    omega_nus = nu_dot_omegas(fv, poly)
     rows = []
     for t_final in args.T:
-        value = time_average(fv, poly, theta0, t_final)
+        value = time_average(fv, poly, theta0, t_final, omega_nus)
         envelope = 0.0
         for nu, (re, im) in poly.items():
             if nu.is_zero():
                 continue
-            resonant, w = nu_dot_omega(fv, nu)
+            resonant, w = omega_nus[nu]
             if resonant:
                 envelope = None
                 break

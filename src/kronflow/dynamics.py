@@ -11,7 +11,8 @@ frequency coordinates sit on a single generator.
 The float paths (flow, trajectory sampling, quadrature, the minimality probe)
 evaluate omega_1..omega_N once per call, at the caller's working precision,
 and form the angles (Theta0 + omega t) mod 2*pi for all sample times at once
-as numpy arrays.
+as numpy arrays; the probe forms them only for the samples whose first angle
+is near the target's.
 """
 
 from __future__ import annotations
@@ -208,7 +209,9 @@ def flow(
             vals = [(theta0.angles[j] + coeffs[j] * t) % 1 for j in range(depth)]
             return TorusPoint.exact_point(vals)
 
-    return TorusPoint.float_point(_flow_angles(fv, theta0, [float(t)])[0])
+    t = float(t)
+    _require_finite(t, "t")
+    return TorusPoint.float_point(_flow_angles(fv, theta0, [t])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +284,31 @@ def _phase_at(nu: IntVecFin, theta: TorusPoint) -> float:
     return total
 
 
-def averaged_phase(
-    fv: FrequencyVector, nu: IntVecFin, theta0: TorusPoint, t_final: float
-) -> complex:
-    """(1/T) integral_0^T exp(i nu . Theta(t)) dt in closed form."""
+def _require_finite(value: float, name: str) -> None:
+    """Reject a nan or infinite time or tolerance with a ValidationError."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def _check_window(t_final: float) -> None:
+    _require_finite(t_final, "averaging window T")
     if t_final <= 0:
         raise ValidationError("averaging window T must be positive")
+
+
+def nu_dot_omegas(fv: FrequencyVector, p: TrigPolynomial) -> dict[IntVecFin, tuple[bool, float]]:
+    """nu_dot_omega for every nonzero monomial of ``p``, one evaluation each."""
+    return {nu: nu_dot_omega(fv, nu) for nu, _ in p.items() if not nu.is_zero()}
+
+
+def _averaged_phase(
+    nu: IntVecFin, omega_nu: tuple[bool, float] | None, theta0: TorusPoint, t_final: float
+) -> complex:
+    """(1/T) integral_0^T exp(i nu . Theta(t)) dt in closed form, given
+    ``omega_nu = nu_dot_omega(fv, nu)`` (None for nu = 0)."""
     if nu.is_zero():
         return 1.0 + 0.0j
-    resonant, value = nu_dot_omega(fv, nu)
+    resonant, value = omega_nu
     phase0 = cmath.exp(1j * _phase_at(nu, theta0))
     if resonant:
         return phase0
@@ -298,17 +317,26 @@ def averaged_phase(
 
 
 def time_average(
-    fv: FrequencyVector, p: TrigPolynomial, theta0: TorusPoint, t_final: float
+    fv: FrequencyVector,
+    p: TrigPolynomial,
+    theta0: TorusPoint,
+    t_final: float,
+    omega_nus: Mapping[IntVecFin, tuple[bool, float]] | None = None,
 ) -> float:
     """Closed-form (1/T) integral_0^T p(Phi^t(theta0)) dt.
 
     Resonant monomials contribute their constant value a_nu exp(i nu.Theta0);
-    the others decay like 1/T with the explicit oscillatory factor.
+    the others decay like 1/T with the explicit oscillatory factor.  A caller
+    averaging over several windows passes ``omega_nus = nu_dot_omegas(fv, p)``
+    so that each nu . omega is evaluated once.
     """
+    _check_window(t_final)
+    if omega_nus is None:
+        omega_nus = nu_dot_omegas(fv, p)
     total = 0.0 + 0.0j
     for nu, (re, im) in p.items():
         a = complex(re) + 1j * complex(im)
-        total += a * averaged_phase(fv, nu, theta0, t_final)
+        total += a * _averaged_phase(nu, omega_nus.get(nu), theta0, t_final)
     if abs(total.imag) > 1e-12:
         raise ValidationError("reality violated: average has a nonzero imaginary part")
     return total.real
@@ -347,6 +375,7 @@ def time_average_quadrature(
     handles non-polynomial observables."""
     if samples < 3:
         raise ValidationError("quadrature needs at least 3 samples")
+    _check_window(t_final)
     ts = np.linspace(0.0, t_final, samples)
     angles = _flow_angles(fv, theta0, ts)
     if isinstance(observable, TrigPolynomial):
@@ -388,21 +417,25 @@ def equidistribution_report(
 ) -> list[EquidistributionRow]:
     """Rows (nu, T, |time average of exp(i nu.Theta)|, 2/(T |omega.nu|), pass).
 
-    Resonant and zero monomials are flagged per row rather than rejected.
+    Resonant and zero monomials are flagged per row rather than rejected;
+    every window T must be finite and positive.
     """
+    t_finals = [float(t_final) for t_final in t_finals]
+    for t_final in t_finals:
+        _check_window(t_final)
     rows = []
     for nu in nus:
         if nu.is_zero():
             for t_final in t_finals:
-                rows.append(EquidistributionRow(nu, float(t_final), None, None, None, "zero"))
+                rows.append(EquidistributionRow(nu, t_final, None, None, None, "zero"))
             continue
-        resonant, value = nu_dot_omega(fv, nu)
+        omega_nu = nu_dot_omega(fv, nu)
+        resonant, value = omega_nu
         for t_final in t_finals:
-            t_final = float(t_final)
             if resonant:
                 rows.append(EquidistributionRow(nu, t_final, None, None, None, "resonant"))
                 continue
-            mag = abs(averaged_phase(fv, nu, theta0, t_final))
+            mag = abs(_averaged_phase(nu, omega_nu, theta0, t_final))
             bound = 2.0 / (t_final * abs(value))
             rows.append(EquidistributionRow(nu, t_final, mag, bound, mag <= bound + 1e-12, None))
     return rows
@@ -420,6 +453,44 @@ class ProbeResult:
     samples: int
 
 
+def _probe_candidates(a: float, g: float, radius: float, n_samples: int):
+    """Grid indices 0 <= k < n_samples, in increasing order and in the probe's
+    doubling blocks, that include every k whose first angle k * a - g (in
+    turns, computed as the probe computes it) lies within ``radius`` of an
+    integer.  Yields one index array per block, possibly empty, or nothing
+    when no sample is near."""
+    if a < 0:  # ||k a - g|| = ||k |a| + g||
+        a, g = -a, -g
+    # float rounding of k * step * turn - g and of the run bounds below stays
+    # far inside a few ulps of the largest phase
+    r = radius + (n_samples * a + abs(g) + 1.0) * 2.0 ** -46
+    off = g % 1.0
+    whole = r >= 0.5 or (a == 0.0 and min(off, 1.0 - off) <= r)
+    if a == 0.0 and not whole:  # every sample has the first angle of t = 0
+        return
+    start, chunk = 0, PROBE_FIRST_CHUNK
+    while start < n_samples:
+        end = min(start + chunk, n_samples)
+        if whole:
+            yield np.arange(start, end)
+        else:
+            m_lo, m_hi = math.floor(start * a - g - r), math.ceil(end * a - g + r)
+            if m_hi - m_lo >= end - start:
+                yield np.arange(start, end)
+            else:
+                # wrap m holds the run (g + m - r) / a <= k <= (g + m + r) / a
+                m = np.arange(m_lo, m_hi + 1, dtype=float)
+                with np.errstate(over="ignore"):  # a subnormal a: bounds clip from inf
+                    lo = np.clip(np.ceil((g + m - r) / a), start, end).astype(np.int64)
+                    hi = np.clip(np.floor((g + m + r) / a), start - 1, end - 1).astype(np.int64)
+                lo[1:] = np.maximum(lo[1:], hi[:-1] + 1)
+                sizes = np.maximum(hi - lo + 1, 0)
+                firsts = np.cumsum(sizes) - sizes
+                yield np.repeat(lo - firsts, sizes) + np.arange(int(sizes.sum()))
+        start += chunk
+        chunk = min(2 * chunk, PROBE_MAX_CHUNK)
+
+
 def minimality_probe(
     fv: FrequencyVector,
     target: TorusPoint,
@@ -429,9 +500,35 @@ def minimality_probe(
     step: float | None = None,
 ) -> ProbeResult:
     """Smallest sampled t <= t_max with d_rho(flow(0, t), target) < epsilon,
-    rho_k = 2^-k.  Requires a vector certified non-resonant at this depth."""
+    rho_k = 2^-k.  Requires a vector certified non-resonant at this depth.
+
+    The samples are the grid t = k * step, k = 0 .. int(t_max / step).  At a
+    hit, ``samples`` is k + 1 for the first hit; without one it is the grid
+    size and (time, distance) is the first sample of least distance.  Either
+    way ``samples`` is the grid index reached, not the number of samples
+    evaluated: only samples near the target's first angle are.  The distance
+    is d = sum_k 2^-(k+1) delta_k, delta_k the circular distance of angle k in
+    turns, so d < epsilon forces delta_1 < 2 epsilon; the first angle advances
+    by a fixed a = step * omega_1 / 2 pi per sample, so for each wrap m the
+    samples with delta_1 <= r form one run of indices k in (g_1 + m -+ r) / a.
+    Non-resonance forces omega_1 != 0 (else e_1 is a relation); if its float
+    still rounds to 0, the window holds every index or none.  The runs are
+    scanned in index order with r = 2 epsilon plus a rounding margin, so the
+    first hit ends the scan; without a hit r widens to twice the least
+    distance found and the runs are scanned again, so no sample outside them
+    can be closer.  Each candidate's distance is the same float expression as
+    on the full grid, so the result does not depend on the window.
+    """
+    _require_finite(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
+    _require_finite(t_max, "t_max")
+    if t_max < 0:
+        raise ValidationError("t_max must be >= 0")
+    if step is not None:
+        _require_finite(step, "step")
+        if step <= 0:
+            raise ValidationError("step must be positive")
     if not resonance_basis(fv, depth).is_trivial():
         raise ValidationError(
             "resonant vector at this depth: the orbit closure is a proper subgroup, "
@@ -445,28 +542,34 @@ def minimality_probe(
         if target.exact
         else [v / TAU for v in target.angles]
     )
+    for v in tgt:
+        _require_finite(v, "target angle")
     weights = np.array([2.0 ** -(k + 1) for k in range(depth)])
     if step is None:
         step = epsilon / (4.0 * float(np.max(np.abs(omegas))))
 
     turns = omegas / TAU
     n_samples = int(t_max / step) + 1
-    best_d, best_t = math.inf, None
-    start, chunk = 0, PROBE_FIRST_CHUNK
-    while start < n_samples:
-        ts = (np.arange(start, min(start + chunk, n_samples)) * step)[:, None]
-        frac = (ts * turns[None, :] - tgt[None, :]) % 1.0
-        dists = (np.minimum(frac, 1.0 - frac) * weights[None, :]).sum(axis=1)
-        idx = int(np.argmin(dists))
-        if dists[idx] < best_d:
-            best_d, best_t = float(dists[idx]), float(ts[idx, 0])
-        hit_idx = np.nonzero(dists < epsilon)[0]
-        if hit_idx.size:
-            i = int(hit_idx[0])
-            return ProbeResult(True, float(ts[i, 0]), float(dists[i]), start + i + 1)
-        start += chunk
-        chunk = min(2 * chunk, PROBE_MAX_CHUNK)
-    return ProbeResult(False, best_t, best_d, n_samples)
+    radius = 2.0 * epsilon
+    while True:
+        best_d, best_t = math.inf, None
+        for ks in _probe_candidates(step * turns[0], tgt[0], radius, n_samples):
+            if not ks.size:
+                continue
+            ts = (ks * step)[:, None]
+            frac = (ts * turns[None, :] - tgt[None, :]) % 1.0
+            dists = (np.minimum(frac, 1.0 - frac) * weights[None, :]).sum(axis=1)
+            hit_idx = np.nonzero(dists < epsilon)[0]
+            if hit_idx.size:
+                i = int(hit_idx[0])
+                return ProbeResult(True, float(ts[i, 0]), float(dists[i]), int(ks[i]) + 1)
+            idx = int(np.argmin(dists))
+            if dists[idx] < best_d:
+                best_d, best_t = float(dists[idx]), float(ts[idx, 0])
+        # a sample outside the runs has delta_1 > radius, so d > radius / 2
+        if best_d <= radius / 2 or radius >= 1.0:
+            return ProbeResult(False, best_t, best_d, n_samples)
+        radius = 2.0 * best_d if best_d < math.inf else 2.0 * radius
 
 
 def resonance_witness(
@@ -526,10 +629,13 @@ def sample_trajectory(
     steps + 1 times, all computed before returning."""
     if steps < 1:
         raise ValidationError("trajectory needs at least one step")
+    _require_finite(t0, "t0")
+    _require_finite(t1, "t1")
     if t1 < t0:
         raise ValidationError("time window is reversed")
     base = theta0 if theta0 is not None else TorusPoint.origin(depth)
     if base.depth != depth:
         raise ValidationError(f"depth {depth} does not match point depth {base.depth}")
     ts = [t0 + (t1 - t0) * k / steps for k in range(steps + 1)]
+    _require_finite(ts[-1], "last sample time")  # (t1 - t0) * steps can overflow
     return list(zip(ts, _flow_angles(fv, base, ts).tolist()))

@@ -33,10 +33,13 @@ def parse_rational(text: str | int) -> Fraction:
 
 
 def parse_int(value, what: str) -> int:
+    """An int, or the decimal string of one; JSON floats and booleans are rejected."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def parse_list(value, what: str) -> list | tuple:
@@ -161,10 +164,10 @@ class IntVecFin:
     def from_json(cls, obj: Mapping[str, int]) -> "IntVecFin":
         if not isinstance(obj, Mapping):
             raise ValidationError(f"sparse vector must map indices to integers, got {obj!r}")
-        try:
-            return cls((int(k), int(v)) for k, v in obj.items())
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed sparse vector: {exc}") from None
+        return cls(
+            (parse_int(k, "sparse vector index"), parse_int(v, "sparse vector entry"))
+            for k, v in obj.items()
+        )
 
 
 def gcd_of_vector(nu: IntVecFin) -> int:

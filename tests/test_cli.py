@@ -309,3 +309,95 @@ def test_bo_rejects_other_kinds(tmp_path, capsys, doc):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and "Traceback" not in err
+
+
+NONFINITE_TIMES = {
+    "simulate t1 nan": ["simulate", "--t1", "nan", "--steps", "4"],
+    "simulate t1 inf": ["simulate", "--t1", "inf", "--steps", "4"],
+    "simulate t0 nan": ["simulate", "--t0", "nan", "--t1", "1", "--steps", "4"],
+    "simulate t0 -inf": ["simulate", "--t0=-inf", "--t1", "1", "--steps", "4"],
+    "simulate width overflow": ["simulate", "--t0=-1e308", "--t1", "1e308", "--steps", "4"],
+    "simulate grid overflow": ["simulate", "--t1", "1e308", "--steps", "4"],
+    "average T nan": ["average", "--poly", "POLY", "--T", "100", "nan"],
+    "average T inf": ["average", "--poly", "POLY", "--T", "inf"],
+    "equidistribution T nan": ["equidistribution", "--nu=1,-1", "--T", "nan"],
+    "equidistribution T inf": ["equidistribution", "--nu=1,-1", "--T", "100", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", list(NONFINITE_TIMES.values()), ids=list(NONFINITE_TIMES))
+def test_nonfinite_time_is_validation_error(tmp_path, capsys, argv):
+    spec = tmp_path / "s2.json"
+    spec.write_text(SQRT_SPEC)
+    poly = tmp_path / "poly.json"
+    poly.write_text(POLY)
+    out = tmp_path / "traj.csv"
+    args = [argv[0], str(spec), "--depth", "2"] + [str(poly) if a == "POLY" else a for a in argv[1:]]
+    if argv[0] == "simulate":
+        args += ["--out", str(out)]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_average_and_equidistribution_evaluate_each_nu_once(tmp_path, capsys, monkeypatch):
+    import kronflow.dynamics as dynamics
+
+    calls = []
+
+    def counting(fv, nu, precision_bits=None):
+        calls.append(nu)
+        return nu_dot_omega(fv, nu, precision_bits)
+
+    nu_dot_omega = dynamics.nu_dot_omega
+    monkeypatch.setattr(dynamics, "nu_dot_omega", counting)
+    spec = tmp_path / "s2.json"
+    spec.write_text(SQRT_SPEC)
+    poly = tmp_path / "poly.json"
+    poly.write_text(POLY)
+    windows = ["--T", "100", "1000", "10000"]
+    code, _ = run(capsys, "average", str(spec), "--poly", str(poly), "--depth", "2", *windows)
+    assert code == 0 and len(calls) == 2 and len(set(calls)) == 2  # cos(nu) has nu and -nu
+    calls.clear()
+    code, _ = run(capsys, "equidistribution", str(spec), "--nu=1,-1", "--nu=2,1", "--depth", "2", *windows)
+    assert code == 0 and len(calls) == 2 and len(set(calls)) == 2
+
+
+@pytest.mark.parametrize("bad", ["2.7", "true", "2.0"])
+def test_json_float_or_bool_integer_field_is_validation_error(tmp_path, capsys, bad):
+    prefix = tmp_path / "prefix.json"
+    prefix.write_text(
+        '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, %s], "tail": {"constant": 2}}}' % bad
+    )
+    param = tmp_path / "param.json"
+    param.write_text(
+        '{"kind": "finite", "generators": [{"name": "r", "kind": "sqrt_prime", "param": %s}],'
+        ' "terms": [{"1": "1"}, {"r": "1"}]}' % bad
+    )
+    for spec in (prefix, param):
+        code = main(["classify", str(spec), "--depth", "4"])
+        err = capsys.readouterr().err
+        assert code == 1, spec.name
+        assert f"must be an integer, got {json.loads(bad)!r}" in err, spec.name
+
+
+def test_integer_fields_accept_ints_and_decimal_strings(tmp_path, capsys):
+    outs = []
+    for prefix, param in (("1, 2", "2"), ('"1", "2"', '"2"')):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"kind": "product", "components": [{"qa": {"prefix": [%s], "tail": {"constant": 2}}}]}' % prefix
+        )
+        code, out = run(capsys, "classify", str(spec), "--depth", "4")
+        assert code == 0
+        outs.append(out)
+        spec.write_text(
+            '{"kind": "finite", "generators": [{"name": "r", "kind": "sqrt_prime", "param": %s}],'
+            ' "terms": [{"1": "1"}, {"r": "1"}]}' % param
+        )
+        code, out = run(capsys, "classify", str(spec), "--depth", "2")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[2] and outs[1] == outs[3]

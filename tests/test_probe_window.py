@@ -1,0 +1,210 @@
+"""The windowed minimality probe against the full-grid oracle: random
+non-resonant specs, a target at the edge of the first-angle window, and the
+time bounds of the sizes the full grid could not reach; the float paths'
+checks on times and tolerances."""
+
+import json
+import math
+import time
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kronflow.dynamics import (
+    ProbeResult,
+    TrigPolynomial,
+    flow,
+    minimality_probe,
+    time_average_quadrature,
+)
+from kronflow.errors import ValidationError
+from kronflow.frequency import evaluate_float, parse_frequency_spec
+from kronflow.resonance_reduction import resonance_basis
+from kronflow.solenoid_geometry import TorusPoint
+from oracles import probe_single_chunk
+
+TAU = 2 * math.pi
+BUILTINS = ["1", "sqrt2", "sqrt3", "sqrt5", "pi", "pi^2"]
+T3 = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"},{"sqrt3":"1"}]}')
+
+
+def _omegas(fv, depth):
+    return [float(evaluate_float(fv, j)) for j in range(1, depth + 1)]
+
+
+def _step(omegas, eps):
+    return eps / (4.0 * max(abs(w) for w in omegas))
+
+
+def _turns_at(omegas, k, step):
+    """The probe's first-angle phase k * step * omega / 2 pi, as it computes it."""
+    ts = (np.array([k]) * step)[:, None]
+    return (ts * (np.array(omegas) / TAU)[None, :])[0]
+
+
+def _oracle(fv, target, depth, eps, t_max):
+    omegas = _omegas(fv, depth)
+    tgt = [float(v) for v in target.angles] if target.exact else [v / TAU for v in target.angles]
+    return ProbeResult(*probe_single_chunk(omegas, tgt, eps, t_max, _step(omegas, eps)))
+
+
+coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(lambda q: q != 0)
+coordinate = st.dictionaries(st.sampled_from(BUILTINS), coefficient, min_size=1, max_size=2)
+
+
+@st.composite
+def probe_cases(draw):
+    depth = draw(st.integers(1, 4))
+    terms = [{g: str(c) for g, c in draw(coordinate).items()} for _ in range(depth)]
+    fv = parse_frequency_spec(json.dumps({"kind": "finite", "terms": terms}))
+    if not resonance_basis(fv, depth).is_trivial():
+        draw(st.nothing())
+    mode = draw(st.sampled_from(["planted", "far", "free"]))
+    eps = draw(st.floats(1e-3, 0.2 if mode == "far" else 0.3))
+    omegas = _omegas(fv, depth)
+    step = _step(omegas, eps)
+    a = step * omegas[0] / TAU
+    if mode == "far":
+        # the first angle stays more than 2 eps from the target: no hit
+        n = draw(st.integers(0, min(120_000, int((0.5 - 2 * eps) / abs(a)) - 2)))
+    else:
+        n = draw(st.integers(0, 120_000))
+    t_max = n * step
+    if mode == "planted":
+        # a target on a grid sample's orbit point: that sample hits
+        k = draw(st.integers(0, max(n - 1, 0)))
+        turns = _turns_at(omegas, k, step)
+        target = TorusPoint.exact_point([F(float(v)) % 1 for v in turns])
+    elif mode == "far":
+        rest = draw(st.lists(st.fractions(0, 1, max_denominator=1000), min_size=depth - 1, max_size=depth - 1))
+        target = TorusPoint.exact_point([F(1, 2)] + rest)
+    elif draw(st.booleans()):
+        target = TorusPoint.exact_point(
+            draw(st.lists(st.fractions(0, 1, max_denominator=10**6), min_size=depth, max_size=depth))
+        )
+    else:
+        target = TorusPoint.float_point(draw(st.lists(st.floats(0, 6.28), min_size=depth, max_size=depth)))
+    return fv, target, depth, eps, t_max, mode
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(probe_cases())
+def test_probe_equals_full_grid_oracle(case):
+    fv, target, depth, eps, t_max, mode = case
+    res = minimality_probe(fv, target, depth, eps, t_max)
+    assert res == _oracle(fv, target, depth, eps, t_max)
+    if mode == "planted":
+        assert res.hit
+    elif mode == "far":
+        assert not res.hit
+
+
+def _edge_targets(omegas, k0, step, eps):
+    """Exact depth-1 targets whose first angle is 2 eps from the probe's phase
+    at sample k0, moved by -6..6 ulps."""
+    centre = float((_turns_at(omegas, k0, step)[0] + math.copysign(2 * eps, omegas[0])) % 1.0)
+    for j in range(-6, 7):
+        g = centre
+        for _ in range(abs(j)):
+            g = float(np.nextafter(g, math.copysign(2.0, j)))
+        yield TorusPoint.exact_point([F(g)])
+
+
+@pytest.mark.parametrize("sign", ["1", "-1"])
+def test_probe_window_edge(sign):
+    """A sample whose delta_1 sits a few ulps either side of 2 eps: at depth 1
+    it hits exactly when delta_1 < 2 eps.  With the default step, k0 is the
+    first approach to the target."""
+    fv = parse_frequency_spec(json.dumps({"kind": "finite", "terms": [{"sqrt2": sign}]}))
+    eps = 1e-3
+    omegas = _omegas(fv, 1)
+    step = _step(omegas, eps)
+    k0 = 20_000  # the first angle has moved less than one turn - 5 eps
+    assert k0 * step * abs(omegas[0]) / TAU < 1 - 5 * eps
+    t_max = (k0 + 50) * step
+    first_hits = set()
+    for target in _edge_targets(omegas, k0, step, eps):
+        res = minimality_probe(fv, target, 1, eps, t_max)
+        assert res == _oracle(fv, target, 1, eps, t_max)
+        first_hits.add(res.samples)
+    assert first_hits == {k0 + 1, k0 + 2}  # both sides of the edge were probed
+
+
+@pytest.mark.parametrize("sign", ["1", "-1"])
+@pytest.mark.parametrize("k0", [200_003, 271_828])
+def test_probe_window_edge_at_large_phases(sign, k0):
+    """The same edge with 0.37 turns per sample: the phases reach 1e5 turns, so
+    float rounding moves delta_1 by far more than an ulp of 2 eps, and the
+    window needs its rounding margin to keep every sample that can hit."""
+    fv = parse_frequency_spec(json.dumps({"kind": "finite", "terms": [{"sqrt2": sign}]}))
+    eps = 1e-7
+    omegas = _omegas(fv, 1)
+    step = 0.37 * TAU / abs(omegas[0])
+    t_max = (k0 + 1) * step
+    for target in _edge_targets(omegas, k0, step, eps):
+        res = minimality_probe(fv, target, 1, eps, t_max, step)
+        want = probe_single_chunk(omegas, [float(v) for v in target.angles], eps, t_max, step)
+        assert res == ProbeResult(*want)
+
+
+TINY = "1.23456789012345678901234567890123"
+
+
+@pytest.mark.parametrize("value", [TINY + "e-400", "-" + TINY + "e-400", TINY + "e-310"])
+@pytest.mark.parametrize("eps", [1e-2, 0.3])
+def test_probe_first_omega_rounding_to_zero_or_subnormal(value, eps):
+    """float(omega_1) is 0 (every sample has the first angle of t = 0, so the
+    window holds every index or none) or subnormal."""
+    fv = parse_frequency_spec(json.dumps({
+        "kind": "finite",
+        "generators": [{"name": "b", "kind": "opaque", "value": value}],
+        "terms": [{"b": "1"}, {"sqrt2": "1"}],
+    }))
+    for angles in (["0", "1/3"], ["1/1000", "1/3"], ["1/2", "1/3"], ["99999/100000", "1/5"]):
+        target = TorusPoint.exact_point(angles)
+        assert minimality_probe(fv, target, 2, eps, 100.0) == _oracle(fv, target, 2, eps, 100.0)
+
+
+def test_probe_roadmap_case_under_one_second():
+    target = TorusPoint.exact_point(["1/2", "1/3", "1/7"])
+    start = time.perf_counter()
+    res = minimality_probe(T3, target, 3, 1e-3, 1e5)
+    assert time.perf_counter() - start < 1.0
+    assert res.hit and res.distance < 1e-3 and res.time <= 1e5
+    step = _step(_omegas(T3, 3), 1e-3)
+    assert res.time == (res.samples - 1) * step
+
+
+def test_probe_no_hit_on_a_large_grid_is_fast():
+    target = TorusPoint.exact_point(["1/2", "1/3", "1/7"])
+    start = time.perf_counter()
+    res = minimality_probe(T3, target, 3, 1e-4, 1e3)
+    assert time.perf_counter() - start < 3.0
+    step = _step(_omegas(T3, 3), 1e-4)
+    assert not res.hit and res.distance >= 1e-4
+    assert res.samples == int(1e3 / step) + 1 and res.time <= 1e3
+
+
+@pytest.mark.parametrize(
+    "eps,t_max,step",
+    [(math.nan, 1.0, None), (math.inf, 1.0, None), (0.01, math.nan, None), (0.01, math.inf, None),
+     (0.01, -1.0, None), (0.0, 1.0, None), (0.01, 1.0, 0.0), (0.01, 1.0, math.nan)],
+)
+def test_probe_rejects_bad_tolerances_and_times(eps, t_max, step):
+    with pytest.raises(ValidationError):
+        minimality_probe(T3, TorusPoint.origin(3), 3, eps, t_max, step)
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf, 0.0, -5.0])
+def test_quadrature_rejects_bad_windows(t_final):
+    with pytest.raises(ValidationError):
+        time_average_quadrature(T3, TrigPolynomial.one(), TorusPoint.origin(3), t_final, 101)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_float_flow_rejects_nonfinite_time(t):
+    with pytest.raises(ValidationError):
+        flow(T3, None, t, depth=3)
