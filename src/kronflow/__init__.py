@@ -10,7 +10,6 @@ from .exact_linalg import (
     integer_kernel,
     parse_rational,
     rational_gcd,
-    unimodular_compose,
 )
 from .frequency import (
     DEFAULT_DEPTH,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedStructureError, ValidationError
-from .exact_linalg import rational_gcd
+from .exact_linalg import hermite_transform
 from .frequency import (
     BoRule,
     Finite,
@@ -29,9 +29,9 @@ from .frequency import (
     ProductConstruction,
     SigmaSequence,
     SolenoidRule,
-    coordinates,
 )
 from .primes import factorize, is_even_indexed_prime, is_odd_indexed_prime
+from .resonance_reduction import _coordinate_matrix  # rows by generator, columns by index
 
 INF = math.inf
 
@@ -428,22 +428,20 @@ class ClosureDescriptor:
 
 
 def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
-    """One rank-1 component per generator with nonzero coordinates.
+    """Direct sum of rank-1 components.
 
-    Finite vectors produce the exact finite spans (always cyclic, hence
-    free); rule-based variants resolve their tails analytically.
+    A finite vector spans a free module: one cyclic component per vector of
+    the echelon image basis of its coordinate matrix, labelled by the
+    generator at its pivot.  Rule-based variants give one component per
+    generator, their tails resolved analytically.
     """
     v = fv.variant
     if isinstance(v, Finite):
-        per_gen: dict[Generator, list[Fraction]] = {}
-        scan = min(depth, len(v))
-        for j in range(1, scan + 1):
-            for g, c in coordinates(fv, j).items():
-                per_gen.setdefault(g, []).append(c)
+        gens, rows = _coordinate_matrix(fv, min(depth, len(v)))
         comps = []
-        for g in sorted(per_gen, key=Generator.sort_key):
-            span_gen = rational_gcd(per_gen[g])
-            comps.append(ModuleComponent(g, free_baer_type(span_gen)))
+        for vec in hermite_transform(rows).image:
+            pivot = next(k for k, x in enumerate(vec) if x)
+            comps.append(ModuleComponent(gens[pivot], free_baer_type(vec[pivot])))
         return ModuleDescriptor(tuple(comps))
     if isinstance(v, SolenoidRule):
         return ModuleDescriptor((ModuleComponent(v.generator, qa_to_baer(v.a)),))

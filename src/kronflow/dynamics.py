@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from .errors import ValidationError
-from .exact_linalg import IntVecFin, RowFiniteIntMatrix, parse_list, parse_rational
+from .exact_linalg import IntVecFin, parse_list, parse_rational
 from .frequency import (
     FrequencyVector,
     Generator,
@@ -605,16 +605,7 @@ def resonance_witness(
 
 
 # ---------------------------------------------------------------------------
-# Conjugation of observables and trajectory sampling
-
-
-def transform_polynomial(p: TrigPolynomial, a: RowFiniteIntMatrix) -> TrigPolynomial:
-    """p composed with the automorphism of matrix ``a``: monomial exp(i nu.A Theta)
-    equals exp(i (A* nu).Theta), so indices map through the transpose."""
-    table = {}
-    for nu, coeff in p.items():
-        table[a.apply_transpose(nu)] = coeff
-    return TrigPolynomial.from_table(table)
+# Trajectory sampling
 
 
 def sample_trajectory(

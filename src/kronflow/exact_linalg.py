@@ -88,8 +88,9 @@ class IntVecFin:
             items = entries
         store: dict[int, int] = {}
         for i, v in items:
-            i = int(i)
-            v = int(v)
+            # exact ints only: int() would truncate 2.7 and read True as 1
+            if type(i) is not int or type(v) is not int:
+                raise ValidationError(f"vector entries must map int indices to ints, got {i!r}: {v!r}")
             if i < 1:
                 raise ValidationError(f"vector index must be >= 1, got {i}")
             if v != 0:
@@ -182,137 +183,84 @@ def gcd_of_vector(nu: IntVecFin) -> int:
 # Row-finite invertible integer matrices with tracked inverse.
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 class RowFiniteIntMatrix:
     """Invertible integer matrix equal to the identity outside a finite block.
 
-    ``rows[i]`` (1 <= i <= dimension) stores row i of the active block; rows
-    beyond the block are implicitly e_i.  The inverse is carried along and can
-    be verified exactly.
+    ``rows`` is the dense n x n active block (row i + 1 is ``rows[i]``) and
+    ``inverse_rows`` the block of the inverse; rows beyond the block are
+    implicitly e_i.  Row operations act in place on the block and are mirrored
+    as the inverse column operations on the inverse, at O(n) each.
     """
 
-    __slots__ = ("dimension", "_rows", "_inv_rows")
+    __slots__ = ("dimension", "rows", "inverse_rows")
 
-    def __init__(
-        self,
-        dimension: int,
-        rows: Mapping[int, IntVecFin],
-        inverse_rows: Mapping[int, IntVecFin],
-    ):
-        self.dimension = int(dimension)
-        self._rows = {i: rows.get(i, IntVecFin({i: 1})) for i in range(1, self.dimension + 1)}
-        self._inv_rows = {
-            i: inverse_rows.get(i, IntVecFin({i: 1})) for i in range(1, self.dimension + 1)
-        }
-        for i, r in list(self._rows.items()) + list(self._inv_rows.items()):
-            if r.max_index() > self.dimension:
-                raise ValidationError(
-                    f"row {i} touches column {r.max_index()} outside the {self.dimension}-block"
-                )
-
-    # -- constructors
+    def __init__(self, rows: list[list[int]], inverse_rows: list[list[int]]):
+        self.dimension = len(rows)
+        self.rows = rows
+        self.inverse_rows = inverse_rows
 
     @classmethod
     def identity(cls, n: int = 0) -> "RowFiniteIntMatrix":
-        return cls(n, {}, {})
+        return cls(_identity_rows(n), _identity_rows(n))
 
-    @classmethod
-    def swap(cls, i: int, j: int) -> "RowFiniteIntMatrix":
-        n = max(i, j)
-        rows = {i: IntVecFin({j: 1}), j: IntVecFin({i: 1})}
-        return cls(n, rows, dict(rows))
+    # -- in-place row operations, 1-based
 
-    @classmethod
-    def negate(cls, i: int) -> "RowFiniteIntMatrix":
-        rows = {i: IntVecFin({i: -1})}
-        return cls(i, rows, dict(rows))
+    def _check(self, *indices: int) -> None:
+        for i in indices:
+            if not 1 <= i <= self.dimension:
+                raise ValidationError(f"row {i} is outside the {self.dimension}-block")
 
-    @classmethod
-    def add_multiple(cls, i: int, j: int, c: int) -> "RowFiniteIntMatrix":
-        """Row operation row_i += c * row_j (i != j)."""
+    def swap(self, i: int, j: int) -> None:
+        self._check(i, j)
+        a, b = i - 1, j - 1
+        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
+        for row in self.inverse_rows:
+            row[a], row[b] = row[b], row[a]
+
+    def negate(self, i: int) -> None:
+        self._check(i)
+        a = i - 1
+        self.rows[a] = [-v for v in self.rows[a]]
+        for row in self.inverse_rows:
+            row[a] = -row[a]
+
+    def add_multiple(self, i: int, j: int, c: int) -> None:
+        """Row op row_i += c * row_j; the inverse gets column op col_j -= c * col_i."""
+        self._check(i, j)
         if i == j:
             raise ValidationError("add_multiple requires distinct rows")
-        n = max(i, j)
-        rows = {i: IntVecFin({i: 1, j: c})}
-        inv = {i: IntVecFin({i: 1, j: -c})}
-        return cls(n, rows, inv)
+        a, b = i - 1, j - 1
+        self.rows[a] = [u + c * v for u, v in zip(self.rows[a], self.rows[b])]
+        for row in self.inverse_rows:
+            row[b] -= c * row[a]
 
     # -- access
 
     def row(self, i: int) -> IntVecFin:
         if i <= self.dimension:
-            return self._rows[i]
+            return IntVecFin.from_list(self.rows[i - 1])
         return IntVecFin({i: 1})
 
     def inverse_row(self, i: int) -> IntVecFin:
         if i <= self.dimension:
-            return self._inv_rows[i]
+            return IntVecFin.from_list(self.inverse_rows[i - 1])
         return IntVecFin({i: 1})
-
-    def inverse(self) -> "RowFiniteIntMatrix":
-        return RowFiniteIntMatrix(self.dimension, self._inv_rows, self._rows)
-
-    def transpose(self) -> "RowFiniteIntMatrix":
-        n = self.dimension
-        rows = {i: IntVecFin({j: self._rows[j][i] for j in range(1, n + 1)}) for i in range(1, n + 1)}
-        inv = {
-            i: IntVecFin({j: self._inv_rows[j][i] for j in range(1, n + 1)})
-            for i in range(1, n + 1)
-        }
-        return RowFiniteIntMatrix(n, rows, inv)
-
-    # -- algebra
 
     def apply(self, nu: IntVecFin) -> IntVecFin:
         acc: dict[int, int] = {}
         for j, v in nu.items():
             if j <= self.dimension:
-                for i in range(1, self.dimension + 1):
-                    a = self._rows[i][j]
-                    if a:
-                        acc[i] = acc.get(i, 0) + a * v
+                for i, row in enumerate(self.rows, 1):
+                    if row[j - 1]:
+                        acc[i] = acc.get(i, 0) + row[j - 1] * v
             else:
                 # column j is e_j beyond the block
                 acc[j] = acc.get(j, 0) + v
         return IntVecFin(acc)
-
-    def apply_transpose(self, nu: IntVecFin) -> IntVecFin:
-        """Transpose action: (A* nu)_j = sum_i nu_i A_ij."""
-        out = IntVecFin()
-        for i, v in nu.items():
-            if i <= self.dimension:
-                out += self._rows[i].scale(v)
-            else:
-                out += IntVecFin({i: v})
-        return out
-
-    def apply_fraction_column(self, values: Sequence[Fraction]) -> list[Fraction]:
-        """Matrix-vector product on a length-N column of rationals, N >= dimension."""
-        n = len(values)
-        if n < self.dimension:
-            raise ValidationError(
-                f"column of length {n} does not cover the {self.dimension}-block"
-            )
-        out = []
-        for i in range(1, n + 1):
-            if i <= self.dimension:
-                out.append(self._rows[i].dot_fractions(values))
-            else:
-                out.append(Fraction(values[i - 1]))
-        return out
-
-    def verify_inverse(self) -> bool:
-        n = self.dimension
-        for left, right in ((self._rows, self._inv_rows), (self._inv_rows, self._rows)):
-            for i in range(1, n + 1):
-                acc: dict[int, int] = {}
-                for j, v in left[i].items():
-                    r = right[j] if j <= n else IntVecFin({j: 1})
-                    for k, w in r.items():
-                        acc[k] = acc.get(k, 0) + v * w
-                acc = {k: v for k, v in acc.items() if v != 0}
-                if acc != {i: 1}:
-                    return False
-        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RowFiniteIntMatrix):
@@ -324,42 +272,17 @@ class RowFiniteIntMatrix:
         return f"RowFiniteIntMatrix(dim={self.dimension})"
 
     def to_json(self) -> dict:
+        def block(rows: list[list[int]]) -> dict:
+            return {
+                str(i): {str(j): v for j, v in enumerate(row, 1) if v}
+                for i, row in enumerate(rows, 1)
+            }
+
         return {
             "dimension": self.dimension,
-            "rows": {str(i): self._rows[i].to_json() for i in range(1, self.dimension + 1)},
-            "inverse_rows": {
-                str(i): self._inv_rows[i].to_json() for i in range(1, self.dimension + 1)
-            },
+            "rows": block(self.rows),
+            "inverse_rows": block(self.inverse_rows),
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "RowFiniteIntMatrix":
-        try:
-            dim = int(obj["dimension"])
-            rows = {int(i): IntVecFin.from_json(r) for i, r in obj["rows"].items()}
-            inv = {int(i): IntVecFin.from_json(r) for i, r in obj["inverse_rows"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed matrix JSON: {exc}") from None
-        return cls(dim, rows, inv)
-
-
-def unimodular_compose(a: RowFiniteIntMatrix, b: RowFiniteIntMatrix) -> RowFiniteIntMatrix:
-    """Product AB with inverse B^-1 A^-1 tracked."""
-    n = max(a.dimension, b.dimension)
-    rows = {}
-    inv = {}
-    for i in range(1, n + 1):
-        acc: dict[int, int] = {}
-        for j, v in a.row(i).items():
-            for k, w in b.row(j).items():
-                acc[k] = acc.get(k, 0) + v * w
-        rows[i] = IntVecFin(acc)
-        acc = {}
-        for j, v in b.inverse_row(i).items():
-            for k, w in a.inverse_row(j).items():
-                acc[k] = acc.get(k, 0) + v * w
-        inv[i] = IntVecFin(acc)
-    return RowFiniteIntMatrix(n, rows, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +292,17 @@ def unimodular_compose(a: RowFiniteIntMatrix, b: RowFiniteIntMatrix) -> RowFinit
 class HermiteTransform(NamedTuple):
     """Result of ``hermite_transform`` on a rational m x n matrix M.
 
-    ``kernel`` is the canonical column Hermite basis of {nu in Z^n : M nu = 0}:
-    pivot rows strictly increasing, pivots positive, entries at later pivot
-    rows reduced into [0, pivot).  ``image`` is an echelon basis of the lattice
-    M Z^n in M's own coordinates and ``preimages[i]`` an integer vector with
-    M preimages[i] = image[i].  The rows [kernel; preimages] form a unimodular
-    matrix A; ``inverse_rows`` are the rows of A^-1.
+    ``transform`` is a unimodular n x n matrix A with its inverse.  Its first
+    ``zero_rank`` rows are the canonical column Hermite basis of
+    {nu in Z^n : M nu = 0}: pivot rows strictly increasing, pivots positive,
+    entries at later pivot rows reduced into [0, pivot).  ``image`` is an
+    echelon basis of the lattice M Z^n in M's own coordinates, pivots
+    positive, and row zero_rank + k of A is an integer preimage of image[k].
     """
 
-    kernel: list[list[int]]
-    preimages: list[list[int]]
+    transform: RowFiniteIntMatrix
+    zero_rank: int
     image: list[list[Fraction]]
-    inverse_rows: list[list[int]]
 
 
 def _lcm(values: Iterable[int]) -> int:
@@ -471,13 +393,12 @@ def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
                 _hermite_reduce(basis, k)
 
     pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
-    image = [[Fraction(x, s) for x, s in zip(basis[r][0], scales)] for r in pivots if r < m]
-    return HermiteTransform(
-        [basis[r][0][m:] for r in pivots if r >= m],
-        [basis[r][0][m:] for r in pivots if r < m],
-        image,
+    transform = RowFiniteIntMatrix(
+        [basis[r][0][m:] for r in pivots],
         [list(r) for r in zip(*(basis[r][1] for r in pivots))],
     )
+    image = [[Fraction(x, s) for x, s in zip(basis[r][0], scales)] for r in pivots if r < m]
+    return HermiteTransform(transform, len(pivots) - len(image), image)
 
 
 def integer_kernel(rows: Sequence[Sequence[Fraction]]) -> list[IntVecFin]:
@@ -488,25 +409,5 @@ def integer_kernel(rows: Sequence[Sequence[Fraction]]) -> list[IntVecFin]:
     so identical inputs produce identical bases.  A zero matrix yields the
     standard basis of Z^n.
     """
-    return [IntVecFin.from_list(t) for t in hermite_transform(rows).kernel]
-
-
-def in_integer_span(vec: IntVecFin, basis: Sequence[IntVecFin], n: int) -> bool:
-    """Exact membership of ``vec`` in the Z-span of an echelon ``basis``.
-
-    The basis must be in the canonical form produced by ``integer_kernel``
-    (distinct, increasing pivot rows).
-    """
-    residue = vec.to_list(n)
-    for b in basis:
-        cols = b.to_list(n)
-        pivot_row = next((r for r in range(n) if cols[r] != 0), None)
-        if pivot_row is None:
-            continue
-        c, rem = divmod(residue[pivot_row], cols[pivot_row])
-        if rem != 0:
-            return False
-        if c:
-            for r in range(n):
-                residue[r] -= c * cols[r]
-    return all(v == 0 for v in residue)
+    h = hermite_transform(rows)
+    return [h.transform.row(i) for i in range(1, h.zero_rank + 1)]

@@ -120,57 +120,6 @@ class ReductionCertificate:
         }
 
 
-class _Reducer:
-    """Work state: a dense copy of the vector plus the accumulated transform.
-
-    The composed matrix B and its inverse are maintained in place: a new
-    elementary factor E acts as a row operation on B (E.B) and as the inverse
-    column operation on B^-1 (B^-1.E^-1), so each recorded step costs O(n).
-    """
-
-    def __init__(self, nu: IntVecFin):
-        self.n = n = nu.max_index()
-        self.vec = nu.to_list(n)
-        self.bmat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self.binv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self.steps: list[ReductionStep] = []
-        self.pass_index = 1
-
-    def swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        self.vec[i - 1], self.vec[j - 1] = self.vec[j - 1], self.vec[i - 1]
-        self.bmat[i - 1], self.bmat[j - 1] = self.bmat[j - 1], self.bmat[i - 1]
-        for row in self.binv:
-            row[i - 1], row[j - 1] = row[j - 1], row[i - 1]
-        self.steps.append(ReductionStep("swap", i, j, None, self.pass_index))
-
-    def negate(self, i: int) -> None:
-        self.vec[i - 1] = -self.vec[i - 1]
-        self.bmat[i - 1] = [-v for v in self.bmat[i - 1]]
-        for row in self.binv:
-            row[i - 1] = -row[i - 1]
-        self.steps.append(ReductionStep("negate", i, None, None, self.pass_index))
-
-    def add_multiple(self, i: int, j: int, c: int) -> None:
-        """Row op row_i += c * row_j; the inverse is column op col_j -= c * col_i."""
-        self.vec[i - 1] += c * self.vec[j - 1]
-        bi, bj = self.bmat[i - 1], self.bmat[j - 1]
-        for k in range(self.n):
-            bi[k] += c * bj[k]
-        for row in self.binv:
-            row[j - 1] -= c * row[i - 1]
-        self.steps.append(ReductionStep("add_multiple", i, j, c, self.pass_index))
-
-    def transform(self) -> RowFiniteIntMatrix:
-        rows = {i + 1: IntVecFin.from_list(self.bmat[i]) for i in range(self.n)}
-        inv = {i + 1: IntVecFin.from_list(self.binv[i]) for i in range(self.n)}
-        return RowFiniteIntMatrix(self.n, rows, inv)
-
-    def support(self) -> list[int]:
-        return [i + 1 for i, v in enumerate(self.vec) if v != 0]
-
-
 def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
     """Collapse nu != 0 to (g, 0, 0, ...) with g = gcd of the entries.
 
@@ -178,48 +127,56 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
     current index order), flips signs to make them positive, then subtracts
     the first entry from every other one.  The sum of entries after each
     normalization is recorded; the sums decrease strictly, which forces
-    termination.
+    termination.  Every step acts on a dense copy of the vector and, as a row
+    operation, on the transform, which starts as the identity.
     """
     if nu.is_zero():
         raise ValidationError("cannot reduce the zero vector")
-    state = _Reducer(nu)
+    vec = nu.to_list(nu.max_index())
+    transform = RowFiniteIntMatrix.identity(len(vec))
+    steps: list[ReductionStep] = []
     pass_sums: list[int] = []
+    pass_index = 1
 
     while True:
-        support = state.support()
+        support = [i for i, v in enumerate(vec, 1) if v]
         # normalization: move support to the front, sorted ascending by |.|,
         # stable with ties kept in current index order
-        order = sorted(support, key=lambda i: (abs(state.vec[i - 1]), i))
+        order = sorted(support, key=lambda i: (abs(vec[i - 1]), i))
         for pos in range(len(order)):
             target, src = pos + 1, order[pos]
             if src != target:
-                state.swap(target, src)
+                vec[target - 1], vec[src - 1] = vec[src - 1], vec[target - 1]
+                transform.swap(target, src)
+                steps.append(ReductionStep("swap", target, src, None, pass_index))
                 # the entry displaced from `target` now lives at `src`
                 for q in range(pos + 1, len(order)):
                     if order[q] == target:
                         order[q] = src
         k = len(order)
         for i in range(1, k + 1):
-            if state.vec[i - 1] < 0:
-                state.negate(i)
-        pass_sums.append(sum(state.vec[:k]))
+            if vec[i - 1] < 0:
+                vec[i - 1] = -vec[i - 1]
+                transform.negate(i)
+                steps.append(ReductionStep("negate", i, None, None, pass_index))
+        pass_sums.append(sum(vec[:k]))
         if len(pass_sums) >= 2 and not pass_sums[-1] < pass_sums[-2]:
             raise ValidationError("internal error: pass sums failed to decrease")
         if k == 1:
             break
         for i in range(2, k + 1):
-            state.add_multiple(i, 1, -1)
-        state.pass_index += 1
+            vec[i - 1] -= vec[0]
+            transform.add_multiple(i, 1, -1)
+            steps.append(ReductionStep("add_multiple", i, 1, -1, pass_index))
+        pass_index += 1
 
-    transform = state.transform()
     result = transform.apply(nu)
-    expected = IntVecFin({1: state.vec[0]})
-    if result != expected:
+    if result != IntVecFin({1: vec[0]}):
         raise ValidationError("internal error: transform does not reproduce the reduced vector")
     g = gcd_of_vector(nu)
-    if state.vec[0] != g:
+    if vec[0] != g:
         raise ValidationError("internal error: reduced head is not the gcd")
-    return ReductionCertificate(transform, result, tuple(state.steps), tuple(pass_sums), g)
+    return ReductionCertificate(transform, result, tuple(steps), tuple(pass_sums), g)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +222,9 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
         raise ValidationError(f"depth must be >= 1, got {depth}")
     gens, rows = _coordinate_matrix(fv, depth)
     h = hermite_transform(rows)
-    zeros = len(h.kernel)
+    zeros = h.zero_rank
     if zeros:
-        total = RowFiniteIntMatrix(
-            depth,
-            {i + 1: IntVecFin.from_list(r) for i, r in enumerate(h.kernel + h.preimages)},
-            {i + 1: IntVecFin.from_list(r) for i, r in enumerate(h.inverse_rows)},
-        )
+        total = h.transform
         columns = [[Fraction(0)] * len(rows)] * zeros + h.image
     else:
         total = RowFiniteIntMatrix.identity(depth)
@@ -300,20 +253,8 @@ def apply_automorphism(a: RowFiniteIntMatrix, theta: TorusPoint) -> TorusPoint:
         raise ValidationError(
             f"point depth {theta.depth} does not cover the automorphism block {a.dimension}"
         )
-    n = theta.depth
+    angles = list(theta.angles)
+    mixed = [sum(c * x for c, x in zip(row, angles) if c) for row in a.rows]
     if theta.exact:
-        vals = [
-            a.row(i).dot_fractions(list(theta.angles)) % 1 if i <= a.dimension else theta.angles[i - 1]
-            for i in range(1, n + 1)
-        ]
-        return TorusPoint.exact_point(vals)
-    import math
-
-    out = []
-    for i in range(1, n + 1):
-        if i <= a.dimension:
-            s = sum(v * theta.angles[j - 1] for j, v in a.row(i).items())
-        else:
-            s = theta.angles[i - 1]
-        out.append(s % (2 * math.pi))
-    return TorusPoint.float_point(out)
+        return TorusPoint.exact_point([s % 1 for s in mixed] + angles[a.dimension :])
+    return TorusPoint.float_point([s % (2 * math.pi) for s in mixed + angles[a.dimension :]])

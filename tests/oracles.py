@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: kernels come from
 exhaustive enumeration, gcds from Euclid, sigma sums from direct term-by-term
-summation with a hand-written geometric remainder, and span checks from
-bounded coefficient searches.
+summation with a hand-written geometric remainder, span checks from
+bounded coefficient searches, and matrix checks from the JSON form of a
+tracked matrix, multiplied out entry by entry.
 """
 
 from __future__ import annotations
@@ -90,6 +91,56 @@ def euclid_gcd(values) -> int:
     for v in values:
         g = math.gcd(g, abs(int(v)))
     return g
+
+
+def dense_rows(matrix_json: dict, key: str, n: int) -> list[list[int]]:
+    """Rows 1..n of ``matrix_json[key]`` ("rows" or "inverse_rows") as dense
+    lists; rows beyond the stored dimension are identity rows."""
+    stored = matrix_json[key]
+    return [
+        [int(stored[str(i)].get(str(j), 0)) for j in range(1, n + 1)]
+        if str(i) in stored
+        else [int(i == j) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+
+
+def _is_identity_product(a: list[list[int]], b: list[list[int]]) -> bool:
+    n = len(a)
+    for i in range(n):
+        acc = [0] * n
+        for k, v in enumerate(a[i]):
+            if v:
+                acc = [x + v * y for x, y in zip(acc, b[k])]
+        if acc != [int(i == j) for j in range(n)]:
+            return False
+    return True
+
+
+def verify_inverse(matrix) -> bool:
+    """Both products of a tracked matrix's rows and inverse rows, read from
+    its ``to_json()`` output, are the identity."""
+    doc = matrix.to_json()
+    n = doc["dimension"]
+    a, b = dense_rows(doc, "rows", n), dense_rows(doc, "inverse_rows", n)
+    return _is_identity_product(a, b) and _is_identity_product(b, a)
+
+
+def transform_polynomial(p, matrix):
+    """p composed with the automorphism of ``matrix``: the monomial
+    exp(i nu.A Theta) equals exp(i (A^T nu).Theta), so every index vector maps
+    through the transpose of the rows read from ``to_json()``."""
+    from kronflow.dynamics import TrigPolynomial
+    from kronflow.exact_linalg import IntVecFin
+
+    doc = matrix.to_json()
+    table = {}
+    for nu, coeff in p.items():
+        n = max(doc["dimension"], nu.max_index())
+        rows = dense_rows(doc, "rows", n)
+        image = [sum(v * rows[i - 1][j] for i, v in nu.items()) for j in range(n)]
+        table[IntVecFin.from_list(image)] = coeff
+    return TrigPolynomial.from_table(table)
 
 
 def sigma_by_partial_sums(s_terms, j: int, tail_c: Fraction, tail_r: Fraction, cutoff: int) -> Fraction:

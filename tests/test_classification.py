@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kronflow.classification import (
     INF,
     BaerType,
@@ -27,7 +30,7 @@ from kronflow.frequency import (
     rational_vector,
     solenoid_vector,
 )
-from oracles import express_in_span
+from oracles import express_in_span, rational_rank
 
 INCREMENT = SigmaSequence((1,), "increment")
 CONST2 = SigmaSequence((1,), "constant", (2,))
@@ -247,6 +250,38 @@ def test_module_rank_examples():
     two = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
     assert decompose_module(two, 2).rank == 2
     assert decompose_module(solenoid_vector(CONST2), 6).rank == 1
+
+
+@st.composite
+def mixed_term_specs(draw):
+    """Finite specs whose terms may mix several generators, with the depth."""
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        gens = draw(st.lists(st.sampled_from(["1", "sqrt2", "sqrt3", "pi"]), min_size=1, max_size=3, unique=True))
+        terms.append({g: str(draw(coeffs)) for g in gens})
+    return {"kind": "finite", "terms": terms}, draw(st.integers(1, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_term_specs())
+def test_finite_rank_is_the_coordinate_rank(case):
+    # the declared generators are rationally independent, so the Z-span of
+    # omega_1..omega_N has the rank of the coordinate matrix
+    spec, depth = case
+    terms = spec["terms"][:depth]
+    rank = rational_rank([[F(t.get(g, "0")) for t in terms] for g in ("1", "sqrt2", "sqrt3", "pi")])
+    report = classification_report(parse_frequency_spec(json.dumps(spec)), depth)
+    assert report["rank"] == rank
+    assert report["closure"] == ["circle"] * rank
+
+
+def test_mixed_term_rank_examples():
+    one = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1","sqrt2":"1"}]}')
+    (comp,) = decompose_module(one, 16).components
+    assert comp.generator.name == "1" and comp.baer.i == 1 and comp.free
+    doubled = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1","sqrt2":"1"},{"1":"2","sqrt2":"2"}]}')
+    assert decompose_module(doubled, 2).rank == 1
 
 
 # -- orbit_closure examples

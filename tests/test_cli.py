@@ -120,6 +120,18 @@ def test_iso_subcommand(tmp_path, capsys):
     assert code == 0 and json.loads(out)["homeomorphic"] is True
 
 
+def test_mixed_term_finite_spec_is_one_circle(tmp_path, capsys):
+    # omega = 1 + sqrt2 on T^1: its span has rank 1
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text('{"kind":"finite","terms":[{"1":"1","sqrt2":"1"}]}')
+    unit = tmp_path / "unit.json"
+    unit.write_text('{"kind":"finite","terms":[{"1":"1"}]}')
+    code, out = run(capsys, "classify", str(mixed))
+    assert code == 0 and json.loads(out)["closure"] == ["circle"]
+    code, out = run(capsys, "iso", str(mixed), str(unit))
+    assert code == 0 and json.loads(out)["homeomorphic"] is True
+
+
 def test_exit_code_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "finite"}')

@@ -5,18 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronflow.errors import ValidationError
+import json
+
+import numpy as np
+
 from kronflow.exact_linalg import (
     IntVecFin,
     RowFiniteIntMatrix,
     format_rational,
     gcd_of_vector,
-    in_integer_span,
     integer_kernel,
     parse_rational,
     rational_gcd,
-    unimodular_compose,
 )
-from oracles import brute_force_kernel, euclid_gcd, rational_rank, span_contains_all
+from oracles import (
+    brute_force_kernel,
+    euclid_gcd,
+    rational_rank,
+    span_contains_all,
+    verify_inverse,
+)
 
 
 def kernel_cols(basis, n):
@@ -84,8 +92,8 @@ def test_kernel_632_derived():
     assert len(basis) == 2
     assert spans_match(rows, basis, 6)
     # the two vectors quoted with this example generate the same lattice
-    for quoted in (IntVecFin.from_list([1, -2, 0]), IntVecFin.from_list([0, 2, -3])):
-        assert in_integer_span(quoted, basis, 3)
+    quoted = np.array([[1, -2, 0], [0, 2, -3]])
+    assert span_contains_all(kernel_cols(basis, 3), quoted)
 
 
 def test_kernel_identity_trivial():
@@ -165,23 +173,43 @@ def test_kernel_is_canonical_hermite_basis(rows):
             assert 0 <= b[pivots[later]] < basis[later][pivots[later]]
 
 
-# -- matrices
+# -- matrices, built by in-place row operations on identity(n)
 
 
 def test_compose_identity_law():
-    b = RowFiniteIntMatrix.add_multiple(2, 1, 3)
-    assert unimodular_compose(RowFiniteIntMatrix.identity(), b) == b
+    # identity() and identity(3) are the same infinite matrix, and a row
+    # operation on the identity is the elementary matrix with its inverse
+    assert RowFiniteIntMatrix.identity() == RowFiniteIntMatrix.identity(3)
+    b = RowFiniteIntMatrix.identity(2)
+    b.add_multiple(2, 1, 3)
+    assert b.to_json() == {
+        "dimension": 2,
+        "rows": {"1": {"1": 1}, "2": {"1": 3, "2": 1}},
+        "inverse_rows": {"1": {"1": 1}, "2": {"1": -3, "2": 1}},
+    }
 
 
 def test_compose_swap_involution():
-    s = RowFiniteIntMatrix.swap(1, 2)
-    assert unimodular_compose(s, s) == RowFiniteIntMatrix.identity(2)
+    s = RowFiniteIntMatrix.identity(2)
+    s.swap(1, 2)
+    assert s != RowFiniteIntMatrix.identity(2)
+    s.swap(1, 2)
+    assert s.to_json() == RowFiniteIntMatrix.identity(2).to_json()
 
 
 def test_compose_elementary_inverse_pair():
-    minus = RowFiniteIntMatrix.add_multiple(2, 1, -1)
-    plus = RowFiniteIntMatrix.add_multiple(2, 1, 1)
-    assert unimodular_compose(minus, plus) == RowFiniteIntMatrix.identity(2)
+    m = RowFiniteIntMatrix.identity(2)
+    m.add_multiple(2, 1, -1)
+    m.add_multiple(2, 1, 1)
+    assert m.to_json() == RowFiniteIntMatrix.identity(2).to_json()
+
+
+def test_row_operations_reject_bad_rows():
+    m = RowFiniteIntMatrix.identity(3)
+    for op in (lambda: m.add_multiple(2, 2, 1), lambda: m.swap(0, 1), lambda: m.negate(4)):
+        with pytest.raises(ValidationError):
+            op()
+    assert m == RowFiniteIntMatrix.identity(3)
 
 
 @st.composite
@@ -193,43 +221,44 @@ def elementary_products(draw):
         i = draw(st.integers(1, n))
         if kind == "swap":
             j = draw(st.integers(1, n).filter(lambda x: x != i))
-            e = RowFiniteIntMatrix.swap(i, j)
+            out.swap(i, j)
         elif kind == "negate":
-            e = RowFiniteIntMatrix.negate(i)
+            out.negate(i)
         else:
             j = draw(st.integers(1, n).filter(lambda x: x != i))
-            e = RowFiniteIntMatrix.add_multiple(i, j, draw(st.integers(-3, 3)))
-        out = unimodular_compose(e, out)
+            out.add_multiple(i, j, draw(st.integers(-3, 3)))
     return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(elementary_products())
 def test_tracked_inverse_verifies(mat):
-    assert mat.verify_inverse()
+    assert verify_inverse(mat)
 
 
 @settings(max_examples=30, deadline=None)
 @given(elementary_products(), st.lists(st.integers(-9, 9), min_size=5, max_size=5))
 def test_inverse_undoes_apply(mat, vals):
     nu = IntVecFin.from_list(vals)
-    assert mat.inverse().apply(mat.apply(nu)) == nu
+    inverse = RowFiniteIntMatrix(mat.inverse_rows, mat.rows)
+    assert inverse.apply(mat.apply(nu)) == nu
 
 
 def test_matrix_json_roundtrip():
-    m = unimodular_compose(
-        RowFiniteIntMatrix.add_multiple(2, 1, -4), RowFiniteIntMatrix.swap(1, 3)
-    )
-    again = RowFiniteIntMatrix.from_json(m.to_json())
-    assert again == m and again.verify_inverse()
-
-
-def test_transpose_of_transpose():
-    m = unimodular_compose(
-        RowFiniteIntMatrix.add_multiple(1, 2, 5), RowFiniteIntMatrix.negate(2)
-    )
-    assert m.transpose().transpose() == m
-    assert m.transpose().verify_inverse()
+    # row_2 -= 4 row_1 after swapping rows 1 and 3
+    m = RowFiniteIntMatrix.identity(3)
+    m.swap(1, 3)
+    m.add_multiple(2, 1, -4)
+    doc = m.to_json()
+    assert json.loads(json.dumps(doc)) == doc == {
+        "dimension": 3,
+        "rows": {"1": {"3": 1}, "2": {"2": 1, "3": -4}, "3": {"1": 1}},
+        "inverse_rows": {"1": {"3": 1}, "2": {"1": 4, "2": 1}, "3": {"1": 1}},
+    }
+    assert verify_inverse(m)
+    assert [m.row(i).to_json() for i in (1, 2, 3)] == list(doc["rows"].values())
+    assert [m.inverse_row(i).to_json() for i in (1, 2, 3)] == list(doc["inverse_rows"].values())
+    assert m.row(4) == m.inverse_row(4) == IntVecFin({4: 1})
 
 
 def test_vector_json_and_invariants():
@@ -238,6 +267,17 @@ def test_vector_json_and_invariants():
     assert v.support() == (1, 3)
     with pytest.raises(ValidationError):
         IntVecFin({0: 1})
+
+
+def test_vector_rejects_non_integer_entries():
+    for bad in ({1: 2.7}, {2: True}, {1.0: 1}, {1: F(3)}, {True: 4}):
+        with pytest.raises(ValidationError):
+            IntVecFin(bad)
+    with pytest.raises(ValidationError):
+        IntVecFin.from_list([1, 2.5])
+    assert IntVecFin.from_json({"1": "3", "2": 4}) == IntVecFin({1: 3, 2: 4})
+    with pytest.raises(ValidationError):
+        IntVecFin.from_json({"1": 2.7})
 
 
 def test_kernel_more_rows_than_columns():
