@@ -437,7 +437,7 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     """
     v = fv.variant
     if isinstance(v, Finite):
-        gens, rows = _coordinate_matrix(fv, min(depth, len(v)))
+        _depth, gens, rows = _coordinate_matrix(fv, depth)
         comps = []
         for vec in hermite_transform(rows).image:
             pivot = next(k for k, x in enumerate(vec) if x)

@@ -355,13 +355,13 @@ def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
     t_b* -= q t_a*, at O(n) per operation.
     """
     if not rows or not rows[0]:
-        raise ValidationError("integer_kernel requires at least one row and one column")
+        raise ValidationError("the Hermite transform needs a coordinate matrix with at least one row and one column")
     n = len(rows[0])
     mat: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
         if len(row) != n:
-            raise ValidationError("ragged matrix passed to integer_kernel")
+            raise ValidationError("ragged coordinate matrix passed to the Hermite transform")
         fracs = [Fraction(x) for x in row]
         scales.append(_lcm(f.denominator for f in fracs))
         mat.append([int(f * scales[-1]) for f in fracs])

@@ -470,12 +470,15 @@ def _reserved_power(j: int, reserved_primes: Sequence[int]) -> tuple[int, int] |
     return None
 
 
-def _free_slot_rank(j: int, reserved_primes: Sequence[int]) -> int:
-    """1-based rank of j among indices not reserved to any prime power."""
+def _free_slot_rank(j: int, reserved_primes: Sequence[int], cap: int) -> int:
+    """1-based rank of j among indices not reserved to any prime power, or
+    ``cap`` as soon as the indices up to j hold that many free slots."""
     rank = 0
     for i in range(1, j + 1):
         if _reserved_power(i, reserved_primes) is None:
             rank += 1
+            if rank == cap:
+                break
     return rank
 
 
@@ -504,7 +507,8 @@ def coordinates(fv: FrequencyVector, j: int) -> CoordMap:
             gen, spec = v.components[pos]
             return {gen: Fraction(1, spec.qa.partial_product(n_pow))}
         free_components = [(g, s) for g, s in v.components if s.is_free]
-        rank = _free_slot_rank(j, reserved)
+        # every rank past the free components maps to {}, so counting stops there
+        rank = _free_slot_rank(j, reserved, len(free_components) + 1)
         if rank <= len(free_components):
             gen, _spec = free_components[rank - 1]
             return {gen: Fraction(1)}

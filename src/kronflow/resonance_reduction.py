@@ -3,13 +3,16 @@
 ``resonance_basis`` realizes the set of integer relations among the first N
 frequencies as the integer kernel of their exact coordinate matrix.
 ``reduce_vector`` collapses one integer vector to (g, 0, 0, ...) by a tracked
-composition of elementary automorphisms, with a full audit trail whose
-per-pass entry sums are strictly decreasing positive integers (that is the
-termination argument, asserted literally); it is the certificate behind
-``kron reduce``.  ``reduce_flow`` conjugates the flow, in one Hermite
-transform of the coordinate matrix, to one whose frequency vector starts with
-a zero block followed by a block with trivial integer kernel: the automorphism
-stacks the resonance basis over integer preimages of an image basis.
+composition of elementary automorphisms; it is the certificate behind
+``kron reduce``.  Its trail records each swap and negate, and each run of
+identical subtraction passes as one record with a repeat count, so its length
+is bounded by the Euclidean steps; the entry sum of every pass is listed, and
+the sums are strictly decreasing positive integers (that is the termination
+argument, asserted literally).  ``reduce_flow`` conjugates the flow, in one
+Hermite transform of the coordinate matrix, to one whose frequency vector
+starts with a zero block followed by a block with trivial integer kernel: the
+automorphism stacks the resonance basis over integer preimages of an image
+basis.
 """
 
 from __future__ import annotations
@@ -53,20 +56,26 @@ class ResonanceBasis:
 
 
 def _coordinate_matrix(fv: FrequencyVector, depth: int):
-    """Rows indexed by generators, columns by j = 1..depth; exact rationals."""
+    """(N, generators, rows): rows indexed by generators, columns by
+    j = 1..N; exact rationals.  N is ``depth``, clamped to the length of a
+    finite vector: the depth rule that resonance bases, flow reduction and
+    finite classification share."""
+    if fv.is_finite:
+        depth = min(depth, fv.length())
     cols = [coordinates(fv, j) for j in range(1, depth + 1)]
     gens = sorted({g for col in cols for g in col}, key=Generator.sort_key)
     rows = [[col.get(g, Fraction(0)) for col in cols] for g in gens]
     if not rows:
         rows = [[Fraction(0)] * depth]  # identically zero vector
-    return gens, rows
+    return depth, gens, rows
 
 
 def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
-    """Canonical basis of {nu in Z^depth : nu . (omega_1..omega_depth) = 0}."""
+    """Canonical basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the
+    depth clamped to the length of a finite vector."""
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    gens, rows = _coordinate_matrix(fv, depth)
+    depth, _gens, rows = _coordinate_matrix(fv, depth)
     basis = integer_kernel(rows)
     # exact re-check in generator coordinates, on each row scaled to integers
     # by the lcm of its denominators
@@ -87,18 +96,27 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    op: str  # "swap" | "negate" | "add_multiple"
-    i: int
+    """One record of the trail.
+
+    ``swap`` exchanges rows i and j and ``negate`` flips the sign of row i,
+    in pass ``pass_index``.  ``subtract_head`` is a run: for each of the
+    ``repeat`` passes pass_index .. pass_index + repeat - 1, rows 2..``rows``
+    -= row 1.
+    """
+
+    op: str  # "swap" | "negate" | "subtract_head"
+    pass_index: int
+    i: int | None = None
     j: int | None = None
-    factor: int | None = None
-    pass_index: int = 0
+    repeat: int | None = None
+    rows: int | None = None
 
     def to_json(self) -> dict:
-        out = {"op": self.op, "i": self.i, "pass": self.pass_index}
-        if self.j is not None:
-            out["j"] = self.j
-        if self.factor is not None:
-            out["factor"] = self.factor
+        out = {"op": self.op, "pass": self.pass_index}
+        for key in ("i", "j", "repeat", "rows"):
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = value
         return out
 
 
@@ -129,6 +147,12 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
     normalization is recorded; the sums decrease strictly, which forces
     termination.  Every step acts on a dense copy of the vector and, as a row
     operation, on the transform, which starts as the identity.
+
+    A normalized pass (v1 <= v2 <= ... <= vk) is followed by q = v2 // v1
+    passes that need no swap or negate: the next normalization is a no-op
+    exactly while v2 - v1 >= v1, a tie keeping v1 first.  The q passes are
+    one ``subtract_head`` record and one row operation row_i -= q * row_1
+    per row, and their q pass sums s - p (k - 1) v1 are filled in directly.
     """
     if nu.is_zero():
         raise ValidationError("cannot reduce the zero vector")
@@ -148,7 +172,7 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
             if src != target:
                 vec[target - 1], vec[src - 1] = vec[src - 1], vec[target - 1]
                 transform.swap(target, src)
-                steps.append(ReductionStep("swap", target, src, None, pass_index))
+                steps.append(ReductionStep("swap", pass_index, i=target, j=src))
                 # the entry displaced from `target` now lives at `src`
                 for q in range(pos + 1, len(order)):
                     if order[q] == target:
@@ -158,17 +182,22 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
             if vec[i - 1] < 0:
                 vec[i - 1] = -vec[i - 1]
                 transform.negate(i)
-                steps.append(ReductionStep("negate", i, None, None, pass_index))
-        pass_sums.append(sum(vec[:k]))
-        if len(pass_sums) >= 2 and not pass_sums[-1] < pass_sums[-2]:
+                steps.append(ReductionStep("negate", pass_index, i=i))
+        total = sum(vec[:k])
+        if pass_sums and not total < pass_sums[-1]:
             raise ValidationError("internal error: pass sums failed to decrease")
         if k == 1:
+            pass_sums.append(total)
             break
+        head = vec[0]
+        repeat = vec[1] // head
+        drop = (k - 1) * head  # > 0, so the run's own sums decrease strictly
+        pass_sums.extend(range(total, total - repeat * drop, -drop))
         for i in range(2, k + 1):
-            vec[i - 1] -= vec[0]
-            transform.add_multiple(i, 1, -1)
-            steps.append(ReductionStep("add_multiple", i, 1, -1, pass_index))
-        pass_index += 1
+            vec[i - 1] -= repeat * head
+            transform.add_multiple(i, 1, -repeat)
+        steps.append(ReductionStep("subtract_head", pass_index, repeat=repeat, rows=k))
+        pass_index += repeat
 
     result = transform.apply(nu)
     if result != IntVecFin({1: vec[0]}):
@@ -209,7 +238,8 @@ class FlowReduction:
 
 def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     """Conjugate the depth-N truncation to (0_d, omega-bar) with omega-bar
-    having trivial integer kernel at depth N.
+    having trivial integer kernel at depth N, N the depth clamped to the
+    length of a finite vector.
 
     One Hermite transform of the coordinate matrix gives A = [kernel basis;
     image preimages]: its first d rows are the canonical resonance basis, so
@@ -220,7 +250,7 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    gens, rows = _coordinate_matrix(fv, depth)
+    depth, gens, rows = _coordinate_matrix(fv, depth)
     h = hermite_transform(rows)
     zeros = h.zero_rank
     if zeros:

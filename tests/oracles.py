@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: kernels come from
 exhaustive enumeration, gcds from Euclid, sigma sums from direct term-by-term
 summation with a hand-written geometric remainder, span checks from
-bounded coefficient searches, and matrix checks from the JSON form of a
-tracked matrix, multiplied out entry by entry.
+bounded coefficient searches, matrix checks from the JSON form of a
+tracked matrix, multiplied out entry by entry, and reduction certificates
+from the literal one-subtraction-per-step reduction on plain lists.
 """
 
 from __future__ import annotations
@@ -91,6 +92,57 @@ def euclid_gcd(values) -> int:
     for v in values:
         g = math.gcd(g, abs(int(v)))
     return g
+
+
+def literal_reduction(values: list[int]) -> dict:
+    """The subtractive reduction of a nonzero integer list, one trail record
+    per elementary operation, on plain dense lists.
+
+    Each pass sorts the surviving entries by absolute value (stable, ties in
+    current index order), flips signs to make them positive, records their
+    sum, then subtracts the first entry from every other one, until one entry
+    is left.  Returns the trail as JSON step records, the pass sums, the
+    transform's rows and inverse rows and the reduced head.
+    """
+    vec = list(values)
+    n = len(vec)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps: list[dict] = []
+    pass_sums: list[int] = []
+    pass_index = 1
+    while True:
+        order = sorted((i for i in range(n) if vec[i]), key=lambda i: (abs(vec[i]), i))
+        for pos in range(len(order)):
+            src = order[pos]
+            if src != pos:
+                vec[pos], vec[src] = vec[src], vec[pos]
+                rows[pos], rows[src] = rows[src], rows[pos]
+                for row in inverse:
+                    row[pos], row[src] = row[src], row[pos]
+                steps.append({"op": "swap", "i": pos + 1, "j": src + 1, "pass": pass_index})
+                # the entry displaced from `pos` now lives at `src`
+                order[pos + 1 :] = [src if o == pos else o for o in order[pos + 1 :]]
+        k = len(order)
+        for i in range(k):
+            if vec[i] < 0:
+                vec[i] = -vec[i]
+                rows[i] = [-v for v in rows[i]]
+                for row in inverse:
+                    row[i] = -row[i]
+                steps.append({"op": "negate", "i": i + 1, "pass": pass_index})
+        pass_sums.append(sum(vec[:k]))
+        if k == 1:
+            break
+        for i in range(1, k):
+            # row_i -= row_1; the inverse gets col_1 += col_i
+            vec[i] -= vec[0]
+            rows[i] = [u - v for u, v in zip(rows[i], rows[0])]
+            for row in inverse:
+                row[0] += row[i]
+            steps.append({"op": "add_multiple", "i": i + 1, "j": 1, "factor": -1, "pass": pass_index})
+        pass_index += 1
+    return {"steps": steps, "pass_sums": pass_sums, "rows": rows, "inverse_rows": inverse, "head": vec[0]}
 
 
 def dense_rows(matrix_json: dict, key: str, n: int) -> list[list[int]]:

@@ -45,6 +45,31 @@ def test_reduce(capsys):
     assert payload["pass_sums"][0] > payload["pass_sums"][-1]
 
 
+def test_reduce_trail_is_bounded(capsys):
+    code, out = run(capsys, "reduce", "--nu", "1,100000")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["steps"]) <= 2
+    sums = payload["pass_sums"]
+    assert len(sums) == 100_001
+    assert all(x > y for x, y in zip(sums, sums[1:]))
+
+
+def test_depth_beyond_a_finite_spec_is_clamped(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    spec.write_text('{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"1": "1/3"}]}')
+    code, out = run(capsys, "resonance", str(spec), "--depth", "8")
+    assert code == 0
+    assert json.loads(out) == {"depth": 3, "rank": 1, "vectors": [{"1": 1, "3": -3}]}
+    code, out = run(capsys, "reduce-flow", str(spec), "--depth", "8")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["depth"] == 3 and payload["zero_rank"] == 1
+    assert payload["nonresonance_scope"] == "global"
+    _, at_length = run(capsys, "reduce-flow", str(spec), "--depth", "3")
+    assert out == at_length
+
+
 def test_resonance_and_reduce_flow(tmp_path, capsys):
     spec = tmp_path / "h.json"
     spec.write_text('{"kind": "finite", "terms": [{"1": "1"}, {"1": "1/2"}, {"1": "1/3"}]}')

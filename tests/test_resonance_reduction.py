@@ -29,6 +29,7 @@ from oracles import (
     brute_force_kernel,
     dense_rows,
     euclid_gcd,
+    literal_reduction,
     rational_rank,
     span_contains_all,
     verify_inverse,
@@ -113,6 +114,45 @@ def test_reduction_certificate_properties(nu):
     assert verify_inverse(cert.transform)
     assert all(s1 > s2 for s1, s2 in zip(cert.pass_sums, cert.pass_sums[1:]))
     assert all(s > 0 for s in cert.pass_sums)
+
+
+def _expand_runs(steps: list[dict]) -> list[dict]:
+    """The trail with each subtract_head run written out as its literal
+    row_i -= row_1 records, one per row and pass."""
+    out = []
+    for s in steps:
+        if s["op"] != "subtract_head":
+            out.append(s)
+            continue
+        for p in range(s["pass"], s["pass"] + s["repeat"]):
+            out += [{"op": "add_multiple", "i": i, "j": 1, "factor": -1, "pass": p} for i in range(2, s["rows"] + 1)]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=8).filter(any))
+def test_run_trail_expands_to_the_literal_trail(vals):
+    nu = IntVecFin.from_list(vals)
+    cert = reduce_vector(nu)
+    want = literal_reduction(nu.to_list(nu.max_index()))
+    steps = [s.to_json() for s in cert.steps]
+    assert _expand_runs(steps) == want["steps"]
+    assert list(cert.pass_sums) == want["pass_sums"]
+    assert cert.transform.rows == want["rows"]
+    assert cert.transform.inverse_rows == want["inverse_rows"]
+    assert cert.gcd == want["head"]
+    # runs are maximal: each one but the last ends where a swap is needed
+    for s, after in zip(steps, steps[1:]):
+        if s["op"] == "subtract_head":
+            assert after["op"] == "swap"
+
+
+def test_run_trail_of_a_long_quotient():
+    cert = reduce_vector(IntVecFin.from_list([3, 20, 0, 0]))
+    # (3, 20): 6 passes of row_2 -= row_1, then (2, 3) -> one pass -> (2, 1) ...
+    assert cert.steps[0].to_json() == {"op": "subtract_head", "pass": 1, "repeat": 6, "rows": 2}
+    assert cert.pass_sums[:7] == (23, 20, 17, 14, 11, 8, 5)
+    assert cert.result == IntVecFin({1: 1})
 
 
 # -- reduce_flow examples
