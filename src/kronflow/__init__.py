@@ -1,5 +1,9 @@
 """kronflow: exact algebraic invariants of linear torus flows, truncated to
-desk scale, plus the numerics that witness their dynamical consequences."""
+desk scale, plus the numerics that witness their dynamical consequences.
+
+The float numerics live in ``kronflow.dynamics``, which loads numpy; its
+names below resolve on first use, so ``import kronflow`` does not load it.
+"""
 
 from .errors import KronError, UnsupportedStructureError, ValidationError
 from .exact_linalg import (
@@ -66,15 +70,6 @@ from .solenoid_geometry import (
     product_metric,
     to_coordinates,
 )
-from .dynamics import (
-    TrigPolynomial,
-    equidistribution_report,
-    flow,
-    haar_average,
-    minimality_probe,
-    resonance_witness,
-    time_average,
-)
 from .benjamin_ono import (
     BoModuleReport,
     bo_orbit_closure,
@@ -82,3 +77,21 @@ from .benjamin_ono import (
 )
 
 __version__ = "0.1.0"
+
+_DYNAMICS_EXPORTS = frozenset({
+    "TrigPolynomial",
+    "equidistribution_report",
+    "flow",
+    "haar_average",
+    "minimality_probe",
+    "resonance_witness",
+    "time_average",
+})
+
+
+def __getattr__(name: str):
+    if name in _DYNAMICS_EXPORTS:
+        from . import dynamics
+
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,6 +16,7 @@ values, so R is not free and the closure picks up a solenoid factor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,8 +185,10 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     if depth < 2:
         raise ValidationError("tail-module report needs depth >= 2")
     s = rule.s
-    sigma_values = tuple(s.sigma(j) for j in range(1, depth + 1))
-    tail_sums = tuple(s.tail_sum(n) for n in range(1, depth))
+    # sigma_1 = g_0 and sigma_j = sigma_{j-1} + g_{j-1}: one pass over g_0..g_{N-1}
+    tails = [s.tail_sum(n) for n in range(depth)]
+    sigma_values = tuple(itertools.accumulate(tails))
+    tail_sums = tuple(tails[1:])
     f, h, v = _span_data(s)
     r_type = _baer_of_span(f, h, v)
     closure = bo_orbit_closure(rule)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -19,14 +20,6 @@ import mpmath
 from . import __version__
 from .benjamin_ono import bo_report
 from .classification import classification_report, closures_homeomorphic, orbit_closure
-from .dynamics import (
-    equidistribution_report,
-    haar_average,
-    nu_dot_omegas,
-    parse_polynomial,
-    sample_trajectory,
-    time_average,
-)
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import IntVecFin, parse_int, parse_rational
 from .frequency import DEFAULT_DEPTH, FrequencyVector, SigmaSequence, parse_frequency_spec
@@ -132,20 +125,29 @@ def _cmd_reduce_flow(args) -> None:
     _emit(reduce_flow(fv, args.depth).to_json())
 
 
+# The float subcommands import dynamics (and with it numpy) when they run, so
+# the exact subcommands never load numpy.
+
+
 def _cmd_simulate(args) -> None:
+    from .dynamics import sample_trajectory
+
     fv = _load_spec(args.spec)
+    depth = fv.clamp_depth(args.depth)
     theta0 = _parse_point(args.theta0) if args.theta0 else None
     # all rows exist before --out is opened, so a rejected request leaves it intact
-    rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, args.depth)
+    rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, depth)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"theta_{j}" for j in range(1, args.depth + 1)])
+        writer.writerow(["t"] + [f"theta_{j}" for j in range(1, depth + 1)])
         for t, angles in rows:
             writer.writerow([f"{t:.12g}"] + [f"{a:.12g}" for a in angles])
-    _emit({"out": args.out, "steps": args.steps, "depth": args.depth})
+    _emit({"out": args.out, "steps": args.steps, "depth": depth})
 
 
 def _cmd_average(args) -> None:
+    from .dynamics import haar_average, nu_dot_omegas, parse_polynomial, time_average
+
     fv = _load_spec(args.spec)
     poly = parse_polynomial(_load_json(args.poly))
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
@@ -168,6 +170,8 @@ def _cmd_average(args) -> None:
 
 
 def _cmd_equidistribution(args) -> None:
+    from .dynamics import equidistribution_report
+
     fv = _load_spec(args.spec)
     nus = [_parse_nu(n) for n in args.nu]
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
@@ -286,9 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first.  Sharing it is
+    safe: parsing makes a fresh namespace, ``--nu`` appends to a new list, and
+    no handler mutates a parsed value such as the ``--T`` default."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     print(f"kronflow {__version__}", file=sys.stderr)
     try:
         if getattr(args, "depth", 1) < 1:

@@ -15,7 +15,10 @@ generators are trusted as declared.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -178,11 +181,13 @@ class SigmaSequence:
     def terms(self, n: int) -> list[int]:
         return [self.term(j) for j in range(1, n + 1)]
 
+    def partial_products(self, n: int) -> list[int]:
+        """[a_1, a_1 a_2, ..., a_1 ... a_n], as one running product."""
+        return list(itertools.accumulate(self.terms(n), operator.mul))
+
     def partial_product(self, j: int) -> int:
-        out = 1
-        for k in range(1, j + 1):
-            out *= self.term(k)
-        return out
+        """a_1 ... a_j (1 for j = 0)."""
+        return math.prod(self.terms(j))
 
     def prefix_prime_exponents(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -421,6 +426,12 @@ class FrequencyVector:
 
     def length(self) -> int | None:
         return len(self.variant) if isinstance(self.variant, Finite) else None
+
+    def clamp_depth(self, depth: int) -> int:
+        """``depth``, clamped to the length of a finite vector: the depth rule
+        of resonance bases, flow reduction, finite classification and
+        trajectory sampling."""
+        return min(depth, len(self.variant)) if self.is_finite else depth
 
 
 def finite_vector(maps: Sequence[Mapping[Generator, Fraction]]) -> FrequencyVector:

@@ -57,11 +57,8 @@ class ResonanceBasis:
 
 def _coordinate_matrix(fv: FrequencyVector, depth: int):
     """(N, generators, rows): rows indexed by generators, columns by
-    j = 1..N; exact rationals.  N is ``depth``, clamped to the length of a
-    finite vector: the depth rule that resonance bases, flow reduction and
-    finite classification share."""
-    if fv.is_finite:
-        depth = min(depth, fv.length())
+    j = 1..N; exact rationals.  N is ``fv.clamp_depth(depth)``."""
+    depth = fv.clamp_depth(depth)
     cols = [coordinates(fv, j) for j in range(1, depth + 1)]
     gens = sorted({g for col in cols for g in col}, key=Generator.sort_key)
     rows = [[col.get(g, Fraction(0)) for col in cols] for g in gens]

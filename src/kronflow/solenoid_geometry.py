@@ -132,11 +132,12 @@ def from_coordinates(a: SigmaSequence, coords: SolenoidCoords) -> TorusPoint:
         omega_j = 1 / (a_1 ... a_j).
     """
     _check_digits(a, coords.digits)
+    products = a.partial_products(coords.depth)  # a_1 ... a_j for j = 1..N
     vals = [coords.tau]
     acc = coords.tau  # tau + sum_{m<=j} n_m * (a_1 ... a_{m-1})
-    for j in range(2, coords.depth + 1):
-        acc += coords.digits[j - 2] * a.partial_product(j - 1)
-        theta_j = acc / a.partial_product(j)
+    for n, previous, product in zip(coords.digits, products, products[1:]):
+        acc += n * previous
+        theta_j = acc / product
         if not 0 <= theta_j < 1:
             raise ValidationError("internal error: reconstructed angle left [0,1)")
         vals.append(theta_j)
@@ -152,8 +153,8 @@ def approximating_times(a: SigmaSequence, coords: SolenoidCoords) -> list[Fracti
     _check_digits(a, coords.digits)
     times = [Fraction(coords.tau)]
     acc = Fraction(coords.tau)
-    for k in range(2, coords.depth + 1):
-        acc += coords.digits[k - 2] * a.partial_product(k - 1)
+    for n, product in zip(coords.digits, a.partial_products(coords.depth - 1)):
+        acc += n * product
         times.append(acc)
     return times
 
@@ -162,7 +163,7 @@ def orbit_point(a: SigmaSequence, t: Fraction, depth: int) -> TorusPoint:
     """Exact flow point of the solenoidal frequency rule at time t (in turns),
     started at the origin: theta_j = t / (a_1 ... a_j) mod 1."""
     t = Fraction(t)
-    return TorusPoint.exact_point([t / a.partial_product(j) for j in range(1, depth + 1)])
+    return TorusPoint.exact_point([t / product for product in a.partial_products(depth)])
 
 
 def local_chart(a: SigmaSequence, theta: TorusPoint) -> tuple[Fraction, tuple[int, ...]]:

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kronflow.benjamin_ono import (
     _baer_of_span,
@@ -97,6 +99,21 @@ def test_telescoping_identity():
     rep = bo_tail_module(DYADIC, 42)
     for n in range(1, 41):
         assert rep.tail_sums[n - 1] == rep.sigma_values[n] - rep.sigma_values[n - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12), max_size=5),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+    st.integers(2, 9),
+    st.integers(2, 64),
+)
+def test_tail_module_sigma_table_matches_closed_form(prefix, c, m, depth):
+    """The running sigma table against the closed-form sigma_j, which the
+    table no longer calls."""
+    s = RationalSequenceSpec(tuple(prefix), c, F(1, m))
+    rep = bo_tail_module(BoRule(BETA, s), depth)
+    assert list(rep.sigma_values) == [s.sigma(j) for j in range(1, depth + 1)]
 
 
 def test_tail_sums_positive_decreasing():

@@ -70,6 +70,48 @@ def test_depth_beyond_a_finite_spec_is_clamped(tmp_path, capsys):
     assert out == at_length
 
 
+def test_simulate_clamps_depth_to_a_finite_spec(tmp_path, capsys):
+    spec = tmp_path / "f.json"
+    spec.write_text('{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"1": "1/3"}]}')
+    csvs = []
+    for depth in ("8", "3"):
+        out_csv = tmp_path / f"traj{depth}.csv"
+        code, out = run(capsys, "simulate", str(spec), "--t1", "10", "--steps", "5", "--depth", depth, "--out", str(out_csv))
+        assert code == 0
+        assert json.loads(out) == {"depth": 3, "out": str(out_csv), "steps": 5}
+        csvs.append(out_csv.read_text())
+    assert csvs[0].splitlines()[0] == "t,theta_1,theta_2,theta_3"
+    assert csvs[0] == csvs[1]
+
+
+def test_shared_parser_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
+    """main reuses one parser: appended --nu lists, the --T default and
+    --precision must not carry from one call into the next."""
+    monkeypatch.delenv("KRON_PRECISION", raising=False)
+    for name, text in (("s2.json", SQRT_SPEC), ("sol.json", SOLENOID_SPEC), ("cancel.json", CANCEL_SPEC)):
+        (tmp_path / name).write_text(text)
+    (tmp_path / "p.json").write_text(POLY)
+    s2, sol, cancel, poly = (str(tmp_path / n) for n in ("s2.json", "sol.json", "cancel.json", "p.json"))
+    calls = [
+        ["equidistribution", s2, "--nu", "1,-1", "--nu", "1,0", "--nu", "0,1", "--depth", "2"],
+        ["equidistribution", s2, "--nu", "1,1", "--depth", "2"],
+        ["average", s2, "--poly", poly, "--T", "50", "500", "--depth", "2"],
+        ["average", s2, "--poly", poly, "--depth", "2"],
+        ["classify", sol, "--depth", "8"],
+        ["solenoid", "times", "--a", "1,2", "--tau", "1/4", "--digits", "1"],
+        ["--precision", "200", "equidistribution", cancel, "--nu=1,1", "--T", "100", "--depth", "2"],
+        ["equidistribution", cancel, "--nu=1,1", "--T", "100", "--depth", "2"],
+    ]
+    rounds = [[run(capsys, *argv) for argv in calls] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    outs = rounds[0]
+    assert [code for code, _ in outs] == [0, 0, 0, 0, 0, 0, 0, 1]  # 64 bits cannot resolve cancel.json
+    assert len(json.loads(outs[0][1])["rows"]) == 9
+    assert [r["nu"] for r in json.loads(outs[1][1])["rows"]] == [{"1": 1, "2": 1}] * 3
+    assert [r["T"] for r in json.loads(outs[2][1])["rows"]] == [50.0, 500.0]
+    assert [r["T"] for r in json.loads(outs[3][1])["rows"]] == [100.0, 1000.0, 10000.0]
+
+
 def test_resonance_and_reduce_flow(tmp_path, capsys):
     spec = tmp_path / "h.json"
     spec.write_text('{"kind": "finite", "terms": [{"1": "1"}, {"1": "1/2"}, {"1": "1/3"}]}')
@@ -249,7 +291,7 @@ def test_failed_simulate_keeps_existing_out_file(tmp_path, capsys):
     spec.write_text(SQRT_SPEC)
     out = tmp_path / "keep.csv"
     out.write_text("t,theta_1\n0,1\n")
-    for bad in (["--steps", "0"], ["--steps", "4", "--depth", "5"]):
+    for bad in (["--steps", "0"], ["--steps", "4", "--theta0", "0,0,0", "--depth", "2"]):
         code = main(["simulate", str(spec), "--t1", "1", "--out", str(out)] + bad)
         err = capsys.readouterr().err
         assert code == 1 and "error:" in err, bad

@@ -159,6 +159,25 @@ def test_solenoid_defining_relation(j):
     assert lhs == rhs
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(2, 9), max_size=4),
+    st.sampled_from(["constant", "periodic", "increment", "odd_indexed_primes"]),
+    st.lists(st.integers(2, 9), min_size=1, max_size=3),
+    st.integers(0, 40),
+)
+def test_partial_products_are_running_products(rest, kind, params, n):
+    tail_params = {"constant": tuple(params[:1]), "periodic": tuple(params)}.get(kind, ())
+    a = SigmaSequence((1, *rest), kind, tail_params)
+    products = a.partial_products(n)
+    assert len(products) == n
+    expected = 1
+    for j in range(1, n + 1):
+        expected *= a.term(j)
+        assert products[j - 1] == expected == a.partial_product(j)
+    assert a.partial_product(0) == 1
+
+
 def test_sequence_tails():
     inc = SigmaSequence((1,), "increment")
     assert inc.terms(5) == [1, 2, 3, 4, 5]

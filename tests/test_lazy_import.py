@@ -1,0 +1,45 @@
+"""Only the float paths load numpy: ``import kronflow``, ``import kronflow.cli``
+and an exact subcommand leave it out of ``sys.modules``, while the float names
+of the package still resolve to the ``kronflow.dynamics`` objects."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROBE = """
+import contextlib, io, sys
+import {module}
+if "{module}" == "kronflow.cli":
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert kronflow.cli.main(["reduce", "--nu", "4,6,10"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded"
+
+import kronflow
+from kronflow import flow, TrigPolynomial, minimality_probe
+import kronflow.dynamics as dynamics
+assert flow is dynamics.flow
+assert TrigPolynomial is dynamics.TrigPolynomial
+assert minimality_probe is dynamics.minimality_probe
+try:
+    kronflow.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("kronflow.no_such_name resolved")
+"""
+
+
+@pytest.mark.parametrize("module", ["kronflow", "kronflow.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(module=module)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

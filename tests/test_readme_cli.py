@@ -1,7 +1,7 @@
 """The README's CLI block, run in-process on the README's example finite spec:
-every line of an exact spec-taking subcommand (``classify``, ``resonance``,
-``reduce-flow``, ``iso``) exits 0 and prints JSON, whatever depth it asks
-for."""
+every line of a spec-taking subcommand (``classify``, ``resonance``,
+``reduce-flow``, ``simulate``, ``iso``) exits 0 and prints JSON, whatever
+depth it asks for."""
 
 import json
 import re
@@ -13,7 +13,7 @@ import pytest
 from kronflow.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SUBCOMMANDS = ("classify", "resonance", "reduce-flow", "iso")
+SUBCOMMANDS = ("classify", "resonance", "reduce-flow", "simulate", "iso")
 
 
 def _cli_lines() -> list[list[str]]:
