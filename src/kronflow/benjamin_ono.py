@@ -16,7 +16,6 @@ values, so R is not free and the closure picks up a solenoid factor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,14 +184,15 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     if depth < 2:
         raise ValidationError("tail-module report needs depth >= 2")
     s = rule.s
-    # sigma_1 = g_0 and sigma_j = sigma_{j-1} + g_{j-1}: one pass over g_0..g_{N-1}
-    tails = [s.tail_sum(n) for n in range(depth)]
-    sigma_values = tuple(itertools.accumulate(tails))
-    tail_sums = tuple(tails[1:])
-    f, h, v = _span_data(s)
-    r_type = _baer_of_span(f, h, v)
-    closure = bo_orbit_closure(rule)
-    return BoModuleReport(sigma_values, tail_sums, r_type, closure, s.full_support(), depth)
+    r_type = _baer_of_span(*_span_data(s))
+    return BoModuleReport(
+        tuple(s.sigmas(depth)),
+        tuple(s.tail_sum(n) for n in range(1, depth)),
+        r_type,
+        _closure_of_r(r_type),
+        s.full_support(),
+        depth,
+    )
 
 
 def module_descriptor(rule: BoRule) -> ModuleDescriptor:
@@ -210,9 +210,11 @@ def module_descriptor(rule: BoRule) -> ModuleDescriptor:
 def bo_orbit_closure(rule: BoRule) -> ClosureDescriptor:
     """Circle (from Z) times the dual of R: nothing for trivial R, a circle
     for finite support (R cyclic), a solenoid otherwise."""
-    f, h, v = _span_data(rule.s)
+    return _closure_of_r(_baer_of_span(*_span_data(rule.s)))
+
+
+def _closure_of_r(r_type: BaerType | None) -> ClosureDescriptor:
     factors: list[Circle | Solenoid] = [Circle()]
-    r_type = _baer_of_span(f, h, v)
     if r_type is not None:
         factors.append(Circle() if is_free(r_type) else Solenoid(r_type.lam))
     return ClosureDescriptor(tuple(factors))

@@ -384,6 +384,28 @@ class ModuleDescriptor:
     def nonfree_components(self) -> list[ModuleComponent]:
         return [c for c in self.components if not c.free]
 
+    def closure(self) -> "ClosureDescriptor":
+        """The orbit closure: a circle for each free component, a solenoid
+        carrying Lambda for each non-free one."""
+        return ClosureDescriptor(tuple(Circle() if c.free else Solenoid(c.baer.lam) for c in self.components))
+
+    def closure_homeomorphic(self, other: "ModuleDescriptor") -> bool:
+        """Componentwise criterion for the direct-sum-of-rank-1 class: equal
+        free ranks and a Baer-isomorphism matching between the non-free
+        components."""
+        if self.free_rank != other.free_rank:
+            return False
+        left = self.nonfree_components()
+        right = other.nonfree_components()
+        if len(left) != len(right):
+            return False
+        for c in left:
+            match = next((k for k, d in enumerate(right) if baer_isomorphic(c.baer, d.baer)), None)
+            if match is None:
+                return False
+            right.pop(match)
+        return True
+
     def to_json(self) -> dict:
         return {
             "components": [
@@ -463,39 +485,31 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
 
 
 def orbit_closure(fv: FrequencyVector, depth: int) -> ClosureDescriptor:
-    md = decompose_module(fv, depth)
-    factors: list[Circle | Solenoid] = []
-    for c in md.components:
-        factors.append(Circle() if c.free else Solenoid(c.baer.lam))
-    return ClosureDescriptor(tuple(factors))
+    return decompose_module(fv, depth).closure()
 
 
 def closures_homeomorphic(fv1: FrequencyVector, fv2: FrequencyVector, depth: int) -> bool:
-    """Componentwise criterion for the direct-sum-of-rank-1 class: equal free
-    ranks and a Baer-isomorphism matching between the non-free components."""
-    md1 = decompose_module(fv1, depth)
-    md2 = decompose_module(fv2, depth)
-    if md1.free_rank != md2.free_rank:
-        return False
-    left = md1.nonfree_components()
-    right = list(md2.nonfree_components())
-    if len(left) != len(right):
-        return False
-    for c in left:
-        match = next((k for k, d in enumerate(right) if baer_isomorphic(c.baer, d.baer)), None)
-        if match is None:
-            return False
-        right.pop(match)
-    return True
+    return decompose_module(fv1, depth).closure_homeomorphic(decompose_module(fv2, depth))
 
 
 def classification_report(fv: FrequencyVector, depth: int) -> dict:
     md = decompose_module(fv, depth)
-    closure = orbit_closure(fv, depth)
     return {
         "depth": depth,
         "module": md.to_json(),
         "rank": md.rank,
         "free": md.is_free,
-        "closure": closure.to_json(),
+        "closure": md.closure().to_json(),
+    }
+
+
+def iso_report(fv1: FrequencyVector, fv2: FrequencyVector, depth: int) -> dict:
+    """The ``kron iso`` payload: whether the two orbit closures are
+    homeomorphic, and both closures, from one decomposition of each vector."""
+    md1 = decompose_module(fv1, depth)
+    md2 = decompose_module(fv2, depth)
+    return {
+        "homeomorphic": md1.closure_homeomorphic(md2),
+        "left": md1.closure().to_json(),
+        "right": md2.closure().to_json(),
     }

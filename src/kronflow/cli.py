@@ -19,7 +19,7 @@ import mpmath
 
 from . import __version__
 from .benjamin_ono import bo_report
-from .classification import classification_report, closures_homeomorphic, orbit_closure
+from .classification import classification_report, iso_report
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import IntVecFin, parse_int, parse_rational
 from .frequency import DEFAULT_DEPTH, FrequencyVector, SigmaSequence, parse_frequency_spec
@@ -216,11 +216,7 @@ def _cmd_bo(args) -> None:
 def _cmd_iso(args) -> None:
     fv1 = _load_spec(args.spec1)
     fv2 = _load_spec(args.spec2)
-    _emit({
-        "homeomorphic": closures_homeomorphic(fv1, fv2, args.depth),
-        "left": orbit_closure(fv1, args.depth).to_json(),
-        "right": orbit_closure(fv2, args.depth).to_json(),
-    })
+    _emit(iso_report(fv1, fv2, args.depth))
 
 
 def build_parser() -> argparse.ArgumentParser:

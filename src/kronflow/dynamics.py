@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import ValidationError
@@ -151,8 +150,7 @@ def _single_generator(fv: FrequencyVector, depth: int):
     list of rational coefficients; otherwise None."""
     gen: Generator | None = None
     coeffs = []
-    for j in range(1, depth + 1):
-        c = coordinates(fv, j)
+    for c in coordinates(fv, depth):
         if len(c) > 1:
             return None
         if c:
@@ -170,7 +168,7 @@ def _single_generator(fv: FrequencyVector, depth: int):
 def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
     """omega_1..omega_depth as doubles, each evaluated once at the working
     precision."""
-    return np.array([float(evaluate_float(fv, j)) for j in range(1, depth + 1)])
+    return np.array([float(evaluate_float(c)) for c in coordinates(fv, depth)])
 
 
 def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:
@@ -228,9 +226,10 @@ def haar_average(p: TrigPolynomial) -> Fraction:
 
 
 def _nu_omega_combination(fv: FrequencyVector, nu: IntVecFin) -> dict[Generator, Fraction]:
+    table = coordinates(fv, nu.max_index())
     combo: dict[Generator, Fraction] = {}
     for j, v in nu.items():
-        for g, c in coordinates(fv, j).items():
+        for g, c in table[j - 1].items():
             combo[g] = combo.get(g, Fraction(0)) + v * c
     return {g: c for g, c in combo.items() if c != 0}
 
@@ -247,16 +246,11 @@ def nu_dot_omega(
     combo = _nu_omega_combination(fv, nu)
     if not combo:
         return True, 0.0
-    bits = working_bits(precision_bits)
-    with mpmath.workprec(bits):
-        total = mpmath.mpf(0)
-        for g, c in combo.items():
-            total += mpmath.mpf(c.numerator) / c.denominator * g.float_value(bits)
-    value = float(total)
+    value = float(evaluate_float(combo, precision_bits))
     if value == 0.0:
         raise ValidationError(
-            f"omega . nu for non-resonant nu {nu.to_json()} rounds to 0 at {bits} bits; "
-            "raise --precision"
+            f"omega . nu for non-resonant nu {nu.to_json()} rounds to 0 at "
+            f"{working_bits(precision_bits)} bits; raise --precision"
         )
     if abs(value) < NEAR_RESONANCE_FLOOR:
         warnings.warn(

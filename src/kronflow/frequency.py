@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -31,6 +32,7 @@ from .primes import factorize, is_prime, nth_prime, odd_indexed_prime
 
 DEFAULT_DEPTH = 16
 DEFAULT_PRECISION_BITS = 64  # floor of every float evaluation's mantissa
+_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")  # an opaque generator's value
 
 
 def working_bits(precision_bits: int | None = None) -> int:
@@ -70,6 +72,10 @@ class Generator:
             pass
         elif self.kind == "opaque":
             if self.value_digits is not None:
+                if not _DECIMAL.fullmatch(self.value_digits):
+                    raise ValidationError(
+                        f"generator {self.name!r}: opaque value {self.value_digits!r} is not a decimal numeral"
+                    )
                 digits = sum(c.isdigit() for c in self.value_digits)
                 if digits < 30:
                     raise ValidationError(
@@ -305,6 +311,11 @@ class RationalSequenceSpec:
             raise ValidationError(f"sigma index must be >= 1, got {j}")
         return self.weighted_partial(j) + j * self.tail_sum(j)
 
+    def sigmas(self, n: int) -> list[Fraction]:
+        """[sigma_1, ..., sigma_n], as one running sum: sigma_1 = g_0 and
+        sigma_j = sigma_{j-1} + g_{j-1}."""
+        return list(itertools.accumulate(self.tail_sum(k) for k in range(n)))
+
     def to_json(self) -> dict:
         out: dict = {"prefix": [format_rational(v) for v in self.prefix]}
         if self.tail_c:
@@ -451,87 +462,48 @@ def bo_vector(beta: Generator, s: RationalSequenceSpec) -> FrequencyVector:
     return FrequencyVector(BoRule(beta, s))
 
 
-# -- product construction index layout
-
-
-def _product_layout(pc: ProductConstruction):
-    """Assigned primes for non-free components, in component order."""
-    reserved = []
-    n = 0
-    for gen, spec in pc.components:
-        if not spec.is_free:
-            n += 1
-            reserved.append(nth_prime(n))
-        else:
-            reserved.append(None)
-    return reserved
-
-
-def _reserved_power(j: int, reserved_primes: Sequence[int]) -> tuple[int, int] | None:
-    """If j == p_n^N for an assigned prime, return (component position, N)."""
-    if j < 2:
-        return None
-    fact = factorize(j)
-    if len(fact) != 1:
-        return None
-    (p, e), = fact.items()
-    for pos, q in enumerate(reserved_primes):
-        if q == p:
-            return pos, e
-    return None
-
-
-def _free_slot_rank(j: int, reserved_primes: Sequence[int], cap: int) -> int:
-    """1-based rank of j among indices not reserved to any prime power, or
-    ``cap`` as soon as the indices up to j hold that many free slots."""
-    rank = 0
-    for i in range(1, j + 1):
-        if _reserved_power(i, reserved_primes) is None:
-            rank += 1
-            if rank == cap:
-                break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
 
-def coordinates(fv: FrequencyVector, j: int) -> CoordMap:
-    """Exact coordinates of omega_j in the Q-span of the declared generators."""
-    if j < 1:
-        raise ValidationError(f"frequency index must be >= 1, got {j}")
+def coordinates(fv: FrequencyVector, depth: int) -> list[CoordMap]:
+    """Exact coordinates of omega_1..omega_depth in the Q-span of the declared
+    generators, one map per index, built in one pass over the family's rule."""
+    if depth < 0:
+        raise ValidationError(f"frequency depth must be >= 0, got {depth}")
     v = fv.variant
     if isinstance(v, Finite):
-        if j > len(v):
-            raise ValidationError(f"index {j} beyond finite vector of length {len(v)}")
-        return dict(v.terms[j - 1])
+        if depth > len(v):
+            raise ValidationError(f"index {depth} beyond finite vector of length {len(v)}")
+        return [dict(term) for term in v.terms[:depth]]
     if isinstance(v, SolenoidRule):
-        return {v.generator: Fraction(1, v.a.partial_product(j))}
+        return [{v.generator: Fraction(1, p)} for p in v.a.partial_products(depth)]
     if isinstance(v, BoRule):
-        return {UNIT: Fraction(j * j), v.beta: -2 * v.s.sigma(j)}
+        return [{UNIT: Fraction(j * j), v.beta: -2 * sigma} for j, sigma in enumerate(v.s.sigmas(depth), 1)]
     if isinstance(v, ProductConstruction):
-        reserved = _product_layout(v)
-        hit = _reserved_power(j, reserved)
-        if hit is not None:
-            pos, n_pow = hit
-            gen, spec = v.components[pos]
-            return {gen: Fraction(1, spec.qa.partial_product(n_pow))}
-        free_components = [(g, s) for g, s in v.components if s.is_free]
-        # every rank past the free components maps to {}, so counting stops there
-        rank = _free_slot_rank(j, reserved, len(free_components) + 1)
-        if rank <= len(free_components):
-            gen, _spec = free_components[rank - 1]
-            return {gen: Fraction(1)}
-        return {}
+        # non-free component k lives on the powers q^e <= depth of q = p_k, at
+        # 1 / (a_1 ... a_e); the free components, then {}, fill the other indices
+        table: list[CoordMap | None] = [None] * depth
+        k = 0
+        for gen, spec in v.components:
+            if spec.is_free:
+                continue
+            k += 1
+            q = nth_prime(k)
+            powers, power = [], q
+            while power <= depth:
+                powers.append(power)
+                power *= q
+            for power, prod in zip(powers, spec.qa.partial_products(len(powers))):
+                table[power - 1] = {gen: Fraction(1, prod)}
+        free = iter([{gen: Fraction(1)} for gen, spec in v.components if spec.is_free])
+        return [coords if coords is not None else next(free, {}) for coords in table]
     raise UnsupportedStructureError(f"unknown frequency variant {type(v).__name__}")
 
 
-def evaluate_float(
-    fv: FrequencyVector, j: int, precision_bits: int | None = None
-) -> mpmath.mpf:
-    """omega_j at ``working_bits(precision_bits)`` of mantissa."""
-    coords = coordinates(fv, j)
+def evaluate_float(coords: Mapping[Generator, Fraction], precision_bits: int | None = None) -> mpmath.mpf:
+    """The real number sum_g c_g * g of one exact coordinate map, at
+    ``working_bits(precision_bits)`` of mantissa."""
     bits = working_bits(precision_bits)
     with mpmath.workprec(bits):
         total = mpmath.mpf(0)
@@ -548,7 +520,7 @@ def truncate(fv: FrequencyVector, depth: int) -> FrequencyVector:
         raise ValidationError(
             f"cannot truncate length-{len(fv.variant)} vector to depth {depth}"
         )
-    return finite_vector([coordinates(fv, j) for j in range(1, depth + 1)])
+    return finite_vector(coordinates(fv, depth))
 
 
 # ---------------------------------------------------------------------------

@@ -41,17 +41,20 @@ def nth_prime(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Looked up in the prime table when n is within it, else tested by trial
+    division in O(sqrt n), without growing the table."""
     if n < 2:
         return False
-    _extend_primes(upto_value=n)
-    i = bisect.bisect_left(_PRIMES, n)
-    return i < len(_PRIMES) and _PRIMES[i] == n
+    if n > _PRIMES[-1]:
+        return _is_prime_trial(n)
+    return _PRIMES[bisect.bisect_left(_PRIMES, n)] == n
 
 
 def prime_index(p: int) -> int:
     """1-based position of p in the ascending list of primes."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
+    _extend_primes(upto_value=p)
     return bisect.bisect_left(_PRIMES, p) + 1
 
 

@@ -59,7 +59,7 @@ def _coordinate_matrix(fv: FrequencyVector, depth: int):
     """(N, generators, rows): rows indexed by generators, columns by
     j = 1..N; exact rationals.  N is ``fv.clamp_depth(depth)``."""
     depth = fv.clamp_depth(depth)
-    cols = [coordinates(fv, j) for j in range(1, depth + 1)]
+    cols = coordinates(fv, depth)
     gens = sorted({g for col in cols for g in col}, key=Generator.sort_key)
     rows = [[col.get(g, Fraction(0)) for col in cols] for g in gens]
     if not rows:

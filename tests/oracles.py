@@ -4,17 +4,21 @@ These deliberately avoid the library's own algorithms: kernels come from
 exhaustive enumeration, gcds from Euclid, sigma sums from direct term-by-term
 summation with a hand-written geometric remainder, span checks from
 bounded coefficient searches, matrix checks from the JSON form of a
-tracked matrix, multiplied out entry by entry, and reduction certificates
-from the literal one-subtraction-per-step reduction on plain lists.
+tracked matrix, multiplied out entry by entry, reduction certificates
+from the literal one-subtraction-per-step reduction on plain lists, and
+frequency coordinates from the per-index definition of each family.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from kronflow.frequency import UNIT, BoRule, Finite, SolenoidRule
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -242,3 +246,56 @@ def probe_single_chunk(omegas, target_turns, epsilon: float, t_max: float, step:
         return True, float(ts[i, 0]), float(dists[i]), i + 1
     i = int(np.argmin(dists))
     return False, float(ts[i, 0]), float(dists[i]), n_samples
+
+
+@functools.cache
+def _prime_power(j: int) -> tuple[int, int] | None:
+    """(p, e) when j = p^e with e >= 1, by trial division; else None."""
+    if j < 2:
+        return None
+    p = next(d for d in range(2, j + 1) if j % d == 0)
+    e = 0
+    while j % p == 0:
+        j //= p
+        e += 1
+    return (p, e) if j == 1 else None
+
+
+@functools.cache
+def _nth_prime(n: int) -> int:
+    count, k = 0, 1
+    while count < n:
+        k += 1
+        if all(k % d for d in range(2, math.isqrt(k) + 1)):
+            count += 1
+    return k
+
+
+def omega_by_index(fv, j: int) -> dict:
+    """omega_j from its family's per-index definition: the j-th finite term;
+    1 / (a_1 ... a_j) for a solenoid; j^2 - 2 beta sigma_j with the closed-form
+    sigma for the quadratic rule; and for the product construction, the
+    layout read off the factorization of j (non-free component k on the
+    powers p_k^e, at 1 / (a_1 ... a_e); the free components, then nothing, on
+    the other indices in order)."""
+    v = fv.variant
+    if isinstance(v, Finite):
+        return dict(v.terms[j - 1])
+    if isinstance(v, SolenoidRule):
+        return {v.generator: Fraction(1, math.prod(v.a.term(i) for i in range(1, j + 1)))}
+    if isinstance(v, BoRule):
+        return {UNIT: Fraction(j * j), v.beta: -2 * v.s.sigma(j)}
+    nonfree = [(g, spec) for g, spec in v.components if not spec.is_free]
+    free = [g for g, spec in v.components if spec.is_free]
+    owner = {_nth_prime(k): comp for k, comp in enumerate(nonfree, 1)}
+
+    def reserved(i):
+        hit = _prime_power(i)
+        return hit is not None and hit[0] in owner
+
+    if reserved(j):
+        p, e = _prime_power(j)
+        g, spec = owner[p]
+        return {g: Fraction(1, math.prod(spec.qa.term(i) for i in range(1, e + 1)))}
+    rank = sum(1 for i in range(1, j + 1) if not reserved(i))
+    return {free[rank - 1]: Fraction(1)} if rank <= len(free) else {}

@@ -70,7 +70,7 @@ def test_sigma_prefix_only_example():
 
 def test_frequencies_zero_actions():
     fv = truncate(FrequencyVector(ZERO), 4)
-    assert [coordinates(fv, j) for j in (1, 2, 3, 4)] == [
+    assert coordinates(fv, 4) == [
         {UNIT: F(1)},
         {UNIT: F(4)},
         {UNIT: F(9)},
@@ -80,16 +80,14 @@ def test_frequencies_zero_actions():
 
 def test_frequencies_dyadic():
     fv = truncate(FrequencyVector(DYADIC), 5)
-    for j in range(1, 6):
-        coords = coordinates(fv, j)
+    for j, coords in enumerate(coordinates(fv, 5), 1):
         assert coords[UNIT] == j * j
         assert coords[BETA] == -2 * (2 - F(2) ** (1 - j))
 
 
 def test_frequencies_prefix_only():
     fv = truncate(FrequencyVector(PREFIX_ONLY), 3)
-    for j in (1, 2, 3):
-        assert coordinates(fv, j) == {UNIT: F(j * j), BETA: F(-2, 3)}
+    assert coordinates(fv, 3) == [{UNIT: F(j * j), BETA: F(-2, 3)} for j in (1, 2, 3)]
 
 
 # -- tail sums and telescoping

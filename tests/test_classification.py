@@ -399,6 +399,32 @@ def test_classification_report_shape():
     assert rep["closure"][0]["solenoid"]["pairs"][0] == {"primes": [2], "exp": "inf"}
 
 
+def test_each_report_decomposes_once(monkeypatch, tmp_path, capsys):
+    import kronflow.benjamin_ono as bo
+    import kronflow.classification as cl
+    from kronflow.cli import main
+
+    calls = []
+    for mod, name in ((cl, "decompose_module"), (bo, "_span_data")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "solenoid", "a": {"prefix": [1], "tail": "increment"}}))
+    bo_spec = tmp_path / "bo.json"
+    bo_spec.write_text(json.dumps({"kind": "bo", "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}))
+    expected = {
+        "classify": ["decompose_module"],
+        "iso": ["decompose_module"] * 2,
+        # one presentation of R for the tail report, one inside the module descriptor
+        "bo": ["_span_data", "decompose_module", "_span_data"],
+    }
+    for argv in (["classify", str(spec)], ["iso", str(spec), str(spec)], ["bo", str(bo_spec)]):
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == expected[argv[0]], argv
+
+
 def test_cross_variant_homeomorphism():
     # dyadic quadratic spectrum (Z + beta-span) vs product [Z, Z[1/2]]:
     # same invariants, so the closures match across construction routes

@@ -318,6 +318,10 @@ def test_nu_dot_omega_rounding_to_zero_is_validation_error(tmp_path, capsys):
     assert "error:" in err and "--precision" in err and "Traceback" not in err
 
 
+OPAQUE_NOT_A_NUMERAL = (
+    '{"kind": "finite", "generators": [{"name": "b", "kind": "opaque",'
+    ' "value": "123456789012345678901234567890abc"}], "terms": [{"b": "1"}, {"1": "1"}]}'
+)
 # each input used to escape cli.main as a TypeError/ValueError traceback;
 # "@<json>" is written to a file whose path replaces it
 MALFORMED_INPUTS = {
@@ -330,6 +334,9 @@ MALFORMED_INPUTS = {
         '@{"kind": "finite", "generators": [{"name": "b", "kind": "opaque", "value": 5}], "terms": [{"b": "1"}]}',
     ],
     "bo prefix": ["classify", '@{"kind": "bo", "s": {"prefix": 5}}'],
+    # a 30-digit value that is not a number: classify exited 0, the float paths with a traceback
+    "opaque value not a numeral": ["classify", "@" + OPAQUE_NOT_A_NUMERAL],
+    "opaque value not a numeral, average": ["average", "@" + OPAQUE_NOT_A_NUMERAL, "--poly", "@" + POLY],
     "poly terms": ["average", "@" + SQRT_SPEC, "--poly", '@{"terms": 5}'],
     "poly term": ["average", "@" + SQRT_SPEC, "--poly", '@{"terms": [5]}'],
     "digits x": ["solenoid", "times", "--a", "1,2", "--tau", "1/4", "--digits", "x"],

@@ -21,7 +21,7 @@ from kronflow.dynamics import (
 )
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import IntVecFin
-from kronflow.frequency import evaluate_float, parse_frequency_spec
+from kronflow.frequency import coordinates, evaluate_float, parse_frequency_spec
 from kronflow.solenoid_geometry import TorusPoint
 from oracles import flow_angles_per_sample, probe_single_chunk
 
@@ -44,7 +44,7 @@ POLY = (
 
 
 def _omegas(fv, depth):
-    return [float(evaluate_float(fv, j)) for j in range(1, depth + 1)]
+    return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
 
 
 def _start_points(depth):
@@ -121,7 +121,7 @@ def _planted(fv, depth, t_star, offset):
     """An exact target within ``offset`` turns per coordinate of the orbit at t_star."""
     with mpmath.workprec(200):
         turns = [
-            (evaluate_float(fv, j, 200) * t_star / (2 * mpmath.pi)) % 1 for j in range(1, depth + 1)
+            (evaluate_float(c, 200) * t_star / (2 * mpmath.pi)) % 1 for c in coordinates(fv, depth)
         ]
     return TorusPoint.exact_point([F(round(float(v) * 10**9), 10**9) + offset for v in turns])
 
@@ -152,17 +152,17 @@ def test_probe_no_hit_reports_best_sample():
 def test_each_omega_evaluated_once_per_call(monkeypatch):
     calls = []
 
-    def counting(fv, j, precision_bits=None):
-        calls.append(j)
-        return evaluate_float(fv, j, precision_bits)
+    def counting(coords, precision_bits=None):
+        calls.append(coords)
+        return evaluate_float(coords, precision_bits)
 
     monkeypatch.setattr(dynamics, "evaluate_float", counting)
     sample_trajectory(FACTORIAL_SQRT2, None, 0.0, 1e6, 200, 8)
-    assert sorted(calls) == list(range(1, 9))
+    assert calls == coordinates(FACTORIAL_SQRT2, 8)
     calls.clear()
     time_average_quadrature(T3, POLY, TorusPoint.origin(3), 30.0, 4001)
-    assert sorted(calls) == [1, 2, 3]
+    assert calls == coordinates(T3, 3)
     calls.clear()
     minimality_probe(T3, _planted(T3, 3, 200.0, F(0)), 3, 1e-2, 1e4)
-    assert sorted(calls) == [1, 2, 3]
+    assert calls == coordinates(T3, 3)
 

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -13,6 +14,7 @@ from kronflow.frequency import (
     RationalSequenceSpec,
     SigmaSequence,
     SubgroupOfQSpec,
+    bo_vector,
     build_product_vector,
     coordinates,
     evaluate_float,
@@ -22,7 +24,8 @@ from kronflow.frequency import (
     sqrt_prime_generator,
     truncate,
 )
-from oracles import sigma_by_partial_sums
+from kronflow.primes import is_prime, prime_index
+from oracles import omega_by_index, sigma_by_partial_sums
 
 
 # -- parsing examples
@@ -33,20 +36,18 @@ def test_parse_solenoid_halving():
         '{"kind":"solenoid","generator":"1","a":{"prefix":[1,2],"tail":{"constant":2}}}'
     )
     # omega_j = 2^(1-j)
-    for j in range(1, 8):
-        assert coordinates(fv, j) == {UNIT: F(2) ** (1 - j)}
+    assert coordinates(fv, 7) == [{UNIT: F(2) ** (1 - j)} for j in range(1, 8)]
 
 
 def test_parse_finite():
     fv = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"1":"1/2"},{"1":"1/3"}]}')
-    assert [coordinates(fv, j)[UNIT] for j in (1, 2, 3)] == [F(1), F(1, 2), F(1, 3)]
+    assert [c[UNIT] for c in coordinates(fv, 3)] == [F(1), F(1, 2), F(1, 3)]
 
 
 def test_parse_factorial_rule():
     fv = parse_frequency_spec('{"kind":"solenoid","a":{"prefix":[1],"tail":"increment"}}')
     # omega_j = 1/j!
-    for j in range(1, 8):
-        assert coordinates(fv, j) == {UNIT: F(1, math.factorial(j))}
+    assert coordinates(fv, 7) == [{UNIT: F(1, math.factorial(j))} for j in range(1, 8)]
 
 
 def test_parse_errors_name_the_field():
@@ -66,12 +67,12 @@ def test_parse_errors_name_the_field():
 def test_coordinates_solenoid():
     a = SigmaSequence((1, 2), "constant", (2,))
     fv = solenoid_vector(a)
-    assert coordinates(fv, 3) == {UNIT: F(1, 4)}
+    assert coordinates(fv, 3)[2] == {UNIT: F(1, 4)}
 
 
 def test_coordinates_finite_sqrt2():
     fv = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
-    assert coordinates(fv, 2) == {sqrt_prime_generator(2): F(1)}
+    assert coordinates(fv, 2)[1] == {sqrt_prime_generator(2): F(1)}
 
 
 def test_coordinates_quadratic_rule_derived():
@@ -83,7 +84,67 @@ def test_coordinates_quadratic_rule_derived():
     fv = parse_frequency_spec(
         {"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, "s": {"prefix": [], "tail": {"c": "1/2", "r": "1/2"}}}
     )
-    assert coordinates(fv, 2) == {UNIT: F(4), beta: F(-3)}
+    assert coordinates(fv, 2)[1] == {UNIT: F(4), beta: F(-3)}
+
+
+# -- the coordinate table against the per-index definitions
+
+TAIL_KINDS = ["constant", "periodic", "increment", "odd_indexed_primes"]
+
+
+@st.composite
+def sigma_sequences(draw):
+    rest = draw(st.lists(st.integers(2, 9), max_size=4))
+    kind = draw(st.sampled_from(TAIL_KINDS))
+    params = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    return SigmaSequence((1, *rest), kind, {"constant": tuple(params[:1]), "periodic": tuple(params)}.get(kind, ()))
+
+
+@st.composite
+def action_sequences(draw):
+    prefix = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=9), max_size=4))
+    if draw(st.booleans()):  # finite support
+        return RationalSequenceSpec(tuple(prefix))
+    c = draw(st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9))
+    r = draw(st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9))
+    return RationalSequenceSpec(tuple(prefix), c, r)
+
+
+subgroup_specs = st.one_of(
+    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9).map(lambda r: SubgroupOfQSpec(free_generator=r)),
+    sigma_sequences().map(lambda a: SubgroupOfQSpec(qa=a)),
+)
+
+
+def _assert_table_matches_definition(fv, n):
+    assert coordinates(fv, n) == [omega_by_index(fv, j) for j in range(1, n + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma_sequences(), st.sampled_from([UNIT, sqrt_prime_generator(3)]), st.integers(0, 300))
+def test_solenoid_table_matches_definition(a, gen, n):
+    _assert_table_matches_definition(solenoid_vector(a, gen), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(action_sequences(), st.integers(0, 300))
+def test_bo_table_matches_definition(s, n):
+    _assert_table_matches_definition(bo_vector(Generator("beta", "opaque"), s), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(subgroup_specs, min_size=1, max_size=4), st.integers(0, 300))
+def test_product_table_matches_definition(specs, n):
+    _assert_table_matches_definition(build_product_vector(specs), n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=1, max_size=8), st.data())
+def test_finite_table_matches_definition(values, data):
+    fv = rational_vector(values)
+    _assert_table_matches_definition(fv, data.draw(st.integers(0, len(values))))
+    with pytest.raises(ValidationError, match=f"index {len(values) + 1} beyond finite vector of length {len(values)}"):
+        coordinates(fv, len(values) + 1)
 
 
 # -- evaluate_float examples
@@ -92,11 +153,11 @@ def test_coordinates_quadratic_rule_derived():
 def test_evaluate_float_values():
     with mpmath.workprec(90):
         fv = rational_vector(["1", "1/2", "1/3"])
-        assert abs(evaluate_float(fv, 3) - mpmath.mpf(1) / 3) < 1e-18
+        assert abs(evaluate_float(coordinates(fv, 3)[2]) - mpmath.mpf(1) / 3) < 1e-18
         fact = parse_frequency_spec('{"kind":"solenoid","a":{"prefix":[1],"tail":"increment"}}')
-        assert abs(evaluate_float(fact, 4) - mpmath.mpf(1) / 24) < 1e-18
+        assert abs(evaluate_float(coordinates(fact, 4)[3]) - mpmath.mpf(1) / 24) < 1e-18
         fv2 = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
-        assert abs(evaluate_float(fv2, 2) - mpmath.sqrt(2)) < 1e-18
+        assert abs(evaluate_float(coordinates(fv2, 2)[1]) - mpmath.sqrt(2)) < 1e-18
 
 
 @settings(max_examples=50, deadline=None)
@@ -107,7 +168,7 @@ def test_evaluate_float_values():
 )
 def test_evaluate_float_relative_error(q):
     fv = rational_vector([q])
-    approx = evaluate_float(fv, 1)
+    approx = evaluate_float(coordinates(fv, 1)[0])
     exact = mpmath.mpf(q.numerator) / q.denominator
     assert abs(approx - exact) <= abs(exact) * mpmath.mpf(2) ** -50
 
@@ -118,13 +179,13 @@ def test_evaluate_float_relative_error(q):
 def test_truncate_solenoid():
     a = SigmaSequence((1, 2), "constant", (2,))
     t = truncate(solenoid_vector(a), 3)
-    assert [coordinates(t, j)[UNIT] for j in (1, 2, 3)] == [F(1), F(1, 2), F(1, 4)]
+    assert [c[UNIT] for c in coordinates(t, 3)] == [F(1), F(1, 2), F(1, 4)]
 
 
 def test_truncate_quadratic_zero_actions():
     fv = parse_frequency_spec({"kind": "bo", "beta": {"name": "b", "kind": "opaque"}, "s": {"prefix": []}})
     t = truncate(fv, 3)
-    assert [coordinates(t, j) for j in (1, 2, 3)] == [{UNIT: F(1)}, {UNIT: F(4)}, {UNIT: F(9)}]
+    assert coordinates(t, 3) == [{UNIT: F(1)}, {UNIT: F(4)}, {UNIT: F(9)}]
 
 
 def test_truncate_product_placement_derived():
@@ -132,10 +193,8 @@ def test_truncate_product_placement_derived():
     fv = build_product_vector([SubgroupOfQSpec(qa=SigmaSequence((1, 2), "constant", (2,)))])
     t = truncate(fv, 4)
     s2 = sqrt_prime_generator(2)
-    assert coordinates(t, 2) == {s2: F(1)}  # j = 2^1, prod a = 1
-    assert coordinates(t, 4) == {s2: F(1, 2)}  # j = 2^2, prod a = 2
-    assert coordinates(t, 3) == {}
-    assert coordinates(t, 1) == {}
+    # j = 2^1: prod a = 1; j = 2^2: prod a = 2; j = 1 and 3 hold nothing
+    assert coordinates(t, 4) == [{}, {s2: F(1)}, {}, {s2: F(1, 2)}]
 
 
 @settings(max_examples=25, deadline=None)
@@ -154,8 +213,9 @@ def test_truncate_preserves_coordinates(n_extra, j_probe):
 def test_solenoid_defining_relation(j):
     a = SigmaSequence((1, 3, 2), "periodic", (2, 5))
     fv = solenoid_vector(a)
-    lhs = coordinates(fv, j)[UNIT]
-    rhs = a.term(j + 1) * coordinates(fv, j + 1)[UNIT]
+    table = coordinates(fv, j + 1)
+    lhs = table[j - 1][UNIT]
+    rhs = a.term(j + 1) * table[j][UNIT]
     assert lhs == rhs
 
 
@@ -194,10 +254,30 @@ def test_generator_validation():
         Generator("x", "pi_power", 0)
     with pytest.raises(ValidationError):
         Generator("x", "opaque", None, "1.23")  # too few digits
+    with pytest.raises(ValidationError, match="'x'.*not a decimal numeral"):
+        Generator("x", "opaque", None, "123456789012345678901234567890abc")
+    for numeral in ("-1.234567890123456789012345678901", ".123456789012345678901234567890", "1.23456789012345678901234567890e-5"):
+        with mpmath.workprec(120):
+            assert Generator("x", "opaque", None, numeral).float_value(120) == mpmath.mpf(numeral)
     ok = Generator("g", "opaque", None, "1.2345678901234567890123456789012345")
     with mpmath.workprec(120):
         ref = mpmath.mpf("1.2345678901234567890123456789012345")
         assert abs(ok.float_value(120) - ref) < 1e-30
+
+
+# -- primes past the cached table
+
+
+@pytest.mark.parametrize("n,expected", [(10000019, True), (10000017, False), (1000000007, True), (1000000007 * 3, False)])
+def test_is_prime_by_trial_division_is_fast(n, expected):
+    start = time.perf_counter()
+    assert is_prime(n) is expected
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_index_past_the_table():
+    assert prime_index(7919) == 1000
+    assert prime_index(2) == 1
 
 
 def test_rational_sequence_spec_validation():
@@ -223,5 +303,5 @@ def test_weighted_total_matches_series():
 def test_evaluate_float_follows_working_precision():
     fv = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
     with mpmath.workprec(200):
-        err = abs(evaluate_float(fv, 2) - mpmath.sqrt(2))
+        err = abs(evaluate_float(coordinates(fv, 2)[1]) - mpmath.sqrt(2))
         assert err <= mpmath.mpf(2) ** -190

@@ -21,7 +21,7 @@ from kronflow.dynamics import (
     time_average_quadrature,
 )
 from kronflow.errors import ValidationError
-from kronflow.frequency import evaluate_float, parse_frequency_spec
+from kronflow.frequency import coordinates, evaluate_float, parse_frequency_spec
 from kronflow.resonance_reduction import resonance_basis
 from kronflow.solenoid_geometry import TorusPoint
 from oracles import probe_single_chunk
@@ -32,7 +32,7 @@ T3 = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"},{"s
 
 
 def _omegas(fv, depth):
-    return [float(evaluate_float(fv, j)) for j in range(1, depth + 1)]
+    return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
 
 
 def _step(omegas, eps):

@@ -163,7 +163,7 @@ def test_reduce_flow_nonresonant():
     red = reduce_flow(fv, 2)
     assert red.zero_rank == 0
     assert red.transform == RowFiniteIntMatrix.identity(2)
-    assert [coordinates(red.reduced, j) for j in (1, 2)] == [coordinates(fv, j) for j in (1, 2)]
+    assert coordinates(red.reduced, 2) == coordinates(fv, 2)
     assert red.nonresonance_scope == "global"
 
 
@@ -171,8 +171,8 @@ def test_reduce_flow_harmonic_prefix():
     fv = rational_vector(["1", "1/2", "1/3"])
     red = reduce_flow(fv, 3)
     assert red.zero_rank == 2
-    assert coordinates(red.reduced, 1) == {} and coordinates(red.reduced, 2) == {}
-    tail = coordinates(red.reduced, 3)
+    first, second, tail = coordinates(red.reduced, 3)
+    assert first == {} and second == {}
     assert set(tail) == {UNIT} and tail[UNIT] != 0
     _assert_exact_transform(fv, red)
 
@@ -183,7 +183,7 @@ def test_reduce_flow_repeated_entry():
     )
     red = reduce_flow(fv, 3)
     assert red.zero_rank == 1
-    assert coordinates(red.reduced, 1) == {}
+    assert coordinates(red.reduced, 1) == [{}]
     assert red.nonzero_block_independent
     _assert_exact_transform(fv, red)
 
@@ -191,14 +191,16 @@ def test_reduce_flow_repeated_entry():
 def _assert_exact_transform(fv, red):
     """coordinate matrix of the reduced vector equals A times the original."""
     depth = red.depth
+    cols = coordinates(fv, depth)
+    reduced = coordinates(red.reduced, depth)
     gens = set()
-    for j in range(1, depth + 1):
-        gens |= set(coordinates(fv, j))
+    for c in cols:
+        gens |= set(c)
     rows = dense_rows(red.transform.to_json(), "rows", depth)
     for g in gens:
-        col = [coordinates(fv, j).get(g, F(0)) for j in range(1, depth + 1)]
+        col = [c.get(g, F(0)) for c in cols]
         out = [sum((a * c for a, c in zip(row, col)), F(0)) for row in rows]
-        expect = [coordinates(red.reduced, j).get(g, F(0)) for j in range(1, depth + 1)]
+        expect = [c.get(g, F(0)) for c in reduced]
         assert out == expect
 
 
@@ -214,8 +216,7 @@ def test_reduce_flow_random_rational(vals):
     red = reduce_flow(fv, depth)
     _assert_exact_transform(fv, red)
     assert verify_inverse(red.transform)
-    for j in range(1, red.zero_rank + 1):
-        assert coordinates(red.reduced, j) == {}
+    assert coordinates(red.reduced, red.zero_rank) == [{}] * red.zero_rank
     # nonzero block has trivial kernel at this depth
     tail = resonance_basis(red.reduced, depth)
     assert all(max(v.support()) <= red.zero_rank for v in tail.vectors)
@@ -273,8 +274,9 @@ def test_reduce_flow_full_rank_rule():
     fv = solenoid_vector(a)
     red = reduce_flow(fv, 4)
     assert red.zero_rank == 3
-    assert all(coordinates(red.reduced, j) == {} for j in (1, 2, 3))
-    assert coordinates(red.reduced, 4)[UNIT] != 0
+    *zeros, last = coordinates(red.reduced, 4)
+    assert zeros == [{}, {}, {}]
+    assert last[UNIT] != 0
     _assert_exact_transform(fv, red)
     assert verify_inverse(red.transform)
 
@@ -291,7 +293,7 @@ def test_reduce_flow_support_away_from_first_column():
 def test_reduce_flow_zero_vector_fully_resonant():
     red = reduce_flow(rational_vector(["0", "0"]), 2)
     assert red.zero_rank == 2
-    assert all(coordinates(red.reduced, j) == {} for j in (1, 2))
+    assert coordinates(red.reduced, 2) == [{}, {}]
 
 
 def test_apply_automorphism_float_points():
@@ -316,7 +318,7 @@ DEEP_SPECS = {
 
 
 def _coordinate_rows(fv, depth):
-    cols = [coordinates(fv, j) for j in range(1, depth + 1)]
+    cols = coordinates(fv, depth)
     gens = sorted({g for col in cols for g in col}, key=str)
     return [[col.get(g, F(0)) for col in cols] for g in gens]
 
@@ -355,3 +357,18 @@ def test_resonance_basis_rejects_a_wrong_kernel_vector(monkeypatch):
     monkeypatch.setattr(rr, "integer_kernel", lambda rows: [IntVecFin({1: 1, 2: -2}), IntVecFin({1: 1, 2: -1})])
     with pytest.raises(ValidationError, match="fails exact resonance check"):
         resonance_basis(fv, 3)
+
+
+def test_halving_coordinate_matrix_is_linear_in_terms(monkeypatch):
+    # the d256 table is one running product: at most one term call per index
+    calls = []
+    term = SigmaSequence.term
+
+    def counting(self, j):
+        calls.append(j)
+        return term(self, j)
+
+    monkeypatch.setattr(SigmaSequence, "term", counting)
+    basis = resonance_basis(parse_frequency_spec(DEEP_SPECS["halving"]), 256)
+    assert basis.rank == 255
+    assert len(calls) <= 256
