@@ -16,6 +16,7 @@ values, so R is not free and the closure picks up a solenoid factor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,9 +186,10 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
         raise ValidationError("tail-module report needs depth >= 2")
     s = rule.s
     r_type = _baer_of_span(*_span_data(s))
+    gs = tuple(s.tail_sums(depth))  # g_0..g_{N-1}; sigma_j = g_0 + ... + g_{j-1}
     return BoModuleReport(
-        tuple(s.sigmas(depth)),
-        tuple(s.tail_sum(n) for n in range(1, depth)),
+        tuple(itertools.accumulate(gs)),
+        gs[1:],
         r_type,
         _closure_of_r(r_type),
         s.full_support(),

@@ -502,14 +502,3 @@ def classification_report(fv: FrequencyVector, depth: int) -> dict:
         "closure": md.closure().to_json(),
     }
 
-
-def iso_report(fv1: FrequencyVector, fv2: FrequencyVector, depth: int) -> dict:
-    """The ``kron iso`` payload: whether the two orbit closures are
-    homeomorphic, and both closures, from one decomposition of each vector."""
-    md1 = decompose_module(fv1, depth)
-    md2 = decompose_module(fv2, depth)
-    return {
-        "homeomorphic": md1.closure_homeomorphic(md2),
-        "left": md1.closure().to_json(),
-        "right": md2.closure().to_json(),
-    }

@@ -19,7 +19,7 @@ import mpmath
 
 from . import __version__
 from .benjamin_ono import bo_report
-from .classification import classification_report, iso_report
+from .classification import classification_report, decompose_module
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import IntVecFin, parse_int, parse_rational
 from .frequency import DEFAULT_DEPTH, FrequencyVector, SigmaSequence, parse_frequency_spec
@@ -152,7 +152,7 @@ def _cmd_average(args) -> None:
     poly = parse_polynomial(_load_json(args.poly))
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
     haar = haar_average(poly)
-    omega_nus = nu_dot_omegas(fv, poly)
+    omega_nus = nu_dot_omegas(fv, poly, theta0.depth)
     rows = []
     for t_final in args.T:
         value = time_average(fv, poly, theta0, t_final, omega_nus)
@@ -214,9 +214,13 @@ def _cmd_bo(args) -> None:
 
 
 def _cmd_iso(args) -> None:
-    fv1 = _load_spec(args.spec1)
-    fv2 = _load_spec(args.spec2)
-    _emit(iso_report(fv1, fv2, args.depth))
+    md1 = decompose_module(_load_spec(args.spec1), args.depth)
+    md2 = decompose_module(_load_spec(args.spec2), args.depth)
+    _emit({
+        "homeomorphic": md1.closure_homeomorphic(md2),
+        "left": md1.closure().to_json(),
+        "right": md2.closure().to_json(),
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,7 @@ from .exact_linalg import IntVecFin, parse_list, parse_rational
 from .frequency import (
     FrequencyVector,
     Generator,
-    coordinates,
+    _coordinate_stream,  # omega_1..omega_N one map at a time
     evaluate_float,
     working_bits,
 )
@@ -150,7 +150,7 @@ def _single_generator(fv: FrequencyVector, depth: int):
     list of rational coefficients; otherwise None."""
     gen: Generator | None = None
     coeffs = []
-    for c in coordinates(fv, depth):
+    for c in _coordinate_stream(fv, depth):
         if len(c) > 1:
             return None
         if c:
@@ -168,7 +168,7 @@ def _single_generator(fv: FrequencyVector, depth: int):
 def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
     """omega_1..omega_depth as doubles, each evaluated once at the working
     precision."""
-    return np.array([float(evaluate_float(c)) for c in coordinates(fv, depth)])
+    return np.array([float(evaluate_float(c)) for c in _coordinate_stream(fv, depth)])
 
 
 def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:
@@ -226,10 +226,13 @@ def haar_average(p: TrigPolynomial) -> Fraction:
 
 
 def _nu_omega_combination(fv: FrequencyVector, nu: IntVecFin) -> dict[Generator, Fraction]:
-    table = coordinates(fv, nu.max_index())
+    """nu . omega in exact generator coordinates, from one pass over omega_1..
+    omega_n (n = nu.max_index()) that keeps only the maps at nu's indices."""
+    support = set(nu.support())
+    kept = {j: c for j, c in enumerate(_coordinate_stream(fv, nu.max_index()), 1) if j in support}
     combo: dict[Generator, Fraction] = {}
     for j, v in nu.items():
-        for g, c in table[j - 1].items():
+        for g, c in kept[j].items():
             combo[g] = combo.get(g, Fraction(0)) + v * c
     return {g: c for g, c in combo.items() if c != 0}
 
@@ -261,19 +264,21 @@ def nu_dot_omega(
     return False, value
 
 
+def _check_within(nu: IntVecFin, depth: int) -> None:
+    """Reject a monomial that touches an index of T^infinity beyond ``depth``."""
+    for j in nu.support():
+        if j > depth:
+            raise ValidationError(f"monomial touches index {j} beyond depth {depth}")
+
+
 def _phase_at(nu: IntVecFin, theta: TorusPoint) -> float:
     """nu . Theta in radians."""
+    _check_within(nu, theta.depth)
     if theta.exact:
-        frac = Fraction(0)
-        for j, v in nu.items():
-            if j > theta.depth:
-                raise ValidationError(f"monomial touches index {j} beyond depth {theta.depth}")
-            frac += v * theta.angles[j - 1]
+        frac = sum((v * theta.angles[j - 1] for j, v in nu.items()), Fraction(0))
         return TAU * float(frac % 1)
     total = 0.0
     for j, v in nu.items():
-        if j > theta.depth:
-            raise ValidationError(f"monomial touches index {j} beyond depth {theta.depth}")
         total += v * theta.angles[j - 1]
     return total
 
@@ -290,9 +295,16 @@ def _check_window(t_final: float) -> None:
         raise ValidationError("averaging window T must be positive")
 
 
-def nu_dot_omegas(fv: FrequencyVector, p: TrigPolynomial) -> dict[IntVecFin, tuple[bool, float]]:
-    """nu_dot_omega for every nonzero monomial of ``p``, one evaluation each."""
-    return {nu: nu_dot_omega(fv, nu) for nu, _ in p.items() if not nu.is_zero()}
+def nu_dot_omegas(
+    fv: FrequencyVector, p: TrigPolynomial, depth: int | None = None
+) -> dict[IntVecFin, tuple[bool, float]]:
+    """nu_dot_omega for every nonzero monomial of ``p``, one evaluation each;
+    with ``depth``, every monomial is first checked to lie within T^depth."""
+    nus = [nu for nu, _ in p.items() if not nu.is_zero()]
+    if depth is not None:
+        for nu in nus:
+            _check_within(nu, depth)
+    return {nu: nu_dot_omega(fv, nu) for nu in nus}
 
 
 def _averaged_phase(
@@ -326,7 +338,7 @@ def time_average(
     """
     _check_window(t_final)
     if omega_nus is None:
-        omega_nus = nu_dot_omegas(fv, p)
+        omega_nus = nu_dot_omegas(fv, p, theta0.depth)
     total = 0.0 + 0.0j
     for nu, (re, im) in p.items():
         a = complex(re) + 1j * complex(im)
@@ -342,9 +354,8 @@ def _polynomial_values(p: TrigPolynomial, angles: np.ndarray) -> np.ndarray:
     total = np.zeros(len(angles), dtype=complex)
     for nu, (re, im) in p.items():
         phase = np.zeros(len(angles))
+        _check_within(nu, depth)
         for j, v in nu.items():
-            if j > depth:
-                raise ValidationError(f"monomial touches index {j} beyond depth {depth}")
             phase += v * angles[:, j - 1]
         total += (complex(re) + 1j * complex(im)) * np.exp(1j * phase)
     return total.real
@@ -412,11 +423,14 @@ def equidistribution_report(
     """Rows (nu, T, |time average of exp(i nu.Theta)|, 2/(T |omega.nu|), pass).
 
     Resonant and zero monomials are flagged per row rather than rejected;
-    every window T must be finite and positive.
+    every window T must be finite and positive, and every monomial must lie
+    within the depth of ``theta0`` (checked before any frequency is computed).
     """
     t_finals = [float(t_final) for t_final in t_finals]
     for t_final in t_finals:
         _check_window(t_final)
+    for nu in nus:
+        _check_within(nu, theta0.depth)
     rows = []
     for nu in nus:
         if nu.is_zero():
@@ -581,15 +595,11 @@ def resonance_witness(
     """
     if not theta0.exact:
         raise ValidationError("confinement witness needs an exact starting point")
+    _check_within(nu, theta0.depth)
     combo = _nu_omega_combination(fv, nu)
     if combo:
         raise ValidationError("nu is not resonant for this vector (nu . omega != 0)")
-    base = Fraction(0)
-    for j, v in nu.items():
-        if j > theta0.depth:
-            raise ValidationError(f"nu touches index {j} beyond depth {theta0.depth}")
-        base += v * theta0.angles[j - 1]
-    base %= 1
+    base = sum((v * theta0.angles[j - 1] for j, v in nu.items()), Fraction(0)) % 1
     for t in times:
         t = Fraction(t)
         drift = sum((coeff * t for coeff in combo.values()), Fraction(0))

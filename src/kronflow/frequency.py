@@ -22,7 +22,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import mpmath
 
@@ -311,10 +311,14 @@ class RationalSequenceSpec:
             raise ValidationError(f"sigma index must be >= 1, got {j}")
         return self.weighted_partial(j) + j * self.tail_sum(j)
 
-    def sigmas(self, n: int) -> list[Fraction]:
-        """[sigma_1, ..., sigma_n], as one running sum: sigma_1 = g_0 and
-        sigma_j = sigma_{j-1} + g_{j-1}."""
-        return list(itertools.accumulate(self.tail_sum(k) for k in range(n)))
+    def tail_sums(self, n: int) -> Iterator[Fraction]:
+        """g_0, ..., g_{n-1}, each in closed form, one at a time."""
+        return (self.tail_sum(k) for k in range(n))
+
+    def sigmas(self, n: int) -> Iterator[Fraction]:
+        """sigma_1, ..., sigma_n, one at a time, as the running sum of the
+        tail sums: sigma_1 = g_0 and sigma_j = sigma_{j-1} + g_{j-1}."""
+        return itertools.accumulate(self.tail_sums(n))
 
     def to_json(self) -> dict:
         out: dict = {"prefix": [format_rational(v) for v in self.prefix]}
@@ -469,17 +473,24 @@ def bo_vector(beta: Generator, s: RationalSequenceSpec) -> FrequencyVector:
 def coordinates(fv: FrequencyVector, depth: int) -> list[CoordMap]:
     """Exact coordinates of omega_1..omega_depth in the Q-span of the declared
     generators, one map per index, built in one pass over the family's rule."""
+    return list(_coordinate_stream(fv, depth))
+
+
+def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
+    """The maps of ``coordinates(fv, depth)`` in index order, made one at a
+    time: a caller that keeps few of them holds one running product or sum,
+    where the whole solenoid or BO table grows with the square of depth."""
     if depth < 0:
         raise ValidationError(f"frequency depth must be >= 0, got {depth}")
     v = fv.variant
     if isinstance(v, Finite):
         if depth > len(v):
             raise ValidationError(f"index {depth} beyond finite vector of length {len(v)}")
-        return [dict(term) for term in v.terms[:depth]]
+        return (dict(term) for term in v.terms[:depth])
     if isinstance(v, SolenoidRule):
-        return [{v.generator: Fraction(1, p)} for p in v.a.partial_products(depth)]
+        return ({v.generator: Fraction(1, p)} for p in itertools.accumulate(v.a.terms(depth), operator.mul))
     if isinstance(v, BoRule):
-        return [{UNIT: Fraction(j * j), v.beta: -2 * sigma} for j, sigma in enumerate(v.s.sigmas(depth), 1)]
+        return ({UNIT: Fraction(j * j), v.beta: -2 * sigma} for j, sigma in enumerate(v.s.sigmas(depth), 1))
     if isinstance(v, ProductConstruction):
         # non-free component k lives on the powers q^e <= depth of q = p_k, at
         # 1 / (a_1 ... a_e); the free components, then {}, fill the other indices
@@ -497,7 +508,7 @@ def coordinates(fv: FrequencyVector, depth: int) -> list[CoordMap]:
             for power, prod in zip(powers, spec.qa.partial_products(len(powers))):
                 table[power - 1] = {gen: Fraction(1, prod)}
         free = iter([{gen: Fraction(1)} for gen, spec in v.components if spec.is_free])
-        return [coords if coords is not None else next(free, {}) for coords in table]
+        return (coords if coords is not None else next(free, {}) for coords in table)
     raise UnsupportedStructureError(f"unknown frequency variant {type(v).__name__}")
 
 

@@ -412,17 +412,19 @@ def test_each_report_decomposes_once(monkeypatch, tmp_path, capsys):
     spec.write_text(json.dumps({"kind": "solenoid", "a": {"prefix": [1], "tail": "increment"}}))
     bo_spec = tmp_path / "bo.json"
     bo_spec.write_text(json.dumps({"kind": "bo", "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}))
-    expected = {
-        "classify": ["decompose_module"],
-        "iso": ["decompose_module"] * 2,
-        # one presentation of R for the tail report, one inside the module descriptor
-        "bo": ["_span_data", "decompose_module", "_span_data"],
+    # upper bounds: kron bo still presents R once for the tail report and once
+    # inside the module descriptor; one presentation would also pass
+    at_most = {
+        "classify": {"decompose_module": 1},
+        "iso": {"decompose_module": 2},
+        "bo": {"decompose_module": 1, "_span_data": 2},
     }
     for argv in (["classify", str(spec)], ["iso", str(spec), str(spec)], ["bo", str(bo_spec)]):
         calls.clear()
         assert main(argv) == 0
         capsys.readouterr()
-        assert calls == expected[argv[0]], argv
+        for name in ("decompose_module", "_span_data"):
+            assert calls.count(name) <= at_most[argv[0]].get(name, 0), argv
 
 
 def test_cross_variant_homeomorphism():

@@ -451,6 +451,28 @@ def test_average_and_equidistribution_evaluate_each_nu_once(tmp_path, capsys, mo
     assert code == 0 and len(calls) == 2 and len(set(calls)) == 2
 
 
+@pytest.mark.parametrize("cmd", ["average", "equidistribution"])
+def test_monomial_past_the_depth_fails_before_any_frequency(tmp_path, capsys, monkeypatch, cmd):
+    import kronflow.dynamics as dynamics
+
+    def no_frequencies(fv, depth):
+        raise AssertionError(f"frequencies up to index {depth} built before the depth check")
+
+    monkeypatch.setattr(dynamics, "_coordinate_stream", no_frequencies)
+    spec = tmp_path / "halving.json"
+    spec.write_text(SOLENOID_SPEC)
+    poly = tmp_path / "far.json"
+    poly.write_text('{"terms": [{"cos": {"1000000000": 1}}]}')
+    if cmd == "average":
+        argv = ["average", str(spec), "--poly", str(poly), "--T", "100"]
+    else:  # resonant: the row flag needs no phase, the depth check still applies
+        argv = ["equidistribution", str(spec), "--nu", ",".join(["0"] * 20) + ",1,-2", "--T", "100"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "beyond depth 16" in captured.err
+
+
 @pytest.mark.parametrize("bad", ["2.7", "true", "2.0"])
 def test_json_float_or_bool_integer_field_is_validation_error(tmp_path, capsys, bad):
     prefix = tmp_path / "prefix.json"

@@ -202,6 +202,26 @@ def test_probe_rejects_resonant_vector():
         minimality_probe(RES11, TorusPoint.exact_point(["1/2", "0"]), 2, 0.1, 10.0)
 
 
+def test_nu_dot_omega_at_a_high_index_keeps_only_its_own_frequencies():
+    # halving: omega_j = 2^(1-j); a table up to j = 5000 holds about 1.5 MB of
+    # partial products, the one-pass stream keeps one of them at a time
+    import tracemalloc
+
+    halving = parse_frequency_spec(
+        '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}'
+    )
+    tracemalloc.start()
+    try:
+        resonant = nu_dot_omega(halving, IntVecFin({5000: 1, 5001: -2}))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resonant == (True, 0.0)
+    assert peak < 256 * 1024
+    resonant, value = nu_dot_omega(halving, IntVecFin({1: 1, 5000: 1}))
+    assert not resonant and value == 1.0 + 2.0**-4999
+
+
 # -- resonance witness examples
 
 

@@ -24,6 +24,7 @@ from kronflow.frequency import (
     sqrt_prime_generator,
     truncate,
 )
+from kronflow import primes
 from kronflow.primes import is_prime, prime_index
 from oracles import omega_by_index, sigma_by_partial_sums
 
@@ -269,10 +270,12 @@ def test_generator_validation():
 
 
 @pytest.mark.parametrize("n,expected", [(10000019, True), (10000017, False), (1000000007, True), (1000000007 * 3, False)])
-def test_is_prime_by_trial_division_is_fast(n, expected):
+def test_is_prime_past_the_table_leaves_it_alone(n, expected):
+    table = len(primes._PRIMES)
     start = time.perf_counter()
     assert is_prime(n) is expected
-    assert time.perf_counter() - start < 1.0
+    assert len(primes._PRIMES) == table  # trial division, not a table grown to n
+    assert time.perf_counter() - start < 1.0  # loose: O(sqrt n) is a few ms here
 
 
 def test_prime_index_past_the_table():
