@@ -295,15 +295,12 @@ def _check_window(t_final: float) -> None:
         raise ValidationError("averaging window T must be positive")
 
 
-def nu_dot_omegas(
-    fv: FrequencyVector, p: TrigPolynomial, depth: int | None = None
-) -> dict[IntVecFin, tuple[bool, float]]:
-    """nu_dot_omega for every nonzero monomial of ``p``, one evaluation each;
-    with ``depth``, every monomial is first checked to lie within T^depth."""
+def nu_dot_omegas(fv: FrequencyVector, p: TrigPolynomial, depth: int) -> dict[IntVecFin, tuple[bool, float]]:
+    """nu_dot_omega for every nonzero monomial of ``p``, one evaluation each,
+    after checking that every monomial lies within T^depth."""
     nus = [nu for nu, _ in p.items() if not nu.is_zero()]
-    if depth is not None:
-        for nu in nus:
-            _check_within(nu, depth)
+    for nu in nus:
+        _check_within(nu, depth)
     return {nu: nu_dot_omega(fv, nu) for nu in nus}
 
 
@@ -333,7 +330,7 @@ def time_average(
 
     Resonant monomials contribute their constant value a_nu exp(i nu.Theta0);
     the others decay like 1/T with the explicit oscillatory factor.  A caller
-    averaging over several windows passes ``omega_nus = nu_dot_omegas(fv, p)``
+    averaging over several windows passes ``omega_nus = nu_dot_omegas(fv, p, theta0.depth)``
     so that each nu . omega is evaluated once.
     """
     _check_window(t_final)
