@@ -31,11 +31,12 @@ from .classification import (
     SupernaturalNumber,
     free_baer_type,
     is_free,
+    module_report,
 )
 from .classification import INF, _ALL, _FINITE  # shared exponent/prime-set tags
 from .errors import ValidationError
 from .exact_linalg import format_rational, rational_gcd
-from .frequency import UNIT, BoRule, FrequencyVector, RationalSequenceSpec
+from .frequency import UNIT, BoRule, RationalSequenceSpec
 from .primes import factorize
 
 
@@ -43,23 +44,22 @@ from .primes import factorize
 # The subgroup R = Z-span of the sigma values, presented as f*Z + h*Z[1/v]
 
 
-def _span_data(s: RationalSequenceSpec) -> tuple[Fraction, Fraction | None, int | None]:
+_Span = tuple[Fraction, Fraction | None, int | None]  # (f, h, v)
+
+
+def _span_data(s: RationalSequenceSpec) -> _Span:
     """R = span{sigma_j} = f*Z + h*Z[1/v] (h, v absent for finite support).
 
     Follows from sigma_{n+1} - sigma_n = g_n and the geometric tail: the g_n
     with n past the prefix are h * r^m, and span{r^m : m >= 0} = Z[1/v] for
     r = u/v in lowest terms (numerators u^a v^b reach gcd 1 by Bezout).
     """
-    L = len(s.prefix)
+    n0 = max(len(s.prefix), 1)
     if s.support_is_finite():
-        f = rational_gcd([s.sigma(j) for j in range(1, max(L, 1) + 1)])
-        return f, None, None
-    n0 = max(L, 1)
-    finite_gens = [s.sigma(1)] + [s.tail_sum(n) for n in range(1, n0)]
-    f = rational_gcd(finite_gens)
-    h = s.tail_sum(n0)
-    v = s.tail_r.denominator
-    return f, h, v
+        return rational_gcd(s.sigmas(n0)), None, None
+    # sigma_1 = g_0, then g_1..g_{n0-1}; g_{n0} = h starts the geometric tail
+    *finite_gens, h = s.tail_sums(n0 + 1)
+    return rational_gcd(finite_gens), h, s.tail_r.denominator
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -182,10 +182,13 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     subgroup (both containments checkable via ``span_contains`` /
     ``baer_contains``).
     """
+    return _tail_module(rule.s, depth, _span_data(rule.s))
+
+
+def _tail_module(s: RationalSequenceSpec, depth: int, span: _Span) -> BoModuleReport:
     if depth < 2:
         raise ValidationError("tail-module report needs depth >= 2")
-    s = rule.s
-    r_type = _baer_of_span(*_span_data(s))
+    r_type = _baer_of_span(*span)
     gs = tuple(s.tail_sums(depth))  # g_0..g_{N-1}; sigma_j = g_0 + ... + g_{j-1}
     return BoModuleReport(
         tuple(itertools.accumulate(gs)),
@@ -201,8 +204,12 @@ def module_descriptor(rule: BoRule) -> ModuleDescriptor:
     """Components of the frequency module: Z on the unit generator (the
     squares reach 1 at j = 1), and the exact beta-coefficient subgroup, which
     is 2R since every beta-coordinate is -2 sigma_j."""
+    return _module_of_span(rule, _span_data(rule.s))
+
+
+def _module_of_span(rule: BoRule, span: _Span) -> ModuleDescriptor:
     comps = [ModuleComponent(UNIT, free_baer_type(Fraction(1)))]
-    f, h, v = _span_data(rule.s)
+    f, h, v = span
     if h is not None or f != 0:
         scaled = _baer_of_span(2 * f, 2 * h if h is not None else None, v)
         comps.append(ModuleComponent(rule.beta, scaled))
@@ -223,10 +230,9 @@ def _closure_of_r(r_type: BaerType | None) -> ClosureDescriptor:
 
 
 def bo_report(rule: BoRule, depth: int) -> dict:
-    """Full JSON report embedding the module classification."""
-    from .classification import classification_report
-
-    report = bo_tail_module(rule, depth)
-    out = report.to_json()
-    out["module"] = classification_report(FrequencyVector(rule), depth)
+    """Full JSON report embedding the module classification; R is presented
+    once, for both."""
+    span = _span_data(rule.s)
+    out = _tail_module(rule.s, depth, span).to_json()
+    out["module"] = module_report(_module_of_span(rule, span), depth)
     return out

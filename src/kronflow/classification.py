@@ -493,7 +493,10 @@ def closures_homeomorphic(fv1: FrequencyVector, fv2: FrequencyVector, depth: int
 
 
 def classification_report(fv: FrequencyVector, depth: int) -> dict:
-    md = decompose_module(fv, depth)
+    return module_report(decompose_module(fv, depth), depth)
+
+
+def module_report(md: ModuleDescriptor, depth: int) -> dict:
     return {
         "depth": depth,
         "module": md.to_json(),

@@ -8,11 +8,16 @@ it) together with a tracked inverse.  One Hermite primitive,
 column reduction taken one column at a time from the last, which yields the
 canonical column Hermite basis of the kernel directly, an echelon basis of
 the image with integer preimages, and the inverse of the unimodular
-transform they form.
+transform they form.  It works on sparse graph vectors, so a step costs the
+nonzero entries it touches rather than the depth, and returns the same dense
+``RowFiniteIntMatrix``; ``integer_kernel`` reads its kernel vectors straight
+from the sparse basis.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -305,13 +310,6 @@ class HermiteTransform(NamedTuple):
     image: list[list[Fraction]]
 
 
-def _lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0; a != 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -321,20 +319,102 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-def _lin(x: list[int], y: list[int], a: int, b: int) -> list[int]:
-    return [a * u + b * v for u, v in zip(x, y)]
+def _combine(x: dict[int, int], y: dict[int, int], a: int, b: int) -> None:
+    """x <- a*x + b*y on sparse vectors, in place; cancelled entries are dropped."""
+    if a != 1:
+        if a:
+            for i in x:
+                x[i] *= a
+        else:
+            x.clear()
+    if b:
+        for i, v in y.items():
+            w = x.get(i, 0) + b * v
+            if w:
+                x[i] = w
+            else:
+                del x[i]
 
 
-def _hermite_reduce(basis: dict[int, list[list[int]]], k: int) -> None:
-    """Reduce basis[k] into [0, pivot) at every later pivot row, in increasing order."""
+def _hermite_reduce(basis: dict[int, tuple[dict[int, int], dict[int, int]]], k: int) -> None:
+    """Reduce basis[k] into [0, pivot) at every later pivot row, in increasing
+    order.  Only nonzero entries at pivot rows are visited: a subtraction of
+    the vector with pivot r adds entries past r only, which join the queue."""
     x, xd = basis[k]
-    for r in range(k + 1, len(x)):
-        if x[r] and r in basis:
-            y, yd = basis[r]
-            q = x[r] // y[r]
-            if q:
-                x, basis[r][1] = _lin(x, y, 1, -q), _lin(yd, xd, 1, q)
-    basis[k][0] = x
+    queue = [r for r in x if r > k and r in basis]
+    heapq.heapify(queue)
+    last = k
+    while queue:
+        r = heapq.heappop(queue)
+        if r == last or r not in x:
+            continue
+        last = r
+        y, yd = basis[r]
+        q = x[r] // y[r]
+        if q:
+            _combine(x, y, 1, -q)
+            _combine(yd, xd, 1, q)
+            for i in y:
+                if i > r and i in basis:
+                    heapq.heappush(queue, i)
+
+
+def _scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those lcms."""
+    mat: list[list[int]] = []
+    scales: list[int] = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        mat.append([f.numerator * (scale // f.denominator) for f in fracs])
+        scales.append(scale)
+    return mat, scales
+
+
+def _hermite_basis(rows: Sequence[Sequence[Fraction]]):
+    """The Hermite basis of the graph lattice of M as sparse vectors: (m,
+    scales, basis), basis mapping each pivot row to the pair ((M t, t), t*);
+    see ``hermite_transform``."""
+    if not rows or not rows[0]:
+        raise ValidationError("the Hermite transform needs a coordinate matrix with at least one row and one column")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValidationError("ragged coordinate matrix passed to the Hermite transform")
+    mat, scales = _scaled_rows(rows)
+    m = len(mat)
+
+    basis: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    image: list[int] = []  # the pivots below m, increasing
+    for j in range(n - 1, -1, -1):
+        g = {r: row[j] for r, row in enumerate(mat) if row[j]}
+        g[m + j] = 1
+        dual = {j: 1}
+        p = min(g)
+        while p in basis:
+            b, bd = basis[p]
+            if g[p] % b[p] == 0:
+                q = g[p] // b[p]
+                _combine(g, b, 1, -q)
+                _combine(bd, dual, 1, q)
+            else:
+                d, s, u = _xgcd(b[p], g[p])
+                x, y = b[p] // d, g[p] // d
+                nb, nbd = dict(b), dict(bd)
+                _combine(nb, g, s, u)
+                _combine(nbd, dual, x, y)
+                _combine(g, b, x, -y)
+                _combine(dual, bd, s, -u)
+                basis[p] = (nb, nbd)
+            p = min(g)
+        if g[p] < 0:
+            g = {i: -v for i, v in g.items()}
+            dual = {i: -v for i, v in dual.items()}
+        basis[p] = (g, dual)
+        if p < m:
+            bisect.insort(image, p)
+        for k in image if p < m else [*image, p]:
+            _hermite_reduce(basis, k)
+    return m, scales, basis
 
 
 def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
@@ -352,53 +432,27 @@ def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
     every later pivot at each step, which keeps their preimages reduced
     modulo the kernel and the coefficients small.  Every vector t carries its
     dual t* (its column of A^-1): an operation t_a += q t_b is mirrored as
-    t_b* -= q t_a*, at O(n) per operation.
+    t_b* -= q t_a*.
+
+    The vectors are sparse maps {index: entry}, so an operation costs the
+    number of nonzero entries it touches, not the length m + n; the next
+    pivot is the smallest index present.  The dense ``RowFiniteIntMatrix``
+    returned is built once, at the end.
     """
-    if not rows or not rows[0]:
-        raise ValidationError("the Hermite transform needs a coordinate matrix with at least one row and one column")
+    m, scales, basis = _hermite_basis(rows)
     n = len(rows[0])
-    mat: list[list[int]] = []
-    scales: list[int] = []
-    for row in rows:
-        if len(row) != n:
-            raise ValidationError("ragged coordinate matrix passed to the Hermite transform")
-        fracs = [Fraction(x) for x in row]
-        scales.append(_lcm(f.denominator for f in fracs))
-        mat.append([int(f * scales[-1]) for f in fracs])
-    m = len(mat)
-
-    basis: dict[int, list[list[int]]] = {}  # pivot row -> [(M t, t), t*]
-    for j in range(n - 1, -1, -1):
-        g = [row[j] for row in mat] + [0] * n
-        g[m + j] = 1
-        dual = [0] * n
-        dual[j] = 1
-        p = next(r for r, x in enumerate(g) if x)
-        while p in basis:
-            b, bd = basis[p]
-            if g[p] % b[p] == 0:
-                q = g[p] // b[p]
-                g, basis[p][1] = _lin(g, b, 1, -q), _lin(bd, dual, 1, q)
-            else:
-                d, s, u = _xgcd(b[p], g[p])
-                x, y = b[p] // d, g[p] // d
-                basis[p] = [_lin(b, g, s, u), _lin(bd, dual, x, y)]
-                g, dual = _lin(b, g, -y, x), _lin(bd, dual, -u, s)
-            p = next(r for r in range(p + 1, m + n) if g[r])
-        if g[p] < 0:
-            g, dual = [-x for x in g], [-x for x in dual]
-        basis[p] = [g, dual]
-        for k in sorted(basis):
-            if k < m or k == p:
-                _hermite_reduce(basis, k)
-
     pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
-    transform = RowFiniteIntMatrix(
-        [basis[r][0][m:] for r in pivots],
-        [list(r) for r in zip(*(basis[r][1] for r in pivots))],
-    )
-    image = [[Fraction(x, s) for x, s in zip(basis[r][0], scales)] for r in pivots if r < m]
-    return HermiteTransform(transform, len(pivots) - len(image), image)
+    forward = [[0] * n for _ in pivots]
+    inverse = [[0] * n for _ in pivots]
+    for c, r in enumerate(pivots):
+        g, dual = basis[r]
+        for i, v in g.items():
+            if i >= m:
+                forward[c][i - m] = v
+        for i, v in dual.items():
+            inverse[i][c] = v
+    image = [[Fraction(basis[r][0].get(i, 0), s) for i, s in enumerate(scales)] for r in pivots if r < m]
+    return HermiteTransform(RowFiniteIntMatrix(forward, inverse), len(pivots) - len(image), image)
 
 
 def integer_kernel(rows: Sequence[Sequence[Fraction]]) -> list[IntVecFin]:
@@ -409,5 +463,5 @@ def integer_kernel(rows: Sequence[Sequence[Fraction]]) -> list[IntVecFin]:
     so identical inputs produce identical bases.  A zero matrix yields the
     standard basis of Z^n.
     """
-    h = hermite_transform(rows)
-    return [h.transform.row(i) for i in range(1, h.zero_rank + 1)]
+    m, _scales, basis = _hermite_basis(rows)
+    return [IntVecFin({i - m + 1: v for i, v in basis[r][0].items()}) for r in sorted(basis) if r >= m]

@@ -312,8 +312,14 @@ class RationalSequenceSpec:
         return self.weighted_partial(j) + j * self.tail_sum(j)
 
     def tail_sums(self, n: int) -> Iterator[Fraction]:
-        """g_0, ..., g_{n-1}, each in closed form, one at a time."""
-        return (self.tail_sum(k) for k in range(n))
+        """g_0, ..., g_{n-1}, one at a time: g_0 is the whole sum, then
+        g_k = g_{k-1} - s_k down the prefix and g_{k+1} = r g_k on the tail,
+        one operation per value (``tail_sum`` is the closed form)."""
+        L = len(self.prefix)
+        g = sum(self.prefix, self.tail_sum(L))
+        for k in range(n):
+            yield g
+            g = g - self.prefix[k] if k < L else g * self.tail_r
 
     def sigmas(self, n: int) -> Iterator[Fraction]:
         """sigma_1, ..., sigma_n, one at a time, as the running sum of the

@@ -299,3 +299,80 @@ def omega_by_index(fv, j: int) -> dict:
         return {g: Fraction(1, math.prod(spec.qa.term(i) for i in range(1, e + 1)))}
     rank = sum(1 for i in range(1, j + 1) if not reserved(i))
     return {free[rank - 1]: Fraction(1)} if rank <= len(free) else {}
+
+
+def _dense_xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0; a != 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _lin(x: list[int], y: list[int], a: int, b: int) -> list[int]:
+    return [a * u + b * v for u, v in zip(x, y)]
+
+
+def _hermite_reduce(basis: dict[int, list[list[int]]], k: int) -> None:
+    """Reduce basis[k] into [0, pivot) at every later pivot row, in increasing order."""
+    x, xd = basis[k]
+    for r in range(k + 1, len(x)):
+        if x[r] and r in basis:
+            y, yd = basis[r]
+            q = x[r] // y[r]
+            if q:
+                x, basis[r][1] = _lin(x, y, 1, -q), _lin(yd, xd, 1, q)
+    basis[k][0] = x
+
+
+def dense_hermite_transform(rows):
+    """The column Hermite transform on dense lists: every graph vector
+    (M t, t) has length m + n and every dual t* length n, so each step costs
+    O(n) whatever the vectors' supports.  The same steps, in the same order,
+    as the library's sparse transform, scanning every later row for pivots
+    where the library visits only nonzero entries."""
+    from kronflow.exact_linalg import HermiteTransform, RowFiniteIntMatrix
+
+    n = len(rows[0])
+    mat = scaled_integer_rows(rows)
+    scales = []
+    for row in rows:
+        scale = 1
+        for f in map(Fraction, row):
+            scale = scale * f.denominator // math.gcd(scale, f.denominator)
+        scales.append(scale)
+    m = len(mat)
+
+    basis: dict[int, list[list[int]]] = {}  # pivot row -> [(M t, t), t*]
+    for j in range(n - 1, -1, -1):
+        g = [row[j] for row in mat] + [0] * n
+        g[m + j] = 1
+        dual = [0] * n
+        dual[j] = 1
+        p = next(r for r, x in enumerate(g) if x)
+        while p in basis:
+            b, bd = basis[p]
+            if g[p] % b[p] == 0:
+                q = g[p] // b[p]
+                g, basis[p][1] = _lin(g, b, 1, -q), _lin(bd, dual, 1, q)
+            else:
+                d, s, u = _dense_xgcd(b[p], g[p])
+                x, y = b[p] // d, g[p] // d
+                basis[p] = [_lin(b, g, s, u), _lin(bd, dual, x, y)]
+                g, dual = _lin(b, g, -y, x), _lin(bd, dual, -u, s)
+            p = next(r for r in range(p + 1, m + n) if g[r])
+        if g[p] < 0:
+            g, dual = [-x for x in g], [-x for x in dual]
+        basis[p] = [g, dual]
+        for k in sorted(basis):
+            if k < m or k == p:
+                _hermite_reduce(basis, k)
+
+    pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
+    transform = RowFiniteIntMatrix(
+        [basis[r][0][m:] for r in pivots],
+        [list(r) for r in zip(*(basis[r][1] for r in pivots))],
+    )
+    image = [[Fraction(x, s) for x, s in zip(basis[r][0], scales)] for r in pivots if r < m]
+    return HermiteTransform(transform, len(pivots) - len(image), image)

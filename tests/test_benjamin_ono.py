@@ -23,6 +23,7 @@ from kronflow.classification import (
     is_free,
 )
 from kronflow.errors import ValidationError
+from kronflow.exact_linalg import rational_gcd
 from kronflow.frequency import (
     UNIT,
     BoRule,
@@ -112,6 +113,46 @@ def test_tail_module_sigma_table_matches_closed_form(prefix, c, m, depth):
     s = RationalSequenceSpec(tuple(prefix), c, F(1, m))
     rep = bo_tail_module(BoRule(BETA, s), depth)
     assert list(rep.sigma_values) == [s.sigma(j) for j in range(1, depth + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12), max_size=60),
+    st.booleans(),
+    st.fractions(min_value=F(1, 9), max_value=3, max_denominator=9),
+    st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
+    st.integers(0, 80),
+)
+def test_running_tables_match_closed_forms(prefix, finite, c, r, n):
+    """tail_sums/sigmas (one operation per value) and the presentation of R
+    built from them, against the closed forms tail_sum/sigma per index."""
+    s = RationalSequenceSpec(tuple(prefix), F(0) if finite else c, r)
+    assert list(s.tail_sums(n)) == [s.tail_sum(k) for k in range(n)]
+    assert list(s.sigmas(n)) == [s.sigma(j) for j in range(1, n + 1)]
+    n0 = max(len(prefix), 1)
+    if finite:
+        expected = (rational_gcd([s.sigma(j) for j in range(1, n0 + 1)]), None, None)
+    else:
+        gens = [s.sigma(1)] + [s.tail_sum(k) for k in range(1, n0)]
+        expected = (rational_gcd(gens), s.tail_sum(n0), r.denominator)
+    assert _span_data(s) == expected
+
+
+def test_long_prefix_reads_no_closed_form_per_index(monkeypatch):
+    """A BO report on a long prefix evaluates the closed forms a fixed number
+    of times, not once per index (which made the prefix quadratic)."""
+    calls = []
+    for name in ("tail_sum", "sigma", "weighted_partial"):
+        real = getattr(RationalSequenceSpec, name)
+        monkeypatch.setattr(
+            RationalSequenceSpec, name, lambda self, k, _real=real, _name=name: calls.append(_name) or _real(self, k)
+        )
+    for tail in ((), (F(1, 2), F(1, 3))):
+        s = RationalSequenceSpec(tuple(F(1, k + 1) for k in range(1, 301)), *tail)
+        calls.clear()
+        out = bo_report(BoRule(BETA, s), 300)
+        assert len(out["sigma"]) == 300
+        assert len(calls) <= 4, (tail, calls)
 
 
 def test_tail_sums_positive_decreasing():

@@ -412,12 +412,12 @@ def test_each_report_decomposes_once(monkeypatch, tmp_path, capsys):
     spec.write_text(json.dumps({"kind": "solenoid", "a": {"prefix": [1], "tail": "increment"}}))
     bo_spec = tmp_path / "bo.json"
     bo_spec.write_text(json.dumps({"kind": "bo", "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}))
-    # upper bounds: kron bo still presents R once for the tail report and once
-    # inside the module descriptor; one presentation would also pass
+    # upper bounds: kron bo presents R once, for the tail report and the
+    # module section both
     at_most = {
         "classify": {"decompose_module": 1},
         "iso": {"decompose_module": 2},
-        "bo": {"decompose_module": 1, "_span_data": 2},
+        "bo": {"decompose_module": 1, "_span_data": 1},
     }
     for argv in (["classify", str(spec)], ["iso", str(spec), str(spec)], ["bo", str(bo_spec)]):
         calls.clear()

@@ -14,12 +14,14 @@ from kronflow.exact_linalg import (
     RowFiniteIntMatrix,
     format_rational,
     gcd_of_vector,
+    hermite_transform,
     integer_kernel,
     parse_rational,
     rational_gcd,
 )
 from oracles import (
     brute_force_kernel,
+    dense_hermite_transform,
     euclid_gcd,
     rational_rank,
     span_contains_all,
@@ -171,6 +173,44 @@ def test_kernel_is_canonical_hermite_basis(rows):
         assert b[pivots[k]] > 0
         for later in range(k + 1, len(basis)):
             assert 0 <= b[pivots[later]] < basis[later][pivots[later]]
+
+
+def assert_matches_dense_hermite(rows):
+    """The sparse transform equals the dense oracle entry for entry, and its
+    tracked inverse holds."""
+    h, dense = hermite_transform(rows), dense_hermite_transform(rows)
+    assert h.transform.rows == dense.transform.rows
+    assert h.transform.inverse_rows == dense.transform.inverse_rows
+    assert h.image == dense.image
+    assert h.zero_rank == dense.zero_rank
+    assert verify_inverse(h.transform)
+    assert integer_kernel(rows) == [dense.transform.row(i) for i in range(1, dense.zero_rank + 1)]
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """m x n rational matrices, m <= 4 and n <= 40, with zero rows, zero
+    columns, repeated columns and negative entries."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    entries = st.one_of(st.just(F(0)), st.fractions(min_value=-12, max_value=12, max_denominator=6))
+    cols: list[list[F]] = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+        if kind == "repeat" and cols:
+            cols.append(list(draw(st.sampled_from(cols))))
+        elif kind == "zero":
+            cols.append([F(0)] * m)
+        else:
+            cols.append([draw(entries) for _ in range(m)])
+    zero_rows = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return [[F(0) if zero else col[i] for col in cols] for i, zero in enumerate(zero_rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rational_matrices())
+def test_hermite_transform_matches_dense_oracle(rows):
+    assert_matches_dense_hermite(rows)
 
 
 # -- matrices, built by in-place row operations on identity(n)

@@ -1,0 +1,65 @@
+"""Byte-identity guard for the exact subcommands.
+
+The sha256 of stdout of ``kron resonance`` and ``kron reduce-flow`` on the
+README's halving, BO and product specs at depths 16, 64 and 128, and of
+``kron classify`` on three finite specs whose terms mix generators, as the
+dense column Hermite transform printed them.  Any change that alters one
+byte of these outputs fails here and has to say why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from kronflow.cli import main
+
+SPECS = {
+    "halving": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}},
+    "bo": {
+        "kind": "bo",
+        "beta": {"name": "beta", "kind": "opaque"},
+        "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
+    },
+    "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
+    "mixed-a": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}]},
+    "mixed-b": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}, {"1": "2", "sqrt2": "2"}, {"sqrt3": "1/2"}]},
+    "mixed-c": {
+        "kind": "finite",
+        "terms": [{"1": "1/2", "sqrt2": "-1", "pi": "3"}, {"1": "1"}, {"sqrt2": "2", "pi": "-6"}, {"1": "1/3", "sqrt3": "1"}],
+    },
+}
+
+DIGESTS = {
+    ("resonance", "halving", 16): "d8b85dfc2f79fdebe6e3202870c8ea108f354d4e6a435910ea416c73372d0fc6",  # 716 bytes
+    ("resonance", "halving", 64): "995d9f7f90f74982e13a01752ba0e0c6f5bd4995b7123d0077aeea1b73a7cf31",  # 3327 bytes
+    ("resonance", "halving", 128): "fc820a5f1c0d3e4c3f05323240e14b6902f89b58b5670281b87e4a60f4090827",  # 8044 bytes
+    ("resonance", "bo", 16): "e7886c873a2daf14cc0263c4c04942b281229e7ace4e8e241eb65b258d666a9c",  # 1301 bytes
+    ("resonance", "bo", 64): "abb61592cfeab5bfeda5beaa842fbabfc6acbb3541ab2bb0e5ad87812423dbbd",  # 8443 bytes
+    ("resonance", "bo", 128): "ef96986dd26d8163a32fc0843da62a6a066752c434966a82411bc164a08ab0cc",  # 24998 bytes
+    ("resonance", "product", 16): "26c51f1ee1006a4b0603950d7baefa793c2ea309ff48bfcc439cea8281e82941",  # 469 bytes
+    ("resonance", "product", 64): "d45955361d55bc87329246276b67286e5ee01472049cee00468f70c5453cc22d",  # 1799 bytes
+    ("resonance", "product", 128): "e50bd6e842816b737c6195f352928cdf16d84e6bc2df0fe4371f657ad1a193df",  # 3580 bytes
+    ("reduce-flow", "halving", 16): "8a69be4b864bc1e998067ef12619c7c11ef86039f3b67e01e8a54972a3d5a770",  # 2244 bytes
+    ("reduce-flow", "halving", 64): "8d6ffd90c075a62f0f422abd9f509208bc4f3abb5c114a68e7edf981c44e9557",  # 9256 bytes
+    ("reduce-flow", "halving", 128): "bf860d2b50b77564ff617ad57df29484ff51dd3d1f74096033d5dd7677a7b377",  # 21137 bytes
+    ("reduce-flow", "bo", 16): "cc3c7c49ad854fca6ec4f34f0df69618b92aa5cbd286023837d852798dadc294",  # 3682 bytes
+    ("reduce-flow", "bo", 64): "0cf3936b9a06c089a2f2bb4f06cb228de7162c5c7102b2f1e3779795a06f68a4",  # 19077 bytes
+    ("reduce-flow", "bo", 128): "4a6c6fd90314b515f206e93b1e752b796ee82d0a75d3b3599148e3504d179c6f",  # 51118 bytes
+    ("reduce-flow", "product", 16): "061fcac27f94d120f38e142e9aeaa145510c49c66165270b33be97ec56a27bfb",  # 1791 bytes
+    ("reduce-flow", "product", 64): "d6a95ccdd8069d89dbbecb310436a7e1b08a9fa1e25f8876457baf038bc2a4a2",  # 6090 bytes
+    ("reduce-flow", "product", 128): "86fa1740995925464d020943939885abed63768c238e0952c7c5dc9cf3dfbde6",  # 11890 bytes
+    ("classify", "mixed-a", None): "85322d2d73122ca011091d2828f945d6f0b1256b3c29a334ce3a3a91bdaa5158",  # 396 bytes
+    ("classify", "mixed-b", None): "980d055204bdc992cc76a022b48e56fd7b2b9e2c8e5f1455d986b6b608d9467a",  # 811 bytes
+    ("classify", "mixed-c", None): "3f0d956ca6202248790dbf700f0c203fa53e815f936a2f7010d7670859b73a2f",  # 1226 bytes
+}
+
+
+@pytest.mark.parametrize("command,family,depth", sorted(DIGESTS, key=str))
+def test_stdout_digest(command, family, depth, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPECS[family]))
+    argv = [command, str(spec)] + (["--depth", str(depth)] if depth else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command, family, depth]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronflow import exact_linalg
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import IntVecFin, RowFiniteIntMatrix
 from kronflow.frequency import (
@@ -25,6 +26,7 @@ from kronflow.resonance_reduction import (
 )
 from kronflow.dynamics import flow
 from kronflow.solenoid_geometry import TorusPoint
+from test_exact_linalg import assert_matches_dense_hermite
 from oracles import (
     brute_force_kernel,
     dense_rows,
@@ -336,6 +338,35 @@ def test_reduce_flow_deep(family, depth):
     basis = resonance_basis(fv, depth)
     assert [red.transform.row(i) for i in range(1, red.zero_rank + 1)] == list(basis.vectors)
     assert red.nonzero_block_independent
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7, 16, 33, 64, 128])
+@pytest.mark.parametrize("family", sorted(DEEP_SPECS))
+def test_family_hermite_transform_matches_dense_oracle(family, depth):
+    assert_matches_dense_hermite(_coordinate_rows(parse_frequency_spec(DEEP_SPECS[family]), depth))
+
+
+def test_halving_hermite_writes_linear_in_depth(monkeypatch):
+    """Entries written by the sparse combination step for the halving
+    resonance basis: one column adds a bounded number, so doubling the depth
+    at most about doubles the count (a dense graph vector writes m + n
+    entries per step, which made it quadratic)."""
+    written = []
+    real = exact_linalg._combine
+
+    def counting(x, y, a, b):
+        written.append((len(x) if a != 1 else 0) + (len(y) if b else 0))
+        return real(x, y, a, b)
+
+    monkeypatch.setattr(exact_linalg, "_combine", counting)
+    fv = parse_frequency_spec(DEEP_SPECS["halving"])
+    counts = []
+    for depth in (128, 256, 512):
+        written.clear()
+        assert resonance_basis(fv, depth).rank == depth - 1
+        counts.append(sum(written))
+    assert counts[0] > 0
+    assert counts[1] <= 2.1 * counts[0] and counts[2] <= 2.1 * counts[1], counts
 
 
 def test_resonance_bo_depth_128():
