@@ -319,7 +319,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-def _combine(x: dict[int, int], y: dict[int, int], a: int, b: int) -> None:
+_Sparse = dict[int, int]  # index -> nonzero entry
+_Basis = dict[int, tuple[_Sparse, _Sparse]]  # pivot row -> ((M t, t), t*)
+
+
+def _combine(x: _Sparse, y: _Sparse, a: int, b: int) -> None:
     """x <- a*x + b*y on sparse vectors, in place; cancelled entries are dropped."""
     if a != 1:
         if a:
@@ -336,7 +340,7 @@ def _combine(x: dict[int, int], y: dict[int, int], a: int, b: int) -> None:
                 del x[i]
 
 
-def _hermite_reduce(basis: dict[int, tuple[dict[int, int], dict[int, int]]], k: int) -> None:
+def _hermite_reduce(basis: _Basis, k: int) -> None:
     """Reduce basis[k] into [0, pivot) at every later pivot row, in increasing
     order.  Only nonzero entries at pivot rows are visited: a subtraction of
     the vector with pivot r adds entries past r only, which join the queue."""
@@ -371,7 +375,7 @@ def _scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], l
     return mat, scales
 
 
-def _hermite_basis(rows: Sequence[Sequence[Fraction]]):
+def _hermite_basis(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[int], _Basis]:
     """The Hermite basis of the graph lattice of M as sparse vectors: (m,
     scales, basis), basis mapping each pivot row to the pair ((M t, t), t*);
     see ``hermite_transform``."""
@@ -383,7 +387,7 @@ def _hermite_basis(rows: Sequence[Sequence[Fraction]]):
     mat, scales = _scaled_rows(rows)
     m = len(mat)
 
-    basis: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    basis: _Basis = {}
     image: list[int] = []  # the pivots below m, increasing
     for j in range(n - 1, -1, -1):
         g = {r: row[j] for r, row in enumerate(mat) if row[j]}
