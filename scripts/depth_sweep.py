@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Depth sweep of the exact subcommands on the README specs.
+
+For ``kron resonance`` and ``kron reduce-flow`` on the README's halving, BO
+and product specs at depths 16, 32, ..., 1024, runs ``cli.main`` in-process
+and records the best-of-3 wall time in ms, the stdout bytes, the tracemalloc
+peak of one more run (timed runs go untraced), and the growth of time and
+peak per doubling of the depth.  The host block holds the time of
+perfbench's reference chunk before and after the sweep, so runs on hosts of
+different speed can be compared.
+
+    PYTHONPATH=src python scripts/depth_sweep.py                  # JSON to stdout
+    PYTHONPATH=src python scripts/depth_sweep.py --label after --out BENCH.json
+
+With ``--out``, the run is stored under ``--label`` in that JSON file, next to
+any runs already there, so two commits can be swept into one record.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import platform
+import statistics
+import sys
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+from kronflow.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import reference_chunk  # noqa: E402
+
+SPECS = {
+    "halving": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}},
+    "bo": {
+        "kind": "bo",
+        "beta": {"name": "beta", "kind": "opaque"},
+        "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
+    },
+    "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
+}
+COMMANDS = ("resonance", "reduce-flow")
+DEPTHS = tuple(2**k for k in range(4, 11))
+
+
+def _run(argv: list[str]) -> tuple[float, int]:
+    """(seconds, stdout bytes) of one in-process ``kron`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        code = main(argv)
+        seconds = time.perf_counter() - start
+    if code:
+        raise SystemExit(f"kron {' '.join(argv)} exited {code}")
+    return seconds, len(out.getvalue().encode())
+
+
+def _peak(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        _run(argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _chunk_ms() -> float:
+    """Median of 9 timings of perfbench's fixed reference chunk, in ms: how
+    fast this host ran while it swept (about 3 ms on the benchmark's own)."""
+    times = []
+    for _ in range(9):
+        start = time.perf_counter()
+        reference_chunk()
+        times.append((time.perf_counter() - start) * 1e3)
+    return round(statistics.median(times), 3)
+
+
+def sweep(workdir: Path) -> list[dict]:
+    """One row per (command, family, depth).  The three timed rounds each run
+    every row once, so a slow spell of the host spoils at most one run of a
+    row, and the best of the three is kept."""
+    cases = []
+    for family, spec in SPECS.items():
+        path = workdir / f"{family}.json"
+        path.write_text(json.dumps(spec))
+        cases += [(command, family, depth, [command, str(path), "--depth", str(depth)])
+                  for command in COMMANDS for depth in DEPTHS]
+    runs = [[_run(argv) for *_, argv in cases] for _ in range(3)]
+    rows = []
+    for k, (command, family, depth, argv) in enumerate(cases):
+        row = {
+            "command": command,
+            "family": family,
+            "depth": depth,
+            "best_ms": round(min(r[k][0] for r in runs) * 1e3, 3),
+            "stdout_bytes": runs[0][k][1],
+            "tracemalloc_peak_bytes": _peak(argv),
+        }
+        prev = rows[-1] if rows and depth > DEPTHS[0] else None
+        if prev is not None:
+            row["time_growth"] = round(row["best_ms"] / prev["best_ms"], 2)
+            row["peak_growth"] = round(row["tracemalloc_peak_bytes"] / prev["tracemalloc_peak_bytes"], 2)
+        rows.append(row)
+    return rows
+
+
+def main_sweep() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--label", default="run")
+    ap.add_argument("--out", type=Path, default=None)
+    args = ap.parse_args()
+    before = _chunk_ms()
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = sweep(Path(tmp))
+    run = {
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "reference_chunk_ms": {"before": before, "after": _chunk_ms()},
+        },
+        "rows": rows,
+    }
+    if args.out is None:
+        print(json.dumps({args.label: run}, indent=1))
+        return
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record[args.label] = run
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main_sweep()

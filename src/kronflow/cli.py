@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import INFINITY as _INF, encode_basestring_ascii
 
 import mpmath
 
@@ -36,8 +37,54 @@ from .solenoid_geometry import (
 MIN_PRECISION_BITS = 53
 
 
+def _float(x: float) -> str:
+    return "NaN" if x != x else "Infinity" if x == _INF else "-Infinity" if x == -_INF else float.__repr__(x)
+
+
+# the JSON text of each scalar type, looked up by exact type; subclasses of
+# str, int and float are found by isinstance in _encode
+_LEAF = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+         bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _encode(x, nl: str, out: list[str]) -> None:
+    """Append x to ``out`` in the bytes of ``json.dumps(x, sort_keys=True,
+    indent=2)``; ``nl`` is a newline plus the indent of x's line.  Keys must
+    be ``str``: another key, like a value of any other type, is a TypeError."""
+    leaf = _LEAF.get(type(x))
+    if leaf:
+        out.append(leaf(x))
+    elif isinstance(x, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):  # encode_basestring_ascii raises TypeError on a non-str key
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _encode(x[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner = nl + "  "
+        if x and all(type(v) is int for v in x):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if x else "[]")
+    else:
+        leaf = next((_LEAF[t] for t in (str, int, float) if isinstance(x, t)), None)
+        if leaf is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        out.append(leaf(x))
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _load_spec(path: str) -> FrequencyVector:

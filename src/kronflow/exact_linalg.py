@@ -2,16 +2,16 @@
 
 Everything here is arbitrary precision: rationals are ``fractions.Fraction``,
 integer vectors are finitely supported maps, and infinite invertible integer
-matrices are represented by a finite active block (implicit identity beyond
-it) together with a tracked inverse.  One Hermite primitive,
-``hermite_transform``, serves both integer kernels and flow reduction: a
-column reduction taken one column at a time from the last, which yields the
-canonical column Hermite basis of the kernel directly, an echelon basis of
-the image with integer preimages, and the inverse of the unimodular
-transform they form.  It works on sparse graph vectors, so a step costs the
-nonzero entries it touches rather than the depth, and returns the same dense
-``RowFiniteIntMatrix``; ``integer_kernel`` reads its kernel vectors straight
-from the sparse basis.
+matrices are represented by a finite active block of sparse rows (implicit
+identity beyond it) together with the sparse columns of its inverse.  One
+Hermite primitive, ``hermite_transform``, serves both integer kernels and
+flow reduction: a column reduction taken one column at a time from the last,
+which yields the canonical column Hermite basis of the kernel directly, an
+echelon basis of the image with integer preimages, and the inverse of the
+unimodular transform they form.  It works on sparse graph vectors, so a step costs the
+nonzero entries it touches rather than the depth, and hands those vectors to
+``RowFiniteIntMatrix`` as its rows and inverse columns; ``integer_kernel``
+reads its kernel vectors straight from the sparse basis.
 """
 
 from __future__ import annotations
@@ -151,18 +151,6 @@ class IntVecFin:
         body = ", ".join(f"{i}: {v}" for i, v in self.items())
         return f"IntVecFin({{{body}}})"
 
-    def dot_fractions(self, values: Sequence[Fraction]) -> Fraction:
-        """Sum nu_j * values[j-1]; indices beyond the sequence contribute 0 only
-        if the stored entry is 0 there, otherwise it is an error."""
-        total = Fraction(0)
-        for i, v in self._entries.items():
-            if i > len(values):
-                raise ValidationError(
-                    f"vector touches index {i} beyond provided length {len(values)}"
-                )
-            total += v * Fraction(values[i - 1])
-        return total
-
     def to_json(self) -> dict[str, int]:
         return {str(i): v for i, v in self.items()}
 
@@ -188,29 +176,47 @@ def gcd_of_vector(nu: IntVecFin) -> int:
 # Row-finite invertible integer matrices with tracked inverse.
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+_Sparse = dict[int, int]  # index -> nonzero entry
+
+
+def _combine(x: _Sparse, y: _Sparse, a: int, b: int) -> None:
+    """x <- a*x + b*y on sparse vectors, in place; cancelled entries are dropped."""
+    if a != 1:
+        if a:
+            for i in x:
+                x[i] *= a
+        else:
+            x.clear()
+    if b:
+        for i, v in y.items():
+            w = x.get(i, 0) + b * v
+            if w:
+                x[i] = w
+            else:
+                del x[i]
 
 
 class RowFiniteIntMatrix:
     """Invertible integer matrix equal to the identity outside a finite block.
 
-    ``rows`` is the dense n x n active block (row i + 1 is ``rows[i]``) and
-    ``inverse_rows`` the block of the inverse; rows beyond the block are
-    implicitly e_i.  Row operations act in place on the block and are mirrored
-    as the inverse column operations on the inverse, at O(n) each.
+    ``rows[i - 1]`` is row i of the n x n active block and
+    ``inverse_cols[j - 1]`` column j of its inverse, each a map {index:
+    nonzero entry}, indices 1-based; rows beyond the block are implicitly
+    e_i.  Row operations act in place on the rows and are mirrored as the
+    inverse column operations on the inverse columns, at the cost of the
+    nonzero entries they touch.
     """
 
-    __slots__ = ("dimension", "rows", "inverse_rows")
+    __slots__ = ("dimension", "rows", "inverse_cols")
 
-    def __init__(self, rows: list[list[int]], inverse_rows: list[list[int]]):
+    def __init__(self, rows: list[_Sparse], inverse_cols: list[_Sparse]):
         self.dimension = len(rows)
         self.rows = rows
-        self.inverse_rows = inverse_rows
+        self.inverse_cols = inverse_cols
 
     @classmethod
     def identity(cls, n: int = 0) -> "RowFiniteIntMatrix":
-        return cls(_identity_rows(n), _identity_rows(n))
+        return cls([{i: 1} for i in range(1, n + 1)], [{i: 1} for i in range(1, n + 1)])
 
     # -- in-place row operations, 1-based
 
@@ -220,51 +226,44 @@ class RowFiniteIntMatrix:
                 raise ValidationError(f"row {i} is outside the {self.dimension}-block")
 
     def swap(self, i: int, j: int) -> None:
+        """Rows i and j exchange; so do columns i and j of the inverse."""
         self._check(i, j)
         a, b = i - 1, j - 1
         self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        for row in self.inverse_rows:
-            row[a], row[b] = row[b], row[a]
+        self.inverse_cols[a], self.inverse_cols[b] = self.inverse_cols[b], self.inverse_cols[a]
 
     def negate(self, i: int) -> None:
         self._check(i)
-        a = i - 1
-        self.rows[a] = [-v for v in self.rows[a]]
-        for row in self.inverse_rows:
-            row[a] = -row[a]
+        for vec in (self.rows[i - 1], self.inverse_cols[i - 1]):
+            for k in vec:
+                vec[k] = -vec[k]
 
     def add_multiple(self, i: int, j: int, c: int) -> None:
         """Row op row_i += c * row_j; the inverse gets column op col_j -= c * col_i."""
         self._check(i, j)
         if i == j:
             raise ValidationError("add_multiple requires distinct rows")
-        a, b = i - 1, j - 1
-        self.rows[a] = [u + c * v for u, v in zip(self.rows[a], self.rows[b])]
-        for row in self.inverse_rows:
-            row[b] -= c * row[a]
+        _combine(self.rows[i - 1], self.rows[j - 1], 1, c)
+        _combine(self.inverse_cols[j - 1], self.inverse_cols[i - 1], 1, -c)
 
     # -- access
 
     def row(self, i: int) -> IntVecFin:
         if i <= self.dimension:
-            return IntVecFin.from_list(self.rows[i - 1])
+            return IntVecFin(self.rows[i - 1])
         return IntVecFin({i: 1})
 
     def inverse_row(self, i: int) -> IntVecFin:
         if i <= self.dimension:
-            return IntVecFin.from_list(self.inverse_rows[i - 1])
+            return IntVecFin((j, col[i]) for j, col in enumerate(self.inverse_cols, 1) if i in col)
         return IntVecFin({i: 1})
 
     def apply(self, nu: IntVecFin) -> IntVecFin:
-        acc: dict[int, int] = {}
+        acc = {i: sum(v * nu[j] for j, v in row.items()) for i, row in enumerate(self.rows, 1)}
         for j, v in nu.items():
-            if j <= self.dimension:
-                for i, row in enumerate(self.rows, 1):
-                    if row[j - 1]:
-                        acc[i] = acc.get(i, 0) + row[j - 1] * v
-            else:
+            if j > self.dimension:
                 # column j is e_j beyond the block
-                acc[j] = acc.get(j, 0) + v
+                acc[j] = v
         return IntVecFin(acc)
 
     def __eq__(self, other) -> bool:
@@ -277,16 +276,14 @@ class RowFiniteIntMatrix:
         return f"RowFiniteIntMatrix(dim={self.dimension})"
 
     def to_json(self) -> dict:
-        def block(rows: list[list[int]]) -> dict:
-            return {
-                str(i): {str(j): v for j, v in enumerate(row, 1) if v}
-                for i, row in enumerate(rows, 1)
-            }
-
+        inverse_rows: list[dict[str, int]] = [{} for _ in self.inverse_cols]  # transposed from the columns
+        for j, col in enumerate(self.inverse_cols, 1):
+            for i, v in col.items():
+                inverse_rows[i - 1][str(j)] = v
         return {
             "dimension": self.dimension,
-            "rows": block(self.rows),
-            "inverse_rows": block(self.inverse_rows),
+            "rows": {str(i): {str(j): row[j] for j in sorted(row)} for i, row in enumerate(self.rows, 1)},
+            "inverse_rows": {str(i): row for i, row in enumerate(inverse_rows, 1)},
         }
 
 
@@ -319,25 +316,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
 
-_Sparse = dict[int, int]  # index -> nonzero entry
 _Basis = dict[int, tuple[_Sparse, _Sparse]]  # pivot row -> ((M t, t), t*)
-
-
-def _combine(x: _Sparse, y: _Sparse, a: int, b: int) -> None:
-    """x <- a*x + b*y on sparse vectors, in place; cancelled entries are dropped."""
-    if a != 1:
-        if a:
-            for i in x:
-                x[i] *= a
-        else:
-            x.clear()
-    if b:
-        for i, v in y.items():
-            w = x.get(i, 0) + b * v
-            if w:
-                x[i] = w
-            else:
-                del x[i]
 
 
 def _hermite_reduce(basis: _Basis, k: int) -> None:
@@ -368,7 +347,7 @@ def _scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], l
     mat: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
+        fracs = [x if type(x) is Fraction else Fraction(x) for x in row]
         scale = math.lcm(*(f.denominator for f in fracs))
         mat.append([f.numerator * (scale // f.denominator) for f in fracs])
         scales.append(scale)
@@ -392,7 +371,7 @@ def _hermite_basis(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[int], 
     for j in range(n - 1, -1, -1):
         g = {r: row[j] for r, row in enumerate(mat) if row[j]}
         g[m + j] = 1
-        dual = {j: 1}
+        dual = {j + 1: 1}  # 1-based: it becomes column j + 1 of A^-1
         p = min(g)
         while p in basis:
             b, bd = basis[p]
@@ -440,21 +419,14 @@ def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
 
     The vectors are sparse maps {index: entry}, so an operation costs the
     number of nonzero entries it touches, not the length m + n; the next
-    pivot is the smallest index present.  The dense ``RowFiniteIntMatrix``
-    returned is built once, at the end.
+    pivot is the smallest index present.  The returned ``RowFiniteIntMatrix``
+    takes the t parts as its rows and the duals, as they are, as its
+    inverse columns.
     """
     m, scales, basis = _hermite_basis(rows)
-    n = len(rows[0])
     pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
-    forward = [[0] * n for _ in pivots]
-    inverse = [[0] * n for _ in pivots]
-    for c, r in enumerate(pivots):
-        g, dual = basis[r]
-        for i, v in g.items():
-            if i >= m:
-                forward[c][i - m] = v
-        for i, v in dual.items():
-            inverse[i][c] = v
+    forward = [{i - m + 1: v for i, v in basis[r][0].items() if i >= m} for r in pivots]
+    inverse = [basis[r][1] for r in pivots]
     image = [[Fraction(basis[r][0].get(i, 0), s) for i, s in enumerate(scales)] for r in pivots if r < m]
     return HermiteTransform(RowFiniteIntMatrix(forward, inverse), len(pivots) - len(image), image)
 

@@ -296,15 +296,6 @@ class RationalSequenceSpec:
             total += c * (L * geom + ramp)
         return Fraction(total)
 
-    def weighted_total(self) -> Fraction:
-        """sum_k k * s_k (finite by the geometric-tail assumption)."""
-        L = len(self.prefix)
-        total = sum((k + 1) * self.prefix[k] for k in range(L))
-        if self.tail_c:
-            r, c = self.tail_r, self.tail_c
-            total += c * (L / (1 - r) + 1 / (1 - r) ** 2)
-        return Fraction(total)
-
     def sigma(self, j: int) -> Fraction:
         """sigma_j = sum_k min(j,k) s_k = (sum_{k<=j} k s_k) + j g_j."""
         if j < 1:

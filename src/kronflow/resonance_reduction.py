@@ -281,7 +281,7 @@ def apply_automorphism(a: RowFiniteIntMatrix, theta: TorusPoint) -> TorusPoint:
             f"point depth {theta.depth} does not cover the automorphism block {a.dimension}"
         )
     angles = list(theta.angles)
-    mixed = [sum(c * x for c, x in zip(row, angles) if c) for row in a.rows]
+    mixed = [sum(row[j] * angles[j - 1] for j in sorted(row)) for row in a.rows]
     if theta.exact:
         return TorusPoint.exact_point([s % 1 for s in mixed] + angles[a.dimension :])
     return TorusPoint.float_point([s % (2 * math.pi) for s in mixed + angles[a.dimension :]])

@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,28 @@ def span_contains_all(basis_cols: list[list[int]], vectors: np.ndarray) -> bool:
         c = residue[:, p] // piv
         residue -= np.outer(c, col)
     return not np.any(residue)
+
+
+def dot_fractions(nu, values) -> Fraction:
+    """sum_j nu_j * values[j-1] in Fractions; an index of nu beyond the
+    values is an error."""
+    total = Fraction(0)
+    for i, v in nu.items():
+        if i > len(values):
+            raise ValueError(f"vector touches index {i} beyond provided length {len(values)}")
+        total += v * Fraction(values[i - 1])
+    return total
+
+
+def weighted_total(spec) -> Fraction:
+    """sum_k k * s_k of a rational sequence spec with a geometric tail: the
+    prefix term by term, plus c sum_{i >= 1} (L + i) r^(i-1) in closed form."""
+    L = len(spec.prefix)
+    total = sum((k + 1) * spec.prefix[k] for k in range(L))
+    if spec.tail_c:
+        r, c = spec.tail_r, spec.tail_c
+        total += c * (L / (1 - r) + 1 / (1 - r) ** 2)
+    return Fraction(total)
 
 
 def rational_rank(rows) -> int:
@@ -326,14 +349,22 @@ def _hermite_reduce(basis: dict[int, list[list[int]]], k: int) -> None:
     basis[k][0] = x
 
 
-def dense_hermite_transform(rows):
+class DenseHermite(NamedTuple):
+    """The dense transform A as its rows and the rows of A^-1, the number of
+    kernel rows, and the image basis."""
+
+    rows: list[list[int]]
+    inverse_rows: list[list[int]]
+    zero_rank: int
+    image: list[list[Fraction]]
+
+
+def dense_hermite_transform(rows) -> DenseHermite:
     """The column Hermite transform on dense lists: every graph vector
     (M t, t) has length m + n and every dual t* length n, so each step costs
     O(n) whatever the vectors' supports.  The same steps, in the same order,
     as the library's sparse transform, scanning every later row for pivots
     where the library visits only nonzero entries."""
-    from kronflow.exact_linalg import HermiteTransform, RowFiniteIntMatrix
-
     n = len(rows[0])
     mat = scaled_integer_rows(rows)
     scales = []
@@ -370,9 +401,10 @@ def dense_hermite_transform(rows):
                 _hermite_reduce(basis, k)
 
     pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
-    transform = RowFiniteIntMatrix(
+    image = [[Fraction(x, s) for x, s in zip(basis[r][0], scales)] for r in pivots if r < m]
+    return DenseHermite(
         [basis[r][0][m:] for r in pivots],
         [list(r) for r in zip(*(basis[r][1] for r in pivots))],
+        len(pivots) - len(image),
+        image,
     )
-    image = [[Fraction(x, s) for x, s in zip(basis[r][0], scales)] for r in pivots if r < m]
-    return HermiteTransform(transform, len(pivots) - len(image), image)

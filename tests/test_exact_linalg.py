@@ -22,6 +22,8 @@ from kronflow.exact_linalg import (
 from oracles import (
     brute_force_kernel,
     dense_hermite_transform,
+    dense_rows,
+    dot_fractions,
     euclid_gcd,
     rational_rank,
     span_contains_all,
@@ -39,7 +41,7 @@ def spans_match(rows, basis, bound):
     n = len(rows[0])
     for b in basis:
         for row in rows:
-            assert b.dot_fractions(row) == 0
+            assert dot_fractions(b, row) == 0
     brute = brute_force_kernel(rows, bound)
     return span_contains_all(kernel_cols(basis, n), brute)
 
@@ -179,12 +181,14 @@ def assert_matches_dense_hermite(rows):
     """The sparse transform equals the dense oracle entry for entry, and its
     tracked inverse holds."""
     h, dense = hermite_transform(rows), dense_hermite_transform(rows)
-    assert h.transform.rows == dense.transform.rows
-    assert h.transform.inverse_rows == dense.transform.inverse_rows
+    doc, n = h.transform.to_json(), len(rows[0])
+    assert doc["dimension"] == n
+    assert dense_rows(doc, "rows", n) == dense.rows
+    assert dense_rows(doc, "inverse_rows", n) == dense.inverse_rows
     assert h.image == dense.image
     assert h.zero_rank == dense.zero_rank
     assert verify_inverse(h.transform)
-    assert integer_kernel(rows) == [dense.transform.row(i) for i in range(1, dense.zero_rank + 1)]
+    assert integer_kernel(rows) == [IntVecFin.from_list(row) for row in dense.rows[: dense.zero_rank]]
 
 
 @st.composite
@@ -280,8 +284,73 @@ def test_tracked_inverse_verifies(mat):
 @given(elementary_products(), st.lists(st.integers(-9, 9), min_size=5, max_size=5))
 def test_inverse_undoes_apply(mat, vals):
     nu = IntVecFin.from_list(vals)
-    inverse = RowFiniteIntMatrix(mat.inverse_rows, mat.rows)
+    doc = mat.to_json()
+    n = doc["dimension"]
+    a, b = dense_rows(doc, "rows", n), dense_rows(doc, "inverse_rows", n)
+    # the inverse's rows are b's rows, and its inverse columns a's columns
+    inverse = RowFiniteIntMatrix(
+        [{j: v for j, v in enumerate(row, 1) if v} for row in b],
+        [{i: a[i - 1][j] for i in range(1, n + 1) if a[i - 1][j]} for j in range(n)],
+    )
     assert inverse.apply(mat.apply(nu)) == nu
+
+
+@st.composite
+def row_operation_sequences(draw):
+    """n <= 12 and up to 40 operations (op, i, j, c); add_multiple may name
+    one row twice, which must be refused."""
+    n = draw(st.integers(1, 12))
+    index = st.integers(1, n)
+    ops = st.tuples(st.sampled_from(["swap", "negate", "add_multiple"]), index, index, st.integers(-4, 4))
+    return n, draw(st.lists(ops, max_size=40))
+
+
+def _dense_row_operation(a, b, op, i, j, c):
+    """The row operation on dense rows a of A and b of A^-1, mirrored on b's
+    columns."""
+    i, j = i - 1, j - 1
+    if op == "swap":
+        a[i], a[j] = a[j], a[i]
+        for row in b:
+            row[i], row[j] = row[j], row[i]
+    elif op == "negate":
+        a[i] = [-v for v in a[i]]
+        for row in b:
+            row[i] = -row[i]
+    else:
+        a[i] = [u + c * v for u, v in zip(a[i], a[j])]
+        for row in b:
+            row[j] -= c * row[i]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_operation_sequences(), st.lists(st.integers(-9, 9), min_size=14, max_size=14))
+def test_sparse_row_operations_match_dense_lists(seq, vals):
+    n, ops = seq
+    m = RowFiniteIntMatrix.identity(n)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    a, b = [list(row) for row in eye], [list(row) for row in eye]
+    for op, i, j, c in ops:
+        if op == "add_multiple" and i == j:
+            with pytest.raises(ValidationError):
+                m.add_multiple(i, j, c)
+            continue
+        getattr(m, op)(*((i,) if op == "negate" else (i, j) if op == "swap" else (i, j, c)))
+        _dense_row_operation(a, b, op, i, j, c)
+        assert verify_inverse(m)
+    doc = m.to_json()
+    assert doc["dimension"] == n
+    assert dense_rows(doc, "rows", n) == a
+    assert dense_rows(doc, "inverse_rows", n) == b
+    for i in range(1, n + 2):
+        want_row = a[i - 1] if i <= n else [int(k == i) for k in range(1, n + 2)]
+        want_inverse = b[i - 1] if i <= n else want_row
+        assert m.row(i) == IntVecFin.from_list(want_row)
+        assert m.inverse_row(i) == IntVecFin.from_list(want_inverse)
+    nu = IntVecFin.from_list(vals)
+    image = [sum(row[k] * vals[k] for k in range(n)) for row in a] + vals[n:]
+    assert m.apply(nu) == IntVecFin.from_list(image)
+    assert (m == RowFiniteIntMatrix.identity(n)) == (a == eye)
 
 
 def test_matrix_json_roundtrip():
@@ -334,5 +403,5 @@ def test_kernel_arbitrary_precision_entries():
     assert basis == [IntVecFin.from_list([3, -1])]
     huge = integer_kernel([[F(2**200 + 1), F(-(2**200))]])
     (vec,) = huge
-    assert vec.dot_fractions([F(2**200 + 1), F(-(2**200))]) == 0
+    assert dot_fractions(vec, [F(2**200 + 1), F(-(2**200))]) == 0
     assert gcd_of_vector(vec) == 1

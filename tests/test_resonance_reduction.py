@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -30,6 +31,7 @@ from test_exact_linalg import assert_matches_dense_hermite
 from oracles import (
     brute_force_kernel,
     dense_rows,
+    dot_fractions,
     euclid_gcd,
     literal_reduction,
     rational_rank,
@@ -63,7 +65,7 @@ def test_resonance_solenoid_rule():
     assert basis.rank == 2
     for quoted in ([1, -2, 0], [0, 1, -2]):
         v = IntVecFin.from_list(quoted)
-        assert v.dot_fractions([F(1), F(1, 2), F(1, 4)]) == 0
+        assert dot_fractions(v, [F(1), F(1, 2), F(1, 4)]) == 0
         assert span_contains_all([b.to_list(3) for b in basis.vectors], np.array([quoted]))
 
 
@@ -140,8 +142,11 @@ def test_run_trail_expands_to_the_literal_trail(vals):
     steps = [s.to_json() for s in cert.steps]
     assert _expand_runs(steps) == want["steps"]
     assert list(cert.pass_sums) == want["pass_sums"]
-    assert cert.transform.rows == want["rows"]
-    assert cert.transform.inverse_rows == want["inverse_rows"]
+    doc = cert.transform.to_json()
+    n = doc["dimension"]
+    assert n == len(want["rows"])
+    assert dense_rows(doc, "rows", n) == want["rows"]
+    assert dense_rows(doc, "inverse_rows", n) == want["inverse_rows"]
     assert cert.gcd == want["head"]
     # runs are maximal: each one but the last ends where a swap is needed
     for s, after in zip(steps, steps[1:]):
@@ -222,6 +227,29 @@ def test_reduce_flow_random_rational(vals):
     # nonzero block has trivial kernel at this depth
     tail = resonance_basis(red.reduced, depth)
     assert all(max(v.support()) <= red.zero_rank for v in tail.vectors)
+
+
+README_SPECS = {
+    "halving": '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}',
+    "product": '{"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]}',
+}
+
+
+@pytest.mark.parametrize("family", sorted(README_SPECS))
+def test_reduce_flow_memory_is_linear_in_depth(family):
+    """The transform's rows hold a few nonzeros each, so the traced peak of
+    ``reduce_flow(fv, d).to_json()`` grows at most 2.5x per doubling of d from
+    256 to 1024 (a dense n x n block grows about 4x)."""
+    fv = parse_frequency_spec(README_SPECS[family])
+    peaks = []
+    for depth in (256, 512, 1024):
+        tracemalloc.start()
+        try:
+            reduce_flow(fv, depth).to_json()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert all(later <= 2.5 * earlier for earlier, later in zip(peaks, peaks[1:])), peaks
 
 
 # -- apply_automorphism examples
@@ -377,7 +405,7 @@ def test_resonance_bo_depth_128():
     rows = _coordinate_rows(fv, 128)
     assert basis.rank == 128 - rational_rank(rows)
     for nu in basis.vectors:
-        assert all(nu.dot_fractions(row) == 0 for row in rows)
+        assert all(dot_fractions(nu, row) == 0 for row in rows)
 
 
 def test_resonance_basis_rejects_a_wrong_kernel_vector(monkeypatch):
