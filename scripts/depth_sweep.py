@@ -2,10 +2,14 @@
 """Depth sweep of the exact subcommands on the README specs.
 
 For ``kron resonance`` and ``kron reduce-flow`` on the README's halving, BO
-and product specs at depths 16, 32, ..., 1024, runs ``cli.main`` in-process
-and records the best-of-3 wall time in ms, the stdout bytes, the tracemalloc
-peak of one more run (timed runs go untraced), and the growth of time and
-peak per doubling of the depth.  The host block holds the time of
+and product specs, and on a mixed finite spec of 1024 terms, at depths 16,
+32, ..., 1024, runs ``cli.main`` in-process and records the best-of-3 wall
+time in ms, the stdout bytes and their sha256, the tracemalloc peak of one
+more run (timed runs go untraced), and the growth of time and peak per
+doubling of the depth.  The mixed spec is drawn from a fixed seed: each term
+is one or two of 1, sqrt2 and sqrt3 with coefficients +-1 or +-2 over 1, 2
+or 3, so its coordinate matrix has three rows and columns of one or two
+entries.  The host block holds the time of
 perfbench's reference chunk before and after the sweep, so runs on hosts of
 different speed can be compared.
 
@@ -18,9 +22,11 @@ any runs already there, so two commits can be swept into one record.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import platform
+import random
 import statistics
 import sys
 import tempfile
@@ -33,6 +39,19 @@ from kronflow.cli import main
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import reference_chunk  # noqa: E402
 
+COMMANDS = ("resonance", "reduce-flow")
+DEPTHS = tuple(2**k for k in range(4, 11))
+
+
+def _mixed_finite(n: int) -> dict:
+    rng = random.Random(1024)
+    terms = []
+    for _ in range(n):
+        gens = rng.sample(("1", "sqrt2", "sqrt3"), rng.randint(1, 2))
+        terms.append({g: f"{rng.choice((1, -1, 2, -2))}/{rng.randint(1, 3)}" for g in gens})
+    return {"kind": "finite", "terms": terms}
+
+
 SPECS = {
     "halving": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}},
     "bo": {
@@ -41,13 +60,12 @@ SPECS = {
         "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
     },
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
+    "mixed": _mixed_finite(DEPTHS[-1]),
 }
-COMMANDS = ("resonance", "reduce-flow")
-DEPTHS = tuple(2**k for k in range(4, 11))
 
 
-def _run(argv: list[str]) -> tuple[float, int]:
-    """(seconds, stdout bytes) of one in-process ``kron`` call."""
+def _run(argv: list[str]) -> tuple[float, int, str]:
+    """(seconds, stdout bytes, their sha256) of one in-process ``kron`` call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         start = time.perf_counter()
@@ -55,7 +73,8 @@ def _run(argv: list[str]) -> tuple[float, int]:
         seconds = time.perf_counter() - start
     if code:
         raise SystemExit(f"kron {' '.join(argv)} exited {code}")
-    return seconds, len(out.getvalue().encode())
+    data = out.getvalue().encode()
+    return seconds, len(data), hashlib.sha256(data).hexdigest()
 
 
 def _peak(argv: list[str]) -> int:
@@ -97,6 +116,7 @@ def sweep(workdir: Path) -> list[dict]:
             "depth": depth,
             "best_ms": round(min(r[k][0] for r in runs) * 1e3, 3),
             "stdout_bytes": runs[0][k][1],
+            "stdout_sha256": runs[0][k][2],
             "tracemalloc_peak_bytes": _peak(argv),
         }
         prev = rows[-1] if rows and depth > DEPTHS[0] else None

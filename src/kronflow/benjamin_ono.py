@@ -23,11 +23,9 @@ from fractions import Fraction
 
 from .classification import (
     BaerType,
-    Circle,
     ClosureDescriptor,
     ModuleComponent,
     ModuleDescriptor,
-    Solenoid,
     SupernaturalNumber,
     free_baer_type,
     is_free,
@@ -182,19 +180,19 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     subgroup (both containments checkable via ``span_contains`` /
     ``baer_contains``).
     """
-    return _tail_module(rule.s, depth, _span_data(rule.s))
+    span = _span_data(rule.s)
+    return _tail_module(rule.s, depth, span, _module_of_span(rule, span))
 
 
-def _tail_module(s: RationalSequenceSpec, depth: int, span: _Span) -> BoModuleReport:
+def _tail_module(s: RationalSequenceSpec, depth: int, span: _Span, module: ModuleDescriptor) -> BoModuleReport:
     if depth < 2:
         raise ValidationError("tail-module report needs depth >= 2")
-    r_type = _baer_of_span(*span)
     gs = tuple(s.tail_sums(depth))  # g_0..g_{N-1}; sigma_j = g_0 + ... + g_{j-1}
     return BoModuleReport(
         tuple(itertools.accumulate(gs)),
         gs[1:],
-        r_type,
-        _closure_of_r(r_type),
+        _baer_of_span(*span),
+        module.closure(),
         s.full_support(),
         depth,
     )
@@ -217,22 +215,17 @@ def _module_of_span(rule: BoRule, span: _Span) -> ModuleDescriptor:
 
 
 def bo_orbit_closure(rule: BoRule) -> ClosureDescriptor:
-    """Circle (from Z) times the dual of R: nothing for trivial R, a circle
-    for finite support (R cyclic), a solenoid otherwise."""
-    return _closure_of_r(_baer_of_span(*_span_data(rule.s)))
-
-
-def _closure_of_r(r_type: BaerType | None) -> ClosureDescriptor:
-    factors: list[Circle | Solenoid] = [Circle()]
-    if r_type is not None:
-        factors.append(Circle() if is_free(r_type) else Solenoid(r_type.lam))
-    return ClosureDescriptor(tuple(factors))
+    """The closure of the frequency module: a circle for Z, times nothing for
+    trivial R, a circle for finite support (2R cyclic), and otherwise a
+    solenoid carrying the type of 2R, the beta-coefficient subgroup."""
+    return module_descriptor(rule).closure()
 
 
 def bo_report(rule: BoRule, depth: int) -> dict:
     """Full JSON report embedding the module classification; R is presented
     once, for both."""
     span = _span_data(rule.s)
-    out = _tail_module(rule.s, depth, span).to_json()
-    out["module"] = module_report(_module_of_span(rule, span), depth)
+    module = _module_of_span(rule, span)
+    out = _tail_module(rule.s, depth, span, module).to_json()
+    out["module"] = module_report(module, depth)
     return out

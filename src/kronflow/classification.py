@@ -29,9 +29,9 @@ from .frequency import (
     ProductConstruction,
     SigmaSequence,
     SolenoidRule,
+    coordinates,
 )
 from .primes import factorize, is_even_indexed_prime, is_odd_indexed_prime
-from .resonance_reduction import _coordinate_matrix  # rows by generator, columns by index
 
 INF = math.inf
 
@@ -459,11 +459,10 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     """
     v = fv.variant
     if isinstance(v, Finite):
-        _depth, gens, rows = _coordinate_matrix(fv, depth)
         comps = []
-        for vec in hermite_transform(rows).image:
-            pivot = next(k for k, x in enumerate(vec) if x)
-            comps.append(ModuleComponent(gens[pivot], free_baer_type(vec[pivot])))
+        for vec in hermite_transform(coordinates(fv, fv.clamp_depth(depth))).image:
+            pivot = min(vec)
+            comps.append(ModuleComponent(pivot, free_baer_type(vec[pivot])))
         return ModuleDescriptor(tuple(comps))
     if isinstance(v, SolenoidRule):
         return ModuleDescriptor((ModuleComponent(v.generator, qa_to_baer(v.a)),))

@@ -8,8 +8,12 @@ Hermite primitive, ``hermite_transform``, serves both integer kernels and
 flow reduction: a column reduction taken one column at a time from the last,
 which yields the canonical column Hermite basis of the kernel directly, an
 echelon basis of the image with integer preimages, and the inverse of the
-unimodular transform they form.  It works on sparse graph vectors, so a step costs the
-nonzero entries it touches rather than the depth, and hands those vectors to
+unimodular transform they form.  Its input is the matrix's columns as sparse
+maps {row label: rational}, exactly what ``frequency.coordinates`` returns
+for omega_1..omega_N, and its image comes back as maps keyed by the same
+labels, so no dense matrix stands between the frequency table and the
+transform.  It works on sparse graph vectors, so a step costs the nonzero
+entries it touches rather than the depth, and hands those vectors to
 ``RowFiniteIntMatrix`` as its rows and inverse columns; ``integer_kernel``
 reads its kernel vectors straight from the sparse basis.
 """
@@ -292,19 +296,21 @@ class RowFiniteIntMatrix:
 
 
 class HermiteTransform(NamedTuple):
-    """Result of ``hermite_transform`` on a rational m x n matrix M.
+    """Result of ``hermite_transform`` on a rational m x n matrix M, given as
+    its n columns.
 
     ``transform`` is a unimodular n x n matrix A with its inverse.  Its first
     ``zero_rank`` rows are the canonical column Hermite basis of
     {nu in Z^n : M nu = 0}: pivot rows strictly increasing, pivots positive,
     entries at later pivot rows reduced into [0, pivot).  ``image`` is an
-    echelon basis of the lattice M Z^n in M's own coordinates, pivots
-    positive, and row zero_rank + k of A is an integer preimage of image[k].
+    echelon basis of the lattice M Z^n as maps {row label: nonzero entry},
+    the pivot being the least label, its entry positive; row zero_rank + k
+    of A is an integer preimage of image[k].
     """
 
     transform: RowFiniteIntMatrix
     zero_rank: int
-    image: list[list[Fraction]]
+    image: list[dict]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -342,34 +348,31 @@ def _hermite_reduce(basis: _Basis, k: int) -> None:
                     heapq.heappush(queue, i)
 
 
-def _scaled_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those lcms."""
-    mat: list[list[int]] = []
-    scales: list[int] = []
-    for row in rows:
-        fracs = [x if type(x) is Fraction else Fraction(x) for x in row]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        mat.append([f.numerator * (scale // f.denominator) for f in fracs])
-        scales.append(scale)
-    return mat, scales
-
-
-def _hermite_basis(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[int], _Basis]:
-    """The Hermite basis of the graph lattice of M as sparse vectors: (m,
-    scales, basis), basis mapping each pivot row to the pair ((M t, t), t*);
+def _hermite_basis(columns: Sequence[Mapping]) -> tuple[list, list[int], _Basis]:
+    """The Hermite basis of the graph lattice of M as sparse vectors: (labels,
+    scales, basis), row r of M labelled labels[r] and scaled to integers by
+    scales[r], and basis mapping each pivot row to the pair ((M t, t), t*);
     see ``hermite_transform``."""
-    if not rows or not rows[0]:
-        raise ValidationError("the Hermite transform needs a coordinate matrix with at least one row and one column")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
-        raise ValidationError("ragged coordinate matrix passed to the Hermite transform")
-    mat, scales = _scaled_rows(rows)
-    m = len(mat)
+    if not columns:
+        raise ValidationError("the Hermite transform needs at least one column")
+    lcms: dict = {}
+    for col in columns:
+        for label, entry in col.items():
+            lcms[label] = math.lcm(lcms.get(label, 1), entry.denominator)
+    labels = sorted(lcms)
+    scales = [lcms[label] for label in labels]
+    row_of = {label: r for r, label in enumerate(labels)}
+    m = len(labels)
 
     basis: _Basis = {}
     image: list[int] = []  # the pivots below m, increasing
-    for j in range(n - 1, -1, -1):
-        g = {r: row[j] for r, row in enumerate(mat) if row[j]}
+    for j in range(len(columns) - 1, -1, -1):
+        g = {}
+        for label, entry in columns[j].items():
+            num = entry.numerator
+            if num:
+                r = row_of[label]
+                g[r] = num * (scales[r] // entry.denominator)
         g[m + j] = 1
         dual = {j + 1: 1}  # 1-based: it becomes column j + 1 of A^-1
         p = min(g)
@@ -397,16 +400,19 @@ def _hermite_basis(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[int], 
             bisect.insort(image, p)
         for k in image if p < m else [*image, p]:
             _hermite_reduce(basis, k)
-    return m, scales, basis
+    return labels, scales, basis
 
 
-def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
+def hermite_transform(columns: Sequence[Mapping]) -> HermiteTransform:
     """Column Hermite reduction of M with a tracked unimodular transform.
 
-    Rows are scaled to integers, and column j is taken as its graph vector
-    (M e_j, e_j), the columns from last to first.  Before column j is taken,
-    ``basis`` is the Hermite basis of the graph lattice {(M t, t)} over
-    t in Z^{j+1..n}, rows ordered generators first: at most m image vectors,
+    M's rows are the labels of its columns in increasing order, each scaled
+    to integers by the lcm of its denominators (zero entries may be present
+    or absent; ``Fraction`` and ``int`` entries are read as they are), and
+    column j is taken as its graph vector (M e_j, e_j), the columns from last
+    to first.  Before column j is taken, ``basis`` is the Hermite basis of
+    the graph lattice {(M t, t)} over t in Z^{j+1..n}, the m labelled rows
+    ordered before the n index rows: at most m image vectors,
     pivoted in the M t part, and the kernel vectors, whose M t part is zero.
     Column j is inserted by xgcd steps on the image vectors.  If its M t part
     reduces to zero it is the primitive kernel vector with pivot j, and
@@ -423,21 +429,24 @@ def hermite_transform(rows: Sequence[Sequence[Fraction]]) -> HermiteTransform:
     takes the t parts as its rows and the duals, as they are, as its
     inverse columns.
     """
-    m, scales, basis = _hermite_basis(rows)
+    labels, scales, basis = _hermite_basis(columns)
+    m = len(labels)
     pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
     forward = [{i - m + 1: v for i, v in basis[r][0].items() if i >= m} for r in pivots]
     inverse = [basis[r][1] for r in pivots]
-    image = [[Fraction(basis[r][0].get(i, 0), s) for i, s in enumerate(scales)] for r in pivots if r < m]
+    image = [{labels[i]: Fraction(v, scales[i]) for i, v in basis[r][0].items() if i < m} for r in pivots if r < m]
     return HermiteTransform(RowFiniteIntMatrix(forward, inverse), len(pivots) - len(image), image)
 
 
-def integer_kernel(rows: Sequence[Sequence[Fraction]]) -> list[IntVecFin]:
-    """Basis of {nu in Z^n : M nu = 0} for a rational matrix M.
+def integer_kernel(columns: Sequence[Mapping]) -> list[IntVecFin]:
+    """Basis of {nu in Z^n : M nu = 0} for a rational matrix M given as its n
+    columns, as for ``hermite_transform``.
 
     The returned basis is primitive and in canonical column Hermite form
     (pivots positive, entries at later pivot rows reduced into [0, pivot)),
     so identical inputs produce identical bases.  A zero matrix yields the
     standard basis of Z^n.
     """
-    m, _scales, basis = _hermite_basis(rows)
+    labels, _scales, basis = _hermite_basis(columns)
+    m = len(labels)
     return [IntVecFin({i - m + 1: v for i, v in basis[r][0].items()}) for r in sorted(basis) if r >= m]

@@ -46,6 +46,9 @@ def working_bits(precision_bits: int | None = None) -> int:
 # Generators
 
 
+_KIND_ORDER = {"rational_unit": 0, "sqrt_prime": 1, "pi_power": 2, "opaque": 3}
+
+
 @dataclass(frozen=True)
 class Generator:
     """A real number declared rationally independent from the other generators.
@@ -98,9 +101,11 @@ class Generator:
                 )
             return mpmath.mpf(self.value_digits)
 
-    def sort_key(self) -> tuple:
-        order = {"rational_unit": 0, "sqrt_prime": 1, "pi_power": 2, "opaque": 3}
-        return (order[self.kind], self.param or 0, self.name)
+    def __lt__(self, other: "Generator") -> bool:
+        """By kind, then param, then name: the order of the rows of a
+        coordinate matrix and of the coordinates of a finite term."""
+        return (_KIND_ORDER[self.kind], self.param or 0, self.name) < (
+            _KIND_ORDER[other.kind], other.param or 0, other.name)
 
 
 UNIT = Generator("1", "rational_unit")
@@ -381,7 +386,7 @@ CoordMap = dict[Generator, Fraction]
 
 def _freeze_coords(coords: Mapping[Generator, Fraction]) -> tuple[tuple[Generator, Fraction], ...]:
     items = [(g, Fraction(c)) for g, c in coords.items() if c != 0]
-    items.sort(key=lambda gc: gc[0].sort_key())
+    items.sort(key=lambda gc: gc[0])
     return tuple(items)
 
 

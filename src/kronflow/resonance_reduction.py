@@ -1,7 +1,11 @@
 """Resonance modules and the reduction of resonant flows.
 
 ``resonance_basis`` realizes the set of integer relations among the first N
-frequencies as the integer kernel of their exact coordinate matrix.
+frequencies as the integer kernel of their exact coordinate matrix, whose
+column j is omega_j's map {generator: rational} from ``coordinates``; those
+maps go to the Hermite primitive as they are, and the re-check reads them once
+into one sparse integer row per generator, scaled by the lcm of its
+denominators.
 ``reduce_vector`` collapses one integer vector to (g, 0, 0, ...) by a tracked
 composition of elementary automorphisms; it is the certificate behind
 ``kron reduce``.  Its trail records each swap and negate, and each run of
@@ -12,14 +16,13 @@ argument, asserted literally).  ``reduce_flow`` conjugates the flow, in one
 Hermite transform of the coordinate matrix, to one whose frequency vector
 starts with a zero block followed by a block with trivial integer kernel: the
 automorphism stacks the resonance basis over integer preimages of an image
-basis.
+basis, and that image, keyed by generators, is the nonzero block itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ValidationError
 from .exact_linalg import (
@@ -55,34 +58,25 @@ class ResonanceBasis:
         }
 
 
-def _coordinate_matrix(fv: FrequencyVector, depth: int):
-    """(N, generators, rows): rows indexed by generators, columns by
-    j = 1..N; exact rationals.  N is ``fv.clamp_depth(depth)``."""
-    depth = fv.clamp_depth(depth)
-    cols = coordinates(fv, depth)
-    gens = sorted({g for col in cols for g in col}, key=Generator.sort_key)
-    rows = [[col.get(g, Fraction(0)) for col in cols] for g in gens]
-    if not rows:
-        rows = [[Fraction(0)] * depth]  # identically zero vector
-    return depth, gens, rows
-
-
 def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
     """Canonical basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the
     depth clamped to the length of a finite vector."""
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    depth, _gens, rows = _coordinate_matrix(fv, depth)
-    basis = integer_kernel(rows)
-    # exact re-check in generator coordinates, on each row scaled to integers
-    # by the lcm of its denominators
-    scaled = []
-    for row in rows:
-        scale = math.lcm(*(q.denominator for q in row))
-        scaled.append([q.numerator * (scale // q.denominator) for q in row])
-    for nu in basis:
-        for row in scaled:
-            if sum(v * row[j - 1] for j, v in nu.items()) != 0:
+    depth = fv.clamp_depth(depth)
+    columns = coordinates(fv, depth)
+    basis = integer_kernel(columns)
+    # exact re-check in integers, apart from the Hermite code: one sparse row
+    # {j: entry} per generator, scaled by the lcm of its denominators
+    rows: dict[Generator, dict] = {}
+    for j, col in enumerate(columns, 1):
+        for g, q in col.items():
+            rows.setdefault(g, {})[j] = q
+    for row in rows.values():
+        scale = math.lcm(*(q.denominator for q in row.values()))
+        scaled = {j: q.numerator * (scale // q.denominator) for j, q in row.items()}
+        for nu in basis:
+            if sum(v * scaled.get(j, 0) for j, v in nu.items()):
                 raise ValidationError("internal error: kernel vector fails exact resonance check")
     return ResonanceBasis(tuple(basis), depth)
 
@@ -247,18 +241,14 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     """
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    depth, gens, rows = _coordinate_matrix(fv, depth)
-    h = hermite_transform(rows)
+    depth = fv.clamp_depth(depth)
+    columns = coordinates(fv, depth)
+    h = hermite_transform(columns)
     zeros = h.zero_rank
     if zeros:
-        total = h.transform
-        columns = [[Fraction(0)] * len(rows)] * zeros + h.image
+        total, reduced = h.transform, finite_vector([{}] * zeros + h.image)
     else:
-        total = RowFiniteIntMatrix.identity(depth)
-        columns = [[row[j] for row in rows] for j in range(depth)]
-
-    reduced_maps = [{g: col[gi] for gi, g in enumerate(gens) if col[gi] != 0} for col in columns]
-    reduced = finite_vector(reduced_maps)
+        total, reduced = RowFiniteIntMatrix.identity(depth), finite_vector(columns)
     tail_basis = resonance_basis(reduced, depth)
     independent = tail_basis.is_trivial() or all(
         max(v.support()) <= zeros for v in tail_basis.vectors

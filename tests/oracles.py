@@ -44,6 +44,18 @@ def scaled_integer_rows(rows) -> list[list[int]]:
     return out
 
 
+def columns_of(rows) -> list[dict[int, Fraction]]:
+    """The columns of a dense rational matrix as the maps {row index: nonzero
+    entry} that the library's Hermite transform and kernel take."""
+    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+
+
+def sparse_image(dense_image) -> list[dict[int, Fraction]]:
+    """The dense oracle's image vectors as maps {row index: nonzero entry},
+    the form of the library's image."""
+    return [{i: x for i, x in enumerate(vec) if x} for vec in dense_image]
+
+
 def brute_force_kernel(rows, bound: int) -> np.ndarray:
     """All nu with |nu|_inf <= bound and (exact) M nu = 0, as an int64 array."""
     int_rows = scaled_integer_rows(rows)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from kronflow.benjamin_ono import (
     module_descriptor,
     span_contains,
 )
+from kronflow.cli import main
 from kronflow.classification import (
     INF,
     Circle,
@@ -268,6 +270,23 @@ def test_report_embeds_classification():
     ]
     assert out["module"]["rank"] == 2
     assert out["full_support"] is True
+
+
+def test_bo_and_classify_print_one_closure(tmp_path, capsys):
+    # an odd-denominator ratio: R carries Lambda_2 = 2 where the module's beta
+    # part 2R carries Lambda_2 = 1; the report, its module and classify all
+    # print the module's closure
+    spec = tmp_path / "bo.json"
+    spec.write_text('{"kind":"bo","s":{"prefix":["1/2"],"tail":{"c":"1/2","r":"1/3"}}}')
+    assert main(["bo", str(spec), "--depth", "3"]) == 0
+    bo = json.loads(capsys.readouterr().out)
+    assert main(["classify", str(spec), "--depth", "3"]) == 0
+    classify = json.loads(capsys.readouterr().out)
+    assert bo["closure"] == bo["module"]["closure"] == classify["closure"]
+    assert bo_orbit_closure(parse_frequency_spec(spec.read_text()).variant).to_json() == bo["closure"]
+    pairs = bo["closure"][1]["solenoid"]["pairs"]
+    assert {"primes": [2], "exp": 1} in pairs and {"primes": [3], "exp": "inf"} in pairs
+    assert {"primes": [2], "exp": 2} in bo["r_type"]["lambda"]["pairs"]
 
 
 def test_partial_support_flagged():

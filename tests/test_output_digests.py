@@ -5,8 +5,10 @@ README's halving, BO and product specs at depths 16, 64 and 128, and of
 ``kron classify`` on three finite specs whose terms mix generators, as the
 dense column Hermite transform printed them; and of ``kron reduce`` on three
 vectors, ``kron bo``, ``kron solenoid coords`` and ``kron iso``, as the dense
-row-finite matrix and ``json.dumps(indent=2)`` printed them.  Any change that
-alters one byte of these outputs fails here and has to say why.
+row-finite matrix and ``json.dumps(indent=2)`` printed them.  ``kron bo`` on
+the odd-denominator ``bo-odd`` spec is pinned as printed once its top-level
+closure became the module's (2R's) closure.  Any change that alters one byte
+of these outputs fails here and has to say why.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ SPECS = {
         "beta": {"name": "beta", "kind": "opaque"},
         "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
     },
+    "bo-odd": {"kind": "bo", "s": {"prefix": ["1/2"], "tail": {"c": "1/2", "r": "1/3"}}},
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
     "mixed-a": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}]},
     "mixed-b": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}, {"1": "2", "sqrt2": "2"}, {"sqrt3": "1/2"}]},
@@ -75,6 +78,8 @@ ARGV_DIGESTS = {
     ("reduce", "--nu=-84,0,30,-7,0,126,-1001,45"): "0627ad53dce9c27c9492c743c43808b043aa495a5d2b287b179056d085956858",  # 12123 bytes
     ("bo", "bo", "--depth", "16"): "11de96c34f40cdd8d88e7f007e5321f1f8a27c82ea87cc7e709f5532a07c33cc",  # 2682 bytes
     ("bo", "bo", "--depth", "64"): "7795225eca1ad55417a67a69b90cbce244efd8c8e3c7ba0c4b45e4c07852b516",  # 5408 bytes
+    ("bo", "bo-odd", "--depth", "3"): "2debe4cf87f6386d13d3aede117973c527eeb200a01e0a4b01f187c583a43a4c",  # 2299 bytes
+    ("bo", "bo-odd", "--depth", "16"): "fb7ba0c4517db807745f6b2f4eb540d775c015aa76f4fd9ec51f2d8ac5704638",  # 2715 bytes
     ("solenoid", "coords", "--a", "1,2", "--theta", "1/4,5/8"):
         "75faa5204413673cbed8e8fb1e1944fa40ab91b8cc09f4e8229cac17db2a31d1",  # 44 bytes
     ("solenoid", "coords", "--a", "1,2,3,5", "--theta", "1/3,2/3,2/9,2/45,2/225"):

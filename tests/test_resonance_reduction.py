@@ -375,10 +375,12 @@ def test_family_hermite_transform_matches_dense_oracle(family, depth):
 
 
 def test_halving_hermite_writes_linear_in_depth(monkeypatch):
-    """Entries written by the sparse combination step for the halving
-    resonance basis: one column adds a bounded number, so doubling the depth
-    at most about doubles the count (a dense graph vector writes m + n
-    entries per step, which made it quadratic)."""
+    """Entries written by the sparse combination step for the resonance basis
+    of the halving and product specs (the product's frequencies lie on two
+    generators, so its columns carry two row labels between them), and the
+    nonzeros of the basis: one column adds a bounded number, so doubling the
+    depth from 128 to 1024 at most about doubles each count (a dense graph
+    vector writes m + n entries per step, which made it quadratic)."""
     written = []
     real = exact_linalg._combine
 
@@ -387,14 +389,18 @@ def test_halving_hermite_writes_linear_in_depth(monkeypatch):
         return real(x, y, a, b)
 
     monkeypatch.setattr(exact_linalg, "_combine", counting)
-    fv = parse_frequency_spec(DEEP_SPECS["halving"])
-    counts = []
-    for depth in (128, 256, 512):
-        written.clear()
-        assert resonance_basis(fv, depth).rank == depth - 1
-        counts.append(sum(written))
-    assert counts[0] > 0
-    assert counts[1] <= 2.1 * counts[0] and counts[2] <= 2.1 * counts[1], counts
+    for family, zero_rank in (("halving", lambda d: d - 1), ("product", lambda d: d - 2)):
+        fv = parse_frequency_spec(DEEP_SPECS[family])
+        writes, nonzeros = [], []
+        for depth in (128, 256, 512, 1024):
+            written.clear()
+            basis = resonance_basis(fv, depth)
+            assert basis.rank == zero_rank(depth)
+            writes.append(sum(written))
+            nonzeros.append(sum(len(v.support()) for v in basis.vectors))
+        assert writes[0] > 0
+        for counts in (writes, nonzeros):
+            assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), (family, counts)
 
 
 def test_resonance_bo_depth_128():
