@@ -2,14 +2,17 @@
 """Depth sweep of the exact subcommands on the README specs.
 
 For ``kron resonance`` and ``kron reduce-flow`` on the README's halving, BO
-and product specs, and on a mixed finite spec of 1024 terms, at depths 16,
-32, ..., 1024, runs ``cli.main`` in-process and records the best-of-3 wall
-time in ms, the stdout bytes and their sha256, the tracemalloc peak of one
-more run (timed runs go untraced), and the growth of time and peak per
-doubling of the depth.  The mixed spec is drawn from a fixed seed: each term
-is one or two of 1, sqrt2 and sqrt3 with coefficients +-1 or +-2 over 1, 2
-or 3, so its coordinate matrix has three rows and columns of one or two
-entries.  The host block holds the time of
+and product specs, and on a mixed finite spec of 1024 terms, and for ``kron
+solenoid member``, ``coords`` and ``times`` on the factorial and halving
+sequences, at depths 16, 32, ..., 1024, runs ``cli.main`` in-process and
+records the best-of-3 wall time in ms, the stdout bytes and their sha256,
+the tracemalloc peak of one more run (timed runs go untraced), and the
+growth of time and peak per doubling of the depth.  The mixed spec is drawn
+from a fixed seed: each term is one or two of 1, sqrt2 and sqrt3 with
+coefficients +-1 or +-2 over 1, 2 or 3, so its coordinate matrix has three
+rows and columns of one or two entries.  The solenoid point at depth N has
+tau = 5/7 and digits n_j = (j^2 + 1) mod a_j, so it is a member whose
+angles have denominators up to 7 a_1 ... a_j.  The host block holds the time of
 perfbench's reference chunk before and after the sweep, so runs on hosts of
 different speed can be compared.
 
@@ -32,9 +35,11 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 from kronflow.cli import main
+from kronflow.frequency import SigmaSequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import reference_chunk  # noqa: E402
@@ -62,6 +67,26 @@ SPECS = {
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
     "mixed": _mixed_finite(DEPTHS[-1]),
 }
+SOLENOID_OPS = ("member", "coords", "times")
+SOLENOID_SEQUENCES = {
+    "factorial": {"prefix": [1], "tail": "increment"},
+    "halving": {"prefix": [1, 2], "tail": {"constant": 2}},
+}
+
+
+def _solenoid_argv(op: str, seq: dict, depth: int) -> list[str]:
+    """``kron solenoid op`` on the member with tau = 5/7 and n_j = (j^2 + 1)
+    mod a_j, whose angles are theta_j = (theta_{j-1} + n_j) / a_j."""
+    a = SigmaSequence.from_json(seq).terms(depth)
+    tau = Fraction(5, 7)
+    digits = [(j * j + 1) % a[j - 1] for j in range(2, depth + 1)]
+    argv = ["solenoid", op, "--a", json.dumps(seq, separators=(",", ":"))]
+    if op == "times":
+        return argv + ["--tau", str(tau), "--digits", ",".join(map(str, digits))]
+    theta = [tau]
+    for j, n in enumerate(digits, start=2):
+        theta.append((theta[-1] + n) / a[j - 1])
+    return argv + ["--theta", ",".join(map(str, theta))]
 
 
 def _run(argv: list[str]) -> tuple[float, int, str]:
@@ -107,6 +132,8 @@ def sweep(workdir: Path) -> list[dict]:
         path.write_text(json.dumps(spec))
         cases += [(command, family, depth, [command, str(path), "--depth", str(depth)])
                   for command in COMMANDS for depth in DEPTHS]
+    cases += [(f"solenoid {op}", family, depth, _solenoid_argv(op, seq, depth))
+              for family, seq in SOLENOID_SEQUENCES.items() for op in SOLENOID_OPS for depth in DEPTHS]
     runs = [[_run(argv) for *_, argv in cases] for _ in range(3)]
     rows = []
     for k, (command, family, depth, argv) in enumerate(cases):

@@ -232,6 +232,8 @@ def _cmd_solenoid(args) -> None:
         raise ValidationError(f"solenoid {args.solenoid_op} needs --theta")
     if args.solenoid_op == "times" and args.tau is None:
         raise ValidationError("solenoid times needs --tau")
+    if args.solenoid_op == "times" and not args.digits:
+        raise ValidationError("solenoid times needs --digits (depth >= 2)")
     if args.solenoid_op == "member":
         theta = _parse_point(args.theta)
         verdict = is_member(a, theta)
@@ -240,7 +242,7 @@ def _cmd_solenoid(args) -> None:
         theta = _parse_point(args.theta)
         _emit(to_coordinates(a, theta).to_json())
     else:  # times
-        digits = tuple(parse_int(v, "--digits entry") for v in args.digits.split(",")) if args.digits else ()
+        digits = tuple(parse_int(v, "--digits entry") for v in args.digits.split(","))
         coords = SolenoidCoords(parse_rational(args.tau), digits)
         times = approximating_times(a, coords)
         target = from_coordinates(a, coords)

@@ -20,9 +20,9 @@ import json
 import math
 import operator
 import re
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
 
 import mpmath
 
@@ -385,7 +385,7 @@ CoordMap = dict[Generator, Fraction]
 
 
 def _freeze_coords(coords: Mapping[Generator, Fraction]) -> tuple[tuple[Generator, Fraction], ...]:
-    items = [(g, Fraction(c)) for g, c in coords.items() if c != 0]
+    items = [(g, c) for g, c in coords.items() if c != 0]
     items.sort(key=lambda gc: gc[0])
     return tuple(items)
 
@@ -557,12 +557,14 @@ def _generator_from_json(obj: Mapping) -> Generator:
 
 
 def _resolve_generator(name_or_obj, declared: dict[str, Generator]) -> Generator:
+    """A declared generator, or a builtin one, which joins ``declared`` so that
+    each distinct name of a spec is built and checked once."""
     if isinstance(name_or_obj, Mapping):
         return _generator_from_json(name_or_obj)
     name = str(name_or_obj)
-    if name in declared:
-        return declared[name]
-    return builtin_generator(name)
+    if name not in declared:
+        declared[name] = builtin_generator(name)
+    return declared[name]
 
 
 def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:

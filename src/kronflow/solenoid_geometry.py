@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 from .exact_linalg import format_rational, parse_rational
@@ -38,8 +38,8 @@ class TorusPoint:
 
     @classmethod
     def exact_point(cls, values: Sequence[Fraction | int | str]) -> "TorusPoint":
-        vals = tuple(Fraction(parse_rational(v) if isinstance(v, str) else v) % 1 for v in values)
-        return cls(vals, True)
+        vals = [parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values]
+        return cls(tuple(x if 0 <= x.numerator < x.denominator else x % 1 for x in vals), True)
 
     @classmethod
     def float_point(cls, values: Sequence[float]) -> "TorusPoint":
@@ -70,7 +70,8 @@ class SolenoidCoords:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", Fraction(self.tau))
+        if not isinstance(self.tau, Fraction):
+            object.__setattr__(self, "tau", Fraction(self.tau))
         if not 0 <= self.tau < 1:
             raise ValidationError(f"tau must lie in [0,1), got {self.tau}")
 
@@ -82,46 +83,59 @@ class SolenoidCoords:
         return {"tau": format_rational(self.tau), "digits": list(self.digits)}
 
 
-def _require_exact(theta: TorusPoint, what: str) -> None:
-    if not theta.exact:
-        raise ValidationError(f"{what} requires an exact point")
-
-
-def _check_digits(a: SigmaSequence, digits: Sequence[int]) -> None:
+def _check_digits(terms: Sequence[int], digits: Sequence[int]) -> None:
     for offset, n in enumerate(digits, start=2):
-        bound = a.term(offset)
-        if not 0 <= n < bound:
-            raise ValidationError(
-                f"digit n_{offset} = {n} outside range 0..{bound - 1}"
-            )
+        if not 0 <= n < terms[offset - 1]:
+            raise ValidationError(f"digit n_{offset} = {n} outside range 0..{terms[offset - 1] - 1}")
+
+
+def _digits(terms: Sequence[int], angles: Sequence[Fraction]) -> list[int] | None:
+    """n_j = a_j theta_j - theta_{j-1} for j = 2..N, or None if a relation fails: with
+    a_j theta_j = n + r/q, theta_{j-1} = k + f/q' (r/q, f/q' in [0,1), f/q' reduced), it holds
+    iff q = g q' and r = g f, and then n_j = n - k.  A member's g divides a_j unless f = 0."""
+    if len(angles) < 2:
+        raise ValidationError("membership needs depth >= 2")
+    digits = []
+    q0 = angles[0].denominator
+    k0, f0 = divmod(angles[0].numerator, q0)
+    for a_j, theta in zip(terms[1:], angles[1:]):
+        p, q = theta.numerator, theta.denominator
+        n, r = divmod(a_j * p, q)
+        g, s = divmod(q, q0)
+        if s or r != g * f0:
+            return None
+        digits.append(n - k0)
+        (k0, f0), q0 = divmod(p, q), q
+    return digits
+
+
+def _running_sums(terms: Sequence[int], coords: SolenoidCoords) -> Iterator[tuple[int, int]]:
+    """(u + v sum_{m<=j} n_m A_{m-1}, v A_j) for j = 2..N: tau = u/v, A_j = a_1 ... a_j."""
+    _check_digits(terms, coords.digits)
+    acc, scale = coords.tau.numerator, coords.tau.denominator
+    for n, a_j in zip(coords.digits, terms[1:]):
+        acc += n * scale
+        scale *= a_j
+        yield acc, scale
 
 
 def is_member(a: SigmaSequence, theta: TorusPoint) -> bool:
     """Exact membership at the point's depth: checks the N-1 defining relations."""
-    _require_exact(theta, "solenoid membership")
-    if theta.depth < 2:
-        raise ValidationError("membership needs depth >= 2")
-    vals = theta.angles
-    for j in range(1, theta.depth):
-        if (a.term(j + 1) * vals[j] - vals[j - 1]) % 1 != 0:
-            return False
-    return True
+    if not theta.exact:
+        raise ValidationError("solenoid membership requires an exact point")
+    return _digits(a.terms(theta.depth), theta.angles) is not None
 
 
 def to_coordinates(a: SigmaSequence, theta: TorusPoint) -> SolenoidCoords:
     """Digit extraction: tau = theta_1, n_j = a_j theta_j - theta_{j-1}."""
-    _require_exact(theta, "coordinate extraction")
-    if not is_member(a, theta):
+    if not theta.exact:
+        raise ValidationError("coordinate extraction requires an exact point")
+    terms = a.terms(theta.depth)
+    digits = _digits(terms, theta.angles)
+    if digits is None:
         raise ValidationError("point is not a solenoid member at this depth")
-    vals = theta.angles
-    digits = []
-    for j in range(2, theta.depth + 1):
-        n = a.term(j) * vals[j - 1] - vals[j - 2]
-        if n.denominator != 1:
-            raise ValidationError("internal error: digit is not an integer")
-        digits.append(int(n))
-    coords = SolenoidCoords(vals[0], tuple(digits))
-    _check_digits(a, coords.digits)
+    coords = SolenoidCoords(theta.angles[0], tuple(digits))
+    _check_digits(terms, coords.digits)
     return coords
 
 
@@ -131,32 +145,22 @@ def from_coordinates(a: SigmaSequence, coords: SolenoidCoords) -> TorusPoint:
         theta_j = omega_j * (tau + sum_{m<=j} n_m / omega_{m-1}),
         omega_j = 1 / (a_1 ... a_j).
     """
-    _check_digits(a, coords.digits)
-    products = a.partial_products(coords.depth)  # a_1 ... a_j for j = 1..N
+    terms = a.terms(coords.depth)
     vals = [coords.tau]
-    acc = coords.tau  # tau + sum_{m<=j} n_m * (a_1 ... a_{m-1})
-    for n, previous, product in zip(coords.digits, products, products[1:]):
-        acc += n * previous
-        theta_j = acc / product
-        if not 0 <= theta_j < 1:
+    for acc, scale in _running_sums(terms, coords):
+        if not 0 <= acc < scale:
             raise ValidationError("internal error: reconstructed angle left [0,1)")
-        vals.append(theta_j)
-    point = TorusPoint.exact_point(vals)
-    if not is_member(a, point):
+        vals.append(Fraction(acc, scale))
+    if _digits(terms, vals) != list(coords.digits):
         raise ValidationError("internal error: reconstructed point fails membership")
-    return point
+    return TorusPoint(tuple(vals), True)
 
 
 def approximating_times(a: SigmaSequence, coords: SolenoidCoords) -> list[Fraction]:
     """Times t_1..t_N (in turns) whose flow points match the target in the
     first k coordinates: t_k = tau + sum_{m=2..k} n_m / omega_{m-1}."""
-    _check_digits(a, coords.digits)
-    times = [Fraction(coords.tau)]
-    acc = Fraction(coords.tau)
-    for n, product in zip(coords.digits, a.partial_products(coords.depth - 1)):
-        acc += n * product
-        times.append(acc)
-    return times
+    v = coords.tau.denominator  # (u + v S_k) / v is reduced: gcd(u + v S_k, v) = gcd(u, v) = 1
+    return [coords.tau] + [Fraction(acc, v) for acc, _ in _running_sums(a.terms(coords.depth), coords)]
 
 
 def orbit_point(a: SigmaSequence, t: Fraction, depth: int) -> TorusPoint:
@@ -205,9 +209,7 @@ def circle_distance(x, y):
 
 
 def product_metric(
-    rho: GeometricWeights | Sequence[float],
-    theta: TorusPoint,
-    phi: TorusPoint,
+    rho: GeometricWeights | Sequence[float], theta: TorusPoint, phi: TorusPoint
 ) -> tuple[float, float]:
     """d_rho(theta, phi) = sum_k rho_k d(theta_k, phi_k), plus the truncation
     tail bound sum_{k>N} rho_k.
@@ -235,9 +237,7 @@ def product_metric(
     return total, tail
 
 
-def product_metric_exact(
-    rho: GeometricWeights, theta: TorusPoint, phi: TorusPoint
-) -> Fraction:
+def product_metric_exact(rho: GeometricWeights, theta: TorusPoint, phi: TorusPoint) -> Fraction:
     """Exact d_rho for exact points with geometric weights."""
     if not (theta.exact and phi.exact):
         raise ValidationError("exact metric needs exact points")

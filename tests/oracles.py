@@ -5,8 +5,10 @@ exhaustive enumeration, gcds from Euclid, sigma sums from direct term-by-term
 summation with a hand-written geometric remainder, span checks from
 bounded coefficient searches, matrix checks from the JSON form of a
 tracked matrix, multiplied out entry by entry, reduction certificates
-from the literal one-subtraction-per-step reduction on plain lists, and
-frequency coordinates from the per-index definition of each family.
+from the literal one-subtraction-per-step reduction on plain lists,
+frequency coordinates from the per-index definition of each family, and
+solenoid membership, coordinates and approximating times from the
+relations theta_j = a_{j+1} theta_{j+1} mod 1 in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from kronflow.errors import ValidationError
 from kronflow.frequency import UNIT, BoRule, Finite, SolenoidRule
+from kronflow.solenoid_geometry import SolenoidCoords, TorusPoint
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -420,3 +424,75 @@ def dense_hermite_transform(rows) -> DenseHermite:
         len(pivots) - len(image),
         image,
     )
+
+
+# ---------------------------------------------------------------------------
+# Solenoid geometry in Fraction arithmetic: every relation is evaluated as
+# (a_j theta_j - theta_{j-1}) with Fraction multiply, subtract and % 1, and
+# the reconstruction divides Fractions.  Same checks, in the same order, with
+# the same messages, as the library's integer cross-multiplication.
+
+
+def _fraction_check_digits(a, digits) -> None:
+    for offset, n in enumerate(digits, start=2):
+        bound = a.term(offset)
+        if not 0 <= n < bound:
+            raise ValidationError(f"digit n_{offset} = {n} outside range 0..{bound - 1}")
+
+
+def fraction_is_member(a, theta: TorusPoint) -> bool:
+    if not theta.exact:
+        raise ValidationError("solenoid membership requires an exact point")
+    if theta.depth < 2:
+        raise ValidationError("membership needs depth >= 2")
+    vals = theta.angles
+    for j in range(1, theta.depth):
+        if (a.term(j + 1) * vals[j] - vals[j - 1]) % 1 != 0:
+            return False
+    return True
+
+
+def fraction_to_coordinates(a, theta: TorusPoint) -> SolenoidCoords:
+    if not theta.exact:
+        raise ValidationError("coordinate extraction requires an exact point")
+    if not fraction_is_member(a, theta):
+        raise ValidationError("point is not a solenoid member at this depth")
+    vals = theta.angles
+    digits = []
+    for j in range(2, theta.depth + 1):
+        n = a.term(j) * vals[j - 1] - vals[j - 2]
+        if n.denominator != 1:
+            raise ValidationError("internal error: digit is not an integer")
+        digits.append(int(n))
+    coords = SolenoidCoords(vals[0], tuple(digits))
+    _fraction_check_digits(a, coords.digits)
+    return coords
+
+
+def fraction_from_coordinates(a, coords: SolenoidCoords) -> TorusPoint:
+    """theta_j = (tau + sum_{m<=j} n_m a_1 ... a_{m-1}) / (a_1 ... a_j)."""
+    _fraction_check_digits(a, coords.digits)
+    products = a.partial_products(coords.depth)
+    vals = [coords.tau]
+    acc = coords.tau
+    for n, previous, product in zip(coords.digits, products, products[1:]):
+        acc += n * previous
+        theta_j = acc / product
+        if not 0 <= theta_j < 1:
+            raise ValidationError("internal error: reconstructed angle left [0,1)")
+        vals.append(theta_j)
+    point = TorusPoint(tuple(Fraction(v) % 1 for v in vals), True)
+    if not fraction_is_member(a, point):
+        raise ValidationError("internal error: reconstructed point fails membership")
+    return point
+
+
+def fraction_approximating_times(a, coords: SolenoidCoords) -> list[Fraction]:
+    """t_k = tau + sum_{m=2..k} n_m a_1 ... a_{m-1}."""
+    _fraction_check_digits(a, coords.digits)
+    times = [Fraction(coords.tau)]
+    acc = Fraction(coords.tau)
+    for n, product in zip(coords.digits, a.partial_products(coords.depth - 1)):
+        acc += n * product
+        times.append(acc)
+    return times

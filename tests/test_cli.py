@@ -150,6 +150,16 @@ def test_solenoid_subcommands(capsys):
     assert payload["times"] == ["1/4", "5/4"] and payload["target"] == ["1/4", "5/8"]
 
 
+@pytest.mark.parametrize("digits", [[], ["--digits", ""]], ids=["absent", "empty"])
+def test_solenoid_times_without_digits_names_the_flag(capsys, digits):
+    """Depth 1 has no relation: the error names --digits, not the membership
+    check that would otherwise reject the reconstructed point."""
+    code = main(["solenoid", "times", "--a", "1,2", "--tau", "1/3", *digits])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "error: solenoid times needs --digits" in captured.err and "Traceback" not in captured.err
+
+
 def test_simulate_csv(tmp_path, capsys):
     spec = tmp_path / "s2.json"
     spec.write_text(SQRT_SPEC)

@@ -7,16 +7,21 @@ dense column Hermite transform printed them; and of ``kron reduce`` on three
 vectors, ``kron bo``, ``kron solenoid coords`` and ``kron iso``, as the dense
 row-finite matrix and ``json.dumps(indent=2)`` printed them.  ``kron bo`` on
 the odd-denominator ``bo-odd`` spec is pinned as printed once its top-level
-closure became the module's (2R's) closure.  Any change that alters one byte
+closure became the module's (2R's) closure.  ``kron solenoid member``,
+``coords`` and ``times`` at depth 128 on the factorial, odd-indexed-prime
+and periodic sequences, and ``member`` on one non-member, are pinned as the
+Fraction relations printed them.  Any change that alters one byte
 of these outputs fails here and has to say why.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from kronflow.cli import main
+from kronflow.frequency import SigmaSequence
 
 SPECS = {
     "halving": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}},
@@ -99,3 +104,50 @@ def test_argv_stdout_digest(argv, tmp_path, capsys):
     assert main([argv[0]] + [str(paths.get(arg, arg)) for arg in argv[1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ARGV_DIGESTS[argv]
+
+
+# -- kron solenoid at depth 128: tau = 5/7 and digits n_j = (j^2 + 1) mod a_j,
+# with theta built by theta_j = (theta_{j-1} + n_j) / a_j; the non-member moves
+# theta_N by 1/(2 a_N), which breaks the last relation.
+SOLENOID_SEQUENCES = {
+    "factorial": {"prefix": [1], "tail": "increment"},
+    "odd_primes": {"prefix": [1], "tail": "odd_indexed_primes"},
+    "periodic": {"prefix": [1], "tail": {"periodic": [2, 3]}},
+}
+
+
+def _solenoid_argv(op: str, family: str, member: bool, depth: int = 128) -> list[str]:
+    seq = SOLENOID_SEQUENCES[family]
+    a = SigmaSequence.from_json(seq).terms(depth)
+    tau = Fraction(5, 7)
+    digits = [(j * j + 1) % a[j - 1] for j in range(2, depth + 1)]
+    argv = ["solenoid", op, "--a", json.dumps(seq, separators=(",", ":"))]
+    if op == "times":
+        return argv + ["--tau", str(tau), "--digits", ",".join(map(str, digits))]
+    theta = [tau]
+    for j, n in enumerate(digits, start=2):
+        theta.append((theta[-1] + n) / a[j - 1])
+    if not member:
+        theta[-1] = (theta[-1] + Fraction(1, 2 * a[-1])) % 1
+    return argv + ["--theta", ",".join(map(str, theta))]
+
+
+SOLENOID_DIGESTS = {
+    ("coords", "factorial", True): "591b9c0ad7ff6dbaeb439393fb7ff2589f380e1511afd61a82af2c786e2ee1cb",  # 926 bytes
+    ("coords", "odd_primes", True): "1e6d2844e850ec8d22c9861292dfc4194d8bbe24c808fcf0082338a929b3d5b8",  # 1142 bytes
+    ("coords", "periodic", True): "1221078b8e07c5673cc77beea820ca056762f8e065bcbba57bf0e982801593f0",  # 926 bytes
+    ("member", "factorial", True): "c8083c0e9cfccc98b2eb6f3c81d4cb339f729adbb13824e7d7feca0fa115b3b4",  # 73 bytes
+    ("member", "odd_primes", False): "5eaf885c73d9dea7ea865579a93cd36a91f94b3b4335c197c87bb3277e651057",  # 67 bytes
+    ("member", "odd_primes", True): "c8083c0e9cfccc98b2eb6f3c81d4cb339f729adbb13824e7d7feca0fa115b3b4",  # 73 bytes
+    ("member", "periodic", True): "c8083c0e9cfccc98b2eb6f3c81d4cb339f729adbb13824e7d7feca0fa115b3b4",  # 73 bytes
+    ("times", "factorial", True): "bff803544ea016ccfc606d698d14ad6522ed19a75a70d31dd0f45109021f06b5",  # 38983 bytes
+    ("times", "odd_primes", True): "bf5f29e7cb4f8100a1262581f97a16b540e4ccea515470308e2a2b81ca5cf88e",  # 61761 bytes
+    ("times", "periodic", True): "921f373ae43de2bf0c812bab5baef86df4cd4c24d37877ac9c23372fd6a45892",  # 12078 bytes
+}
+
+
+@pytest.mark.parametrize("op,family,member", sorted(SOLENOID_DIGESTS))
+def test_solenoid_stdout_digest(op, family, member, capsys):
+    assert main(_solenoid_argv(op, family, member)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLENOID_DIGESTS[op, family, member]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,13 @@ from kronflow.solenoid_geometry import (
     product_metric,
     product_metric_exact,
     to_coordinates,
+)
+
+from oracles import (
+    fraction_approximating_times,
+    fraction_from_coordinates,
+    fraction_is_member,
+    fraction_to_coordinates,
 )
 
 A122 = SigmaSequence((1, 2, 2), "constant", (2,))
@@ -157,6 +165,97 @@ def test_times_match_prefix_exactly():
         for k, t in enumerate(approximating_times(a, coords), start=1):
             moved = orbit_point(a, t, depth)
             assert moved.angles[:k] == target.angles[:k]
+
+
+# -- integer cross-multiplication against the Fraction oracle
+
+
+@st.composite
+def sequences(draw):
+    """All four tails, with the bare prefix (1) or an explicit one."""
+    prefix = (1,) + tuple(draw(st.lists(st.integers(2, 9), max_size=3)))
+    tail = draw(st.sampled_from(["constant", "periodic", "increment", "odd_indexed_primes"]))
+    params = ()
+    if tail == "constant":
+        params = (draw(st.integers(2, 12)),)
+    elif tail == "periodic":
+        params = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)))
+    return SigmaSequence(prefix, tail, params)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_path_matches_fraction_oracle(data):
+    a = data.draw(sequences())
+    depth = data.draw(st.integers(2, 128))
+    terms = a.terms(depth)
+    v = data.draw(st.integers(1, 60))
+    tau = F(data.draw(st.integers(0, v - 1)), v)
+    digits = [data.draw(st.integers(0, terms[j - 1] - 1)) for j in range(2, depth + 1)]
+    case = data.draw(st.sampled_from(["member", "perturbed", "digit out of range", "tau out of range"]))
+    if case == "digit out of range":
+        j = data.draw(st.integers(2, depth))
+        digits[j - 2] = data.draw(st.sampled_from([terms[j - 1], terms[j - 1] + 5, -1]))
+    if case == "tau out of range":
+        bad = data.draw(st.sampled_from([F(1), F(-1, 3), F(7, 4)]))
+        with pytest.raises(ValidationError, match=re.escape(f"tau must lie in [0,1), got {bad}")):
+            SolenoidCoords(bad, tuple(digits))
+        return
+    coords = SolenoidCoords(tau, tuple(digits))
+
+    assert _outcome(approximating_times, a, coords) == _outcome(fraction_approximating_times, a, coords)
+    target = _outcome(from_coordinates, a, coords)
+    assert target == _outcome(fraction_from_coordinates, a, coords)
+    if case == "digit out of range":
+        return
+    angles = list(target.angles)
+    if case == "perturbed":
+        k = data.draw(st.integers(0, depth - 1))
+        # an odd numerator over an even denominator is never an integer shift
+        angles[k] += F(2 * data.draw(st.integers(0, 20)) + 1, 2 * data.draw(st.integers(1, 20)))
+    # the CLI's path: exact_point parses each rational once and wraps it into [0,1)
+    text = [str(x) for x in angles]
+    theta = TorusPoint.exact_point(text)
+    assert theta.angles == tuple(F(x) % 1 for x in text)
+    if case == "member":
+        assert to_coordinates(a, theta) == coords
+    if data.draw(st.booleans()):
+        # a point built directly may carry angles outside [0,1): the relations
+        # still hold mod 1, while tau and the digits can leave their ranges
+        shifts = [data.draw(st.sampled_from([0, 0, 0, 1, -1]))]  # tau mostly stays in [0,1)
+        shifts += data.draw(st.lists(st.integers(-3, 3), min_size=depth - 1, max_size=depth - 1))
+        theta = TorusPoint(tuple(x + m for x, m in zip(theta.angles, shifts)), True)
+    assert is_member(a, theta) == fraction_is_member(a, theta)
+    assert _outcome(to_coordinates, a, theta) == _outcome(fraction_to_coordinates, a, theta)
+
+
+def test_relations_build_no_fractions(monkeypatch):
+    """On a factorial member at depth 512, membership and digit extraction
+    make no Fraction and the reconstruction one per coordinate; the Fraction
+    path made several per relation."""
+    a = SigmaSequence((1,), "increment")
+    depth = 512
+    coords = SolenoidCoords(F(5, 7), tuple((j * j + 1) % j for j in range(2, depth + 1)))
+    point = fraction_from_coordinates(a, coords)
+    made = []
+    original = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    assert is_member(a, point) and made == []
+    assert to_coordinates(a, point) == coords and made == []
+    assert from_coordinates(a, coords) == point
+    assert len(made) <= depth
 
 
 # -- local chart
