@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classification import (
+    INF,
     BaerType,
     ClosureDescriptor,
     ModuleComponent,
@@ -31,7 +32,6 @@ from .classification import (
     is_free,
     module_report,
 )
-from .classification import INF, _ALL, _FINITE  # shared exponent/prime-set tags
 from .errors import ValidationError
 from .exact_linalg import format_rational, rational_gcd
 from .frequency import UNIT, BoRule, RationalSequenceSpec
@@ -102,9 +102,7 @@ def _baer_of_span(f: Fraction, h: Fraction | None, v: int | None) -> BaerType | 
             i *= p**m
         elif m < 0:
             exps[p] = -m
-    pairs = [((_FINITE, frozenset({p})), e) for p, e in sorted(exps.items())]
-    pairs.append(((_ALL,), 0))
-    return BaerType(i, SupernaturalNumber(tuple(pairs)))
+    return BaerType(i, SupernaturalNumber.from_exponents(exps))
 
 
 def span_contains(f: Fraction, h: Fraction | None, v: int | None, x: Fraction) -> bool:

@@ -16,7 +16,7 @@ solenoid carrying Lambda for each non-free one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnsupportedStructureError, ValidationError
@@ -31,7 +31,7 @@ from .frequency import (
     SolenoidRule,
     coordinates,
 )
-from .primes import factorize, is_even_indexed_prime, is_odd_indexed_prime
+from .primes import factorize, is_odd_indexed_prime, nth_prime, prime_index
 
 INF = math.inf
 
@@ -51,6 +51,21 @@ def _format_exponent(e) -> object:
     return "inf" if e == INF else int(e)
 
 
+def _covers(pset: tuple, p: int) -> bool:
+    """Whether the prime set of a pair contains the prime p."""
+    kind = pset[0]
+    if kind == _FINITE:
+        return p in pset[1]
+    if kind == _COFINITE:
+        return p not in pset[1]
+    return kind == _ALL or (kind == _ODD) == is_odd_indexed_prime(p)
+
+
+def _first_exponent(pairs, p: int):
+    """The exponent of the first pair whose set contains p, or None."""
+    return next((exp for pset, exp in pairs if _covers(pset, p)), None)
+
+
 @dataclass(frozen=True)
 class SupernaturalNumber:
     """Formal product prod_p p^(Lambda_p) given as prioritized (prime set,
@@ -60,131 +75,60 @@ class SupernaturalNumber:
     even-indexed primes, and the complement of a finite set.  Construction
     canonicalizes the list (pairs fully shadowed by earlier ones are dropped)
     and checks that every prime resolves.
+
+    Every pair treats a prime that no finite or cofinite set names the way it
+    treats any other unnamed prime of the same index parity.  So all of this
+    is decided on the probe primes: the named ones, then the next two primes
+    after the largest of them, one odd-indexed and one even-indexed.
     """
 
     pairs: tuple[tuple[tuple, int | float], ...]
+    _profile: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned = []
         for pset, exp in self.pairs:
             kind = pset[0]
-            if kind == _FINITE:
-                pset = (_FINITE, frozenset(int(p) for p in pset[1]))
-                if not pset[1]:
+            if kind in (_FINITE, _COFINITE):
+                pset = (kind, frozenset(int(p) for p in pset[1]))
+                if kind == _FINITE and not pset[1]:
                     continue
-            elif kind == _COFINITE:
-                pset = (_COFINITE, frozenset(int(p) for p in pset[1]))
             elif kind not in (_ALL, _ODD, _EVEN):
                 raise ValidationError(f"unknown prime set kind {kind!r}")
             cleaned.append((pset, _check_exponent(exp)))
-        object.__setattr__(self, "pairs", tuple(self._drop_shadowed(cleaned)))
-        self._validate_total()
-
-    # -- canonicalization
-
-    @staticmethod
-    def _drop_shadowed(pairs):
-        # coverage per class: ("partial", explicit set) or ("cofinite", missing set)
-        state = {"odd": ("partial", frozenset()), "even": ("partial", frozenset())}
-
-        def covered(p: int) -> bool:
-            mode, data = state["odd" if is_odd_indexed_prime(p) else "even"]
-            return p in data if mode == "partial" else p not in data
-
-        def class_fully_covered(cls_key: str) -> bool:
-            mode, data = state[cls_key]
-            return mode == "cofinite" and not data
-
-        def class_covered_except_within(cls_key: str, allowed: frozenset) -> bool:
-            mode, data = state[cls_key]
-            return mode == "cofinite" and data <= allowed
-
-        out = []
-        for pset, exp in pairs:
-            kind = pset[0]
-            if kind == _FINITE:
-                shadowed = all(covered(p) for p in pset[1])
-            elif kind == _ALL:
-                shadowed = class_fully_covered("odd") and class_fully_covered("even")
-            elif kind == _ODD:
-                shadowed = class_fully_covered("odd")
-            elif kind == _EVEN:
-                shadowed = class_fully_covered("even")
-            else:
-                shadowed = class_covered_except_within("odd", pset[1]) and class_covered_except_within(
-                    "even", pset[1]
-                )
-            if shadowed:
-                continue
-            out.append((pset, exp))
-            # update coverage
-            for cls_key, member in (("odd", is_odd_indexed_prime), ("even", is_even_indexed_prime)):
-                mode, data = state[cls_key]
-                if kind == _FINITE:
-                    hit = frozenset(p for p in pset[1] if member(p))
-                    state[cls_key] = (mode, data | hit) if mode == "partial" else (mode, data - hit)
-                elif kind == _ALL or (kind == _ODD and cls_key == "odd") or (
-                    kind == _EVEN and cls_key == "even"
-                ):
-                    state[cls_key] = ("cofinite", frozenset())
-                elif kind == _COFINITE:
-                    excl = frozenset(p for p in pset[1] if member(p))
-                    if mode == "partial":
-                        state[cls_key] = ("cofinite", excl - data)
-                    else:
-                        state[cls_key] = ("cofinite", data & excl)
-        return out
-
-    # -- resolution
+        named = sorted({p for pset, _ in cleaned if pset[0] in (_FINITE, _COFINITE) for p in pset[1]})
+        k = max(map(prime_index, named), default=0)
+        after = nth_prime(k + 1), nth_prime(k + 2)
+        odd_probe, even_probe = after if k % 2 == 0 else after[::-1]
+        probes = (*named, odd_probe, even_probe)
+        # a pair is kept iff it covers a probe that no earlier kept pair covers
+        kept, covered = [], set()
+        for pset, exp in cleaned:
+            hit = {p for p in probes if p not in covered and _covers(pset, p)}
+            if hit:
+                kept.append((pset, exp))
+                covered |= hit
+        object.__setattr__(self, "pairs", tuple(kept))
+        odd_a, even_a = _first_exponent(kept, odd_probe), _first_exponent(kept, even_probe)
+        if odd_a is None or even_a is None:
+            raise ValidationError("prime-set pairs leave infinitely many primes unassigned")
+        exceptions = {}
+        for p in named:
+            e = _first_exponent(kept, p)
+            if e is None:
+                raise ValidationError(f"prime {p} resolves to no exponent")
+            if e != (odd_a if is_odd_indexed_prime(p) else even_a):
+                exceptions[p] = e
+        object.__setattr__(self, "_profile", (odd_a, even_a, exceptions))
 
     def resolve(self, p: int):
         """Exponent assigned to the prime p (first matching pair)."""
-        for pset, exp in self.pairs:
-            kind = pset[0]
-            if kind == _FINITE and p in pset[1]:
-                return exp
-            if kind == _ALL:
-                return exp
-            if kind == _ODD and is_odd_indexed_prime(p):
-                return exp
-            if kind == _EVEN and is_even_indexed_prime(p):
-                return exp
-            if kind == _COFINITE and p not in pset[1]:
-                return exp
-        return None
-
-    def _asymptotic(self, cls_key: str):
-        wanted = _ODD if cls_key == "odd" else _EVEN
-        for pset, exp in self.pairs:
-            if pset[0] in (_ALL, _COFINITE, wanted):
-                return exp
-        return None
-
-    def _candidate_primes(self) -> set[int]:
-        out: set[int] = set()
-        for pset, _ in self.pairs:
-            if pset[0] in (_FINITE, _COFINITE):
-                out |= set(pset[1])
-        return out
-
-    def _validate_total(self) -> None:
-        if self._asymptotic("odd") is None or self._asymptotic("even") is None:
-            raise ValidationError("prime-set pairs leave infinitely many primes unassigned")
-        for p in self._candidate_primes():
-            if self.resolve(p) is None:
-                raise ValidationError(f"prime {p} resolves to no exponent")
+        return _first_exponent(self.pairs, p)
 
     def profile(self):
-        """(odd asymptotic, even asymptotic, finite exception map)."""
-        odd_a = self._asymptotic("odd")
-        even_a = self._asymptotic("even")
-        exceptions = {}
-        for p in sorted(self._candidate_primes()):
-            e = self.resolve(p)
-            base = odd_a if is_odd_indexed_prime(p) else even_a
-            if e != base:
-                exceptions[p] = e
-        return odd_a, even_a, exceptions
+        """(odd asymptotic, even asymptotic, finite exception map), computed
+        once at construction; the map is shared, not copied."""
+        return self._profile
 
     def is_finite_product(self) -> bool:
         odd_a, even_a, exceptions = self.profile()
@@ -457,10 +401,11 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     generator at its pivot.  Rule-based variants give one component per
     generator, their tails resolved analytically.
     """
+    depth = fv.clamp_depth(depth)
     v = fv.variant
     if isinstance(v, Finite):
         comps = []
-        for vec in hermite_transform(coordinates(fv, fv.clamp_depth(depth))).image:
+        for vec in hermite_transform(coordinates(fv, depth)).image:
             pivot = min(vec)
             comps.append(ModuleComponent(pivot, free_baer_type(vec[pivot])))
         return ModuleDescriptor(tuple(comps))

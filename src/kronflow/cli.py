@@ -23,7 +23,7 @@ from .benjamin_ono import bo_report
 from .classification import classification_report, decompose_module
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import IntVecFin, parse_int, parse_rational
-from .frequency import DEFAULT_DEPTH, FrequencyVector, SigmaSequence, parse_frequency_spec
+from .frequency import DEFAULT_DEPTH, DEFAULT_PRECISION_BITS, FrequencyVector, SigmaSequence, parse_frequency_spec
 from .resonance_reduction import reduce_flow, reduce_vector, resonance_basis
 from .solenoid_geometry import (
     SolenoidCoords,
@@ -33,8 +33,6 @@ from .solenoid_geometry import (
     is_member,
     to_coordinates,
 )
-
-MIN_PRECISION_BITS = 53
 
 
 def _float(x: float) -> str:
@@ -140,9 +138,9 @@ def _precision(args) -> int:
     bits = args.precision
     if bits is None:
         env = os.environ.get("KRON_PRECISION")
-        bits = parse_int(env, "KRON_PRECISION") if env else 64
-    if bits < MIN_PRECISION_BITS:
-        raise ValidationError(f"precision must be >= {MIN_PRECISION_BITS} bits, got {bits}")
+        bits = parse_int(env, "KRON_PRECISION") if env else DEFAULT_PRECISION_BITS
+    if bits < DEFAULT_PRECISION_BITS:
+        raise ValidationError(f"precision must be >= {DEFAULT_PRECISION_BITS} bits, got {bits}")
     return bits
 
 
@@ -274,7 +272,7 @@ def _cmd_iso(args) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kron", description=__doc__)
-    parser.add_argument("--precision", type=int, default=None, help="mantissa bits (>= 53); env KRON_PRECISION")
+    parser.add_argument("--precision", type=int, default=None, help="mantissa bits (>= 64); env KRON_PRECISION")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

@@ -20,9 +20,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -57,8 +58,7 @@ def parse_list(value, what: str) -> list | tuple:
     return value
 
 
-def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+def format_rational(q: Fraction | int) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -28,7 +28,7 @@ import mpmath
 
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import format_rational, parse_int, parse_list, parse_rational
-from .primes import factorize, is_prime, nth_prime, odd_indexed_prime
+from .primes import factorize, is_prime, nth_prime, odd_indexed_primes
 
 DEFAULT_DEPTH = 16
 DEFAULT_PRECISION_BITS = 64  # floor of every float evaluation's mantissa
@@ -187,10 +187,21 @@ class SigmaSequence:
             return self.tail_params[(m - 1) % len(self.tail_params)]
         if self.tail_kind == "increment":
             return j
-        return odd_indexed_prime(m)
+        return nth_prime(2 * m - 1)
 
     def terms(self, n: int) -> list[int]:
-        return [self.term(j) for j in range(1, n + 1)]
+        """[a_1, ..., a_n]: the prefix slice, then the tail written at once."""
+        head = list(self.prefix[: max(n, 0)])
+        m = n - len(self.prefix)
+        if m <= 0:
+            return head
+        if self.tail_kind == "constant":
+            return head + [self.tail_params[0]] * m
+        if self.tail_kind == "periodic":
+            return head + list(itertools.islice(itertools.cycle(self.tail_params), m))
+        if self.tail_kind == "increment":
+            return head + list(range(len(self.prefix) + 1, n + 1))
+        return head + odd_indexed_primes(m)
 
     def partial_products(self, n: int) -> list[int]:
         """[a_1, a_1 a_2, ..., a_1 ... a_n], as one running product."""
@@ -447,7 +458,9 @@ class FrequencyVector:
     def clamp_depth(self, depth: int) -> int:
         """``depth``, clamped to the length of a finite vector: the depth rule
         of resonance bases, flow reduction, finite classification and
-        trajectory sampling."""
+        trajectory sampling.  A depth below 1 is an error."""
+        if depth < 1:
+            raise ValidationError(f"depth must be >= 1, got {depth}")
         return min(depth, len(self.variant)) if self.is_finite else depth
 
 

@@ -62,13 +62,11 @@ def is_odd_indexed_prime(p: int) -> bool:
     return prime_index(p) % 2 == 1
 
 
-def is_even_indexed_prime(p: int) -> bool:
-    return prime_index(p) % 2 == 0
-
-
-def odd_indexed_prime(m: int) -> int:
-    """The m-th odd-indexed prime: positions 1, 3, 5, ... in the prime list."""
-    return nth_prime(2 * m - 1)
+def odd_indexed_primes(count: int) -> list[int]:
+    """The first ``count`` odd-indexed primes: positions 1, 3, 5, ... in the
+    prime list."""
+    _extend_primes(upto_count=2 * count)
+    return _PRIMES[: 2 * count : 2]
 
 
 def factorize(n: int) -> dict[int, int]:

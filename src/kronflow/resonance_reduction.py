@@ -61,8 +61,6 @@ class ResonanceBasis:
 def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
     """Canonical basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the
     depth clamped to the length of a finite vector."""
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
     depth = fv.clamp_depth(depth)
     columns = coordinates(fv, depth)
     basis = integer_kernel(columns)
@@ -239,8 +237,6 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     A is unimodular because Z^N is the kernel plus the span of the
     preimages.  A stays the identity when the kernel is trivial.
     """
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
     depth = fv.clamp_depth(depth)
     columns = coordinates(fv, depth)
     h = hermite_transform(columns)

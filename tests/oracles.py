@@ -6,9 +6,10 @@ summation with a hand-written geometric remainder, span checks from
 bounded coefficient searches, matrix checks from the JSON form of a
 tracked matrix, multiplied out entry by entry, reduction certificates
 from the literal one-subtraction-per-step reduction on plain lists,
-frequency coordinates from the per-index definition of each family, and
+frequency coordinates from the per-index definition of each family,
 solenoid membership, coordinates and approximating times from the
-relations theta_j = a_{j+1} theta_{j+1} mod 1 in Fraction arithmetic.
+relations theta_j = a_{j+1} theta_{j+1} mod 1 in Fraction arithmetic, and
+supernatural numbers from a per-class coverage state machine.
 """
 
 from __future__ import annotations
@@ -496,3 +497,135 @@ def fraction_approximating_times(a, coords: SolenoidCoords) -> list[Fraction]:
         acc += n * product
         times.append(acc)
     return times
+
+
+# ---------------------------------------------------------------------------
+# Supernatural numbers by the earlier coverage state machine
+
+
+@functools.cache
+def _is_odd_indexed(p: int) -> bool:
+    """Whether p sits at an odd position in the list of primes, by counting
+    the primes up to p."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValidationError(f"{p} is not prime")
+    return sum(1 for q in range(2, p + 1) if all(q % d for d in range(2, math.isqrt(q) + 1))) % 2 == 1
+
+
+def _state_machine_check_exponent(e):
+    if e == math.inf:
+        return math.inf
+    if isinstance(e, int) and e >= 0:
+        return e
+    raise ValidationError(f"exponent must be a nonnegative integer or infinity, got {e!r}")
+
+
+def _state_machine_drop_shadowed(pairs):
+    """Drop each pair whose primes are all covered by earlier kept pairs,
+    tracking per index class either the explicit covered set ("partial") or
+    the finite set still missing ("cofinite")."""
+    state = {True: ("partial", frozenset()), False: ("partial", frozenset())}
+
+    def covered(p: int) -> bool:
+        mode, data = state[_is_odd_indexed(p)]
+        return p in data if mode == "partial" else p not in data
+
+    def class_covered_except_within(odd: bool, allowed: frozenset) -> bool:
+        mode, data = state[odd]
+        return mode == "cofinite" and data <= allowed
+
+    out = []
+    for pset, exp in pairs:
+        kind = pset[0]
+        if kind == "finite":
+            shadowed = all(covered(p) for p in pset[1])
+        elif kind == "all":
+            shadowed = class_covered_except_within(True, frozenset()) and class_covered_except_within(
+                False, frozenset()
+            )
+        elif kind in ("odd_indexed", "even_indexed"):
+            shadowed = class_covered_except_within(kind == "odd_indexed", frozenset())
+        else:
+            shadowed = class_covered_except_within(True, pset[1]) and class_covered_except_within(False, pset[1])
+        if shadowed:
+            continue
+        out.append((pset, exp))
+        for odd in (True, False):
+            mode, data = state[odd]
+            if kind in ("finite", "cofinite"):
+                members = frozenset(p for p in pset[1] if _is_odd_indexed(p) == odd)
+            if kind == "finite":
+                state[odd] = (mode, data | members) if mode == "partial" else (mode, data - members)
+            elif kind == "all" or kind == ("odd_indexed" if odd else "even_indexed"):
+                state[odd] = ("cofinite", frozenset())
+            elif kind == "cofinite":
+                state[odd] = ("cofinite", members - data) if mode == "partial" else ("cofinite", data & members)
+    return out
+
+
+def state_machine_resolve(pairs, p: int):
+    """Exponent of the first pair whose prime set contains p, or None."""
+    for pset, exp in pairs:
+        kind = pset[0]
+        if kind == "finite" and p in pset[1]:
+            return exp
+        if kind == "all":
+            return exp
+        if kind == "odd_indexed" and _is_odd_indexed(p):
+            return exp
+        if kind == "even_indexed" and not _is_odd_indexed(p):
+            return exp
+        if kind == "cofinite" and p not in pset[1]:
+            return exp
+    return None
+
+
+def state_machine_supernatural(pairs):
+    """(canonical pairs, (odd asymptotic, even asymptotic, exceptions)) of a
+    supernatural number given as prioritized (prime set, exponent) pairs.
+    Invalid input raises ValidationError with the library's messages; the
+    unresolved prime named is the smallest one."""
+    cleaned = []
+    for pset, exp in pairs:
+        kind = pset[0]
+        if kind == "finite":
+            pset = ("finite", frozenset(int(p) for p in pset[1]))
+            if not pset[1]:
+                continue
+        elif kind == "cofinite":
+            pset = ("cofinite", frozenset(int(p) for p in pset[1]))
+        elif kind not in ("all", "odd_indexed", "even_indexed"):
+            raise ValidationError(f"unknown prime set kind {kind!r}")
+        cleaned.append((pset, _state_machine_check_exponent(exp)))
+    kept = _state_machine_drop_shadowed(cleaned)
+
+    def asymptotic(wanted: str):
+        return next((exp for pset, exp in kept if pset[0] in ("all", "cofinite", wanted)), None)
+
+    odd_a, even_a = asymptotic("odd_indexed"), asymptotic("even_indexed")
+    if odd_a is None or even_a is None:
+        raise ValidationError("prime-set pairs leave infinitely many primes unassigned")
+    candidates = sorted({p for pset, _ in kept if pset[0] in ("finite", "cofinite") for p in pset[1]})
+    exceptions = {}
+    for p in candidates:
+        e = state_machine_resolve(kept, p)
+        if e is None:
+            raise ValidationError(f"prime {p} resolves to no exponent")
+        if e != (odd_a if _is_odd_indexed(p) else even_a):
+            exceptions[p] = e
+    return tuple(kept), (odd_a, even_a, exceptions)
+
+
+def supernatural_json(pairs) -> dict:
+    """The JSON form of canonical pairs: a finite set as its sorted primes,
+    a cofinite one as {"all_except": sorted primes}, the rest by name."""
+    out = []
+    for pset, exp in pairs:
+        if pset[0] == "finite":
+            primes: object = sorted(pset[1])
+        elif pset[0] == "cofinite":
+            primes = {"all_except": sorted(pset[1])}
+        else:
+            primes = pset[0]
+        out.append({"primes": primes, "exp": "inf" if exp == math.inf else exp})
+    return {"pairs": out}

@@ -30,7 +30,14 @@ from kronflow.frequency import (
     rational_vector,
     solenoid_vector,
 )
-from oracles import express_in_span, rational_rank
+from kronflow.resonance_reduction import reduce_flow, resonance_basis
+from oracles import (
+    express_in_span,
+    rational_rank,
+    state_machine_resolve,
+    state_machine_supernatural,
+    supernatural_json,
+)
 
 INCREMENT = SigmaSequence((1,), "increment")
 CONST2 = SigmaSequence((1,), "constant", (2,))
@@ -480,7 +487,7 @@ def test_iso_with_cofinite_profiles():
 
 
 def _reference_resolve(pairs, p):
-    from kronflow.primes import is_even_indexed_prime, is_odd_indexed_prime
+    from kronflow.primes import is_odd_indexed_prime
 
     for pset, exp in pairs:
         kind = pset[0]
@@ -490,7 +497,7 @@ def _reference_resolve(pairs, p):
             return exp
         if kind == "odd_indexed" and is_odd_indexed_prime(p):
             return exp
-        if kind == "even_indexed" and is_even_indexed_prime(p):
+        if kind == "even_indexed" and not is_odd_indexed_prime(p):
             return exp
         if kind == "cofinite" and p not in pset[1]:
             return exp
@@ -516,3 +523,71 @@ def test_canonicalization_preserves_assignment():
         lam = SupernaturalNumber(tuple(pairs))
         for p in horizon:
             assert lam.resolve(p) == _reference_resolve(pairs, p), (pairs, p)
+
+
+PAIR_PRIMES = st.frozensets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), max_size=4)
+PAIRS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.sampled_from(["finite", "cofinite"]), PAIR_PRIMES),
+            st.tuples(st.sampled_from(["all", "odd_indexed", "even_indexed"])),
+        ),
+        st.sampled_from([0, 1, 2, 3, INF]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAIRS)
+def test_coverage_rule_matches_state_machine_oracle(pairs):
+    try:
+        canonical, profile = state_machine_supernatural(pairs)
+    except ValidationError as exc:
+        with pytest.raises(type(exc)) as raised:
+            SupernaturalNumber(tuple(pairs))
+        assert str(raised.value) == str(exc)
+        return
+    lam = SupernaturalNumber(tuple(pairs))
+    assert lam.pairs == canonical
+    assert lam.to_json() == supernatural_json(canonical)
+    assert lam.profile() == profile
+    odd_a, even_a, exceptions = profile
+    assert lam.is_finite_product() == (odd_a == even_a == 0 and INF not in exceptions.values())
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        assert lam.resolve(p) == state_machine_resolve(canonical, p), p
+
+
+def test_unresolved_prime_error_names_the_smallest():
+    pairs = ((("cofinite", frozenset({13, 2, 7})), 1),)
+    with pytest.raises(ValidationError, match="^prime 2 resolves to no exponent$"):
+        SupernaturalNumber(pairs)
+
+
+def test_named_non_prime_is_rejected_even_when_shadowed():
+    with pytest.raises(ValidationError, match="^4 is not prime$"):
+        SupernaturalNumber(((("all",), 0), (("cofinite", frozenset({9, 4})), 1)))
+
+
+def test_profile_is_computed_once():
+    lam = SupernaturalNumber(((("finite", frozenset({3})), INF), (("odd_indexed",), 1), (("all",), 0)))
+    assert lam.profile() is lam.profile()
+    assert lam.profile() == (1, 0, {3: INF})
+    # the stored profile stays out of equality, hashing and repr
+    same = SupernaturalNumber(lam.pairs)
+    assert same == lam and hash(same) == hash(lam) and "_profile" not in repr(lam)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}]}',
+        '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}',
+    ],
+)
+def test_library_entry_points_reject_depth_zero(spec):
+    fv = parse_frequency_spec(spec)
+    for entry in (resonance_basis, reduce_flow, decompose_module, classification_report):
+        with pytest.raises(ValidationError, match="^depth must be >= 1, got 0$"):
+            entry(fv, 0)

@@ -240,6 +240,20 @@ def test_precision_floor(tmp_path, capsys):
     assert code == 1
 
 
+def test_precision_below_the_working_floor_is_rejected(tmp_path, capsys, monkeypatch):
+    # 53..63 bits used to pass the CLI check and run silently at 64
+    spec = tmp_path / "sol.json"
+    spec.write_text(SOLENOID_SPEC)
+    monkeypatch.delenv("KRON_PRECISION", raising=False)
+    assert main(["--precision", "60", "classify", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: precision must be >= 64 bits, got 60" in captured.err
+    monkeypatch.setenv("KRON_PRECISION", "60")
+    assert main(["classify", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: precision must be >= 64 bits, got 60" in captured.err
+
+
 def test_precision_env_override(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "s2.json"
     spec.write_text(SQRT_SPEC)

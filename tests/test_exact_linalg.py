@@ -54,6 +54,7 @@ def spans_match(rows, basis, bound):
 def test_rational_wire_format():
     assert format_rational(F(3, 6)) == "1/2"
     assert format_rational(F(-4, 2)) == "-2"
+    assert format_rational(-7) == "-7"
     assert parse_rational("7/3") == F(7, 3)
     assert parse_rational("-5") == F(-5)
     with pytest.raises(ValidationError):

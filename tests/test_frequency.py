@@ -239,6 +239,14 @@ def test_partial_products_are_running_products(rest, kind, params, n):
     assert a.partial_product(0) == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(sigma_sequences(), st.integers(-2, 80))
+def test_terms_match_term_by_term(a, n):
+    # the drawn sequence, and its tail behind the bare a_1 = 1
+    for seq in (a, SigmaSequence((1,), a.tail_kind, a.tail_params)):
+        assert seq.terms(n) == [seq.term(j) for j in range(1, n + 1)]
+
+
 def test_sequence_tails():
     inc = SigmaSequence((1,), "increment")
     assert inc.terms(5) == [1, 2, 3, 4, 5]
