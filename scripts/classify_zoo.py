@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from kronflow import (
     BoRule,
-    FrequencyVector,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
@@ -36,8 +35,8 @@ ZOO = {
     "product Z + Z[1/2]": build_product_vector(
         [SubgroupOfQSpec(free_generator=Fraction(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))]
     ),
-    "dyadic quadratic spectrum": FrequencyVector(
-        BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), Fraction(1, 2), Fraction(1, 2)))
+    "dyadic quadratic spectrum": BoRule(
+        Generator("beta", "opaque"), RationalSequenceSpec((), Fraction(1, 2), Fraction(1, 2))
     ),
 }
 

@@ -25,6 +25,7 @@ from .frequency import (
     SigmaSequence,
     SubgroupOfQSpec,
     build_product_vector,
+    clamp_depth,
     coordinates,
     evaluate_float,
     parse_frequency_spec,

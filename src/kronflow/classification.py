@@ -29,6 +29,7 @@ from .frequency import (
     ProductConstruction,
     SigmaSequence,
     SolenoidRule,
+    clamp_depth,
     coordinates,
 )
 from .primes import factorize, is_odd_indexed_prime, nth_prime, prime_index
@@ -148,10 +149,6 @@ class SupernaturalNumber:
         return {"pairs": out}
 
     # -- constructors
-
-    @classmethod
-    def zero(cls) -> "SupernaturalNumber":
-        return cls((((_ALL,), 0),))
 
     @classmethod
     def all_infinite(cls) -> "SupernaturalNumber":
@@ -398,33 +395,32 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
 
     A finite vector spans a free module: one cyclic component per vector of
     the echelon image basis of its coordinate matrix, labelled by the
-    generator at its pivot.  Rule-based variants give one component per
+    generator at its pivot.  Rule-based families give one component per
     generator, their tails resolved analytically.
     """
-    depth = fv.clamp_depth(depth)
-    v = fv.variant
-    if isinstance(v, Finite):
+    depth = clamp_depth(fv, depth)
+    if isinstance(fv, Finite):
         comps = []
         for vec in hermite_transform(coordinates(fv, depth)).image:
             pivot = min(vec)
             comps.append(ModuleComponent(pivot, free_baer_type(vec[pivot])))
         return ModuleDescriptor(tuple(comps))
-    if isinstance(v, SolenoidRule):
-        return ModuleDescriptor((ModuleComponent(v.generator, qa_to_baer(v.a)),))
-    if isinstance(v, BoRule):
+    if isinstance(fv, SolenoidRule):
+        return ModuleDescriptor((ModuleComponent(fv.generator, qa_to_baer(fv.a)),))
+    if isinstance(fv, BoRule):
         from . import benjamin_ono
 
-        return benjamin_ono.module_descriptor(v)
-    if isinstance(v, ProductConstruction):
+        return benjamin_ono.module_descriptor(fv)
+    if isinstance(fv, ProductConstruction):
         comps = []
-        for gen, spec in v.components:
+        for gen, spec in fv.components:
             if spec.is_free:
                 comps.append(ModuleComponent(gen, free_baer_type(Fraction(1))))
             else:
                 comps.append(ModuleComponent(gen, qa_to_baer(spec.qa)))
         return ModuleDescriptor(tuple(comps))
     raise UnsupportedStructureError(
-        f"no decomposition rule for frequency variant {type(v).__name__}"
+        f"no decomposition rule for frequency family {type(fv).__name__}"
     )
 
 

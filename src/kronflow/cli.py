@@ -23,7 +23,7 @@ from .benjamin_ono import bo_report
 from .classification import classification_report, decompose_module
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import IntVecFin, parse_int, parse_rational
-from .frequency import DEFAULT_DEPTH, DEFAULT_PRECISION_BITS, FrequencyVector, SigmaSequence, parse_frequency_spec
+from .frequency import DEFAULT_DEPTH, DEFAULT_PRECISION_BITS, FrequencyVector, SigmaSequence, clamp_depth, parse_frequency_spec
 from .resonance_reduction import reduce_flow, reduce_vector, resonance_basis
 from .solenoid_geometry import (
     SolenoidCoords,
@@ -85,23 +85,21 @@ def _emit(payload) -> None:
     sys.stdout.write("".join(out))
 
 
-def _load_spec(path: str) -> FrequencyVector:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read spec file {path}: {exc}") from None
-    return parse_frequency_spec(text)
-
-
 def _load_json(path: str):
+    """The JSON document in file ``path``, the one reader of spec, ``--poly``
+    and ``bo`` files: an unreadable file, text that is not UTF-8 or not JSON,
+    and JSON nested past the recursion limit are validation errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or bad JSON
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_spec(path: str) -> FrequencyVector:
+    return parse_frequency_spec(_load_json(path))
 
 
 def _parse_nu(text: str) -> IntVecFin:
@@ -117,9 +115,10 @@ def _parse_sequence(text: str) -> SigmaSequence:
     text = text.strip()
     if text.startswith("{"):
         try:
-            return SigmaSequence.from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"--a JSON is malformed: {exc}") from None
+        return SigmaSequence.from_json(doc)
     values = tuple(parse_int(v, "--a entry") for v in text.split(",") if v.strip() != "")
     if not values:
         raise ValidationError("--a is empty")
@@ -178,15 +177,18 @@ def _cmd_simulate(args) -> None:
     from .dynamics import sample_trajectory
 
     fv = _load_spec(args.spec)
-    depth = fv.clamp_depth(args.depth)
+    depth = clamp_depth(fv, args.depth)
     theta0 = _parse_point(args.theta0) if args.theta0 else None
     # all rows exist before --out is opened, so a rejected request leaves it intact
     rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, depth)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"theta_{j}" for j in range(1, depth + 1)])
-        for t, angles in rows:
-            writer.writerow([f"{t:.12g}"] + [f"{a:.12g}" for a in angles])
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t"] + [f"theta_{j}" for j in range(1, depth + 1)])
+            for t, angles in rows:
+                writer.writerow([f"{t:.12g}"] + [f"{a:.12g}" for a in angles])
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from None
     _emit({"out": args.out, "steps": args.steps, "depth": depth})
 
 
@@ -256,8 +258,7 @@ def _cmd_bo(args) -> None:
         doc = {"kind": "bo", **doc}  # only `kron bo` may omit the kind
         if doc["kind"] != "bo":
             raise ValidationError(f"kron bo needs a spec of kind 'bo', got {doc['kind']!r}")
-    rule = parse_frequency_spec(doc).variant
-    _emit(bo_report(rule, args.depth))
+    _emit(bo_report(parse_frequency_spec(doc), args.depth))
 
 
 def _cmd_iso(args) -> None:
@@ -346,9 +347,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    print(f"kronflow {__version__}", file=sys.stderr)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact integers of any size, read and written, for this call only
     try:
+        args = _parser().parse_args(argv)
+        print(f"kronflow {__version__}", file=sys.stderr)
         if getattr(args, "depth", 1) < 1:
             raise ValidationError(f"depth must be >= 1, got {args.depth}")
         bits = _precision(args)
@@ -360,6 +363,8 @@ def main(argv=None) -> int:
     except UnsupportedStructureError as exc:
         print(f"unsupported structure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(digits)
     return 0
 
 

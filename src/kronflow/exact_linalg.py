@@ -133,15 +133,6 @@ class IntVecFin:
     def scale(self, c: int) -> "IntVecFin":
         return IntVecFin((i, c * v) for i, v in self._entries.items())
 
-    def __add__(self, other: "IntVecFin") -> "IntVecFin":
-        out = dict(self._entries)
-        for i, v in other._entries.items():
-            out[i] = out.get(i, 0) + v
-        return IntVecFin(out)
-
-    def __sub__(self, other: "IntVecFin") -> "IntVecFin":
-        return self + other.scale(-1)
-
     def __neg__(self) -> "IntVecFin":
         return self.scale(-1)
 

@@ -218,16 +218,6 @@ class SigmaSequence:
                 out[p] = out.get(p, 0) + e
         return out
 
-    def to_json(self) -> dict:
-        tail: object
-        if self.tail_kind == "constant":
-            tail = {"constant": self.tail_params[0]}
-        elif self.tail_kind == "periodic":
-            tail = {"periodic": list(self.tail_params)}
-        else:
-            tail = self.tail_kind
-        return {"prefix": list(self.prefix), "tail": tail}
-
     @classmethod
     def from_json(cls, obj: Mapping) -> "SigmaSequence":
         if not isinstance(obj, Mapping) or "prefix" not in obj or "tail" not in obj:
@@ -333,12 +323,6 @@ class RationalSequenceSpec:
         tail sums: sigma_1 = g_0 and sigma_j = sigma_{j-1} + g_{j-1}."""
         return itertools.accumulate(self.tail_sums(n))
 
-    def to_json(self) -> dict:
-        out: dict = {"prefix": [format_rational(v) for v in self.prefix]}
-        if self.tail_c:
-            out["tail"] = {"c": format_rational(self.tail_c), "r": format_rational(self.tail_r)}
-        return out
-
     @classmethod
     def from_json(cls, obj: Mapping) -> "RationalSequenceSpec":
         if not isinstance(obj, Mapping):
@@ -375,22 +359,16 @@ class SubgroupOfQSpec:
     def is_free(self) -> bool:
         return self.free_generator is not None
 
-    def to_json(self) -> dict:
-        if self.is_free:
-            return {"free": format_rational(self.free_generator)}
-        return {"qa": self.qa.to_json()}
-
     @classmethod
     def from_json(cls, obj: Mapping) -> "SubgroupOfQSpec":
-        if isinstance(obj, Mapping) and "free" in obj:
-            return cls(free_generator=parse_rational(obj["free"]))
-        if isinstance(obj, Mapping) and "qa" in obj:
-            return cls(qa=SigmaSequence.from_json(obj["qa"]))
-        raise ValidationError("subgroup spec must carry 'free' or 'qa'")
+        if not isinstance(obj, Mapping) or ("free" not in obj and "qa" not in obj):
+            raise ValidationError("subgroup spec must carry 'free' or 'qa'")
+        return cls(parse_rational(obj["free"]) if "free" in obj else None,
+                   SigmaSequence.from_json(obj["qa"]) if "qa" in obj else None)
 
 
 # ---------------------------------------------------------------------------
-# Frequency vector variants
+# Frequency vectors: one family object each
 
 CoordMap = dict[Generator, Fraction]
 
@@ -405,12 +383,11 @@ def _freeze_coords(coords: Mapping[Generator, Fraction]) -> tuple[tuple[Generato
 class Finite:
     terms: tuple[tuple[tuple[Generator, Fraction], ...], ...]
 
-    @classmethod
-    def from_maps(cls, maps: Sequence[Mapping[Generator, Fraction]]) -> "Finite":
-        return cls(tuple(_freeze_coords(m) for m in maps))
-
     def __len__(self) -> int:
         return len(self.terms)
+
+    def to_json(self) -> dict:
+        return {"kind": "finite", "terms": [{g.name: format_rational(c) for g, c in term} for term in self.terms]}
 
 
 @dataclass(frozen=True)
@@ -441,44 +418,29 @@ class ProductConstruction:
             raise ValidationError("product construction needs at least one component")
 
 
-Variant = Finite | SolenoidRule | BoRule | ProductConstruction
+FrequencyVector = Finite | SolenoidRule | BoRule | ProductConstruction
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    variant: Variant
-
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self.variant, Finite)
-
-    def length(self) -> int | None:
-        return len(self.variant) if isinstance(self.variant, Finite) else None
-
-    def clamp_depth(self, depth: int) -> int:
-        """``depth``, clamped to the length of a finite vector: the depth rule
-        of resonance bases, flow reduction, finite classification and
-        trajectory sampling.  A depth below 1 is an error."""
-        if depth < 1:
-            raise ValidationError(f"depth must be >= 1, got {depth}")
-        return min(depth, len(self.variant)) if self.is_finite else depth
+def clamp_depth(fv: FrequencyVector, depth: int) -> int:
+    """``depth``, clamped to the length of a finite vector: the depth rule
+    of resonance bases, flow reduction, finite classification and
+    trajectory sampling.  A depth below 1 is an error."""
+    if depth < 1:
+        raise ValidationError(f"depth must be >= 1, got {depth}")
+    return min(depth, len(fv)) if isinstance(fv, Finite) else depth
 
 
-def finite_vector(maps: Sequence[Mapping[Generator, Fraction]]) -> FrequencyVector:
-    return FrequencyVector(Finite.from_maps(maps))
+def finite_vector(maps: Sequence[Mapping[Generator, Fraction]]) -> Finite:
+    return Finite(tuple(_freeze_coords(m) for m in maps))
 
 
-def rational_vector(values: Sequence[Fraction | int | str]) -> FrequencyVector:
+def rational_vector(values: Sequence[Fraction | int | str]) -> Finite:
     """Finite vector with all coordinates on the rational unit generator."""
     return finite_vector([{UNIT: parse_rational(v) if isinstance(v, str) else Fraction(v)} for v in values])
 
 
-def solenoid_vector(a: SigmaSequence, generator: Generator = UNIT) -> FrequencyVector:
-    return FrequencyVector(SolenoidRule(generator, a))
-
-
-def bo_vector(beta: Generator, s: RationalSequenceSpec) -> FrequencyVector:
-    return FrequencyVector(BoRule(beta, s))
+def solenoid_vector(a: SigmaSequence, generator: Generator = UNIT) -> SolenoidRule:
+    return SolenoidRule(generator, a)
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +459,20 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
     where the whole solenoid or BO table grows with the square of depth."""
     if depth < 0:
         raise ValidationError(f"frequency depth must be >= 0, got {depth}")
-    v = fv.variant
-    if isinstance(v, Finite):
-        if depth > len(v):
-            raise ValidationError(f"index {depth} beyond finite vector of length {len(v)}")
-        return (dict(term) for term in v.terms[:depth])
-    if isinstance(v, SolenoidRule):
-        return ({v.generator: Fraction(1, p)} for p in itertools.accumulate(v.a.terms(depth), operator.mul))
-    if isinstance(v, BoRule):
-        return ({UNIT: Fraction(j * j), v.beta: -2 * sigma} for j, sigma in enumerate(v.s.sigmas(depth), 1))
-    if isinstance(v, ProductConstruction):
+    if isinstance(fv, Finite):
+        if depth > len(fv):
+            raise ValidationError(f"index {depth} beyond finite vector of length {len(fv)}")
+        return (dict(term) for term in fv.terms[:depth])
+    if isinstance(fv, SolenoidRule):
+        return ({fv.generator: Fraction(1, p)} for p in itertools.accumulate(fv.a.terms(depth), operator.mul))
+    if isinstance(fv, BoRule):
+        return ({UNIT: Fraction(j * j), fv.beta: -2 * sigma} for j, sigma in enumerate(fv.s.sigmas(depth), 1))
+    if isinstance(fv, ProductConstruction):
         # non-free component k lives on the powers q^e <= depth of q = p_k, at
         # 1 / (a_1 ... a_e); the free components, then {}, fill the other indices
         table: list[CoordMap | None] = [None] * depth
         k = 0
-        for gen, spec in v.components:
+        for gen, spec in fv.components:
             if spec.is_free:
                 continue
             k += 1
@@ -522,9 +483,9 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
                 power *= q
             for power, prod in zip(powers, spec.qa.partial_products(len(powers))):
                 table[power - 1] = {gen: Fraction(1, prod)}
-        free = iter([{gen: Fraction(1)} for gen, spec in v.components if spec.is_free])
+        free = iter([{gen: Fraction(1)} for gen, spec in fv.components if spec.is_free])
         return (coords if coords is not None else next(free, {}) for coords in table)
-    raise UnsupportedStructureError(f"unknown frequency variant {type(v).__name__}")
+    raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
 
 
 def evaluate_float(coords: Mapping[Generator, Fraction], precision_bits: int | None = None) -> mpmath.mpf:
@@ -538,14 +499,12 @@ def evaluate_float(coords: Mapping[Generator, Fraction], precision_bits: int | N
         return +total
 
 
-def truncate(fv: FrequencyVector, depth: int) -> FrequencyVector:
+def truncate(fv: FrequencyVector, depth: int) -> Finite:
     """First ``depth`` frequencies as an exact Finite vector."""
     if depth < 1:
         raise ValidationError(f"truncation depth must be >= 1, got {depth}")
-    if fv.is_finite and len(fv.variant) < depth:
-        raise ValidationError(
-            f"cannot truncate length-{len(fv.variant)} vector to depth {depth}"
-        )
+    if isinstance(fv, Finite) and len(fv) < depth:
+        raise ValidationError(f"cannot truncate length-{len(fv)} vector to depth {depth}")
     return finite_vector(coordinates(fv, depth))
 
 
@@ -584,13 +543,13 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
     """Parse and validate the JSON frequency-vector format.
 
     Top level: {"kind": "finite"|"solenoid"|"bo"|"product", optional
-    "generators": [{name, kind, param?, value?}], plus the variant fields}.
+    "generators": [{name, kind, param?, value?}], plus the family's fields}.
     Rationals are strings "p/q"; sequences are {"prefix": [...], "tail": ...}.
     """
     if isinstance(document, str):
         try:
             obj = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"spec is not valid JSON: {exc}") from None
     else:
         obj = document
@@ -629,7 +588,7 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
         s = RationalSequenceSpec.from_json(obj["s"])
         beta_ref = obj.get("beta", {"name": "beta", "kind": "opaque"})
         beta = _resolve_generator(beta_ref, declared)
-        return bo_vector(beta, s)
+        return BoRule(beta, s)
 
     if kind == "product":
         if "components" not in obj:
@@ -640,7 +599,7 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
     raise ValidationError(f"unknown spec kind {kind!r}")
 
 
-def build_product_vector(groups: Sequence[SubgroupOfQSpec]) -> FrequencyVector:
+def build_product_vector(groups: Sequence[SubgroupOfQSpec]) -> ProductConstruction:
     """Assign generators to subgroup specs per the prime-power layout.
 
     Non-free component n gets sqrt(p_n) and lives on indices p_n^N; free
@@ -658,22 +617,5 @@ def build_product_vector(groups: Sequence[SubgroupOfQSpec]) -> FrequencyVector:
         else:
             n_nonfree += 1
             components.append((sqrt_prime_generator(nth_prime(n_nonfree)), spec))
-    return FrequencyVector(ProductConstruction(tuple(components)))
+    return ProductConstruction(tuple(components))
 
-
-def frequency_to_json(fv: FrequencyVector) -> dict:
-    v = fv.variant
-    if isinstance(v, Finite):
-        return {
-            "kind": "finite",
-            "terms": [
-                {g.name: format_rational(c) for g, c in term} for term in v.terms
-            ],
-        }
-    if isinstance(v, SolenoidRule):
-        return {"kind": "solenoid", "generator": v.generator.name, "a": v.a.to_json()}
-    if isinstance(v, BoRule):
-        return {"kind": "bo", "beta": v.beta.name, "s": v.s.to_json()}
-    if isinstance(v, ProductConstruction):
-        return {"kind": "product", "components": [s.to_json() for _g, s in v.components]}
-    raise UnsupportedStructureError(f"unknown frequency variant {type(v).__name__}")

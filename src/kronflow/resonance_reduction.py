@@ -32,7 +32,7 @@ from .exact_linalg import (
     hermite_transform,
     integer_kernel,
 )
-from .frequency import FrequencyVector, Generator, coordinates, finite_vector
+from .frequency import Finite, FrequencyVector, Generator, clamp_depth, coordinates, finite_vector
 from .solenoid_geometry import TorusPoint
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ class ResonanceBasis:
 def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
     """Canonical basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the
     depth clamped to the length of a finite vector."""
-    depth = fv.clamp_depth(depth)
+    depth = clamp_depth(fv, depth)
     columns = coordinates(fv, depth)
     basis = integer_kernel(columns)
     # exact re-check in integers, apart from the Hermite code: one sparse row
@@ -204,7 +204,7 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
 @dataclass(frozen=True)
 class FlowReduction:
     transform: RowFiniteIntMatrix
-    reduced: FrequencyVector  # finite vector (0_d, omega-bar)
+    reduced: Finite  # (0_d, omega-bar)
     zero_rank: int
     depth: int
     nonzero_block_independent: bool
@@ -213,13 +213,11 @@ class FlowReduction:
     nonresonance_scope: str
 
     def to_json(self) -> dict:
-        from .frequency import frequency_to_json
-
         return {
             "depth": self.depth,
             "zero_rank": self.zero_rank,
             "transform": self.transform.to_json(),
-            "reduced": frequency_to_json(self.reduced),
+            "reduced": self.reduced.to_json(),
             "nonzero_block_independent": self.nonzero_block_independent,
             "nonresonance_scope": self.nonresonance_scope,
         }
@@ -237,7 +235,7 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     A is unimodular because Z^N is the kernel plus the span of the
     preimages.  A stays the identity when the kernel is trivial.
     """
-    depth = fv.clamp_depth(depth)
+    depth = clamp_depth(fv, depth)
     columns = coordinates(fv, depth)
     h = hermite_transform(columns)
     zeros = h.zero_rank
@@ -249,7 +247,7 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     independent = tail_basis.is_trivial() or all(
         max(v.support()) <= zeros for v in tail_basis.vectors
     )
-    scope = "global" if fv.is_finite and (fv.length() or 0) <= depth else "depth"
+    scope = "global" if isinstance(fv, Finite) and len(fv) <= depth else "depth"
     return FlowReduction(total, reduced, zeros, depth, independent, scope)
 
 

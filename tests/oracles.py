@@ -318,15 +318,14 @@ def omega_by_index(fv, j: int) -> dict:
     layout read off the factorization of j (non-free component k on the
     powers p_k^e, at 1 / (a_1 ... a_e); the free components, then nothing, on
     the other indices in order)."""
-    v = fv.variant
-    if isinstance(v, Finite):
-        return dict(v.terms[j - 1])
-    if isinstance(v, SolenoidRule):
-        return {v.generator: Fraction(1, math.prod(v.a.term(i) for i in range(1, j + 1)))}
-    if isinstance(v, BoRule):
-        return {UNIT: Fraction(j * j), v.beta: -2 * v.s.sigma(j)}
-    nonfree = [(g, spec) for g, spec in v.components if not spec.is_free]
-    free = [g for g, spec in v.components if spec.is_free]
+    if isinstance(fv, Finite):
+        return dict(fv.terms[j - 1])
+    if isinstance(fv, SolenoidRule):
+        return {fv.generator: Fraction(1, math.prod(fv.a.term(i) for i in range(1, j + 1)))}
+    if isinstance(fv, BoRule):
+        return {UNIT: Fraction(j * j), fv.beta: -2 * fv.s.sigma(j)}
+    nonfree = [(g, spec) for g, spec in fv.components if not spec.is_free]
+    free = [g for g, spec in fv.components if spec.is_free]
     owner = {_nth_prime(k): comp for k, comp in enumerate(nonfree, 1)}
 
     def reserved(i):

@@ -29,7 +29,6 @@ from kronflow.exact_linalg import rational_gcd
 from kronflow.frequency import (
     UNIT,
     BoRule,
-    FrequencyVector,
     Generator,
     RationalSequenceSpec,
     coordinates,
@@ -72,7 +71,7 @@ def test_sigma_prefix_only_example():
 
 
 def test_frequencies_zero_actions():
-    fv = truncate(FrequencyVector(ZERO), 4)
+    fv = truncate(ZERO, 4)
     assert coordinates(fv, 4) == [
         {UNIT: F(1)},
         {UNIT: F(4)},
@@ -82,14 +81,14 @@ def test_frequencies_zero_actions():
 
 
 def test_frequencies_dyadic():
-    fv = truncate(FrequencyVector(DYADIC), 5)
+    fv = truncate(DYADIC, 5)
     for j, coords in enumerate(coordinates(fv, 5), 1):
         assert coords[UNIT] == j * j
         assert coords[BETA] == -2 * (2 - F(2) ** (1 - j))
 
 
 def test_frequencies_prefix_only():
-    fv = truncate(FrequencyVector(PREFIX_ONLY), 3)
+    fv = truncate(PREFIX_ONLY, 3)
     assert coordinates(fv, 3) == [{UNIT: F(j * j), BETA: F(-2, 3)} for j in (1, 2, 3)]
 
 
@@ -244,7 +243,7 @@ def test_finite_actions_closure_torus():
 
 
 def test_module_descriptor_agrees_with_tail_module():
-    md = decompose_module(FrequencyVector(DYADIC), 12)
+    md = decompose_module(DYADIC, 12)
     rep = bo_tail_module(DYADIC, 12)
     assert md.components[0].generator == UNIT
     assert md.components[0].baer.i == 1 and is_free(md.components[0].baer)
@@ -283,7 +282,7 @@ def test_bo_and_classify_print_one_closure(tmp_path, capsys):
     assert main(["classify", str(spec), "--depth", "3"]) == 0
     classify = json.loads(capsys.readouterr().out)
     assert bo["closure"] == bo["module"]["closure"] == classify["closure"]
-    assert bo_orbit_closure(parse_frequency_spec(spec.read_text()).variant).to_json() == bo["closure"]
+    assert bo_orbit_closure(parse_frequency_spec(spec.read_text())).to_json() == bo["closure"]
     pairs = bo["closure"][1]["solenoid"]["pairs"]
     assert {"primes": [2], "exp": 1} in pairs and {"primes": [3], "exp": "inf"} in pairs
     assert {"primes": [2], "exp": 2} in bo["r_type"]["lambda"]["pairs"]
@@ -301,7 +300,7 @@ def test_partial_support_flagged():
 
 
 def test_parse_bo_spec():
-    rule = parse_frequency_spec('{"kind": "bo", "beta": {"name": "b", "kind": "opaque"}, "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}').variant
+    rule = parse_frequency_spec('{"kind": "bo", "beta": {"name": "b", "kind": "opaque"}, "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}')
     assert rule.s.term(1) == F(1, 3) and rule.s.term(2) == F(1, 2)
     with pytest.raises(ValidationError):
         parse_frequency_spec('{"kind": "bo", "beta": "1", "s": {"prefix": []}}')  # rational scale rejected

@@ -437,18 +437,14 @@ def test_each_report_decomposes_once(monkeypatch, tmp_path, capsys):
 def test_cross_variant_homeomorphism():
     # dyadic quadratic spectrum (Z + beta-span) vs product [Z, Z[1/2]]:
     # same invariants, so the closures match across construction routes
-    from kronflow.frequency import BoRule, FrequencyVector, Generator, RationalSequenceSpec
+    from kronflow.frequency import BoRule, Generator, RationalSequenceSpec
 
-    dyadic = FrequencyVector(
-        BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), F(1, 2), F(1, 2)))
-    )
+    dyadic = BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), F(1, 2), F(1, 2)))
     product = build_product_vector(
         [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=CONST2)]
     )
     assert closures_homeomorphic(dyadic, product, 16)
-    triadic = FrequencyVector(
-        BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), F(2, 3), F(1, 3)))
-    )
+    triadic = BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), F(2, 3), F(1, 3)))
     assert not closures_homeomorphic(triadic, product, 16)
 
 

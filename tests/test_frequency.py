@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from kronflow.errors import ValidationError
 from kronflow.frequency import (
     UNIT,
+    BoRule,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
     SubgroupOfQSpec,
-    bo_vector,
     build_product_vector,
     coordinates,
     evaluate_float,
@@ -130,7 +130,7 @@ def test_solenoid_table_matches_definition(a, gen, n):
 @settings(max_examples=40, deadline=None)
 @given(action_sequences(), st.integers(0, 300))
 def test_bo_table_matches_definition(s, n):
-    _assert_table_matches_definition(bo_vector(Generator("beta", "opaque"), s), n)
+    _assert_table_matches_definition(BoRule(Generator("beta", "opaque"), s), n)
 
 
 @settings(max_examples=40, deadline=None)
