@@ -28,8 +28,8 @@ def main() -> None:
     rows = equidistribution_report(fv, nus, args.t_grid, TorusPoint.origin(3))
     print(f"{'nu':>14} {'T':>10} {'|average|':>12} {'bound':>12} pass")
     for r in rows:
-        nu_str = ",".join(str(r.nu[j]) for j in range(1, 4))
-        print(f"{nu_str:>14} {r.t_final:>10.0f} {r.magnitude:>12.3e} {r.bound:>12.3e} {r.passed}")
+        nu_str = ",".join(str(r["nu"].get(str(j), 0)) for j in range(1, 4))
+        print(f"{nu_str:>14} {r['T']:>10.0f} {r['magnitude']:>12.3e} {r['bound']:>12.3e} {r['pass']}")
 
 
 if __name__ == "__main__":

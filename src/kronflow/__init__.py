@@ -85,7 +85,6 @@ _DYNAMICS_EXPORTS = frozenset({
     "flow",
     "haar_average",
     "minimality_probe",
-    "resonance_witness",
     "time_average",
 })
 

@@ -193,27 +193,14 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_average(args) -> None:
-    from .dynamics import haar_average, nu_dot_omegas, parse_polynomial, time_average
+    from .dynamics import haar_average, parse_polynomial, time_average
 
     fv = _load_spec(args.spec)
     poly = parse_polynomial(_load_json(args.poly))
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
-    haar = haar_average(poly)
-    omega_nus = nu_dot_omegas(fv, poly, theta0.depth)
-    rows = []
-    for t_final in args.T:
-        value = time_average(fv, poly, theta0, t_final, omega_nus)
-        envelope = 0.0
-        for nu, (re, im) in poly.items():
-            if nu.is_zero():
-                continue
-            resonant, w = omega_nus[nu]
-            if resonant:
-                envelope = None
-                break
-            envelope += 2.0 * abs(complex(re) + 1j * complex(im)) / (t_final * abs(w))
-        rows.append({"T": t_final, "value": value, "envelope": envelope})
-    _emit({"haar": str(haar), "rows": rows})
+    rows = time_average(fv, poly, theta0, args.T)
+    _emit({"haar": str(haar_average(poly)),
+           "rows": [{"T": t, "value": value, "envelope": envelope} for t, (value, envelope) in zip(args.T, rows)]})
 
 
 def _cmd_equidistribution(args) -> None:
@@ -222,8 +209,7 @@ def _cmd_equidistribution(args) -> None:
     fv = _load_spec(args.spec)
     nus = [_parse_nu(n) for n in args.nu]
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
-    rows = equidistribution_report(fv, nus, args.T, theta0)
-    _emit({"rows": [r.to_json() for r in rows]})
+    _emit({"rows": equidistribution_report(fv, nus, args.T, theta0)})
 
 
 def _cmd_solenoid(args) -> None:

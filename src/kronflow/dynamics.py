@@ -2,11 +2,13 @@
 closed-form time averages with their decay bounds.
 
 Time averages of trigonometric polynomials are evaluated in closed form (the
-integrand is a finite sum of exponentials), so the decay bound
-2 / (T |omega . nu|) can be checked without discretization error; a sampled
-quadrature mode exists as a cross-check.  Exact flow is available whenever the
-initial point is exact, the time is rational (measured in turns), and all
-frequency coordinates sit on a single generator.
+integrand is a finite sum of exponentials): the window average of
+exp(i nu . Theta) is exp(i nu . Theta0) (e^{iwT} - 1) / (iwT) with
+w = nu . omega, bounded by 2 / (T |w|), so the decay bound can be checked
+without discretization error; a sampled quadrature mode exists as a
+cross-check.  Exact flow is available whenever the initial point is exact,
+the time is rational (measured in turns), and all frequency coordinates sit
+on a single generator.
 
 The float paths (flow, trajectory sampling, quadrature, the minimality probe)
 evaluate omega_1..omega_N once per call, at the caller's working precision,
@@ -87,10 +89,6 @@ class TrigPolynomial:
         return cls.from_table({IntVecFin(): (Fraction(c), Fraction(0))})
 
     @classmethod
-    def one(cls) -> "TrigPolynomial":
-        return cls.constant(1)
-
-    @classmethod
     def cosine(cls, nu: IntVecFin, scale: Fraction | int = 1) -> "TrigPolynomial":
         s = Fraction(scale)
         if nu.is_zero():
@@ -114,31 +112,39 @@ class TrigPolynomial:
 
 def parse_polynomial(document: Mapping) -> TrigPolynomial:
     """JSON format: {"terms": [ {"const": "3"} | {"cos": {"1": 1}, "scale": "2"}
-    | {"sin": ...} | {"nu": {...}, "re": "1/2", "im": "0"} ... ]}."""
+    | {"sin": ...} | {"nu": {...}, "re": "1/2", "im": "0"} ... ]}.
+
+    The terms are summed into one coefficient table, and the polynomial (with
+    its reality check) is built once from it."""
     if not isinstance(document, Mapping) or "terms" not in document:
         raise ValidationError("polynomial spec needs field 'terms'")
-    poly = TrigPolynomial.from_table({})
+    table: dict[IntVecFin, tuple[Fraction, Fraction]] = {}
+
+    def add(nu: IntVecFin, re, im) -> None:
+        """Add a_nu = re + i im, and its mirror conj(a_nu) at -nu for nu != 0."""
+        for key, part in ((nu, im), (-nu, -im)) if not nu.is_zero() else ((nu, im),):
+            old_re, old_im = table.get(key, (0, 0))
+            table[key] = (old_re + re, old_im + part)
+
     for k, term in enumerate(parse_list(document["terms"], "polynomial terms")):
         if not isinstance(term, Mapping):
             raise ValidationError(f"terms[{k}] must be an object, got {term!r}")
         if "const" in term:
-            poly = poly + TrigPolynomial.constant(parse_rational(term["const"]))
-        elif "cos" in term:
+            add(IntVecFin(), parse_rational(term["const"]), 0)
+        elif "cos" in term:  # s cos(nu . Theta), which is s at nu = 0
             nu = IntVecFin.from_json(term["cos"])
-            poly = poly + TrigPolynomial.cosine(nu, parse_rational(term.get("scale", "1")))
-        elif "sin" in term:
+            s = parse_rational(term.get("scale", "1"))
+            add(nu, s if nu.is_zero() else s / 2, 0)
+        elif "sin" in term:  # s sin(nu . Theta), which is 0 at nu = 0
             nu = IntVecFin.from_json(term["sin"])
-            poly = poly + TrigPolynomial.sine(nu, parse_rational(term.get("scale", "1")))
+            s = parse_rational(term.get("scale", "1"))
+            add(nu, 0, 0 if nu.is_zero() else -s / 2)
         elif "nu" in term:
             nu = IntVecFin.from_json(term["nu"])
-            re = parse_rational(term.get("re", "0"))
-            im = parse_rational(term.get("im", "0"))
-            poly = poly + TrigPolynomial.from_table(
-                {nu: (re, im), -nu: (re, -im)} if not nu.is_zero() else {nu: (re, im)}
-            )
+            add(nu, parse_rational(term.get("re", "0")), parse_rational(term.get("im", "0")))
         else:
             raise ValidationError(f"terms[{k}] must carry 'const', 'cos', 'sin', or 'nu'")
-    return poly
+    return TrigPolynomial.from_table({nu: c for nu, c in table.items() if c != (0, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +184,20 @@ def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:
     return (base + omegas * np.asarray(ts, dtype=float)[:, None]) % TAU
 
 
-def flow(
-    fv: FrequencyVector,
-    theta0: TorusPoint | None,
-    t,
-    depth: int | None = None,
-) -> TorusPoint:
-    """Flow point Theta_j = Theta0_j + omega_j * t mod full turn.
+def flow(fv: FrequencyVector, theta0: TorusPoint, t) -> TorusPoint:
+    """Flow point Theta_j = Theta0_j + omega_j * t mod full turn, at the depth
+    of ``theta0``.
 
     Exact when theta0 is exact, t is rational, and the coordinates sit on a
     single generator; the rational t is then measured in turns of that
     generator's scale (t = 1 advances the first unit-frequency angle by one
     full turn).  Otherwise floats, with t in radian time.
     """
-    if theta0 is None:
-        if depth is None:
-            raise ValidationError("flow needs a point or an explicit depth")
-        theta0 = TorusPoint.origin(depth)
-    if depth is None:
-        depth = theta0.depth
-    if depth != theta0.depth:
-        raise ValidationError(f"depth {depth} does not match point depth {theta0.depth}")
-
     if theta0.exact and isinstance(t, (int, Fraction)):
-        coeffs = _single_generator(fv, depth)
+        coeffs = _single_generator(fv, theta0.depth)
         if coeffs is not None:
             t = Fraction(t)
-            vals = [(theta0.angles[j] + coeffs[j] * t) % 1 for j in range(depth)]
-            return TorusPoint.exact_point(vals)
+            return TorusPoint.exact_point([(angle + c * t) % 1 for angle, c in zip(theta0.angles, coeffs)])
 
     t = float(t)
     _require_finite(t, "t")
@@ -218,23 +210,8 @@ def flow(
 
 def haar_average(p: TrigPolynomial) -> Fraction:
     """The invariant average: constant-term extraction (all other monomials
-    integrate to zero)."""
-    re, im = p.constant_term()
-    if im != 0:
-        raise ValidationError("reality forces a real constant term")
-    return re
-
-
-def _nu_omega_combination(fv: FrequencyVector, nu: IntVecFin) -> dict[Generator, Fraction]:
-    """nu . omega in exact generator coordinates, from one pass over omega_1..
-    omega_n (n = nu.max_index()) that keeps only the maps at nu's indices."""
-    support = set(nu.support())
-    kept = {j: c for j, c in enumerate(_coordinate_stream(fv, nu.max_index()), 1) if j in support}
-    combo: dict[Generator, Fraction] = {}
-    for j, v in nu.items():
-        for g, c in kept[j].items():
-            combo[g] = combo.get(g, Fraction(0)) + v * c
-    return {g: c for g, c in combo.items() if c != 0}
+    integrate to zero); the reality condition makes the constant term real."""
+    return p.constant_term()[0]
 
 
 def nu_dot_omega(
@@ -242,11 +219,19 @@ def nu_dot_omega(
 ) -> tuple[bool, float]:
     """(resonant?, float value of nu . omega).
 
-    Resonance is decided exactly in generator coordinates; the float value is
-    computed from the exact coordinates at ``working_bits(precision_bits)``.
-    A non-resonant nu whose value rounds to 0 at that precision is an error.
+    Resonance is decided exactly in generator coordinates, from one pass over
+    omega_1..omega_n (n = nu.max_index()) that keeps only the maps at nu's
+    indices; the float value is computed from the exact coordinates at
+    ``working_bits(precision_bits)``.  A non-resonant nu whose value rounds to
+    0 at that precision is an error.
     """
-    combo = _nu_omega_combination(fv, nu)
+    support = set(nu.support())
+    kept = {j: c for j, c in enumerate(_coordinate_stream(fv, nu.max_index()), 1) if j in support}
+    combo: dict[Generator, Fraction] = {}
+    for j, v in nu.items():
+        for g, c in kept[j].items():
+            combo[g] = combo.get(g, Fraction(0)) + v * c
+    combo = {g: c for g, c in combo.items() if c != 0}
     if not combo:
         return True, 0.0
     value = float(evaluate_float(combo, precision_bits))
@@ -295,54 +280,69 @@ def _check_window(t_final: float) -> None:
         raise ValidationError("averaging window T must be positive")
 
 
-def nu_dot_omegas(fv: FrequencyVector, p: TrigPolynomial, depth: int) -> dict[IntVecFin, tuple[bool, float]]:
-    """nu_dot_omega for every nonzero monomial of ``p``, one evaluation each,
-    after checking that every monomial lies within T^depth."""
-    nus = [nu for nu, _ in p.items() if not nu.is_zero()]
+def _phases_and_frequencies(
+    fv: FrequencyVector, nus: Sequence[IntVecFin], theta0: TorusPoint, t_finals: Sequence[float]
+) -> list[tuple[complex, float]]:
+    """(exp(i nu . Theta0), w = nu . omega) for each nu of ``nus``, where w is
+    0.0 exactly when nu = 0 or nu is resonant.  Every window is checked
+    first, then every monomial against the depth of theta0, and only then is
+    any frequency evaluated, once per nonzero monomial."""
+    for t_final in t_finals:
+        _check_window(t_final)
     for nu in nus:
-        _check_within(nu, depth)
-    return {nu: nu_dot_omega(fv, nu) for nu in nus}
+        _check_within(nu, theta0.depth)
+    return [
+        (1.0 + 0.0j, 0.0) if nu.is_zero() else (cmath.exp(1j * _phase_at(nu, theta0)), nu_dot_omega(fv, nu)[1])
+        for nu in nus
+    ]
 
 
-def _averaged_phase(
-    nu: IntVecFin, omega_nu: tuple[bool, float] | None, theta0: TorusPoint, t_final: float
-) -> complex:
-    """(1/T) integral_0^T exp(i nu . Theta(t)) dt in closed form, given
-    ``omega_nu = nu_dot_omega(fv, nu)`` (None for nu = 0)."""
-    if nu.is_zero():
-        return 1.0 + 0.0j
-    resonant, value = omega_nu
-    phase0 = cmath.exp(1j * _phase_at(nu, theta0))
-    if resonant:
+def _averaged_phase(phase0: complex, w: float, t_final: float) -> complex:
+    """(1/T) integral_0^T exp(i (nu . Theta0 + w t)) dt for phase0 =
+    exp(i nu . Theta0): phase0 itself when w = 0, else
+    phase0 (e^{iwT} - 1) / (iwT)."""
+    if w == 0.0:
         return phase0
-    wt = value * t_final
+    wt = w * t_final
     return phase0 * (cmath.exp(1j * wt) - 1.0) / (1j * wt)
+
+
+def _decay_bound(scale: float, w: float, t_final: float) -> float:
+    """2 |a| / (T |w|) for |a| = ``scale``: the bound on |a| times the window
+    average of a monomial with w = nu . omega != 0."""
+    return 2.0 * scale / (t_final * abs(w))
 
 
 def time_average(
     fv: FrequencyVector,
     p: TrigPolynomial,
     theta0: TorusPoint,
-    t_final: float,
-    omega_nus: Mapping[IntVecFin, tuple[bool, float]] | None = None,
-) -> float:
-    """Closed-form (1/T) integral_0^T p(Phi^t(theta0)) dt.
+    t_finals: Sequence[float],
+) -> list[tuple[float, float | None]]:
+    """Closed-form (1/T) integral_0^T p(Phi^t(theta0)) dt for each window T,
+    with its envelope, as one (value, envelope) pair per window.
 
     Resonant monomials contribute their constant value a_nu exp(i nu.Theta0);
-    the others decay like 1/T with the explicit oscillatory factor.  A caller
-    averaging over several windows passes ``omega_nus = nu_dot_omegas(fv, p, theta0.depth)``
-    so that each nu . omega is evaluated once.
+    the others decay like 1/T with the explicit oscillatory factor.  The value
+    sums the real parts of the terms: p is real, so the imaginary parts cancel
+    up to the rounding of the phases.  The envelope bounds |value - haar| by
+    the sum over the nonzero monomials of 2 |a_nu| / (T |nu . omega|); it is
+    None when one of them is resonant, since that term never decays.
     """
-    _check_window(t_final)
-    if omega_nus is None:
-        omega_nus = nu_dot_omegas(fv, p, theta0.depth)
-    total = 0.0 + 0.0j
-    for nu, (re, im) in p.items():
-        a = complex(re) + 1j * complex(im)
-        total += a * _averaged_phase(nu, omega_nus.get(nu), theta0, t_final)
-    if abs(total.imag) > 1e-12:
-        raise ValidationError("reality violated: average has a nonzero imaginary part")
-    return total.real
+    t_finals = [float(t_final) for t_final in t_finals]
+    nus = [nu for nu, _ in p.items()]
+    pairs = _phases_and_frequencies(fv, nus, theta0, t_finals)
+    coeffs = [complex(re) + 1j * complex(im) for _, (re, im) in p.items()]
+    bounded = all(w != 0.0 or nu.is_zero() for nu, (_, w) in zip(nus, pairs))
+    rows = []
+    for t_final in t_finals:
+        value, envelope = 0.0, 0.0
+        for a, (phase0, w) in zip(coeffs, pairs):
+            value += (a * _averaged_phase(phase0, w, t_final)).real
+            if w != 0.0:
+                envelope += _decay_bound(abs(a), w, t_final)
+        rows.append((value, envelope if bounded else None))
+    return rows
 
 
 def _polynomial_values(p: TrigPolynomial, angles: np.ndarray) -> np.ndarray:
@@ -391,63 +391,38 @@ def time_average_quadrature(
 # Equidistribution report
 
 
-@dataclass(frozen=True)
-class EquidistributionRow:
-    nu: IntVecFin
-    t_final: float
-    magnitude: float | None
-    bound: float | None
-    passed: bool | None
-    flag: str | None  # "resonant", "zero", or None
-
-    def to_json(self) -> dict:
-        return {
-            "nu": self.nu.to_json(),
-            "T": self.t_final,
-            "magnitude": self.magnitude,
-            "bound": self.bound,
-            "pass": self.passed,
-            "flag": self.flag,
-        }
-
-
 def equidistribution_report(
     fv: FrequencyVector,
     nus: Sequence[IntVecFin],
     t_finals: Sequence[float],
     theta0: TorusPoint,
-) -> list[EquidistributionRow]:
-    """Rows (nu, T, |time average of exp(i nu.Theta)|, 2/(T |omega.nu|), pass).
+) -> list[dict]:
+    """The rows of ``kron equidistribution``, one per (nu, T): the magnitude
+    of the window average of exp(i nu . Theta), the bound 2/(T |omega . nu|)
+    and whether it holds.
 
-    Resonant and zero monomials are flagged per row rather than rejected;
-    every window T must be finite and positive, and every monomial must lie
-    within the depth of ``theta0`` (checked before any frequency is computed).
+    Resonant and zero monomials are flagged per row ("resonant", "zero")
+    rather than rejected, with null magnitude, bound and pass; every window T
+    must be finite and positive, and every monomial must lie within the depth
+    of ``theta0`` (checked before any frequency is computed).
     """
     t_finals = [float(t_final) for t_final in t_finals]
-    for t_final in t_finals:
-        _check_window(t_final)
-    for nu in nus:
-        _check_within(nu, theta0.depth)
     rows = []
-    for nu in nus:
-        if nu.is_zero():
-            for t_final in t_finals:
-                rows.append(EquidistributionRow(nu, t_final, None, None, None, "zero"))
-            continue
-        omega_nu = nu_dot_omega(fv, nu)
-        resonant, value = omega_nu
+    for nu, (phase0, w) in zip(nus, _phases_and_frequencies(fv, nus, theta0, t_finals)):
         for t_final in t_finals:
-            if resonant:
-                rows.append(EquidistributionRow(nu, t_final, None, None, None, "resonant"))
-                continue
-            mag = abs(_averaged_phase(nu, omega_nu, theta0, t_final))
-            bound = 2.0 / (t_final * abs(value))
-            rows.append(EquidistributionRow(nu, t_final, mag, bound, mag <= bound + 1e-12, None))
+            row = {"nu": nu.to_json(), "T": t_final, "magnitude": None, "bound": None, "pass": None, "flag": None}
+            if w == 0.0:
+                row["flag"] = "zero" if nu.is_zero() else "resonant"
+            else:
+                row["magnitude"] = abs(_averaged_phase(phase0, w, t_final))
+                row["bound"] = _decay_bound(1.0, w, t_final)
+                row["pass"] = row["magnitude"] <= row["bound"] + 1e-12
+            rows.append(row)
     return rows
 
 
 # ---------------------------------------------------------------------------
-# Minimality probe and resonance confinement witness
+# Minimality probe
 
 
 @dataclass(frozen=True)
@@ -575,34 +550,6 @@ def minimality_probe(
         if best_d <= radius / 2 or radius >= 1.0:
             return ProbeResult(False, best_t, best_d, n_samples)
         radius = 2.0 * best_d if best_d < math.inf else 2.0 * radius
-
-
-def resonance_witness(
-    fv: FrequencyVector,
-    nu: IntVecFin,
-    theta0: TorusPoint,
-    times: Sequence[Fraction],
-) -> bool:
-    """Confinement check: nu . Theta(t) mod full turn stays at nu . Theta0,
-    exactly, for every sampled rational time.
-
-    The combination nu . Theta(t) equals nu . Theta0 plus t times the exact
-    generator-coordinate sums of nu . omega; resonance makes those sums
-    vanish, which is verified (not assumed) here.
-    """
-    if not theta0.exact:
-        raise ValidationError("confinement witness needs an exact starting point")
-    _check_within(nu, theta0.depth)
-    combo = _nu_omega_combination(fv, nu)
-    if combo:
-        raise ValidationError("nu is not resonant for this vector (nu . omega != 0)")
-    base = sum((v * theta0.angles[j - 1] for j, v in nu.items()), Fraction(0)) % 1
-    for t in times:
-        t = Fraction(t)
-        drift = sum((coeff * t for coeff in combo.values()), Fraction(0))
-        if (base + drift) % 1 != base:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Only the float paths load numpy: ``import kronflow``, ``import kronflow.cli``
-and an exact subcommand leave it out of ``sys.modules``, while the float names
-of the package still resolve to the ``kronflow.dynamics`` objects."""
+and an exact subcommand leave it out of ``sys.modules``, while every float
+name of the package (``kronflow._DYNAMICS_EXPORTS``) still resolves to the
+``kronflow.dynamics`` object, and a removed name raises AttributeError."""
 
 import os
 import subprocess
@@ -25,12 +26,15 @@ import kronflow.dynamics as dynamics
 assert flow is dynamics.flow
 assert TrigPolynomial is dynamics.TrigPolynomial
 assert minimality_probe is dynamics.minimality_probe
-try:
-    kronflow.no_such_name
-except AttributeError:
-    pass
-else:
-    raise SystemExit("kronflow.no_such_name resolved")
+for name in sorted(kronflow._DYNAMICS_EXPORTS):
+    assert getattr(kronflow, name) is getattr(dynamics, name), name
+for name in ("no_such_name", "resonance_witness"):
+    try:
+        getattr(kronflow, name)
+    except AttributeError:
+        pass
+    else:
+        raise SystemExit("kronflow." + name + " resolved")
 """
 
 

@@ -201,10 +201,10 @@ def test_probe_rejects_bad_tolerances_and_times(eps, t_max, step):
 @pytest.mark.parametrize("t_final", [math.nan, math.inf, 0.0, -5.0])
 def test_quadrature_rejects_bad_windows(t_final):
     with pytest.raises(ValidationError):
-        time_average_quadrature(T3, TrigPolynomial.one(), TorusPoint.origin(3), t_final, 101)
+        time_average_quadrature(T3, TrigPolynomial.constant(1), TorusPoint.origin(3), t_final, 101)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_float_flow_rejects_nonfinite_time(t):
     with pytest.raises(ValidationError):
-        flow(T3, None, t, depth=3)
+        flow(T3, TorusPoint.origin(3), t)
