@@ -37,7 +37,6 @@ from .frequency import (
 )
 from .classification import (
     BaerType,
-    ClosureDescriptor,
     ModuleDescriptor,
     SupernaturalNumber,
     baer_isomorphic,
@@ -73,7 +72,6 @@ from .solenoid_geometry import (
 )
 from .benjamin_ono import (
     BoModuleReport,
-    bo_orbit_closure,
     bo_tail_module,
 )
 

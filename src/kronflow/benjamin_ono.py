@@ -24,7 +24,6 @@ from fractions import Fraction
 from .classification import (
     INF,
     BaerType,
-    ClosureDescriptor,
     ModuleComponent,
     ModuleDescriptor,
     SupernaturalNumber,
@@ -153,7 +152,7 @@ class BoModuleReport:
     sigma_values: tuple[Fraction, ...]  # sigma_1..sigma_N
     tail_sums: tuple[Fraction, ...]  # g_1..g_{N-1}
     r_type: BaerType | None  # None when R = {0}
-    closure: ClosureDescriptor
+    closure: list  # as ModuleDescriptor.closure() prints it
     full_support: bool
     depth: int
 
@@ -165,7 +164,7 @@ class BoModuleReport:
             "r_type": self.r_type.to_json() if self.r_type else "trivial",
             "r_free": bool(self.r_type and is_free(self.r_type)),
             "full_support": self.full_support,
-            "closure": self.closure.to_json(),
+            "closure": self.closure,
         }
 
 
@@ -210,13 +209,6 @@ def _module_of_span(rule: BoRule, span: _Span) -> ModuleDescriptor:
         scaled = _baer_of_span(2 * f, 2 * h if h is not None else None, v)
         comps.append(ModuleComponent(rule.beta, scaled))
     return ModuleDescriptor(tuple(comps))
-
-
-def bo_orbit_closure(rule: BoRule) -> ClosureDescriptor:
-    """The closure of the frequency module: a circle for Z, times nothing for
-    trivial R, a circle for finite support (2R cyclic), and otherwise a
-    solenoid carrying the type of 2R, the beta-coefficient subgroup."""
-    return module_descriptor(rule).closure()
 
 
 def bo_report(rule: BoRule, depth: int) -> dict:

@@ -293,7 +293,7 @@ def baer_to_qa(t: BaerType) -> SigmaSequence:
 
 
 # ---------------------------------------------------------------------------
-# Module and closure descriptors
+# Module descriptors
 
 
 @dataclass(frozen=True)
@@ -325,10 +325,10 @@ class ModuleDescriptor:
     def nonfree_components(self) -> list[ModuleComponent]:
         return [c for c in self.components if not c.free]
 
-    def closure(self) -> "ClosureDescriptor":
-        """The orbit closure: a circle for each free component, a solenoid
-        carrying Lambda for each non-free one."""
-        return ClosureDescriptor(tuple(Circle() if c.free else Solenoid(c.baer.lam) for c in self.components))
+    def closure(self) -> list:
+        """The orbit closure as ``kron classify`` prints it: ``"circle"`` for
+        each free component, ``{"solenoid": Lambda}`` for each non-free one."""
+        return ["circle" if c.free else {"solenoid": c.baer.lam.to_json()} for c in self.components]
 
     def closure_homeomorphic(self, other: "ModuleDescriptor") -> bool:
         """Componentwise criterion for the direct-sum-of-rank-1 class: equal
@@ -354,36 +354,6 @@ class ModuleDescriptor:
                 for c in self.components
             ]
         }
-
-
-@dataclass(frozen=True)
-class Circle:
-    def to_json(self):
-        return "circle"
-
-
-@dataclass(frozen=True)
-class Solenoid:
-    lam: SupernaturalNumber
-
-    def __post_init__(self):
-        if self.lam.is_finite_product():
-            raise ValidationError("solenoid factor requires an infinite product")
-
-    def to_json(self):
-        return {"solenoid": self.lam.to_json()}
-
-
-@dataclass(frozen=True)
-class ClosureDescriptor:
-    factors: tuple[Circle | Solenoid, ...]
-
-    def to_json(self) -> list:
-        return [f.to_json() for f in self.factors]
-
-    def counts(self) -> tuple[int, int]:
-        circles = sum(1 for f in self.factors if isinstance(f, Circle))
-        return circles, len(self.factors) - circles
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +394,7 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     )
 
 
-def orbit_closure(fv: FrequencyVector, depth: int) -> ClosureDescriptor:
+def orbit_closure(fv: FrequencyVector, depth: int) -> list:
     return decompose_module(fv, depth).closure()
 
 
@@ -442,6 +412,6 @@ def module_report(md: ModuleDescriptor, depth: int) -> dict:
         "module": md.to_json(),
         "rank": md.rank,
         "free": md.is_free,
-        "closure": md.closure().to_json(),
+        "closure": md.closure(),
     }
 

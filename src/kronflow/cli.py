@@ -252,8 +252,8 @@ def _cmd_iso(args) -> None:
     md2 = decompose_module(_load_spec(args.spec2), args.depth)
     _emit({
         "homeomorphic": md1.closure_homeomorphic(md2),
-        "left": md1.closure().to_json(),
-        "right": md2.closure().to_json(),
+        "left": md1.closure(),
+        "right": md2.closure(),
     })
 
 

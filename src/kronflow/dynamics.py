@@ -178,10 +178,15 @@ def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
 
 
 def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:
-    """Float angles (Theta0 + omega t) mod 2*pi, one row per time in ``ts``."""
+    """Float angles (Theta0 + omega t) mod 2*pi, one row per time in ``ts``,
+    a monotone grid of finite times, so the largest |t| is at one of its ends;
+    max |omega_j| times that |t| must not overflow a double."""
     base = np.array(theta0.to_radians())
     omegas = _float_omegas(fv, theta0.depth)
-    return (base + omegas * np.asarray(ts, dtype=float)[:, None]) % TAU
+    ts = np.asarray(ts, dtype=float)
+    reach = float(np.abs(omegas).max()) * float(max(abs(ts[0]), abs(ts[-1])))
+    _require_finite(reach, "largest |omega_j t|")
+    return (base + omegas * ts[:, None]) % TAU
 
 
 def flow(fv: FrequencyVector, theta0: TorusPoint, t) -> TorusPoint:
@@ -214,16 +219,14 @@ def haar_average(p: TrigPolynomial) -> Fraction:
     return p.constant_term()[0]
 
 
-def nu_dot_omega(
-    fv: FrequencyVector, nu: IntVecFin, precision_bits: int | None = None
-) -> tuple[bool, float]:
+def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin) -> tuple[bool, float]:
     """(resonant?, float value of nu . omega).
 
     Resonance is decided exactly in generator coordinates, from one pass over
     omega_1..omega_n (n = nu.max_index()) that keeps only the maps at nu's
     indices; the float value is computed from the exact coordinates at
-    ``working_bits(precision_bits)``.  A non-resonant nu whose value rounds to
-    0 at that precision is an error.
+    ``working_bits()``.  A non-resonant nu whose value rounds to 0 at that
+    precision, or overflows a double, is an error.
     """
     support = set(nu.support())
     kept = {j: c for j, c in enumerate(_coordinate_stream(fv, nu.max_index()), 1) if j in support}
@@ -234,12 +237,13 @@ def nu_dot_omega(
     combo = {g: c for g, c in combo.items() if c != 0}
     if not combo:
         return True, 0.0
-    value = float(evaluate_float(combo, precision_bits))
+    value = float(evaluate_float(combo))
     if value == 0.0:
         raise ValidationError(
             f"omega . nu for non-resonant nu {nu.to_json()} rounds to 0 at "
-            f"{working_bits(precision_bits)} bits; raise --precision"
+            f"{working_bits()} bits; raise --precision"
         )
+    _require_finite(value, "omega . nu")
     if abs(value) < NEAR_RESONANCE_FLOOR:
         warnings.warn(
             f"|omega . nu| = {value:.3e} is below {NEAR_RESONANCE_FLOOR}; "
@@ -286,15 +290,19 @@ def _phases_and_frequencies(
     """(exp(i nu . Theta0), w = nu . omega) for each nu of ``nus``, where w is
     0.0 exactly when nu = 0 or nu is resonant.  Every window is checked
     first, then every monomial against the depth of theta0, and only then is
-    any frequency evaluated, once per nonzero monomial."""
+    any frequency evaluated, once per nonzero monomial; |w| T must not
+    overflow a double for any pair."""
     for t_final in t_finals:
         _check_window(t_final)
     for nu in nus:
         _check_within(nu, theta0.depth)
-    return [
+    pairs = [
         (1.0 + 0.0j, 0.0) if nu.is_zero() else (cmath.exp(1j * _phase_at(nu, theta0)), nu_dot_omega(fv, nu)[1])
         for nu in nus
     ]
+    w_max = max((abs(w) for _, w in pairs), default=0.0)
+    _require_finite(w_max * max(t_finals, default=0.0), "largest |omega . nu| T")
+    return pairs
 
 
 def _averaged_phase(phase0: complex, w: float, t_final: float) -> complex:

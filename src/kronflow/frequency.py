@@ -4,8 +4,8 @@ A frequency vector is either a finite list of exact coordinate maps or one of
 three rule-based infinite families (solenoidal product rule, the quadratic
 integrable-flow rule, and the prime-power product construction).  Coordinates
 are exact rationals per generator; float values are produced on demand via
-mpmath, at the caller's working precision (``mpmath.workprec``) or an explicit
-mantissa width, never below 64 bits.
+mpmath, at the caller's working precision (``mpmath.workprec``), never below
+64 bits.
 
 Rational independence of the declared generators is an axiom of the input.
 The built-in kinds (the rational unit, square roots of distinct primes, and
@@ -35,11 +35,10 @@ DEFAULT_PRECISION_BITS = 64  # floor of every float evaluation's mantissa
 _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")  # an opaque generator's value
 
 
-def working_bits(precision_bits: int | None = None) -> int:
-    """``precision_bits``, or the caller's mpmath working precision when it is
-    None, raised to the DEFAULT_PRECISION_BITS floor."""
-    bits = mpmath.mp.prec if precision_bits is None else precision_bits
-    return max(bits, DEFAULT_PRECISION_BITS)
+def working_bits() -> int:
+    """The mantissa of every float evaluation: the caller's mpmath working
+    precision, raised to the DEFAULT_PRECISION_BITS floor."""
+    return max(mpmath.mp.prec, DEFAULT_PRECISION_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +86,8 @@ class Generator:
         else:
             raise ValidationError(f"generator {self.name!r}: unknown kind {self.kind!r}")
 
-    def float_value(self, precision_bits: int | None = None) -> mpmath.mpf:
-        with mpmath.workprec(working_bits(precision_bits)):
+    def float_value(self) -> mpmath.mpf:
+        with mpmath.workprec(working_bits()):
             if self.kind == "rational_unit":
                 return mpmath.mpf(1)
             if self.kind == "sqrt_prime":
@@ -488,14 +487,13 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
     raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
 
 
-def evaluate_float(coords: Mapping[Generator, Fraction], precision_bits: int | None = None) -> mpmath.mpf:
+def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
     """The real number sum_g c_g * g of one exact coordinate map, at
-    ``working_bits(precision_bits)`` of mantissa."""
-    bits = working_bits(precision_bits)
-    with mpmath.workprec(bits):
+    ``working_bits()`` of mantissa."""
+    with mpmath.workprec(working_bits()):
         total = mpmath.mpf(0)
         for gen, c in coords.items():
-            total += mpmath.mpf(c.numerator) / c.denominator * gen.float_value(bits)
+            total += mpmath.mpf(c.numerator) / c.denominator * gen.float_value()
         return +total
 
 

@@ -84,36 +84,10 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    """One record of the trail.
-
-    ``swap`` exchanges rows i and j and ``negate`` flips the sign of row i,
-    in pass ``pass_index``.  ``subtract_head`` is a run: for each of the
-    ``repeat`` passes pass_index .. pass_index + repeat - 1, rows 2..``rows``
-    -= row 1.
-    """
-
-    op: str  # "swap" | "negate" | "subtract_head"
-    pass_index: int
-    i: int | None = None
-    j: int | None = None
-    repeat: int | None = None
-    rows: int | None = None
-
-    def to_json(self) -> dict:
-        out = {"op": self.op, "pass": self.pass_index}
-        for key in ("i", "j", "repeat", "rows"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
-
-@dataclass(frozen=True)
 class ReductionCertificate:
     transform: RowFiniteIntMatrix
     result: IntVecFin
-    steps: tuple[ReductionStep, ...]
+    steps: tuple[dict, ...]
     pass_sums: tuple[int, ...]
     gcd: int
 
@@ -123,7 +97,7 @@ class ReductionCertificate:
             "result": self.result.to_json(),
             "transform": self.transform.to_json(),
             "pass_sums": list(self.pass_sums),
-            "steps": [s.to_json() for s in self.steps],
+            "steps": list(self.steps),
         }
 
 
@@ -142,12 +116,17 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
     exactly while v2 - v1 >= v1, a tie keeping v1 first.  The q passes are
     one ``subtract_head`` record and one row operation row_i -= q * row_1
     per row, and their q pass sums s - p (k - 1) v1 are filled in directly.
+
+    ``steps`` holds the records ``kron reduce`` prints, each with ``op`` and
+    ``pass``: a ``swap`` exchanges rows ``i`` and ``j`` and a ``negate``
+    flips the sign of row ``i``; a ``subtract_head`` is a run, rows
+    2..``rows`` -= row 1 in each of the ``repeat`` passes from ``pass`` on.
     """
     if nu.is_zero():
         raise ValidationError("cannot reduce the zero vector")
     vec = nu.to_list(nu.max_index())
     transform = RowFiniteIntMatrix.identity(len(vec))
-    steps: list[ReductionStep] = []
+    steps: list[dict] = []
     pass_sums: list[int] = []
     pass_index = 1
 
@@ -161,7 +140,7 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
             if src != target:
                 vec[target - 1], vec[src - 1] = vec[src - 1], vec[target - 1]
                 transform.swap(target, src)
-                steps.append(ReductionStep("swap", pass_index, i=target, j=src))
+                steps.append({"op": "swap", "pass": pass_index, "i": target, "j": src})
                 # the entry displaced from `target` now lives at `src`
                 for q in range(pos + 1, len(order)):
                     if order[q] == target:
@@ -171,7 +150,7 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
             if vec[i - 1] < 0:
                 vec[i - 1] = -vec[i - 1]
                 transform.negate(i)
-                steps.append(ReductionStep("negate", pass_index, i=i))
+                steps.append({"op": "negate", "pass": pass_index, "i": i})
         total = sum(vec[:k])
         if pass_sums and not total < pass_sums[-1]:
             raise ValidationError("internal error: pass sums failed to decrease")
@@ -185,7 +164,7 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
         for i in range(2, k + 1):
             vec[i - 1] -= repeat * head
             transform.add_multiple(i, 1, -repeat)
-        steps.append(ReductionStep("subtract_head", pass_index, repeat=repeat, rows=k))
+        steps.append({"op": "subtract_head", "pass": pass_index, "repeat": repeat, "rows": k})
         pass_index += repeat
 
     result = transform.apply(nu)

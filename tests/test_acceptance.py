@@ -10,11 +10,9 @@ import random
 import time
 from fractions import Fraction as F
 
-from kronflow.benjamin_ono import bo_orbit_closure, bo_tail_module
+from kronflow.benjamin_ono import bo_tail_module
 from kronflow.classification import (
     INF,
-    Circle,
-    Solenoid,
     SupernaturalNumber,
     BaerType,
     baer_isomorphic,
@@ -232,12 +230,11 @@ def test_criterion_5_baer_classification():
 def test_criterion_6_product_construction_pipeline():
     groups = [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))]
     fv = build_product_vector(groups)
-    cd = orbit_closure(fv, 16)
-    assert len(cd.factors) == 2
-    kinds = sorted(type(f).__name__ for f in cd.factors)
-    assert kinds == ["Circle", "Solenoid"]
-    sol = next(f for f in cd.factors if isinstance(f, Solenoid))
-    assert sol.lam.resolve(2) == INF and sol.lam.resolve(3) == 0
+    closure = orbit_closure(fv, 16)
+    assert len(closure) == 2 and closure.count("circle") == 1
+    assert [f for f in closure if f != "circle"] == [{"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
+    (sol,) = decompose_module(fv, 16).nonfree_components()
+    assert sol.baer.lam.resolve(2) == INF and sol.baer.lam.resolve(3) == 0
     rng = random.Random(606)
     for _ in range(20):
         n = rng.randint(1, 4)
@@ -274,9 +271,10 @@ def test_criterion_7_integrable_flow():
     beta = Generator("beta", "opaque")
     dyadic = BoRule(beta, RationalSequenceSpec((), F(1, 2), F(1, 2)))
     rep = bo_tail_module(dyadic, 41)
-    cd = rep.closure
-    assert isinstance(cd.factors[0], Circle) and isinstance(cd.factors[1], Solenoid)
-    assert cd.factors[1].lam.resolve(2) == INF and cd.factors[1].lam.resolve(3) == 0
+    assert rep.closure == ["circle", {"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
+    unit, beta_part = decompose_module(dyadic, 41).components
+    assert unit.free and not beta_part.free
+    assert beta_part.baer.lam.resolve(2) == INF and beta_part.baer.lam.resolve(3) == 0
     for n in range(1, 41):  # telescoping identity, exact
         assert rep.tail_sums[n - 1] == rep.sigma_values[n] - rep.sigma_values[n - 1]
     for j in range(1, 42):  # closed form vs 60-term partial-sum oracle, exact
@@ -285,7 +283,7 @@ def test_criterion_7_integrable_flow():
     zero = BoRule(beta, RationalSequenceSpec(()))
     md = decompose_module(parse_frequency_spec({"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, "s": {"prefix": []}}), 8)
     assert md.rank == 1 and md.components[0].baer.i == 1 and md.is_free
-    assert bo_orbit_closure(zero).to_json() == ["circle"]
+    assert orbit_closure(zero, 8) == ["circle"]
     report(7, "integrable-flow pipeline", "dyadic -> circle x solenoid(2); telescoping n<=40 exact; zero-action control")
 
 

@@ -9,7 +9,6 @@ from kronflow.benjamin_ono import (
     _baer_of_span,
     _span_data,
     baer_contains,
-    bo_orbit_closure,
     bo_report,
     bo_tail_module,
     module_descriptor,
@@ -18,11 +17,10 @@ from kronflow.benjamin_ono import (
 from kronflow.cli import main
 from kronflow.classification import (
     INF,
-    Circle,
-    Solenoid,
     baer_isomorphic,
     decompose_module,
     is_free,
+    orbit_closure,
 )
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import rational_gcd
@@ -201,8 +199,7 @@ def test_dyadic_containments_both_directions():
 def test_finite_support_gives_free_module():
     rep = bo_tail_module(PREFIX_ONLY, 8)
     assert is_free(rep.r_type)
-    circles, solenoids = rep.closure.counts()
-    assert (circles, solenoids) == (2, 0)
+    assert rep.closure == ["circle", "circle"]
 
 
 def test_triadic_r_type():
@@ -224,19 +221,17 @@ def test_general_ratio_supported():
 
 
 def test_dyadic_closure_circle_times_solenoid():
-    cd = bo_orbit_closure(DYADIC)
-    assert len(cd.factors) == 2
-    assert isinstance(cd.factors[0], Circle) and isinstance(cd.factors[1], Solenoid)
-    assert cd.factors[1].lam.resolve(2) == INF
+    assert orbit_closure(DYADIC, 16) == ["circle", {"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
+    unit, beta_part = module_descriptor(DYADIC).components
+    assert unit.free and not beta_part.free and beta_part.baer.lam.resolve(2) == INF
 
 
 def test_zero_actions_closure_single_circle():
-    cd = bo_orbit_closure(ZERO)
-    assert cd.to_json() == ["circle"]
+    assert orbit_closure(ZERO, 16) == ["circle"]
 
 
 def test_finite_actions_closure_torus():
-    assert bo_orbit_closure(PREFIX_ONLY).to_json() == ["circle", "circle"]
+    assert orbit_closure(PREFIX_ONLY, 16) == ["circle", "circle"]
 
 
 # -- pipeline consistency
@@ -282,7 +277,7 @@ def test_bo_and_classify_print_one_closure(tmp_path, capsys):
     assert main(["classify", str(spec), "--depth", "3"]) == 0
     classify = json.loads(capsys.readouterr().out)
     assert bo["closure"] == bo["module"]["closure"] == classify["closure"]
-    assert bo_orbit_closure(parse_frequency_spec(spec.read_text())).to_json() == bo["closure"]
+    assert orbit_closure(parse_frequency_spec(spec.read_text()), 3) == bo["closure"]
     pairs = bo["closure"][1]["solenoid"]["pairs"]
     assert {"primes": [2], "exp": 1} in pairs and {"primes": [3], "exp": "inf"} in pairs
     assert {"primes": [2], "exp": 2} in bo["r_type"]["lambda"]["pairs"]
@@ -293,7 +288,7 @@ def test_partial_support_flagged():
     rep = bo_tail_module(spec, 8)
     assert rep.full_support is False
     # still classifiable: infinite nonnegative support forces a solenoid
-    assert rep.closure.counts() == (1, 1)
+    assert len(rep.closure) == 2 and rep.closure.count("circle") == 1
 
 
 # -- parsing

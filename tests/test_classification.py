@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kronflow.classification import (
     INF,
     BaerType,
-    Solenoid,
     SupernaturalNumber,
     baer_isomorphic,
     baer_to_qa,
@@ -298,19 +297,14 @@ def test_closure_full_torus():
     fv = parse_frequency_spec(
         '{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"},{"sqrt3":"1"}]}'
     )
-    cd = orbit_closure(fv, 3)
-    assert cd.to_json() == ["circle", "circle", "circle"]
+    assert orbit_closure(fv, 3) == ["circle", "circle", "circle"]
 
 
 def test_closure_factorial_solenoid():
-    cd = orbit_closure(solenoid_vector(INCREMENT), 8)
-    assert len(cd.factors) == 1 and isinstance(cd.factors[0], Solenoid)
-    assert cd.factors[0].lam.resolve(97) == INF
-
-
-def test_closure_counts_and_validation():
-    with pytest.raises(ValidationError):
-        Solenoid(sn(p2=3))  # finite product is not a solenoid
+    fv = solenoid_vector(INCREMENT)
+    assert orbit_closure(fv, 8) == [{"solenoid": {"pairs": [{"primes": "all", "exp": "inf"}]}}]
+    (c,) = decompose_module(fv, 8).components
+    assert not c.free and c.baer.lam.resolve(97) == INF
 
 
 # -- closures_homeomorphic examples
@@ -338,7 +332,7 @@ def test_homeo_reflexive_and_symmetric():
 
 def test_build_single_free_group():
     fv = build_product_vector([SubgroupOfQSpec(free_generator=F(1))])
-    assert orbit_closure(fv, 8).to_json() == ["circle"]
+    assert orbit_closure(fv, 8) == ["circle"]
 
 
 def test_build_dyadic_roundtrip():
@@ -351,11 +345,11 @@ def test_build_circle_times_solenoid():
     fv = build_product_vector(
         [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=CONST2)]
     )
-    cd = orbit_closure(fv, 16)
-    circles, solenoids = cd.counts()
-    assert circles == 1 and solenoids == 1
-    sol = next(f for f in cd.factors if isinstance(f, Solenoid))
-    assert sol.lam.resolve(2) == INF and sol.lam.resolve(3) == 0
+    closure = orbit_closure(fv, 16)
+    assert closure.count("circle") == 1 and len(closure) == 2
+    assert [f for f in closure if f != "circle"] == [{"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
+    (sol,) = decompose_module(fv, 16).nonfree_components()
+    assert sol.baer.lam.resolve(2) == INF and sol.baer.lam.resolve(3) == 0
 
 
 def test_build_empty_rejected():

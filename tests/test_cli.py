@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -432,6 +433,17 @@ NONFINITE_TIMES = {
     "average T inf": ["average", "--poly", "POLY", "--T", "inf"],
     "equidistribution T nan": ["equidistribution", "--nu=1,-1", "--T", "nan"],
     "equidistribution T inf": ["equidistribution", "--nu=1,-1", "--T", "100", "inf"],
+    # finite inputs whose nu . omega, |nu . omega| T or omega_j t overflows a double
+    "equidistribution nu . omega overflow": ["equidistribution", f"--nu={10**400},0", "--T", "100"],
+    "average nu . omega overflow": ["average", "--poly", "POLY_HUGE"],
+    "equidistribution w T overflow": ["equidistribution", "--nu=4,4", "--T", "1e308"],
+    "average w T overflow": ["average", "--poly", "POLY_44", "--T", "1e308"],
+    "simulate omega t overflow": ["simulate", "--t1", "1.5e308", "--steps", "1"],
+}
+NONFINITE_POLYS = {
+    "POLY": POLY,
+    "POLY_HUGE": json.dumps({"terms": [{"cos": {"1": 10**400}}]}),
+    "POLY_44": '{"terms": [{"cos": {"1": 4, "2": 4}}]}',
 }
 
 
@@ -439,13 +451,16 @@ NONFINITE_TIMES = {
 def test_nonfinite_time_is_validation_error(tmp_path, capsys, argv):
     spec = tmp_path / "s2.json"
     spec.write_text(SQRT_SPEC)
-    poly = tmp_path / "poly.json"
-    poly.write_text(POLY)
+    for name, text in NONFINITE_POLYS.items():
+        (tmp_path / f"{name}.json").write_text(text)
     out = tmp_path / "traj.csv"
-    args = [argv[0], str(spec), "--depth", "2"] + [str(poly) if a == "POLY" else a for a in argv[1:]]
+    args = [argv[0], str(spec), "--depth", "2"]
+    args += [str(tmp_path / f"{a}.json") if a in NONFINITE_POLYS else a for a in argv[1:]]
     if argv[0] == "simulate":
         args += ["--out", str(out)]
-    code = main(args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code = main(args)
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err and captured.out == ""
@@ -457,9 +472,9 @@ def test_average_and_equidistribution_evaluate_each_nu_once(tmp_path, capsys, mo
 
     calls = []
 
-    def counting(fv, nu, precision_bits=None):
+    def counting(fv, nu):
         calls.append(nu)
-        return nu_dot_omega(fv, nu, precision_bits)
+        return nu_dot_omega(fv, nu)
 
     nu_dot_omega = dynamics.nu_dot_omega
     monkeypatch.setattr(dynamics, "nu_dot_omega", counting)

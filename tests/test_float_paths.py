@@ -121,7 +121,7 @@ def _planted(fv, depth, t_star, offset):
     """An exact target within ``offset`` turns per coordinate of the orbit at t_star."""
     with mpmath.workprec(200):
         turns = [
-            (evaluate_float(c, 200) * t_star / (2 * mpmath.pi)) % 1 for c in coordinates(fv, depth)
+            (evaluate_float(c) * t_star / (2 * mpmath.pi)) % 1 for c in coordinates(fv, depth)
         ]
     return TorusPoint.exact_point([F(round(float(v) * 10**9), 10**9) + offset for v in turns])
 
@@ -152,9 +152,9 @@ def test_probe_no_hit_reports_best_sample():
 def test_each_omega_evaluated_once_per_call(monkeypatch):
     calls = []
 
-    def counting(coords, precision_bits=None):
+    def counting(coords):
         calls.append(coords)
-        return evaluate_float(coords, precision_bits)
+        return evaluate_float(coords)
 
     monkeypatch.setattr(dynamics, "evaluate_float", counting)
     sample_trajectory(FACTORIAL_SQRT2, None, 0.0, 1e6, 200, 8)

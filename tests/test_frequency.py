@@ -267,11 +267,11 @@ def test_generator_validation():
         Generator("x", "opaque", None, "123456789012345678901234567890abc")
     for numeral in ("-1.234567890123456789012345678901", ".123456789012345678901234567890", "1.23456789012345678901234567890e-5"):
         with mpmath.workprec(120):
-            assert Generator("x", "opaque", None, numeral).float_value(120) == mpmath.mpf(numeral)
+            assert Generator("x", "opaque", None, numeral).float_value() == mpmath.mpf(numeral)
     ok = Generator("g", "opaque", None, "1.2345678901234567890123456789012345")
     with mpmath.workprec(120):
         ref = mpmath.mpf("1.2345678901234567890123456789012345")
-        assert abs(ok.float_value(120) - ref) < 1e-30
+        assert abs(ok.float_value() - ref) < 1e-30
 
 
 # -- primes past the cached table

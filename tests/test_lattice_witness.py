@@ -90,7 +90,9 @@ def test_verdicts_agree_with_the_lattice_witness(doc):
                 assert _valuation(g64, p) == _valuation(F(c.baer.i), p) - lam, (c.generator, p)
     assert md.is_free == all(g32 == g64 for _, g32, g64 in growth.values())
     circles = sum(1 for _, g32, g64 in growth.values() if g32 == g64)
-    assert md.closure().counts() == (circles, len(growth) - circles)
+    closure = md.closure()
+    assert closure.count("circle") == circles and len(closure) == len(growth)
+    assert all(f == "circle" or list(f) == ["solenoid"] for f in closure)
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,7 @@ assert TrigPolynomial is dynamics.TrigPolynomial
 assert minimality_probe is dynamics.minimality_probe
 for name in sorted(kronflow._DYNAMICS_EXPORTS):
     assert getattr(kronflow, name) is getattr(dynamics, name), name
-for name in ("no_such_name", "resonance_witness"):
+for name in ("no_such_name", "resonance_witness", "ClosureDescriptor", "bo_orbit_closure"):
     try:
         getattr(kronflow, name)
     except AttributeError:

@@ -3,7 +3,10 @@
 The sha256 of stdout of ``kron resonance`` and ``kron reduce-flow`` on the
 README's halving, BO and product specs at depths 16, 64 and 128, and of
 ``kron classify`` on three finite specs whose terms mix generators, as the
-dense column Hermite transform printed them; and of ``kron reduce`` on three
+dense column Hermite transform printed them; ``kron classify`` at depth 16 on
+the halving, product, BO and odd-denominator BO specs and on solenoid specs
+with increment, odd-indexed-prime and periodic tails, and ``kron iso`` of the
+BO spec against the product spec, as the closure classes printed them; and of ``kron reduce`` on three
 vectors, ``kron bo``, ``kron solenoid coords`` and ``kron iso``, as the dense
 row-finite matrix and ``json.dumps(indent=2)`` printed them.  ``kron bo`` on
 the odd-denominator ``bo-odd`` spec is pinned as printed once its top-level
@@ -38,6 +41,9 @@ SPECS = {
         "kind": "finite",
         "terms": [{"1": "1/2", "sqrt2": "-1", "pi": "3"}, {"1": "1"}, {"sqrt2": "2", "pi": "-6"}, {"1": "1/3", "sqrt3": "1"}],
     },
+    "factorial": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "increment"}},
+    "odd-primes": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "odd_indexed_primes"}},
+    "periodic": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": {"periodic": [2, 3]}}},
 }
 
 DIGESTS = {
@@ -62,6 +68,13 @@ DIGESTS = {
     ("classify", "mixed-a", None): "85322d2d73122ca011091d2828f945d6f0b1256b3c29a334ce3a3a91bdaa5158",  # 396 bytes
     ("classify", "mixed-b", None): "980d055204bdc992cc76a022b48e56fd7b2b9e2c8e5f1455d986b6b608d9467a",  # 811 bytes
     ("classify", "mixed-c", None): "3f0d956ca6202248790dbf700f0c203fa53e815f936a2f7010d7670859b73a2f",  # 1226 bytes
+    ("classify", "halving", 16): "61b3a36016b358d83056904251d2285a0bf6122e1a20090d75167006ef2a566b",  # 762 bytes
+    ("classify", "product", 16): "dd9e84d84b34d15c1e83ca9023a453d34efd78f0c0ef83acba7213f909d968fe",  # 1053 bytes
+    ("classify", "bo", 16): "85e74a4db9414eea99a405723e98fba57c560370d0a96b707f0fd879e82a6481",  # 1277 bytes
+    ("classify", "bo-odd", 16): "639eeb15c91c4694e587b02f79f025c2ad6bf63868e0d2104222567899568320",  # 1277 bytes
+    ("classify", "factorial", 16): "5cbbd95222d9e11d1551764f2b5aff54f85a4da99f170781bcc866ca2304c629",  # 536 bytes
+    ("classify", "odd-primes", 16): "8eb5d591568ab8a6b5e8bc938be776877baebe11cc576829494cff598cc0d4eb",  # 710 bytes
+    ("classify", "periodic", 16): "ed40d937819e1cb4cb8b02cbb1c0f44211d1180c5b053ee7e047cf226f53ea20",  # 800 bytes
 }
 
 
@@ -90,6 +103,7 @@ ARGV_DIGESTS = {
     ("solenoid", "coords", "--a", "1,2,3,5", "--theta", "1/3,2/3,2/9,2/45,2/225"):
         "5824673c483fcc944cda17360aa29707b1eeea4e72b67f12f2d6a78dc8d1697c",  # 65 bytes
     ("iso", "halving", "product", "--depth", "16"): "ac191114f119fe22e8670809ae03c3eb37ad7f8d5d29624ff946fac19dcd2fde",  # 573 bytes
+    ("iso", "bo", "product", "--depth", "16"): "7b5e58c48ae86a26009465a0af220159cd5e8abdb243ffa7f6f82a68e0e12983",  # 687 bytes
     ("iso", "mixed-b", "mixed-c"): "6ebc2e741646d2557482ec538f8fe6b71aff1f5f70f49516ec3bd2d2efd11eb4",  # 131 bytes
 }
 
