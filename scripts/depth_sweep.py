@@ -12,7 +12,11 @@ from a fixed seed: each term is one or two of 1, sqrt2 and sqrt3 with
 coefficients +-1 or +-2 over 1, 2 or 3, so its coordinate matrix has three
 rows and columns of one or two entries.  The solenoid point at depth N has
 tau = 5/7 and digits n_j = (j^2 + 1) mod a_j, so it is a member whose
-angles have denominators up to 7 a_1 ... a_j.  The host block holds the time of
+angles have denominators up to 7 a_1 ... a_j.  ``kron simulate`` runs on the
+halving, product and mixed specs with ``--steps 200 --t1 1e6`` from the
+origin; its stdout echoes the ``--out`` path, a temporary file, so its rows
+record the bytes and sha256 of the CSV instead.  BO is left out, since the
+README's beta has no numeric value.  The host block holds the time of
 perfbench's reference chunk before and after the sweep, so runs on hosts of
 different speed can be compared.
 
@@ -67,6 +71,7 @@ SPECS = {
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
     "mixed": _mixed_finite(DEPTHS[-1]),
 }
+SIMULATE_FAMILIES = ("halving", "product", "mixed")
 SOLENOID_OPS = ("member", "coords", "times")
 SOLENOID_SEQUENCES = {
     "factorial": {"prefix": [1], "tail": "increment"},
@@ -134,16 +139,24 @@ def sweep(workdir: Path) -> list[dict]:
                   for command in COMMANDS for depth in DEPTHS]
     cases += [(f"solenoid {op}", family, depth, _solenoid_argv(op, seq, depth))
               for family, seq in SOLENOID_SEQUENCES.items() for op in SOLENOID_OPS for depth in DEPTHS]
+    cases += [("simulate", family, depth, ["simulate", str(workdir / f"{family}.json"), "--depth", str(depth),
+                                           "--steps", "200", "--t1", "1e6",
+                                           "--out", str(workdir / f"{family}-{depth}.csv")])
+              for family in SIMULATE_FAMILIES for depth in DEPTHS]
     runs = [[_run(argv) for *_, argv in cases] for _ in range(3)]
     rows = []
     for k, (command, family, depth, argv) in enumerate(cases):
+        if command == "simulate":
+            data = Path(argv[-1]).read_bytes()
+            output = {"csv_bytes": len(data), "csv_sha256": hashlib.sha256(data).hexdigest()}
+        else:
+            output = {"stdout_bytes": runs[0][k][1], "stdout_sha256": runs[0][k][2]}
         row = {
             "command": command,
             "family": family,
             "depth": depth,
             "best_ms": round(min(r[k][0] for r in runs) * 1e3, 3),
-            "stdout_bytes": runs[0][k][1],
-            "stdout_sha256": runs[0][k][2],
+            **output,
             "tracemalloc_peak_bytes": _peak(argv),
         }
         prev = rows[-1] if rows and depth > DEPTHS[0] else None

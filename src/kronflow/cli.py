@@ -9,7 +9,6 @@ structure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -181,12 +180,13 @@ def _cmd_simulate(args) -> None:
     theta0 = _parse_point(args.theta0) if args.theta0 else None
     # all rows exist before --out is opened, so a rejected request leaves it intact
     rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, depth)
+    # the bytes of csv.writer: no %.12g text of a finite double holds a comma,
+    # a quote, CR or LF, so no cell is quoted, and each line ends in "\r\n"
+    row = ",".join(["%.12g"] * (depth + 1)) + "\r\n"
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"theta_{j}" for j in range(1, depth + 1)])
-            for t, angles in rows:
-                writer.writerow([f"{t:.12g}"] + [f"{a:.12g}" for a in angles])
+            fh.write(",".join(["t"] + [f"theta_{j}" for j in range(1, depth + 1)]) + "\r\n")
+            fh.writelines(row % (t, *angles) for t, angles in rows)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}") from None
     _emit({"out": args.out, "steps": args.steps, "depth": depth})

@@ -173,8 +173,12 @@ def _single_generator(fv: FrequencyVector, depth: int):
 
 def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
     """omega_1..omega_depth as doubles, each evaluated once at the working
-    precision."""
-    return np.array([float(evaluate_float(c)) for c in _coordinate_stream(fv, depth)])
+    precision; the first omega_j that overflows a double is an error."""
+    omegas = np.array([float(evaluate_float(c)) for c in _coordinate_stream(fv, depth)])
+    overflow = np.flatnonzero(~np.isfinite(omegas))
+    if overflow.size:
+        raise ValidationError(f"omega_{overflow[0] + 1} overflows a double")
+    return omegas
 
 
 def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:

@@ -8,13 +8,16 @@ tracked matrix, multiplied out entry by entry, reduction certificates
 from the literal one-subtraction-per-step reduction on plain lists,
 frequency coordinates from the per-index definition of each family,
 solenoid membership, coordinates and approximating times from the
-relations theta_j = a_{j+1} theta_{j+1} mod 1 in Fraction arithmetic, and
-supernatural numbers from a per-class coverage state machine.
+relations theta_j = a_{j+1} theta_{j+1} mod 1 in Fraction arithmetic,
+supernatural numbers from a per-class coverage state machine, and the
+``simulate`` CSV from ``csv.writer`` with one format per cell.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -746,3 +749,18 @@ def equidistribution_rows_as_first_written(fv, nus, t_finals, theta0: TorusPoint
             rows.append({"nu": nu.to_json(), "T": t_final, "magnitude": mag, "bound": bound,
                          "pass": mag <= bound + 1e-12, "flag": None})
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The simulate CSV as the CLI first wrote it: ``csv.writer`` (QUOTE_MINIMAL,
+# "\r\n" line ends) fed one ``f"{x:.12g}"`` string per cell.
+
+
+def simulate_csv_as_first_written(rows, depth: int) -> bytes:
+    """The bytes of the CSV of (t, angles) rows under the header t,theta_1..theta_depth."""
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(["t"] + [f"theta_{j}" for j in range(1, depth + 1)])
+    for t, angles in rows:
+        writer.writerow([f"{t:.12g}"] + [f"{a:.12g}" for a in angles])
+    return fh.getvalue().encode("utf-8")

@@ -3,8 +3,11 @@ import warnings
 
 import pytest
 
+import kronflow.dynamics as dynamics
 from kronflow.cli import main
-from kronflow.errors import UnsupportedStructureError
+from kronflow.errors import UnsupportedStructureError, ValidationError
+from kronflow.frequency import parse_frequency_spec
+from kronflow.solenoid_geometry import TorusPoint
 
 
 SOLENOID_SPEC = '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}'
@@ -467,9 +470,47 @@ def test_nonfinite_time_is_validation_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_average_and_equidistribution_evaluate_each_nu_once(tmp_path, capsys, monkeypatch):
-    import kronflow.dynamics as dynamics
+# one opaque generator of value 10^400: omega_1 itself overflows a double, which
+# every float path names once, before it forms a step, a reach or an angle
+HUGE_OMEGA_SPEC = json.dumps({
+    "kind": "finite",
+    "generators": [{"name": "huge", "kind": "opaque", "value": "1" + "0" * 400}],
+    "terms": [{"huge": "1"}],
+})
+HUGE_OMEGA_CALLS = {
+    "probe": lambda fv: dynamics.minimality_probe(fv, TorusPoint.exact_point(["1/3"]), 1, 1e-2, 10.0),
+    "flow": lambda fv: dynamics.flow(fv, TorusPoint.origin(1), 0.0),
+    "sample_trajectory": lambda fv: dynamics.sample_trajectory(fv, None, 0.0, 0.0, 1, 1),
+    "quadrature": lambda fv: dynamics.time_average_quadrature(fv, dynamics.TrigPolynomial.constant(1),
+                                                              TorusPoint.origin(1), 1.0),
+}
 
+
+@pytest.mark.parametrize("call", list(HUGE_OMEGA_CALLS.values()), ids=list(HUGE_OMEGA_CALLS))
+def test_omega_overflow_is_named_by_every_float_path(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^omega_1 overflows a double$"):
+            call(parse_frequency_spec(HUGE_OMEGA_SPEC))
+
+
+@pytest.mark.parametrize("spec_text,depth,t1,message", [
+    (HUGE_OMEGA_SPEC, "1", "1", "error: omega_1 overflows a double"),
+    (SQRT_SPEC, "2", "1.5e308", "error: largest |omega_j t| must be finite, got inf"),  # finite omega, overflowing t
+], ids=["omega overflow", "omega t overflow"])
+def test_simulate_overflow_message(tmp_path, capsys, spec_text, depth, t1, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    out = tmp_path / "traj.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", str(spec), "--t1", t1, "--steps", "1", "--depth", depth, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert message in captured.err.splitlines()
+
+
+def test_average_and_equidistribution_evaluate_each_nu_once(tmp_path, capsys, monkeypatch):
     calls = []
 
     def counting(fv, nu):
@@ -492,8 +533,6 @@ def test_average_and_equidistribution_evaluate_each_nu_once(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("cmd", ["average", "equidistribution"])
 def test_monomial_past_the_depth_fails_before_any_frequency(tmp_path, capsys, monkeypatch, cmd):
-    import kronflow.dynamics as dynamics
-
     def no_frequencies(fv, depth):
         raise AssertionError(f"frequencies up to index {depth} built before the depth check")
 

@@ -1,7 +1,8 @@
 """Only the float paths load numpy: ``import kronflow``, ``import kronflow.cli``
-and an exact subcommand leave it out of ``sys.modules``, while every float
-name of the package (``kronflow._DYNAMICS_EXPORTS``) still resolves to the
-``kronflow.dynamics`` object, and a removed name raises AttributeError."""
+and an exact subcommand leave it, and ``csv``, which the package does not use,
+out of ``sys.modules``, while every float name of the package
+(``kronflow._DYNAMICS_EXPORTS``) still resolves to the ``kronflow.dynamics``
+object, and a removed name raises AttributeError."""
 
 import os
 import subprocess
@@ -19,6 +20,7 @@ if "{module}" == "kronflow.cli":
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert kronflow.cli.main(["reduce", "--nu", "4,6,10"]) == 0
 assert "numpy" not in sys.modules, "numpy loaded"
+assert "csv" not in sys.modules, "csv loaded"
 
 import kronflow
 from kronflow import flow, TrigPolynomial, minimality_probe

@@ -44,6 +44,14 @@ SPECS = {
     "factorial": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "increment"}},
     "odd-primes": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "odd_indexed_primes"}},
     "periodic": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": {"periodic": [2, 3]}}},
+    "t3": {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]},
+    "factorial-sqrt2": {"kind": "solenoid", "generator": "sqrt2", "a": {"prefix": [1], "tail": "increment"}},
+    "bo-float": {
+        "kind": "bo",
+        "generators": [{"name": "beta", "kind": "opaque", "value": "0.314159265358979323846264338327950288419716939"}],
+        "beta": "beta",
+        "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
+    },
 }
 
 DIGESTS = {
@@ -165,3 +173,26 @@ def test_solenoid_stdout_digest(op, family, member, capsys):
     assert main(_solenoid_argv(op, family, member)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SOLENOID_DIGESTS[op, family, member]
+
+
+# -- kron simulate: the sha256 of the CSV file, on 201 samples from t0 = 3 with
+# theta0_j = ((j^2 + 1) mod 1000) / 1000 turns
+SIMULATE_DIGESTS = {
+    ("t3", 3, "1e2"): "a316d503480460cfb9b12aa86c8b134ae6d058c6c2e4862e56c3b1bd9de16a23",  # 9953 bytes
+    ("factorial-sqrt2", 8, "1e12"): "4426750115779ae30627d5355d7abc69172a17f9a022d5a8c2cecc494a174699",  # 25497 bytes
+    ("bo-float", 16, "1e6"): "62a3579fa5fd27dd58fb616d31db8ac08245b199311e45b066f41a3a039ffe44",  # 47643 bytes
+    ("halving", 64, "1e6"): "25299efaf9643238718523b3b066d15cdfaa96374d755192764d604a0fd62da9",  # 183743 bytes
+}
+
+
+@pytest.mark.parametrize("family,depth,t1", sorted(SIMULATE_DIGESTS))
+def test_simulate_csv_digest(family, depth, t1, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPECS[family]))
+    out = tmp_path / "traj.csv"
+    theta0 = ",".join(f"{(j * j + 1) % 1000}/1000" for j in range(1, depth + 1))
+    argv = ["simulate", str(spec), "--t0", "3", "--t1", t1, "--steps", "200", "--depth", str(depth),
+            "--theta0", theta0, "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_DIGESTS[family, depth, t1]

@@ -1,6 +1,7 @@
-"""Smoke test of the example scripts: each runs against the library in src/
-and prints something."""
+"""Smoke test of the scripts: each example runs against the library in src/
+and prints something, and the depth sweep gives its documented rows."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +24,31 @@ def test_script_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_depth_sweep_rows(tmp_path, monkeypatch):
+    """``depth_sweep.sweep`` at depths 16 and 32: every row has its documented
+    fields, the d32 rows their growth over d16, and the outputs are the same
+    bytes on a second sweep."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on the path
+    spec = importlib.util.spec_from_file_location("depth_sweep", ROOT / "scripts" / "depth_sweep.py")
+    depth_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(depth_sweep)
+    monkeypatch.setattr(depth_sweep, "DEPTHS", (16, 32))
+    sweeps = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        sweeps.append(depth_sweep.sweep(tmp_path / name))
+    first, second = sweeps
+    assert {row["command"] for row in first} == {
+        "resonance", "reduce-flow", "solenoid member", "solenoid coords", "solenoid times", "simulate"}
+    for row in first:
+        fields = {"command", "family", "depth", "best_ms", "tracemalloc_peak_bytes"}
+        fields |= {"csv_bytes", "csv_sha256"} if row["command"] == "simulate" else {"stdout_bytes", "stdout_sha256"}
+        if row["depth"] == 32:
+            fields |= {"time_growth", "peak_growth"}
+        assert set(row) == fields, row
+    simulated = [(row["family"], row["depth"]) for row in first if row["command"] == "simulate"]
+    assert simulated == [(family, depth) for family in ("halving", "product", "mixed") for depth in (16, 32)]
+    for key in ("csv_sha256", "stdout_sha256"):
+        assert [row.get(key) for row in first] == [row.get(key) for row in second]
