@@ -20,6 +20,17 @@ README's beta has no numeric value.  The host block holds the time of
 perfbench's reference chunk before and after the sweep, so runs on hosts of
 different speed can be compared.
 
+The ``cold_start`` block times what a single ``kron`` call pays before it
+works: the median wall time, over 11 fresh interpreters, of ``import
+kronflow.cli`` and of one ``kron`` call each (``reduce --nu 4,6``,
+``classify`` on halving at depth 16, and ``average``, ``equidistribution``
+and ``simulate`` on T^3), with whether mpmath and numpy were loaded at the
+end.  Each interpreter runs ``kronflow.cli.main`` as the ``kron`` script
+does, on a copy of the imported package with no ``__pycache__`` and with
+``PYTHONDONTWRITEBYTECODE=1``, so kronflow is compiled from source every
+time while the standard library and site-packages read their installed
+bytecode.  The rounds run every entry once, as the timed sweep does.
+
     PYTHONPATH=src python scripts/depth_sweep.py                  # JSON to stdout
     PYTHONPATH=src python scripts/depth_sweep.py --label after --out BENCH.json
 
@@ -32,9 +43,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import random
+import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -42,6 +56,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import kronflow
 from kronflow.cli import main
 from kronflow.frequency import SigmaSequence
 
@@ -50,6 +65,7 @@ from run import reference_chunk  # noqa: E402
 
 COMMANDS = ("resonance", "reduce-flow")
 DEPTHS = tuple(2**k for k in range(4, 11))
+COLD_RUNS = 11
 
 
 def _mixed_finite(n: int) -> dict:
@@ -71,6 +87,7 @@ SPECS = {
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
     "mixed": _mixed_finite(DEPTHS[-1]),
 }
+T3 = {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}
 SIMULATE_FAMILIES = ("halving", "product", "mixed")
 SOLENOID_OPS = ("member", "coords", "times")
 SOLENOID_SEQUENCES = {
@@ -167,6 +184,51 @@ def sweep(workdir: Path) -> list[dict]:
     return rows
 
 
+# a kron call in a fresh interpreter (none for the bare import), then the
+# libraries it loaded, as the last line of stderr
+COLD_PROBE = """import sys
+import kronflow.cli
+code = kronflow.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("loaded:", *[m for m in ("mpmath", "numpy") if m in sys.modules], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def cold_start(workdir: Path) -> list[dict]:
+    """One entry per cold call: its median wall time in ms over COLD_RUNS
+    fresh interpreters, and whether mpmath and numpy were loaded."""
+    src = workdir / "src"
+    shutil.copytree(Path(kronflow.__file__).parent, src / "kronflow", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    files = {"halving": SPECS["halving"], "t3": T3, "cos": {"terms": [{"cos": {"1": 1, "2": -1}}]}}
+    for name, doc in files.items():
+        (workdir / f"{name}.json").write_text(json.dumps(doc))
+    halving, t3, cos = (str(workdir / f"{name}.json") for name in files)
+    cases = {
+        "import kronflow.cli": [],
+        "kron reduce --nu 4,6": ["reduce", "--nu", "4,6"],
+        "kron classify halving --depth 16": ["classify", halving, "--depth", "16"],
+        "kron average t3": ["average", t3, "--poly", cos, "--depth", "3"],
+        "kron equidistribution t3": ["equidistribution", t3, "--nu", "1,-1", "--depth", "3"],
+        "kron simulate t3": ["simulate", t3, "--t1", "100", "--steps", "200", "--depth", "3",
+                             "--out", str(workdir / "t3.csv")],
+    }
+    times: dict[str, list[float]] = {name: [] for name in cases}
+    loaded: dict[str, list[str]] = {}
+    for _ in range(COLD_RUNS):
+        for name, argv in cases.items():
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], env=env, cwd=workdir,
+                                  capture_output=True, text=True, timeout=120)
+            times[name].append(time.perf_counter() - start)
+            if proc.returncode:
+                raise SystemExit(f"{name} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
+            loaded[name] = proc.stderr.splitlines()[-1].split()
+    return [{"call": name, "median_ms": round(statistics.median(times[name]) * 1e3, 1),
+             "mpmath": "mpmath" in loaded[name], "numpy": "numpy" in loaded[name]}
+            for name in cases]
+
+
 def main_sweep() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--label", default="run")
@@ -175,6 +237,7 @@ def main_sweep() -> None:
     before = _chunk_ms()
     with tempfile.TemporaryDirectory() as tmp:
         rows = sweep(Path(tmp))
+        cold = cold_start(Path(tmp))
     run = {
         "host": {
             "python": platform.python_version(),
@@ -182,6 +245,7 @@ def main_sweep() -> None:
             "reference_chunk_ms": {"before": before, "after": _chunk_ms()},
         },
         "rows": rows,
+        "cold_start": cold,
     }
     if args.out is None:
         print(json.dumps({args.label: run}, indent=1))

@@ -1,8 +1,9 @@
 """kronflow: exact algebraic invariants of linear torus flows, truncated to
 desk scale, plus the numerics that witness their dynamical consequences.
 
-The float numerics live in ``kronflow.dynamics``, which loads numpy; its
-names below resolve on first use, so ``import kronflow`` does not load it.
+The float numerics live in ``kronflow.dynamics``, whose float paths load
+numpy and mpmath; its names below resolve on first use, so ``import
+kronflow`` does not load it.
 """
 
 from .errors import KronError, UnsupportedStructureError, ValidationError

@@ -3,7 +3,8 @@
 Subcommands mirror the library modules; every payload is deterministic JSON
 on stdout (sorted keys, no timestamps), diagnostics and the version header go
 to stderr.  Exit codes: 0 success, 1 validation error, 2 unsupported
-structure.
+structure; a usage error (an unknown subcommand or option, a missing or
+malformed argument) is a validation error.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import json
 import os
 import sys
 from json.encoder import INFINITY as _INF, encode_basestring_ascii
-
-import mpmath
 
 from . import __version__
 from .benjamin_ono import bo_report
@@ -168,18 +167,22 @@ def _cmd_reduce_flow(args) -> None:
     _emit(reduce_flow(fv, args.depth).to_json())
 
 
-# The float subcommands import dynamics (and with it numpy) when they run, so
-# the exact subcommands never load numpy.
+# The float subcommands import mpmath and dynamics when they run, and evaluate
+# at the --precision that main resolved, so the exact subcommands never load
+# mpmath or numpy.
 
 
 def _cmd_simulate(args) -> None:
+    import mpmath
+
     from .dynamics import sample_trajectory
 
     fv = _load_spec(args.spec)
     depth = clamp_depth(fv, args.depth)
     theta0 = _parse_point(args.theta0) if args.theta0 else None
     # all rows exist before --out is opened, so a rejected request leaves it intact
-    rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, depth)
+    with mpmath.workprec(args.precision):
+        rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, depth)
     # the bytes of csv.writer: no %.12g text of a finite double holds a comma,
     # a quote, CR or LF, so no cell is quoted, and each line ends in "\r\n"
     row = ",".join(["%.12g"] * (depth + 1)) + "\r\n"
@@ -193,23 +196,30 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_average(args) -> None:
+    import mpmath
+
     from .dynamics import haar_average, parse_polynomial, time_average
 
     fv = _load_spec(args.spec)
     poly = parse_polynomial(_load_json(args.poly))
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
-    rows = time_average(fv, poly, theta0, args.T)
+    with mpmath.workprec(args.precision):
+        rows = time_average(fv, poly, theta0, args.T)
     _emit({"haar": str(haar_average(poly)),
            "rows": [{"T": t, "value": value, "envelope": envelope} for t, (value, envelope) in zip(args.T, rows)]})
 
 
 def _cmd_equidistribution(args) -> None:
+    import mpmath
+
     from .dynamics import equidistribution_report
 
     fv = _load_spec(args.spec)
     nus = [_parse_nu(n) for n in args.nu]
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
-    _emit({"rows": equidistribution_report(fv, nus, args.T, theta0)})
+    with mpmath.workprec(args.precision):
+        rows = equidistribution_report(fv, nus, args.T, theta0)
+    _emit({"rows": rows})
 
 
 def _cmd_solenoid(args) -> None:
@@ -257,8 +267,17 @@ def _cmd_iso(args) -> None:
     })
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are validation errors (exit 1,
+    one ``error:`` line), not argparse's exit 2 with a usage banner; the
+    subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kron", description=__doc__)
+    parser = _Parser(prog="kron", description=__doc__)
     parser.add_argument("--precision", type=int, default=None, help="mantissa bits (>= 64); env KRON_PRECISION")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -340,9 +359,8 @@ def main(argv=None) -> int:
         print(f"kronflow {__version__}", file=sys.stderr)
         if getattr(args, "depth", 1) < 1:
             raise ValidationError(f"depth must be >= 1, got {args.depth}")
-        bits = _precision(args)
-        with mpmath.workprec(bits):
-            args.fn(args)
+        args.precision = _precision(args)  # checked for every subcommand, used by the float ones
+        args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,9 @@ The float paths (flow, trajectory sampling, quadrature, the minimality probe)
 evaluate omega_1..omega_N once per call, at the caller's working precision,
 and form the angles (Theta0 + omega t) mod 2*pi for all sample times at once
 as numpy arrays; the probe forms them only for the samples whose first angle
-is near the target's.
+is near the target's.  numpy is imported inside those paths only, so the
+closed-form averages (``time_average``, ``equidistribution_report``) and
+``import kronflow.dynamics`` never load it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import warnings
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, parse_list, parse_rational
@@ -174,6 +174,8 @@ def _single_generator(fv: FrequencyVector, depth: int):
 def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
     """omega_1..omega_depth as doubles, each evaluated once at the working
     precision; the first omega_j that overflows a double is an error."""
+    import numpy as np
+
     omegas = np.array([float(evaluate_float(c)) for c in _coordinate_stream(fv, depth)])
     overflow = np.flatnonzero(~np.isfinite(omegas))
     if overflow.size:
@@ -185,6 +187,8 @@ def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:
     """Float angles (Theta0 + omega t) mod 2*pi, one row per time in ``ts``,
     a monotone grid of finite times, so the largest |t| is at one of its ends;
     max |omega_j| times that |t| must not overflow a double."""
+    import numpy as np
+
     base = np.array(theta0.to_radians())
     omegas = _float_omegas(fv, theta0.depth)
     ts = np.asarray(ts, dtype=float)
@@ -359,6 +363,8 @@ def time_average(
 
 def _polynomial_values(p: TrigPolynomial, angles: np.ndarray) -> np.ndarray:
     """p at every row of a float angle array, summed like evaluate_polynomial."""
+    import numpy as np
+
     depth = angles.shape[1]
     total = np.zeros(len(angles), dtype=complex)
     for nu, (re, im) in p.items():
@@ -387,6 +393,8 @@ def time_average_quadrature(
 ) -> float:
     """Trapezoid-rule average, O(step^2); cross-checks the closed form and
     handles non-polynomial observables."""
+    import numpy as np
+
     if samples < 3:
         raise ValidationError("quadrature needs at least 3 samples")
     _check_window(t_final)
@@ -451,6 +459,8 @@ def _probe_candidates(a: float, g: float, radius: float, n_samples: int):
     turns, computed as the probe computes it) lies within ``radius`` of an
     integer.  Yields one index array per block, possibly empty, or nothing
     when no sample is near."""
+    import numpy as np
+
     if a < 0:  # ||k a - g|| = ||k |a| + g||
         a, g = -a, -g
     # float rounding of k * step * turn - g and of the run bounds below stays
@@ -511,6 +521,8 @@ def minimality_probe(
     can be closer.  Each candidate's distance is the same float expression as
     on the full grid, so the result does not depend on the window.
     """
+    import numpy as np
+
     _require_finite(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")

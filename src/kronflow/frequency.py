@@ -5,7 +5,9 @@ three rule-based infinite families (solenoidal product rule, the quadratic
 integrable-flow rule, and the prime-power product construction).  Coordinates
 are exact rationals per generator; float values are produced on demand via
 mpmath, at the caller's working precision (``mpmath.workprec``), never below
-64 bits.
+64 bits.  mpmath is imported only when a float is evaluated (``working_bits``,
+``Generator.float_value``, ``evaluate_float``), so the exact operations never
+load it.
 
 Rational independence of the declared generators is an axiom of the input.
 The built-in kinds (the rational unit, square roots of distinct primes, and
@@ -24,8 +26,6 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import UnsupportedStructureError, ValidationError
 from .exact_linalg import format_rational, parse_int, parse_list, parse_rational
 from .primes import factorize, is_prime, nth_prime, odd_indexed_primes
@@ -38,6 +38,8 @@ _DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")  # an opaque gen
 def working_bits() -> int:
     """The mantissa of every float evaluation: the caller's mpmath working
     precision, raised to the DEFAULT_PRECISION_BITS floor."""
+    import mpmath
+
     return max(mpmath.mp.prec, DEFAULT_PRECISION_BITS)
 
 
@@ -87,6 +89,8 @@ class Generator:
             raise ValidationError(f"generator {self.name!r}: unknown kind {self.kind!r}")
 
     def float_value(self) -> mpmath.mpf:
+        import mpmath
+
         with mpmath.workprec(working_bits()):
             if self.kind == "rational_unit":
                 return mpmath.mpf(1)
@@ -490,6 +494,8 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
 def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
     """The real number sum_g c_g * g of one exact coordinate map, at
     ``working_bits()`` of mantissa."""
+    import mpmath
+
     with mpmath.workprec(working_bits()):
         total = mpmath.mpf(0)
         for gen, c in coords.items():

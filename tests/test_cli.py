@@ -269,7 +269,9 @@ def test_precision_env_override(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
-def test_depth_zero_rejected_by_every_subcommand(tmp_path, capsys):
+def _one_call_of_each_subcommand(tmp_path) -> dict[str, list[str]]:
+    """A call of each of the ten subcommands that succeeds at the default
+    precision."""
     spec = tmp_path / "s2.json"
     spec.write_text(SQRT_SPEC)
     bo = tmp_path / "bo.json"
@@ -277,21 +279,75 @@ def test_depth_zero_rejected_by_every_subcommand(tmp_path, capsys):
     poly = tmp_path / "p.json"
     poly.write_text(POLY)
     s = str(spec)
-    argvs = [
-        ["classify", s],
-        ["resonance", s],
-        ["reduce-flow", s],
-        ["simulate", s, "--t1", "1", "--steps", "2", "--out", str(tmp_path / "t.csv")],
-        ["average", s, "--poly", str(poly)],
-        ["equidistribution", s, "--nu", "1,-1"],
-        ["bo", str(bo)],
-        ["iso", s, s],
-    ]
-    for argv in argvs:
+    return {
+        "classify": ["classify", s],
+        "resonance": ["resonance", s],
+        "reduce": ["reduce", "--nu", "4,6"],
+        "reduce-flow": ["reduce-flow", s],
+        "simulate": ["simulate", s, "--t1", "1", "--steps", "2", "--out", str(tmp_path / "t.csv")],
+        "average": ["average", s, "--poly", str(poly), "--depth", "2"],
+        "equidistribution": ["equidistribution", s, "--nu", "1,-1", "--depth", "2"],
+        "solenoid": ["solenoid", "coords", "--a", "1,2", "--theta", "1/4,5/8"],
+        "bo": ["bo", str(bo)],
+        "iso": ["iso", s, s],
+    }
+
+
+def test_depth_zero_rejected_by_every_subcommand(tmp_path, capsys):
+    for name, argv in _one_call_of_each_subcommand(tmp_path).items():
+        if name in ("reduce", "solenoid"):  # no --depth
+            continue
         code = main(argv + ["--depth", "0"])
         err = capsys.readouterr().err
         assert code == 1, argv
         assert "error: depth must be >= 1, got 0" in err, argv
+
+
+PRECISION_ERRORS = {  # (argv prefix, KRON_PRECISION, message)
+    "--precision 60": (["--precision", "60"], None, "precision must be >= 64 bits, got 60"),
+    "KRON_PRECISION=abc": ([], "abc", "KRON_PRECISION must be an integer, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("setting", list(PRECISION_ERRORS))
+def test_precision_checked_by_every_subcommand(tmp_path, capsys, monkeypatch, setting):
+    prefix, env, message = PRECISION_ERRORS[setting]
+    for name, argv in _one_call_of_each_subcommand(tmp_path).items():
+        monkeypatch.delenv("KRON_PRECISION", raising=False)
+        assert main(argv) == 0, name
+        capsys.readouterr()
+        if env is not None:
+            monkeypatch.setenv("KRON_PRECISION", env)
+        code = main(prefix + argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", name
+        assert captured.err.splitlines()[-1] == "error: " + message, name
+
+
+# omega_1 = 10^19 sqrt2 - 14142135623730950488, about 0.0168872, is exactly 0 at 64 bits
+ONE_TERM_CANCEL_SPEC = '{"kind": "finite", "terms": [{"1": "-14142135623730950488", "sqrt2": "10000000000000000000"}]}'
+
+
+@pytest.mark.parametrize("setting", ["--precision", "KRON_PRECISION"])
+def test_precision_reaches_every_float_subcommand(tmp_path, capsys, monkeypatch, setting):
+    spec = tmp_path / "cancel1.json"
+    spec.write_text(ONE_TERM_CANCEL_SPEC)
+    poly = tmp_path / "cos1.json"
+    poly.write_text('{"terms": [{"cos": {"1": 1}}]}')
+    out = tmp_path / "t.csv"
+    monkeypatch.delenv("KRON_PRECISION", raising=False)
+    prefix = ["--precision", "200"]
+    if setting == "KRON_PRECISION":
+        monkeypatch.setenv("KRON_PRECISION", "200")
+        prefix = []
+    s = str(spec)
+    code, _ = run(capsys, *prefix, "simulate", s, "--t1", "100", "--steps", "2", "--depth", "1", "--theta0", "0",
+                  "--out", str(out))
+    assert code == 0 and out.read_text().splitlines()[2] == "50,0.844362104849"
+    code, payload = run(capsys, *prefix, "average", s, "--poly", str(poly), "--depth", "1")
+    assert code == 0 and abs(json.loads(payload)["rows"][0]["envelope"] - 1.18433) < 1e-5
+    code, payload = run(capsys, *prefix, "equidistribution", s, "--nu", "1", "--T", "100", "--depth", "1")
+    assert code == 0 and json.loads(payload)["rows"][0]["pass"] is True
 
 
 def test_malformed_sequence_entry_is_validation_error(tmp_path, capsys):

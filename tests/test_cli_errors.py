@@ -1,9 +1,10 @@
 """Exit 1 with one exact ``error:`` line and no traceback, for each input a
 validation rule names: sequence rules, builtin generator names, empty or
 malformed flags, unreadable or over-nested files, an unwritable ``--out``
-and a product component with both ``free`` and ``qa``.  Also: exact integers
-past CPython's 4300-digit str conversion limit are read and written, and the
-limit is left as it was."""
+and a product component with both ``free`` and ``qa``; the same for a usage
+error, which argparse alone would end with its usage banner and exit 2.
+Also: exact integers past CPython's 4300-digit str conversion limit are read
+and written, and the limit is left as it was."""
 
 import contextlib
 import io
@@ -97,6 +98,36 @@ def test_validation_error_is_one_exact_line(tmp_path, capsys, argv, message):
     assert "Traceback" not in captured.err
     assert captured.err.splitlines()[-1] == "error: " + at(message)
     assert sorted(tmp_path.rglob("*")) == before  # a failed --out leaves no file
+
+
+# argparse's own message for each usage error, as main prints it after "error: "
+USAGE_ERRORS = {
+    "malformed --precision": (["--precision", "abc", "classify", "S"], "argument --precision: invalid int value: 'abc'"),
+    "malformed --depth": (["classify", "S", "--depth", "x"], "argument --depth: invalid int value: 'x'"),
+    "missing --t1": (["simulate", "S", "--steps", "3", "--out", "O"], "the following arguments are required: --t1"),
+    "unknown subcommand": (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from 'classify', "
+                           "'resonance', 'reduce', 'reduce-flow', 'simulate', 'average', 'equidistribution', "
+                           "'solenoid', 'bo', 'iso')"),
+    "no subcommand": ([], "the following arguments are required: command"),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_is_a_validation_error(capsys, argv, message):
+    """Exit 1 (returned, not raised) with one ``error:`` line: no usage banner,
+    no traceback, nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == ["error: " + message]
+    assert "usage:" not in captured.err and "Traceback" not in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kron classify")
 
 
 @pytest.mark.parametrize("kind", ["increment", "odd_indexed_primes"])

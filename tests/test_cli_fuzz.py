@@ -60,10 +60,7 @@ def _mutate(data, doc, max_mutations):
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(argv)
     return code, err.getvalue()
 
 

@@ -1,5 +1,6 @@
 """Smoke test of the scripts: each example runs against the library in src/
-and prints something, and the depth sweep gives its documented rows."""
+and prints something, and the depth sweep gives its documented rows and
+cold-start entries."""
 
 import importlib.util
 import os
@@ -26,14 +27,19 @@ def test_script_runs(script):
     assert proc.stdout.strip()
 
 
-def test_depth_sweep_rows(tmp_path, monkeypatch):
+@pytest.fixture
+def depth_sweep(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on the path
+    spec = importlib.util.spec_from_file_location("depth_sweep", ROOT / "scripts" / "depth_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     """``depth_sweep.sweep`` at depths 16 and 32: every row has its documented
     fields, the d32 rows their growth over d16, and the outputs are the same
     bytes on a second sweep."""
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on the path
-    spec = importlib.util.spec_from_file_location("depth_sweep", ROOT / "scripts" / "depth_sweep.py")
-    depth_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(depth_sweep)
     monkeypatch.setattr(depth_sweep, "DEPTHS", (16, 32))
     sweeps = []
     for name in ("first", "second"):
@@ -52,3 +58,20 @@ def test_depth_sweep_rows(tmp_path, monkeypatch):
     assert simulated == [(family, depth) for family in ("halving", "product", "mixed") for depth in (16, 32)]
     for key in ("csv_sha256", "stdout_sha256"):
         assert [row.get(key) for row in first] == [row.get(key) for row in second]
+
+
+def test_depth_sweep_cold_start(tmp_path, monkeypatch, depth_sweep):
+    """``depth_sweep.cold_start`` with one interpreter per entry: each cold
+    call has a time, and the exact calls load neither mpmath nor numpy, the
+    closed-form averages mpmath alone, and ``simulate`` both."""
+    monkeypatch.setattr(depth_sweep, "COLD_RUNS", 1)
+    entries = depth_sweep.cold_start(tmp_path)
+    assert [(e["call"], e["mpmath"], e["numpy"]) for e in entries] == [
+        ("import kronflow.cli", False, False),
+        ("kron reduce --nu 4,6", False, False),
+        ("kron classify halving --depth 16", False, False),
+        ("kron average t3", True, False),
+        ("kron equidistribution t3", True, False),
+        ("kron simulate t3", True, True),
+    ]
+    assert all(set(e) == {"call", "median_ms", "mpmath", "numpy"} and e["median_ms"] > 0 for e in entries)
