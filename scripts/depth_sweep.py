@@ -2,7 +2,8 @@
 """Depth sweep of the exact subcommands on the README specs.
 
 For ``kron resonance`` and ``kron reduce-flow`` on the README's halving, BO
-and product specs, and on a mixed finite spec of 1024 terms, and for ``kron
+and product specs, on the factorial solenoid rule (a_j = j, so its terms
+grow), and on a mixed finite spec of 1024 terms, and for ``kron
 solenoid member``, ``coords`` and ``times`` on the factorial and halving
 sequences, at depths 16, 32, ..., 1024, runs ``cli.main`` in-process and
 records the best-of-3 wall time in ms, the stdout bytes and their sha256,
@@ -85,6 +86,7 @@ SPECS = {
         "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
     },
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
+    "factorial": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "increment"}},
     "mixed": _mixed_finite(DEPTHS[-1]),
 }
 T3 = {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}

@@ -382,13 +382,9 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
 
         return benjamin_ono.module_descriptor(fv)
     if isinstance(fv, ProductConstruction):
-        comps = []
-        for gen, spec in fv.components:
-            if spec.is_free:
-                comps.append(ModuleComponent(gen, free_baer_type(Fraction(1))))
-            else:
-                comps.append(ModuleComponent(gen, qa_to_baer(spec.qa)))
-        return ModuleDescriptor(tuple(comps))
+        return ModuleDescriptor(tuple(
+            ModuleComponent(gen, free_baer_type(Fraction(1)) if spec.is_free else qa_to_baer(spec.qa))
+            for gen, spec in fv.components))
     raise UnsupportedStructureError(
         f"no decomposition rule for frequency family {type(fv).__name__}"
     )

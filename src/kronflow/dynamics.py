@@ -173,14 +173,19 @@ def _single_generator(fv: FrequencyVector, depth: int):
 
 def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
     """omega_1..omega_depth as doubles, each evaluated once at the working
-    precision; the first omega_j that overflows a double is an error."""
+    precision; the first omega_j that overflows a double, or that cancels to
+    0 there from nonempty coordinates (not one that underflows), is an error."""
     import numpy as np
 
-    omegas = np.array([float(evaluate_float(c)) for c in _coordinate_stream(fv, depth)])
-    overflow = np.flatnonzero(~np.isfinite(omegas))
-    if overflow.size:
-        raise ValidationError(f"omega_{overflow[0] + 1} overflows a double")
-    return omegas
+    omegas = []
+    for j, coords in enumerate(_coordinate_stream(fv, depth), 1):
+        value = evaluate_float(coords)
+        if coords and not value:
+            raise ValidationError(f"omega_{j} rounds to 0 at {working_bits()} bits; raise --precision")
+        omegas.append(float(value))
+        if not math.isfinite(omegas[-1]):
+            raise ValidationError(f"omega_{j} overflows a double")
+    return np.array(omegas)
 
 
 def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:

@@ -109,6 +109,13 @@ class IntVecFin:
         self._entries = store
 
     @classmethod
+    def wrap(cls, entries: dict[int, int]) -> "IntVecFin":
+        """The vector over ``entries``, nonzero ints at int indices >= 1, unchecked."""
+        vec = cls.__new__(cls)
+        vec._entries = entries
+        return vec
+
+    @classmethod
     def from_list(cls, values: Sequence[int], start: int = 1) -> "IntVecFin":
         return cls((start + k, v) for k, v in enumerate(values) if v)
 
@@ -440,4 +447,4 @@ def integer_kernel(columns: Sequence[Mapping]) -> list[IntVecFin]:
     """
     labels, _scales, basis = _hermite_basis(columns)
     m = len(labels)
-    return [IntVecFin({i - m + 1: v for i, v in basis[r][0].items()}) for r in sorted(basis) if r >= m]
+    return [IntVecFin.wrap({i - m + 1: v for i, v in basis[r][0].items()}) for r in sorted(basis) if r >= m]

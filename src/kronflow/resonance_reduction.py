@@ -1,22 +1,23 @@
 """Resonance modules and the reduction of resonant flows.
 
 ``resonance_basis`` realizes the set of integer relations among the first N
-frequencies as the integer kernel of their exact coordinate matrix, whose
-column j is omega_j's map {generator: rational} from ``coordinates``; those
-maps go to the Hermite primitive as they are, and the re-check reads them once
-into one sparse integer row per generator, scaled by the lcm of its
-denominators.
+frequencies, from omega_j's maps {generator: rational} of ``coordinates``.
+On a solenoid rule, and on a product's ``qa`` chains at their prime powers,
+omega_j is a_(j+1) times the next omega of its generator, so the basis is
+these adjacent relations, each re-checked by one cross-multiplication, and
+e_j at each empty column.  Otherwise it is the Hermite primitive's integer
+kernel, re-checked against one integer row per generator.
 ``reduce_vector`` collapses one integer vector to (g, 0, 0, ...) by a tracked
 composition of elementary automorphisms; it is the certificate behind
 ``kron reduce``.  Its trail records each swap and negate, and each run of
 identical subtraction passes as one record with a repeat count, so its length
 is bounded by the Euclidean steps; the entry sum of every pass is listed, and
 the sums are strictly decreasing positive integers (that is the termination
-argument, asserted literally).  ``reduce_flow`` conjugates the flow, in one
-Hermite transform of the coordinate matrix, to one whose frequency vector
-starts with a zero block followed by a block with trivial integer kernel: the
-automorphism stacks the resonance basis over integer preimages of an image
-basis, and that image, keyed by generators, is the nonzero block itself.
+argument, asserted literally).  ``reduce_flow`` conjugates the flow, by the
+Hermite transform of the coordinate matrix (closed-form on sequence rules),
+to one whose frequency vector starts with a zero block followed by a block
+with trivial integer kernel: the automorphism stacks the Hermite kernel
+basis over integer preimages of an image basis, which is the nonzero block.
 """
 
 from __future__ import annotations
@@ -25,14 +26,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .exact_linalg import (
-    IntVecFin,
-    RowFiniteIntMatrix,
-    gcd_of_vector,
-    hermite_transform,
-    integer_kernel,
-)
-from .frequency import Finite, FrequencyVector, Generator, clamp_depth, coordinates, finite_vector
+from .exact_linalg import (HermiteTransform, IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform,
+                           integer_kernel)
+from .frequency import (Finite, FrequencyVector, Generator, ProductConstruction, SolenoidRule, clamp_depth,
+                        coordinates, finite_vector)
 from .solenoid_geometry import TorusPoint
 
 # ---------------------------------------------------------------------------
@@ -58,24 +55,49 @@ class ResonanceBasis:
         }
 
 
+def _relations(fv: FrequencyVector, columns: list[dict]) -> tuple[dict, dict | None, list | None]:
+    """The coordinate matrix by rows, {generator: [(j, coordinate), ...]}; on a
+    solenoid rule or a product (one generator per column) also {i: (k, a, end,
+    q)} for each index i whose generator next appears at k and last at end,
+    omega_i = a omega_k = q omega_end (a the sequence's, checked), and the ends."""
+    rows: dict[Generator, list] = {}
+    for j, col in enumerate(columns, 1):
+        for g, x in col.items():
+            rows.setdefault(g, []).append((j, x))
+    if isinstance(fv, SolenoidRule):
+        seqs = {fv.generator: fv.a}
+    elif isinstance(fv, ProductConstruction) and len({g for g, _ in fv.components}) == len(fv.components):
+        seqs = {gen: spec.qa for gen, spec in fv.components}
+    else:
+        return rows, None, None
+    steps = {}
+    for g, row in rows.items():
+        q, terms = 1, seqs[g].terms(len(row)) if len(row) > 1 else ()
+        for (i, x), (k, y), a in reversed(list(zip(row, row[1:], terms[1:]))):
+            if x.numerator * y.denominator != a * y.numerator * x.denominator:  # n_i d_k = a n_k d_i
+                raise ValidationError("internal error: kernel vector fails exact resonance check")
+            q *= a
+            steps[i] = (k, a, row[-1][0], q)
+    return rows, steps, [rows[g][-1][0] for g in sorted(rows)]
+
+
 def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
     """Canonical basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the
     depth clamped to the length of a finite vector."""
     depth = clamp_depth(fv, depth)
     columns = coordinates(fv, depth)
+    rows, steps, _ = _relations(fv, columns)
+    if steps is not None:  # e_i - a e_k at each step, e_i at each empty column
+        return ResonanceBasis(tuple(IntVecFin.wrap({i: 1, steps[i][0]: -steps[i][1]} if i in steps else {i: 1})
+                                    for i, col in enumerate(columns, 1) if i in steps or not col), depth)
     basis = integer_kernel(columns)
     # exact re-check in integers, apart from the Hermite code: one sparse row
     # {j: entry} per generator, scaled by the lcm of its denominators
-    rows: dict[Generator, dict] = {}
-    for j, col in enumerate(columns, 1):
-        for g, q in col.items():
-            rows.setdefault(g, {})[j] = q
     for row in rows.values():
-        scale = math.lcm(*(q.denominator for q in row.values()))
-        scaled = {j: q.numerator * (scale // q.denominator) for j, q in row.items()}
-        for nu in basis:
-            if sum(v * scaled.get(j, 0) for j, v in nu.items()):
-                raise ValidationError("internal error: kernel vector fails exact resonance check")
+        scale = math.lcm(*(x.denominator for _, x in row))
+        scaled = {j: x.numerator * (scale // x.denominator) for j, x in row}
+        if any(sum(v * scaled.get(j, 0) for j, v in nu._entries.items()) for nu in basis):
+            raise ValidationError("internal error: kernel vector fails exact resonance check")
     return ResonanceBasis(tuple(basis), depth)
 
 
@@ -208,15 +230,25 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     length of a finite vector.
 
     One Hermite transform of the coordinate matrix gives A = [kernel basis;
-    image preimages]: its first d rows are the canonical resonance basis, so
-    (A omega)_i = 0 for i <= d, and the remaining rows map omega to an
-    echelon basis of the coordinate lattice, whose entries are independent.
-    A is unimodular because Z^N is the kernel plus the span of the
-    preimages.  A stays the identity when the kernel is trivial.
+    image preimages]: its first d rows are the canonical column Hermite
+    basis of the resonances, so (A omega)_i = 0 for i <= d, and the remaining
+    rows map omega to an echelon basis of the coordinate lattice, whose
+    entries are independent.  A is unimodular because Z^N is the kernel plus
+    the span of the preimages.  A stays the identity when the kernel is
+    trivial.  On a solenoid rule or a product A is built in closed form, its
+    rows e_i - q e_end, e_i at each empty column, then each e_end: unlike
+    the adjacent relations, they keep A^-1 sparse.
     """
     depth = clamp_depth(fv, depth)
     columns = coordinates(fv, depth)
-    h = hermite_transform(columns)
+    _, steps, ends = _relations(fv, columns)
+    if steps is None:
+        h = hermite_transform(columns)
+    else:
+        kernel = [i for i, col in enumerate(columns, 1) if i in steps or not col]
+        rows = [{i: 1, steps[i][2]: -steps[i][3]} if i in steps else {i: 1} for i in kernel] + [{k: 1} for k in ends]
+        inverse = [{i: 1} for i in kernel] + [{k: 1} | {i: s[3] for i, s in steps.items() if s[2] == k} for k in ends]
+        h = HermiteTransform(RowFiniteIntMatrix(rows, inverse), len(kernel), [columns[k - 1] for k in ends])
     zeros = h.zero_rank
     if zeros:
         total, reduced = h.transform, finite_vector([{}] * zeros + h.image)

@@ -350,6 +350,30 @@ def test_precision_reaches_every_float_subcommand(tmp_path, capsys, monkeypatch,
     assert code == 0 and json.loads(payload)["rows"][0]["pass"] is True
 
 
+def test_simulate_names_an_omega_that_cancels_to_0(tmp_path, capsys, monkeypatch):
+    """At 64 bits omega_1 of the one-term spec cancels to 0, which ``simulate``
+    rejects as ``average`` does; at 200 bits it runs (see above)."""
+    monkeypatch.delenv("KRON_PRECISION", raising=False)
+    spec = tmp_path / "cancel1.json"
+    spec.write_text(ONE_TERM_CANCEL_SPEC)
+    out = tmp_path / "t.csv"
+    code = main(["simulate", str(spec), "--t1", "100", "--steps", "2", "--depth", "1", "--theta0", "0",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err.splitlines()[-1] == "error: omega_1 rounds to 0 at 64 bits; raise --precision"
+
+
+def test_empty_and_underflowing_omegas_stay_0():
+    """An index with no coordinates (the product's index 3) and an omega that
+    underflows a double (1/200! on the factorial rule) flow as a real 0."""
+    product = parse_frequency_spec(
+        '{"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]}')
+    assert dynamics.flow(product, TorusPoint.origin(4), 1.0).angles[2] == 0.0
+    factorial = parse_frequency_spec('{"kind": "solenoid", "a": {"prefix": [1], "tail": "increment"}}')
+    assert dynamics.flow(factorial, TorusPoint.origin(200), 1.0).angles[199] == 0.0
+
+
 def test_malformed_sequence_entry_is_validation_error(tmp_path, capsys):
     spec = tmp_path / "sol.json"
     spec.write_text('{"kind": "solenoid", "generator": "1", "a": {"prefix": ["x"], "tail": {"constant": 2}}}')

@@ -164,13 +164,13 @@ def _loads(text):
         sys.set_int_max_str_digits(limit)
 
 
-def test_factorial_resonance_past_4300_digits(tmp_path, capsys):
-    """N! has more than 4300 digits from N = 1560 on; the entries of the
-    depth-1700 basis used to stop the JSON writer with a ValueError."""
+def test_factorial_reduce_flow_past_4300_digits(tmp_path, capsys):
+    """N! has more than 4300 digits from N = 1560 on; the entries 1700!/j! of
+    the depth-1700 transform used to stop the JSON writer with a ValueError."""
     limit = sys.get_int_max_str_digits()
     spec = tmp_path / "factorial.json"
     spec.write_text('{"kind": "solenoid", "a": ' + FACTORIAL + "}")
-    code, out = _run(["resonance", str(spec), "--depth", "1700"])
+    code, out = _run(["reduce-flow", str(spec), "--depth", "1700"])
     assert code == 0, capsys.readouterr().err
     doc = _loads(out)
     assert doc["depth"] == 1700

@@ -3,7 +3,9 @@
 The sha256 of stdout of ``kron resonance`` and ``kron reduce-flow`` on the
 README's halving, BO and product specs at depths 16, 64 and 128, and of
 ``kron classify`` on three finite specs whose terms mix generators, as the
-dense column Hermite transform printed them; ``kron classify`` at depth 16 on
+dense column Hermite transform printed them, except ``resonance`` on the
+halving and product specs, pinned as the adjacent relations
+e_j - a_(j+1) e_(j+1) of each sequence print them; ``kron classify`` at depth 16 on
 the halving, product, BO and odd-denominator BO specs and on solenoid specs
 with increment, odd-indexed-prime and periodic tails, and ``kron iso`` of the
 BO spec against the product spec, as the closure classes printed them; and of ``kron reduce`` on three
@@ -55,15 +57,15 @@ SPECS = {
 }
 
 DIGESTS = {
-    ("resonance", "halving", 16): "d8b85dfc2f79fdebe6e3202870c8ea108f354d4e6a435910ea416c73372d0fc6",  # 716 bytes
-    ("resonance", "halving", 64): "995d9f7f90f74982e13a01752ba0e0c6f5bd4995b7123d0077aeea1b73a7cf31",  # 3327 bytes
-    ("resonance", "halving", 128): "fc820a5f1c0d3e4c3f05323240e14b6902f89b58b5670281b87e4a60f4090827",  # 8044 bytes
+    ("resonance", "halving", 16): "2baa8215dd9259607af04d623f4398f85cbc13449dcc7414197cd766260cecf2",  # 679 bytes
+    ("resonance", "halving", 64): "733d3a59e4616e37c7e3d67b02b24ef6a3351d284f32cad9b75e1516b7408b6c",  # 2743 bytes
+    ("resonance", "halving", 128): "f279523dd4512321c9aeb279d3f723758b2b397e9a62e5a01d63a4386ecb5473",  # 5554 bytes
     ("resonance", "bo", 16): "e7886c873a2daf14cc0263c4c04942b281229e7ace4e8e241eb65b258d666a9c",  # 1301 bytes
     ("resonance", "bo", 64): "abb61592cfeab5bfeda5beaa842fbabfc6acbb3541ab2bb0e5ad87812423dbbd",  # 8443 bytes
     ("resonance", "bo", 128): "ef96986dd26d8163a32fc0843da62a6a066752c434966a82411bc164a08ab0cc",  # 24998 bytes
-    ("resonance", "product", 16): "26c51f1ee1006a4b0603950d7baefa793c2ea309ff48bfcc439cea8281e82941",  # 469 bytes
-    ("resonance", "product", 64): "d45955361d55bc87329246276b67286e5ee01472049cee00468f70c5453cc22d",  # 1799 bytes
-    ("resonance", "product", 128): "e50bd6e842816b737c6195f352928cdf16d84e6bc2df0fe4371f657ad1a193df",  # 3580 bytes
+    ("resonance", "product", 16): "ec9756a73e2a9f797b710b82ad3dfe21c276719f7c80e61fc42138c7fc5fdcbb",  # 467 bytes
+    ("resonance", "product", 64): "47bf49b790322fd55b291e57d1387b55886cc19b7832be6933b8f144fcc5ee10",  # 1795 bytes
+    ("resonance", "product", 128): "90ba84dddc9dfe1bf6747a7f90ac897d995eed53aef4971f473331f6e0e40596",  # 3570 bytes
     ("reduce-flow", "halving", 16): "8a69be4b864bc1e998067ef12619c7c11ef86039f3b67e01e8a54972a3d5a770",  # 2244 bytes
     ("reduce-flow", "halving", 64): "8d6ffd90c075a62f0f422abd9f509208bc4f3abb5c114a68e7edf981c44e9557",  # 9256 bytes
     ("reduce-flow", "halving", 128): "bf860d2b50b77564ff617ad57df29484ff51dd3d1f74096033d5dd7677a7b377",  # 21137 bytes

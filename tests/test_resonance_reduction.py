@@ -9,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronflow import exact_linalg
+from kronflow.cli import main
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import IntVecFin, RowFiniteIntMatrix
 from kronflow.frequency import (
     UNIT,
+    ProductConstruction,
     SigmaSequence,
+    SubgroupOfQSpec,
+    build_product_vector,
     coordinates,
     parse_frequency_spec,
     rational_vector,
@@ -28,8 +32,10 @@ from kronflow.resonance_reduction import (
 from kronflow.dynamics import flow
 from kronflow.solenoid_geometry import TorusPoint
 from test_exact_linalg import assert_matches_dense_hermite
+from test_lattice_witness import PRODUCTS, SOLENOIDS
 from oracles import (
     brute_force_kernel,
+    dense_hermite_transform,
     dense_rows,
     dot_fractions,
     euclid_gcd,
@@ -338,6 +344,21 @@ def test_apply_automorphism_float_points():
 
 # -- deep truncations (README families)
 
+
+def _echelon_reduce(basis, vec):
+    """vec minus its integer combination of an echelon basis (pivots strictly
+    increasing), taken pivot by pivot; zero iff vec lies in the basis's span."""
+    vec = dict(vec.items())
+    for b in basis:
+        p = b.support()[0]
+        q, r = divmod(vec.get(p, 0), b[p])
+        if r:
+            return vec
+        for i, v in b.items():
+            vec[i] = vec.get(i, 0) - q * v
+    return {i: v for i, v in vec.items() if v}
+
+
 DEEP_SPECS = {
     "halving": '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}',
     "bo": '{"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, '
@@ -363,8 +384,16 @@ def test_reduce_flow_deep(family, depth):
     assert red.zero_rank == depth - rational_rank(_coordinate_rows(fv, depth))
     _assert_exact_transform(fv, red)
     assert verify_inverse(red.transform)
+    # the zero block and the resonance basis span one lattice: each basis
+    # vector's coordinates in the rows of A, nu A^-1, vanish past zero_rank,
+    # and each row of the zero block lies in the span of the basis
     basis = resonance_basis(fv, depth)
-    assert [red.transform.row(i) for i in range(1, red.zero_rank + 1)] == list(basis.vectors)
+    assert basis.rank == red.zero_rank
+    inverse = dense_rows(red.transform.to_json(), "inverse_rows", depth)
+    for nu in basis.vectors:
+        coords = [sum(v * inverse[i - 1][r] for i, v in nu.items()) for r in range(depth)]
+        assert not any(coords[red.zero_rank :])
+    assert all(not _echelon_reduce(basis.vectors, red.transform.row(i)) for i in range(1, red.zero_rank + 1))
     assert red.nonzero_block_independent
 
 
@@ -375,10 +404,10 @@ def test_family_hermite_transform_matches_dense_oracle(family, depth):
 
 
 def test_halving_hermite_writes_linear_in_depth(monkeypatch):
-    """Entries written by the sparse combination step for the resonance basis
-    of the halving and product specs (the product's frequencies lie on two
-    generators, so its columns carry two row labels between them), and the
-    nonzeros of the basis: one column adds a bounded number, so doubling the
+    """Entries written by the sparse combination step for the integer kernel
+    of the halving and product coordinates (the product's frequencies lie on
+    two generators, so its columns carry two row labels between them), and
+    the nonzeros of the kernel: one column adds a bounded number, so doubling the
     depth from 128 to 1024 at most about doubles each count (a dense graph
     vector writes m + n entries per step, which made it quadratic)."""
     written = []
@@ -394,10 +423,10 @@ def test_halving_hermite_writes_linear_in_depth(monkeypatch):
         writes, nonzeros = [], []
         for depth in (128, 256, 512, 1024):
             written.clear()
-            basis = resonance_basis(fv, depth)
-            assert basis.rank == zero_rank(depth)
+            kernel = exact_linalg.integer_kernel(coordinates(fv, depth))
+            assert len(kernel) == zero_rank(depth)
             writes.append(sum(written))
-            nonzeros.append(sum(len(v.support()) for v in basis.vectors))
+            nonzeros.append(sum(len(v.support()) for v in kernel))
         assert writes[0] > 0
         for counts in (writes, nonzeros):
             assert all(b <= 2.1 * a for a, b in zip(counts, counts[1:])), (family, counts)
@@ -437,3 +466,75 @@ def test_halving_coordinate_matrix_is_linear_in_terms(monkeypatch):
     basis = resonance_basis(parse_frequency_spec(DEEP_SPECS["halving"]), 256)
     assert basis.rank == 255
     assert len(calls) <= 256
+
+
+# -- sequence rules: the adjacent relations in closed form
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(SOLENOIDS, PRODUCTS), st.integers(1, 64))
+def test_sequence_basis_spans_the_dense_hermite_kernel(doc, depth):
+    """The adjacent relations and the dense oracle's Hermite kernel span one
+    lattice, and ``reduce_flow``'s closed-form transform is the oracle's."""
+    fv = parse_frequency_spec(doc)
+    cols = coordinates(fv, depth)
+    rows = [[col.get(g, F(0)) for col in cols] for g in sorted({g for col in cols for g in col})]
+    dense = dense_hermite_transform(rows) if rows else None
+    kernel = [IntVecFin.from_list(r) for r in dense.rows[: dense.zero_rank]] if dense else [
+        IntVecFin({j: 1}) for j in range(1, depth + 1)]
+    basis = resonance_basis(fv, depth).vectors
+    assert len(basis) == len(kernel)
+    assert all(not _echelon_reduce(kernel, nu) for nu in basis)
+    assert all(not _echelon_reduce(basis, nu) for nu in kernel)
+    assert all(nu[nu.support()[0]] == 1 and len(nu.support()) <= 2 for nu in basis)
+    red = reduce_flow(fv, depth)
+    if dense and red.zero_rank:
+        doc = red.transform.to_json()
+        assert dense_rows(doc, "rows", depth) == dense.rows
+        assert dense_rows(doc, "inverse_rows", depth) == dense.inverse_rows
+
+
+@pytest.mark.parametrize("family", ["halving", "product"])
+def test_sequence_rules_reject_a_wrong_term(monkeypatch, family):
+    """With a_3 off by one in the sequence and the true coordinates, the
+    relation it gives fails the re-check, in both closed forms."""
+    import kronflow.resonance_reduction as rr
+
+    fv = parse_frequency_spec(DEEP_SPECS[family])
+    columns = coordinates(fv, 16)
+    monkeypatch.setattr(rr, "coordinates", lambda fv, depth: columns)
+    terms = SigmaSequence.terms
+    monkeypatch.setattr(SigmaSequence, "terms", lambda self, n: [t + (j == 3) for j, t in enumerate(terms(self, n), 1)])
+    for call in (resonance_basis, reduce_flow):
+        with pytest.raises(ValidationError, match="internal error: kernel vector fails exact resonance check"):
+            call(fv, 16)
+
+
+SEQUENCE_SPECS = {
+    "factorial": '{"kind": "solenoid", "a": {"prefix": [1], "tail": "increment"}}',
+    "halving": DEEP_SPECS["halving"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(SEQUENCE_SPECS))
+def test_sequence_resonance_output_linear_in_depth(tmp_path, capsys, family):
+    """``kron resonance`` prints one relation of two entries per index, so
+    its stdout grows at most 2.2x per doubling of the depth from 256 to 1024
+    (the Hermite basis e_j - (P_N / P_j) e_N grew about 4x on factorial)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(SEQUENCE_SPECS[family])
+    sizes = []
+    for depth in (256, 512, 1024):
+        assert main(["resonance", str(spec), "--depth", str(depth)]) == 0
+        sizes.append(len(capsys.readouterr().out.encode()))
+    assert all(later <= 2.2 * earlier for earlier, later in zip(sizes, sizes[1:])), sizes
+
+
+def test_product_with_a_repeated_generator_takes_the_hermite_path():
+    """The closed forms read one chain per generator, so a product built by
+    hand with one generator twice gets the Hermite kernel and transform."""
+    built = build_product_vector([SubgroupOfQSpec(F(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))])
+    fv = ProductConstruction(((built.components[0][0], built.components[1][1]), built.components[0]))
+    columns = coordinates(fv, 8)
+    assert resonance_basis(fv, 8).vectors == tuple(exact_linalg.integer_kernel(columns))
+    assert reduce_flow(fv, 8).transform.to_json() == exact_linalg.hermite_transform(columns).transform.to_json()
