@@ -131,6 +131,16 @@ def _parse_point(text: str) -> TorusPoint:
     return TorusPoint.exact_point(vals)
 
 
+def _start(fv: FrequencyVector, args) -> tuple[int, TorusPoint]:
+    """A float subcommand's depth, --depth clamped to a finite vector, and its
+    start point: --theta0, which must have as many entries, or the origin."""
+    depth = clamp_depth(fv, args.depth)
+    theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(depth)
+    if theta0.depth != depth:
+        raise ValidationError(f"depth {depth} does not match point depth {theta0.depth}")
+    return depth, theta0
+
+
 def _precision(args) -> int:
     bits = args.precision
     if bits is None:
@@ -178,8 +188,7 @@ def _cmd_simulate(args) -> None:
     from .dynamics import sample_trajectory
 
     fv = _load_spec(args.spec)
-    depth = clamp_depth(fv, args.depth)
-    theta0 = _parse_point(args.theta0) if args.theta0 else None
+    depth, theta0 = _start(fv, args)
     # all rows exist before --out is opened, so a rejected request leaves it intact
     with mpmath.workprec(args.precision):
         rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, depth)
@@ -202,7 +211,7 @@ def _cmd_average(args) -> None:
 
     fv = _load_spec(args.spec)
     poly = parse_polynomial(_load_json(args.poly))
-    theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
+    _, theta0 = _start(fv, args)
     with mpmath.workprec(args.precision):
         rows = time_average(fv, poly, theta0, args.T)
     _emit({"haar": str(haar_average(poly)),
@@ -216,7 +225,7 @@ def _cmd_equidistribution(args) -> None:
 
     fv = _load_spec(args.spec)
     nus = [_parse_nu(n) for n in args.nu]
-    theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(args.depth)
+    _, theta0 = _start(fv, args)
     with mpmath.workprec(args.precision):
         rows = equidistribution_report(fv, nus, args.T, theta0)
     _emit({"rows": rows})

@@ -563,7 +563,8 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
     declared = {}
     for g in parse_list(obj.get("generators", ()), "generators"):
         gen = _generator_from_json(g)
-        declared[gen.name] = gen
+        if declared.setdefault(gen.name, gen) is not gen:
+            raise ValidationError(f"generator {gen.name!r} is declared twice")
 
     if kind == "finite":
         if "terms" not in obj:
@@ -577,6 +578,11 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
             )
         if not maps:
             raise ValidationError("finite spec needs at least one term")
+        numbers: dict[tuple, Generator] = {}  # the number a builtin kind names -> its first generator
+        for gen in sorted(set().union(*maps)):
+            key = (gen.kind, None if gen.kind == "rational_unit" else gen.param)
+            if gen.kind != "opaque" and numbers.setdefault(key, gen) is not gen:
+                raise ValidationError(f"generators {numbers[key].name!r} and {gen.name!r} are the same number")
         return finite_vector(maps)
 
     if kind == "solenoid":

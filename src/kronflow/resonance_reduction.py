@@ -16,8 +16,8 @@ the sums are strictly decreasing positive integers (that is the termination
 argument, asserted literally).  ``reduce_flow`` conjugates the flow, by the
 Hermite transform of the coordinate matrix (closed-form on sequence rules),
 to one whose frequency vector starts with a zero block followed by a block
-with trivial integer kernel: the automorphism stacks the Hermite kernel
-basis over integer preimages of an image basis, which is the nonzero block.
+with trivial integer kernel: the automorphism stacks the re-checked kernel
+basis over integer preimages of an echelon image basis, the nonzero block.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .exact_linalg import (HermiteTransform, IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform,
-                           integer_kernel)
+from .exact_linalg import IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform, integer_kernel
 from .frequency import (Finite, FrequencyVector, Generator, ProductConstruction, SolenoidRule, clamp_depth,
                         coordinates, finite_vector)
 from .solenoid_geometry import TorusPoint
@@ -81,6 +80,15 @@ def _relations(fv: FrequencyVector, columns: list[dict]) -> tuple[dict, dict | N
     return rows, steps, [rows[g][-1][0] for g in sorted(rows)]
 
 
+def _check_relations(rows: dict, vectors: list[dict]) -> None:
+    """Re-check relations {j: entry} exactly on each generator's row, scaled to integers."""
+    for row in rows.values():
+        scale = math.lcm(*(x.denominator for _, x in row))
+        scaled = {j: x.numerator * (scale // x.denominator) for j, x in row}
+        if any(sum(v * scaled.get(j, 0) for j, v in nu.items()) for nu in vectors):
+            raise ValidationError("internal error: kernel vector fails exact resonance check")
+
+
 def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
     """Canonical basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the
     depth clamped to the length of a finite vector."""
@@ -91,13 +99,7 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
         return ResonanceBasis(tuple(IntVecFin.wrap({i: 1, steps[i][0]: -steps[i][1]} if i in steps else {i: 1})
                                     for i, col in enumerate(columns, 1) if i in steps or not col), depth)
     basis = integer_kernel(columns)
-    # exact re-check in integers, apart from the Hermite code: one sparse row
-    # {j: entry} per generator, scaled by the lcm of its denominators
-    for row in rows.values():
-        scale = math.lcm(*(x.denominator for _, x in row))
-        scaled = {j: x.numerator * (scale // x.denominator) for j, x in row}
-        if any(sum(v * scaled.get(j, 0) for j, v in nu._entries.items()) for nu in basis):
-            raise ValidationError("internal error: kernel vector fails exact resonance check")
+    _check_relations(rows, [nu._entries for nu in basis])
     return ResonanceBasis(tuple(basis), depth)
 
 
@@ -231,35 +233,33 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
 
     One Hermite transform of the coordinate matrix gives A = [kernel basis;
     image preimages]: its first d rows are the canonical column Hermite
-    basis of the resonances, so (A omega)_i = 0 for i <= d, and the remaining
-    rows map omega to an echelon basis of the coordinate lattice, whose
-    entries are independent.  A is unimodular because Z^N is the kernel plus
-    the span of the preimages.  A stays the identity when the kernel is
+    basis of the resonances, re-checked in integers, so (A omega)_i = 0 for
+    i <= d, and the remaining rows map omega to an echelon basis of the
+    coordinate lattice.  Its N - d entries are independent because their
+    pivots (least labels with a nonzero entry) strictly increase, which sets
+    ``nonzero_block_independent``.  A is unimodular because Z^N is the kernel
+    plus the span of the preimages; it stays the identity when the kernel is
     trivial.  On a solenoid rule or a product A is built in closed form, its
     rows e_i - q e_end, e_i at each empty column, then each e_end: unlike
     the adjacent relations, they keep A^-1 sparse.
     """
     depth = clamp_depth(fv, depth)
     columns = coordinates(fv, depth)
-    _, steps, ends = _relations(fv, columns)
+    rows, steps, ends = _relations(fv, columns)
     if steps is None:
-        h = hermite_transform(columns)
+        transform, zeros, image = hermite_transform(columns)
+        _check_relations(rows, transform.rows[:zeros])
     else:
         kernel = [i for i, col in enumerate(columns, 1) if i in steps or not col]
-        rows = [{i: 1, steps[i][2]: -steps[i][3]} if i in steps else {i: 1} for i in kernel] + [{k: 1} for k in ends]
+        forward = [{i: 1, steps[i][2]: -steps[i][3]} if i in steps else {i: 1} for i in kernel] + [{k: 1} for k in ends]
         inverse = [{i: 1} for i in kernel] + [{k: 1} | {i: s[3] for i, s in steps.items() if s[2] == k} for k in ends]
-        h = HermiteTransform(RowFiniteIntMatrix(rows, inverse), len(kernel), [columns[k - 1] for k in ends])
-    zeros = h.zero_rank
-    if zeros:
-        total, reduced = h.transform, finite_vector([{}] * zeros + h.image)
-    else:
-        total, reduced = RowFiniteIntMatrix.identity(depth), finite_vector(columns)
-    tail_basis = resonance_basis(reduced, depth)
-    independent = tail_basis.is_trivial() or all(
-        max(v.support()) <= zeros for v in tail_basis.vectors
-    )
+        transform, zeros, image = RowFiniteIntMatrix(forward, inverse), len(kernel), [columns[k - 1] for k in ends]
+    pivots = [min(g for g, x in v.items() if x) for v in image if any(v.values())]
+    independent = len(pivots) == len(image) == depth - zeros and all(p < q for p, q in zip(pivots, pivots[1:]))
+    if not zeros:
+        transform, image = RowFiniteIntMatrix.identity(depth), columns
     scope = "global" if isinstance(fv, Finite) and len(fv) <= depth else "depth"
-    return FlowReduction(total, reduced, zeros, depth, independent, scope)
+    return FlowReduction(transform, finite_vector([{}] * zeros + image), zeros, depth, independent, scope)
 
 
 # ---------------------------------------------------------------------------

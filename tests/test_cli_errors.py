@@ -190,3 +190,82 @@ def test_factorial_times_member_round_trip_past_4300_digits(capsys):
     code, out = _run(["solenoid", "member", "--a", FACTORIAL, "--theta", ",".join(target)])
     assert code == 0 and json.loads(out) == {"depth": 1700, "member": True, "verdict": "member at depth 1700"}
     assert sys.get_int_max_str_digits() == limit
+
+
+# -- one number under one generator name
+
+R2 = {"name": "r2", "kind": "sqrt_prime", "param": 2}
+SAME_NUMBER = {
+    "r2 next to the builtin sqrt2": (
+        {"generators": [R2], "terms": [{"r2": "1"}, {"sqrt2": "-1"}]}, "generators 'r2' and 'sqrt2' are the same number"),
+    "the builtin sqrt2 first": (
+        {"generators": [R2], "terms": [{"sqrt2": "1"}, {"r2": "1"}]}, "generators 'r2' and 'sqrt2' are the same number"),
+    "sqrt2 declared as sqrt 3": (
+        {"generators": [{"name": "sqrt2", "kind": "sqrt_prime", "param": 3}], "terms": [{"sqrt2": "1"}, {"sqrt3": "1"}]},
+        "generators 'sqrt2' and 'sqrt3' are the same number"),
+    "a second unit": (
+        {"generators": [{"name": "one", "kind": "rational_unit", "param": 7}], "terms": [{"1": "1"}, {"one": "1"}]},
+        "generators '1' and 'one' are the same number"),
+    "a name declared twice": (
+        {"generators": [{"name": "b", "kind": "opaque"}, {"name": "b", "kind": "sqrt_prime", "param": 5}],
+         "terms": [{"b": "1"}, {"1": "1"}]}, "generator 'b' is declared twice"),
+}
+
+
+@pytest.mark.parametrize("spec, message", list(SAME_NUMBER.values()), ids=list(SAME_NUMBER))
+def test_one_number_under_two_generator_names_is_rejected(tmp_path, capsys, spec, message):
+    """Declared generators are taken as independent of each other, so one
+    number under two names would hide the relation e_1 + e_2 or e_1 - e_2."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "finite", **spec}))
+    code = main(["resonance", str(path), "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: " + message
+
+
+def test_opaque_generators_stay_trusted_as_declared(tmp_path, capsys):
+    value = "1.41421356237309504880168872420969807856967187537694"
+    gens = [{"name": n, "kind": "opaque", "value": value} for n in ("b", "c")]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "finite", "generators": gens, "terms": [{"b": "1"}, {"c": "-1"}]}))
+    code, out = _run(["resonance", str(path), "--depth", "2"])
+    assert code == 0 and json.loads(out)["rank"] == 0
+
+
+# -- one depth rule for simulate, average and equidistribution
+
+T3 = '{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}'
+
+
+def _float_argv(tmp_path, command):
+    spec, poly = tmp_path / "t3.json", tmp_path / "cos3.json"
+    spec.write_text(T3)
+    poly.write_text('{"terms": [{"cos": {"3": 1}}]}')
+    extra = {"simulate": ["--t1", "10", "--steps", "4", "--out", str(tmp_path / "t.csv")],
+             "average": ["--poly", str(poly)], "equidistribution": ["--nu=0,0,1"]}[command]
+    return [command, str(spec), *extra]
+
+
+@pytest.mark.parametrize("command", ["simulate", "average", "equidistribution"])
+def test_theta0_must_match_the_depth(tmp_path, capsys, command):
+    """--theta0 has exactly as many entries as the depth, --depth clamped to
+    the finite vector's length, in all three float subcommands."""
+    argv = _float_argv(tmp_path, command)
+    for flags, depth, point in ((["--depth", "2", "--theta0", "0,0,0"], 2, 3),
+                                (["--depth", "8", "--theta0", ",".join("0" * 8)], 3, 8)):
+        code = main(argv + flags)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", flags
+        assert captured.err.splitlines()[-1] == f"error: depth {depth} does not match point depth {point}"
+
+
+@pytest.mark.parametrize("command", ["simulate", "average", "equidistribution"])
+def test_depth_past_a_finite_vector_clamps_with_and_without_theta0(tmp_path, capsys, command):
+    argv = _float_argv(tmp_path, command)
+    runs = []
+    for flags in (["--depth", "3"], ["--depth", "8"], ["--depth", "8", "--theta0", "0,0,0"]):
+        code, out = _run(argv + flags)
+        assert code == 0, capsys.readouterr().err
+        runs.append((out, (tmp_path / "t.csv").read_text() if command == "simulate" else None))
+    assert runs[1] == runs[0] and runs[2] == runs[0]

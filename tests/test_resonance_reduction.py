@@ -538,3 +538,74 @@ def test_product_with_a_repeated_generator_takes_the_hermite_path():
     columns = coordinates(fv, 8)
     assert resonance_basis(fv, 8).vectors == tuple(exact_linalg.integer_kernel(columns))
     assert reduce_flow(fv, 8).transform.to_json() == exact_linalg.hermite_transform(columns).transform.to_json()
+
+
+# -- reduce_flow: one Hermite pass at most, its flag read off the image
+
+RESONANT_FINITE = '{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"1": "2"}, {"1": "1/3", "sqrt3": "1"}]}'
+GUARD_SPECS = {
+    "finite": (RESONANT_FINITE, 1),
+    "finite, trivial kernel": ('{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}', 1),
+    "bo": (DEEP_SPECS["bo"], 1),
+    "halving": (DEEP_SPECS["halving"], 0),
+    "factorial": (SEQUENCE_SPECS["factorial"], 0),
+    "product": (DEEP_SPECS["product"], 0),
+}
+
+
+@pytest.mark.parametrize("family", list(GUARD_SPECS))
+def test_reduce_flow_runs_at_most_one_hermite_pass(monkeypatch, family):
+    """Finite and BO specs take one ``hermite_transform`` call, sequence rules
+    none, and no spec runs ``integer_kernel`` or ``resonance_basis``: the flag
+    is read off the image, not from a second pass on the reduced vector."""
+    import kronflow.resonance_reduction as rr
+
+    calls = []
+    for name in ("hermite_transform", "integer_kernel", "resonance_basis"):
+        def counting(*args, _real=getattr(rr, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(rr, name, counting)
+    text, hermite = GUARD_SPECS[family]
+    fv = parse_frequency_spec(text)
+    for depth in (4, 16, 64):
+        calls.clear()
+        red = reduce_flow(fv, depth)
+        assert calls == ["hermite_transform"] * hermite, (depth, calls)
+        assert red.nonzero_block_independent
+
+
+def _patched_hermite(monkeypatch, change):
+    """Make ``resonance_reduction.hermite_transform`` return the real
+    transform after ``change`` has acted on it."""
+    import kronflow.resonance_reduction as rr
+
+    real = rr.hermite_transform
+    monkeypatch.setattr(rr, "hermite_transform", lambda columns: change(real(columns)))
+
+
+def test_reduce_flow_flags_a_repeated_image_pivot(monkeypatch):
+    fv = parse_frequency_spec(RESONANT_FINITE)
+    red = reduce_flow(fv, 4)
+    assert red.zero_rank == 1 and red.nonzero_block_independent
+    # the second image vector replaced by the first: still N - d of them, one pivot twice
+    _patched_hermite(monkeypatch, lambda h: h._replace(image=[h.image[0], h.image[0], *h.image[2:]]))
+    assert not reduce_flow(fv, 4).nonzero_block_independent
+
+
+@pytest.mark.parametrize("text, depth", [(RESONANT_FINITE, 4), (DEEP_SPECS["bo"], 16)], ids=["finite", "bo"])
+def test_reduce_flow_rejects_a_corrupted_kernel_row(monkeypatch, text, depth):
+    """A kernel row of A with one entry off by one is no relation, and the
+    exact re-check that ``resonance`` runs catches it in ``reduce_flow``."""
+    fv = parse_frequency_spec(text)
+    assert reduce_flow(fv, depth).zero_rank >= 1
+
+    def corrupt(h):
+        row = h.transform.rows[0]
+        row[min(row)] += 1
+        return h
+
+    _patched_hermite(monkeypatch, corrupt)
+    with pytest.raises(ValidationError, match="^internal error: kernel vector fails exact resonance check$"):
+        reduce_flow(fv, depth)
