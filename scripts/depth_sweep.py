@@ -6,20 +6,25 @@ and product specs, on the factorial solenoid rule (a_j = j, so its terms
 grow), and on a mixed finite spec of 1024 terms, and for ``kron
 solenoid member``, ``coords`` and ``times`` on the factorial and halving
 sequences, at depths 16, 32, ..., 1024, runs ``cli.main`` in-process and
-records the best-of-3 wall time in ms, the stdout bytes and their sha256,
-the tracemalloc peak of one more run (timed runs go untraced), and the
-growth of time and peak per doubling of the depth.  The mixed spec is drawn
-from a fixed seed: each term is one or two of 1, sqrt2 and sqrt3 with
-coefficients +-1 or +-2 over 1, 2 or 3, so its coordinate matrix has three
-rows and columns of one or two entries.  The solenoid point at depth N has
+records the best-of-3 wall time in ms (``best_ms``), the same corrected for
+the host's speed (``host_ms``), the stdout bytes and their sha256, the
+tracemalloc peak of one more run (timed runs go untraced), and the growth of
+``host_ms`` and of the peak per doubling of the depth.  Each timed run
+follows three timings of perfbench's reference chunk, and ``host_ms`` is
+the best over the rounds of run time x REF_CHUNK_S / their median, as
+perfbench corrects its requests, so a slow spell of the host does not read
+as a slow row.
+
+The mixed spec is drawn from a fixed seed: each term is one or two of 1,
+sqrt2 and sqrt3 with coefficients +-1 or +-2 over 1, 2 or 3, so its
+coordinate matrix has three rows and columns of one or two entries.  The solenoid point at depth N has
 tau = 5/7 and digits n_j = (j^2 + 1) mod a_j, so it is a member whose
 angles have denominators up to 7 a_1 ... a_j.  ``kron simulate`` runs on the
 halving, product and mixed specs with ``--steps 200 --t1 1e6`` from the
 origin; its stdout echoes the ``--out`` path, a temporary file, so its rows
 record the bytes and sha256 of the CSV instead.  BO is left out, since the
 README's beta has no numeric value.  The host block holds the time of
-perfbench's reference chunk before and after the sweep, so runs on hosts of
-different speed can be compared.
+perfbench's reference chunk before and after the sweep.
 
 The ``cold_start`` block times what a single ``kron`` call pays before it
 works: the median wall time, over 11 fresh interpreters, of ``import
@@ -62,7 +67,7 @@ from kronflow.cli import main
 from kronflow.frequency import SigmaSequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from run import reference_chunk  # noqa: E402
+from run import REF_CHUNK_S, reference_chunk  # noqa: E402
 
 COMMANDS = ("resonance", "reduce-flow")
 DEPTHS = tuple(2**k for k in range(4, 11))
@@ -135,15 +140,24 @@ def _peak(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
-def _chunk_ms() -> float:
-    """Median of 9 timings of perfbench's fixed reference chunk, in ms: how
-    fast this host ran while it swept (about 3 ms on the benchmark's own)."""
+def _chunk_s(runs: int) -> float:
+    """Median of ``runs`` timings of perfbench's fixed reference chunk, in
+    seconds: how fast this host runs (about 3 ms on the benchmark's own)."""
     times = []
-    for _ in range(9):
+    for _ in range(runs):
         start = time.perf_counter()
         reference_chunk()
-        times.append((time.perf_counter() - start) * 1e3)
-    return round(statistics.median(times), 3)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _timed(argv: list[str]) -> tuple[float, float, int, str]:
+    """(seconds corrected to the reference chunk's nominal speed, seconds,
+    stdout bytes, sha256) of one ``kron`` call, the chunk timed three times
+    just before it."""
+    chunk = _chunk_s(3)
+    seconds, size, digest = _run(argv)
+    return seconds * REF_CHUNK_S / chunk, seconds, size, digest
 
 
 def sweep(workdir: Path) -> list[dict]:
@@ -162,25 +176,26 @@ def sweep(workdir: Path) -> list[dict]:
                                            "--steps", "200", "--t1", "1e6",
                                            "--out", str(workdir / f"{family}-{depth}.csv")])
               for family in SIMULATE_FAMILIES for depth in DEPTHS]
-    runs = [[_run(argv) for *_, argv in cases] for _ in range(3)]
+    runs = [[_timed(argv) for *_, argv in cases] for _ in range(3)]
     rows = []
     for k, (command, family, depth, argv) in enumerate(cases):
         if command == "simulate":
             data = Path(argv[-1]).read_bytes()
             output = {"csv_bytes": len(data), "csv_sha256": hashlib.sha256(data).hexdigest()}
         else:
-            output = {"stdout_bytes": runs[0][k][1], "stdout_sha256": runs[0][k][2]}
+            output = {"stdout_bytes": runs[0][k][2], "stdout_sha256": runs[0][k][3]}
         row = {
             "command": command,
             "family": family,
             "depth": depth,
-            "best_ms": round(min(r[k][0] for r in runs) * 1e3, 3),
+            "best_ms": round(min(r[k][1] for r in runs) * 1e3, 3),
+            "host_ms": round(min(r[k][0] for r in runs) * 1e3, 3),
             **output,
             "tracemalloc_peak_bytes": _peak(argv),
         }
         prev = rows[-1] if rows and depth > DEPTHS[0] else None
         if prev is not None:
-            row["time_growth"] = round(row["best_ms"] / prev["best_ms"], 2)
+            row["time_growth"] = round(row["host_ms"] / prev["host_ms"], 2)
             row["peak_growth"] = round(row["tracemalloc_peak_bytes"] / prev["tracemalloc_peak_bytes"], 2)
         rows.append(row)
     return rows
@@ -236,7 +251,7 @@ def main_sweep() -> None:
     ap.add_argument("--label", default="run")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
-    before = _chunk_ms()
+    before = round(_chunk_s(9) * 1e3, 3)
     with tempfile.TemporaryDirectory() as tmp:
         rows = sweep(Path(tmp))
         cold = cold_start(Path(tmp))
@@ -244,7 +259,7 @@ def main_sweep() -> None:
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "reference_chunk_ms": {"before": before, "after": _chunk_ms()},
+            "reference_chunk_ms": {"before": before, "after": round(_chunk_s(9) * 1e3, 3)},
         },
         "rows": rows,
         "cold_start": cold,

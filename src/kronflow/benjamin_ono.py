@@ -16,7 +16,6 @@ values, so R is not free and the closure picks up a solenoid factor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -184,10 +183,9 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
 def _tail_module(s: RationalSequenceSpec, depth: int, span: _Span, module: ModuleDescriptor) -> BoModuleReport:
     if depth < 2:
         raise ValidationError("tail-module report needs depth >= 2")
-    gs = tuple(s.tail_sums(depth))  # g_0..g_{N-1}; sigma_j = g_0 + ... + g_{j-1}
     return BoModuleReport(
-        tuple(itertools.accumulate(gs)),
-        gs[1:],
+        tuple(s.sigmas(depth)),
+        tuple(s.tail_sums(depth))[1:],
         _baer_of_span(*span),
         module.closure(),
         s.full_support(),

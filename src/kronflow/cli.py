@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 
-    p = add("resonance", _cmd_resonance, help="canonical basis of the integer relations")
+    p = add("resonance", _cmd_resonance, help="basis of the integer relations")
     p.add_argument("spec")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
 

@@ -311,20 +311,44 @@ class RationalSequenceSpec:
             raise ValidationError(f"sigma index must be >= 1, got {j}")
         return self.weighted_partial(j) + j * self.tail_sum(j)
 
+    def scaled_tail_sums(self, n: int) -> tuple[int, Iterator[int]]:
+        """(D, D g_0, ..., D g_{n-1}): the tail sums as integers over one
+        common denominator D = lcm(prefix denominators, den g_L) q^(n-1-L),
+        r = p/q (no power of q on a finite support).  D g_0 is the whole sum,
+        then D g_k = D g_{k-1} - D s_k down the prefix and D g_{k+1} =
+        (D g_k / q) p on the tail, each division exact (``tail_sum`` is the
+        closed form)."""
+        L, r = len(self.prefix), self.tail_r
+        tail = self.tail_c / (1 - r) if self.tail_c else Fraction(0)  # g_L
+        scale = math.lcm(tail.denominator, *(v.denominator for v in self.prefix))
+        if self.tail_c and n - 1 > L:
+            scale *= r.denominator ** (n - 1 - L)
+        drops = [v.numerator * (scale // v.denominator) for v in self.prefix]
+
+        def values(g: int) -> Iterator[int]:
+            for k in range(n):
+                if k:
+                    g = g - drops[k - 1] if k <= L else g // r.denominator * r.numerator
+                yield g
+
+        return scale, values(tail.numerator * (scale // tail.denominator) + sum(drops))
+
     def tail_sums(self, n: int) -> Iterator[Fraction]:
-        """g_0, ..., g_{n-1}, one at a time: g_0 is the whole sum, then
-        g_k = g_{k-1} - s_k down the prefix and g_{k+1} = r g_k on the tail,
-        one operation per value (``tail_sum`` is the closed form)."""
-        L = len(self.prefix)
-        g = sum(self.prefix, self.tail_sum(L))
-        for k in range(n):
-            yield g
-            g = g - self.prefix[k] if k < L else g * self.tail_r
+        """g_0, ..., g_{n-1}, one at a time, one normalization each."""
+        scale, values = self.scaled_tail_sums(n)
+        return (Fraction(g, scale) for g in values)
+
+    def scaled_sigmas(self, n: int) -> tuple[int, Iterator[int]]:
+        """(D, D sigma_1, ..., D sigma_n), D as for ``scaled_tail_sums``: the
+        running sum of the tail sums, sigma_1 = g_0 and sigma_j = sigma_{j-1}
+        + g_{j-1}."""
+        scale, values = self.scaled_tail_sums(n)
+        return scale, itertools.accumulate(values)
 
     def sigmas(self, n: int) -> Iterator[Fraction]:
-        """sigma_1, ..., sigma_n, one at a time, as the running sum of the
-        tail sums: sigma_1 = g_0 and sigma_j = sigma_{j-1} + g_{j-1}."""
-        return itertools.accumulate(self.tail_sums(n))
+        """sigma_1, ..., sigma_n, one at a time, one normalization each."""
+        scale, values = self.scaled_sigmas(n)
+        return (Fraction(s, scale) for s in values)
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RationalSequenceSpec":
@@ -469,7 +493,8 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
     if isinstance(fv, SolenoidRule):
         return ({fv.generator: Fraction(1, p)} for p in itertools.accumulate(fv.a.terms(depth), operator.mul))
     if isinstance(fv, BoRule):
-        return ({UNIT: Fraction(j * j), fv.beta: -2 * sigma} for j, sigma in enumerate(fv.s.sigmas(depth), 1))
+        scale, sigmas = fv.s.scaled_sigmas(depth)
+        return ({UNIT: Fraction(j * j), fv.beta: Fraction(-2 * sigma, scale)} for j, sigma in enumerate(sigmas, 1))
     if isinstance(fv, ProductConstruction):
         # non-free component k lives on the powers q^e <= depth of q = p_k, at
         # 1 / (a_1 ... a_e); the free components, then {}, fill the other indices

@@ -5,8 +5,13 @@ frequencies, from omega_j's maps {generator: rational} of ``coordinates``.
 On a solenoid rule, and on a product's ``qa`` chains at their prime powers,
 omega_j is a_(j+1) times the next omega of its generator, so the basis is
 these adjacent relations, each re-checked by one cross-multiplication, and
-e_j at each empty column.  Otherwise it is the Hermite primitive's integer
-kernel, re-checked against one integer row per generator.
+e_j at each empty column.  On a BO rule, past the prefix both coordinate
+rows obey one recurrence with constant integer coefficients, so the basis is
+the Hermite primitive's integer kernel of a short head of columns followed by
+the recurrence's shifts, the head's length and its completeness certified by
+the module indices [M_j : M_(j-1)].  Otherwise it is the integer kernel of
+all the columns.  Every relation but the adjacent ones is re-checked against
+one integer row per generator.
 ``reduce_vector`` collapses one integer vector to (g, 0, 0, ...) by a tracked
 composition of elementary automorphisms; it is the certificate behind
 ``kron reduce``.  Its trail records each swap and negate, and each run of
@@ -22,13 +27,15 @@ basis over integer preimages of an echelon image basis, the nonzero block.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform, integer_kernel
-from .frequency import (Finite, FrequencyVector, Generator, ProductConstruction, SolenoidRule, clamp_depth,
-                        coordinates, finite_vector)
+from .frequency import (UNIT, BoRule, Finite, FrequencyVector, Generator, ProductConstruction,
+                        RationalSequenceSpec, SolenoidRule, clamp_depth, coordinates, finite_vector)
 from .solenoid_geometry import TorusPoint
 
 # ---------------------------------------------------------------------------
@@ -80,25 +87,99 @@ def _relations(fv: FrequencyVector, columns: list[dict]) -> tuple[dict, dict | N
     return rows, steps, [rows[g][-1][0] for g in sorted(rows)]
 
 
-def _check_relations(rows: dict, vectors: list[dict]) -> None:
-    """Re-check relations {j: entry} exactly on each generator's row, scaled to integers."""
-    for row in rows.values():
+def _integer_rows(rows: dict) -> dict:
+    """Each generator's row as {j: integer}, scaled by the lcm of its denominators."""
+    out = {}
+    for g, row in rows.items():
         scale = math.lcm(*(x.denominator for _, x in row))
-        scaled = {j: x.numerator * (scale // x.denominator) for j, x in row}
-        if any(sum(v * scaled.get(j, 0) for j, v in nu.items()) for nu in vectors):
+        out[g] = {j: x.numerator * (scale // x.denominator) for j, x in row}
+    return out
+
+
+def _check_relations(rows: dict, vectors: list[dict]) -> None:
+    """Re-check relations {j: entry} exactly on each generator's integer row."""
+    for row in rows.values():
+        get = row.get
+        if any(sum(map(operator.mul, nu.values(), map(get, nu, itertools.repeat(0)))) for nu in vectors):
             raise ValidationError("internal error: kernel vector fails exact resonance check")
 
 
+def _recurrence(s: RationalSequenceSpec) -> list[int]:
+    """The coefficients, lowest first, of P(E) = (E - 1)^3 (qE - p), r = p/q
+    the tail ratio, or of (E - 1)^3 on a finite support.  Past the prefix,
+    (E - 1) sigma_j = g_j is geometric (or 0) and j^2 is quadratic, so the
+    shift of P that starts at j > L annihilates both coordinate rows."""
+    if s.support_is_finite():
+        return [-1, 3, -3, 1]
+    p, q = s.tail_r.numerator, s.tail_r.denominator
+    return [p, -(3 * p + q), 3 * (p + q), -(p + 3 * q), q]
+
+
+def _module_indices(x: list[int], y: list[int]) -> list[int]:
+    """d*_j = [M_j : M_(j-1)] for j = 1..N, M_j the span of the points (x_i,
+    y_i), i <= j, in Z^2, and 0 where the rank rises.  x_1 = 1, so M_j has
+    the Hermite basis (1, b), (0, c): c = 0 while the rank is 1, and then c
+    is the covolume, so d*_j is the quotient of the last two c's."""
+    b, c, out = y[0], 0, [0]
+    for xj, yj in zip(x[1:], y[1:]):
+        c_new = math.gcd(c, yj - b * xj)
+        out.append(c // c_new if c else 0 if c_new else 1)
+        c = c_new
+        if c:
+            b %= c
+    return out
+
+
+def _recurrence_basis(fv: BoRule, columns: list, rows: dict, depth: int) -> list[IntVecFin] | None:
+    """On a BO rule: the integer kernel of the first J columns, then the
+    shifts of P that end at J+1..N; None when J >= N or the rank is below 2.
+
+    Relations ordered by last index span the lattice iff the one ending at
+    each j where the rank does not rise has leading coefficient d*_j (the
+    echelon argument), and J is the largest of L + deg P, the index r where
+    the rank reaches 2, and the last j with d*_j other than P's leading
+    coefficient.  The head is certified too: the product of its pivots is
+    [Z^J : head + Z e_i + Z e_k], i and k its free indices, which must equal
+    [M_J : Z omega_i + Z omega_k] = |det(omega_i, omega_k)| prod d*_j /
+    |det(omega_1, omega_r)|."""
+    x, y = ([row.get(j, 0) for j in range(1, depth + 1)] for row in (rows[UNIT], rows[fv.beta]))
+    indices = _module_indices(x, y)
+    rises = [j for j, d in enumerate(indices, 1) if not d]  # 1, then where the rank reaches 2
+    if len(rises) < 2:
+        return None
+    coeffs = _recurrence(fv.s)
+    head = max(len(fv.s.prefix) + len(coeffs) - 1, rises[1],
+               *(j for j, d in enumerate(indices, 1) if j > rises[1] and d != coeffs[-1]))
+    if head >= depth:
+        return None
+    kernel = integer_kernel(columns[:head])
+    pivots = {nu.support()[0]: nu[nu.support()[0]] for nu in kernel}
+    free = [j for j in range(1, head + 1) if j not in pivots]
+
+    def det(i: int, k: int) -> int:
+        return abs(x[i - 1] * y[k - 1] - x[k - 1] * y[i - 1])
+
+    if len(free) != 2 or math.prod(pivots.values()) * det(1, rises[1]) != det(*free) * math.prod(
+            d for d in indices[:head] if d):
+        raise ValidationError("internal error: relation basis fails the module index check")
+    first = 1 - len(coeffs)
+    return kernel + [IntVecFin.wrap({end + first + k: c for k, c in enumerate(coeffs)})
+                     for end in range(head + 1, depth + 1)]
+
+
 def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
-    """Canonical basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the
-    depth clamped to the length of a finite vector."""
+    """Basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the depth
+    clamped to the length of a finite vector."""
     depth = clamp_depth(fv, depth)
     columns = coordinates(fv, depth)
     rows, steps, _ = _relations(fv, columns)
     if steps is not None:  # e_i - a e_k at each step, e_i at each empty column
         return ResonanceBasis(tuple(IntVecFin.wrap({i: 1, steps[i][0]: -steps[i][1]} if i in steps else {i: 1})
                                     for i, col in enumerate(columns, 1) if i in steps or not col), depth)
-    basis = integer_kernel(columns)
+    rows = _integer_rows(rows)
+    basis = _recurrence_basis(fv, columns, rows, depth) if isinstance(fv, BoRule) else None
+    if basis is None:
+        basis = integer_kernel(columns)
     _check_relations(rows, [nu._entries for nu in basis])
     return ResonanceBasis(tuple(basis), depth)
 
@@ -248,7 +329,7 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     rows, steps, ends = _relations(fv, columns)
     if steps is None:
         transform, zeros, image = hermite_transform(columns)
-        _check_relations(rows, transform.rows[:zeros])
+        _check_relations(_integer_rows(rows), transform.rows[:zeros])
     else:
         kernel = [i for i, col in enumerate(columns, 1) if i in steps or not col]
         forward = [{i: 1, steps[i][2]: -steps[i][3]} if i in steps else {i: 1} for i in kernel] + [{k: 1} for k in ends]

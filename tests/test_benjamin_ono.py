@@ -137,6 +137,22 @@ def test_running_tables_match_closed_forms(prefix, finite, c, r, n):
     assert _span_data(s) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=7, max_denominator=15)), max_size=12),
+    st.one_of(st.just(F(0)), st.fractions(min_value=F(1, 15), max_value=7, max_denominator=15)),
+    st.integers(2, 15).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+    st.integers(0, 60),
+)
+def test_integer_tables_match_closed_forms(prefix, c, ratio, n):
+    """The tail sums and sigmas, run as integers over one denominator, are
+    the closed forms, with zeros in the prefix, on a finite support and for
+    ratios p/q with p > 1."""
+    s = RationalSequenceSpec(tuple(prefix), c, F(*ratio))
+    assert list(s.tail_sums(n)) == [s.tail_sum(k) for k in range(n)]
+    assert list(s.sigmas(n)) == [s.sigma(j) for j in range(1, n + 1)]
+
+
 def test_long_prefix_reads_no_closed_form_per_index(monkeypatch):
     """A BO report on a long prefix evaluates the closed forms a fixed number
     of times, not once per index (which made the prefix quadratic)."""

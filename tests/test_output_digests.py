@@ -5,7 +5,9 @@ README's halving, BO and product specs at depths 16, 64 and 128, and of
 ``kron classify`` on three finite specs whose terms mix generators, as the
 dense column Hermite transform printed them, except ``resonance`` on the
 halving and product specs, pinned as the adjacent relations
-e_j - a_(j+1) e_(j+1) of each sequence print them; ``kron classify`` at depth 16 on
+e_j - a_(j+1) e_(j+1) of each sequence print them, and on the BO spec, pinned
+as the Hermite kernel of the first five columns followed by the shifts of
+(E - 1)^3 (2E - 1) print it; ``kron classify`` at depth 16 on
 the halving, product, BO and odd-denominator BO specs and on solenoid specs
 with increment, odd-indexed-prime and periodic tails, and ``kron iso`` of the
 BO spec against the product spec, as the closure classes printed them; and of ``kron reduce`` on three
@@ -60,9 +62,9 @@ DIGESTS = {
     ("resonance", "halving", 16): "2baa8215dd9259607af04d623f4398f85cbc13449dcc7414197cd766260cecf2",  # 679 bytes
     ("resonance", "halving", 64): "733d3a59e4616e37c7e3d67b02b24ef6a3351d284f32cad9b75e1516b7408b6c",  # 2743 bytes
     ("resonance", "halving", 128): "f279523dd4512321c9aeb279d3f723758b2b397e9a62e5a01d63a4386ecb5473",  # 5554 bytes
-    ("resonance", "bo", 16): "e7886c873a2daf14cc0263c4c04942b281229e7ace4e8e241eb65b258d666a9c",  # 1301 bytes
-    ("resonance", "bo", 64): "abb61592cfeab5bfeda5beaa842fbabfc6acbb3541ab2bb0e5ad87812423dbbd",  # 8443 bytes
-    ("resonance", "bo", 128): "ef96986dd26d8163a32fc0843da62a6a066752c434966a82411bc164a08ab0cc",  # 24998 bytes
+    ("resonance", "bo", 16): "2b7b9f4fd0f6dbef3342b92481c9d90906100c271a86ac0ac53683aa663cc6ca",  # 1212 bytes
+    ("resonance", "bo", 64): "0f173dbd96ec6d66fbd55f86f765b5bd609ecd3d5a6fcc60a773bcba5fbac411",  # 5484 bytes
+    ("resonance", "bo", 128): "392339c1718b3db38403b911fd62334123cbac9696cc08df96129f4eaf89a846",  # 11317 bytes
     ("resonance", "product", 16): "ec9756a73e2a9f797b710b82ad3dfe21c276719f7c80e61fc42138c7fc5fdcbb",  # 467 bytes
     ("resonance", "product", 64): "47bf49b790322fd55b291e57d1387b55886cc19b7832be6933b8f144fcc5ee10",  # 1795 bytes
     ("resonance", "product", 128): "90ba84dddc9dfe1bf6747a7f90ac897d995eed53aef4971f473331f6e0e40596",  # 3570 bytes

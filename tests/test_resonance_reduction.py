@@ -14,7 +14,10 @@ from kronflow.errors import ValidationError
 from kronflow.exact_linalg import IntVecFin, RowFiniteIntMatrix
 from kronflow.frequency import (
     UNIT,
+    BoRule,
+    Generator,
     ProductConstruction,
+    RationalSequenceSpec,
     SigmaSequence,
     SubgroupOfQSpec,
     build_product_vector,
@@ -359,6 +362,25 @@ def _echelon_reduce(basis, vec):
     return {i: v for i, v in vec.items() if v}
 
 
+def _echelon_basis(vectors):
+    """An echelon basis of the span of integer vectors, for ``_echelon_reduce``:
+    each vector is inserted at its pivot by Euclid's algorithm on the pivot
+    entries, the smaller remainder staying as the basis vector."""
+    basis = {}
+    for nu in vectors:
+        vec = dict(nu.items())
+        while vec:
+            p = min(vec)
+            held = basis.setdefault(p, vec)
+            if held is vec:
+                break
+            q = vec[p] // held[p]
+            vec = {i: w for i in held.keys() | vec.keys() if (w := vec.get(i, 0) - q * held.get(i, 0))}
+            if p in vec:
+                basis[p], vec = vec, held
+    return [IntVecFin(basis[p]) for p in sorted(basis)]
+
+
 DEEP_SPECS = {
     "halving": '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}',
     "bo": '{"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, '
@@ -393,7 +415,8 @@ def test_reduce_flow_deep(family, depth):
     for nu in basis.vectors:
         coords = [sum(v * inverse[i - 1][r] for i, v in nu.items()) for r in range(depth)]
         assert not any(coords[red.zero_rank :])
-    assert all(not _echelon_reduce(basis.vectors, red.transform.row(i)) for i in range(1, red.zero_rank + 1))
+    echelon = _echelon_basis(basis.vectors)
+    assert all(not _echelon_reduce(echelon, red.transform.row(i)) for i in range(1, red.zero_rank + 1))
     assert red.nonzero_block_independent
 
 
@@ -516,18 +539,128 @@ SEQUENCE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(SEQUENCE_SPECS))
+LINEAR_RESONANCE_SPECS = {**SEQUENCE_SPECS, "bo": DEEP_SPECS["bo"]}
+
+
+@pytest.mark.parametrize("family", sorted(LINEAR_RESONANCE_SPECS))
 def test_sequence_resonance_output_linear_in_depth(tmp_path, capsys, family):
-    """``kron resonance`` prints one relation of two entries per index, so
-    its stdout grows at most 2.2x per doubling of the depth from 256 to 1024
-    (the Hermite basis e_j - (P_N / P_j) e_N grew about 4x on factorial)."""
+    """``kron resonance`` prints one relation of two entries per index on
+    sequence rules, and of five small entries per index past a fixed head on
+    BO, so its stdout grows at most 2.2x per doubling of the depth from 256
+    to 1024 (the Hermite basis e_j - (P_N / P_j) e_N grew about 4x on
+    factorial, and BO's Hermite basis about 3.7x)."""
     spec = tmp_path / "spec.json"
-    spec.write_text(SEQUENCE_SPECS[family])
+    spec.write_text(LINEAR_RESONANCE_SPECS[family])
     sizes = []
     for depth in (256, 512, 1024):
         assert main(["resonance", str(spec), "--depth", str(depth)]) == 0
         sizes.append(len(capsys.readouterr().out.encode()))
     assert all(later <= 2.2 * earlier for earlier, later in zip(sizes, sizes[1:])), sizes
+
+
+# -- BO: a Hermite head, then the shifts of the tail's recurrence
+
+BETA = Generator("beta", "opaque")
+
+
+@st.composite
+def bo_rules(draw):
+    """BO rules with a prefix of 0-8 entries, zeros among them, a finite
+    support one time in five, and a tail ratio p/q with q <= 12."""
+    prefix = draw(st.lists(st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=5, max_denominator=12)),
+                           max_size=8))
+    q = draw(st.integers(2, 12))
+    ratio = F(draw(st.integers(1, q - 1)), q)
+    c = F(0) if draw(st.integers(0, 4)) == 0 else draw(st.fractions(min_value=F(1, 12), max_value=5,
+                                                                      max_denominator=12))
+    return BoRule(BETA, RationalSequenceSpec(tuple(prefix), c, ratio))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bo_rules(), st.integers(1, 64))
+def test_bo_basis_spans_the_dense_hermite_kernel(fv, depth):
+    """The head and the shifts span the lattice of the dense oracle's Hermite
+    kernel: each vector reduces to zero against the kernel, and each kernel
+    vector against an echelon basis of their span."""
+    cols = coordinates(fv, depth)
+    dense = dense_hermite_transform([[col.get(g, F(0)) for col in cols] for g in (UNIT, BETA)])
+    kernel = [IntVecFin.from_list(r) for r in dense.rows[: dense.zero_rank]]
+    basis = resonance_basis(fv, depth).vectors
+    assert len(basis) == len(kernel)
+    assert all(not _echelon_reduce(kernel, nu) for nu in basis)
+    echelon = _echelon_basis(basis)
+    assert all(not _echelon_reduce(echelon, nu) for nu in kernel)
+
+
+def test_bo_basis_is_a_short_head_then_the_shifts():
+    """On the README spec the head is the Hermite kernel of the first five
+    columns, and every later vector is the shift of (E - 1)^3 (2E - 1)."""
+    fv = parse_frequency_spec(DEEP_SPECS["bo"])
+    basis = resonance_basis(fv, 64).vectors
+    assert list(basis[:3]) == exact_linalg.integer_kernel(coordinates(fv, 5))
+    assert list(basis[3:]) == [IntVecFin({j - 4: 1, j - 3: -5, j - 2: 9, j - 1: -7, j: 2}) for j in range(6, 65)]
+
+
+@pytest.mark.parametrize("fv, depths", [
+    (BoRule(BETA, RationalSequenceSpec()), range(1, 17)),  # s = 0: omega_j = j^2, rank 1
+    (BoRule(BETA, RationalSequenceSpec((F(0), F(0)))), range(1, 17)),
+    (parse_frequency_spec(DEEP_SPECS["bo"]), range(1, 6)),  # d < L + 5
+    (BoRule(BETA, RationalSequenceSpec((F(1, 2), F(0), F(3)), F(2, 5), F(3, 7))), range(1, 8)),
+    (BoRule(BETA, RationalSequenceSpec((F(1, 2), F(1, 3)))), range(1, 6)),  # finite: d < L + 4
+], ids=["zero", "zero-prefix", "readme", "long-prefix", "finite"])
+def test_bo_below_the_head_or_at_rank_one_takes_the_hermite_path(fv, depths):
+    """With s = 0 (rank 1), or a depth that leaves no shift past the head
+    (d < L + 5 on a geometric tail, d < L + 4 on a finite support), the basis
+    is the Hermite kernel of all the columns, so ``kron resonance`` prints
+    the same bytes as the kernel's JSON."""
+    for depth in depths:
+        want = {"depth": depth, "rank": depth - len(dense_hermite_transform(_coordinate_rows(fv, depth)).image),
+                "vectors": [v.to_json() for v in exact_linalg.integer_kernel(coordinates(fv, depth))]}
+        assert resonance_basis(fv, depth).to_json() == want
+
+
+@pytest.mark.parametrize("index", [4, 10])
+def test_bo_basis_rejects_a_wrong_module_index(monkeypatch, index):
+    """d*_4 lies in the README spec's head, d*_10 past it; either one doubled
+    breaks the head's index certificate."""
+    import kronflow.resonance_reduction as rr
+
+    fv = parse_frequency_spec(DEEP_SPECS["bo"])
+    real = rr._module_indices
+
+    def corrupt(x, y):
+        indices = real(x, y)
+        indices[index - 1] *= 2
+        return indices
+
+    monkeypatch.setattr(rr, "_module_indices", corrupt)
+    with pytest.raises(ValidationError, match="^internal error: relation basis fails the module index check$"):
+        resonance_basis(fv, 32)
+
+
+def test_bo_basis_rejects_a_head_that_misses_relations(monkeypatch):
+    """A head vector doubled is still a relation, but the head then spans a
+    sublattice of index 2, which the product of its pivots shows."""
+    import kronflow.resonance_reduction as rr
+
+    fv = parse_frequency_spec(DEEP_SPECS["bo"])
+    real = rr.integer_kernel
+    monkeypatch.setattr(rr, "integer_kernel", lambda columns: [real(columns)[0].scale(2), *real(columns)[1:]])
+    with pytest.raises(ValidationError, match="^internal error: relation basis fails the module index check$"):
+        resonance_basis(fv, 32)
+
+
+@pytest.mark.parametrize("term", [0, 1, 2, 3])
+def test_bo_basis_rejects_a_wrong_shift_coefficient(monkeypatch, term):
+    """A coefficient of P off by one makes every shift fail the re-check (the
+    leading one also moves J past N, so it takes the Hermite path)."""
+    import kronflow.resonance_reduction as rr
+
+    fv = parse_frequency_spec(DEEP_SPECS["bo"])
+    real = rr._recurrence
+    monkeypatch.setattr(rr, "_recurrence", lambda s: [c + (k == term) for k, c in enumerate(real(s))])
+    with pytest.raises(ValidationError, match="^internal error: kernel vector fails exact resonance check$"):
+        resonance_basis(fv, 32)
 
 
 def test_product_with_a_repeated_generator_takes_the_hermite_path():

@@ -49,7 +49,7 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     assert {row["command"] for row in first} == {
         "resonance", "reduce-flow", "solenoid member", "solenoid coords", "solenoid times", "simulate"}
     for row in first:
-        fields = {"command", "family", "depth", "best_ms", "tracemalloc_peak_bytes"}
+        fields = {"command", "family", "depth", "best_ms", "host_ms", "tracemalloc_peak_bytes"}
         fields |= {"csv_bytes", "csv_sha256"} if row["command"] == "simulate" else {"stdout_bytes", "stdout_sha256"}
         if row["depth"] == 32:
             fields |= {"time_growth", "peak_growth"}
