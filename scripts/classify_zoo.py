@@ -11,16 +11,17 @@ import json
 from fractions import Fraction
 
 from kronflow import (
+    UNIT,
     BoRule,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
+    SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
     classification_report,
-    closures_homeomorphic,
+    decompose_module,
     parse_frequency_spec,
-    solenoid_vector,
 )
 
 ZOO = {
@@ -30,8 +31,8 @@ ZOO = {
     "harmonic prefix (1, 1/2, 1/3)": parse_frequency_spec(
         '{"kind":"finite","terms":[{"1":"1"},{"1":"1/2"},{"1":"1/3"}]}'
     ),
-    "factorial rule 1/j!": solenoid_vector(SigmaSequence((1,), "increment")),
-    "odd-indexed prime rule": solenoid_vector(SigmaSequence((1,), "odd_indexed_primes")),
+    "factorial rule 1/j!": SolenoidRule(UNIT, SigmaSequence((1,), "increment")),
+    "odd-indexed prime rule": SolenoidRule(UNIT, SigmaSequence((1,), "odd_indexed_primes")),
     "product Z + Z[1/2]": build_product_vector(
         [SubgroupOfQSpec(free_generator=Fraction(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))]
     ),
@@ -50,7 +51,7 @@ def main() -> None:
     odd = ZOO["odd-indexed prime rule"]
     print(
         "\nfactorial vs odd-indexed closures homeomorphic:",
-        closures_homeomorphic(fact, odd, 16),
+        decompose_module(fact, 16).closure_homeomorphic(decompose_module(odd, 16)),
     )
 
 

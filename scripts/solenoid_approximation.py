@@ -12,14 +12,17 @@ import random
 from fractions import Fraction
 
 from kronflow import (
+    UNIT,
     GeometricWeights,
     SigmaSequence,
     SolenoidCoords,
+    SolenoidRule,
+    TorusPoint,
     approximating_times,
+    flow,
     from_coordinates,
-    orbit_point,
+    product_metric,
 )
-from kronflow.solenoid_geometry import product_metric_exact
 
 
 def main() -> None:
@@ -35,13 +38,14 @@ def main() -> None:
     coords = SolenoidCoords(tau, digits)
     target = from_coordinates(a, coords)
     weights = GeometricWeights(Fraction(1, 2))
+    rule, origin = SolenoidRule(UNIT, a), TorusPoint.origin(args.depth)
 
     print(f"target tau={tau}, digits={digits}")
     print(f"{'k':>3} {'t_k (turns)':>16} {'matching coords':>16} {'d_rho residual':>16} {'tail 2^-k':>12}")
     for k, t in enumerate(approximating_times(a, coords), start=1):
-        moved = orbit_point(a, t, args.depth)
+        moved = flow(rule, origin, t)
         matched = sum(1 for x, y in zip(moved.angles, target.angles) if x == y)
-        residual = product_metric_exact(weights, moved, target)
+        residual, _tail = product_metric(weights, moved, target)
         print(f"{k:>3} {str(t):>16} {matched:>16} {float(residual):>16.3e} {2.0**-k:>12.3e}")
 
 

@@ -24,17 +24,17 @@ from .frequency import (
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
+    SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
     clamp_depth,
     coordinates,
     evaluate_float,
+    finite_vector,
     parse_frequency_spec,
     pi_power_generator,
     rational_vector,
-    solenoid_vector,
     sqrt_prime_generator,
-    truncate,
 )
 from .classification import (
     BaerType,
@@ -43,11 +43,9 @@ from .classification import (
     baer_isomorphic,
     baer_to_qa,
     classification_report,
-    closures_homeomorphic,
     decompose_module,
     free_baer_type,
     is_free,
-    orbit_closure,
     qa_to_baer,
 )
 from .resonance_reduction import (
@@ -67,7 +65,6 @@ from .solenoid_geometry import (
     from_coordinates,
     is_member,
     local_chart,
-    orbit_point,
     product_metric,
     to_coordinates,
 )

@@ -151,7 +151,7 @@ class BoModuleReport:
     sigma_values: tuple[Fraction, ...]  # sigma_1..sigma_N
     tail_sums: tuple[Fraction, ...]  # g_1..g_{N-1}
     r_type: BaerType | None  # None when R = {0}
-    closure: list  # as ModuleDescriptor.closure() prints it
+    module: ModuleDescriptor  # the frequency module, read off the same R
     full_support: bool
     depth: int
 
@@ -163,31 +163,29 @@ class BoModuleReport:
             "r_type": self.r_type.to_json() if self.r_type else "trivial",
             "r_free": bool(self.r_type and is_free(self.r_type)),
             "full_support": self.full_support,
-            "closure": self.closure,
+            "closure": self.module.closure(),
         }
 
 
 def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     """Exact presentation of R (the subgroup generated by the sigma values)
-    together with the truncated sigma/tail-sum tables and the closure verdict.
+    together with the truncated sigma/tail-sum tables and the frequency
+    module, R presented once for both.
 
     The report's guarantees: g_n = sigma_{n+1} - sigma_n for every tabulated
     n, every tabulated g_n lies in R, and R equals the emitted (i, Lambda)
     subgroup (both containments checkable via ``span_contains`` /
     ``baer_contains``).
     """
-    span = _span_data(rule.s)
-    return _tail_module(rule.s, depth, span, _module_of_span(rule, span))
-
-
-def _tail_module(s: RationalSequenceSpec, depth: int, span: _Span, module: ModuleDescriptor) -> BoModuleReport:
     if depth < 2:
         raise ValidationError("tail-module report needs depth >= 2")
+    s = rule.s
+    span = _span_data(s)
     return BoModuleReport(
         tuple(s.sigmas(depth)),
         tuple(s.tail_sums(depth))[1:],
         _baer_of_span(*span),
-        module.closure(),
+        _module_of_span(rule, span),
         s.full_support(),
         depth,
     )
@@ -210,10 +208,7 @@ def _module_of_span(rule: BoRule, span: _Span) -> ModuleDescriptor:
 
 
 def bo_report(rule: BoRule, depth: int) -> dict:
-    """Full JSON report embedding the module classification; R is presented
-    once, for both."""
-    span = _span_data(rule.s)
-    module = _module_of_span(rule, span)
-    out = _tail_module(rule.s, depth, span, module).to_json()
-    out["module"] = module_report(module, depth)
-    return out
+    """Full JSON report: the tail tables, with the module classification
+    embedded."""
+    rep = bo_tail_module(rule, depth)
+    return {**rep.to_json(), "module": module_report(rep.module, depth)}

@@ -390,14 +390,6 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     )
 
 
-def orbit_closure(fv: FrequencyVector, depth: int) -> list:
-    return decompose_module(fv, depth).closure()
-
-
-def closures_homeomorphic(fv1: FrequencyVector, fv2: FrequencyVector, depth: int) -> bool:
-    return decompose_module(fv1, depth).closure_homeomorphic(decompose_module(fv2, depth))
-
-
 def classification_report(fv: FrequencyVector, depth: int) -> dict:
     return module_report(decompose_module(fv, depth), depth)
 

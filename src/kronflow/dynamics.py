@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,7 +59,9 @@ class TrigPolynomial:
     coeffs: tuple[tuple[IntVecFin, tuple[Fraction, Fraction]], ...]
 
     def __post_init__(self):
-        table = {nu: c for nu, c in self.coeffs}
+        table = dict(self.coeffs)
+        if len(table) < len(self.coeffs):
+            raise ValidationError("a monomial is repeated: give each nu one coefficient")
         for nu, (re, im) in table.items():
             mirror = table.get(-nu)
             if mirror is None or mirror[0] != re or mirror[1] != -im:
@@ -86,21 +88,15 @@ class TrigPolynomial:
 
     @classmethod
     def constant(cls, c: Fraction | int) -> "TrigPolynomial":
-        return cls.from_table({IntVecFin(): (Fraction(c), Fraction(0))})
+        return cls.cosine(IntVecFin(), c)
 
     @classmethod
     def cosine(cls, nu: IntVecFin, scale: Fraction | int = 1) -> "TrigPolynomial":
-        s = Fraction(scale)
-        if nu.is_zero():
-            return cls.constant(s)
-        return cls.from_table({nu: (s / 2, Fraction(0)), -nu: (s / 2, Fraction(0))})
+        return _summed([_scaled("cos", nu, Fraction(scale))])
 
     @classmethod
     def sine(cls, nu: IntVecFin, scale: Fraction | int = 1) -> "TrigPolynomial":
-        s = Fraction(scale)
-        if nu.is_zero():
-            return cls.constant(0)
-        return cls.from_table({nu: (Fraction(0), -s / 2), -nu: (Fraction(0), s / 2)})
+        return _summed([_scaled("sin", nu, Fraction(scale))])
 
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         table: dict[IntVecFin, tuple[Fraction, Fraction]] = {}
@@ -110,41 +106,48 @@ class TrigPolynomial:
         return TrigPolynomial.from_table({k: v for k, v in table.items() if v != (0, 0)})
 
 
-def parse_polynomial(document: Mapping) -> TrigPolynomial:
-    """JSON format: {"terms": [ {"const": "3"} | {"cos": {"1": 1}, "scale": "2"}
-    | {"sin": ...} | {"nu": {...}, "re": "1/2", "im": "0"} ... ]}.
+def _scaled(kind: str, nu: IntVecFin, s: Fraction) -> tuple[IntVecFin, Fraction, Fraction]:
+    """(nu, re, im) of a_nu for s cos(nu . Theta) (kind "cos") or s sin(nu . Theta):
+    s cos is s at nu = 0 and s/2 elsewhere, s sin is 0 at nu = 0 and -i s/2
+    elsewhere; ``_summed`` adds the mirror at -nu."""
+    if kind == "cos":
+        return nu, s if nu.is_zero() else s / 2, Fraction(0)
+    return nu, Fraction(0), Fraction(0) if nu.is_zero() else -s / 2
 
-    The terms are summed into one coefficient table, and the polynomial (with
-    its reality check) is built once from it."""
-    if not isinstance(document, Mapping) or "terms" not in document:
-        raise ValidationError("polynomial spec needs field 'terms'")
+
+def _summed(terms: Iterable[tuple[IntVecFin, Fraction, Fraction]]) -> TrigPolynomial:
+    """The sum of the terms a_nu = re + i im, each with its mirror conj(a_nu)
+    at -nu for nu != 0, as one coefficient table: the polynomial (with its
+    reality check) is built once from it."""
     table: dict[IntVecFin, tuple[Fraction, Fraction]] = {}
-
-    def add(nu: IntVecFin, re, im) -> None:
-        """Add a_nu = re + i im, and its mirror conj(a_nu) at -nu for nu != 0."""
+    for nu, re, im in terms:
         for key, part in ((nu, im), (-nu, -im)) if not nu.is_zero() else ((nu, im),):
             old_re, old_im = table.get(key, (0, 0))
             table[key] = (old_re + re, old_im + part)
+    return TrigPolynomial.from_table({nu: c for nu, c in table.items() if c != (0, 0)})
 
+
+def parse_polynomial(document: Mapping) -> TrigPolynomial:
+    """JSON format: {"terms": [ {"const": "3"} | {"cos": {"1": 1}, "scale": "2"}
+    | {"sin": ...} | {"nu": {...}, "re": "1/2", "im": "0"} ... ]}, summed
+    into one coefficient table."""
+    if not isinstance(document, Mapping) or "terms" not in document:
+        raise ValidationError("polynomial spec needs field 'terms'")
+    terms = []
     for k, term in enumerate(parse_list(document["terms"], "polynomial terms")):
         if not isinstance(term, Mapping):
             raise ValidationError(f"terms[{k}] must be an object, got {term!r}")
         if "const" in term:
-            add(IntVecFin(), parse_rational(term["const"]), 0)
-        elif "cos" in term:  # s cos(nu . Theta), which is s at nu = 0
-            nu = IntVecFin.from_json(term["cos"])
-            s = parse_rational(term.get("scale", "1"))
-            add(nu, s if nu.is_zero() else s / 2, 0)
-        elif "sin" in term:  # s sin(nu . Theta), which is 0 at nu = 0
-            nu = IntVecFin.from_json(term["sin"])
-            s = parse_rational(term.get("scale", "1"))
-            add(nu, 0, 0 if nu.is_zero() else -s / 2)
+            terms.append(_scaled("cos", IntVecFin(), parse_rational(term["const"])))
+        elif "cos" in term or "sin" in term:
+            kind = "cos" if "cos" in term else "sin"
+            terms.append(_scaled(kind, IntVecFin.from_json(term[kind]), parse_rational(term.get("scale", "1"))))
         elif "nu" in term:
             nu = IntVecFin.from_json(term["nu"])
-            add(nu, parse_rational(term.get("re", "0")), parse_rational(term.get("im", "0")))
+            terms.append((nu, parse_rational(term.get("re", "0")), parse_rational(term.get("im", "0"))))
         else:
             raise ValidationError(f"terms[{k}] must carry 'const', 'cos', 'sin', or 'nu'")
-    return TrigPolynomial.from_table({nu: c for nu, c in table.items() if c != (0, 0)})
+    return _summed(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +255,9 @@ def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin) -> tuple[bool, float]:
         return True, 0.0
     value = float(evaluate_float(combo))
     if value == 0.0:
+        shown = {str(i): v for i, v in nu.items()}  # in index order, whatever order nu was built in
         raise ValidationError(
-            f"omega . nu for non-resonant nu {nu.to_json()} rounds to 0 at "
+            f"omega . nu for non-resonant nu {shown} rounds to 0 at "
             f"{working_bits()} bits; raise --precision"
         )
     _require_finite(value, "omega . nu")

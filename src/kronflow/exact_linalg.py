@@ -97,7 +97,7 @@ class IntVecFin:
             items = entries
         store: dict[int, int] = {}
         for i, v in items:
-            # exact ints only: int() would truncate 2.7 and read True as 1
+            # exact ints only: int() would read 2.7 as 2 and True as 1
             if type(i) is not int or type(v) is not int:
                 raise ValidationError(f"vector entries must map int indices to ints, got {i!r}: {v!r}")
             if i < 1:
@@ -154,7 +154,7 @@ class IntVecFin:
         return f"IntVecFin({{{body}}})"
 
     def to_json(self) -> dict[str, int]:
-        return {str(i): v for i, v in self.items()}
+        return {str(i): v for i, v in self._entries.items()}  # the writer sorts the keys
 
     @classmethod
     def from_json(cls, obj: Mapping[str, int]) -> "IntVecFin":
@@ -284,7 +284,7 @@ class RowFiniteIntMatrix:
                 inverse_rows[i - 1][str(j)] = v
         return {
             "dimension": self.dimension,
-            "rows": {str(i): {str(j): row[j] for j in sorted(row)} for i, row in enumerate(self.rows, 1)},
+            "rows": {str(i): {str(j): v for j, v in row.items()} for i, row in enumerate(self.rows, 1)},
             "inverse_rows": {str(i): row for i, row in enumerate(inverse_rows, 1)},
         }
 

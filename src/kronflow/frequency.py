@@ -466,10 +466,6 @@ def rational_vector(values: Sequence[Fraction | int | str]) -> Finite:
     return finite_vector([{UNIT: parse_rational(v) if isinstance(v, str) else Fraction(v)} for v in values])
 
 
-def solenoid_vector(a: SigmaSequence, generator: Generator = UNIT) -> SolenoidRule:
-    return SolenoidRule(generator, a)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -526,15 +522,6 @@ def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
         for gen, c in coords.items():
             total += mpmath.mpf(c.numerator) / c.denominator * gen.float_value()
         return +total
-
-
-def truncate(fv: FrequencyVector, depth: int) -> Finite:
-    """First ``depth`` frequencies as an exact Finite vector."""
-    if depth < 1:
-        raise ValidationError(f"truncation depth must be >= 1, got {depth}")
-    if isinstance(fv, Finite) and len(fv) < depth:
-        raise ValidationError(f"cannot truncate length-{len(fv)} vector to depth {depth}")
-    return finite_vector(coordinates(fv, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +602,7 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
             raise ValidationError("solenoid spec needs field 'a'")
         a = SigmaSequence.from_json(obj["a"])
         gen = _resolve_generator(obj.get("generator", "1"), declared)
-        return solenoid_vector(a, gen)
+        return SolenoidRule(gen, a)
 
     if kind == "bo":
         if "s" not in obj:

@@ -46,10 +46,8 @@ class TorusPoint:
         return cls(tuple(float(v) % (2 * math.pi) for v in values), False)
 
     @classmethod
-    def origin(cls, depth: int, exact: bool = True) -> "TorusPoint":
-        if exact:
-            return cls.exact_point([Fraction(0)] * depth)
-        return cls.float_point([0.0] * depth)
+    def origin(cls, depth: int) -> "TorusPoint":
+        return cls((Fraction(0),) * depth, True)
 
     def to_radians(self) -> list[float]:
         if self.exact:
@@ -163,13 +161,6 @@ def approximating_times(a: SigmaSequence, coords: SolenoidCoords) -> list[Fracti
     return [coords.tau] + [Fraction(acc, v) for acc, _ in _running_sums(a.terms(coords.depth), coords)]
 
 
-def orbit_point(a: SigmaSequence, t: Fraction, depth: int) -> TorusPoint:
-    """Exact flow point of the solenoidal frequency rule at time t (in turns),
-    started at the origin: theta_j = t / (a_1 ... a_j) mod 1."""
-    t = Fraction(t)
-    return TorusPoint.exact_point([t / product for product in a.partial_products(depth)])
-
-
 def local_chart(a: SigmaSequence, theta: TorusPoint) -> tuple[Fraction, tuple[int, ...]]:
     """Interval-times-digits chart away from the slice theta_1 = 0."""
     coords = to_coordinates(a, theta)
@@ -208,42 +199,14 @@ def circle_distance(x, y):
     return min(d, 1 - d)
 
 
-def product_metric(
-    rho: GeometricWeights | Sequence[float], theta: TorusPoint, phi: TorusPoint
-) -> tuple[float, float]:
+def product_metric(rho: GeometricWeights, theta: TorusPoint, phi: TorusPoint) -> tuple:
     """d_rho(theta, phi) = sum_k rho_k d(theta_k, phi_k), plus the truncation
-    tail bound sum_{k>N} rho_k.
-
-    Explicit weight lists must be positive; for them the reported tail bound
-    is 0 (the metric is the finitely weighted object itself).
-    """
+    tail bound sum_{k>N} rho_k: exact in, exact out, so both are Fractions
+    when both points are exact and floats otherwise."""
     if theta.depth != phi.depth:
         raise ValidationError("product metric needs equal depths")
-    n = theta.depth
-    if isinstance(rho, GeometricWeights):
-        weights = [rho.weight(k) for k in range(1, n + 1)]
-        tail = float(rho.tail(n))
-    else:
-        weights = [float(w) for w in rho[:n]]
-        if len(weights) < n or any(w <= 0 for w in weights):
-            raise ValidationError("explicit weights must be positive and cover the depth")
-        tail = 0.0
-
-    a_vals = theta.angles if theta.exact else [v / (2 * math.pi) for v in theta.angles]
-    b_vals = phi.angles if phi.exact else [v / (2 * math.pi) for v in phi.angles]
-    total = 0.0
-    for k in range(n):
-        total += float(weights[k]) * float(circle_distance(a_vals[k], b_vals[k]))
-    return total, tail
-
-
-def product_metric_exact(rho: GeometricWeights, theta: TorusPoint, phi: TorusPoint) -> Fraction:
-    """Exact d_rho for exact points with geometric weights."""
-    if not (theta.exact and phi.exact):
-        raise ValidationError("exact metric needs exact points")
-    if theta.depth != phi.depth:
-        raise ValidationError("product metric needs equal depths")
-    total = Fraction(0)
-    for k in range(theta.depth):
-        total += rho.weight(k + 1) * circle_distance(theta.angles[k], phi.angles[k])
-    return total
+    turns = [p.angles if p.exact else [v / (2 * math.pi) for v in p.angles] for p in (theta, phi)]
+    dists = map(circle_distance, *turns)
+    total = sum((rho.weight(k) * d for k, d in enumerate(dists, 1)), Fraction(0))
+    tail = rho.tail(theta.depth)
+    return (total, tail) if theta.exact and phi.exact else (float(total), float(tail))

@@ -529,6 +529,16 @@ def fraction_approximating_times(a, coords: SolenoidCoords) -> list[Fraction]:
     return times
 
 
+def solenoid_flow_angles(a, t: Fraction, depth: int) -> list[Fraction]:
+    """The exact flow of omega_j = 1 / (a_1 ... a_j) from the origin, in turns:
+    t / (a_1 ... a_j) mod 1 for j = 1..depth, the product taken term by term."""
+    angles, product = [], 1
+    for j in range(1, depth + 1):
+        product *= a.term(j)
+        angles.append(Fraction(t) / product % 1)
+    return angles
+
+
 # ---------------------------------------------------------------------------
 # Supernatural numbers by the earlier coverage state machine
 

@@ -18,21 +18,21 @@ from kronflow.classification import (
     baer_isomorphic,
     baer_to_qa,
     decompose_module,
-    orbit_closure,
     qa_to_baer,
 )
 from kronflow.dynamics import TrigPolynomial, equidistribution_report, flow, time_average
 from kronflow.exact_linalg import IntVecFin
 from kronflow.frequency import (
+    UNIT,
     BoRule,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
+    SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
     parse_frequency_spec,
     rational_vector,
-    solenoid_vector,
 )
 from kronflow.resonance_reduction import apply_automorphism, reduce_flow, reduce_vector, resonance_basis
 from kronflow.solenoid_geometry import (
@@ -42,8 +42,7 @@ from kronflow.solenoid_geometry import (
     approximating_times,
     from_coordinates,
     is_member,
-    orbit_point,
-    product_metric_exact,
+    product_metric,
     to_coordinates,
 )
 from oracles import (
@@ -112,7 +111,9 @@ def test_criterion_3_solenoid_geometry():
     depth = 8
     weights = GeometricWeights(F(1, 2))
     roundtrips = members = approx = 0
+    origin = TorusPoint.origin(depth)
     for a in sequences:
+        rule = SolenoidRule(UNIT, a)
         for _ in range(1000):
             tau = F(rng.randint(0, 119), 120)
             digits = tuple(rng.randrange(a.term(j)) for j in range(2, depth + 1))
@@ -122,7 +123,7 @@ def test_criterion_3_solenoid_geometry():
             roundtrips += 1
         for _ in range(334):
             t = F(rng.randint(-10**6, 10**6), rng.randint(1, 999))
-            assert is_member(a, orbit_point(a, t, depth))
+            assert is_member(a, flow(rule, origin, t))
             members += 1
         for _ in range(50):
             tau = F(rng.randint(0, 119), 120)
@@ -130,9 +131,9 @@ def test_criterion_3_solenoid_geometry():
             coords = SolenoidCoords(tau, digits)
             target = from_coordinates(a, coords)
             for k, t in enumerate(approximating_times(a, coords), start=1):
-                moved = orbit_point(a, t, depth)
+                moved = flow(rule, origin, t)
                 assert moved.angles[:k] == target.angles[:k]
-                residual = product_metric_exact(weights, moved, target)
+                residual, _tail = product_metric(weights, moved, target)
                 assert residual <= F(1, 2**k)  # sum_{j>k} 2^-j
                 approx += 1
     report(
@@ -197,16 +198,14 @@ def test_criterion_5_baer_classification():
         assert baer_isomorphic(qa_to_baer(a), t)
     # the two classical examples: 1/j! vs p_2j/p_{2j-1} have modules Q(a) and
     # Q(a') with a = (1,2,3,4,...) and a' = (1,p1,p3,p5,...): not isomorphic
-    factorial_rule = solenoid_vector(SigmaSequence((1,), "increment"))
-    odd_prime_rule = solenoid_vector(SigmaSequence((1,), "odd_indexed_primes"))
-    t_fact = decompose_module(factorial_rule, 16).components[0].baer
-    t_odd = decompose_module(odd_prime_rule, 16).components[0].baer
+    factorial_md = decompose_module(SolenoidRule(UNIT, SigmaSequence((1,), "increment")), 16)
+    odd_prime_md = decompose_module(SolenoidRule(UNIT, SigmaSequence((1,), "odd_indexed_primes")), 16)
+    t_fact = factorial_md.components[0].baer
+    t_odd = odd_prime_md.components[0].baer
     assert all(t_fact.lam.resolve(p) == INF for p in (2, 3, 5, 7))
     assert [t_odd.lam.resolve(p) for p in (2, 3, 5, 7, 11)] == [1, 0, 1, 0, 1]
     assert not baer_isomorphic(t_fact, t_odd)
-    from kronflow.classification import closures_homeomorphic
-
-    assert not closures_homeomorphic(factorial_rule, odd_prime_rule, 16)
+    assert not factorial_md.closure_homeomorphic(odd_prime_md)
     # omega_j = 1/j has module Q: at finite depth the span is (1/lcm)Z, and the
     # full rule-level module Q((1,2,3,...)) = {m/N!} carries Lambda = infinity
     # everywhere, the type of (Q, +)
@@ -230,7 +229,7 @@ def test_criterion_5_baer_classification():
 def test_criterion_6_product_construction_pipeline():
     groups = [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))]
     fv = build_product_vector(groups)
-    closure = orbit_closure(fv, 16)
+    closure = decompose_module(fv, 16).closure()
     assert len(closure) == 2 and closure.count("circle") == 1
     assert [f for f in closure if f != "circle"] == [{"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
     (sol,) = decompose_module(fv, 16).nonfree_components()
@@ -271,7 +270,7 @@ def test_criterion_7_integrable_flow():
     beta = Generator("beta", "opaque")
     dyadic = BoRule(beta, RationalSequenceSpec((), F(1, 2), F(1, 2)))
     rep = bo_tail_module(dyadic, 41)
-    assert rep.closure == ["circle", {"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
+    assert rep.module.closure() == ["circle", {"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
     unit, beta_part = decompose_module(dyadic, 41).components
     assert unit.free and not beta_part.free
     assert beta_part.baer.lam.resolve(2) == INF and beta_part.baer.lam.resolve(3) == 0
@@ -283,7 +282,7 @@ def test_criterion_7_integrable_flow():
     zero = BoRule(beta, RationalSequenceSpec(()))
     md = decompose_module(parse_frequency_spec({"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, "s": {"prefix": []}}), 8)
     assert md.rank == 1 and md.components[0].baer.i == 1 and md.is_free
-    assert orbit_closure(zero, 8) == ["circle"]
+    assert decompose_module(zero, 8).closure() == ["circle"]
     report(7, "integrable-flow pipeline", "dyadic -> circle x solenoid(2); telescoping n<=40 exact; zero-action control")
 
 

@@ -20,7 +20,6 @@ from kronflow.classification import (
     baer_isomorphic,
     decompose_module,
     is_free,
-    orbit_closure,
 )
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import rational_gcd
@@ -30,8 +29,8 @@ from kronflow.frequency import (
     Generator,
     RationalSequenceSpec,
     coordinates,
+    finite_vector,
     parse_frequency_spec,
-    truncate,
 )
 from oracles import sigma_by_partial_sums
 
@@ -69,7 +68,7 @@ def test_sigma_prefix_only_example():
 
 
 def test_frequencies_zero_actions():
-    fv = truncate(ZERO, 4)
+    fv = finite_vector(coordinates(ZERO, 4))
     assert coordinates(fv, 4) == [
         {UNIT: F(1)},
         {UNIT: F(4)},
@@ -79,14 +78,14 @@ def test_frequencies_zero_actions():
 
 
 def test_frequencies_dyadic():
-    fv = truncate(DYADIC, 5)
+    fv = finite_vector(coordinates(DYADIC, 5))
     for j, coords in enumerate(coordinates(fv, 5), 1):
         assert coords[UNIT] == j * j
         assert coords[BETA] == -2 * (2 - F(2) ** (1 - j))
 
 
 def test_frequencies_prefix_only():
-    fv = truncate(PREFIX_ONLY, 3)
+    fv = finite_vector(coordinates(PREFIX_ONLY, 3))
     assert coordinates(fv, 3) == [{UNIT: F(j * j), BETA: F(-2, 3)} for j in (1, 2, 3)]
 
 
@@ -215,7 +214,7 @@ def test_dyadic_containments_both_directions():
 def test_finite_support_gives_free_module():
     rep = bo_tail_module(PREFIX_ONLY, 8)
     assert is_free(rep.r_type)
-    assert rep.closure == ["circle", "circle"]
+    assert rep.module.closure() == ["circle", "circle"]
 
 
 def test_triadic_r_type():
@@ -237,17 +236,17 @@ def test_general_ratio_supported():
 
 
 def test_dyadic_closure_circle_times_solenoid():
-    assert orbit_closure(DYADIC, 16) == ["circle", {"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
+    assert decompose_module(DYADIC, 16).closure() == ["circle", {"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
     unit, beta_part = module_descriptor(DYADIC).components
     assert unit.free and not beta_part.free and beta_part.baer.lam.resolve(2) == INF
 
 
 def test_zero_actions_closure_single_circle():
-    assert orbit_closure(ZERO, 16) == ["circle"]
+    assert decompose_module(ZERO, 16).closure() == ["circle"]
 
 
 def test_finite_actions_closure_torus():
-    assert orbit_closure(PREFIX_ONLY, 16) == ["circle", "circle"]
+    assert decompose_module(PREFIX_ONLY, 16).closure() == ["circle", "circle"]
 
 
 # -- pipeline consistency
@@ -293,7 +292,7 @@ def test_bo_and_classify_print_one_closure(tmp_path, capsys):
     assert main(["classify", str(spec), "--depth", "3"]) == 0
     classify = json.loads(capsys.readouterr().out)
     assert bo["closure"] == bo["module"]["closure"] == classify["closure"]
-    assert orbit_closure(parse_frequency_spec(spec.read_text()), 3) == bo["closure"]
+    assert decompose_module(parse_frequency_spec(spec.read_text()), 3).closure() == bo["closure"]
     pairs = bo["closure"][1]["solenoid"]["pairs"]
     assert {"primes": [2], "exp": 1} in pairs and {"primes": [3], "exp": "inf"} in pairs
     assert {"primes": [2], "exp": 2} in bo["r_type"]["lambda"]["pairs"]
@@ -304,7 +303,8 @@ def test_partial_support_flagged():
     rep = bo_tail_module(spec, 8)
     assert rep.full_support is False
     # still classifiable: infinite nonnegative support forces a solenoid
-    assert len(rep.closure) == 2 and rep.closure.count("circle") == 1
+    closure = rep.module.closure()
+    assert len(closure) == 2 and closure.count("circle") == 1
 
 
 # -- parsing

@@ -13,21 +13,20 @@ from kronflow.classification import (
     baer_isomorphic,
     baer_to_qa,
     classification_report,
-    closures_homeomorphic,
     decompose_module,
     free_baer_type,
     is_free,
-    orbit_closure,
     qa_to_baer,
 )
 from kronflow.errors import UnsupportedStructureError, ValidationError
 from kronflow.frequency import (
+    UNIT,
     SigmaSequence,
+    SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
     parse_frequency_spec,
     rational_vector,
-    solenoid_vector,
 )
 from kronflow.resonance_reduction import reduce_flow, resonance_basis
 from oracles import (
@@ -238,7 +237,7 @@ def test_decompose_harmonic_prefix():
 
 def test_decompose_solenoid_rule():
     a = SigmaSequence((1, 2), "constant", (2,))
-    md = decompose_module(solenoid_vector(a), 8)
+    md = decompose_module(SolenoidRule(UNIT, a), 8)
     assert md.rank == 1 and not md.is_free
     assert md.components[0].baer.lam.resolve(2) == INF
 
@@ -255,7 +254,7 @@ def test_module_rank_examples():
     assert decompose_module(rational_vector(["1", "1/2", "1/3"]), 3).rank == 1
     two = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
     assert decompose_module(two, 2).rank == 2
-    assert decompose_module(solenoid_vector(CONST2), 6).rank == 1
+    assert decompose_module(SolenoidRule(UNIT, CONST2), 6).rank == 1
 
 
 @st.composite
@@ -290,41 +289,41 @@ def test_mixed_term_rank_examples():
     assert decompose_module(doubled, 2).rank == 1
 
 
-# -- orbit_closure examples
+# -- orbit closure examples
 
 
 def test_closure_full_torus():
     fv = parse_frequency_spec(
         '{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"},{"sqrt3":"1"}]}'
     )
-    assert orbit_closure(fv, 3) == ["circle", "circle", "circle"]
+    assert decompose_module(fv, 3).closure() == ["circle", "circle", "circle"]
 
 
 def test_closure_factorial_solenoid():
-    fv = solenoid_vector(INCREMENT)
-    assert orbit_closure(fv, 8) == [{"solenoid": {"pairs": [{"primes": "all", "exp": "inf"}]}}]
+    fv = SolenoidRule(UNIT, INCREMENT)
+    assert decompose_module(fv, 8).closure() == [{"solenoid": {"pairs": [{"primes": "all", "exp": "inf"}]}}]
     (c,) = decompose_module(fv, 8).components
     assert not c.free and c.baer.lam.resolve(97) == INF
 
 
-# -- closures_homeomorphic examples
+# -- closure homeomorphism examples
 
 
 def test_homeo_factorial_vs_odd_primes():
-    assert not closures_homeomorphic(
-        solenoid_vector(INCREMENT), solenoid_vector(ODD_PRIMES), 8
-    )
+    factorial = decompose_module(SolenoidRule(UNIT, INCREMENT), 8)
+    assert not factorial.closure_homeomorphic(decompose_module(SolenoidRule(UNIT, ODD_PRIMES), 8))
 
 
 def test_homeo_free_rank_one():
-    assert closures_homeomorphic(rational_vector(["1", "1/2"]), rational_vector(["1/3"]), 2)
+    md = decompose_module(rational_vector(["1", "1/2"]), 2)
+    assert md.closure_homeomorphic(decompose_module(rational_vector(["1/3"]), 2))
 
 
 def test_homeo_reflexive_and_symmetric():
-    fv = solenoid_vector(CONST2)
-    assert closures_homeomorphic(fv, fv, 6)
-    fv2 = solenoid_vector(SigmaSequence((1, 4), "constant", (2,)))
-    assert closures_homeomorphic(fv, fv2, 6) == closures_homeomorphic(fv2, fv, 6)
+    md = decompose_module(SolenoidRule(UNIT, CONST2), 6)
+    assert md.closure_homeomorphic(md)
+    md2 = decompose_module(SolenoidRule(UNIT, SigmaSequence((1, 4), "constant", (2,))), 6)
+    assert md.closure_homeomorphic(md2) == md2.closure_homeomorphic(md)
 
 
 # -- product construction pipeline
@@ -332,7 +331,7 @@ def test_homeo_reflexive_and_symmetric():
 
 def test_build_single_free_group():
     fv = build_product_vector([SubgroupOfQSpec(free_generator=F(1))])
-    assert orbit_closure(fv, 8) == ["circle"]
+    assert decompose_module(fv, 8).closure() == ["circle"]
 
 
 def test_build_dyadic_roundtrip():
@@ -345,7 +344,7 @@ def test_build_circle_times_solenoid():
     fv = build_product_vector(
         [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=CONST2)]
     )
-    closure = orbit_closure(fv, 16)
+    closure = decompose_module(fv, 16).closure()
     assert closure.count("circle") == 1 and len(closure) == 2
     assert [f for f in closure if f != "circle"] == [{"solenoid": {"pairs": [{"primes": [2], "exp": "inf"}, {"primes": "all", "exp": 0}]}}]
     (sol,) = decompose_module(fv, 16).nonfree_components()
@@ -394,7 +393,7 @@ def test_roundtrip_random_group_lists():
 
 
 def test_classification_report_shape():
-    rep = classification_report(solenoid_vector(CONST2), 8)
+    rep = classification_report(SolenoidRule(UNIT, CONST2), 8)
     assert set(rep) == {"depth", "module", "rank", "free", "closure"}
     assert rep["rank"] == 1 and rep["free"] is False
     assert rep["closure"][0]["solenoid"]["pairs"][0] == {"primes": [2], "exp": "inf"}
@@ -437,9 +436,10 @@ def test_cross_variant_homeomorphism():
     product = build_product_vector(
         [SubgroupOfQSpec(free_generator=F(1)), SubgroupOfQSpec(qa=CONST2)]
     )
-    assert closures_homeomorphic(dyadic, product, 16)
+    product_md = decompose_module(product, 16)
+    assert decompose_module(dyadic, 16).closure_homeomorphic(product_md)
     triadic = BoRule(Generator("beta", "opaque"), RationalSequenceSpec((), F(2, 3), F(1, 3)))
-    assert not closures_homeomorphic(triadic, product, 16)
+    assert not decompose_module(triadic, 16).closure_homeomorphic(product_md)
 
 
 def test_supernatural_cofinite_shadowing():

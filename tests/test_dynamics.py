@@ -94,6 +94,17 @@ def test_reality_enforced():
         TrigPolynomial.from_table({IntVecFin({1: 1}): (F(1), F(0))})  # missing mirror
 
 
+def test_repeated_monomial_rejected():
+    # kept silently, the last coefficient would win: constants 1 and 2 would
+    # average to 2, not 3
+    zero = IntVecFin()
+    with pytest.raises(ValidationError, match="repeated"):
+        TrigPolynomial(((zero, (F(1), F(0))), (zero, (F(2), F(0)))))
+    nu = IntVecFin({1: 1})
+    with pytest.raises(ValidationError, match="repeated"):
+        TrigPolynomial(((nu, (F(1), F(0))), (-nu, (F(1), F(0))), (nu, (F(1), F(0)))))
+
+
 # -- time_average examples
 
 

@@ -14,15 +14,15 @@ from kronflow.frequency import (
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
+    SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
     coordinates,
     evaluate_float,
+    finite_vector,
     parse_frequency_spec,
     rational_vector,
-    solenoid_vector,
     sqrt_prime_generator,
-    truncate,
 )
 from kronflow import primes
 from kronflow.primes import is_prime, prime_index
@@ -67,7 +67,7 @@ def test_parse_errors_name_the_field():
 
 def test_coordinates_solenoid():
     a = SigmaSequence((1, 2), "constant", (2,))
-    fv = solenoid_vector(a)
+    fv = SolenoidRule(UNIT, a)
     assert coordinates(fv, 3)[2] == {UNIT: F(1, 4)}
 
 
@@ -124,7 +124,7 @@ def _assert_table_matches_definition(fv, n):
 @settings(max_examples=40, deadline=None)
 @given(sigma_sequences(), st.sampled_from([UNIT, sqrt_prime_generator(3)]), st.integers(0, 300))
 def test_solenoid_table_matches_definition(a, gen, n):
-    _assert_table_matches_definition(solenoid_vector(a, gen), n)
+    _assert_table_matches_definition(SolenoidRule(gen, a), n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,25 +174,25 @@ def test_evaluate_float_relative_error(q):
     assert abs(approx - exact) <= abs(exact) * mpmath.mpf(2) ** -50
 
 
-# -- truncate examples
+# -- truncation to a finite vector
 
 
 def test_truncate_solenoid():
     a = SigmaSequence((1, 2), "constant", (2,))
-    t = truncate(solenoid_vector(a), 3)
+    t = finite_vector(coordinates(SolenoidRule(UNIT, a), 3))
     assert [c[UNIT] for c in coordinates(t, 3)] == [F(1), F(1, 2), F(1, 4)]
 
 
 def test_truncate_quadratic_zero_actions():
     fv = parse_frequency_spec({"kind": "bo", "beta": {"name": "b", "kind": "opaque"}, "s": {"prefix": []}})
-    t = truncate(fv, 3)
+    t = finite_vector(coordinates(fv, 3))
     assert coordinates(t, 3) == [{UNIT: F(1)}, {UNIT: F(4)}, {UNIT: F(9)}]
 
 
 def test_truncate_product_placement_derived():
     # single non-free component Z[1/2]: entries sqrt2 / prod(a) at indices 2^N
     fv = build_product_vector([SubgroupOfQSpec(qa=SigmaSequence((1, 2), "constant", (2,)))])
-    t = truncate(fv, 4)
+    t = finite_vector(coordinates(fv, 4))
     s2 = sqrt_prime_generator(2)
     # j = 2^1: prod a = 1; j = 2^2: prod a = 2; j = 1 and 3 hold nothing
     assert coordinates(t, 4) == [{}, {s2: F(1)}, {}, {s2: F(1, 2)}]
@@ -202,9 +202,9 @@ def test_truncate_product_placement_derived():
 @given(st.integers(1, 10), st.integers(1, 10))
 def test_truncate_preserves_coordinates(n_extra, j_probe):
     a = SigmaSequence((1,), "increment")
-    fv = solenoid_vector(a)
+    fv = SolenoidRule(UNIT, a)
     depth = max(n_extra, j_probe)
-    assert coordinates(truncate(fv, depth), j_probe) == coordinates(fv, j_probe)
+    assert coordinates(finite_vector(coordinates(fv, depth)), j_probe) == coordinates(fv, j_probe)
 
 
 # -- structural invariants
@@ -213,7 +213,7 @@ def test_truncate_preserves_coordinates(n_extra, j_probe):
 @given(st.integers(1, 12))
 def test_solenoid_defining_relation(j):
     a = SigmaSequence((1, 3, 2), "periodic", (2, 5))
-    fv = solenoid_vector(a)
+    fv = SolenoidRule(UNIT, a)
     table = coordinates(fv, j + 1)
     lhs = table[j - 1][UNIT]
     rhs = a.term(j + 1) * table[j][UNIT]

@@ -19,12 +19,12 @@ from kronflow.frequency import (
     ProductConstruction,
     RationalSequenceSpec,
     SigmaSequence,
+    SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
     coordinates,
     parse_frequency_spec,
     rational_vector,
-    solenoid_vector,
 )
 from kronflow.resonance_reduction import (
     apply_automorphism,
@@ -70,7 +70,7 @@ def test_resonance_independent_pair():
 def test_resonance_solenoid_rule():
     # omega = (1, 1/2, 1/4): relations omega_j = 2 omega_{j+1}
     a = SigmaSequence((1, 2, 2), "constant", (2,))
-    basis = resonance_basis(solenoid_vector(a), 3)
+    basis = resonance_basis(SolenoidRule(UNIT, a), 3)
     assert basis.rank == 2
     for quoted in ([1, -2, 0], [0, 1, -2]):
         v = IntVecFin.from_list(quoted)
@@ -310,7 +310,7 @@ def test_conjugacy_commutes_exactly():
 def test_reduce_flow_full_rank_rule():
     # depth-4 truncation of the halving rule: relations at every adjacent pair
     a = SigmaSequence((1, 2), "constant", (2,))
-    fv = solenoid_vector(a)
+    fv = SolenoidRule(UNIT, a)
     red = reduce_flow(fv, 4)
     assert red.zero_rank == 3
     *zeros, last = coordinates(red.reduced, 4)

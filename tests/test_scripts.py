@@ -1,7 +1,8 @@
 """Smoke test of the scripts: each example runs against the library in src/
-and prints something, and the depth sweep gives its documented rows and
-cold-start entries."""
+and prints its pinned bytes, and the depth sweep gives its documented rows
+and cold-start entries."""
 
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -12,6 +13,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# sha256 of each example's stdout at its default arguments: a change to the
+# library calls a script makes must leave its output byte-identical
+SCRIPT_STDOUT_SHA256 = {
+    "classify_zoo.py": "22a05ea4cc8f1419df83704d58ea9c43401059f1b0d91cec29f0bbe8bc7cfd1e",
+    "equidistribution_decay.py": "bed517bb360afe0672507bbe284e9d7db8557c1219fe104b5e8387a8ccf3401d",
+    "solenoid_approximation.py": "4f07d96abd9202cb57261c430713d1d4c83ecbb561c1ddf94d36644d04ae42a5",
+}
+
 
 @pytest.mark.parametrize(
     "script", ["classify_zoo.py", "equidistribution_decay.py", "solenoid_approximation.py"]
@@ -21,10 +30,11 @@ def test_script_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert proc.stdout.strip()
+    assert hashlib.sha256(proc.stdout).hexdigest() == SCRIPT_STDOUT_SHA256[script]
 
 
 @pytest.fixture

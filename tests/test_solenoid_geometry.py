@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronflow.dynamics import flow
 from kronflow.errors import ValidationError
-from kronflow.frequency import SigmaSequence
+from kronflow.frequency import UNIT, SigmaSequence, SolenoidRule
 from kronflow.solenoid_geometry import (
     GeometricWeights,
     SolenoidCoords,
@@ -17,9 +18,7 @@ from kronflow.solenoid_geometry import (
     from_coordinates,
     is_member,
     local_chart,
-    orbit_point,
     product_metric,
-    product_metric_exact,
     to_coordinates,
 )
 
@@ -28,6 +27,7 @@ from oracles import (
     fraction_from_coordinates,
     fraction_is_member,
     fraction_to_coordinates,
+    solenoid_flow_angles,
 )
 
 A122 = SigmaSequence((1, 2, 2), "constant", (2,))
@@ -49,7 +49,7 @@ def test_nonmember_example():
 
 
 def test_orbit_points_are_members():
-    pt = orbit_point(A122, F(7, 3), 3)
+    pt = flow(SolenoidRule(UNIT, A122), TorusPoint.origin(3), F(7, 3))
     assert is_member(A122, pt)
 
 
@@ -124,7 +124,7 @@ def test_bijection_roundtrip(data):
 def test_digit_ranges_from_members(data):
     a = A123
     t = F(data.draw(st.integers(-500, 500)), data.draw(st.integers(1, 97)))
-    pt = orbit_point(a, t, 5)
+    pt = flow(SolenoidRule(UNIT, a), TorusPoint.origin(5), t)
     c = to_coordinates(a, pt)
     for j, n in enumerate(c.digits, start=2):
         assert 0 <= n <= a.term(j) - 1
@@ -163,7 +163,7 @@ def test_times_match_prefix_exactly():
         coords = SolenoidCoords(F(rng.randint(0, 11), 12), digits)
         target = from_coordinates(a, coords)
         for k, t in enumerate(approximating_times(a, coords), start=1):
-            moved = orbit_point(a, t, depth)
+            moved = flow(SolenoidRule(UNIT, a), TorusPoint.origin(depth), t)
             assert moved.angles[:k] == target.angles[:k]
 
 
@@ -181,6 +181,19 @@ def sequences(draw):
     elif tail == "periodic":
         params = tuple(draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)))
     return SigmaSequence(prefix, tail, params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_flow_from_origin_divides_time_by_partial_products(data):
+    """On every tail kind, the exact flow from the origin is t / (a_1 ... a_j)
+    mod 1, for int and Fraction times of either sign."""
+    a = data.draw(sequences())
+    depth = data.draw(st.integers(1, 20))
+    t = data.draw(st.integers(-10**6, 10**6) | st.fractions(max_denominator=10**4))
+    point = flow(SolenoidRule(UNIT, a), TorusPoint.origin(depth), t)
+    assert point.exact
+    assert list(point.angles) == solenoid_flow_angles(a, t, depth)
 
 
 def _outcome(fn, *args):
@@ -285,7 +298,7 @@ def test_chart_product_structure():
 def test_metric_zero_on_equal_points():
     p = TorusPoint.exact_point(["1/4", "5/8"])
     value, _tail = product_metric(GeometricWeights(F(1, 2)), p, p)
-    assert value == 0.0
+    assert value == 0 and isinstance(value, F)
 
 
 def test_metric_single_coordinate():
@@ -293,8 +306,26 @@ def test_metric_single_coordinate():
     p = TorusPoint.exact_point(["0", "0", "0"])
     q = TorusPoint.exact_point(["1/2", "0", "0"])
     value, tail = product_metric(GeometricWeights(F(1, 2)), p, q)
-    assert value == 0.25
-    assert tail == 2.0**-3
+    assert (value, tail) == (F(1, 4), F(1, 8))
+    assert isinstance(value, F) and isinstance(tail, F)
+
+
+def test_metric_exact_points_agree_with_their_floats():
+    """Exact in, exact out: on exact points the metric and tail are Fractions
+    and agree within 1e-12 with the float results on the same points as
+    float points; one float point makes both results floats."""
+    rng = random.Random(13)
+    for _ in range(50):
+        depth = rng.randint(1, 12)
+        w = GeometricWeights(F(rng.randint(1, 9), 10))
+        p, q = (TorusPoint.exact_point([F(rng.randint(0, 96), 97) for _ in range(depth)]) for _ in range(2))
+        fp, fq = (TorusPoint.float_point(x.to_radians()) for x in (p, q))
+        exact, exact_tail = product_metric(w, p, q)
+        assert isinstance(exact, F) and isinstance(exact_tail, F)
+        for x, y in ((fp, fq), (p, fq), (fp, q)):
+            value, tail = product_metric(w, x, y)
+            assert isinstance(value, float) and isinstance(tail, float)
+            assert abs(value - exact) < 1e-12 and abs(tail - exact_tail) < 1e-12
 
 
 def test_metric_triangle_inequality():
@@ -305,7 +336,7 @@ def test_metric_triangle_inequality():
             TorusPoint.exact_point([F(rng.randint(0, 47), 48) for _ in range(4)])
             for _ in range(3)
         ]
-        d = lambda x, y: product_metric_exact(w, x, y)
+        d = lambda x, y: product_metric(w, x, y)[0]
         assert d(pts[0], pts[2]) <= d(pts[0], pts[1]) + d(pts[1], pts[2])
 
 
@@ -317,10 +348,9 @@ def test_metric_depth_mismatch():
 
 
 def test_metric_rejects_bad_weights():
-    with pytest.raises(ValidationError):
-        GeometricWeights(F(3, 2))
-    with pytest.raises(ValidationError):
-        product_metric([0.5, -0.1], TorusPoint.origin(2), TorusPoint.origin(2))
+    for r in (F(3, 2), F(0), F(1)):
+        with pytest.raises(ValidationError):
+            GeometricWeights(r)
 
 
 def test_circle_distance_wraps():
