@@ -6,14 +6,9 @@ and product specs, on the factorial solenoid rule (a_j = j, so its terms
 grow), and on a mixed finite spec of 1024 terms, and for ``kron
 solenoid member``, ``coords`` and ``times`` on the factorial and halving
 sequences, at depths 16, 32, ..., 1024, runs ``cli.main`` in-process and
-records the best-of-3 wall time in ms (``best_ms``), the same corrected for
-the host's speed (``host_ms``), the stdout bytes and their sha256, the
-tracemalloc peak of one more run (timed runs go untraced), and the growth of
-``host_ms`` and of the peak per doubling of the depth.  Each timed run
-follows three timings of perfbench's reference chunk, and ``host_ms`` is
-the best over the rounds of run time x REF_CHUNK_S / their median, as
-perfbench corrects its requests, so a slow spell of the host does not read
-as a slow row.
+records the best-of-3 wall time in ms (``best_ms``), the stdout bytes and
+their sha256, the tracemalloc peak of one more run (timed runs go untraced),
+and the growth of ``best_ms`` and of the peak per doubling of the depth.
 
 The mixed spec is drawn from a fixed seed: each term is one or two of 1,
 sqrt2 and sqrt3 with coefficients +-1 or +-2 over 1, 2 or 3, so its
@@ -23,8 +18,7 @@ angles have denominators up to 7 a_1 ... a_j.  ``kron simulate`` runs on the
 halving, product and mixed specs with ``--steps 200 --t1 1e6`` from the
 origin; its stdout echoes the ``--out`` path, a temporary file, so its rows
 record the bytes and sha256 of the CSV instead.  BO is left out, since the
-README's beta has no numeric value.  The host block holds the time of
-perfbench's reference chunk before and after the sweep.
+README's beta has no numeric value.
 
 The ``cold_start`` block times what a single ``kron`` call pays before it
 works: the median wall time, over 11 fresh interpreters, of ``import
@@ -65,9 +59,6 @@ from pathlib import Path
 import kronflow
 from kronflow.cli import main
 from kronflow.frequency import SigmaSequence
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from run import REF_CHUNK_S, reference_chunk  # noqa: E402
 
 COMMANDS = ("resonance", "reduce-flow")
 DEPTHS = tuple(2**k for k in range(4, 11))
@@ -140,26 +131,6 @@ def _peak(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
-def _chunk_s(runs: int) -> float:
-    """Median of ``runs`` timings of perfbench's fixed reference chunk, in
-    seconds: how fast this host runs (about 3 ms on the benchmark's own)."""
-    times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        reference_chunk()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def _timed(argv: list[str]) -> tuple[float, float, int, str]:
-    """(seconds corrected to the reference chunk's nominal speed, seconds,
-    stdout bytes, sha256) of one ``kron`` call, the chunk timed three times
-    just before it."""
-    chunk = _chunk_s(3)
-    seconds, size, digest = _run(argv)
-    return seconds * REF_CHUNK_S / chunk, seconds, size, digest
-
-
 def sweep(workdir: Path) -> list[dict]:
     """One row per (command, family, depth).  The three timed rounds each run
     every row once, so a slow spell of the host spoils at most one run of a
@@ -176,26 +147,25 @@ def sweep(workdir: Path) -> list[dict]:
                                            "--steps", "200", "--t1", "1e6",
                                            "--out", str(workdir / f"{family}-{depth}.csv")])
               for family in SIMULATE_FAMILIES for depth in DEPTHS]
-    runs = [[_timed(argv) for *_, argv in cases] for _ in range(3)]
+    runs = [[_run(argv) for *_, argv in cases] for _ in range(3)]
     rows = []
     for k, (command, family, depth, argv) in enumerate(cases):
         if command == "simulate":
             data = Path(argv[-1]).read_bytes()
             output = {"csv_bytes": len(data), "csv_sha256": hashlib.sha256(data).hexdigest()}
         else:
-            output = {"stdout_bytes": runs[0][k][2], "stdout_sha256": runs[0][k][3]}
+            output = {"stdout_bytes": runs[0][k][1], "stdout_sha256": runs[0][k][2]}
         row = {
             "command": command,
             "family": family,
             "depth": depth,
-            "best_ms": round(min(r[k][1] for r in runs) * 1e3, 3),
-            "host_ms": round(min(r[k][0] for r in runs) * 1e3, 3),
+            "best_ms": round(min(r[k][0] for r in runs) * 1e3, 3),
             **output,
             "tracemalloc_peak_bytes": _peak(argv),
         }
         prev = rows[-1] if rows and depth > DEPTHS[0] else None
         if prev is not None:
-            row["time_growth"] = round(row["host_ms"] / prev["host_ms"], 2)
+            row["time_growth"] = round(row["best_ms"] / prev["best_ms"], 2)
             row["peak_growth"] = round(row["tracemalloc_peak_bytes"] / prev["tracemalloc_peak_bytes"], 2)
         rows.append(row)
     return rows
@@ -251,16 +221,11 @@ def main_sweep() -> None:
     ap.add_argument("--label", default="run")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
-    before = round(_chunk_s(9) * 1e3, 3)
     with tempfile.TemporaryDirectory() as tmp:
         rows = sweep(Path(tmp))
         cold = cold_start(Path(tmp))
     run = {
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "reference_chunk_ms": {"before": before, "after": round(_chunk_s(9) * 1e3, 3)},
-        },
+        "host": {"python": platform.python_version(), "machine": platform.machine()},
         "rows": rows,
         "cold_start": cold,
     }

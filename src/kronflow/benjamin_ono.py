@@ -32,7 +32,7 @@ from .classification import (
 )
 from .errors import ValidationError
 from .exact_linalg import format_rational, rational_gcd
-from .frequency import UNIT, BoRule, RationalSequenceSpec
+from .frequency import UNIT, BoRule, RationalSequenceSpec, clamp_depth
 from .primes import factorize
 
 
@@ -177,7 +177,7 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     subgroup (both containments checkable via ``span_contains`` /
     ``baer_contains``).
     """
-    if depth < 2:
+    if clamp_depth(rule, depth) < 2:
         raise ValidationError("tail-module report needs depth >= 2")
     s = rule.s
     span = _span_data(s)

@@ -131,10 +131,6 @@ class SupernaturalNumber:
         once at construction; the map is shared, not copied."""
         return self._profile
 
-    def is_finite_product(self) -> bool:
-        odd_a, even_a, exceptions = self.profile()
-        return odd_a == 0 and even_a == 0 and all(e != INF for e in exceptions.values())
-
     def to_json(self) -> dict:
         out = []
         for pset, exp in self.pairs:
@@ -193,7 +189,8 @@ def free_baer_type(generator: Fraction) -> BaerType:
 
 def is_free(t: BaerType) -> bool:
     """True iff prod_p p^(Lambda_p) is finite."""
-    return t.lam.is_finite_product()
+    odd_a, even_a, exceptions = t.lam.profile()
+    return odd_a == 0 and even_a == 0 and INF not in exceptions.values()
 
 
 def baer_isomorphic(t1: BaerType, t2: BaerType) -> bool:
@@ -391,6 +388,7 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
 
 
 def classification_report(fv: FrequencyVector, depth: int) -> dict:
+    depth = clamp_depth(fv, depth)
     return module_report(decompose_module(fv, depth), depth)
 
 

@@ -131,14 +131,14 @@ def _parse_point(text: str) -> TorusPoint:
     return TorusPoint.exact_point(vals)
 
 
-def _start(fv: FrequencyVector, args) -> tuple[int, TorusPoint]:
-    """A float subcommand's depth, --depth clamped to a finite vector, and its
-    start point: --theta0, which must have as many entries, or the origin."""
+def _start(fv: FrequencyVector, args) -> TorusPoint:
+    """A float subcommand's start point: --theta0, which must have as many
+    entries as --depth clamped to a finite vector, or the origin there."""
     depth = clamp_depth(fv, args.depth)
     theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(depth)
     if theta0.depth != depth:
         raise ValidationError(f"depth {depth} does not match point depth {theta0.depth}")
-    return depth, theta0
+    return theta0
 
 
 def _precision(args) -> int:
@@ -188,20 +188,20 @@ def _cmd_simulate(args) -> None:
     from .dynamics import sample_trajectory
 
     fv = _load_spec(args.spec)
-    depth, theta0 = _start(fv, args)
+    theta0 = _start(fv, args)
     # all rows exist before --out is opened, so a rejected request leaves it intact
     with mpmath.workprec(args.precision):
-        rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps, depth)
+        rows = sample_trajectory(fv, theta0, args.t0, args.t1, args.steps)
     # the bytes of csv.writer: no %.12g text of a finite double holds a comma,
     # a quote, CR or LF, so no cell is quoted, and each line ends in "\r\n"
-    row = ",".join(["%.12g"] * (depth + 1)) + "\r\n"
+    row = ",".join(["%.12g"] * (theta0.depth + 1)) + "\r\n"
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["t"] + [f"theta_{j}" for j in range(1, depth + 1)]) + "\r\n")
+            fh.write(",".join(["t"] + [f"theta_{j}" for j in range(1, theta0.depth + 1)]) + "\r\n")
             fh.writelines(row % (t, *angles) for t, angles in rows)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}") from None
-    _emit({"out": args.out, "steps": args.steps, "depth": depth})
+    _emit({"out": args.out, "steps": args.steps, "depth": theta0.depth})
 
 
 def _cmd_average(args) -> None:
@@ -211,7 +211,7 @@ def _cmd_average(args) -> None:
 
     fv = _load_spec(args.spec)
     poly = parse_polynomial(_load_json(args.poly))
-    _, theta0 = _start(fv, args)
+    theta0 = _start(fv, args)
     with mpmath.workprec(args.precision):
         rows = time_average(fv, poly, theta0, args.T)
     _emit({"haar": str(haar_average(poly)),
@@ -225,7 +225,7 @@ def _cmd_equidistribution(args) -> None:
 
     fv = _load_spec(args.spec)
     nus = [_parse_nu(n) for n in args.nu]
-    _, theta0 = _start(fv, args)
+    theta0 = _start(fv, args)
     with mpmath.workprec(args.precision):
         rows = equidistribution_report(fv, nus, args.T, theta0)
     _emit({"rows": rows})
@@ -366,8 +366,6 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         print(f"kronflow {__version__}", file=sys.stderr)
-        if getattr(args, "depth", 1) < 1:
-            raise ValidationError(f"depth must be >= 1, got {args.depth}")
         args.precision = _precision(args)  # checked for every subcommand, used by the float ones
         args.fn(args)
     except ValidationError as exc:

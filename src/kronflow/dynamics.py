@@ -45,6 +45,8 @@ TAU = 2 * math.pi
 # minimality_probe samples in chunks that double from the first size up to the cap
 PROBE_FIRST_CHUNK = 1 << 14
 PROBE_MAX_CHUNK = 1_000_000
+# the kinds of polynomial term, each with the optional fields it may carry
+_TERM_FIELDS = {"const": (), "cos": ("scale",), "sin": ("scale",), "nu": ("re", "im")}
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +75,6 @@ class TrigPolynomial:
 
     def items(self):
         return self.coeffs
-
-    def constant_term(self) -> tuple[Fraction, Fraction]:
-        for nu, c in self.coeffs:
-            if nu.is_zero():
-                return c
-        return (Fraction(0), Fraction(0))
 
     @classmethod
     def from_table(
@@ -130,23 +126,24 @@ def _summed(terms: Iterable[tuple[IntVecFin, Fraction, Fraction]]) -> TrigPolyno
 def parse_polynomial(document: Mapping) -> TrigPolynomial:
     """JSON format: {"terms": [ {"const": "3"} | {"cos": {"1": 1}, "scale": "2"}
     | {"sin": ...} | {"nu": {...}, "re": "1/2", "im": "0"} ... ]}, summed
-    into one coefficient table."""
+    into one coefficient table; a term has one kind and that kind's fields."""
     if not isinstance(document, Mapping) or "terms" not in document:
         raise ValidationError("polynomial spec needs field 'terms'")
     terms = []
     for k, term in enumerate(parse_list(document["terms"], "polynomial terms")):
         if not isinstance(term, Mapping):
             raise ValidationError(f"terms[{k}] must be an object, got {term!r}")
-        if "const" in term:
+        kind = next((kind for kind in _TERM_FIELDS if kind in term), None)
+        if kind is None or not set(term) <= {kind, *_TERM_FIELDS[kind]}:
+            raise ValidationError(f"terms[{k}] must carry one of 'const', 'cos', 'sin' or 'nu' and only that "
+                                  f"kind's fields, got the keys {sorted(map(str, term))}")
+        if kind == "const":
             terms.append(_scaled("cos", IntVecFin(), parse_rational(term["const"])))
-        elif "cos" in term or "sin" in term:
-            kind = "cos" if "cos" in term else "sin"
-            terms.append(_scaled(kind, IntVecFin.from_json(term[kind]), parse_rational(term.get("scale", "1"))))
-        elif "nu" in term:
+        elif kind == "nu":
             nu = IntVecFin.from_json(term["nu"])
             terms.append((nu, parse_rational(term.get("re", "0")), parse_rational(term.get("im", "0"))))
         else:
-            raise ValidationError(f"terms[{k}] must carry 'const', 'cos', 'sin', or 'nu'")
+            terms.append(_scaled(kind, IntVecFin.from_json(term[kind]), parse_rational(term.get("scale", "1"))))
     return _summed(terms)
 
 
@@ -232,7 +229,7 @@ def flow(fv: FrequencyVector, theta0: TorusPoint, t) -> TorusPoint:
 def haar_average(p: TrigPolynomial) -> Fraction:
     """The invariant average: constant-term extraction (all other monomials
     integrate to zero); the reality condition makes the constant term real."""
-    return p.constant_term()[0]
+    return next((re for nu, (re, _) in p.items() if nu.is_zero()), Fraction(0))
 
 
 def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin) -> tuple[bool, float]:
@@ -591,23 +588,19 @@ def minimality_probe(
 
 def sample_trajectory(
     fv: FrequencyVector,
-    theta0: TorusPoint | None,
+    theta0: TorusPoint,
     t0: float,
     t1: float,
     steps: int,
-    depth: int,
 ) -> list[tuple[float, list[float]]]:
     """Float trajectory samples (t, angles in [0, 2*pi)) on a uniform grid of
-    steps + 1 times, all computed before returning."""
+    steps + 1 times at the depth of ``theta0``, all computed before returning."""
     if steps < 1:
         raise ValidationError("trajectory needs at least one step")
     _require_finite(t0, "t0")
     _require_finite(t1, "t1")
     if t1 < t0:
         raise ValidationError("time window is reversed")
-    base = theta0 if theta0 is not None else TorusPoint.origin(depth)
-    if base.depth != depth:
-        raise ValidationError(f"depth {depth} does not match point depth {base.depth}")
     ts = [t0 + (t1 - t0) * k / steps for k in range(steps + 1)]
     _require_finite(ts[-1], "last sample time")  # (t1 - t0) * steps can overflow
-    return list(zip(ts, _flow_angles(fv, base, ts).tolist()))
+    return list(zip(ts, _flow_angles(fv, theta0, ts).tolist()))

@@ -406,9 +406,22 @@ def _freeze_coords(coords: Mapping[Generator, Fraction]) -> tuple[tuple[Generato
     return tuple(items)
 
 
+def _one_name_per_number(gens) -> None:
+    """Reject a built-in number (the unit, sqrt(p), pi^k) under two names,
+    which would hide the relation e_i -+ e_k; opaque generators are trusted."""
+    numbers: dict[tuple, Generator] = {}  # the number a builtin kind names -> its first generator
+    for gen in sorted(set(gens)):
+        key = (gen.kind, None if gen.kind == "rational_unit" else gen.param)
+        if gen.kind != "opaque" and numbers.setdefault(key, gen) is not gen:
+            raise ValidationError(f"generators {numbers[key].name!r} and {gen.name!r} are the same number")
+
+
 @dataclass(frozen=True)
 class Finite:
     terms: tuple[tuple[tuple[Generator, Fraction], ...], ...]
+
+    def __post_init__(self):
+        _one_name_per_number(g for term in self.terms for g, _ in term)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -443,6 +456,11 @@ class ProductConstruction:
     def __post_init__(self):
         if not self.components:
             raise ValidationError("product construction needs at least one component")
+        gens = [g for g, _ in self.components]
+        for k, gen in enumerate(gens):
+            if gen in gens[:k]:
+                raise ValidationError(f"generator {gen.name!r} carries two product components")
+        _one_name_per_number(gens)
 
 
 FrequencyVector = Finite | SolenoidRule | BoRule | ProductConstruction
@@ -590,11 +608,6 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
             )
         if not maps:
             raise ValidationError("finite spec needs at least one term")
-        numbers: dict[tuple, Generator] = {}  # the number a builtin kind names -> its first generator
-        for gen in sorted(set().union(*maps)):
-            key = (gen.kind, None if gen.kind == "rational_unit" else gen.param)
-            if gen.kind != "opaque" and numbers.setdefault(key, gen) is not gen:
-                raise ValidationError(f"generators {numbers[key].name!r} and {gen.name!r} are the same number")
         return finite_vector(maps)
 
     if kind == "solenoid":
@@ -627,8 +640,6 @@ def build_product_vector(groups: Sequence[SubgroupOfQSpec]) -> ProductConstructi
     Non-free component n gets sqrt(p_n) and lives on indices p_n^N; free
     component k gets pi^k on the k-th unreserved index.
     """
-    if not groups:
-        raise ValidationError("product construction needs at least one subgroup")
     components = []
     n_nonfree = 0
     n_free = 0

@@ -72,7 +72,7 @@ def _relations(fv: FrequencyVector, columns: list[dict]) -> tuple[dict, dict | N
             rows.setdefault(g, []).append((j, x))
     if isinstance(fv, SolenoidRule):
         seqs = {fv.generator: fv.a}
-    elif isinstance(fv, ProductConstruction) and len({g for g, _ in fv.components}) == len(fv.components):
+    elif isinstance(fv, ProductConstruction):
         seqs = {gen: spec.qa for gen, spec in fv.components}
     else:
         return rows, None, None
@@ -132,7 +132,7 @@ def _module_indices(x: list[int], y: list[int]) -> list[int]:
 
 def _recurrence_basis(fv: BoRule, columns: list, rows: dict, depth: int) -> list[IntVecFin] | None:
     """On a BO rule: the integer kernel of the first J columns, then the
-    shifts of P that end at J+1..N; None when J >= N or the rank is below 2.
+    shifts of P that end at J+1..N, J at most N; None when the rank is below 2.
 
     Relations ordered by last index span the lattice iff the one ending at
     each j where the rank does not rise has leading coefficient d*_j (the
@@ -148,10 +148,8 @@ def _recurrence_basis(fv: BoRule, columns: list, rows: dict, depth: int) -> list
     if len(rises) < 2:
         return None
     coeffs = _recurrence(fv.s)
-    head = max(len(fv.s.prefix) + len(coeffs) - 1, rises[1],
-               *(j for j, d in enumerate(indices, 1) if j > rises[1] and d != coeffs[-1]))
-    if head >= depth:
-        return None
+    head = min(depth, max(len(fv.s.prefix) + len(coeffs) - 1, rises[1],
+                          *(j for j, d in enumerate(indices, 1) if j > rises[1] and d != coeffs[-1])))
     kernel = integer_kernel(columns[:head])
     pivots = {nu.support()[0]: nu[nu.support()[0]] for nu in kernel}
     free = [j for j in range(1, head + 1) if j not in pivots]

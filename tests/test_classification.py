@@ -544,7 +544,7 @@ def test_coverage_rule_matches_state_machine_oracle(pairs):
     assert lam.to_json() == supernatural_json(canonical)
     assert lam.profile() == profile
     odd_a, even_a, exceptions = profile
-    assert lam.is_finite_product() == (odd_a == even_a == 0 and INF not in exceptions.values())
+    assert is_free(BaerType(1, lam)) == (odd_a == even_a == 0 and INF not in exceptions.values())
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
         assert lam.resolve(p) == state_machine_resolve(canonical, p), p
 

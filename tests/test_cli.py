@@ -88,6 +88,17 @@ def test_simulate_clamps_depth_to_a_finite_spec(tmp_path, capsys):
     assert csvs[0] == csvs[1]
 
 
+def test_every_subcommand_prints_the_depth_it_used(tmp_path, capsys):
+    """--depth past a finite vector is clamped to its length, and the report
+    says so: ``classify`` used to print the requested depth."""
+    spec = tmp_path / "f.json"
+    spec.write_text('{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"1": "1/3"}]}')
+    simulate = ["simulate", "--t1", "1", "--steps", "2", "--out", str(tmp_path / "t.csv")]
+    for argv in (["classify"], ["resonance"], ["reduce-flow"], simulate):
+        code, out = run(capsys, argv[0], str(spec), *argv[1:], "--depth", "16")
+        assert code == 0 and json.loads(out)["depth"] == 3, argv
+
+
 def test_shared_parser_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
     """main reuses one parser: appended --nu lists, the --T default and
     --precision must not carry from one call into the next."""
@@ -453,6 +464,29 @@ MALFORMED_INPUTS = {
 }
 
 
+# a term of each kind with a key it does not read: each used to be ignored
+FOREIGN_POLY_TERMS = {
+    "misspelt scale": {"cos": {"1": 1}, "scal": "5"},
+    "two kinds": {"cos": {"1": 1}, "sin": {"2": 1}},
+    "scale on a const": {"const": "1", "scale": "2"},
+    "re on a sin": {"sin": {"2": 1}, "re": "1"},
+    "scale on a nu": {"nu": {"1": 1}, "re": "1/2", "scale": "2"},
+}
+
+
+@pytest.mark.parametrize("term", list(FOREIGN_POLY_TERMS.values()), ids=list(FOREIGN_POLY_TERMS))
+def test_polynomial_term_with_a_foreign_key_is_rejected(tmp_path, capsys, term):
+    spec = tmp_path / "s.json"
+    spec.write_text(SQRT_SPEC)
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"terms": [{"const": "1"}, term]}))
+    code = main(["average", str(spec), "--poly", str(poly), "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: terms[1] "), captured.err
+
+
 @pytest.mark.parametrize("argv", list(MALFORMED_INPUTS.values()), ids=list(MALFORMED_INPUTS))
 def test_malformed_input_is_validation_error(tmp_path, capsys, argv):
     args = []
@@ -560,7 +594,7 @@ HUGE_OMEGA_SPEC = json.dumps({
 HUGE_OMEGA_CALLS = {
     "probe": lambda fv: dynamics.minimality_probe(fv, TorusPoint.exact_point(["1/3"]), 1, 1e-2, 10.0),
     "flow": lambda fv: dynamics.flow(fv, TorusPoint.origin(1), 0.0),
-    "sample_trajectory": lambda fv: dynamics.sample_trajectory(fv, None, 0.0, 0.0, 1, 1),
+    "sample_trajectory": lambda fv: dynamics.sample_trajectory(fv, TorusPoint.origin(1), 0.0, 0.0, 1),
     "quadrature": lambda fv: dynamics.time_average_quadrature(fv, dynamics.TrigPolynomial.constant(1),
                                                               TorusPoint.origin(1), 1.0),
 }

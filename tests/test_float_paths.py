@@ -62,7 +62,7 @@ def test_trajectory_rows_equal_per_time_flow(fv, depth, t1):
     omegas = _omegas(fv, depth)
     for theta0 in _start_points(depth):
         for t0, t1_, steps in ((0.0, 10.0, 40), (7.0, t1, 50)):
-            rows = sample_trajectory(fv, theta0, t0, t1_, steps, depth)
+            rows = sample_trajectory(fv, theta0, t0, t1_, steps)
             assert len(rows) == steps + 1
             for k, (t, angles) in enumerate(rows):
                 assert t == t0 + (t1_ - t0) * k / steps
@@ -71,10 +71,10 @@ def test_trajectory_rows_equal_per_time_flow(fv, depth, t1):
 
 
 def test_trajectory_validates_before_sampling():
-    with pytest.raises(ValidationError):
-        sample_trajectory(T3, TorusPoint.origin(2), 0.0, 1.0, 4, 3)
-    with pytest.raises(ValidationError):
-        sample_trajectory(T3, None, 0.0, 1.0, 4, 5)  # past the finite vector
+    with pytest.raises(ValidationError, match="^index 5 beyond finite vector of length 3$"):
+        sample_trajectory(T3, TorusPoint.origin(5), 0.0, 1.0, 4)
+    with pytest.raises(ValidationError, match="^time window is reversed$"):
+        sample_trajectory(T3, TorusPoint.origin(3), 1.0, 0.0, 4)
 
 
 def test_quadrature_polynomial_matches_per_sample_loop():
@@ -157,7 +157,7 @@ def test_each_omega_evaluated_once_per_call(monkeypatch):
         return evaluate_float(coords)
 
     monkeypatch.setattr(dynamics, "evaluate_float", counting)
-    sample_trajectory(FACTORIAL_SQRT2, None, 0.0, 1e6, 200, 8)
+    sample_trajectory(FACTORIAL_SQRT2, TorusPoint.origin(8), 0.0, 1e6, 200)
     assert calls == coordinates(FACTORIAL_SQRT2, 8)
     calls.clear()
     time_average_quadrature(T3, POLY, TorusPoint.origin(3), 30.0, 4001)

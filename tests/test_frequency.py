@@ -256,6 +256,14 @@ def test_sequence_tails():
     assert per.terms(6) == [1, 7, 2, 3, 2, 3]
 
 
+def test_library_finite_vector_rejects_one_number_under_two_names():
+    """The parser's rule holds for a vector built in the library: r2 next to
+    sqrt2 hid omega_1 + omega_2 = 0 (resonance rank 0, classify rank 3)."""
+    r2 = Generator("r2", "sqrt_prime", 2)
+    with pytest.raises(ValidationError, match="^generators 'r2' and 'sqrt2' are the same number$"):
+        finite_vector([{r2: F(1)}, {sqrt_prime_generator(2): F(-1)}, {UNIT: F(1)}])
+
+
 def test_generator_validation():
     with pytest.raises(ValidationError):
         Generator("x", "sqrt_prime", 6)  # not prime

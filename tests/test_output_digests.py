@@ -3,7 +3,8 @@
 The sha256 of stdout of ``kron resonance`` and ``kron reduce-flow`` on the
 README's halving, BO and product specs at depths 16, 64 and 128, and of
 ``kron classify`` on three finite specs whose terms mix generators, as the
-dense column Hermite transform printed them, except ``resonance`` on the
+dense column Hermite transform printed them (their ``depth`` line re-pinned
+to the depth clamped to the vector's length), except ``resonance`` on the
 halving and product specs, pinned as the adjacent relations
 e_j - a_(j+1) e_(j+1) of each sequence print them, and on the BO spec, pinned
 as the Hermite kernel of the first five columns followed by the shifts of
@@ -77,9 +78,9 @@ DIGESTS = {
     ("reduce-flow", "product", 16): "061fcac27f94d120f38e142e9aeaa145510c49c66165270b33be97ec56a27bfb",  # 1791 bytes
     ("reduce-flow", "product", 64): "d6a95ccdd8069d89dbbecb310436a7e1b08a9fa1e25f8876457baf038bc2a4a2",  # 6090 bytes
     ("reduce-flow", "product", 128): "86fa1740995925464d020943939885abed63768c238e0952c7c5dc9cf3dfbde6",  # 11890 bytes
-    ("classify", "mixed-a", None): "85322d2d73122ca011091d2828f945d6f0b1256b3c29a334ce3a3a91bdaa5158",  # 396 bytes
-    ("classify", "mixed-b", None): "980d055204bdc992cc76a022b48e56fd7b2b9e2c8e5f1455d986b6b608d9467a",  # 811 bytes
-    ("classify", "mixed-c", None): "3f0d956ca6202248790dbf700f0c203fa53e815f936a2f7010d7670859b73a2f",  # 1226 bytes
+    ("classify", "mixed-a", None): "febf1ddfc8636886fc55ed0598d36a960a11f71a7174df4745d4d32723b870f7",  # 395 bytes
+    ("classify", "mixed-b", None): "40e1d828378ec8cd791afeae7d8909ef52d633984454829e4db7b21b1a538c38",  # 810 bytes
+    ("classify", "mixed-c", None): "c2f24e9311792bcb466ef9a238281c3c8f349e76b12b9c2c4bff995e9bc9ea13",  # 1225 bytes
     ("classify", "halving", 16): "61b3a36016b358d83056904251d2285a0bf6122e1a20090d75167006ef2a566b",  # 762 bytes
     ("classify", "product", 16): "dd9e84d84b34d15c1e83ca9023a453d34efd78f0c0ef83acba7213f909d968fe",  # 1053 bytes
     ("classify", "bo", 16): "85e74a4db9414eea99a405723e98fba57c560370d0a96b707f0fd879e82a6481",  # 1277 bytes

@@ -609,10 +609,11 @@ def test_bo_basis_is_a_short_head_then_the_shifts():
     (BoRule(BETA, RationalSequenceSpec((F(1, 2), F(1, 3)))), range(1, 6)),  # finite: d < L + 4
 ], ids=["zero", "zero-prefix", "readme", "long-prefix", "finite"])
 def test_bo_below_the_head_or_at_rank_one_takes_the_hermite_path(fv, depths):
-    """With s = 0 (rank 1), or a depth that leaves no shift past the head
-    (d < L + 5 on a geometric tail, d < L + 4 on a finite support), the basis
-    is the Hermite kernel of all the columns, so ``kron resonance`` prints
-    the same bytes as the kernel's JSON."""
+    """With s = 0 (rank 1) the basis is the Hermite kernel of all the columns;
+    at a depth that leaves no shift past the head (d < L + 5 on a geometric
+    tail, d < L + 4 on a finite support) the head is all the columns, so its
+    kernel is that basis too.  Either way ``kron resonance`` prints the same
+    bytes as the kernel's JSON."""
     for depth in depths:
         want = {"depth": depth, "rank": depth - len(dense_hermite_transform(_coordinate_rows(fv, depth)).image),
                 "vectors": [v.to_json() for v in exact_linalg.integer_kernel(coordinates(fv, depth))]}
@@ -622,7 +623,8 @@ def test_bo_below_the_head_or_at_rank_one_takes_the_hermite_path(fv, depths):
 @pytest.mark.parametrize("index", [4, 10])
 def test_bo_basis_rejects_a_wrong_module_index(monkeypatch, index):
     """d*_4 lies in the README spec's head, d*_10 past it; either one doubled
-    breaks the head's index certificate."""
+    breaks the head's index certificate, which also runs at depth 5 or 10,
+    where the head is every column."""
     import kronflow.resonance_reduction as rr
 
     fv = parse_frequency_spec(DEEP_SPECS["bo"])
@@ -634,8 +636,9 @@ def test_bo_basis_rejects_a_wrong_module_index(monkeypatch, index):
         return indices
 
     monkeypatch.setattr(rr, "_module_indices", corrupt)
-    with pytest.raises(ValidationError, match="^internal error: relation basis fails the module index check$"):
-        resonance_basis(fv, 32)
+    for depth in (max(index, 5), 32):
+        with pytest.raises(ValidationError, match="^internal error: relation basis fails the module index check$"):
+            resonance_basis(fv, depth)
 
 
 def test_bo_basis_rejects_a_head_that_misses_relations(monkeypatch):
@@ -652,8 +655,7 @@ def test_bo_basis_rejects_a_head_that_misses_relations(monkeypatch):
 
 @pytest.mark.parametrize("term", [0, 1, 2, 3])
 def test_bo_basis_rejects_a_wrong_shift_coefficient(monkeypatch, term):
-    """A coefficient of P off by one makes every shift fail the re-check (the
-    leading one also moves J past N, so it takes the Hermite path)."""
+    """A coefficient of P off by one makes every shift fail the re-check."""
     import kronflow.resonance_reduction as rr
 
     fv = parse_frequency_spec(DEEP_SPECS["bo"])
@@ -663,14 +665,16 @@ def test_bo_basis_rejects_a_wrong_shift_coefficient(monkeypatch, term):
         resonance_basis(fv, 32)
 
 
-def test_product_with_a_repeated_generator_takes_the_hermite_path():
+def test_product_with_a_repeated_generator_is_rejected():
     """The closed forms read one chain per generator, so a product built by
-    hand with one generator twice gets the Hermite kernel and transform."""
+    hand with one generator twice, or with one number under two names, is
+    rejected when it is built (pi Z[1/2] would classify as rank 2)."""
     built = build_product_vector([SubgroupOfQSpec(F(1)), SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))])
-    fv = ProductConstruction(((built.components[0][0], built.components[1][1]), built.components[0]))
-    columns = coordinates(fv, 8)
-    assert resonance_basis(fv, 8).vectors == tuple(exact_linalg.integer_kernel(columns))
-    assert reduce_flow(fv, 8).transform.to_json() == exact_linalg.hermite_transform(columns).transform.to_json()
+    (pi, free), (_, qa) = built.components
+    with pytest.raises(ValidationError, match="^generator 'pi' carries two product components$"):
+        ProductConstruction(((pi, qa), (pi, free)))
+    with pytest.raises(ValidationError, match="^generators 'p' and 'pi' are the same number$"):
+        ProductConstruction(((Generator("p", "pi_power", 1), qa), (pi, free)))
 
 
 # -- reduce_flow: one Hermite pass at most, its flag read off the image

@@ -38,11 +38,12 @@ def test_script_runs(script):
 
 
 @pytest.fixture
-def depth_sweep(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on the path
+def depth_sweep():
+    path = list(sys.path)
     spec = importlib.util.spec_from_file_location("depth_sweep", ROOT / "scripts" / "depth_sweep.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    assert sys.path == path  # the sweep needs nothing from perfbench/
     return module
 
 
@@ -59,7 +60,7 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     assert {row["command"] for row in first} == {
         "resonance", "reduce-flow", "solenoid member", "solenoid coords", "solenoid times", "simulate"}
     for row in first:
-        fields = {"command", "family", "depth", "best_ms", "host_ms", "tracemalloc_peak_bytes"}
+        fields = {"command", "family", "depth", "best_ms", "tracemalloc_peak_bytes"}
         fields |= {"csv_bytes", "csv_sha256"} if row["command"] == "simulate" else {"stdout_bytes", "stdout_sha256"}
         if row["depth"] == 32:
             fields |= {"time_growth", "peak_growth"}
