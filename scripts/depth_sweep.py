@@ -14,7 +14,11 @@ The mixed spec is drawn from a fixed seed: each term is one or two of 1,
 sqrt2 and sqrt3 with coefficients +-1 or +-2 over 1, 2 or 3, so its
 coordinate matrix has three rows and columns of one or two entries.  The solenoid point at depth N has
 tau = 5/7 and digits n_j = (j^2 + 1) mod a_j, so it is a member whose
-angles have denominators up to 7 a_1 ... a_j.  ``kron simulate`` runs on the
+angles have denominators up to 7 a_1 ... a_j.  One more ``member`` row, family
+``factorial-scaled``, writes that factorial member's entry j as 3p/3q for
+odd j and 2p/2q for even j, so q_{j-1} divides q_j only where 6 divides j:
+five relations in six take the check's cross-multiplication, whose cost
+this row records.  ``kron simulate`` runs on the
 halving, product and mixed specs with ``--steps 200 --t1 1e6`` from the
 origin; its stdout echoes the ``--out`` path, a temporary file, so its rows
 record the bytes and sha256 of the CSV instead.  BO is left out, since the
@@ -42,6 +46,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -94,9 +99,10 @@ SOLENOID_SEQUENCES = {
 }
 
 
-def _solenoid_argv(op: str, seq: dict, depth: int) -> list[str]:
+def _solenoid_argv(op: str, seq: dict, depth: int, scaled: bool = False) -> list[str]:
     """``kron solenoid op`` on the member with tau = 5/7 and n_j = (j^2 + 1)
-    mod a_j, whose angles are theta_j = (theta_{j-1} + n_j) / a_j."""
+    mod a_j, whose angles are theta_j = (theta_{j-1} + n_j) / a_j; if
+    ``scaled``, entry j is written as 3p/3q for odd j and 2p/2q for even j."""
     a = SigmaSequence.from_json(seq).terms(depth)
     tau = Fraction(5, 7)
     digits = [(j * j + 1) % a[j - 1] for j in range(2, depth + 1)]
@@ -106,6 +112,9 @@ def _solenoid_argv(op: str, seq: dict, depth: int) -> list[str]:
     theta = [tau]
     for j, n in enumerate(digits, start=2):
         theta.append((theta[-1] + n) / a[j - 1])
+    if scaled:
+        return argv + ["--theta", ",".join(f"{x.numerator * f}/{x.denominator * f}"
+                                           for x, f in zip(theta, itertools.cycle((3, 2))))]
     return argv + ["--theta", ",".join(map(str, theta))]
 
 
@@ -143,6 +152,9 @@ def sweep(workdir: Path) -> list[dict]:
                   for command in COMMANDS for depth in DEPTHS]
     cases += [(f"solenoid {op}", family, depth, _solenoid_argv(op, seq, depth))
               for family, seq in SOLENOID_SEQUENCES.items() for op in SOLENOID_OPS for depth in DEPTHS]
+    cases += [("solenoid member", "factorial-scaled", depth,
+               _solenoid_argv("member", SOLENOID_SEQUENCES["factorial"], depth, scaled=True))
+              for depth in DEPTHS]
     cases += [("simulate", family, depth, ["simulate", str(workdir / f"{family}.json"), "--depth", str(depth),
                                            "--steps", "200", "--t1", "1e6",
                                            "--out", str(workdir / f"{family}-{depth}.csv")])

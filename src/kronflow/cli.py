@@ -20,7 +20,7 @@ from . import __version__
 from .benjamin_ono import bo_report
 from .classification import classification_report, decompose_module
 from .errors import UnsupportedStructureError, ValidationError
-from .exact_linalg import IntVecFin, parse_int, parse_rational
+from .exact_linalg import IntVecFin, parse_int, parse_rational, parse_rational_pair
 from .frequency import DEFAULT_DEPTH, DEFAULT_PRECISION_BITS, FrequencyVector, SigmaSequence, clamp_depth, parse_frequency_spec
 from .resonance_reduction import reduce_flow, reduce_vector, resonance_basis
 from .solenoid_geometry import (
@@ -100,11 +100,21 @@ def _load_spec(path: str) -> FrequencyVector:
     return parse_frequency_spec(_load_json(path))
 
 
+def _entries(text: str, option: str) -> list[str]:
+    """The entries of ``option``'s comma list, the one reader of every comma
+    option: a list of blank entries only is empty, and a blank entry among
+    others is an error, since dropping it would shift the later entries."""
+    entries = text.split(",")
+    blank = [k for k, v in enumerate(entries, 1) if not v.strip()]
+    if len(blank) == len(entries):
+        raise ValidationError(f"{option} is empty")
+    if blank:
+        raise ValidationError(f"{option} entry {blank[0]} is empty")
+    return entries
+
+
 def _parse_nu(text: str) -> IntVecFin:
-    values = [parse_int(v, "--nu entry") for v in text.split(",") if v.strip() != ""]
-    if not values:
-        raise ValidationError("--nu is empty")
-    return IntVecFin.from_list(values)
+    return IntVecFin.from_list([parse_int(v, "--nu entry") for v in _entries(text, "--nu")])
 
 
 def _parse_sequence(text: str) -> SigmaSequence:
@@ -117,25 +127,22 @@ def _parse_sequence(text: str) -> SigmaSequence:
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"--a JSON is malformed: {exc}") from None
         return SigmaSequence.from_json(doc)
-    values = tuple(parse_int(v, "--a entry") for v in text.split(",") if v.strip() != "")
-    if not values:
-        raise ValidationError("--a is empty")
+    values = tuple(parse_int(v, "--a entry") for v in _entries(text, "--a"))
     tail = values[-1] if len(values) > 1 and values[-1] > 1 else 2
     return SigmaSequence(values, "constant", (tail,))
 
 
-def _parse_point(text: str) -> TorusPoint:
-    vals = [v for v in text.split(",") if v.strip() != ""]
-    if not vals:
-        raise ValidationError("--theta is empty")
-    return TorusPoint.exact_point(vals)
+def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    """--theta as integer pairs (p mod q, q): each angle wrapped into [0,1),
+    never reduced and never made a Fraction."""
+    return [(p % q, q) for p, q in map(parse_rational_pair, _entries(text, "--theta"))]
 
 
 def _start(fv: FrequencyVector, args) -> TorusPoint:
     """A float subcommand's start point: --theta0, which must have as many
     entries as --depth clamped to a finite vector, or the origin there."""
     depth = clamp_depth(fv, args.depth)
-    theta0 = _parse_point(args.theta0) if args.theta0 else TorusPoint.origin(depth)
+    theta0 = TorusPoint.exact_point(_entries(args.theta0, "--theta0")) if args.theta0 else TorusPoint.origin(depth)
     if theta0.depth != depth:
         raise ValidationError(f"depth {depth} does not match point depth {theta0.depth}")
     return theta0
@@ -240,14 +247,13 @@ def _cmd_solenoid(args) -> None:
     if args.solenoid_op == "times" and not args.digits:
         raise ValidationError("solenoid times needs --digits (depth >= 2)")
     if args.solenoid_op == "member":
-        theta = _parse_point(args.theta)
+        theta = _parse_pairs(args.theta)
         verdict = is_member(a, theta)
-        _emit({"member": verdict, "depth": theta.depth, "verdict": f"member at depth {theta.depth}" if verdict else "not a member"})
+        _emit({"member": verdict, "depth": len(theta), "verdict": f"member at depth {len(theta)}" if verdict else "not a member"})
     elif args.solenoid_op == "coords":
-        theta = _parse_point(args.theta)
-        _emit(to_coordinates(a, theta).to_json())
+        _emit(to_coordinates(a, _parse_pairs(args.theta)).to_json())
     else:  # times
-        digits = tuple(parse_int(v, "--digits entry") for v in args.digits.split(","))
+        digits = tuple(parse_int(v, "--digits entry") for v in _entries(args.digits, "--digits"))
         coords = SolenoidCoords(parse_rational(args.tau), digits)
         times = approximating_times(a, coords)
         target = from_coordinates(a, coords)

@@ -33,13 +33,29 @@ from .errors import ValidationError
 # Rationals: stdlib Fraction plus the wire format "p/q" (or "p" when q == 1).
 
 
-def parse_rational(text: str | int) -> Fraction:
+def parse_rational_pair(text: str | int) -> tuple[int, int]:
+    """(p, q) with q > 0 and value p/q, neither reduced: the one reader of
+    rational text.  ASCII ``[+-]digits[/digits]`` with q != 0 is split and read
+    directly (as bytes, whose ``isdigit`` is a table lookup); any other text is
+    read by ``Fraction``, whose grammar and error messages it keeps."""
     if isinstance(text, int):
-        return Fraction(text)
+        return int(text), 1
+    s = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        if s.isascii():
+            num, slash, den = s.encode().partition(b"/")
+            if num[num[:1] in (b"+", b"-"):].isdigit() and (den.isdigit() or not slash):
+                p, q = int(num), int(den) if slash else 1
+                if q:
+                    return p, q
+        value = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed rational {text!r}: {exc}") from None
+    return value.numerator, value.denominator
+
+
+def parse_rational(text: str | int) -> Fraction:
+    return Fraction(*parse_rational_pair(text))
 
 
 def parse_int(value, what: str) -> int:

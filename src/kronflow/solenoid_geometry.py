@@ -6,7 +6,9 @@ j < N.  Exact points carry normalized angles (rationals in [0,1), i.e. the
 angle divided by a full turn); float points carry radians in [0, 2*pi).  The
 coordinate bijection maps a member point to the pair (tau, digit list) and
 back, and the associated approximating times land on the target in the first
-k coordinates exactly.
+k coordinates exactly.  Membership and coordinates check the relations on
+integer pairs (p_j, q_j), theta_j = p_j / q_j: an exact point's Fractions, or
+the pairs the CLI reads, which are neither reduced nor made Fractions.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from typing import Iterator, Sequence
 from .errors import ValidationError
 from .exact_linalg import format_rational, parse_rational
 from .frequency import SigmaSequence
+
+# angles as integer pairs (p_j, q_j), theta_j = p_j / q_j with q_j > 0
+Pairs = Sequence[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -87,24 +92,35 @@ def _check_digits(terms: Sequence[int], digits: Sequence[int]) -> None:
             raise ValidationError(f"digit n_{offset} = {n} outside range 0..{terms[offset - 1] - 1}")
 
 
-def _digits(terms: Sequence[int], angles: Sequence[Fraction]) -> list[int] | None:
-    """n_j = a_j theta_j - theta_{j-1} for j = 2..N, or None if a relation fails: with
-    a_j theta_j = n + r/q, theta_{j-1} = k + f/q' (r/q, f/q' in [0,1), f/q' reduced), it holds
-    iff q = g q' and r = g f, and then n_j = n - k.  A member's g divides a_j unless f = 0."""
-    if len(angles) < 2:
+def _digits(terms: Sequence[int], pairs: Pairs) -> list[int] | None:
+    """n_j = a_j theta_j - theta_{j-1} for j = 2..N, or None if a relation fails, on angles
+    given as pairs theta_j = p_j/q_j with q_j > 0, in lowest terms or not.  When q_{j-1}
+    divides q_j, with g = q_j / q_{j-1}, n_j = (a_j p_j - g p_{j-1}) / q_j, so the relation
+    holds iff q_j divides a_j p_j - g p_{j-1}: linear in the size of the angles.  A member
+    in lowest terms always takes this branch (theta_{j-1} = a_j theta_j - n_j has a
+    denominator dividing q_j); any other pair takes one cross-multiplication."""
+    if len(pairs) < 2:
         raise ValidationError("membership needs depth >= 2")
     digits = []
-    q0 = angles[0].denominator
-    k0, f0 = divmod(angles[0].numerator, q0)
-    for a_j, theta in zip(terms[1:], angles[1:]):
-        p, q = theta.numerator, theta.denominator
-        n, r = divmod(a_j * p, q)
+    p0, q0 = pairs[0]
+    for a_j, (p, q) in zip(terms[1:], pairs[1:]):
         g, s = divmod(q, q0)
-        if s or r != g * f0:
+        n, r = divmod(a_j * p * q0 - p0 * q, q * q0) if s else divmod(a_j * p - g * p0, q)
+        if r:
             return None
-        digits.append(n - k0)
-        (k0, f0), q0 = divmod(p, q), q
+        digits.append(n)
+        p0, q0 = p, q
     return digits
+
+
+def _pairs(theta: TorusPoint | Pairs, what: str) -> Pairs:
+    """theta's angles as (numerator, denominator) pairs: an exact point's
+    Fractions, or pairs as given."""
+    if not isinstance(theta, TorusPoint):
+        return theta
+    if not theta.exact:
+        raise ValidationError(f"{what} requires an exact point")
+    return [(x.numerator, x.denominator) for x in theta.angles]
 
 
 def _running_sums(terms: Sequence[int], coords: SolenoidCoords) -> Iterator[tuple[int, int]]:
@@ -117,22 +133,23 @@ def _running_sums(terms: Sequence[int], coords: SolenoidCoords) -> Iterator[tupl
         yield acc, scale
 
 
-def is_member(a: SigmaSequence, theta: TorusPoint) -> bool:
-    """Exact membership at the point's depth: checks the N-1 defining relations."""
-    if not theta.exact:
-        raise ValidationError("solenoid membership requires an exact point")
-    return _digits(a.terms(theta.depth), theta.angles) is not None
+def is_member(a: SigmaSequence, theta: TorusPoint | Pairs) -> bool:
+    """Exact membership at the point's depth: checks the N-1 defining relations.
+    theta is an exact point or its angles as (p_j, q_j) pairs, q_j > 0."""
+    pairs = _pairs(theta, "solenoid membership")
+    return _digits(a.terms(len(pairs)), pairs) is not None
 
 
-def to_coordinates(a: SigmaSequence, theta: TorusPoint) -> SolenoidCoords:
-    """Digit extraction: tau = theta_1, n_j = a_j theta_j - theta_{j-1}."""
-    if not theta.exact:
-        raise ValidationError("coordinate extraction requires an exact point")
-    terms = a.terms(theta.depth)
-    digits = _digits(terms, theta.angles)
+def to_coordinates(a: SigmaSequence, theta: TorusPoint | Pairs) -> SolenoidCoords:
+    """Digit extraction: tau = theta_1, n_j = a_j theta_j - theta_{j-1}; theta
+    as for ``is_member``, and only tau is reduced."""
+    pairs = _pairs(theta, "coordinate extraction")
+    terms = a.terms(len(pairs))
+    digits = _digits(terms, pairs)
     if digits is None:
         raise ValidationError("point is not a solenoid member at this depth")
-    coords = SolenoidCoords(theta.angles[0], tuple(digits))
+    tau = theta.angles[0] if isinstance(theta, TorusPoint) else Fraction(*pairs[0])
+    coords = SolenoidCoords(tau, tuple(digits))
     _check_digits(terms, coords.digits)
     return coords
 
@@ -149,7 +166,7 @@ def from_coordinates(a: SigmaSequence, coords: SolenoidCoords) -> TorusPoint:
         if not 0 <= acc < scale:
             raise ValidationError("internal error: reconstructed angle left [0,1)")
         vals.append(Fraction(acc, scale))
-    if _digits(terms, vals) != list(coords.digits):
+    if _digits(terms, [(v.numerator, v.denominator) for v in vals]) != list(coords.digits):
         raise ValidationError("internal error: reconstructed point fails membership")
     return TorusPoint(tuple(vals), True)
 

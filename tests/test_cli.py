@@ -1,13 +1,14 @@
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import kronflow.dynamics as dynamics
-from kronflow.cli import main
+from kronflow.cli import _parse_sequence, main
 from kronflow.errors import UnsupportedStructureError, ValidationError
 from kronflow.frequency import parse_frequency_spec
-from kronflow.solenoid_geometry import TorusPoint
+from kronflow.solenoid_geometry import TorusPoint, is_member, to_coordinates
 
 
 SOLENOID_SPEC = '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}'
@@ -173,6 +174,79 @@ def test_solenoid_times_without_digits_names_the_flag(capsys, digits):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "error: solenoid times needs --digits" in captured.err and "Traceback" not in captured.err
+
+
+# --theta entries the CLI reads as the library does: outside [0,1), not in
+# lowest terms, decimals and exponents, padded; members and non-members
+ODD_THETAS = {
+    "outside [0,1)": ("1,2,2", "5/4,-3/8,5/16"),
+    "negative tau": ("1,2,3", "-1/3,1/3,1/9"),
+    "not in lowest terms": ("1,2,2", "2/8,10/16,10/32"),
+    "not in lowest terms, denominators that do not divide": ("1,2,3", "-1/3,2/6,7/63"),
+    "decimals and exponents": ("1,2,2", "0.25,+0.625e0,3125E-4"),
+    "padded": ("1,2,2", " 1/4 ,\t10/16,  -11/16 "),
+    "unreduced, other digits": ("1,2,2", "2/4,6/8,6/16"),
+    "non-member, decimals": ("1,2,2", "0.25,0.5,1/8"),
+    "non-member, unreduced": ("1,2,3", "2/6,4/12,1/9"),
+    "depth 1": ("1,2", "5/4"),
+    "zero denominator": ("1,2", "1/4,1/0"),
+    "negative denominator": ("1,2", "1/4,1/-2"),
+}
+
+
+def _library_result(op, a, text):
+    """The payload or ``error:`` line the library gives for ``--theta text``."""
+    try:
+        theta = TorusPoint.exact_point(text.split(","))
+        if op == "coords":
+            return 0, to_coordinates(_parse_sequence(a), theta).to_json()
+        verdict = is_member(_parse_sequence(a), theta)
+        return 0, {"member": verdict, "depth": theta.depth,
+                   "verdict": f"member at depth {theta.depth}" if verdict else "not a member"}
+    except ValidationError as exc:
+        return 1, f"error: {exc}"
+
+
+@pytest.mark.parametrize("op", ["member", "coords"])
+@pytest.mark.parametrize("a, text", list(ODD_THETAS.values()), ids=list(ODD_THETAS))
+def test_solenoid_theta_entries_read_as_the_library_reads_them(capsys, op, a, text):
+    code = main(["solenoid", op, "--a", a, "--theta=" + text])  # "=": an entry may start with "-"
+    captured = capsys.readouterr()
+    got = json.loads(captured.out) if code == 0 else captured.err.splitlines()[-1]
+    assert (code, got) == _library_result(op, a, text)
+
+
+def _factorial_theta(depth):
+    """The factorial member with tau = 5/7 and n_j = (j^2 + 1) mod j, as ``--theta`` text."""
+    theta = [Fraction(5, 7)]
+    for j in range(2, depth + 1):
+        theta.append((theta[-1] + (j * j + 1) % j) / j)
+    return ",".join(map(str, theta))
+
+
+def test_solenoid_member_builds_no_fraction_per_entry(monkeypatch, capsys):
+    """``member`` reads --theta as integer pairs and makes as many Fractions
+    at depth 128 as at depth 16; ``coords`` makes at most one more (tau)."""
+    factorial = '{"prefix": [1], "tail": "increment"}'
+    thetas = {depth: _factorial_theta(depth) for depth in (16, 128)}
+    original = Fraction.__new__
+    made = []
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    counts = {}
+    for op in ("member", "coords"):
+        for depth, text in thetas.items():
+            made.clear()
+            assert main(["solenoid", op, "--a", factorial, "--theta", text]) == 0
+            counts[op, depth] = len(made)
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert counts["member", 16] == counts["member", 128], counts
+    assert counts["coords", 16] == counts["coords", 128] <= counts["member", 16] + 1, counts
 
 
 def test_simulate_csv(tmp_path, capsys):

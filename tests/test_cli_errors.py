@@ -54,7 +54,18 @@ CASES = {
     "empty --nu": (["reduce", "--nu", ","], "--nu is empty"),
     "empty --a": (_member(","), "--a is empty"),
     "empty --theta": (["solenoid", "member", "--a", "1,2", "--theta", ","], "--theta is empty"),
-    "malformed --a JSON": (_member('{"prefix": '), "--a JSON is malformed: Expecting value: line 1 column 11 (char 10)"),
+    # an empty or blank entry among others: each was dropped, shifting the later entries
+    "empty --nu entry": (["reduce", "--nu", "4,,6"], "--nu entry 2 is empty"),
+    "blank --nu entry": (["equidistribution", "@finite", "--nu", "1, ", "--depth", "2"], "--nu entry 2 is empty"),
+    "empty --a entry": (_member("1,,2,2"), "--a entry 2 is empty"),
+    "empty --theta entry": (["solenoid", "member", "--a", "1,2", "--theta", "1/4,,5/8"], "--theta entry 2 is empty"),
+    "trailing --theta comma": (["solenoid", "coords", "--a", "1,2", "--theta", "1/4,5/8,"], "--theta entry 3 is empty"),
+    "empty --theta0 entry": (
+        ["simulate", "@finite", "--t1", "1", "--steps", "2", "--depth", "3", "--theta0", "0,,0,0", "--out", "@dir/t.csv"],
+        "--theta0 entry 2 is empty"),
+    "empty --digits entry": (["solenoid", "times", "--a", "1,2", "--tau", "1/4", "--digits", "1,,2"],
+                             "--digits entry 2 is empty"),
+    "malformed --a JSON":(_member('{"prefix": '), "--a JSON is malformed: Expecting value: line 1 column 11 (char 10)"),
     "member without --theta": (["solenoid", "member", "--a", "1,2"], "solenoid member needs --theta"),
     "coords without --theta": (["solenoid", "coords", "--a", "1,2"], "solenoid coords needs --theta"),
     "times without --tau": (["solenoid", "times", "--a", "1,2", "--digits", "1"], "solenoid times needs --tau"),

@@ -17,6 +17,7 @@ from kronflow.exact_linalg import (
     hermite_transform,
     integer_kernel,
     parse_rational,
+    parse_rational_pair,
     rational_gcd,
 )
 from oracles import (
@@ -59,6 +60,49 @@ def test_rational_wire_format():
     assert parse_rational("-5") == F(-5)
     with pytest.raises(ValidationError):
         parse_rational("1/0")
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=25)
+# near misses of the grammar: doubled or stray signs, inner spaces, "_", non-ASCII
+# digits (Arabic-Indic, fullwidth, superscript), a zero or signed denominator
+_NEAR_MISS = st.sampled_from(["", "+", "-", "+-", "--", " ", "_", "/", "//", "/0", "/-2", "/+2", ".",
+                              "٣", "１", "²", "\t", "　", "x"])
+
+
+@st.composite
+def rational_texts(draw):
+    """Strings from the rational grammar ``[+-]digits[/digits]``, decimals and
+    exponents, whitespace padding, and the same with near misses spliced in."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    body = draw(_DIGITS)
+    tail = draw(st.sampled_from(["", "/", ".", "e", "E-"]))
+    if tail:  # an exponent of at most two digits, and two more by a near miss, keeps 10**exp small
+        body += tail + draw(st.text("0123456789", min_size=1, max_size=2 if tail in ("e", "E-") else 25))
+    text = sign + body
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(text)))
+        text = text[:k] + draw(_NEAR_MISS) + text[k:]
+    pad = st.sampled_from(["", " ", "\t", "\n ", " "])
+    return draw(pad) + text + draw(pad)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rational_texts())
+def test_parse_rational_reads_as_fraction_of_the_text(text):
+    """The value Fraction gives for the stripped text, or its error in the
+    same ValidationError line; the pair reader gives the same value."""
+    try:
+        expected = F(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        message = f"malformed rational {text!r}: {exc}"
+        for reader in (parse_rational, parse_rational_pair):
+            with pytest.raises(ValidationError) as err:
+                reader(text)
+            assert str(err.value) == message
+        return
+    assert parse_rational(text) == expected and type(parse_rational(text)) is F
+    p, q = parse_rational_pair(text)
+    assert q > 0 and F(p, q) == expected
 
 
 @given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))

@@ -247,6 +247,12 @@ def test_integer_path_matches_fraction_oracle(data):
         theta = TorusPoint(tuple(x + m for x, m in zip(theta.angles, shifts)), True)
     assert is_member(a, theta) == fraction_is_member(a, theta)
     assert _outcome(to_coordinates, a, theta) == _outcome(fraction_to_coordinates, a, theta)
+    # the same angles as pairs, each scaled by its own factor, as the CLI may
+    # read them: where q_{j-1} no longer divides q_j the check cross-multiplies
+    scales = data.draw(st.lists(st.integers(1, 6), min_size=depth, max_size=depth))
+    pairs = [(x.numerator * f, x.denominator * f) for x, f in zip(theta.angles, scales)]
+    assert is_member(a, pairs) == fraction_is_member(a, theta)
+    assert _outcome(to_coordinates, a, pairs) == _outcome(fraction_to_coordinates, a, theta)
 
 
 def test_relations_build_no_fractions(monkeypatch):
