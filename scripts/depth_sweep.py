@@ -3,7 +3,10 @@
 
 For ``kron resonance`` and ``kron reduce-flow`` on the README's halving, BO
 and product specs, on the factorial solenoid rule (a_j = j, so its terms
-grow), and on a mixed finite spec of 1024 terms, and for ``kron
+grow), on the odd-denominator BO spec ``bo-odd`` (r = 1/3, whose sigmas'
+common denominator D is not the lcm of the beta row, so its sha256 columns
+guard the scale of the integer table), and on a mixed finite spec of 1024
+terms, and for ``kron
 solenoid member``, ``coords`` and ``times`` on the factorial and halving
 sequences, at depths 16, 32, ..., 1024, runs ``cli.main`` in-process and
 records the best-of-3 wall time in ms (``best_ms``), the stdout bytes and
@@ -88,6 +91,7 @@ SPECS = {
     },
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
     "factorial": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "increment"}},
+    "bo-odd": {"kind": "bo", "s": {"prefix": ["1/2"], "tail": {"c": "1/2", "r": "1/3"}}},
     "mixed": _mixed_finite(DEPTHS[-1]),
 }
 T3 = {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}

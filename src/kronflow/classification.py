@@ -30,7 +30,7 @@ from .frequency import (
     SigmaSequence,
     SolenoidRule,
     clamp_depth,
-    coordinates,
+    integer_rows,
 )
 from .primes import factorize, is_odd_indexed_prime, nth_prime, prime_index
 
@@ -368,7 +368,7 @@ def decompose_module(fv: FrequencyVector, depth: int) -> ModuleDescriptor:
     depth = clamp_depth(fv, depth)
     if isinstance(fv, Finite):
         comps = []
-        for vec in hermite_transform(coordinates(fv, depth)).image:
+        for vec in hermite_transform(integer_rows(fv, depth), depth).image:
             pivot = min(vec)
             comps.append(ModuleComponent(pivot, free_baer_type(vec[pivot])))
         return ModuleDescriptor(tuple(comps))

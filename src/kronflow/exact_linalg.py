@@ -8,14 +8,14 @@ Hermite primitive, ``hermite_transform``, serves both integer kernels and
 flow reduction: a column reduction taken one column at a time from the last,
 which yields the canonical column Hermite basis of the kernel directly, an
 echelon basis of the image with integer preimages, and the inverse of the
-unimodular transform they form.  Its input is the matrix's columns as sparse
-maps {row label: rational}, exactly what ``frequency.coordinates`` returns
-for omega_1..omega_N, and its image comes back as maps keyed by the same
-labels, so no dense matrix stands between the frequency table and the
-transform.  It works on sparse graph vectors, so a step costs the nonzero
-entries it touches rather than the depth, and hands those vectors to
-``RowFiniteIntMatrix`` as its rows and inverse columns; ``integer_kernel``
-reads its kernel vectors straight from the sparse basis.
+unimodular transform they form.  Its input is the integer table {row label:
+(scale, {column: nonzero int})} that ``frequency.integer_rows`` returns for
+omega_1..omega_N, read as it is, and its image comes back as rational maps
+keyed by the same labels, so no dense matrix stands between the frequency
+table and the transform.  It works on sparse graph vectors, so a step costs
+the nonzero entries it touches rather than the depth, and hands those
+vectors to ``RowFiniteIntMatrix`` as its rows and inverse columns;
+``integer_kernel`` reads its kernel vectors straight from the sparse basis.
 """
 
 from __future__ import annotations
@@ -311,15 +311,15 @@ class RowFiniteIntMatrix:
 
 class HermiteTransform(NamedTuple):
     """Result of ``hermite_transform`` on a rational m x n matrix M, given as
-    its n columns.
+    its integer table.
 
     ``transform`` is a unimodular n x n matrix A with its inverse.  Its first
     ``zero_rank`` rows are the canonical column Hermite basis of
     {nu in Z^n : M nu = 0}: pivot rows strictly increasing, pivots positive,
     entries at later pivot rows reduced into [0, pivot).  ``image`` is an
-    echelon basis of the lattice M Z^n as maps {row label: nonzero entry},
-    the pivot being the least label, its entry positive; row zero_rank + k
-    of A is an integer preimage of image[k].
+    echelon basis of the lattice M Z^n as maps {row label: nonzero
+    ``Fraction``}, the pivot being the least label, its entry positive; row
+    zero_rank + k of A is an integer preimage of image[k].
     """
 
     transform: RowFiniteIntMatrix
@@ -362,31 +362,23 @@ def _hermite_reduce(basis: _Basis, k: int) -> None:
                     heapq.heappush(queue, i)
 
 
-def _hermite_basis(columns: Sequence[Mapping]) -> tuple[list, list[int], _Basis]:
+def _hermite_basis(rows: Mapping, n: int) -> tuple[list, _Basis]:
     """The Hermite basis of the graph lattice of M as sparse vectors: (labels,
-    scales, basis), row r of M labelled labels[r] and scaled to integers by
-    scales[r], and basis mapping each pivot row to the pair ((M t, t), t*);
-    see ``hermite_transform``."""
-    if not columns:
+    basis), row r of M being rows[labels[r]], and basis mapping each pivot row
+    to the pair ((M t, t), t*); see ``hermite_transform``."""
+    if n < 1:
         raise ValidationError("the Hermite transform needs at least one column")
-    lcms: dict = {}
-    for col in columns:
-        for label, entry in col.items():
-            lcms[label] = math.lcm(lcms.get(label, 1), entry.denominator)
-    labels = sorted(lcms)
-    scales = [lcms[label] for label in labels]
-    row_of = {label: r for r, label in enumerate(labels)}
+    labels = sorted(rows)
+    columns: list[_Sparse] = [{} for _ in range(n)]
+    for r, label in enumerate(labels):
+        for j, v in rows[label][1].items():
+            columns[j - 1][r] = v
     m = len(labels)
 
     basis: _Basis = {}
     image: list[int] = []  # the pivots below m, increasing
-    for j in range(len(columns) - 1, -1, -1):
-        g = {}
-        for label, entry in columns[j].items():
-            num = entry.numerator
-            if num:
-                r = row_of[label]
-                g[r] = num * (scales[r] // entry.denominator)
+    for j in range(n - 1, -1, -1):
+        g = columns[j]
         g[m + j] = 1
         dual = {j + 1: 1}  # 1-based: it becomes column j + 1 of A^-1
         p = min(g)
@@ -414,27 +406,28 @@ def _hermite_basis(columns: Sequence[Mapping]) -> tuple[list, list[int], _Basis]
             bisect.insort(image, p)
         for k in image if p < m else [*image, p]:
             _hermite_reduce(basis, k)
-    return labels, scales, basis
+    return labels, basis
 
 
-def hermite_transform(columns: Sequence[Mapping]) -> HermiteTransform:
+def hermite_transform(rows: Mapping, n: int) -> HermiteTransform:
     """Column Hermite reduction of M with a tracked unimodular transform.
 
-    M's rows are the labels of its columns in increasing order, each scaled
-    to integers by the lcm of its denominators (zero entries may be present
-    or absent; ``Fraction`` and ``int`` entries are read as they are), and
-    column j is taken as its graph vector (M e_j, e_j), the columns from last
+    M's rows are the table's labels in increasing order, row r its ints over
+    its scale (absent columns zero).  Every step compares and combines the
+    entries of one row with each other, taking the same quotients whatever
+    positive scale the row carries, so only ``image`` reads the scale.
+    Column j is taken as its graph vector (M e_j, e_j), the columns from last
     to first.  Before column j is taken, ``basis`` is the Hermite basis of
     the graph lattice {(M t, t)} over t in Z^{j+1..n}, the m labelled rows
-    ordered before the n index rows: at most m image vectors,
-    pivoted in the M t part, and the kernel vectors, whose M t part is zero.
-    Column j is inserted by xgcd steps on the image vectors.  If its M t part
-    reduces to zero it is the primitive kernel vector with pivot j, and
-    reducing it against the later kernel vectors into [0, pivot) gives the
-    canonical kernel form directly.  The image vectors are re-reduced against
-    every later pivot at each step, which keeps their preimages reduced
-    modulo the kernel and the coefficients small.  Every vector t carries its
-    dual t* (its column of A^-1): an operation t_a += q t_b is mirrored as
+    ordered before the n index rows: at most m image vectors, pivoted in the
+    M t part, and the kernel vectors, whose M t part is zero.  Column j is
+    inserted by xgcd steps on the image vectors.  If its M t part reduces to
+    zero it is the primitive kernel vector with pivot j, and reducing it
+    against the later kernel vectors into [0, pivot) gives the canonical
+    kernel form directly.  The image vectors are re-reduced against every
+    later pivot at each step, which keeps their preimages reduced modulo the
+    kernel and the coefficients small.  Every vector t carries its dual t*
+    (its column of A^-1): an operation t_a += q t_b is mirrored as
     t_b* -= q t_a*.
 
     The vectors are sparse maps {index: entry}, so an operation costs the
@@ -443,24 +436,25 @@ def hermite_transform(columns: Sequence[Mapping]) -> HermiteTransform:
     takes the t parts as its rows and the duals, as they are, as its
     inverse columns.
     """
-    labels, scales, basis = _hermite_basis(columns)
+    labels, basis = _hermite_basis(rows, n)
     m = len(labels)
     pivots = sorted(basis, key=lambda r: (r < m, r))  # kernel first, then image
     forward = [{i - m + 1: v for i, v in basis[r][0].items() if i >= m} for r in pivots]
     inverse = [basis[r][1] for r in pivots]
-    image = [{labels[i]: Fraction(v, scales[i]) for i, v in basis[r][0].items() if i < m} for r in pivots if r < m]
+    image = [{labels[i]: Fraction(v, rows[labels[i]][0]) for i, v in basis[r][0].items() if i < m}
+             for r in pivots if r < m]
     return HermiteTransform(RowFiniteIntMatrix(forward, inverse), len(pivots) - len(image), image)
 
 
-def integer_kernel(columns: Sequence[Mapping]) -> list[IntVecFin]:
-    """Basis of {nu in Z^n : M nu = 0} for a rational matrix M given as its n
-    columns, as for ``hermite_transform``.
+def integer_kernel(rows: Mapping, n: int) -> list[IntVecFin]:
+    """Basis of {nu in Z^n : M nu = 0} for a rational matrix M given as its
+    integer table, as for ``hermite_transform``.
 
     The returned basis is primitive and in canonical column Hermite form
     (pivots positive, entries at later pivot rows reduced into [0, pivot)),
     so identical inputs produce identical bases.  A zero matrix yields the
     standard basis of Z^n.
     """
-    labels, _scales, basis = _hermite_basis(columns)
+    labels, basis = _hermite_basis(rows, n)
     m = len(labels)
     return [IntVecFin.wrap({i - m + 1: v for i, v in basis[r][0].items()}) for r in sorted(basis) if r >= m]

@@ -225,14 +225,17 @@ class SigmaSequence:
     def from_json(cls, obj: Mapping) -> "SigmaSequence":
         if not isinstance(obj, Mapping) or "prefix" not in obj or "tail" not in obj:
             raise ValidationError("sequence needs 'prefix' and 'tail' fields")
+        _fields(obj, "sequence", "prefix", "tail")
         prefix = tuple(parse_int(v, "sequence entry") for v in parse_list(obj["prefix"], "sequence prefix"))
         tail = obj["tail"]
         if isinstance(tail, str):
             return cls(prefix, tail)
         if isinstance(tail, Mapping):
             if "constant" in tail:
+                _fields(tail, "constant tail", "constant")
                 return cls(prefix, "constant", (parse_int(tail["constant"], "sequence entry"),))
             if "periodic" in tail:
+                _fields(tail, "periodic tail", "periodic")
                 cycle = parse_list(tail["periodic"], "periodic tail")
                 return cls(prefix, "periodic", tuple(parse_int(v, "sequence entry") for v in cycle))
         raise ValidationError(f"malformed sequence tail {tail!r}")
@@ -354,12 +357,14 @@ class RationalSequenceSpec:
     def from_json(cls, obj: Mapping) -> "RationalSequenceSpec":
         if not isinstance(obj, Mapping):
             raise ValidationError("action sequence must be an object with 'prefix'/'tail'")
+        _fields(obj, "action sequence", "prefix", "tail")
         prefix = tuple(parse_rational(v) for v in parse_list(obj.get("prefix", ()), "action prefix"))
         tail = obj.get("tail")
         if tail is None:
             return cls(prefix)
         if not isinstance(tail, Mapping) or "c" not in tail or "r" not in tail:
             raise ValidationError("geometric tail needs fields 'c' and 'r'")
+        _fields(tail, "geometric tail", "c", "r")
         return cls(prefix, parse_rational(tail["c"]), parse_rational(tail["r"]))
 
 
@@ -390,6 +395,7 @@ class SubgroupOfQSpec:
     def from_json(cls, obj: Mapping) -> "SubgroupOfQSpec":
         if not isinstance(obj, Mapping) or ("free" not in obj and "qa" not in obj):
             raise ValidationError("subgroup spec must carry 'free' or 'qa'")
+        _fields(obj, "subgroup spec", "free", "qa")
         return cls(parse_rational(obj["free"]) if "free" in obj else None,
                    SigmaSequence.from_json(obj["qa"]) if "qa" in obj else None)
 
@@ -530,6 +536,26 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
     raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
 
 
+def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, dict[int, int]]]:
+    """The exact table of omega_1..omega_depth: per generator (scale, {j:
+    nonzero int}), its coordinate in omega_j the int over the scale > 0, an
+    absent j a zero.  A BO rule's rows are (1, j^2) and (D, -2 D sigma_j) from
+    ``scaled_sigmas``; any other row is scaled by the lcm of its denominators."""
+    if isinstance(fv, BoRule):
+        scale, sigmas = fv.s.scaled_sigmas(depth)
+        return {UNIT: (1, {j: j * j for j in range(1, depth + 1)}),
+                fv.beta: (scale, {j: -2 * s for j, s in enumerate(sigmas, 1) if s})}
+    rows: dict = {}  # generator -> [(j, nonzero coordinate)], then its scaled row
+    for j, col in enumerate(_coordinate_stream(fv, depth), 1):
+        for g, x in col.items():
+            if x:
+                rows.setdefault(g, []).append((j, x))
+    for g, row in rows.items():
+        scale = math.lcm(*(x.denominator for _, x in row))
+        rows[g] = (scale, {j: x.numerator * (scale // x.denominator) for j, x in row})
+    return rows
+
+
 def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
     """The real number sum_g c_g * g of one exact coordinate map, at
     ``working_bits()`` of mantissa."""
@@ -546,9 +572,17 @@ def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
 # Parsing
 
 
+def _fields(obj: Mapping, what: str, *allowed: str) -> None:
+    """Reject the first key of the spec object ``obj`` that is not one of its fields."""
+    for key in obj:
+        if key not in allowed:
+            raise ValidationError(f"{what} has no field {key!r}")
+
+
 def _generator_from_json(obj: Mapping) -> Generator:
     if not isinstance(obj, Mapping) or "name" not in obj or "kind" not in obj:
         raise ValidationError("generator declarations need 'name' and 'kind'")
+    _fields(obj, "generator declaration", "name", "kind", "param", "value")
     kind = obj["kind"]
     param = obj.get("param")
     value = obj.get("value")
@@ -573,12 +607,16 @@ def _resolve_generator(name_or_obj, declared: dict[str, Generator]) -> Generator
     return declared[name]
 
 
+_SPEC_FIELDS = {"finite": ("terms",), "solenoid": ("a", "generator"), "bo": ("s", "beta"), "product": ("components",)}
+
+
 def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
     """Parse and validate the JSON frequency-vector format.
 
     Top level: {"kind": "finite"|"solenoid"|"bo"|"product", optional
     "generators": [{name, kind, param?, value?}], plus the family's fields}.
     Rationals are strings "p/q"; sequences are {"prefix": [...], "tail": ...}.
+    Each object takes its own fields only; any other key is an error.
     """
     if isinstance(document, str):
         try:
@@ -595,6 +633,10 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
         gen = _generator_from_json(g)
         if declared.setdefault(gen.name, gen) is not gen:
             raise ValidationError(f"generator {gen.name!r} is declared twice")
+    fields = _SPEC_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ValidationError(f"unknown spec kind {kind!r}")
+    _fields(obj, f"{kind} spec", "kind", "generators", *fields)
 
     if kind == "finite":
         if "terms" not in obj:
@@ -625,13 +667,10 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
         beta = _resolve_generator(beta_ref, declared)
         return BoRule(beta, s)
 
-    if kind == "product":
-        if "components" not in obj:
-            raise ValidationError("product spec needs field 'components'")
-        specs = [SubgroupOfQSpec.from_json(c) for c in parse_list(obj["components"], "product components")]
-        return build_product_vector(specs)
-
-    raise ValidationError(f"unknown spec kind {kind!r}")
+    if "components" not in obj:  # a product spec
+        raise ValidationError("product spec needs field 'components'")
+    specs = [SubgroupOfQSpec.from_json(c) for c in parse_list(obj["components"], "product components")]
+    return build_product_vector(specs)
 
 
 def build_product_vector(groups: Sequence[SubgroupOfQSpec]) -> ProductConstruction:

@@ -1,17 +1,17 @@
 """Resonance modules and the reduction of resonant flows.
 
 ``resonance_basis`` realizes the set of integer relations among the first N
-frequencies, from omega_j's maps {generator: rational} of ``coordinates``.
-On a solenoid rule, and on a product's ``qa`` chains at their prime powers,
-omega_j is a_(j+1) times the next omega of its generator, so the basis is
-these adjacent relations, each re-checked by one cross-multiplication, and
-e_j at each empty column.  On a BO rule, past the prefix both coordinate
-rows obey one recurrence with constant integer coefficients, so the basis is
-the Hermite primitive's integer kernel of a short head of columns followed by
-the recurrence's shifts, the head's length and its completeness certified by
-the module indices [M_j : M_(j-1)].  Otherwise it is the integer kernel of
-all the columns.  Every relation but the adjacent ones is re-checked against
-one integer row per generator.
+frequencies.  On a solenoid rule, and on a product's ``qa`` chains at their
+prime powers, omega_j is a_(j+1) times the next omega of its generator, so
+the basis is these adjacent relations, each re-checked by one
+cross-multiplication of the ``coordinates``, and e_j at each empty column.
+Any other family is read as the integer table of ``integer_rows``.  On a BO
+rule, past the prefix both rows obey one recurrence with constant integer
+coefficients, so the basis is the Hermite primitive's integer kernel of a
+short head of columns followed by the recurrence's shifts, the head's length
+and its completeness certified by the module indices [M_j : M_(j-1)].
+Otherwise it is the integer kernel of all the columns.  Every relation but
+the adjacent ones is re-checked against the rows of that table.
 ``reduce_vector`` collapses one integer vector to (g, 0, 0, ...) by a tracked
 composition of elementary automorphisms; it is the certificate behind
 ``kron reduce``.  Its trail records each swap and negate, and each run of
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform, integer_kernel
 from .frequency import (UNIT, BoRule, Finite, FrequencyVector, Generator, ProductConstruction,
-                        RationalSequenceSpec, SolenoidRule, clamp_depth, coordinates, finite_vector)
+                        RationalSequenceSpec, SolenoidRule, clamp_depth, coordinates, finite_vector, integer_rows)
 from .solenoid_geometry import TorusPoint
 
 # ---------------------------------------------------------------------------
@@ -61,21 +61,17 @@ class ResonanceBasis:
         }
 
 
-def _relations(fv: FrequencyVector, columns: list[dict]) -> tuple[dict, dict | None, list | None]:
-    """The coordinate matrix by rows, {generator: [(j, coordinate), ...]}; on a
-    solenoid rule or a product (one generator per column) also {i: (k, a, end,
-    q)} for each index i whose generator next appears at k and last at end,
-    omega_i = a omega_k = q omega_end (a the sequence's, checked), and the ends."""
+def _relations(fv: SolenoidRule | ProductConstruction, depth: int) -> tuple[list[dict], dict, list]:
+    """On a solenoid rule or a product (one generator per column): the
+    coordinates of omega_1..omega_depth, {i: (k, a, end, q)} for each index i
+    whose generator next appears at k and last at end, omega_i = a omega_k =
+    q omega_end (a the sequence's, checked), and the ends."""
+    seqs = {fv.generator: fv.a} if isinstance(fv, SolenoidRule) else {gen: spec.qa for gen, spec in fv.components}
+    columns = coordinates(fv, depth)
     rows: dict[Generator, list] = {}
     for j, col in enumerate(columns, 1):
         for g, x in col.items():
             rows.setdefault(g, []).append((j, x))
-    if isinstance(fv, SolenoidRule):
-        seqs = {fv.generator: fv.a}
-    elif isinstance(fv, ProductConstruction):
-        seqs = {gen: spec.qa for gen, spec in fv.components}
-    else:
-        return rows, None, None
     steps = {}
     for g, row in rows.items():
         q, terms = 1, seqs[g].terms(len(row)) if len(row) > 1 else ()
@@ -84,21 +80,12 @@ def _relations(fv: FrequencyVector, columns: list[dict]) -> tuple[dict, dict | N
                 raise ValidationError("internal error: kernel vector fails exact resonance check")
             q *= a
             steps[i] = (k, a, row[-1][0], q)
-    return rows, steps, [rows[g][-1][0] for g in sorted(rows)]
-
-
-def _integer_rows(rows: dict) -> dict:
-    """Each generator's row as {j: integer}, scaled by the lcm of its denominators."""
-    out = {}
-    for g, row in rows.items():
-        scale = math.lcm(*(x.denominator for _, x in row))
-        out[g] = {j: x.numerator * (scale // x.denominator) for j, x in row}
-    return out
+    return columns, steps, [rows[g][-1][0] for g in sorted(rows)]
 
 
 def _check_relations(rows: dict, vectors: list[dict]) -> None:
-    """Re-check relations {j: entry} exactly on each generator's integer row."""
-    for row in rows.values():
+    """Re-check relations {j: entry} exactly on each row of an integer table."""
+    for _, row in rows.values():
         get = row.get
         if any(sum(map(operator.mul, nu.values(), map(get, nu, itertools.repeat(0)))) for nu in vectors):
             raise ValidationError("internal error: kernel vector fails exact resonance check")
@@ -130,7 +117,7 @@ def _module_indices(x: list[int], y: list[int]) -> list[int]:
     return out
 
 
-def _recurrence_basis(fv: BoRule, columns: list, rows: dict, depth: int) -> list[IntVecFin] | None:
+def _recurrence_basis(fv: BoRule, rows: dict, depth: int) -> list[IntVecFin] | None:
     """On a BO rule: the integer kernel of the first J columns, then the
     shifts of P that end at J+1..N, J at most N; None when the rank is below 2.
 
@@ -142,7 +129,7 @@ def _recurrence_basis(fv: BoRule, columns: list, rows: dict, depth: int) -> list
     [Z^J : head + Z e_i + Z e_k], i and k its free indices, which must equal
     [M_J : Z omega_i + Z omega_k] = |det(omega_i, omega_k)| prod d*_j /
     |det(omega_1, omega_r)|."""
-    x, y = ([row.get(j, 0) for j in range(1, depth + 1)] for row in (rows[UNIT], rows[fv.beta]))
+    x, y = ([row.get(j, 0) for j in range(1, depth + 1)] for _, row in (rows[UNIT], rows[fv.beta]))
     indices = _module_indices(x, y)
     rises = [j for j, d in enumerate(indices, 1) if not d]  # 1, then where the rank reaches 2
     if len(rises) < 2:
@@ -150,7 +137,7 @@ def _recurrence_basis(fv: BoRule, columns: list, rows: dict, depth: int) -> list
     coeffs = _recurrence(fv.s)
     head = min(depth, max(len(fv.s.prefix) + len(coeffs) - 1, rises[1],
                           *(j for j, d in enumerate(indices, 1) if j > rises[1] and d != coeffs[-1])))
-    kernel = integer_kernel(columns[:head])
+    kernel = integer_kernel(integer_rows(fv, head), head)
     pivots = {nu.support()[0]: nu[nu.support()[0]] for nu in kernel}
     free = [j for j in range(1, head + 1) if j not in pivots]
 
@@ -169,15 +156,14 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
     """Basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the depth
     clamped to the length of a finite vector."""
     depth = clamp_depth(fv, depth)
-    columns = coordinates(fv, depth)
-    rows, steps, _ = _relations(fv, columns)
-    if steps is not None:  # e_i - a e_k at each step, e_i at each empty column
+    if isinstance(fv, (SolenoidRule, ProductConstruction)):  # e_i - a e_k at each step, e_i at each empty column
+        columns, steps, _ = _relations(fv, depth)
         return ResonanceBasis(tuple(IntVecFin.wrap({i: 1, steps[i][0]: -steps[i][1]} if i in steps else {i: 1})
                                     for i, col in enumerate(columns, 1) if i in steps or not col), depth)
-    rows = _integer_rows(rows)
-    basis = _recurrence_basis(fv, columns, rows, depth) if isinstance(fv, BoRule) else None
+    rows = integer_rows(fv, depth)
+    basis = _recurrence_basis(fv, rows, depth) if isinstance(fv, BoRule) else None
     if basis is None:
-        basis = integer_kernel(columns)
+        basis = integer_kernel(rows, depth)
     _check_relations(rows, [nu._entries for nu in basis])
     return ResonanceBasis(tuple(basis), depth)
 
@@ -310,7 +296,7 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     having trivial integer kernel at depth N, N the depth clamped to the
     length of a finite vector.
 
-    One Hermite transform of the coordinate matrix gives A = [kernel basis;
+    One Hermite transform of the integer table gives A = [kernel basis;
     image preimages]: its first d rows are the canonical column Hermite
     basis of the resonances, re-checked in integers, so (A omega)_i = 0 for
     i <= d, and the remaining rows map omega to an echelon basis of the
@@ -323,12 +309,12 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     the adjacent relations, they keep A^-1 sparse.
     """
     depth = clamp_depth(fv, depth)
-    columns = coordinates(fv, depth)
-    rows, steps, ends = _relations(fv, columns)
-    if steps is None:
-        transform, zeros, image = hermite_transform(columns)
-        _check_relations(_integer_rows(rows), transform.rows[:zeros])
+    if not isinstance(fv, (SolenoidRule, ProductConstruction)):
+        rows = integer_rows(fv, depth)
+        transform, zeros, image = hermite_transform(rows, depth)
+        _check_relations(rows, transform.rows[:zeros])
     else:
+        columns, steps, ends = _relations(fv, depth)
         kernel = [i for i, col in enumerate(columns, 1) if i in steps or not col]
         forward = [{i: 1, steps[i][2]: -steps[i][3]} if i in steps else {i: 1} for i in kernel] + [{k: 1} for k in ends]
         inverse = [{i: 1} for i in kernel] + [{k: 1} | {i: s[3] for i, s in steps.items() if s[2] == k} for k in ends]
@@ -336,7 +322,7 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     pivots = [min(g for g, x in v.items() if x) for v in image if any(v.values())]
     independent = len(pivots) == len(image) == depth - zeros and all(p < q for p, q in zip(pivots, pivots[1:]))
     if not zeros:
-        transform, image = RowFiniteIntMatrix.identity(depth), columns
+        transform, image = RowFiniteIntMatrix.identity(depth), coordinates(fv, depth)
     scope = "global" if isinstance(fv, Finite) and len(fv) <= depth else "depth"
     return FlowReduction(transform, finite_vector([{}] * zeros + image), zeros, depth, independent, scope)
 

@@ -52,10 +52,16 @@ def scaled_integer_rows(rows) -> list[list[int]]:
     return out
 
 
-def columns_of(rows) -> list[dict[int, Fraction]]:
-    """The columns of a dense rational matrix as the maps {row index: nonzero
-    entry} that the library's Hermite transform and kernel take."""
-    return [{i: Fraction(row[j]) for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+def table_of(rows) -> tuple[dict[int, tuple[int, dict[int, int]]], int]:
+    """A dense rational matrix as the arguments of the library's Hermite
+    transform and kernel: the integer table {row index: (scale, {column:
+    nonzero int})}, each row over the lcm of its denominators, and the
+    column count."""
+    table = {}
+    for i, (row, ints) in enumerate(zip(rows, scaled_integer_rows(rows))):
+        scale = math.lcm(*(Fraction(x).denominator for x in row))
+        table[i] = (scale, {j: v for j, v in enumerate(ints, 1) if v})
+    return table, len(rows[0])
 
 
 def sparse_image(dense_image) -> list[dict[int, Fraction]]:

@@ -32,6 +32,15 @@ FILES = {
     "sqrt_junk": b'{"kind": "finite", "terms": [{"sqrtx": "1"}]}',
     "pi_junk": b'{"kind": "finite", "terms": [{"pi^x": "1"}]}',
     "free_and_qa": b'{"kind": "product", "components": [{"free": "1", "qa": {"prefix": [1], "tail": {"constant": 2}}}]}',
+    # a key that is not one of its object's fields: each was ignored, with exit 0
+    "generater": b'{"kind": "solenoid", "generater": "sqrt2", "a": {"prefix": [1], "tail": {"constant": 2}}}',
+    "bta": b'{"kind": "bo", "bta": "pi", "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}',
+    "two_tails": b'{"kind": "solenoid", "a": {"prefix": [1], "tail": {"constant": 2, "periodic": [3]}}}',
+    "sequence_key": b'{"kind": "solenoid", "a": {"prefix": [1], "tail": "increment", "tial": "increment"}}',
+    "action_key": b'{"kind": "bo", "s": {"prefix": ["1/3"], "sufix": []}}',
+    "cr_key": b'{"kind": "bo", "s": {"prefix": [], "tail": {"c": "1", "r": "1/2", "q": "3"}}}',
+    "declaration_key": b'{"kind": "finite", "generators": [{"name": "b", "kind": "opaque", "vale": "1"}], "terms": [{"b": "1"}]}',
+    "component_key": b'{"kind": "product", "components": [{"free": "1", "fre": "2"}]}',
 }
 
 
@@ -88,6 +97,16 @@ CASES = {
     ),
     # a product component carries exactly one of 'free' and 'qa'
     "free and qa": (["classify", "@free_and_qa"], "subgroup spec needs exactly one of 'free' or 'qa'"),
+    # a spec object takes its own fields only
+    "misspelt generator": (["classify", "@generater"], "solenoid spec has no field 'generater'"),
+    "misspelt beta": (["resonance", "@bta"], "bo spec has no field 'bta'"),
+    "constant and periodic tail": (["classify", "@two_tails"], "constant tail has no field 'periodic'"),
+    "sequence key": (["reduce-flow", "@sequence_key"], "sequence has no field 'tial'"),
+    "--a key": (_member('{"prefix": [1, 2], "tail": "increment", "x": 1}'), "sequence has no field 'x'"),
+    "action sequence key": (["bo", "@action_key"], "action sequence has no field 'sufix'"),
+    "geometric tail key": (["classify", "@cr_key"], "geometric tail has no field 'q'"),
+    "declaration key": (["classify", "@declaration_key"], "generator declaration has no field 'vale'"),
+    "component key": (["classify", "@component_key"], "subgroup spec has no field 'fre'"),
 }
 
 

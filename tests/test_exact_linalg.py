@@ -22,7 +22,6 @@ from kronflow.exact_linalg import (
 )
 from oracles import (
     brute_force_kernel,
-    columns_of,
     dense_hermite_transform,
     dense_rows,
     dot_fractions,
@@ -30,6 +29,7 @@ from oracles import (
     rational_rank,
     sparse_image,
     span_contains_all,
+    table_of,
     verify_inverse,
 )
 
@@ -139,7 +139,7 @@ def test_gcd_matches_euclid(vals):
 def test_kernel_632_derived():
     # oracle: enumeration of |nu|_inf <= 6, then span comparison
     rows = [[F(6), F(3), F(2)]]
-    basis = integer_kernel(columns_of(rows))
+    basis = integer_kernel(*table_of(rows))
     assert len(basis) == 2
     assert spans_match(rows, basis, 6)
     # the two vectors quoted with this example generate the same lattice
@@ -148,17 +148,17 @@ def test_kernel_632_derived():
 
 
 def test_kernel_identity_trivial():
-    assert integer_kernel(columns_of([[F(1), F(0)], [F(0), F(1)]])) == []
+    assert integer_kernel(*table_of([[F(1), F(0)], [F(0), F(1)]])) == []
 
 
 def test_kernel_zero_map_trivial():
-    basis = integer_kernel(columns_of([[F(0), F(0)]]))
+    basis = integer_kernel(*table_of([[F(0), F(0)]]))
     assert basis == [IntVecFin({1: 1}), IntVecFin({2: 1})]
 
 
 def test_kernel_deterministic():
     rows = [[F(2, 3), F(-1, 5), F(4)], [F(1), F(1), F(1)]]
-    assert integer_kernel(columns_of(rows)) == integer_kernel(columns_of([list(r) for r in rows]))
+    assert integer_kernel(*table_of(rows)) == integer_kernel(*table_of([list(r) for r in rows]))
 
 
 @st.composite
@@ -174,14 +174,14 @@ def rational_matrices(draw):
 @settings(max_examples=40, deadline=None)
 @given(rational_matrices())
 def test_kernel_span_equals_brute_force(rows):
-    basis = integer_kernel(columns_of(rows))
+    basis = integer_kernel(*table_of(rows))
     assert spans_match(rows, basis, 10)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rational_matrices())
 def test_kernel_vectors_primitive(rows):
-    for b in integer_kernel(columns_of(rows)):
+    for b in integer_kernel(*table_of(rows)):
         assert gcd_of_vector(b) == 1
 
 
@@ -211,7 +211,7 @@ def structured_rational_matrices(draw):
 @given(structured_rational_matrices())
 def test_kernel_is_canonical_hermite_basis(rows):
     n = len(rows[0])
-    basis = integer_kernel(columns_of(rows))
+    basis = integer_kernel(*table_of(rows))
     assert len(basis) == n - rational_rank(rows)
     # the brute-force grid is kept to at most 7^5, 5^7 or 3^10 points
     bound = 3 if n <= 5 else 2 if n <= 7 else 1
@@ -227,7 +227,7 @@ def test_kernel_is_canonical_hermite_basis(rows):
 def assert_matches_dense_hermite(rows):
     """The sparse transform equals the dense oracle entry for entry, and its
     tracked inverse holds."""
-    h, dense = hermite_transform(columns_of(rows)), dense_hermite_transform(rows)
+    h, dense = hermite_transform(*table_of(rows)), dense_hermite_transform(rows)
     doc, n = h.transform.to_json(), len(rows[0])
     assert doc["dimension"] == n
     assert dense_rows(doc, "rows", n) == dense.rows
@@ -235,7 +235,7 @@ def assert_matches_dense_hermite(rows):
     assert h.image == sparse_image(dense.image)
     assert h.zero_rank == dense.zero_rank
     assert verify_inverse(h.transform)
-    assert integer_kernel(columns_of(rows)) == [IntVecFin.from_list(row) for row in dense.rows[: dense.zero_rank]]
+    assert integer_kernel(*table_of(rows)) == [IntVecFin.from_list(row) for row in dense.rows[: dense.zero_rank]]
 
 
 @st.composite
@@ -262,6 +262,23 @@ def sparse_rational_matrices(draw):
 @given(sparse_rational_matrices())
 def test_hermite_transform_matches_dense_oracle(rows):
     assert_matches_dense_hermite(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rational_matrices(), st.data())
+def test_hermite_transform_is_invariant_under_positive_row_scales(rows, data):
+    """Each row of the table and its scale multiplied by one positive factor
+    leave the transform, its inverse, the image and the kernel as they were,
+    row for row: a BO beta row over the sigmas' D, which need not be the
+    row's lcm, rests on this."""
+    table, n = table_of(rows)
+    factors = data.draw(st.lists(st.integers(1, 60), min_size=len(table), max_size=len(table)))
+    scaled = {i: (c * scale, {j: c * v for j, v in row.items()})
+              for (i, (scale, row)), c in zip(table.items(), factors)}
+    h, g = hermite_transform(table, n), hermite_transform(scaled, n)
+    assert g.transform.to_json() == h.transform.to_json()
+    assert g.image == h.image and g.zero_rank == h.zero_rank
+    assert integer_kernel(scaled, n) == integer_kernel(table, n)
 
 
 # -- matrices, built by in-place row operations on identity(n)
@@ -438,7 +455,7 @@ def test_vector_rejects_non_integer_entries():
 
 def test_kernel_more_rows_than_columns():
     rows = [[F(1), F(2)], [F(2), F(4)], [F(3), F(6)], [F(0), F(0)]]
-    basis = integer_kernel(columns_of(rows))
+    basis = integer_kernel(*table_of(rows))
     assert basis == [IntVecFin.from_list([2, -1])]
     assert spans_match(rows, basis, 10)
 
@@ -446,9 +463,9 @@ def test_kernel_more_rows_than_columns():
 def test_kernel_arbitrary_precision_entries():
     # entries far beyond any fixed machine width
     big = 10**40
-    basis = integer_kernel(columns_of([[F(big), F(3 * big)]]))
+    basis = integer_kernel(*table_of([[F(big), F(3 * big)]]))
     assert basis == [IntVecFin.from_list([3, -1])]
-    huge = integer_kernel(columns_of([[F(2**200 + 1), F(-(2**200))]]))
+    huge = integer_kernel(*table_of([[F(2**200 + 1), F(-(2**200))]]))
     (vec,) = huge
     assert dot_fractions(vec, [F(2**200 + 1), F(-(2**200))]) == 0
     assert gcd_of_vector(vec) == 1

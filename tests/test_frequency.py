@@ -11,6 +11,7 @@ from kronflow.errors import ValidationError
 from kronflow.frequency import (
     UNIT,
     BoRule,
+    Finite,
     Generator,
     RationalSequenceSpec,
     SigmaSequence,
@@ -20,6 +21,7 @@ from kronflow.frequency import (
     coordinates,
     evaluate_float,
     finite_vector,
+    integer_rows,
     parse_frequency_spec,
     rational_vector,
     sqrt_prime_generator,
@@ -146,6 +148,37 @@ def test_finite_table_matches_definition(values, data):
     _assert_table_matches_definition(fv, data.draw(st.integers(0, len(values))))
     with pytest.raises(ValidationError, match=f"index {len(values) + 1} beyond finite vector of length {len(values)}"):
         coordinates(fv, len(values) + 1)
+
+
+finite_vectors = st.lists(
+    st.dictionaries(st.sampled_from([UNIT, sqrt_prime_generator(2), sqrt_prime_generator(3)]),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=3),
+    min_size=1, max_size=8).map(finite_vector)  # empty terms included
+families = st.one_of(
+    st.builds(SolenoidRule, st.sampled_from([UNIT, sqrt_prime_generator(3)]), sigma_sequences()),
+    st.builds(BoRule, st.just(Generator("beta", "opaque")),
+              st.one_of(st.just(RationalSequenceSpec()), action_sequences())),  # s = 0 first
+    st.lists(subgroup_specs, min_size=1, max_size=4).map(build_product_vector),
+    finite_vectors,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(families, st.data())
+def test_integer_rows_over_their_scales_are_the_coordinates(fv, data):
+    """Each row of the integer table over its positive scale is its
+    generator's coordinate at every index, entry for entry, and an index the
+    row leaves out, or a generator the table leaves out, is a zero
+    coordinate."""
+    n = data.draw(st.integers(0, len(fv) if isinstance(fv, Finite) else 120))
+    table, columns = integer_rows(fv, n), coordinates(fv, n)
+    for scale, row in table.values():
+        assert type(scale) is int and scale > 0
+        assert all(type(v) is int and v and 1 <= j <= n for j, v in row.items())
+    for j, col in enumerate(columns, 1):
+        for g in set(col) | set(table):
+            scale, row = table.get(g, (1, {}))
+            assert F(row.get(j, 0), scale) == col.get(g, 0), (g, j)
 
 
 # -- evaluate_float examples

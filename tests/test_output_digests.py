@@ -15,7 +15,12 @@ BO spec against the product spec, as the closure classes printed them; and of ``
 vectors, ``kron bo``, ``kron solenoid coords`` and ``kron iso``, as the dense
 row-finite matrix and ``json.dumps(indent=2)`` printed them.  ``kron bo`` on
 the odd-denominator ``bo-odd`` spec is pinned as printed once its top-level
-closure became the module's (2R's) closure.  ``kron solenoid member``,
+closure became the module's (2R's) closure.  ``kron resonance`` and
+``kron reduce-flow`` on ``bo-odd`` at depths 16 and 64, where the common
+denominator D of the sigmas is not the lcm of the beta row, and those two
+plus ``kron classify`` on the BO spec with s = 0 (no beta part at all) and on
+a finite spec whose last term is empty, are pinned as the Hermite transform
+of the Fraction coordinate columns printed them.  ``kron solenoid member``,
 ``coords`` and ``times`` at depth 128 on the factorial, odd-indexed-prime
 and periodic sequences, and ``member`` on one non-member, are pinned as the
 Fraction relations printed them.  Any change that alters one byte
@@ -39,6 +44,7 @@ SPECS = {
         "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
     },
     "bo-odd": {"kind": "bo", "s": {"prefix": ["1/2"], "tail": {"c": "1/2", "r": "1/3"}}},
+    "bo-zero": {"kind": "bo", "s": {"prefix": [], "tail": {"c": "0", "r": "1/2"}}},
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
     "mixed-a": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}]},
     "mixed-b": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}, {"1": "2", "sqrt2": "2"}, {"sqrt3": "1/2"}]},
@@ -50,6 +56,7 @@ SPECS = {
     "odd-primes": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "odd_indexed_primes"}},
     "periodic": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": {"periodic": [2, 3]}}},
     "t3": {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]},
+    "finite-empty": {"kind": "finite", "terms": [{"1": "1"}, {}]},
     "factorial-sqrt2": {"kind": "solenoid", "generator": "sqrt2", "a": {"prefix": [1], "tail": "increment"}},
     "bo-float": {
         "kind": "bo",
@@ -88,6 +95,16 @@ DIGESTS = {
     ("classify", "factorial", 16): "5cbbd95222d9e11d1551764f2b5aff54f85a4da99f170781bcc866ca2304c629",  # 536 bytes
     ("classify", "odd-primes", 16): "8eb5d591568ab8a6b5e8bc938be776877baebe11cc576829494cff598cc0d4eb",  # 710 bytes
     ("classify", "periodic", 16): "ed40d937819e1cb4cb8b02cbb1c0f44211d1180c5b053ee7e047cf226f53ea20",  # 800 bytes
+    ("resonance", "bo-odd", 16): "59e55e0b6eb28f900b47306a8a59d90642634ef68af63a4583a51cfb551feb29",  # 1236 bytes
+    ("resonance", "bo-odd", 64): "cce785edf26098294f68456a7eb17c52cc73865de2c3a408b70b7bbc3d162b0d",  # 5604 bytes
+    ("reduce-flow", "bo-odd", 16): "9c6205ec7f864a2aa40a99d17fa8ee1b513de36dee4547ed8bb99daf730b72c3",  # 3823 bytes
+    ("reduce-flow", "bo-odd", 64): "59f9f4c2dd3ebb8083035606343bd1c5f55a616797372faa100b4016382335db",  # 22314 bytes
+    ("resonance", "bo-zero", 5): "c132393bc0b03d9a53bab1dee24c425955950a9c7099cdc977cdf635090c97f7",  # 258 bytes
+    ("reduce-flow", "bo-zero", 5): "6b26b382e9046bcb59875dc13dbd1823544cc0216f5a75b3915c0af4a7025a43",  # 973 bytes
+    ("classify", "bo-zero", 5): "3d30c0616aa30febae1008451531203824126e2eec0f4e1a4d9de0b807bbb1f9",  # 395 bytes
+    ("resonance", "finite-empty", None): "4b0154f6fa3ef0ce292834b349a80e7c171f1d4e17e65921d92a59f8e0fd12aa",  # 75 bytes
+    ("reduce-flow", "finite-empty", None): "2abf941381a9e9cc6cbbb8a98c2270d76fc8c803465ad30f0bdb7ad45f3f66cd",  # 449 bytes
+    ("classify", "finite-empty", None): "8fadd42b7126a68b4a471dbbbdbb124a39df1867b7b610cd9d048c04d0131c66",  # 395 bytes
 }
 
 

@@ -23,6 +23,7 @@ from kronflow.frequency import (
     SubgroupOfQSpec,
     build_product_vector,
     coordinates,
+    integer_rows,
     parse_frequency_spec,
     rational_vector,
 )
@@ -446,7 +447,7 @@ def test_halving_hermite_writes_linear_in_depth(monkeypatch):
         writes, nonzeros = [], []
         for depth in (128, 256, 512, 1024):
             written.clear()
-            kernel = exact_linalg.integer_kernel(coordinates(fv, depth))
+            kernel = exact_linalg.integer_kernel(integer_rows(fv, depth), depth)
             assert len(kernel) == zero_rank(depth)
             writes.append(sum(written))
             nonzeros.append(sum(len(v.support()) for v in kernel))
@@ -471,7 +472,7 @@ def test_resonance_basis_rejects_a_wrong_kernel_vector(monkeypatch):
 
     fv = rational_vector(["1", "1/2", "1/3"])
     # (1, -2, 0) is a relation; (1, -1, 0) is not: 1 - 1/2 != 0
-    monkeypatch.setattr(rr, "integer_kernel", lambda rows: [IntVecFin({1: 1, 2: -2}), IntVecFin({1: 1, 2: -1})])
+    monkeypatch.setattr(rr, "integer_kernel", lambda rows, n: [IntVecFin({1: 1, 2: -2}), IntVecFin({1: 1, 2: -1})])
     with pytest.raises(ValidationError, match="fails exact resonance check"):
         resonance_basis(fv, 3)
 
@@ -540,6 +541,29 @@ SEQUENCE_SPECS = {
 
 
 LINEAR_RESONANCE_SPECS = {**SEQUENCE_SPECS, "bo": DEEP_SPECS["bo"]}
+BO_ODD = '{"kind": "bo", "s": {"prefix": ["1/2"], "tail": {"c": "1/2", "r": "1/3"}}}'
+
+
+@pytest.mark.parametrize("text", [DEEP_SPECS["bo"], BO_ODD], ids=["readme", "odd"])
+def test_bo_resonance_makes_no_fraction_per_index(monkeypatch, text):
+    """``resonance_basis`` on a BO spec reads its integer table straight from
+    the integer sigmas, so the Fractions it makes do not grow with the depth;
+    building the table from the coordinates made 2N + 2."""
+    fv = parse_frequency_spec(text)
+    made = []
+    original = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    counts = []
+    for depth in (64, 512):
+        made.clear()
+        resonance_basis(fv, depth)
+        counts.append(len(made))
+    assert counts[0] == counts[1] <= 8, counts
 
 
 @pytest.mark.parametrize("family", sorted(LINEAR_RESONANCE_SPECS))
@@ -597,7 +621,7 @@ def test_bo_basis_is_a_short_head_then_the_shifts():
     columns, and every later vector is the shift of (E - 1)^3 (2E - 1)."""
     fv = parse_frequency_spec(DEEP_SPECS["bo"])
     basis = resonance_basis(fv, 64).vectors
-    assert list(basis[:3]) == exact_linalg.integer_kernel(coordinates(fv, 5))
+    assert list(basis[:3]) == exact_linalg.integer_kernel(integer_rows(fv, 5), 5)
     assert list(basis[3:]) == [IntVecFin({j - 4: 1, j - 3: -5, j - 2: 9, j - 1: -7, j: 2}) for j in range(6, 65)]
 
 
@@ -616,7 +640,7 @@ def test_bo_below_the_head_or_at_rank_one_takes_the_hermite_path(fv, depths):
     bytes as the kernel's JSON."""
     for depth in depths:
         want = {"depth": depth, "rank": depth - len(dense_hermite_transform(_coordinate_rows(fv, depth)).image),
-                "vectors": [v.to_json() for v in exact_linalg.integer_kernel(coordinates(fv, depth))]}
+                "vectors": [v.to_json() for v in exact_linalg.integer_kernel(integer_rows(fv, depth), depth)]}
         assert resonance_basis(fv, depth).to_json() == want
 
 
@@ -648,7 +672,7 @@ def test_bo_basis_rejects_a_head_that_misses_relations(monkeypatch):
 
     fv = parse_frequency_spec(DEEP_SPECS["bo"])
     real = rr.integer_kernel
-    monkeypatch.setattr(rr, "integer_kernel", lambda columns: [real(columns)[0].scale(2), *real(columns)[1:]])
+    monkeypatch.setattr(rr, "integer_kernel", lambda rows, n: [real(rows, n)[0].scale(2), *real(rows, n)[1:]])
     with pytest.raises(ValidationError, match="^internal error: relation basis fails the module index check$"):
         resonance_basis(fv, 32)
 
@@ -719,7 +743,7 @@ def _patched_hermite(monkeypatch, change):
     import kronflow.resonance_reduction as rr
 
     real = rr.hermite_transform
-    monkeypatch.setattr(rr, "hermite_transform", lambda columns: change(real(columns)))
+    monkeypatch.setattr(rr, "hermite_transform", lambda rows, n: change(real(rows, n)))
 
 
 def test_reduce_flow_flags_a_repeated_image_pivot(monkeypatch):
