@@ -22,10 +22,13 @@ angles have denominators up to 7 a_1 ... a_j.  One more ``member`` row, family
 odd j and 2p/2q for even j, so q_{j-1} divides q_j only where 6 divides j:
 five relations in six take the check's cross-multiplication, whose cost
 this row records.  ``kron simulate`` runs on the
-halving, product and mixed specs with ``--steps 200 --t1 1e6`` from the
+halving, product and mixed specs, and on two specs whose every omega_j
+evaluates a generator other than 1: ``bo-valued``, the README's BO spec with
+beta declared as a 48-digit numeral (the README's own beta has no numeric
+value, so ``bo`` itself cannot be simulated), and ``factorial-sqrt2``, the
+factorial rule on sqrt2.  Each runs with ``--steps 200 --t1 1e6`` from the
 origin; its stdout echoes the ``--out`` path, a temporary file, so its rows
-record the bytes and sha256 of the CSV instead.  BO is left out, since the
-README's beta has no numeric value.
+record the bytes and sha256 of the CSV instead.
 
 The ``cold_start`` block times what a single ``kron`` call pays before it
 works: the median wall time, over 11 fresh interpreters, of ``import
@@ -95,7 +98,17 @@ SPECS = {
     "mixed": _mixed_finite(DEPTHS[-1]),
 }
 T3 = {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}
-SIMULATE_FAMILIES = ("halving", "product", "mixed")
+SIMULATE_SPECS = {
+    "bo-valued": {
+        "kind": "bo",
+        "generators": [{"name": "beta", "kind": "opaque",
+                        "value": "0.318309886183790671537767526745028724068919291480"}],
+        "beta": "beta",
+        "s": SPECS["bo"]["s"],
+    },
+    "factorial-sqrt2": {"kind": "solenoid", "generator": "sqrt2", "a": SPECS["factorial"]["a"]},
+}
+SIMULATE_FAMILIES = ("halving", "product", "mixed", *SIMULATE_SPECS)
 SOLENOID_OPS = ("member", "coords", "times")
 SOLENOID_SEQUENCES = {
     "factorial": {"prefix": [1], "tail": "increment"},
@@ -149,11 +162,10 @@ def sweep(workdir: Path) -> list[dict]:
     every row once, so a slow spell of the host spoils at most one run of a
     row, and the best of the three is kept."""
     cases = []
-    for family, spec in SPECS.items():
-        path = workdir / f"{family}.json"
-        path.write_text(json.dumps(spec))
-        cases += [(command, family, depth, [command, str(path), "--depth", str(depth)])
-                  for command in COMMANDS for depth in DEPTHS]
+    for family, spec in {**SPECS, **SIMULATE_SPECS}.items():
+        (workdir / f"{family}.json").write_text(json.dumps(spec))
+    cases += [(command, family, depth, [command, str(workdir / f"{family}.json"), "--depth", str(depth)])
+              for family in SPECS for command in COMMANDS for depth in DEPTHS]
     cases += [(f"solenoid {op}", family, depth, _solenoid_argv(op, seq, depth))
               for family, seq in SOLENOID_SEQUENCES.items() for op in SOLENOID_OPS for depth in DEPTHS]
     cases += [("solenoid member", "factorial-scaled", depth,

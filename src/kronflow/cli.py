@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from json.encoder import INFINITY as _INF, encode_basestring_ascii
 
 from . import __version__
@@ -366,22 +367,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact integers of any size, read and written, for this call only
-    try:
-        args = _parser().parse_args(argv)
-        print(f"kronflow {__version__}", file=sys.stderr)
-        args.precision = _precision(args)  # checked for every subcommand, used by the float ones
-        args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnsupportedStructureError as exc:
-        print(f"unsupported structure: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        sys.set_int_max_str_digits(digits)
+    with warnings.catch_warnings():  # restores the caller's filters and display on return
+        warnings.simplefilter("always", UserWarning)  # the library's warnings: each one, on every call
+        warnings.showwarning = _show_warning
+        try:
+            args = _parser().parse_args(argv)
+            print(f"kronflow {__version__}", file=sys.stderr)
+            args.precision = _precision(args)  # checked for every subcommand, used by the float ones
+            args.fn(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except UnsupportedStructureError as exc:
+            print(f"unsupported structure: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            sys.set_int_max_str_digits(digits)
     return 0
 
 

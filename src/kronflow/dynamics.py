@@ -260,7 +260,7 @@ def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin) -> tuple[bool, float]:
     _require_finite(value, "omega . nu")
     if abs(value) < NEAR_RESONANCE_FLOOR:
         warnings.warn(
-            f"|omega . nu| = {value:.3e} is below {NEAR_RESONANCE_FLOOR}; "
+            f"|omega . nu| = {abs(value):.3e} is below {NEAR_RESONANCE_FLOOR}; "
             "the decay bound is uninformative",
             stacklevel=2,
         )

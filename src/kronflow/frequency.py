@@ -17,6 +17,7 @@ generators are trusted as declared.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -87,22 +88,40 @@ class Generator:
                     )
         else:
             raise ValidationError(f"generator {self.name!r}: unknown kind {self.kind!r}")
+        # outside the fields, so eq, repr and ordering ignore them: the hash
+        # the dataclass would compute, and the number at each mantissa width
+        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.param, self.value_digits)))
+        object.__setattr__(self, "_floats", {})
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the fields: a string's hash
+        differs between processes, so the cached one must not travel."""
+        return Generator, (self.name, self.kind, self.param, self.value_digits)
 
     def float_value(self) -> mpmath.mpf:
-        import mpmath
+        """The number at ``working_bits()`` of mantissa, computed on the first
+        call at that width and kept on the instance."""
+        bits = working_bits()
+        value = self._floats.get(bits)
+        if value is None:
+            if self.kind == "opaque" and self.value_digits is None:
+                raise ValidationError(f"generator {self.name!r} is opaque with no declared numeric value")
+            import mpmath
 
-        with mpmath.workprec(working_bits()):
-            if self.kind == "rational_unit":
-                return mpmath.mpf(1)
-            if self.kind == "sqrt_prime":
-                return mpmath.sqrt(self.param)
-            if self.kind == "pi_power":
-                return mpmath.pi ** self.param
-            if self.value_digits is None:
-                raise ValidationError(
-                    f"generator {self.name!r} is opaque with no declared numeric value"
-                )
-            return mpmath.mpf(self.value_digits)
+            with mpmath.workprec(bits):
+                if self.kind == "rational_unit":
+                    value = mpmath.mpf(1)
+                elif self.kind == "sqrt_prime":
+                    value = mpmath.sqrt(self.param)
+                elif self.kind == "pi_power":
+                    value = mpmath.pi ** self.param
+                else:
+                    value = mpmath.mpf(self.value_digits)
+            self._floats[bits] = value
+        return value
 
     def __lt__(self, other: "Generator") -> bool:
         """By kind, then param, then name: the order of the rows of a
@@ -558,10 +577,12 @@ def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, 
 
 def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
     """The real number sum_g c_g * g of one exact coordinate map, at
-    ``working_bits()`` of mantissa."""
+    ``working_bits()`` of mantissa.  A precision context is entered only when
+    the caller's precision is below that floor."""
     import mpmath
 
-    with mpmath.workprec(working_bits()):
+    bits = working_bits()
+    with mpmath.workprec(bits) if mpmath.mp.prec != bits else contextlib.nullcontext():
         total = mpmath.mpf(0)
         for gen, c in coords.items():
             total += mpmath.mpf(c.numerator) / c.denominator * gen.float_value()

@@ -775,3 +775,72 @@ def test_integer_fields_accept_ints_and_decimal_strings(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[2] and outs[1] == outs[3]
+
+
+BETA_DIGITS = "0.318309886183790671537767526745028724068919"
+BO_VALUED_SPEC = json.dumps({
+    "kind": "bo",
+    "generators": [{"name": "beta", "kind": "opaque", "value": BETA_DIGITS}],
+    "beta": "beta",
+    "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
+})
+
+
+def test_bo_simulate_reads_beta_once_per_width(tmp_path, capsys, monkeypatch):
+    """A d16 BO `simulate` reads beta's numeral once per mantissa width, not
+    once per omega_j, and the CSV is the same whether beta was read afresh."""
+    import mpmath
+
+    widths = []
+
+    def counting(x=0, *args, **kwargs):
+        if isinstance(x, str) and x == BETA_DIGITS:
+            widths.append(mpmath.mp.prec)
+        return mpf(x, *args, **kwargs)
+
+    mpf = mpmath.mpf
+    monkeypatch.setattr(mpmath, "mpf", counting)
+    spec = tmp_path / "bo.json"
+    spec.write_text(BO_VALUED_SPEC)
+    csvs = []
+    for precision in ("64", "200", "64"):
+        out = tmp_path / f"traj{len(csvs)}.csv"
+        code, _ = run(capsys, "--precision", precision, "simulate", str(spec), "--t1", "1e6", "--steps", "20",
+                      "--depth", "16", "--out", str(out))
+        assert code == 0
+        csvs.append(out.read_bytes())
+    assert widths == [64, 200, 64]  # one parse of the spec per call, one evaluation of beta per parse
+    assert csvs[0] == csvs[2]
+    fv = parse_frequency_spec(BO_VALUED_SPEC)
+    first = dynamics.sample_trajectory(fv, TorusPoint.origin(16), 0.0, 1e6, 20)
+    assert dynamics.sample_trajectory(fv, TorusPoint.origin(16), 0.0, 1e6, 20) == first
+    assert widths == [64, 200, 64, 64]  # the library's spec object keeps beta between calls
+
+
+# omega_2 - omega_1 = 10^-31 exactly: below the near-resonance floor
+NEAR_RESONANT_SPEC = json.dumps({"kind": "finite", "terms": [{"1": "1"}, {"1": "1" + "0" * 30 + "1/1" + "0" * 31}]})
+NEAR_RESONANCE_LINE = "warning: |omega . nu| = 1.000e-31 is below 1e-09; the decay bound is uninformative"
+
+
+def test_library_warning_is_one_line_on_every_call(tmp_path, capsys):
+    spec = tmp_path / "near.json"
+    spec.write_text(NEAR_RESONANT_SPEC)
+    showwarning = warnings.showwarning
+    results = []
+    for _ in range(2):
+        code = main(["--precision", "200", "equidistribution", str(spec), "--nu=1,-1", "--T", "100", "--depth", "2"])
+        captured = capsys.readouterr()
+        results.append((code, captured.out))
+        assert captured.err.splitlines()[1:] == [NEAR_RESONANCE_LINE]
+    assert results[0] == results[1] and results[0][0] == 0
+    assert json.loads(results[0][1])["rows"][0]["pass"] is True
+    assert warnings.showwarning is showwarning  # the caller's display is restored
+
+
+def test_each_warning_of_a_call_gets_its_line(tmp_path, capsys):
+    spec = tmp_path / "near.json"
+    spec.write_text(NEAR_RESONANT_SPEC)
+    code = main(["equidistribution", str(spec), "--nu=1,-1", "--nu=-1,1", "--T", "100", "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.splitlines()[1:] == [NEAR_RESONANCE_LINE] * 2

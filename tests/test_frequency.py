@@ -1,6 +1,13 @@
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -313,6 +320,78 @@ def test_generator_validation():
     with mpmath.workprec(120):
         ref = mpmath.mpf("1.2345678901234567890123456789012345")
         assert abs(ok.float_value() - ref) < 1e-30
+
+
+# -- generator values, kept per instance and per mantissa width
+
+OPAQUE_DIGITS = "0.318309886183790671537767526745028724068919"
+
+
+def _generators_and_fresh_values():
+    """One generator of each kind, and its number computed afresh by mpmath
+    at the current precision."""
+    return [
+        (Generator("1", "rational_unit"), lambda: mpmath.mpf(1)),
+        (Generator("r3", "sqrt_prime", 3), lambda: mpmath.sqrt(3)),
+        (Generator("p2", "pi_power", 2), lambda: mpmath.pi ** 2),
+        (Generator("x", "opaque", None, OPAQUE_DIGITS), lambda: mpmath.mpf(OPAQUE_DIGITS)),
+    ]
+
+
+def test_generator_value_is_the_fresh_one_at_each_width():
+    gens = _generators_and_fresh_values()
+    coords = {gen: F(-5, 7 + k) for k, (gen, _) in enumerate(gens)}
+    sums = {}
+    for bits in (64, 200, 64, 30, 200):  # 30 is below the floor, so it reads 64
+        with mpmath.workprec(bits):
+            for gen, fresh in gens:
+                with mpmath.workprec(max(bits, 64)):
+                    want = fresh()
+                assert gen.float_value()._mpf_ == want._mpf_, (gen, bits)
+            total = evaluate_float(coords)
+            assert mpmath.mp.prec == bits
+        assert sums.setdefault(max(bits, 64), total._mpf_) == total._mpf_
+    assert sums[64] != sums[200]
+
+
+def test_opaque_generator_without_a_value_raises_on_every_call():
+    gen = Generator("b", "opaque")
+    for bits in (64, 64, 200):
+        with mpmath.workprec(bits):
+            with pytest.raises(ValidationError, match="^generator 'b' is opaque with no declared numeric value$"):
+                gen.float_value()
+
+
+def test_kept_values_leave_eq_hash_repr_and_order_alone():
+    gens = [gen for gen, _ in _generators_and_fresh_values()]
+    gens.append(Generator("b", "opaque"))
+    before = [(hash(g), repr(g)) for g in gens], sorted(reversed(gens))
+    for bits in (64, 200):
+        with mpmath.workprec(bits):
+            for g in gens[:-1]:
+                g.float_value()
+    assert ([(hash(g), repr(g)) for g in gens], sorted(reversed(gens))) == before
+    assert [f.name for f in dataclasses.fields(Generator)] == ["name", "kind", "param", "value_digits"]
+    for g in gens:
+        fresh = Generator(g.name, g.kind, g.param, g.value_digits)
+        assert g == fresh and hash(g) == hash(fresh) == hash((g.name, g.kind, g.param, g.value_digits))
+        assert {fresh: 1}[g] == 1
+        for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+
+
+def test_generator_pickled_under_another_hash_seed_hashes_as_here():
+    """A string's hash depends on the process's hash seed, so a generator
+    pickled elsewhere must not bring its cached hash along."""
+    code = ("import pickle, sys; from kronflow.frequency import Generator; "
+            "sys.stdout.write(pickle.dumps(Generator('x', 'opaque', None, %r)).hex())" % OPAQUE_DIGITS)
+    env = dict(os.environ, PYTHONHASHSEED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                                       env.get("PYTHONPATH")]))
+    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60).stdout
+    g = pickle.loads(bytes.fromhex(data.decode()))
+    assert hash(g) == hash(Generator("x", "opaque", None, OPAQUE_DIGITS))
+    assert {g: 1}[Generator("x", "opaque", None, OPAQUE_DIGITS)] == 1
 
 
 # -- primes past the cached table

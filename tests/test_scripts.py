@@ -66,7 +66,8 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
             fields |= {"time_growth", "peak_growth"}
         assert set(row) == fields, row
     simulated = [(row["family"], row["depth"]) for row in first if row["command"] == "simulate"]
-    assert simulated == [(family, depth) for family in ("halving", "product", "mixed") for depth in (16, 32)]
+    assert simulated == [(family, depth) for family in ("halving", "product", "mixed", "bo-valued", "factorial-sqrt2")
+                         for depth in (16, 32)]
     for key in ("csv_sha256", "stdout_sha256"):
         assert [row.get(key) for row in first] == [row.get(key) for row in second]
 
