@@ -2,16 +2,18 @@
 """Depth sweep of the exact subcommands on the README specs.
 
 For ``kron resonance`` and ``kron reduce-flow`` on the README's halving, BO
-and product specs, on the factorial solenoid rule (a_j = j, so its terms
-grow), on the odd-denominator BO spec ``bo-odd`` (r = 1/3, whose sigmas'
-common denominator D is not the lcm of the beta row, so its sha256 columns
-guard the scale of the integer table), and on a mixed finite spec of 1024
-terms, and for ``kron
-solenoid member``, ``coords`` and ``times`` on the factorial and halving
-sequences, at depths 16, 32, ..., 1024, runs ``cli.main`` in-process and
-records the best-of-3 wall time in ms (``best_ms``), the stdout bytes and
-their sha256, the tracemalloc peak of one more run (timed runs go untraced),
-and the growth of ``best_ms`` and of the peak per doubling of the depth.
+and product specs, on ``product-chains`` (two ``qa`` chains, on the powers
+of 2 and of 3, and two free components: the README product has one chain),
+on the factorial solenoid rule (a_j = j, so its terms grow), on the
+odd-denominator BO spec ``bo-odd`` (r = 1/3, whose sigmas' common
+denominator D is not the lcm of the beta row, so its sha256 columns guard
+the scale of the integer table), and on a mixed finite spec of 1024 terms,
+and for ``kron solenoid member``, ``coords`` and ``times`` on the factorial
+and halving sequences, at depths 16, 32, ..., 1024, runs ``cli.main``
+in-process and records the best-of-3 wall time in ms (``best_ms``), the
+stdout bytes and their sha256, the tracemalloc peak of one more run (timed
+runs go untraced), and the growth of ``best_ms`` and of the peak per
+doubling of the depth.
 
 The mixed spec is drawn from a fixed seed: each term is one or two of 1,
 sqrt2 and sqrt3 with coefficients +-1 or +-2 over 1, 2 or 3, so its
@@ -93,6 +95,9 @@ SPECS = {
         "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
     },
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
+    "product-chains": {"kind": "product", "components": [
+        {"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}},
+        {"free": "1/2"}, {"qa": {"prefix": [1, 3], "tail": "increment"}}]},
     "factorial": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": "increment"}},
     "bo-odd": {"kind": "bo", "s": {"prefix": ["1/2"], "tail": {"c": "1/2", "r": "1/3"}}},
     "mixed": _mixed_finite(DEPTHS[-1]),

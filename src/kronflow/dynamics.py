@@ -304,8 +304,8 @@ def _phases_and_frequencies(
     """(exp(i nu . Theta0), w = nu . omega) for each nu of ``nus``, where w is
     0.0 exactly when nu = 0 or nu is resonant.  Every window is checked
     first, then every monomial against the depth of theta0, and only then is
-    any frequency evaluated, once per nonzero monomial; |w| T must not
-    overflow a double for any pair."""
+    any frequency evaluated, once per nonzero monomial; |w| T must neither
+    overflow a double nor, for w != 0, underflow to 0 for any pair."""
     for t_final in t_finals:
         _check_window(t_final)
     for nu in nus:
@@ -316,6 +316,8 @@ def _phases_and_frequencies(
     ]
     w_max = max((abs(w) for _, w in pairs), default=0.0)
     _require_finite(w_max * max(t_finals, default=0.0), "largest |omega . nu| T")
+    if min((abs(w) for _, w in pairs if w), default=math.inf) * min(t_finals, default=math.inf) == 0.0:
+        raise ValidationError("smallest nonzero |omega . nu| T underflows to 0; widen the window T")
     return pairs
 
 
@@ -331,8 +333,20 @@ def _averaged_phase(phase0: complex, w: float, t_final: float) -> complex:
 
 def _decay_bound(scale: float, w: float, t_final: float) -> float:
     """2 |a| / (T |w|) for |a| = ``scale``: the bound on |a| times the window
-    average of a monomial with w = nu . omega != 0."""
-    return 2.0 * scale / (t_final * abs(w))
+    average of a monomial with w = nu . omega != 0; one past a double's
+    range is an error."""
+    bound = 2.0 * scale / (t_final * abs(w))
+    _require_finite(bound, "decay bound 2 |a| / (T |omega . nu|)")
+    return bound
+
+
+def _coefficient(re: Fraction, im: Fraction) -> complex:
+    """The float coefficient re + i im of a monomial; one past a double's
+    range is an error."""
+    try:
+        return complex(float(re), float(im))
+    except OverflowError:
+        raise ValidationError("a polynomial coefficient is beyond a double's range") from None
 
 
 def time_average(
@@ -354,7 +368,7 @@ def time_average(
     t_finals = [float(t_final) for t_final in t_finals]
     nus = [nu for nu, _ in p.items()]
     pairs = _phases_and_frequencies(fv, nus, theta0, t_finals)
-    coeffs = [complex(re) + 1j * complex(im) for _, (re, im) in p.items()]
+    coeffs = [_coefficient(re, im) for _, (re, im) in p.items()]
     bounded = all(w != 0.0 or nu.is_zero() for nu, (_, w) in zip(nus, pairs))
     rows = []
     for t_final in t_finals:
@@ -363,6 +377,8 @@ def time_average(
             value += (a * _averaged_phase(phase0, w, t_final)).real
             if w != 0.0:
                 envelope += _decay_bound(abs(a), w, t_final)
+        _require_finite(value, "time average")
+        _require_finite(envelope, "envelope")
         rows.append((value, envelope if bounded else None))
     return rows
 
@@ -378,15 +394,14 @@ def _polynomial_values(p: TrigPolynomial, angles: np.ndarray) -> np.ndarray:
         _check_within(nu, depth)
         for j, v in nu.items():
             phase += v * angles[:, j - 1]
-        total += (complex(re) + 1j * complex(im)) * np.exp(1j * phase)
+        total += _coefficient(re, im) * np.exp(1j * phase)
     return total.real
 
 
 def evaluate_polynomial(p: TrigPolynomial, theta: TorusPoint) -> float:
     total = 0.0 + 0.0j
     for nu, (re, im) in p.items():
-        a = complex(re) + 1j * complex(im)
-        total += a * cmath.exp(1j * _phase_at(nu, theta))
+        total += _coefficient(re, im) * cmath.exp(1j * _phase_at(nu, theta))
     return total.real
 
 

@@ -225,10 +225,6 @@ class SigmaSequence:
             return head + list(range(len(self.prefix) + 1, n + 1))
         return head + odd_indexed_primes(m)
 
-    def partial_products(self, n: int) -> list[int]:
-        """[a_1, a_1 a_2, ..., a_1 ... a_n], as one running product."""
-        return list(itertools.accumulate(self.terms(n), operator.mul))
-
     def partial_product(self, j: int) -> int:
         """a_1 ... a_j (1 for j = 0)."""
         return math.prod(self.terms(j))
@@ -535,31 +531,49 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
         scale, sigmas = fv.s.scaled_sigmas(depth)
         return ({UNIT: Fraction(j * j), fv.beta: Fraction(-2 * sigma, scale)} for j, sigma in enumerate(sigmas, 1))
     if isinstance(fv, ProductConstruction):
-        # non-free component k lives on the powers q^e <= depth of q = p_k, at
-        # 1 / (a_1 ... a_e); the free components, then {}, fill the other indices
-        table: list[CoordMap | None] = [None] * depth
-        k = 0
-        for gen, spec in fv.components:
-            if spec.is_free:
-                continue
+        table: list[CoordMap] = [{} for _ in range(depth)]
+        for gen, (indices, terms) in _chains(fv, depth).items():
+            for j, p in zip(indices, itertools.accumulate(terms, operator.mul)):
+                table[j - 1] = {gen: Fraction(1, p)}
+        return iter(table)
+    raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
+
+
+def _chains(fv: SolenoidRule | ProductConstruction, depth: int) -> dict[Generator, tuple[Sequence[int], list[int]]]:
+    """Per generator of a sequence rule, the indices j_1 < ... < j_m <= depth
+    it sits on, omega at j_t being 1 / (a_1 ... a_t) times it, and a_1..a_m.
+    A product's non-free component k sits on the powers of p_k, and each free
+    component, a = (1), on the next index left, while one is left."""
+    if isinstance(fv, SolenoidRule):
+        return {fv.generator: (range(1, depth + 1), fv.a.terms(depth))} if depth > 0 else {}
+    chains, k = {}, 0
+    for gen, spec in fv.components:
+        if not spec.is_free:
             k += 1
             q = nth_prime(k)
-            powers, power = [], q
-            while power <= depth:
-                powers.append(power)
-                power *= q
-            for power, prod in zip(powers, spec.qa.partial_products(len(powers))):
-                table[power - 1] = {gen: Fraction(1, prod)}
-        free = iter([{gen: Fraction(1)} for gen, spec in fv.components if spec.is_free])
-        return (coords if coords is not None else next(free, {}) for coords in table)
-    raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
+            if powers := list(itertools.takewhile(depth.__ge__, (q**e for e in itertools.count(1)))):
+                chains[gen] = (powers, spec.qa.terms(len(powers)))
+    taken = {j for indices, _ in chains.values() for j in indices}
+    free = (j for j in range(1, depth + 1) if j not in taken)
+    for gen, spec in fv.components:
+        if spec.is_free and (j := next(free, None)) is not None:
+            chains[gen] = ([j], [1])
+    return chains
 
 
 def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, dict[int, int]]]:
     """The exact table of omega_1..omega_depth: per generator (scale, {j:
-    nonzero int}), its coordinate in omega_j the int over the scale > 0, an
-    absent j a zero.  A BO rule's rows are (1, j^2) and (D, -2 D sigma_j) from
-    ``scaled_sigmas``; any other row is scaled by the lcm of its denominators."""
+    nonzero int}, j increasing), its coordinate in omega_j the int over the
+    scale > 0, an absent j a zero.  A sequence rule's row on a chain is (a_1
+    ... a_m, {j_t: a_(t+1) ... a_m}), one reversed running product; a BO
+    rule's are (1, j^2) and (D, -2 D sigma_j) from ``scaled_sigmas``; a finite
+    vector's row is scaled by the lcm of its denominators."""
+    if isinstance(fv, (SolenoidRule, ProductConstruction)):
+        rows = {}
+        for gen, (indices, terms) in _chains(fv, depth).items():
+            scale, *entries = reversed(list(itertools.accumulate(reversed(terms), operator.mul, initial=1)))
+            rows[gen] = (scale, dict(zip(indices, entries)))
+        return rows
     if isinstance(fv, BoRule):
         scale, sigmas = fv.s.scaled_sigmas(depth)
         return {UNIT: (1, {j: j * j for j in range(1, depth + 1)}),

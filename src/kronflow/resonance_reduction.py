@@ -1,17 +1,16 @@
 """Resonance modules and the reduction of resonant flows.
 
 ``resonance_basis`` realizes the set of integer relations among the first N
-frequencies.  On a solenoid rule, and on a product's ``qa`` chains at their
-prime powers, omega_j is a_(j+1) times the next omega of its generator, so
-the basis is these adjacent relations, each re-checked by one
-cross-multiplication of the ``coordinates``, and e_j at each empty column.
-Any other family is read as the integer table of ``integer_rows``.  On a BO
-rule, past the prefix both rows obey one recurrence with constant integer
+frequencies, read from the integer table of ``integer_rows``.  On a solenoid
+rule, and on a product's chains, omega_i is a_(t+1) times the next omega of
+its generator, so the basis is these adjacent relations, read off the
+closed-form rows, and e_j at each index no row touches.  On a BO rule, past
+the prefix both rows obey one recurrence with constant integer
 coefficients, so the basis is the Hermite primitive's integer kernel of a
 short head of columns followed by the recurrence's shifts, the head's length
 and its completeness certified by the module indices [M_j : M_(j-1)].
-Otherwise it is the integer kernel of all the columns.  Every relation but
-the adjacent ones is re-checked against the rows of that table.
+Otherwise it is the integer kernel of all the columns.  Every relation is
+re-checked against the rows of that table.
 ``reduce_vector`` collapses one integer vector to (g, 0, 0, ...) by a tracked
 composition of elementary automorphisms; it is the certificate behind
 ``kron reduce``.  Its trail records each swap and negate, and each run of
@@ -19,10 +18,10 @@ identical subtraction passes as one record with a repeat count, so its length
 is bounded by the Euclidean steps; the entry sum of every pass is listed, and
 the sums are strictly decreasing positive integers (that is the termination
 argument, asserted literally).  ``reduce_flow`` conjugates the flow, by the
-Hermite transform of the coordinate matrix (closed-form on sequence rules),
-to one whose frequency vector starts with a zero block followed by a block
-with trivial integer kernel: the automorphism stacks the re-checked kernel
-basis over integer preimages of an echelon image basis, the nonzero block.
+Hermite transform of the integer table on every family, to one whose
+frequency vector starts with a zero block followed by a block with trivial
+integer kernel: the automorphism stacks the re-checked kernel basis over
+integer preimages of an echelon image basis, the nonzero block.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform, integer_kernel
-from .frequency import (UNIT, BoRule, Finite, FrequencyVector, Generator, ProductConstruction,
+from .frequency import (UNIT, BoRule, Finite, FrequencyVector, ProductConstruction,
                         RationalSequenceSpec, SolenoidRule, clamp_depth, coordinates, finite_vector, integer_rows)
 from .solenoid_geometry import TorusPoint
 
@@ -61,33 +60,25 @@ class ResonanceBasis:
         }
 
 
-def _relations(fv: SolenoidRule | ProductConstruction, depth: int) -> tuple[list[dict], dict, list]:
-    """On a solenoid rule or a product (one generator per column): the
-    coordinates of omega_1..omega_depth, {i: (k, a, end, q)} for each index i
-    whose generator next appears at k and last at end, omega_i = a omega_k =
-    q omega_end (a the sequence's, checked), and the ends."""
-    seqs = {fv.generator: fv.a} if isinstance(fv, SolenoidRule) else {gen: spec.qa for gen, spec in fv.components}
-    columns = coordinates(fv, depth)
-    rows: dict[Generator, list] = {}
-    for j, col in enumerate(columns, 1):
-        for g, x in col.items():
-            rows.setdefault(g, []).append((j, x))
-    steps = {}
-    for g, row in rows.items():
-        q, terms = 1, seqs[g].terms(len(row)) if len(row) > 1 else ()
-        for (i, x), (k, y), a in reversed(list(zip(row, row[1:], terms[1:]))):
-            if x.numerator * y.denominator != a * y.numerator * x.denominator:  # n_i d_k = a n_k d_i
-                raise ValidationError("internal error: kernel vector fails exact resonance check")
-            q *= a
-            steps[i] = (k, a, row[-1][0], q)
-    return columns, steps, [rows[g][-1][0] for g in sorted(rows)]
+def _adjacent_relations(rows: dict, depth: int) -> list[dict]:
+    """On a sequence rule's table, in order of first index: e_i - (x_i / x_k)
+    e_k for each pair of consecutive indices i < k of one row (x_i / x_k is
+    the term a_(t+1), exact), and e_i at each index that no row touches."""
+    steps, ends = {}, set()
+    for _, row in rows.values():
+        indices = list(row)
+        steps.update((i, {i: 1, k: -(row[i] // row[k])}) for i, k in zip(indices, indices[1:]))
+        ends.add(indices[-1])
+    return [steps.get(i) or {i: 1} for i in range(1, depth + 1) if i not in ends]
 
 
 def _check_relations(rows: dict, vectors: list[dict]) -> None:
-    """Re-check relations {j: entry} exactly on each row of an integer table."""
+    """Re-check relations {j: entry} exactly on each row of an integer table;
+    a relation with no index in a row's support is 0 on it as it stands."""
     for _, row in rows.values():
-        get = row.get
-        if any(sum(map(operator.mul, nu.values(), map(get, nu, itertools.repeat(0)))) for nu in vectors):
+        get, support = row.get, row.keys()
+        if any(sum(map(operator.mul, nu.values(), map(get, nu, itertools.repeat(0))))
+               for nu in vectors if not support.isdisjoint(nu)):
             raise ValidationError("internal error: kernel vector fails exact resonance check")
 
 
@@ -156,14 +147,13 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
     """Basis of {nu in Z^N : nu . (omega_1..omega_N) = 0}, N the depth
     clamped to the length of a finite vector."""
     depth = clamp_depth(fv, depth)
-    if isinstance(fv, (SolenoidRule, ProductConstruction)):  # e_i - a e_k at each step, e_i at each empty column
-        columns, steps, _ = _relations(fv, depth)
-        return ResonanceBasis(tuple(IntVecFin.wrap({i: 1, steps[i][0]: -steps[i][1]} if i in steps else {i: 1})
-                                    for i, col in enumerate(columns, 1) if i in steps or not col), depth)
     rows = integer_rows(fv, depth)
-    basis = _recurrence_basis(fv, rows, depth) if isinstance(fv, BoRule) else None
-    if basis is None:
-        basis = integer_kernel(rows, depth)
+    if isinstance(fv, (SolenoidRule, ProductConstruction)):
+        basis = [IntVecFin.wrap(nu) for nu in _adjacent_relations(rows, depth)]
+    else:
+        basis = _recurrence_basis(fv, rows, depth) if isinstance(fv, BoRule) else None
+        if basis is None:
+            basis = integer_kernel(rows, depth)
     _check_relations(rows, [nu._entries for nu in basis])
     return ResonanceBasis(tuple(basis), depth)
 
@@ -296,29 +286,20 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     having trivial integer kernel at depth N, N the depth clamped to the
     length of a finite vector.
 
-    One Hermite transform of the integer table gives A = [kernel basis;
-    image preimages]: its first d rows are the canonical column Hermite
-    basis of the resonances, re-checked in integers, so (A omega)_i = 0 for
-    i <= d, and the remaining rows map omega to an echelon basis of the
-    coordinate lattice.  Its N - d entries are independent because their
-    pivots (least labels with a nonzero entry) strictly increase, which sets
-    ``nonzero_block_independent``.  A is unimodular because Z^N is the kernel
+    One Hermite transform of the integer table, on every family, gives A =
+    [kernel basis; image preimages]: its first d rows are the canonical
+    column Hermite basis of the resonances, re-checked in integers, so (A
+    omega)_i = 0 for i <= d, and the remaining rows map omega to an echelon
+    basis of the coordinate lattice.  Its N - d entries are independent
+    because their pivots (least labels with a nonzero entry) strictly
+    increase, which sets ``nonzero_block_independent``.  A is unimodular because Z^N is the kernel
     plus the span of the preimages; it stays the identity when the kernel is
-    trivial.  On a solenoid rule or a product A is built in closed form, its
-    rows e_i - q e_end, e_i at each empty column, then each e_end: unlike
-    the adjacent relations, they keep A^-1 sparse.
+    trivial.
     """
     depth = clamp_depth(fv, depth)
-    if not isinstance(fv, (SolenoidRule, ProductConstruction)):
-        rows = integer_rows(fv, depth)
-        transform, zeros, image = hermite_transform(rows, depth)
-        _check_relations(rows, transform.rows[:zeros])
-    else:
-        columns, steps, ends = _relations(fv, depth)
-        kernel = [i for i, col in enumerate(columns, 1) if i in steps or not col]
-        forward = [{i: 1, steps[i][2]: -steps[i][3]} if i in steps else {i: 1} for i in kernel] + [{k: 1} for k in ends]
-        inverse = [{i: 1} for i in kernel] + [{k: 1} | {i: s[3] for i, s in steps.items() if s[2] == k} for k in ends]
-        transform, zeros, image = RowFiniteIntMatrix(forward, inverse), len(kernel), [columns[k - 1] for k in ends]
+    rows = integer_rows(fv, depth)
+    transform, zeros, image = hermite_transform(rows, depth)
+    _check_relations(rows, transform.rows[:zeros])
     pivots = [min(g for g, x in v.items() if x) for v in image if any(v.values())]
     independent = len(pivots) == len(image) == depth - zeros and all(p < q for p, q in zip(pivots, pivots[1:]))
     if not zeros:

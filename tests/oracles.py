@@ -20,6 +20,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -506,10 +507,15 @@ def fraction_to_coordinates(a, theta: TorusPoint) -> SolenoidCoords:
     return coords
 
 
+def _partial_products(a, n: int) -> list[int]:
+    """[a_1, a_1 a_2, ..., a_1 ... a_n], term by term."""
+    return list(itertools.accumulate((a.term(j) for j in range(1, n + 1)), operator.mul))
+
+
 def fraction_from_coordinates(a, coords: SolenoidCoords) -> TorusPoint:
     """theta_j = (tau + sum_{m<=j} n_m a_1 ... a_{m-1}) / (a_1 ... a_j)."""
     _fraction_check_digits(a, coords.digits)
-    products = a.partial_products(coords.depth)
+    products = _partial_products(a, coords.depth)
     vals = [coords.tau]
     acc = coords.tau
     for n, previous, product in zip(coords.digits, products, products[1:]):
@@ -529,7 +535,7 @@ def fraction_approximating_times(a, coords: SolenoidCoords) -> list[Fraction]:
     _fraction_check_digits(a, coords.digits)
     times = [Fraction(coords.tau)]
     acc = Fraction(coords.tau)
-    for n, product in zip(coords.digits, a.partial_products(coords.depth - 1)):
+    for n, product in zip(coords.digits, _partial_products(a, coords.depth - 1)):
         acc += n * product
         times.append(acc)
     return times

@@ -41,6 +41,17 @@ FILES = {
     "cr_key": b'{"kind": "bo", "s": {"prefix": [], "tail": {"c": "1", "r": "1/2", "q": "3"}}}',
     "declaration_key": b'{"kind": "finite", "generators": [{"name": "b", "kind": "opaque", "vale": "1"}], "terms": [{"b": "1"}]}',
     "component_key": b'{"kind": "product", "components": [{"free": "1", "fre": "2"}]}',
+    "t3": b'{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}',
+    "resonant": b'{"kind": "finite", "terms": [{"1": "1"}, {"1": "1"}]}',
+    # coefficients past a double's range (10^400), and near its top (10^308)
+    "huge_const": json.dumps({"terms": [{"const": "1" + "0" * 400}]}).encode(),
+    "huge_cos": json.dumps({"terms": [{"cos": {"1": 1}, "scale": "1" + "0" * 400}]}).encode(),
+    "cos": b'{"terms": [{"cos": {"1": 1}}]}',
+    "cos_diff": b'{"terms": [{"cos": {"1": -1, "2": 1}}]}',
+    "two_cos": json.dumps({"terms": [{"cos": {"1": 1}, "scale": "1" + "0" * 308},
+                                     {"cos": {"2": 1}, "scale": "1" + "0" * 308}]}).encode(),
+    "const_and_resonant": json.dumps({"terms": [{"const": "1" + "0" * 308},
+                                                {"cos": {"1": 1, "2": -1}, "scale": "1" + "0" * 308}]}).encode(),
 }
 
 
@@ -107,6 +118,23 @@ CASES = {
     "geometric tail key": (["classify", "@cr_key"], "geometric tail has no field 'q'"),
     "declaration key": (["classify", "@declaration_key"], "generator declaration has no field 'vale'"),
     "component key": (["classify", "@component_key"], "subgroup spec has no field 'fre'"),
+    # float work past a double's range: each ended in a traceback or printed Infinity, which is not JSON
+    "const past a double": (["average", "@t3", "--poly", "@huge_const", "--depth", "3"],
+                            "a polynomial coefficient is beyond a double's range"),
+    "cos scale past a double": (["average", "@t3", "--poly", "@huge_cos", "--depth", "3"],
+                                "a polynomial coefficient is beyond a double's range"),
+    "w T underflows": (["equidistribution", "@t3", "--nu=-1,1,0", "--T", "5e-324", "--depth", "3"],
+                       "smallest nonzero |omega . nu| T underflows to 0; widen the window T"),
+    "average w T underflows": (["average", "@t3", "--poly", "@cos_diff", "--T", "1", "5e-324", "--depth", "3"],
+                               "smallest nonzero |omega . nu| T underflows to 0; widen the window T"),
+    "infinite bound": (["equidistribution", "@t3", "--nu=1,0,0", "--T", "5e-324", "--depth", "3"],
+                       "decay bound 2 |a| / (T |omega . nu|) must be finite, got inf"),
+    "infinite envelope term": (["average", "@t3", "--poly", "@cos", "--T", "1e-310", "--depth", "3"],
+                               "decay bound 2 |a| / (T |omega . nu|) must be finite, got inf"),
+    "infinite envelope sum": (["average", "@t3", "--poly", "@two_cos", "--T", "1.5", "--depth", "3"],
+                              "envelope must be finite, got inf"),
+    "infinite value": (["average", "@resonant", "--poly", "@const_and_resonant", "--depth", "2"],
+                       "time average must be finite, got inf"),
 }
 
 

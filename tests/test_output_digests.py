@@ -24,7 +24,12 @@ of the Fraction coordinate columns printed them.  ``kron solenoid member``,
 ``coords`` and ``times`` at depth 128 on the factorial, odd-indexed-prime
 and periodic sequences, and ``member`` on one non-member, are pinned as the
 Fraction relations printed them.  Any change that alters one byte
-of these outputs fails here and has to say why.
+of these outputs fails here and has to say why.  ``kron resonance`` and
+``kron reduce-flow`` at depths 1, 16 and 64 on the factorial, odd-indexed-prime
+and periodic solenoids and on ``product-chains`` (two ``qa`` chains and two
+free components), and ``reduce-flow`` at depth 2 on ``product-chains``, where
+the free components outnumber the free indices, are pinned as the adjacent
+relations and the closed-form transform e_i - q e_end printed them.
 """
 
 import hashlib
@@ -57,6 +62,9 @@ SPECS = {
     "periodic": {"kind": "solenoid", "generator": "1", "a": {"prefix": [1], "tail": {"periodic": [2, 3]}}},
     "t3": {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]},
     "finite-empty": {"kind": "finite", "terms": [{"1": "1"}, {}]},
+    "product-chains": {"kind": "product", "components": [
+        {"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}},
+        {"free": "1/2"}, {"qa": {"prefix": [1, 3], "tail": "increment"}}]},
     "factorial-sqrt2": {"kind": "solenoid", "generator": "sqrt2", "a": {"prefix": [1], "tail": "increment"}},
     "bo-float": {
         "kind": "bo",
@@ -105,6 +113,31 @@ DIGESTS = {
     ("resonance", "finite-empty", None): "4b0154f6fa3ef0ce292834b349a80e7c171f1d4e17e65921d92a59f8e0fd12aa",  # 75 bytes
     ("reduce-flow", "finite-empty", None): "2abf941381a9e9cc6cbbb8a98c2270d76fc8c803465ad30f0bdb7ad45f3f66cd",  # 449 bytes
     ("classify", "finite-empty", None): "8fadd42b7126a68b4a471dbbbdbb124a39df1867b7b610cd9d048c04d0131c66",  # 395 bytes
+    ("resonance", "factorial", 1): "48430b9d35d56920249894e47f4ca7b03e4470776f4dfa11e883e16dc8be1c6b",  # 47 bytes
+    ("resonance", "factorial", 16): "bdd7c8aab41b4e2569181d67e7ce12090f5cd18fa946ea84cc74ae5cc50cb47c",  # 686 bytes
+    ("resonance", "factorial", 64): "eaf88427d5bca52d52fff535c23ebcb03295d9a5578b3fc4e61e5059435bdfe5",  # 2798 bytes
+    ("reduce-flow", "factorial", 1): "bb86092415293f95d696522d0f2a7d97c3d381782d2400f28f049f885ee448fb",  # 364 bytes
+    ("reduce-flow", "factorial", 16): "4459244b1102469c491a3a844653e349ae8b8acb98ca423e36d40562dd31307f",  # 2425 bytes
+    ("reduce-flow", "factorial", 64): "fe87f4a7b284fea8ed42b99a1f5cdbfb1e9de23aea9a9f5d1d9c52e59f620cf2",  # 14561 bytes
+    ("resonance", "odd-primes", 1): "48430b9d35d56920249894e47f4ca7b03e4470776f4dfa11e883e16dc8be1c6b",  # 47 bytes
+    ("resonance", "odd-primes", 16): "140385882429313481d6d15792123ba11d01dfb163817b15c484235d234a5703",  # 694 bytes
+    ("resonance", "odd-primes", 64): "0f8e6e8ced62af9ddcd7329b861b18c97d0df0cf21e93aed776215288b3acaea",  # 2854 bytes
+    ("reduce-flow", "odd-primes", 1): "bb86092415293f95d696522d0f2a7d97c3d381782d2400f28f049f885ee448fb",  # 364 bytes
+    ("reduce-flow", "odd-primes", 16): "5f5072907698487023a2a7283c174c8455fcc3b52dbc757f3b9dc42efce79410",  # 2614 bytes
+    ("reduce-flow", "odd-primes", 64): "4d9f5117825d774cd5ea327bf5d95aeaacbc3520b648ad0a0cdfe5df2c05067c",  # 18559 bytes
+    ("resonance", "periodic", 1): "48430b9d35d56920249894e47f4ca7b03e4470776f4dfa11e883e16dc8be1c6b",  # 47 bytes
+    ("resonance", "periodic", 16): "5cf6bca028526c2336f4b34c0d019eaf3f55b02855d38190626e628e2283cb7b",  # 679 bytes
+    ("resonance", "periodic", 64): "d6c378aacdab3dac3993a5e8bb41bb4ba063c9b6bb0bb2649ea4b79422d5c7a3",  # 2743 bytes
+    ("reduce-flow", "periodic", 1): "bb86092415293f95d696522d0f2a7d97c3d381782d2400f28f049f885ee448fb",  # 364 bytes
+    ("reduce-flow", "periodic", 16): "8d6cadeeaf8a21eb56ae0ccc67e756aae7220146487fbdae966c92da9e12736e",  # 2263 bytes
+    ("reduce-flow", "periodic", 64): "dd677e42c227a5fbaf06fa843a6ce435065864b0ae25543fa92b5952bfb5b0de",  # 9612 bytes
+    ("resonance", "product-chains", 1): "48430b9d35d56920249894e47f4ca7b03e4470776f4dfa11e883e16dc8be1c6b",  # 47 bytes
+    ("resonance", "product-chains", 16): "17f98eb655eefceb84eba69f90ea5fcf1ae788f86a70e6060e96b64352bb1950",  # 430 bytes
+    ("resonance", "product-chains", 64): "a443cc35c8c818f8ec5c06c113736dc3ebc95bcc95cf7b16db6c273a1dbba3d2",  # 1773 bytes
+    ("reduce-flow", "product-chains", 1): "9827b8ee570d282f2d9ef997052217f83f7e9ceee768bf2e2482c538b28f87bc",  # 365 bytes
+    ("reduce-flow", "product-chains", 16): "65b18436c8d9457f9e72634d3492750555b8bfe8d1971d76b6d84f2dff5efb8a",  # 1882 bytes
+    ("reduce-flow", "product-chains", 64): "429098c5c43a62d9c2366826e06cc38b259f4dd870a966c571719fffe17a720c",  # 6217 bytes
+    ("reduce-flow", "product-chains", 2): "e7fd6c9c12dc044cb1e07124e23443f769a78916b9f305069e2a705d90cf67bd",  # 477 bytes
 }
 
 

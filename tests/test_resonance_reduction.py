@@ -499,7 +499,7 @@ def test_halving_coordinate_matrix_is_linear_in_terms(monkeypatch):
 @given(st.one_of(SOLENOIDS, PRODUCTS), st.integers(1, 64))
 def test_sequence_basis_spans_the_dense_hermite_kernel(doc, depth):
     """The adjacent relations and the dense oracle's Hermite kernel span one
-    lattice, and ``reduce_flow``'s closed-form transform is the oracle's."""
+    lattice, and ``reduce_flow``'s transform is the oracle's."""
     fv = parse_frequency_spec(doc)
     cols = coordinates(fv, depth)
     rows = [[col.get(g, F(0)) for col in cols] for g in sorted({g for col in cols for g in col})]
@@ -519,19 +519,22 @@ def test_sequence_basis_spans_the_dense_hermite_kernel(doc, depth):
 
 
 @pytest.mark.parametrize("family", ["halving", "product"])
-def test_sequence_rules_reject_a_wrong_term(monkeypatch, family):
-    """With a_3 off by one in the sequence and the true coordinates, the
-    relation it gives fails the re-check, in both closed forms."""
+def test_sequence_rules_reject_a_wrong_adjacent_relation(monkeypatch, family):
+    """An adjacent relation with its second coefficient off by one fails the
+    exact re-check on the integer table that every family's basis passes."""
     import kronflow.resonance_reduction as rr
 
-    fv = parse_frequency_spec(DEEP_SPECS[family])
-    columns = coordinates(fv, 16)
-    monkeypatch.setattr(rr, "coordinates", lambda fv, depth: columns)
-    terms = SigmaSequence.terms
-    monkeypatch.setattr(SigmaSequence, "terms", lambda self, n: [t + (j == 3) for j, t in enumerate(terms(self, n), 1)])
-    for call in (resonance_basis, reduce_flow):
-        with pytest.raises(ValidationError, match="internal error: kernel vector fails exact resonance check"):
-            call(fv, 16)
+    real = rr._adjacent_relations
+
+    def corrupt(rows, depth):
+        relations = real(rows, depth)
+        nu = next(nu for nu in relations if len(nu) == 2)
+        nu[max(nu)] -= 1
+        return relations
+
+    monkeypatch.setattr(rr, "_adjacent_relations", corrupt)
+    with pytest.raises(ValidationError, match="^internal error: kernel vector fails exact resonance check$"):
+        resonance_basis(parse_frequency_spec(DEEP_SPECS[family]), 16)
 
 
 SEQUENCE_SPECS = {
@@ -544,11 +547,19 @@ LINEAR_RESONANCE_SPECS = {**SEQUENCE_SPECS, "bo": DEEP_SPECS["bo"]}
 BO_ODD = '{"kind": "bo", "s": {"prefix": ["1/2"], "tail": {"c": "1/2", "r": "1/3"}}}'
 
 
-@pytest.mark.parametrize("text", [DEEP_SPECS["bo"], BO_ODD], ids=["readme", "odd"])
-def test_bo_resonance_makes_no_fraction_per_index(monkeypatch, text):
+@pytest.mark.parametrize("text, call", [
+    (DEEP_SPECS["bo"], resonance_basis), (BO_ODD, resonance_basis),
+    *((text, call) for text in (DEEP_SPECS["halving"], SEQUENCE_SPECS["factorial"], DEEP_SPECS["product"])
+      for call in (resonance_basis, reduce_flow)),
+], ids=["readme", "odd", "halving", "halving-reduce-flow", "factorial", "factorial-reduce-flow",
+        "product", "product-reduce-flow"])
+def test_bo_resonance_makes_no_fraction_per_index(monkeypatch, text, call):
     """``resonance_basis`` on a BO spec reads its integer table straight from
-    the integer sigmas, so the Fractions it makes do not grow with the depth;
-    building the table from the coordinates made 2N + 2."""
+    the integer sigmas, and ``resonance_basis`` and ``reduce_flow`` on the
+    sequence rules read theirs from the closed-form rows, so the Fractions
+    they make do not grow with the depth; building the table from the
+    coordinates made 2N + 2 on BO, and the sequence rules' relations made one
+    per index."""
     fv = parse_frequency_spec(text)
     made = []
     original = F.__new__
@@ -561,7 +572,7 @@ def test_bo_resonance_makes_no_fraction_per_index(monkeypatch, text):
     counts = []
     for depth in (64, 512):
         made.clear()
-        resonance_basis(fv, depth)
+        call(fv, depth)
         counts.append(len(made))
     assert counts[0] == counts[1] <= 8, counts
 
@@ -708,17 +719,17 @@ GUARD_SPECS = {
     "finite": (RESONANT_FINITE, 1),
     "finite, trivial kernel": ('{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}', 1),
     "bo": (DEEP_SPECS["bo"], 1),
-    "halving": (DEEP_SPECS["halving"], 0),
-    "factorial": (SEQUENCE_SPECS["factorial"], 0),
-    "product": (DEEP_SPECS["product"], 0),
+    "halving": (DEEP_SPECS["halving"], 1),
+    "factorial": (SEQUENCE_SPECS["factorial"], 1),
+    "product": (DEEP_SPECS["product"], 1),
 }
 
 
 @pytest.mark.parametrize("family", list(GUARD_SPECS))
 def test_reduce_flow_runs_at_most_one_hermite_pass(monkeypatch, family):
-    """Finite and BO specs take one ``hermite_transform`` call, sequence rules
-    none, and no spec runs ``integer_kernel`` or ``resonance_basis``: the flag
-    is read off the image, not from a second pass on the reduced vector."""
+    """Every family takes one ``hermite_transform`` call, and no spec runs
+    ``integer_kernel`` or ``resonance_basis``: the flag is read off the
+    image, not from a second pass on the reduced vector."""
     import kronflow.resonance_reduction as rr
 
     calls = []
@@ -755,7 +766,8 @@ def test_reduce_flow_flags_a_repeated_image_pivot(monkeypatch):
     assert not reduce_flow(fv, 4).nonzero_block_independent
 
 
-@pytest.mark.parametrize("text, depth", [(RESONANT_FINITE, 4), (DEEP_SPECS["bo"], 16)], ids=["finite", "bo"])
+@pytest.mark.parametrize("text, depth", [(RESONANT_FINITE, 4), (DEEP_SPECS["bo"], 16), (DEEP_SPECS["halving"], 16),
+                                         (DEEP_SPECS["product"], 16)], ids=["finite", "bo", "halving", "product"])
 def test_reduce_flow_rejects_a_corrupted_kernel_row(monkeypatch, text, depth):
     """A kernel row of A with one entry off by one is no relation, and the
     exact re-check that ``resonance`` runs catches it in ``reduce_flow``."""

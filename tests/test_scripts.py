@@ -65,6 +65,9 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
         if row["depth"] == 32:
             fields |= {"time_growth", "peak_growth"}
         assert set(row) == fields, row
+    exact = [(row["family"], row["depth"]) for row in first if row["command"] == "resonance"]
+    assert exact == [(family, depth) for family in ("halving", "bo", "product", "product-chains", "factorial",
+                                                    "bo-odd", "mixed") for depth in (16, 32)]
     simulated = [(row["family"], row["depth"]) for row in first if row["command"] == "simulate"]
     assert simulated == [(family, depth) for family in ("halving", "product", "mixed", "bo-valued", "factorial-sqrt2")
                          for depth in (16, 32)]
