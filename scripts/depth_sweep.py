@@ -13,7 +13,12 @@ and halving sequences, at depths 16, 32, ..., 1024, runs ``cli.main``
 in-process and records the best-of-3 wall time in ms (``best_ms``), the
 stdout bytes and their sha256, the tracemalloc peak of one more run (timed
 runs go untraced), and the growth of ``best_ms`` and of the peak per
-doubling of the depth.
+doubling of the depth.  Each ``reduce-flow`` row also records
+``hermite_ops``, a count of the Hermite work that does not depend on the
+host: in one more untimed run, the entries touched by
+``exact_linalg._combine`` plus the entries scanned by ``_hermite_reduce``
+(each call's vector at its start), and, past the first depth, its growth
+per doubling, ``hermite_growth``.
 
 The mixed spec is drawn from a fixed seed: each term is one or two of 1,
 sqrt2 and sqrt3 with coefficients +-1 or +-2 over 1, 2 or 3, so its
@@ -70,6 +75,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import kronflow
+from kronflow import exact_linalg
 from kronflow.cli import main
 from kronflow.frequency import SigmaSequence
 
@@ -162,6 +168,30 @@ def _peak(argv: list[str]) -> int:
         tracemalloc.stop()
 
 
+def _hermite_ops(argv: list[str]) -> int:
+    """Entries touched by ``exact_linalg._combine`` plus entries scanned by
+    ``exact_linalg._hermite_reduce`` in one run, both wrapped for that run."""
+    count = 0
+    combine, reduce = exact_linalg._combine, exact_linalg._hermite_reduce
+
+    def counting_combine(x, y, a, b):
+        nonlocal count
+        count += (len(x) if a != 1 else 0) + (len(y) if b else 0)
+        combine(x, y, a, b)
+
+    def counting_reduce(basis, k):
+        nonlocal count
+        count += len(basis[k][0])
+        reduce(basis, k)
+
+    exact_linalg._combine, exact_linalg._hermite_reduce = counting_combine, counting_reduce
+    try:
+        _run(argv)
+    finally:
+        exact_linalg._combine, exact_linalg._hermite_reduce = combine, reduce
+    return count
+
+
 def sweep(workdir: Path) -> list[dict]:
     """One row per (command, family, depth).  The three timed rounds each run
     every row once, so a slow spell of the host spoils at most one run of a
@@ -196,10 +226,14 @@ def sweep(workdir: Path) -> list[dict]:
             **output,
             "tracemalloc_peak_bytes": _peak(argv),
         }
+        if command == "reduce-flow":
+            row["hermite_ops"] = _hermite_ops(argv)
         prev = rows[-1] if rows and depth > DEPTHS[0] else None
         if prev is not None:
             row["time_growth"] = round(row["best_ms"] / prev["best_ms"], 2)
             row["peak_growth"] = round(row["tracemalloc_peak_bytes"] / prev["tracemalloc_peak_bytes"], 2)
+            if command == "reduce-flow":
+                row["hermite_growth"] = round(row["hermite_ops"] / prev["hermite_ops"], 2)
         rows.append(row)
     return rows
 

@@ -16,6 +16,7 @@ values, so R is not free and the closure picks up a solenoid factor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,14 +49,17 @@ def _span_data(s: RationalSequenceSpec) -> _Span:
 
     Follows from sigma_{n+1} - sigma_n = g_n and the geometric tail: the g_n
     with n past the prefix are h * r^m, and span{r^m : m >= 0} = Z[1/v] for
-    r = u/v in lowest terms (numerators u^a v^b reach gcd 1 by Bezout).
+    r = u/v in lowest terms (numerators u^a v^b reach gcd 1 by Bezout).  Over
+    the integer tail sums' denominator D, f = gcd(D g_0, ..., D g_(n0-1)) / D
+    (of the D sigma_j on a finite support) and h = D g_n0 / D.
     """
     n0 = max(len(s.prefix), 1)
     if s.support_is_finite():
-        return rational_gcd(s.sigmas(n0)), None, None
+        scale, sigmas = s.scaled_sigmas(n0)
+        return Fraction(math.gcd(*sigmas), scale), None, None
     # sigma_1 = g_0, then g_1..g_{n0-1}; g_{n0} = h starts the geometric tail
-    *finite_gens, h = s.tail_sums(n0 + 1)
-    return rational_gcd(finite_gens), h, s.tail_r.denominator
+    scale, (*finite_gens, h) = s.scaled_tail_sums(n0 + 1)
+    return Fraction(math.gcd(*finite_gens), scale), Fraction(h, scale), s.tail_r.denominator
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -181,9 +185,11 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
         raise ValidationError("tail-module report needs depth >= 2")
     s = rule.s
     span = _span_data(s)
+    scale, values = s.scaled_tail_sums(depth)
+    sums = list(values)  # D g_0, ..., D g_(N-1); their running sums are the D sigma_j
     return BoModuleReport(
-        tuple(s.sigmas(depth)),
-        tuple(s.tail_sums(depth))[1:],
+        tuple(Fraction(x, scale) for x in itertools.accumulate(sums)),
+        tuple(Fraction(g, scale) for g in sums[1:]),
         _baer_of_span(*span),
         _module_of_span(rule, span),
         s.full_support(),

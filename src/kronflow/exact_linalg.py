@@ -382,6 +382,7 @@ def _hermite_basis(rows: Mapping, n: int) -> tuple[list, _Basis]:
         g[m + j] = 1
         dual = {j + 1: 1}  # 1-based: it becomes column j + 1 of A^-1
         p = min(g)
+        replaced = False  # whether an xgcd step replaced an image vector
         while p in basis:
             b, bd = basis[p]
             if g[p] % b[p] == 0:
@@ -397,6 +398,7 @@ def _hermite_basis(rows: Mapping, n: int) -> tuple[list, _Basis]:
                 _combine(g, b, x, -y)
                 _combine(dual, bd, s, -u)
                 basis[p] = (nb, nbd)
+                replaced = True
             p = min(g)
         if g[p] < 0:
             g = {i: -v for i, v in g.items()}
@@ -404,7 +406,8 @@ def _hermite_basis(rows: Mapping, n: int) -> tuple[list, _Basis]:
         basis[p] = (g, dual)
         if p < m:
             bisect.insort(image, p)
-        for k in image if p < m else [*image, p]:
+        # a kernel vector reached by exact divisions alone changed no image vector
+        for k in image if p < m else [*image, p] if replaced else [p]:
             _hermite_reduce(basis, k)
     return labels, basis
 
@@ -424,11 +427,12 @@ def hermite_transform(rows: Mapping, n: int) -> HermiteTransform:
     inserted by xgcd steps on the image vectors.  If its M t part reduces to
     zero it is the primitive kernel vector with pivot j, and reducing it
     against the later kernel vectors into [0, pivot) gives the canonical
-    kernel form directly.  The image vectors are re-reduced against every
-    later pivot at each step, which keeps their preimages reduced modulo the
-    kernel and the coefficients small.  Every vector t carries its dual t*
-    (its column of A^-1): an operation t_a += q t_b is mirrored as
-    t_b* -= q t_a*.
+    kernel form directly.  After a column that adds an image pivot or
+    replaces an image vector by an xgcd step, the image vectors are
+    re-reduced against every later pivot, which keeps their preimages reduced
+    modulo the kernel and the coefficients small; exact divisions alone
+    change no image vector.  Every vector t carries its dual t* (its column
+    of A^-1): an operation t_a += q t_b is mirrored as t_b* -= q t_a*.
 
     The vectors are sparse maps {index: entry}, so an operation costs the
     number of nonzero entries it touches, not the length m + n; the next

@@ -102,32 +102,35 @@ class Generator:
         return Generator, (self.name, self.kind, self.param, self.value_digits)
 
     def float_value(self) -> mpmath.mpf:
-        """The number at ``working_bits()`` of mantissa, computed on the first
-        call at that width and kept on the instance."""
-        bits = working_bits()
-        value = self._floats.get(bits)
-        if value is None:
-            if self.kind == "opaque" and self.value_digits is None:
-                raise ValidationError(f"generator {self.name!r} is opaque with no declared numeric value")
-            import mpmath
-
-            with mpmath.workprec(bits):
-                if self.kind == "rational_unit":
-                    value = mpmath.mpf(1)
-                elif self.kind == "sqrt_prime":
-                    value = mpmath.sqrt(self.param)
-                elif self.kind == "pi_power":
-                    value = mpmath.pi ** self.param
-                else:
-                    value = mpmath.mpf(self.value_digits)
-            self._floats[bits] = value
-        return value
+        """The number at ``working_bits()`` of mantissa, kept on the instance."""
+        return _value_at(self, working_bits())
 
     def __lt__(self, other: "Generator") -> bool:
         """By kind, then param, then name: the order of the rows of a
         coordinate matrix and of the coordinates of a finite term."""
         return (_KIND_ORDER[self.kind], self.param or 0, self.name) < (
             _KIND_ORDER[other.kind], other.param or 0, other.name)
+
+
+def _value_at(gen: Generator, bits: int) -> mpmath.mpf:
+    """``gen``'s number at ``bits`` of mantissa, kept on the instance per width."""
+    value = gen._floats.get(bits)
+    if value is None:
+        if gen.kind == "opaque" and gen.value_digits is None:
+            raise ValidationError(f"generator {gen.name!r} is opaque with no declared numeric value")
+        import mpmath
+
+        with mpmath.workprec(bits):
+            if gen.kind == "rational_unit":
+                value = mpmath.mpf(1)
+            elif gen.kind == "sqrt_prime":
+                value = mpmath.sqrt(gen.param)
+            elif gen.kind == "pi_power":
+                value = mpmath.pi ** gen.param
+            else:
+                value = mpmath.mpf(gen.value_digits)
+        gen._floats[bits] = value
+    return value
 
 
 UNIT = Generator("1", "rational_unit")
@@ -351,22 +354,12 @@ class RationalSequenceSpec:
 
         return scale, values(tail.numerator * (scale // tail.denominator) + sum(drops))
 
-    def tail_sums(self, n: int) -> Iterator[Fraction]:
-        """g_0, ..., g_{n-1}, one at a time, one normalization each."""
-        scale, values = self.scaled_tail_sums(n)
-        return (Fraction(g, scale) for g in values)
-
     def scaled_sigmas(self, n: int) -> tuple[int, Iterator[int]]:
         """(D, D sigma_1, ..., D sigma_n), D as for ``scaled_tail_sums``: the
         running sum of the tail sums, sigma_1 = g_0 and sigma_j = sigma_{j-1}
         + g_{j-1}."""
         scale, values = self.scaled_tail_sums(n)
         return scale, itertools.accumulate(values)
-
-    def sigmas(self, n: int) -> Iterator[Fraction]:
-        """sigma_1, ..., sigma_n, one at a time, one normalization each."""
-        scale, values = self.scaled_sigmas(n)
-        return (Fraction(s, scale) for s in values)
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RationalSequenceSpec":
@@ -521,10 +514,6 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
     where the whole solenoid or BO table grows with the square of depth."""
     if depth < 0:
         raise ValidationError(f"frequency depth must be >= 0, got {depth}")
-    if isinstance(fv, Finite):
-        if depth > len(fv):
-            raise ValidationError(f"index {depth} beyond finite vector of length {len(fv)}")
-        return (dict(term) for term in fv.terms[:depth])
     if isinstance(fv, SolenoidRule):
         return ({fv.generator: Fraction(1, p)} for p in itertools.accumulate(fv.a.terms(depth), operator.mul))
     if isinstance(fv, BoRule):
@@ -536,7 +525,18 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
             for j, p in zip(indices, itertools.accumulate(terms, operator.mul)):
                 table[j - 1] = {gen: Fraction(1, p)}
         return iter(table)
-    raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
+    return (dict(term) for term in _finite_terms(fv, depth))
+
+
+def _finite_terms(fv: FrequencyVector, depth: int) -> tuple:
+    """The first ``depth`` terms of a finite vector; any other family is unknown."""
+    if not isinstance(fv, Finite):
+        raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
+    if depth < 0:
+        raise ValidationError(f"frequency depth must be >= 0, got {depth}")
+    if depth > len(fv):
+        raise ValidationError(f"index {depth} beyond finite vector of length {len(fv)}")
+    return fv.terms[:depth]
 
 
 def _chains(fv: SolenoidRule | ProductConstruction, depth: int) -> dict[Generator, tuple[Sequence[int], list[int]]]:
@@ -579,10 +579,9 @@ def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, 
         return {UNIT: (1, {j: j * j for j in range(1, depth + 1)}),
                 fv.beta: (scale, {j: -2 * s for j, s in enumerate(sigmas, 1) if s})}
     rows: dict = {}  # generator -> [(j, nonzero coordinate)], then its scaled row
-    for j, col in enumerate(_coordinate_stream(fv, depth), 1):
-        for g, x in col.items():
-            if x:
-                rows.setdefault(g, []).append((j, x))
+    for j, term in enumerate(_finite_terms(fv, depth), 1):
+        for g, x in term:
+            rows.setdefault(g, []).append((j, x))
     for g, row in rows.items():
         scale = math.lcm(*(x.denominator for _, x in row))
         rows[g] = (scale, {j: x.numerator * (scale // x.denominator) for j, x in row})
@@ -591,15 +590,15 @@ def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, 
 
 def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
     """The real number sum_g c_g * g of one exact coordinate map, at
-    ``working_bits()`` of mantissa.  A precision context is entered only when
-    the caller's precision is below that floor."""
+    ``working_bits()`` of mantissa, read once.  A precision context is
+    entered only when the caller's precision is below that floor."""
     import mpmath
 
     bits = working_bits()
     with mpmath.workprec(bits) if mpmath.mp.prec != bits else contextlib.nullcontext():
         total = mpmath.mpf(0)
         for gen, c in coords.items():
-            total += mpmath.mpf(c.numerator) / c.denominator * gen.float_value()
+            total += mpmath.mpf(c.numerator) / c.denominator * _value_at(gen, bits)
         return +total
 
 
@@ -672,40 +671,29 @@ def parse_frequency_spec(document: str | Mapping) -> FrequencyVector:
     if fields is None:
         raise ValidationError(f"unknown spec kind {kind!r}")
     _fields(obj, f"{kind} spec", "kind", "generators", *fields)
+    if fields[0] not in obj:  # each kind's first field is the one it needs
+        raise ValidationError(f"{kind} spec needs field {fields[0]!r}")
 
     if kind == "finite":
-        if "terms" not in obj:
-            raise ValidationError("finite spec needs field 'terms'")
         maps = []
         for k, term in enumerate(parse_list(obj["terms"], "finite terms")):
             if not isinstance(term, Mapping):
                 raise ValidationError(f"terms[{k}] must map generator names to rationals")
-            maps.append(
-                {_resolve_generator(name, declared): parse_rational(val) for name, val in term.items()}
-            )
+            maps.append({_resolve_generator(name, declared): parse_rational(val) for name, val in term.items()})
         if not maps:
             raise ValidationError("finite spec needs at least one term")
         return finite_vector(maps)
 
     if kind == "solenoid":
-        if "a" not in obj:
-            raise ValidationError("solenoid spec needs field 'a'")
         a = SigmaSequence.from_json(obj["a"])
-        gen = _resolve_generator(obj.get("generator", "1"), declared)
-        return SolenoidRule(gen, a)
+        return SolenoidRule(_resolve_generator(obj.get("generator", "1"), declared), a)
 
     if kind == "bo":
-        if "s" not in obj:
-            raise ValidationError("bo spec needs field 's'")
         s = RationalSequenceSpec.from_json(obj["s"])
-        beta_ref = obj.get("beta", {"name": "beta", "kind": "opaque"})
-        beta = _resolve_generator(beta_ref, declared)
-        return BoRule(beta, s)
+        return BoRule(_resolve_generator(obj.get("beta", {"name": "beta", "kind": "opaque"}), declared), s)
 
-    if "components" not in obj:  # a product spec
-        raise ValidationError("product spec needs field 'components'")
-    specs = [SubgroupOfQSpec.from_json(c) for c in parse_list(obj["components"], "product components")]
-    return build_product_vector(specs)
+    components = parse_list(obj["components"], "product components")
+    return build_product_vector([SubgroupOfQSpec.from_json(c) for c in components])
 
 
 def build_product_vector(groups: Sequence[SubgroupOfQSpec]) -> ProductConstruction:
@@ -714,15 +702,8 @@ def build_product_vector(groups: Sequence[SubgroupOfQSpec]) -> ProductConstructi
     Non-free component n gets sqrt(p_n) and lives on indices p_n^N; free
     component k gets pi^k on the k-th unreserved index.
     """
-    components = []
-    n_nonfree = 0
-    n_free = 0
-    for spec in groups:
-        if spec.is_free:
-            n_free += 1
-            components.append((pi_power_generator(n_free), spec))
-        else:
-            n_nonfree += 1
-            components.append((sqrt_prime_generator(nth_prime(n_nonfree)), spec))
-    return ProductConstruction(tuple(components))
+    free, nonfree = itertools.count(1), itertools.count(1)  # the k of each free, the n of each non-free
+    return ProductConstruction(tuple(
+        (pi_power_generator(next(free)) if spec.is_free else sqrt_prime_generator(nth_prime(next(nonfree))), spec)
+        for spec in groups))
 

@@ -30,11 +30,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform, integer_kernel
 from .frequency import (UNIT, BoRule, Finite, FrequencyVector, ProductConstruction,
-                        RationalSequenceSpec, SolenoidRule, clamp_depth, coordinates, finite_vector, integer_rows)
+                        RationalSequenceSpec, SolenoidRule, clamp_depth, finite_vector, integer_rows)
 from .solenoid_geometry import TorusPoint
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,8 @@ def _recurrence_basis(fv: BoRule, rows: dict, depth: int) -> list[IntVecFin] | N
     coeffs = _recurrence(fv.s)
     head = min(depth, max(len(fv.s.prefix) + len(coeffs) - 1, rises[1],
                           *(j for j, d in enumerate(indices, 1) if j > rises[1] and d != coeffs[-1])))
-    kernel = integer_kernel(integer_rows(fv, head), head)
+    kernel = integer_kernel({g: (scale, {j: v for j, v in row.items() if j <= head})
+                             for g, (scale, row) in rows.items()}, head)
     pivots = {nu.support()[0]: nu[nu.support()[0]] for nu in kernel}
     free = [j for j in range(1, head + 1) if j not in pivots]
 
@@ -303,7 +305,10 @@ def reduce_flow(fv: FrequencyVector, depth: int) -> FlowReduction:
     pivots = [min(g for g, x in v.items() if x) for v in image if any(v.values())]
     independent = len(pivots) == len(image) == depth - zeros and all(p < q for p, q in zip(pivots, pivots[1:]))
     if not zeros:
-        transform, image = RowFiniteIntMatrix.identity(depth), coordinates(fv, depth)
+        transform, image = RowFiniteIntMatrix.identity(depth), [{} for _ in range(depth)]
+        for g, (scale, row) in rows.items():  # one pass over the table's nonzero entries
+            for j, x in row.items():
+                image[j - 1][g] = Fraction(x, scale)
     scope = "global" if isinstance(fv, Finite) and len(fv) <= depth else "depth"
     return FlowReduction(transform, finite_vector([{}] * zeros + image), zeros, depth, independent, scope)
 

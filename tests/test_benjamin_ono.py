@@ -1,4 +1,5 @@
 import json
+from collections.abc import Iterable
 from fractions import Fraction as F
 
 import pytest
@@ -113,6 +114,12 @@ def test_tail_module_sigma_table_matches_closed_form(prefix, c, m, depth):
     assert list(rep.sigma_values) == [s.sigma(j) for j in range(1, depth + 1)]
 
 
+def _over_scale(table: tuple[int, Iterable[int]]) -> list[F]:
+    """The values of a ``scaled_*`` table, (D, integers), each over D."""
+    scale, values = table
+    return [F(v, scale) for v in values]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12), max_size=60),
@@ -122,11 +129,12 @@ def test_tail_module_sigma_table_matches_closed_form(prefix, c, m, depth):
     st.integers(0, 80),
 )
 def test_running_tables_match_closed_forms(prefix, finite, c, r, n):
-    """tail_sums/sigmas (one operation per value) and the presentation of R
-    built from them, against the closed forms tail_sum/sigma per index."""
+    """scaled_tail_sums/scaled_sigmas (one operation per value) over their
+    denominator D and the presentation of R built from them, against the
+    closed forms tail_sum/sigma per index."""
     s = RationalSequenceSpec(tuple(prefix), F(0) if finite else c, r)
-    assert list(s.tail_sums(n)) == [s.tail_sum(k) for k in range(n)]
-    assert list(s.sigmas(n)) == [s.sigma(j) for j in range(1, n + 1)]
+    assert _over_scale(s.scaled_tail_sums(n)) == [s.tail_sum(k) for k in range(n)]
+    assert _over_scale(s.scaled_sigmas(n)) == [s.sigma(j) for j in range(1, n + 1)]
     n0 = max(len(prefix), 1)
     if finite:
         expected = (rational_gcd([s.sigma(j) for j in range(1, n0 + 1)]), None, None)
@@ -148,8 +156,8 @@ def test_integer_tables_match_closed_forms(prefix, c, ratio, n):
     the closed forms, with zeros in the prefix, on a finite support and for
     ratios p/q with p > 1."""
     s = RationalSequenceSpec(tuple(prefix), c, F(*ratio))
-    assert list(s.tail_sums(n)) == [s.tail_sum(k) for k in range(n)]
-    assert list(s.sigmas(n)) == [s.sigma(j) for j in range(1, n + 1)]
+    assert _over_scale(s.scaled_tail_sums(n)) == [s.tail_sum(k) for k in range(n)]
+    assert _over_scale(s.scaled_sigmas(n)) == [s.sigma(j) for j in range(1, n + 1)]
 
 
 def test_long_prefix_reads_no_closed_form_per_index(monkeypatch):

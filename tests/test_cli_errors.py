@@ -41,6 +41,11 @@ FILES = {
     "cr_key": b'{"kind": "bo", "s": {"prefix": [], "tail": {"c": "1", "r": "1/2", "q": "3"}}}',
     "declaration_key": b'{"kind": "finite", "generators": [{"name": "b", "kind": "opaque", "vale": "1"}], "terms": [{"b": "1"}]}',
     "component_key": b'{"kind": "product", "components": [{"free": "1", "fre": "2"}]}',
+    # each kind without the field it needs
+    "no_terms": b'{"kind": "finite"}',
+    "no_a": b'{"kind": "solenoid", "generator": "sqrt2"}',
+    "no_s": b'{"kind": "bo", "beta": "pi"}',
+    "no_components": b'{"kind": "product"}',
     "t3": b'{"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}, {"sqrt3": "1"}]}',
     "resonant": b'{"kind": "finite", "terms": [{"1": "1"}, {"1": "1"}]}',
     # coefficients past a double's range (10^400), and near its top (10^308)
@@ -118,6 +123,11 @@ CASES = {
     "geometric tail key": (["classify", "@cr_key"], "geometric tail has no field 'q'"),
     "declaration key": (["classify", "@declaration_key"], "generator declaration has no field 'vale'"),
     "component key": (["classify", "@component_key"], "subgroup spec has no field 'fre'"),
+    # each kind needs its own first field
+    "finite without terms": (["classify", "@no_terms"], "finite spec needs field 'terms'"),
+    "solenoid without a": (["resonance", "@no_a"], "solenoid spec needs field 'a'"),
+    "bo without s": (["bo", "@no_s"], "bo spec needs field 's'"),
+    "product without components": (["reduce-flow", "@no_components"], "product spec needs field 'components'"),
     # float work past a double's range: each ended in a traceback or printed Infinity, which is not JSON
     "const past a double": (["average", "@t3", "--poly", "@huge_const", "--depth", "3"],
                             "a polynomial coefficient is beyond a double's range"),

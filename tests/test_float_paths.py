@@ -166,3 +166,17 @@ def test_each_omega_evaluated_once_per_call(monkeypatch):
     minimality_probe(T3, _planted(T3, 3, 200.0, F(0)), 3, 1e-2, 1e4)
     assert calls == coordinates(T3, 3)
 
+
+
+def test_float_omegas_read_the_width_once_per_omega(monkeypatch):
+    """Once the generators' values are kept, ``_float_omegas`` on the BO d16
+    spec reads ``working_bits`` once per omega_j, not once more per
+    generator of its two-generator map."""
+    import kronflow.frequency as frequency
+
+    expected = dynamics._float_omegas(BO_OPAQUE, 16)
+    calls = []
+    real = frequency.working_bits
+    monkeypatch.setattr(frequency, "working_bits", lambda: calls.append(1) or real())
+    assert dynamics._float_omegas(BO_OPAQUE, 16).tolist() == expected.tolist()
+    assert 0 < len(calls) <= 16

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from kronflow.frequency import (
     SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
+    clamp_depth,
     coordinates,
     integer_rows,
     parse_frequency_spec,
@@ -782,3 +784,62 @@ def test_reduce_flow_rejects_a_corrupted_kernel_row(monkeypatch, text, depth):
     _patched_hermite(monkeypatch, corrupt)
     with pytest.raises(ValidationError, match="^internal error: kernel vector fails exact resonance check$"):
         reduce_flow(fv, depth)
+
+
+# -- the exact paths read the integer table, never the coordinate maps
+
+PRODUCT_CHAINS = json.dumps({"kind": "product", "components": [
+    {"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}},
+    {"free": "1/2"}, {"qa": {"prefix": [1, 3], "tail": "increment"}}]})
+TABLE_SPECS = {
+    "finite, trivial kernel": GUARD_SPECS["finite, trivial kernel"][0],
+    "finite": RESONANT_FINITE,
+    "halving": DEEP_SPECS["halving"],
+    "factorial": SEQUENCE_SPECS["factorial"],
+    "product": DEEP_SPECS["product"],
+    "product-chains": PRODUCT_CHAINS,
+    "bo": DEEP_SPECS["bo"],
+    "bo, finite support": '{"kind": "bo", "s": {"prefix": ["1/3", "0", "5/2"]}}',
+}
+
+
+@pytest.mark.parametrize("family", list(TABLE_SPECS))
+def test_exact_paths_read_no_coordinate_maps(monkeypatch, family):
+    """``coordinates`` and ``_coordinate_stream`` raise in every module that
+    holds them, and every exact path still answers at depths 1, 2 and 16:
+    each reads ``integer_rows`` (BO's R its integer tail sums) alone."""
+    import kronflow
+    from kronflow import benjamin_ono, classification, dynamics, frequency
+    from kronflow import resonance_reduction as rr
+    from kronflow.benjamin_ono import bo_report
+    from kronflow.classification import decompose_module
+
+    def forbidden(*args):
+        raise AssertionError("an exact path built the coordinate maps")
+
+    for module in (kronflow, frequency, rr, classification, benjamin_ono, dynamics):
+        for name in ("coordinates", "_coordinate_stream"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    fv = parse_frequency_spec(TABLE_SPECS[family])
+    for depth in (1, 2, 16):
+        assert resonance_basis(fv, depth).truncation_depth == clamp_depth(fv, depth)
+        reduce_flow(fv, depth)
+        decompose_module(fv, depth)
+        integer_rows(fv, clamp_depth(fv, depth))
+        if isinstance(fv, BoRule) and depth > 1:  # the tail-module report needs depth >= 2
+            bo_report(fv, depth)
+
+
+@pytest.mark.parametrize("family", ["product", "product-chains", "halving", "bo"])
+def test_hermite_re_reduces_the_image_only_after_it_changed(monkeypatch, family):
+    """A column that reaches the kernel by exact divisions alone changes no
+    image vector, so ``reduce_flow`` calls ``_hermite_reduce`` about once per
+    column, not once per image vector and column."""
+    calls = []
+    real = exact_linalg._hermite_reduce
+    monkeypatch.setattr(exact_linalg, "_hermite_reduce", lambda basis, k: calls.append(k) or real(basis, k))
+    fv = parse_frequency_spec({**DEEP_SPECS, "product-chains": PRODUCT_CHAINS}[family])
+    for depth in (256, 1024):
+        calls.clear()
+        reduce_flow(fv, depth)
+        assert len(calls) <= depth + 8, (depth, len(calls))

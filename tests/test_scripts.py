@@ -49,8 +49,8 @@ def depth_sweep():
 
 def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     """``depth_sweep.sweep`` at depths 16 and 32: every row has its documented
-    fields, the d32 rows their growth over d16, and the outputs are the same
-    bytes on a second sweep."""
+    fields, the d32 rows their growth over d16, and the outputs and the
+    ``reduce-flow`` Hermite work counts are the same on a second sweep."""
     monkeypatch.setattr(depth_sweep, "DEPTHS", (16, 32))
     sweeps = []
     for name in ("first", "second"):
@@ -62,8 +62,13 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     for row in first:
         fields = {"command", "family", "depth", "best_ms", "tracemalloc_peak_bytes"}
         fields |= {"csv_bytes", "csv_sha256"} if row["command"] == "simulate" else {"stdout_bytes", "stdout_sha256"}
+        if row["command"] == "reduce-flow":
+            fields.add("hermite_ops")
+            assert row["hermite_ops"] > 0, row
         if row["depth"] == 32:
             fields |= {"time_growth", "peak_growth"}
+            if row["command"] == "reduce-flow":
+                fields.add("hermite_growth")
         assert set(row) == fields, row
     exact = [(row["family"], row["depth"]) for row in first if row["command"] == "resonance"]
     assert exact == [(family, depth) for family in ("halving", "bo", "product", "product-chains", "factorial",
@@ -71,7 +76,7 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     simulated = [(row["family"], row["depth"]) for row in first if row["command"] == "simulate"]
     assert simulated == [(family, depth) for family in ("halving", "product", "mixed", "bo-valued", "factorial-sqrt2")
                          for depth in (16, 32)]
-    for key in ("csv_sha256", "stdout_sha256"):
+    for key in ("csv_sha256", "stdout_sha256", "hermite_ops"):
         assert [row.get(key) for row in first] == [row.get(key) for row in second]
 
 
