@@ -8,8 +8,10 @@ on the factorial solenoid rule (a_j = j, so its terms grow), on the
 odd-denominator BO spec ``bo-odd`` (r = 1/3, whose sigmas' common
 denominator D is not the lcm of the beta row, so its sha256 columns guard
 the scale of the integer table), and on a mixed finite spec of 1024 terms,
-and for ``kron solenoid member``, ``coords`` and ``times`` on the factorial
-and halving sequences, at depths 16, 32, ..., 1024, runs ``cli.main``
+for ``kron bo`` on the README's BO spec (its sigma and tail-sum tables grow
+with the square of the depth), and for ``kron solenoid member``, ``coords``
+and ``times`` on the factorial and halving sequences, at depths 16, 32,
+..., 1024, runs ``cli.main``
 in-process and records the best-of-3 wall time in ms (``best_ms``), the
 stdout bytes and their sha256, the tracemalloc peak of one more run (timed
 runs go untraced), and the growth of ``best_ms`` and of the peak per
@@ -201,6 +203,7 @@ def sweep(workdir: Path) -> list[dict]:
         (workdir / f"{family}.json").write_text(json.dumps(spec))
     cases += [(command, family, depth, [command, str(workdir / f"{family}.json"), "--depth", str(depth)])
               for family in SPECS for command in COMMANDS for depth in DEPTHS]
+    cases += [("bo", "bo", depth, ["bo", str(workdir / "bo.json"), "--depth", str(depth)]) for depth in DEPTHS]
     cases += [(f"solenoid {op}", family, depth, _solenoid_argv(op, seq, depth))
               for family, seq in SOLENOID_SEQUENCES.items() for op in SOLENOID_OPS for depth in DEPTHS]
     cases += [("solenoid member", "factorial-scaled", depth,

@@ -66,6 +66,7 @@ from .solenoid_geometry import (
     is_member,
     local_chart,
     product_metric,
+    times_and_target,
     to_coordinates,
 )
 from .benjamin_ono import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from .classification import (
     module_report,
 )
 from .errors import ValidationError
-from .exact_linalg import format_rational, rational_gcd
+from .exact_linalg import format_rational_pair, rational_gcd
 from .frequency import UNIT, BoRule, RationalSequenceSpec, clamp_depth
 from .primes import factorize
 
@@ -152,23 +153,49 @@ def baer_contains(t: BaerType, x: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class BoModuleReport:
-    sigma_values: tuple[Fraction, ...]  # sigma_1..sigma_N
-    tail_sums: tuple[Fraction, ...]  # g_1..g_{N-1}
+    """The sigma and tail-sum tables as one integer table over the common
+    denominator of ``RationalSequenceSpec.scaled_tail_sums``: D g_0, ...,
+    D g_(N-1), whose running sums are D sigma_1, ..., D sigma_N."""
+
+    scale: int  # D
+    scaled_tail_sums: tuple[int, ...]  # D g_0, ..., D g_(N-1)
     r_type: BaerType | None  # None when R = {0}
     module: ModuleDescriptor  # the frequency module, read off the same R
     full_support: bool
     depth: int
 
+    def _scaled_sigmas(self) -> Iterator[int]:
+        return itertools.accumulate(self.scaled_tail_sums)
+
+    @property
+    def sigma_values(self) -> tuple[Fraction, ...]:
+        """sigma_1..sigma_N"""
+        return tuple(Fraction(x, self.scale) for x in self._scaled_sigmas())
+
+    @property
+    def tail_sums(self) -> tuple[Fraction, ...]:
+        """g_1..g_(N-1)"""
+        return tuple(Fraction(g, self.scale) for g in self.scaled_tail_sums[1:])
+
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
-            "sigma": [format_rational(v) for v in self.sigma_values],
-            "tail_sums": [format_rational(v) for v in self.tail_sums],
+            "sigma": _texts(self._scaled_sigmas(), self.scale),
+            "tail_sums": _texts(self.scaled_tail_sums[1:], self.scale),
             "r_type": self.r_type.to_json() if self.r_type else "trivial",
             "r_free": bool(self.r_type and is_free(self.r_type)),
             "full_support": self.full_support,
             "closure": self.module.closure(),
         }
+
+
+def _texts(values: Iterable[int], scale: int) -> list[str]:
+    """The text of each x / scale, reduced by one integer gcd."""
+    texts = []
+    for x in values:
+        g = math.gcd(x, scale)
+        texts.append(format_rational_pair(x // g, scale // g))
+    return texts
 
 
 def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
@@ -186,10 +213,9 @@ def bo_tail_module(rule: BoRule, depth: int) -> BoModuleReport:
     s = rule.s
     span = _span_data(s)
     scale, values = s.scaled_tail_sums(depth)
-    sums = list(values)  # D g_0, ..., D g_(N-1); their running sums are the D sigma_j
     return BoModuleReport(
-        tuple(Fraction(x, scale) for x in itertools.accumulate(sums)),
-        tuple(Fraction(g, scale) for g in sums[1:]),
+        scale,
+        tuple(values),
         _baer_of_span(*span),
         _module_of_span(rule, span),
         s.full_support(),

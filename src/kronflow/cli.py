@@ -21,15 +21,14 @@ from . import __version__
 from .benjamin_ono import bo_report
 from .classification import classification_report, decompose_module
 from .errors import UnsupportedStructureError, ValidationError
-from .exact_linalg import IntVecFin, parse_int, parse_rational, parse_rational_pair
+from .exact_linalg import IntVecFin, format_rational_pair, parse_int, parse_rational, parse_rational_pair
 from .frequency import DEFAULT_DEPTH, DEFAULT_PRECISION_BITS, FrequencyVector, SigmaSequence, clamp_depth, parse_frequency_spec
 from .resonance_reduction import reduce_flow, reduce_vector, resonance_basis
 from .solenoid_geometry import (
     SolenoidCoords,
     TorusPoint,
-    approximating_times,
-    from_coordinates,
     is_member,
+    times_and_target,
     to_coordinates,
 )
 
@@ -61,8 +60,9 @@ def _encode(x, nl: str, out: list[str]) -> None:
         out.append(nl + "}" if x else "{}")
     elif isinstance(x, (list, tuple)):
         inner = nl + "  "
-        if x and all(type(v) is int for v in x):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]")
+        kinds = set(map(type, x))  # a list of one scalar type is written in one join
+        if len(kinds) == 1 and (leaf := _LEAF.get(kinds.pop())):
+            out.append("[" + inner + ("," + inner).join(map(leaf, x)) + nl + "]")
             return
         sep = "[" + inner
         for v in x:
@@ -256,11 +256,10 @@ def _cmd_solenoid(args) -> None:
     else:  # times
         digits = tuple(parse_int(v, "--digits entry") for v in _entries(args.digits, "--digits"))
         coords = SolenoidCoords(parse_rational(args.tau), digits)
-        times = approximating_times(a, coords)
-        target = from_coordinates(a, coords)
+        times, target = times_and_target(a, coords)
         _emit({
-            "times": [str(t) for t in times],
-            "target": target.to_json(),
+            "times": [format_rational_pair(*t) for t in times],
+            "target": [format_rational_pair(*theta) for theta in target],
         })
 
 

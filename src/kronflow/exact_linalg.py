@@ -74,8 +74,14 @@ def parse_list(value, what: str) -> list | tuple:
     return value
 
 
+def format_rational_pair(p: int, q: int) -> str:
+    """The text of p/q, q > 0, as given: the one writer of rational text.  A
+    caller that holds a reduced pair prints it with no gcd and no Fraction."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def format_rational(q: Fraction | int) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return format_rational_pair(q.numerator, q.denominator)
 
 
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:

@@ -345,11 +345,12 @@ class RationalSequenceSpec:
         if self.tail_c and n - 1 > L:
             scale *= r.denominator ** (n - 1 - L)
         drops = [v.numerator * (scale // v.denominator) for v in self.prefix]
+        p, q = r.numerator, r.denominator
 
         def values(g: int) -> Iterator[int]:
             for k in range(n):
                 if k:
-                    g = g - drops[k - 1] if k <= L else g // r.denominator * r.numerator
+                    g = g - drops[k - 1] if k <= L else g // q * p
                 yield g
 
         return scale, values(tail.numerator * (scale // tail.denominator) + sum(drops))
@@ -512,8 +513,7 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
     """The maps of ``coordinates(fv, depth)`` in index order, made one at a
     time: a caller that keeps few of them holds one running product or sum,
     where the whole solenoid or BO table grows with the square of depth."""
-    if depth < 0:
-        raise ValidationError(f"frequency depth must be >= 0, got {depth}")
+    _check_depth(depth)
     if isinstance(fv, SolenoidRule):
         return ({fv.generator: Fraction(1, p)} for p in itertools.accumulate(fv.a.terms(depth), operator.mul))
     if isinstance(fv, BoRule):
@@ -528,12 +528,17 @@ def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
     return (dict(term) for term in _finite_terms(fv, depth))
 
 
-def _finite_terms(fv: FrequencyVector, depth: int) -> tuple:
-    """The first ``depth`` terms of a finite vector; any other family is unknown."""
-    if not isinstance(fv, Finite):
-        raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
+def _check_depth(depth: int) -> None:
+    """The depth rule of ``coordinates`` and ``integer_rows``, on every family."""
     if depth < 0:
         raise ValidationError(f"frequency depth must be >= 0, got {depth}")
+
+
+def _finite_terms(fv: FrequencyVector, depth: int) -> tuple:
+    """The first ``depth`` terms (depth >= 0) of a finite vector; any other
+    family is unknown."""
+    if not isinstance(fv, Finite):
+        raise UnsupportedStructureError(f"unknown frequency family {type(fv).__name__}")
     if depth > len(fv):
         raise ValidationError(f"index {depth} beyond finite vector of length {len(fv)}")
     return fv.terms[:depth]
@@ -568,6 +573,7 @@ def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, 
     ... a_m, {j_t: a_(t+1) ... a_m}), one reversed running product; a BO
     rule's are (1, j^2) and (D, -2 D sigma_j) from ``scaled_sigmas``; a finite
     vector's row is scaled by the lcm of its denominators."""
+    _check_depth(depth)
     if isinstance(fv, (SolenoidRule, ProductConstruction)):
         rows = {}
         for gen, (indices, terms) in _chains(fv, depth).items():

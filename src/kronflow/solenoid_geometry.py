@@ -8,7 +8,9 @@ coordinate bijection maps a member point to the pair (tau, digit list) and
 back, and the associated approximating times land on the target in the first
 k coordinates exactly.  Membership and coordinates check the relations on
 integer pairs (p_j, q_j), theta_j = p_j / q_j: an exact point's Fractions, or
-the pairs the CLI reads, which are neither reduced nor made Fractions.
+the pairs the CLI reads, which are neither reduced nor made Fractions.  The
+approximating times and their target are made as reduced integer pairs too,
+and as Fractions only by the library's views of them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .exact_linalg import format_rational, parse_rational
 from .frequency import SigmaSequence
 
 # angles as integer pairs (p_j, q_j), theta_j = p_j / q_j with q_j > 0
-Pairs = Sequence[tuple[int, int]]
+Pair = tuple[int, int]
+Pairs = Sequence[Pair]
 
 
 @dataclass(frozen=True)
@@ -57,11 +60,6 @@ class TorusPoint:
     def to_radians(self) -> list[float]:
         if self.exact:
             return [2 * math.pi * float(v) for v in self.angles]
-        return list(self.angles)
-
-    def to_json(self):
-        if self.exact:
-            return [format_rational(v) for v in self.angles]
         return list(self.angles)
 
 
@@ -154,28 +152,49 @@ def to_coordinates(a: SigmaSequence, theta: TorusPoint | Pairs) -> SolenoidCoord
     return coords
 
 
-def from_coordinates(a: SigmaSequence, coords: SolenoidCoords) -> TorusPoint:
-    """Unique member with the given coordinates:
+def times_and_target(a: SigmaSequence, coords: SolenoidCoords) -> tuple[list[Pair], list[Pair]]:
+    """The approximating times t_1..t_N (in turns) and the target theta_1..theta_N,
+    the unique member with the given coordinates, as reduced pairs (p, q), q > 0:
 
-        theta_j = omega_j * (tau + sum_{m<=j} n_m / omega_{m-1}),
-        omega_j = 1 / (a_1 ... a_j).
-    """
+        t_j = tau + sum_{m=2..j} n_m A_(m-1),    theta_j = t_j / A_j,    A_j = a_1 ... a_j.
+
+    With tau = u/v, t_j = acc_j / v and theta_j = acc_j / (v A_j), for acc_j = u +
+    v sum_{m<=j} n_m A_(m-1).  Since acc_j = u (mod v), gcd(acc_j, v) = gcd(u, v) = 1:
+    t_j is reduced, and theta_j reduces by g_j = gcd(acc_j, v A_j) = gcd(acc_j, A_j).
+
+    That gcd needs no second number of N log N bits: g_1 = gcd(u, 1) = 1 and
+    g_j = gcd(acc_j, g_(j-1) a_j).  Proof: acc_j = acc_(j-1) (mod v A_(j-1)), so
+    gcd(acc_j, A_(j-1)) = g_(j-1).  And gcd(x, B c) = gcd(x, gcd(x, B) c) for all
+    x, B, c: at each prime p, replacing v_p(B) by min(v_p(x), v_p(B)) leaves
+    min(v_p(x), v_p(B) + v_p(c)) unchanged, since when the new value is v_p(x)
+    both minima are v_p(x).  Take x = acc_j, B = A_(j-1), c = a_j.
+
+    Each target pair is checked to lie in [0,1), and the target is re-checked
+    for membership against the digits."""
     terms = a.terms(coords.depth)
-    vals = [coords.tau]
-    for acc, scale in _running_sums(terms, coords):
+    u, v = coords.tau.numerator, coords.tau.denominator
+    times, target, g = [(u, v)], [(u, v)], 1
+    for (acc, scale), a_j in zip(_running_sums(terms, coords), terms[1:]):
         if not 0 <= acc < scale:
             raise ValidationError("internal error: reconstructed angle left [0,1)")
-        vals.append(Fraction(acc, scale))
-    if _digits(terms, [(v.numerator, v.denominator) for v in vals]) != list(coords.digits):
+        g = math.gcd(acc, g * a_j)
+        times.append((acc, v))
+        target.append((acc // g, scale // g))
+    if _digits(terms, target) != list(coords.digits):
         raise ValidationError("internal error: reconstructed point fails membership")
-    return TorusPoint(tuple(vals), True)
+    return times, target
+
+
+def from_coordinates(a: SigmaSequence, coords: SolenoidCoords) -> TorusPoint:
+    """Unique member with the given coordinates: the target of
+    ``times_and_target``, as Fractions."""
+    return TorusPoint(tuple(Fraction(p, q) for p, q in times_and_target(a, coords)[1]), True)
 
 
 def approximating_times(a: SigmaSequence, coords: SolenoidCoords) -> list[Fraction]:
     """Times t_1..t_N (in turns) whose flow points match the target in the
-    first k coordinates: t_k = tau + sum_{m=2..k} n_m / omega_{m-1}."""
-    v = coords.tau.denominator  # (u + v S_k) / v is reduced: gcd(u + v S_k, v) = gcd(u, v) = 1
-    return [coords.tau] + [Fraction(acc, v) for acc, _ in _running_sums(a.terms(coords.depth), coords)]
+    first k coordinates: those of ``times_and_target``, as Fractions."""
+    return [Fraction(p, q) for p, q in times_and_target(a, coords)[0]]
 
 
 def local_chart(a: SigmaSequence, theta: TorusPoint) -> tuple[Fraction, tuple[int, ...]]:

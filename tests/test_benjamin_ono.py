@@ -114,6 +114,48 @@ def test_tail_module_sigma_table_matches_closed_form(prefix, c, m, depth):
     assert list(rep.sigma_values) == [s.sigma(j) for j in range(1, depth + 1)]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12), max_size=5),
+    st.fractions(min_value=0, max_value=3, max_denominator=7),
+    st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9),
+    st.integers(2, 64),
+)
+def test_tail_module_json_prints_the_closed_forms(prefix, c, r, depth):
+    """``to_json`` writes each sigma and tail sum from the integer table: the
+    text of the closed forms ``sigma(j)`` and ``tail_sum(n)``, reduced."""
+    s = RationalSequenceSpec(tuple(prefix), c, r)
+    doc = bo_tail_module(BoRule(BETA, s), depth).to_json()
+    assert doc["sigma"] == [str(s.sigma(j)) for j in range(1, depth + 1)]
+    assert doc["tail_sums"] == [str(s.tail_sum(n)) for n in range(1, depth)]
+
+
+def test_tail_module_json_makes_no_fraction_per_entry(monkeypatch):
+    """The printed tables come from the integers: building the report and
+    writing it make as many Fractions at depth 128 as at depth 16 (those of R's
+    presentation), and only the views ``sigma_values`` and ``tail_sums`` make
+    one per entry."""
+    rule = BoRule(BETA, RationalSequenceSpec((F(2, 3), F(5, 4)), F(3, 2), F(1, 6)))
+    made = []
+    original = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    counts = []
+    for depth in (16, 128):
+        made.clear()
+        rep = bo_tail_module(rule, depth)
+        doc = rep.to_json()
+        counts.append(len(made))
+    assert counts[0] == counts[1]
+    made.clear()
+    assert [str(x) for x in rep.sigma_values + rep.tail_sums] == doc["sigma"] + doc["tail_sums"]
+    assert len(made) == 128 + 127
+
+
 def _over_scale(table: tuple[int, Iterable[int]]) -> list[F]:
     """The values of a ``scaled_*`` table, (D, integers), each over D."""
     scale, values = table

@@ -188,6 +188,20 @@ def test_integer_rows_over_their_scales_are_the_coordinates(fv, data):
             assert F(row.get(j, 0), scale) == col.get(g, 0), (g, j)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1"}]},
+    {"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}},
+    {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
+    {"kind": "bo", "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}},
+], ids=["finite", "solenoid", "product", "bo"])
+def test_integer_rows_rejects_a_negative_depth(spec):
+    """The integer table and the coordinate maps share one depth rule on every family."""
+    fv = parse_frequency_spec(spec)
+    for table in (integer_rows, coordinates):
+        with pytest.raises(ValidationError, match=r"^frequency depth must be >= 0, got -3$"):
+            table(fv, -3)
+
+
 # -- evaluate_float examples
 
 

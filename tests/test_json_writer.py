@@ -35,6 +35,8 @@ TREES = st.recursive(
         st.lists(kids, max_size=5).map(tuple),
         st.dictionaries(TEXT, kids, max_size=5),
         st.lists(st.one_of(st.integers(), st.integers(min_value=2**200), st.booleans()), max_size=6),
+        st.lists(TEXT, max_size=6),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
     ),
     max_leaves=40,
 )

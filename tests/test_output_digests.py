@@ -23,7 +23,11 @@ a finite spec whose last term is empty, are pinned as the Hermite transform
 of the Fraction coordinate columns printed them.  ``kron solenoid member``,
 ``coords`` and ``times`` at depth 128 on the factorial, odd-indexed-prime
 and periodic sequences, and ``member`` on one non-member, are pinned as the
-Fraction relations printed them.  Any change that alters one byte
+Fraction relations printed them; ``kron solenoid times`` at depths 16 and 64
+on the halving and periodic sequences, and ``kron bo`` at depth 128 on the BO
+spec and at depths 16, 64 and 128 on ``bo-prefixed`` (a prefix whose
+denominators 3 and 4 differ from the tail ratio's 6), are pinned as the
+times and the sigmas printed from Fractions printed them.  Any change that alters one byte
 of these outputs fails here and has to say why.  ``kron resonance`` and
 ``kron reduce-flow`` at depths 1, 16 and 64 on the factorial, odd-indexed-prime
 and periodic solenoids and on ``product-chains`` (two ``qa`` chains and two
@@ -50,6 +54,7 @@ SPECS = {
     },
     "bo-odd": {"kind": "bo", "s": {"prefix": ["1/2"], "tail": {"c": "1/2", "r": "1/3"}}},
     "bo-zero": {"kind": "bo", "s": {"prefix": [], "tail": {"c": "0", "r": "1/2"}}},
+    "bo-prefixed": {"kind": "bo", "s": {"prefix": ["2/3", "5/4"], "tail": {"c": "3/2", "r": "1/6"}}},
     "product": {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]},
     "mixed-a": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}]},
     "mixed-b": {"kind": "finite", "terms": [{"1": "1", "sqrt2": "1"}, {"1": "2", "sqrt2": "2"}, {"sqrt3": "1/2"}]},
@@ -159,6 +164,10 @@ ARGV_DIGESTS = {
     ("reduce", "--nu=-84,0,30,-7,0,126,-1001,45"): "0627ad53dce9c27c9492c743c43808b043aa495a5d2b287b179056d085956858",  # 12123 bytes
     ("bo", "bo", "--depth", "16"): "11de96c34f40cdd8d88e7f007e5321f1f8a27c82ea87cc7e709f5532a07c33cc",  # 2682 bytes
     ("bo", "bo", "--depth", "64"): "7795225eca1ad55417a67a69b90cbce244efd8c8e3c7ba0c4b45e4c07852b516",  # 5408 bytes
+    ("bo", "bo", "--depth", "128"): "6f5978145ff75eda7a466de4f3267962882d33ad324ce7e435b510fccfa71413",  # 12276 bytes
+    ("bo", "bo-prefixed", "--depth", "16"): "681ee9050eb4bacfd81a658d9867c6bc9c7a3e514778ab495fab0252caf334d8",  # 3249 bytes
+    ("bo", "bo-prefixed", "--depth", "64"): "25364bf36a16a0c887a3ef73158f347d220b206d614835f7aca8e974dcc6a025",  # 8430 bytes
+    ("bo", "bo-prefixed", "--depth", "128"): "9839103a4e3cc4d6c77c65753a8a461bce4239ed717a36088a9f4b65f9b3c154",  # 23711 bytes
     ("bo", "bo-odd", "--depth", "3"): "2debe4cf87f6386d13d3aede117973c527eeb200a01e0a4b01f187c583a43a4c",  # 2299 bytes
     ("bo", "bo-odd", "--depth", "16"): "fb7ba0c4517db807745f6b2f4eb540d775c015aa76f4fd9ec51f2d8ac5704638",  # 2715 bytes
     ("solenoid", "coords", "--a", "1,2", "--theta", "1/4,5/8"):
@@ -190,6 +199,7 @@ SOLENOID_SEQUENCES = {
     "factorial": {"prefix": [1], "tail": "increment"},
     "odd_primes": {"prefix": [1], "tail": "odd_indexed_primes"},
     "periodic": {"prefix": [1], "tail": {"periodic": [2, 3]}},
+    "halving": {"prefix": [1, 2], "tail": {"constant": 2}},
 }
 
 
@@ -228,6 +238,22 @@ def test_solenoid_stdout_digest(op, family, member, capsys):
     assert main(_solenoid_argv(op, family, member)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SOLENOID_DIGESTS[op, family, member]
+
+
+# -- kron solenoid times on the same points at shallower depths
+SOLENOID_TIMES_DIGESTS = {
+    ("halving", 16): "dd99326b5bc39622d52e1cad669b46de50ff5ce6dec0ee25de0c24cbb6d4b307",  # 479 bytes
+    ("halving", 64): "16641444d570ba33a12ce627034771940818698f967e226b72dd860cdee0a81d",  # 3180 bytes
+    ("periodic", 16): "6cd2e7bd203f2a34f155a4bbe79b295ab003f42cd4892f24bb99c6bc6d5216ac",  # 511 bytes
+    ("periodic", 64): "1052bf77cb56a1e197cd92b1e1e87b96f884c5725ae09ea005a02e04e1350900",  # 3674 bytes
+}
+
+
+@pytest.mark.parametrize("family,depth", sorted(SOLENOID_TIMES_DIGESTS))
+def test_solenoid_times_digest(family, depth, capsys):
+    assert main(_solenoid_argv("times", family, True, depth)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLENOID_TIMES_DIGESTS[family, depth]
 
 
 # -- kron simulate: the sha256 of the CSV file, on 201 samples from t0 = 3 with

@@ -58,7 +58,7 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
         sweeps.append(depth_sweep.sweep(tmp_path / name))
     first, second = sweeps
     assert {row["command"] for row in first} == {
-        "resonance", "reduce-flow", "solenoid member", "solenoid coords", "solenoid times", "simulate"}
+        "resonance", "reduce-flow", "bo", "solenoid member", "solenoid coords", "solenoid times", "simulate"}
     for row in first:
         fields = {"command", "family", "depth", "best_ms", "tracemalloc_peak_bytes"}
         fields |= {"csv_bytes", "csv_sha256"} if row["command"] == "simulate" else {"stdout_bytes", "stdout_sha256"}

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -6,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronflow.cli import main
 from kronflow.dynamics import flow
 from kronflow.errors import ValidationError
+from kronflow.exact_linalg import format_rational
 from kronflow.frequency import UNIT, SigmaSequence, SolenoidRule
 from kronflow.solenoid_geometry import (
     GeometricWeights,
@@ -19,6 +25,7 @@ from kronflow.solenoid_geometry import (
     is_member,
     local_chart,
     product_metric,
+    times_and_target,
     to_coordinates,
 )
 
@@ -255,10 +262,50 @@ def test_integer_path_matches_fraction_oracle(data):
     assert _outcome(to_coordinates, a, pairs) == _outcome(fraction_to_coordinates, a, theta)
 
 
+def _sequence_json(a: SigmaSequence) -> str:
+    """``--a`` text of a sequence: its prefix and its tail as a spec writes them."""
+    tail = a.tail_kind
+    if tail == "constant":
+        tail = {"constant": a.tail_params[0]}
+    elif tail == "periodic":
+        tail = {"periodic": list(a.tail_params)}
+    return json.dumps({"prefix": list(a.prefix), "tail": tail})
+
+
+def _reduced(text: str) -> bool:
+    p, _, q = text.partition("/")
+    return not q or (int(q) > 1 and math.gcd(int(p), int(q)) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_times_print_the_fraction_oracle(data):
+    """``kron solenoid times`` prints the pairs of ``times_and_target`` as the
+    Fraction oracle prints its times and target, every pair reduced."""
+    a = data.draw(sequences())
+    depth = data.draw(st.integers(2, 64))
+    terms = a.terms(depth)
+    v = data.draw(st.integers(1, 60))
+    tau = F(data.draw(st.integers(0, v - 1)), v)
+    digits = [data.draw(st.integers(0, terms[j - 1] - 1)) for j in range(2, depth + 1)]
+    if data.draw(st.booleans()):  # zero digits keep the target's denominators small
+        digits = [0] * (depth - 1)
+    coords = SolenoidCoords(tau, tuple(digits))
+    out = io.StringIO()
+    argv = ["solenoid", "times", "--a", _sequence_json(a), "--tau", str(tau), "--digits", ",".join(map(str, digits))]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["times"] == [str(t) for t in fraction_approximating_times(a, coords)]
+    assert doc["target"] == [format_rational(x) for x in fraction_from_coordinates(a, coords).angles]
+    assert all(map(_reduced, doc["times"] + doc["target"]))
+
+
 def test_relations_build_no_fractions(monkeypatch):
-    """On a factorial member at depth 512, membership and digit extraction
-    make no Fraction and the reconstruction one per coordinate; the Fraction
-    path made several per relation."""
+    """On a factorial member at depth 512, membership, digit extraction and
+    the integer times and target make no Fraction, and the Fraction view of
+    the reconstruction one per coordinate; the Fraction path made several per
+    relation."""
     a = SigmaSequence((1,), "increment")
     depth = 512
     coords = SolenoidCoords(F(5, 7), tuple((j * j + 1) % j for j in range(2, depth + 1)))
@@ -275,6 +322,9 @@ def test_relations_build_no_fractions(monkeypatch):
     assert to_coordinates(a, point) == coords and made == []
     assert from_coordinates(a, coords) == point
     assert len(made) <= depth
+    made.clear()
+    times, target = times_and_target(a, coords)
+    assert made == [] and target == [(x.numerator, x.denominator) for x in point.angles]
 
 
 # -- local chart
