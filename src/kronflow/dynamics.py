@@ -11,12 +11,12 @@ the time is rational (measured in turns), and all frequency coordinates sit
 on a single generator.
 
 The float paths (flow, trajectory sampling, quadrature, the minimality probe)
-evaluate omega_1..omega_N once per call, at the caller's working precision,
-and form the angles (Theta0 + omega t) mod 2*pi for all sample times at once
-as numpy arrays; the probe forms them only for the samples whose first angle
-is near the target's.  numpy is imported inside those paths only, so the
-closed-form averages (``time_average``, ``equidistribution_report``) and
-``import kronflow.dynamics`` never load it.
+read the integer table of omega_1..omega_N once per call, make each omega_j a
+double in fixed point, and form the angles (Theta0 + omega t) mod 2*pi for
+all sample times at once as numpy arrays; the probe forms them only for the
+samples whose first angle is near the target's.  numpy is imported inside
+those paths only, so the closed-form averages (``time_average``,
+``equidistribution_report``) and ``import kronflow.dynamics`` never load it.
 """
 
 from __future__ import annotations
@@ -30,17 +30,12 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, parse_list, parse_rational
-from .frequency import (
-    FrequencyVector,
-    Generator,
-    _coordinate_stream,  # omega_1..omega_N one map at a time
-    evaluate_float,
-    working_bits,
-)
+from .frequency import FrequencyVector, Generator, _value_at, integer_rows, working_bits
 from .resonance_reduction import resonance_basis
 from .solenoid_geometry import TorusPoint
 
 NEAR_RESONANCE_FLOOR = 1e-9
+GENERATOR_RANGE = 1 << 14  # the float paths take generators of magnitude 2^-16384 .. 2^16384
 TAU = 2 * math.pi
 # minimality_probe samples in chunks that double from the first size up to the cap
 PROBE_FIRST_CHUNK = 1 << 14
@@ -152,39 +147,64 @@ def parse_polynomial(document: Mapping) -> TrigPolynomial:
 
 
 def _single_generator(fv: FrequencyVector, depth: int):
-    """If all coordinates up to ``depth`` live on one generator, return the
-    list of rational coefficients; otherwise None."""
-    gen: Generator | None = None
-    coeffs = []
-    for c in _coordinate_stream(fv, depth):
-        if len(c) > 1:
-            return None
-        if c:
-            (g, val), = c.items()
-            if gen is None:
-                gen = g
-            elif gen != g:
-                return None
-            coeffs.append(val)
-        else:
-            coeffs.append(Fraction(0))
-    return coeffs
+    """The rational coefficients of omega_1..omega_depth if the table up to
+    ``depth`` has at most one generator's row; otherwise None."""
+    rows = integer_rows(fv, depth)
+    if len(rows) > 1:
+        return None
+    scale, row = next(iter(rows.values()), (1, {}))
+    return [Fraction(row.get(j, 0), scale) for j in range(1, depth + 1)]
+
+
+def _fixed_point(rows: Mapping[Generator, tuple[int, dict[int, int]]], bits: int) -> tuple[list, int]:
+    """([(row_g, F_g)], D) in the table's order, omega_j = sum_g row_g[j] F_g /
+    D: g's number at bits + 64 bits is m_g 2^e_g, S = lcm(s_g), e = min(0, e_g),
+    D = S 2^-e, F_g = (S / s_g) m_g 2^(e_g - e).  A generator beyond
+    2^+-GENERATOR_RANGE is an error."""
+    numbers = []
+    for gen in rows:
+        sign, man, exp, size = _value_at(gen, bits + 64)._mpf_
+        if man and abs(exp + size) > GENERATOR_RANGE:
+            raise ValidationError(f"generator {gen.name!r} is beyond 2^+-{GENERATOR_RANGE} for the float paths")
+        numbers.append((-int(man) if sign else int(man), exp))
+    scale = math.lcm(*(s for s, _ in rows.values()))
+    low = min([0] + [exp for _, exp in numbers])
+    table = [(row, (scale // s * man) << (exp - low)) for (s, row), (man, exp) in zip(rows.values(), numbers)]
+    return table, scale << -low
+
+
+def _to_double(terms: list[int], denominator: int, bits: int) -> float | None:
+    """sum(terms) / denominator by one correctly rounded int/int division (+-inf
+    past a double's range), or None when |sum| 2^bits <= sum |term|: the
+    cancellation ate every working bit."""
+    total = sum(terms)
+    if abs(total) << bits <= sum(map(abs, terms)):
+        return None
+    try:
+        return total / denominator
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
-    """omega_1..omega_depth as doubles, each evaluated once at the working
-    precision; the first omega_j that overflows a double, or that cancels to
-    0 there from nonempty coordinates (not one that underflows), is an error."""
+    """omega_1..omega_depth as doubles by ``_to_double``, 0.0 at an index with
+    no coordinates; the first omega_j that overflows a double, or that
+    cancels to 0 from nonempty coordinates (not one that underflows), is an
+    error."""
     import numpy as np
 
-    omegas = []
-    for j, coords in enumerate(_coordinate_stream(fv, depth), 1):
-        value = evaluate_float(coords)
-        if coords and not value:
-            raise ValidationError(f"omega_{j} rounds to 0 at {working_bits()} bits; raise --precision")
-        omegas.append(float(value))
-        if not math.isfinite(omegas[-1]):
-            raise ValidationError(f"omega_{j} overflows a double")
+    bits = working_bits()
+    table, denominator = _fixed_point(integer_rows(fv, depth), bits)
+    omegas = [0.0] * depth
+    for j in range(1, depth + 1):
+        terms = [row[j] * f for row, f in table if j in row]
+        if terms:
+            value = _to_double(terms, denominator, bits)
+            if value is None:
+                raise ValidationError(f"omega_{j} rounds to 0 at {bits} bits; raise --precision")
+            if not math.isfinite(value):
+                raise ValidationError(f"omega_{j} overflows a double")
+            omegas[j - 1] = value
     return np.array(omegas)
 
 
@@ -235,28 +255,22 @@ def haar_average(p: TrigPolynomial) -> Fraction:
 def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin) -> tuple[bool, float]:
     """(resonant?, float value of nu . omega).
 
-    Resonance is decided exactly in generator coordinates, from one pass over
-    omega_1..omega_n (n = nu.max_index()) that keeps only the maps at nu's
-    indices; the float value is computed from the exact coordinates at
-    ``working_bits()``.  A non-resonant nu whose value rounds to 0 at that
-    precision, or overflows a double, is an error.
+    Resonance is decided in integers on the table of omega_1..omega_n, n =
+    nu.max_index(): sum_j nu_j x_gj = 0 on every generator's row.  The value
+    is made from the same integers by ``_to_double``; a non-resonant nu whose
+    value rounds to 0 (by cancellation or underflow), or overflows a double,
+    is an error.
     """
-    support = set(nu.support())
-    kept = {j: c for j, c in enumerate(_coordinate_stream(fv, nu.max_index()), 1) if j in support}
-    combo: dict[Generator, Fraction] = {}
-    for j, v in nu.items():
-        for g, c in kept[j].items():
-            combo[g] = combo.get(g, Fraction(0)) + v * c
-    combo = {g: c for g, c in combo.items() if c != 0}
-    if not combo:
+    rows = integer_rows(fv, nu.max_index())
+    sums = {g: n for g, (_, row) in rows.items() if (n := sum(v * row.get(j, 0) for j, v in nu.items()))}
+    if not sums:
         return True, 0.0
-    value = float(evaluate_float(combo))
-    if value == 0.0:
+    bits = working_bits()
+    table, denominator = _fixed_point({g: rows[g] for g in sums}, bits)
+    value = _to_double([n * f for n, (_, f) in zip(sums.values(), table)], denominator, bits)
+    if not value:
         shown = {str(i): v for i, v in nu.items()}  # in index order, whatever order nu was built in
-        raise ValidationError(
-            f"omega . nu for non-resonant nu {shown} rounds to 0 at "
-            f"{working_bits()} bits; raise --precision"
-        )
+        raise ValidationError(f"omega . nu for non-resonant nu {shown} rounds to 0 at {bits} bits; raise --precision")
     _require_finite(value, "omega . nu")
     if abs(value) < NEAR_RESONANCE_FLOOR:
         warnings.warn(

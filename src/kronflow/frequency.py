@@ -2,12 +2,11 @@
 
 A frequency vector is either a finite list of exact coordinate maps or one of
 three rule-based infinite families (solenoidal product rule, the quadratic
-integrable-flow rule, and the prime-power product construction).  Coordinates
-are exact rationals per generator; float values are produced on demand via
+integrable-flow rule, and the prime-power product construction), held as one
+integer table (``integer_rows``).  A generator's number is made on demand via
 mpmath, at the caller's working precision (``mpmath.workprec``), never below
-64 bits.  mpmath is imported only when a float is evaluated (``working_bits``,
-``Generator.float_value``, ``evaluate_float``), so the exact operations never
-load it.
+64 bits; mpmath is imported only then (``working_bits``, ``float_value``,
+``evaluate_float``), so the exact operations never load it.
 
 Rational independence of the declared generators is an axiom of the input.
 The built-in kinds (the rational unit, square roots of distinct primes, and
@@ -504,28 +503,13 @@ def rational_vector(values: Sequence[Fraction | int | str]) -> Finite:
 
 
 def coordinates(fv: FrequencyVector, depth: int) -> list[CoordMap]:
-    """Exact coordinates of omega_1..omega_depth in the Q-span of the declared
-    generators, one map per index, built in one pass over the family's rule."""
-    return list(_coordinate_stream(fv, depth))
-
-
-def _coordinate_stream(fv: FrequencyVector, depth: int) -> Iterator[CoordMap]:
-    """The maps of ``coordinates(fv, depth)`` in index order, made one at a
-    time: a caller that keeps few of them holds one running product or sum,
-    where the whole solenoid or BO table grows with the square of depth."""
-    _check_depth(depth)
-    if isinstance(fv, SolenoidRule):
-        return ({fv.generator: Fraction(1, p)} for p in itertools.accumulate(fv.a.terms(depth), operator.mul))
-    if isinstance(fv, BoRule):
-        scale, sigmas = fv.s.scaled_sigmas(depth)
-        return ({UNIT: Fraction(j * j), fv.beta: Fraction(-2 * sigma, scale)} for j, sigma in enumerate(sigmas, 1))
-    if isinstance(fv, ProductConstruction):
-        table: list[CoordMap] = [{} for _ in range(depth)]
-        for gen, (indices, terms) in _chains(fv, depth).items():
-            for j, p in zip(indices, itertools.accumulate(terms, operator.mul)):
-                table[j - 1] = {gen: Fraction(1, p)}
-        return iter(table)
-    return (dict(term) for term in _finite_terms(fv, depth))
+    """Exact coordinates of omega_1..omega_depth, one map {generator: nonzero
+    Fraction} per index: a view of ``integer_rows``, each entry over its scale."""
+    maps: list[CoordMap] = [{} for _ in range(depth)]
+    for gen, (scale, row) in integer_rows(fv, depth).items():
+        for j, x in row.items():
+            maps[j - 1][gen] = Fraction(x, scale)
+    return maps
 
 
 def _check_depth(depth: int) -> None:

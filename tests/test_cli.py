@@ -449,6 +449,45 @@ def test_simulate_names_an_omega_that_cancels_to_0(tmp_path, capsys, monkeypatch
     assert captured.err.splitlines()[-1] == "error: omega_1 rounds to 0 at 64 bits; raise --precision"
 
 
+# omega_1 = 10^19 sqrt2 - 14142135623730950489, about -0.98311: 10^19 sqrt2 at 64
+# bits is 14142135623730950488 exactly, so a 64-bit sum reads -1.0, while
+# |omega_1| 2^64 is below the terms' 2.8e19: the cancellation ate every working bit
+ONE_TERM_NEAR_CANCEL_SPEC = (
+    '{"kind": "finite", "terms": [{"1": "-14142135623730950489", "sqrt2": "10000000000000000000"}]}')
+
+
+def test_an_omega_cancelled_past_the_working_bits_is_an_error(tmp_path, capsys, monkeypatch):
+    """Not only an exact 0: an omega_j whose nonempty coordinates cancel
+    below the working bits is named by ``simulate``, and its nu = e_1 by
+    ``average`` and ``equidistribution``; each runs at 200 bits."""
+    monkeypatch.delenv("KRON_PRECISION", raising=False)
+    spec = tmp_path / "near1.json"
+    spec.write_text(ONE_TERM_NEAR_CANCEL_SPEC)
+    poly = tmp_path / "cos1.json"
+    poly.write_text('{"terms": [{"cos": {"1": 1}}]}')
+    out = tmp_path / "t.csv"
+    s = str(spec)
+    simulate = ["simulate", s, "--t1", "1", "--steps", "1", "--depth", "1", "--theta0", "0", "--out", str(out)]
+    average = ["average", s, "--poly", str(poly), "--depth", "1"]
+    equidistribution = ["equidistribution", s, "--nu", "1", "--T", "100", "--depth", "1"]
+    for argv, message in ((simulate, "omega_1 rounds to 0 at 64 bits; raise --precision"),
+                          (average, "omega . nu for non-resonant nu {'1': -1} rounds to 0 at 64 bits; "
+                                    "raise --precision"),
+                          (equidistribution, "omega . nu for non-resonant nu {'1': 1} rounds to 0 at 64 bits; "
+                                             "raise --precision")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out.exists(), argv[0]
+        assert captured.err.splitlines()[-1] == "error: " + message, argv[0]
+    bound = 2 / (100 * 0.98311275790301921430)  # 2 / (T |omega_1|)
+    code, _ = run(capsys, "--precision", "200", *simulate)
+    assert code == 0 and out.read_text().splitlines()[2] == "1,5.30007254928"
+    code, payload = run(capsys, "--precision", "200", *average)
+    assert code == 0 and abs(json.loads(payload)["rows"][0]["envelope"] - bound) < 1e-15
+    code, payload = run(capsys, "--precision", "200", *equidistribution)
+    assert code == 0 and abs(json.loads(payload)["rows"][0]["bound"] - bound) < 1e-15
+
+
 def test_empty_and_underflowing_omegas_stay_0():
     """An index with no coordinates (the product's index 3) and an omega that
     underflows a double (1/200! on the factorial rule) flow as a real 0."""
@@ -724,7 +763,7 @@ def test_monomial_past_the_depth_fails_before_any_frequency(tmp_path, capsys, mo
     def no_frequencies(fv, depth):
         raise AssertionError(f"frequencies up to index {depth} built before the depth check")
 
-    monkeypatch.setattr(dynamics, "_coordinate_stream", no_frequencies)
+    monkeypatch.setattr(dynamics, "integer_rows", no_frequencies)
     spec = tmp_path / "halving.json"
     spec.write_text(SOLENOID_SPEC)
     poly = tmp_path / "far.json"
@@ -787,8 +826,9 @@ BO_VALUED_SPEC = json.dumps({
 
 
 def test_bo_simulate_reads_beta_once_per_width(tmp_path, capsys, monkeypatch):
-    """A d16 BO `simulate` reads beta's numeral once per mantissa width, not
-    once per omega_j, and the CSV is the same whether beta was read afresh."""
+    """A d16 BO `simulate` reads beta's numeral once per mantissa width (the
+    working width plus 64 guard bits), not once per omega_j, and the CSV is
+    the same whether beta was read afresh."""
     import mpmath
 
     widths = []
@@ -809,12 +849,12 @@ def test_bo_simulate_reads_beta_once_per_width(tmp_path, capsys, monkeypatch):
                       "--depth", "16", "--out", str(out))
         assert code == 0
         csvs.append(out.read_bytes())
-    assert widths == [64, 200, 64]  # one parse of the spec per call, one evaluation of beta per parse
+    assert widths == [128, 264, 128]  # one parse of the spec per call, one evaluation of beta per parse
     assert csvs[0] == csvs[2]
     fv = parse_frequency_spec(BO_VALUED_SPEC)
     first = dynamics.sample_trajectory(fv, TorusPoint.origin(16), 0.0, 1e6, 20)
     assert dynamics.sample_trajectory(fv, TorusPoint.origin(16), 0.0, 1e6, 20) == first
-    assert widths == [64, 200, 64, 64]  # the library's spec object keeps beta between calls
+    assert widths == [128, 264, 128, 128]  # the library's spec object keeps beta between calls
 
 
 # omega_2 - omega_1 = 10^-31 exactly: below the near-resonance floor

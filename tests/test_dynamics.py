@@ -21,6 +21,7 @@ from kronflow.dynamics import (
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import IntVecFin
 from kronflow.frequency import (
+    integer_rows,
     parse_frequency_spec,
     rational_vector,
 )
@@ -214,22 +215,25 @@ def test_probe_rejects_resonant_vector():
         minimality_probe(RES11, TorusPoint.exact_point(["1/2", "0"]), 2, 0.1, 10.0)
 
 
-def test_nu_dot_omega_at_a_high_index_keeps_only_its_own_frequencies():
-    # halving: omega_j = 2^(1-j); a table up to j = 5000 holds about 1.5 MB of
-    # partial products, the one-pass stream keeps one of them at a time
+def test_nu_dot_omega_at_a_high_index_holds_only_its_table():
+    # halving: omega_j = 2^(1-j); the integer table up to j = 5001 holds about
+    # 1.5 MB of suffix products, and a resonant nu is decided on it alone,
+    # with no float and no second copy
     import tracemalloc
 
     halving = parse_frequency_spec(
         '{"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}'
     )
-    tracemalloc.start()
-    try:
-        resonant = nu_dot_omega(halving, IntVecFin({5000: 1, 5001: -2}))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert resonant == (True, 0.0)
-    assert peak < 256 * 1024
+    peaks = []
+    for call in (lambda: integer_rows(halving, 5001), lambda: nu_dot_omega(halving, IntVecFin({5000: 1, 5001: -2}))):
+        tracemalloc.start()
+        try:
+            result = call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert result == (True, 0.0)
+    assert peaks[1] < peaks[0] + 64 * 1024
     resonant, value = nu_dot_omega(halving, IntVecFin({1: 1, 5000: 1}))
     assert not resonant and value == 1.0 + 2.0**-4999
 

@@ -21,7 +21,7 @@ from kronflow.dynamics import (
 )
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import IntVecFin
-from kronflow.frequency import coordinates, evaluate_float, parse_frequency_spec
+from kronflow.frequency import coordinates, evaluate_float, integer_rows, parse_frequency_spec
 from kronflow.solenoid_geometry import TorusPoint
 from oracles import flow_angles_per_sample, probe_single_chunk
 
@@ -44,7 +44,9 @@ POLY = (
 
 
 def _omegas(fv, depth):
-    return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
+    """The doubles nearest omega_1..omega_depth, from 200-bit sums."""
+    with mpmath.workprec(200):
+        return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
 
 
 def _start_points(depth):
@@ -150,33 +152,35 @@ def test_probe_no_hit_reports_best_sample():
 
 
 def test_each_omega_evaluated_once_per_call(monkeypatch):
+    """Each float call reads the integer table once, at its depth."""
     calls = []
 
-    def counting(coords):
-        calls.append(coords)
-        return evaluate_float(coords)
+    def counting(fv, depth):
+        calls.append((fv, depth))
+        return integer_rows(fv, depth)
 
-    monkeypatch.setattr(dynamics, "evaluate_float", counting)
+    monkeypatch.setattr(dynamics, "integer_rows", counting)
     sample_trajectory(FACTORIAL_SQRT2, TorusPoint.origin(8), 0.0, 1e6, 200)
-    assert calls == coordinates(FACTORIAL_SQRT2, 8)
+    assert calls == [(FACTORIAL_SQRT2, 8)]
     calls.clear()
     time_average_quadrature(T3, POLY, TorusPoint.origin(3), 30.0, 4001)
-    assert calls == coordinates(T3, 3)
+    assert calls == [(T3, 3)]
     calls.clear()
     minimality_probe(T3, _planted(T3, 3, 200.0, F(0)), 3, 1e-2, 1e4)
-    assert calls == coordinates(T3, 3)
+    assert calls == [(T3, 3)]
 
 
 
 def test_float_omegas_read_the_width_once_per_omega(monkeypatch):
     """Once the generators' values are kept, ``_float_omegas`` on the BO d16
-    spec reads ``working_bits`` once per omega_j, not once more per
+    spec reads ``working_bits`` once per call, not once per omega_j or per
     generator of its two-generator map."""
     import kronflow.frequency as frequency
 
     expected = dynamics._float_omegas(BO_OPAQUE, 16)
     calls = []
     real = frequency.working_bits
-    monkeypatch.setattr(frequency, "working_bits", lambda: calls.append(1) or real())
+    for module in (frequency, dynamics):
+        monkeypatch.setattr(module, "working_bits", lambda: calls.append(1) or real())
     assert dynamics._float_omegas(BO_OPAQUE, 16).tolist() == expected.tolist()
-    assert 0 < len(calls) <= 16
+    assert len(calls) == 1

@@ -8,6 +8,7 @@ import math
 import time
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +33,9 @@ T3 = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"},{"s
 
 
 def _omegas(fv, depth):
-    return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
+    """The doubles nearest omega_1..omega_depth, from 200-bit sums."""
+    with mpmath.workprec(200):
+        return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
 
 
 def _step(omegas, eps):

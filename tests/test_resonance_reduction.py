@@ -805,8 +805,8 @@ TABLE_SPECS = {
 
 @pytest.mark.parametrize("family", list(TABLE_SPECS))
 def test_exact_paths_read_no_coordinate_maps(monkeypatch, family):
-    """``coordinates`` and ``_coordinate_stream`` raise in every module that
-    holds them, and every exact path still answers at depths 1, 2 and 16:
+    """``coordinates`` raises in every module that holds it, and every exact
+    path still answers at depths 1, 2 and 16:
     each reads ``integer_rows`` (BO's R its integer tail sums) alone."""
     import kronflow
     from kronflow import benjamin_ono, classification, dynamics, frequency
@@ -818,8 +818,7 @@ def test_exact_paths_read_no_coordinate_maps(monkeypatch, family):
         raise AssertionError("an exact path built the coordinate maps")
 
     for module in (kronflow, frequency, rr, classification, benjamin_ono, dynamics):
-        for name in ("coordinates", "_coordinate_stream"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+        monkeypatch.setattr(module, "coordinates", forbidden, raising=False)
     fv = parse_frequency_spec(TABLE_SPECS[family])
     for depth in (1, 2, 16):
         assert resonance_basis(fv, depth).truncation_depth == clamp_depth(fv, depth)
