@@ -40,12 +40,16 @@ origin; its stdout echoes the ``--out`` path, a temporary file, so its rows
 record the bytes and sha256 of the CSV instead.
 
 The ``cold_start`` block times what a single ``kron`` call pays before it
-works: the median wall time, over 11 fresh interpreters, of ``import
-kronflow.cli`` and of one ``kron`` call each (``reduce --nu 4,6``,
-``classify`` on halving at depth 16, and ``average``, ``equidistribution``
-and ``simulate`` on T^3), with whether mpmath and numpy were loaded at the
-end.  Each interpreter runs ``kronflow.cli.main`` as the ``kron`` script
-does, on a copy of the imported package with no ``__pycache__`` and with
+works: the median wall time, over 11 fresh interpreters, of a bare ``python
+-c pass``, of ``import kronflow.cli`` and of one ``kron`` call each
+(``reduce --nu 4,6``, ``classify`` on halving at depth 16, and ``average``,
+``equidistribution`` and ``simulate`` on T^3), with whether mpmath, numpy and
+dataclasses were loaded at the end.  Each entry's ``excess_ms`` is the median
+over the rounds of its time less the bare interpreter's in the same round:
+what kronflow adds to the interpreter and ``site``, a figure that a host's
+drift between runs moves far less than the raw medians.  Each interpreter
+runs ``kronflow.cli.main`` as the ``kron`` script does, on a copy of the
+imported package with no ``__pycache__`` and with
 ``PYTHONDONTWRITEBYTECODE=1``, so kronflow is compiled from source every
 time while the standard library and site-packages read their installed
 bytecode.  The rounds run every entry once, as the timed sweep does.
@@ -241,19 +245,24 @@ def sweep(workdir: Path) -> list[dict]:
     return rows
 
 
+# the libraries whose loading each cold call reports
+COLD_LIBS = ("mpmath", "numpy", "dataclasses")
 # a kron call in a fresh interpreter (none for the bare import), then the
 # libraries it loaded, as the last line of stderr
-COLD_PROBE = """import sys
+COLD_PROBE = f"""import sys
 import kronflow.cli
 code = kronflow.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print("loaded:", *[m for m in ("mpmath", "numpy") if m in sys.modules], file=sys.stderr)
+print("loaded:", *[m for m in {COLD_LIBS!r} if m in sys.modules], file=sys.stderr)
 sys.exit(code)
 """
+BARE = "python -c pass"
 
 
 def cold_start(workdir: Path) -> list[dict]:
-    """One entry per cold call: its median wall time in ms over COLD_RUNS
-    fresh interpreters, and whether mpmath and numpy were loaded."""
+    """One entry per cold call, the bare interpreter first: its median wall
+    time in ms over COLD_RUNS fresh interpreters, the median of its excess
+    over the bare interpreter in the same round, and which of COLD_LIBS
+    were loaded."""
     src = workdir / "src"
     shutil.copytree(Path(kronflow.__file__).parent, src / "kronflow", ignore=shutil.ignore_patterns("__pycache__"))
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -262,6 +271,7 @@ def cold_start(workdir: Path) -> list[dict]:
         (workdir / f"{name}.json").write_text(json.dumps(doc))
     halving, t3, cos = (str(workdir / f"{name}.json") for name in files)
     cases = {
+        BARE: None,
         "import kronflow.cli": [],
         "kron reduce --nu 4,6": ["reduce", "--nu", "4,6"],
         "kron classify halving --depth 16": ["classify", halving, "--depth", "16"],
@@ -274,15 +284,17 @@ def cold_start(workdir: Path) -> list[dict]:
     loaded: dict[str, list[str]] = {}
     for _ in range(COLD_RUNS):
         for name, argv in cases.items():
+            code = ["pass"] if argv is None else [COLD_PROBE, *argv]
             start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], env=env, cwd=workdir,
+            proc = subprocess.run([sys.executable, "-c", *code], env=env, cwd=workdir,
                                   capture_output=True, text=True, timeout=120)
             times[name].append(time.perf_counter() - start)
             if proc.returncode:
                 raise SystemExit(f"{name} exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-            loaded[name] = proc.stderr.splitlines()[-1].split()
+            loaded[name] = proc.stderr.splitlines()[-1].split() if argv is not None else []
     return [{"call": name, "median_ms": round(statistics.median(times[name]) * 1e3, 1),
-             "mpmath": "mpmath" in loaded[name], "numpy": "numpy" in loaded[name]}
+             "excess_ms": round(statistics.median(t - b for t, b in zip(times[name], times[BARE])) * 1e3, 1),
+             **{lib: lib in loaded[name] for lib in COLD_LIBS}}
             for name in cases]
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classification import (
@@ -32,7 +31,7 @@ from .classification import (
     is_free,
     module_report,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _Record
 from .exact_linalg import format_rational_pair, rational_gcd
 from .frequency import UNIT, BoRule, RationalSequenceSpec, clamp_depth
 from .primes import factorize
@@ -151,18 +150,21 @@ def baer_contains(t: BaerType, x: Fraction) -> bool:
 # Reports and the classification pipeline
 
 
-@dataclass(frozen=True)
-class BoModuleReport:
+class BoModuleReport(_Record):
     """The sigma and tail-sum tables as one integer table over the common
     denominator of ``RationalSequenceSpec.scaled_tail_sums``: D g_0, ...,
     D g_(N-1), whose running sums are D sigma_1, ..., D sigma_N."""
 
-    scale: int  # D
-    scaled_tail_sums: tuple[int, ...]  # D g_0, ..., D g_(N-1)
-    r_type: BaerType | None  # None when R = {0}
-    module: ModuleDescriptor  # the frequency module, read off the same R
-    full_support: bool
-    depth: int
+    __slots__ = ("scale", "scaled_tail_sums", "r_type", "module", "full_support", "depth")
+
+    def __init__(self, scale: int, scaled_tail_sums: tuple[int, ...], r_type: BaerType | None,
+                 module: ModuleDescriptor, full_support: bool, depth: int):
+        object.__setattr__(self, "scale", scale)  # D
+        object.__setattr__(self, "scaled_tail_sums", scaled_tail_sums)  # D g_0, ..., D g_(N-1)
+        object.__setattr__(self, "r_type", r_type)  # None when R = {0}
+        object.__setattr__(self, "module", module)  # the frequency module, read off the same R
+        object.__setattr__(self, "full_support", full_support)
+        object.__setattr__(self, "depth", depth)
 
     def _scaled_sigmas(self) -> Iterator[int]:
         return itertools.accumulate(self.scaled_tail_sums)

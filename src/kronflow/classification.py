@@ -16,10 +16,9 @@ solenoid carrying Lambda for each non-free one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import UnsupportedStructureError, ValidationError
+from .errors import UnsupportedStructureError, ValidationError, _Record
 from .exact_linalg import hermite_transform
 from .frequency import (
     BoRule,
@@ -67,8 +66,7 @@ def _first_exponent(pairs, p: int):
     return next((exp for pset, exp in pairs if _covers(pset, p)), None)
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
+class SupernaturalNumber(_Record):
     """Formal product prod_p p^(Lambda_p) given as prioritized (prime set,
     exponent) pairs; the first matching pair wins.
 
@@ -83,12 +81,11 @@ class SupernaturalNumber:
     after the largest of them, one odd-indexed and one even-indexed.
     """
 
-    pairs: tuple[tuple[tuple, int | float], ...]
-    _profile: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("pairs", "_profile")
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[tuple, int | float], ...]):
         cleaned = []
-        for pset, exp in self.pairs:
+        for pset, exp in pairs:
             kind = pset[0]
             if kind in (_FINITE, _COFINITE):
                 pset = (kind, frozenset(int(p) for p in pset[1]))
@@ -157,22 +154,22 @@ class SupernaturalNumber:
         return cls(tuple(pairs))
 
 
-@dataclass(frozen=True)
-class BaerType:
+class BaerType(_Record):
     """Descriptor (i, Lambda) of a rank-1 subgroup of Q: the fractions
     n*i / prod p^(lambda_p) with lambda <= Lambda componentwise."""
 
-    i: int
-    lam: SupernaturalNumber
+    __slots__ = ("i", "lam")
 
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValidationError(f"Baer index i must be a positive integer, got {self.i}")
-        for p in factorize(self.i):
-            if self.lam.resolve(p) != 0:
+    def __init__(self, i: int, lam: SupernaturalNumber):
+        if i < 1:
+            raise ValidationError(f"Baer index i must be a positive integer, got {i}")
+        for p in factorize(i):
+            if lam.resolve(p) != 0:
                 raise ValidationError(
-                    f"index i = {self.i} is divisible by {p} which carries a positive exponent"
+                    f"index i = {i} is divisible by {p} which carries a positive exponent"
                 )
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "lam", lam)
 
     def to_json(self) -> dict:
         return {"i": self.i, "lambda": self.lam.to_json()}
@@ -293,19 +290,23 @@ def baer_to_qa(t: BaerType) -> SigmaSequence:
 # Module descriptors
 
 
-@dataclass(frozen=True)
-class ModuleComponent:
-    generator: Generator
-    baer: BaerType
+class ModuleComponent(_Record):
+    __slots__ = ("generator", "baer")
+
+    def __init__(self, generator: Generator, baer: BaerType):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "baer", baer)
 
     @property
     def free(self) -> bool:
         return is_free(self.baer)
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
-    components: tuple[ModuleComponent, ...]
+class ModuleDescriptor(_Record):
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[ModuleComponent, ...]):
+        object.__setattr__(self, "components", components)
 
     @property
     def free_rank(self) -> int:

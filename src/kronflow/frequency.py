@@ -23,10 +23,9 @@ import math
 import operator
 import re
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedStructureError, ValidationError
+from .errors import UnsupportedStructureError, ValidationError, _Record
 from .exact_linalg import format_rational, parse_int, parse_list, parse_rational
 from .primes import factorize, is_prime, nth_prime, odd_indexed_primes
 
@@ -50,8 +49,7 @@ def working_bits() -> int:
 _KIND_ORDER = {"rational_unit": 0, "sqrt_prime": 1, "pi_power": 2, "opaque": 3}
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Record):
     """A real number declared rationally independent from the other generators.
 
     kind is one of ``rational_unit`` (the number 1), ``sqrt_prime`` (sqrt(p)),
@@ -60,45 +58,42 @@ class Generator:
     classification is needed).
     """
 
-    name: str
-    kind: str
-    param: int | None = None
-    value_digits: str | None = None
+    # outside the fields, so eq, repr and ordering ignore them: the hash of
+    # the fields, and the number at each mantissa width; copies and pickles
+    # rebuild both, since a string's hash differs between processes
+    __slots__ = ("name", "kind", "param", "value_digits", "_hash", "_floats")
 
-    def __post_init__(self):
-        if self.kind == "sqrt_prime":
-            if self.param is None or not is_prime(self.param):
-                raise ValidationError(f"generator {self.name!r}: sqrt_prime needs a prime param")
-        elif self.kind == "pi_power":
-            if self.param is None or self.param < 1:
-                raise ValidationError(f"generator {self.name!r}: pi_power needs param >= 1")
-        elif self.kind == "rational_unit":
+    def __init__(self, name: str, kind: str, param: int | None = None, value_digits: str | None = None):
+        if kind == "sqrt_prime":
+            if param is None or not is_prime(param):
+                raise ValidationError(f"generator {name!r}: sqrt_prime needs a prime param")
+        elif kind == "pi_power":
+            if param is None or param < 1:
+                raise ValidationError(f"generator {name!r}: pi_power needs param >= 1")
+        elif kind == "rational_unit":
             pass
-        elif self.kind == "opaque":
-            if self.value_digits is not None:
-                if not _DECIMAL.fullmatch(self.value_digits):
+        elif kind == "opaque":
+            if value_digits is not None:
+                if not _DECIMAL.fullmatch(value_digits):
                     raise ValidationError(
-                        f"generator {self.name!r}: opaque value {self.value_digits!r} is not a decimal numeral"
+                        f"generator {name!r}: opaque value {value_digits!r} is not a decimal numeral"
                     )
-                digits = sum(c.isdigit() for c in self.value_digits)
+                digits = sum(c.isdigit() for c in value_digits)
                 if digits < 30:
                     raise ValidationError(
-                        f"generator {self.name!r}: opaque value needs >= 30 significant digits"
+                        f"generator {name!r}: opaque value needs >= 30 significant digits"
                     )
         else:
-            raise ValidationError(f"generator {self.name!r}: unknown kind {self.kind!r}")
-        # outside the fields, so eq, repr and ordering ignore them: the hash
-        # the dataclass would compute, and the number at each mantissa width
-        object.__setattr__(self, "_hash", hash((self.name, self.kind, self.param, self.value_digits)))
+            raise ValidationError(f"generator {name!r}: unknown kind {kind!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "value_digits", value_digits)
+        object.__setattr__(self, "_hash", hash((name, kind, param, value_digits)))
         object.__setattr__(self, "_floats", {})
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        """Copies and pickles are rebuilt from the fields: a string's hash
-        differs between processes, so the cached one must not travel."""
-        return Generator, (self.name, self.kind, self.param, self.value_digits)
 
     def float_value(self) -> mpmath.mpf:
         """The number at ``working_bits()`` of mantissa, kept on the instance."""
@@ -168,8 +163,7 @@ def builtin_generator(name: str) -> Generator:
 # Integer sequences a = (1, a_2, a_3, ...) with structured tails
 
 
-@dataclass(frozen=True)
-class SigmaSequence:
+class SigmaSequence(_Record):
     """Sequence with a_1 = 1 and a_j > 1 afterwards, given as an explicit
     prefix plus a structured tail.
 
@@ -178,26 +172,27 @@ class SigmaSequence:
     the start of that class, regardless of prefix length).
     """
 
-    prefix: tuple[int, ...]
-    tail_kind: str
-    tail_params: tuple[int, ...] = ()
+    __slots__ = ("prefix", "tail_kind", "tail_params")
 
-    def __post_init__(self):
-        if not self.prefix or self.prefix[0] != 1:
+    def __init__(self, prefix: tuple[int, ...], tail_kind: str, tail_params: tuple[int, ...] = ()):
+        if not prefix or prefix[0] != 1:
             raise ValidationError("sequence prefix must start with a_1 = 1")
-        if any(v <= 1 for v in self.prefix[1:]):
+        if any(v <= 1 for v in prefix[1:]):
             raise ValidationError("sequence entries after a_1 must exceed 1")
-        if self.tail_kind == "constant":
-            if len(self.tail_params) != 1 or self.tail_params[0] <= 1:
+        if tail_kind == "constant":
+            if len(tail_params) != 1 or tail_params[0] <= 1:
                 raise ValidationError("constant tail needs a single value > 1")
-        elif self.tail_kind == "periodic":
-            if not self.tail_params or any(v <= 1 for v in self.tail_params):
+        elif tail_kind == "periodic":
+            if not tail_params or any(v <= 1 for v in tail_params):
                 raise ValidationError("periodic tail needs values > 1")
-        elif self.tail_kind in ("increment", "odd_indexed_primes"):
-            if self.tail_params:
-                raise ValidationError(f"{self.tail_kind} tail takes no parameters")
+        elif tail_kind in ("increment", "odd_indexed_primes"):
+            if tail_params:
+                raise ValidationError(f"{tail_kind} tail takes no parameters")
         else:
-            raise ValidationError(f"unknown sequence tail {self.tail_kind!r}")
+            raise ValidationError(f"unknown sequence tail {tail_kind!r}")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail_kind", tail_kind)
+        object.__setattr__(self, "tail_params", tail_params)
 
     def term(self, j: int) -> int:
         if j < 1:
@@ -262,27 +257,27 @@ class SigmaSequence:
 # Nonnegative rational sequences with geometric tails (integrable-flow input)
 
 
-@dataclass(frozen=True)
-class RationalSequenceSpec:
+class RationalSequenceSpec(_Record):
     """s = (s_k): explicit nonnegative prefix, then s_{L+m} = c * r^(m-1).
 
     c = 0 means finite support.  The weighted sum  sum_k k*s_k  is finite by
     construction (geometric tail), which the quadratic frequency rule needs.
     """
 
-    prefix: tuple[Fraction, ...] = ()
-    tail_c: Fraction = Fraction(0)
-    tail_r: Fraction = Fraction(1, 2)
+    __slots__ = ("prefix", "tail_c", "tail_r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(Fraction(v) for v in self.prefix))
-        object.__setattr__(self, "tail_c", Fraction(self.tail_c))
-        object.__setattr__(self, "tail_r", Fraction(self.tail_r))
-        if any(v < 0 for v in self.prefix):
+    def __init__(self, prefix: tuple[Fraction, ...] = (), tail_c: Fraction = Fraction(0),
+                 tail_r: Fraction = Fraction(1, 2)):
+        prefix = tuple(Fraction(v) for v in prefix)
+        tail_c, tail_r = Fraction(tail_c), Fraction(tail_r)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail_c", tail_c)
+        object.__setattr__(self, "tail_r", tail_r)
+        if any(v < 0 for v in prefix):
             raise ValidationError("sequence prefix entries must be >= 0")
-        if self.tail_c < 0:
+        if tail_c < 0:
             raise ValidationError("tail coefficient c must be >= 0")
-        if self.tail_c > 0 and not (0 < self.tail_r < 1):
+        if tail_c > 0 and not (0 < tail_r < 1):
             raise ValidationError("tail ratio r must satisfy 0 < r < 1")
 
     def term(self, k: int) -> Fraction:
@@ -380,20 +375,20 @@ class RationalSequenceSpec:
 # Subgroup-of-Q presentations used by the product construction
 
 
-@dataclass(frozen=True)
-class SubgroupOfQSpec:
+class SubgroupOfQSpec(_Record):
     """Either the cyclic group r*Z (free) or Q(a) presented by a sequence."""
 
-    free_generator: Fraction | None = None
-    qa: SigmaSequence | None = None
+    __slots__ = ("free_generator", "qa")
 
-    def __post_init__(self):
-        if (self.free_generator is None) == (self.qa is None):
+    def __init__(self, free_generator: Fraction | None = None, qa: SigmaSequence | None = None):
+        if (free_generator is None) == (qa is None):
             raise ValidationError("subgroup spec needs exactly one of 'free' or 'qa'")
-        if self.free_generator is not None:
-            object.__setattr__(self, "free_generator", Fraction(self.free_generator))
-            if self.free_generator <= 0:
+        if free_generator is not None:
+            free_generator = Fraction(free_generator)
+            if free_generator <= 0:
                 raise ValidationError("free subgroup generator must be positive")
+        object.__setattr__(self, "free_generator", free_generator)
+        object.__setattr__(self, "qa", qa)
 
     @property
     def is_free(self) -> bool:
@@ -430,12 +425,12 @@ def _one_name_per_number(gens) -> None:
             raise ValidationError(f"generators {numbers[key].name!r} and {gen.name!r} are the same number")
 
 
-@dataclass(frozen=True)
-class Finite:
-    terms: tuple[tuple[tuple[Generator, Fraction], ...], ...]
+class Finite(_Record):
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        _one_name_per_number(g for term in self.terms for g, _ in term)
+    def __init__(self, terms: tuple[tuple[tuple[Generator, Fraction], ...], ...]):
+        _one_name_per_number(g for term in terms for g, _ in term)
+        object.__setattr__(self, "terms", terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -444,37 +439,39 @@ class Finite:
         return {"kind": "finite", "terms": [{g.name: format_rational(c) for g, c in term} for term in self.terms]}
 
 
-@dataclass(frozen=True)
-class SolenoidRule:
-    generator: Generator
-    a: SigmaSequence
+class SolenoidRule(_Record):
+    __slots__ = ("generator", "a")
+
+    def __init__(self, generator: Generator, a: SigmaSequence):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class BoRule:
+class BoRule(_Record):
     """omega_j = j^2 - 2 beta sigma_j for the actions gamma_k = beta * s_k,
     beta irrational (the integrable-flow family of ``benjamin_ono``)."""
 
-    beta: Generator
-    s: RationalSequenceSpec
+    __slots__ = ("beta", "s")
 
-    def __post_init__(self):
-        if self.beta.kind == "rational_unit":
+    def __init__(self, beta: Generator, s: RationalSequenceSpec):
+        if beta.kind == "rational_unit":
             raise ValidationError("the quadratic-rule scale must be an irrational generator")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class ProductConstruction:
-    components: tuple[tuple[Generator, SubgroupOfQSpec], ...]
+class ProductConstruction(_Record):
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[tuple[Generator, SubgroupOfQSpec], ...]):
+        if not components:
             raise ValidationError("product construction needs at least one component")
-        gens = [g for g, _ in self.components]
+        gens = [g for g, _ in components]
         for k, gen in enumerate(gens):
             if gen in gens[:k]:
                 raise ValidationError(f"generator {gen.name!r} carries two product components")
         _one_name_per_number(gens)
+        object.__setattr__(self, "components", components)
 
 
 FrequencyVector = Finite | SolenoidRule | BoRule | ProductConstruction

@@ -29,10 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, _Record
 from .exact_linalg import IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform, integer_kernel
 from .frequency import (UNIT, BoRule, Finite, FrequencyVector, ProductConstruction,
                         RationalSequenceSpec, SolenoidRule, clamp_depth, finite_vector, integer_rows)
@@ -41,10 +40,12 @@ from .solenoid_geometry import TorusPoint
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResonanceBasis:
-    vectors: tuple[IntVecFin, ...]
-    truncation_depth: int
+class ResonanceBasis(_Record):
+    __slots__ = ("vectors", "truncation_depth")
+
+    def __init__(self, vectors: tuple[IntVecFin, ...], truncation_depth: int):
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "truncation_depth", truncation_depth)
 
     @property
     def rank(self) -> int:
@@ -164,13 +165,16 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
 # Single-vector reduction
 
 
-@dataclass(frozen=True)
-class ReductionCertificate:
-    transform: RowFiniteIntMatrix
-    result: IntVecFin
-    steps: tuple[dict, ...]
-    pass_sums: tuple[int, ...]
-    gcd: int
+class ReductionCertificate(_Record):
+    __slots__ = ("transform", "result", "steps", "pass_sums", "gcd")
+
+    def __init__(self, transform: RowFiniteIntMatrix, result: IntVecFin, steps: tuple[dict, ...],
+                 pass_sums: tuple[int, ...], gcd: int):
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "pass_sums", pass_sums)
+        object.__setattr__(self, "gcd", gcd)
 
     def to_json(self) -> dict:
         return {
@@ -261,16 +265,19 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
 # Flow reduction
 
 
-@dataclass(frozen=True)
-class FlowReduction:
-    transform: RowFiniteIntMatrix
-    reduced: Finite  # (0_d, omega-bar)
-    zero_rank: int
-    depth: int
-    nonzero_block_independent: bool
-    # "depth": the kernel is trivial for integer vectors supported on 1..depth;
-    # "global": additionally the vector has no coordinates beyond depth
-    nonresonance_scope: str
+class FlowReduction(_Record):
+    __slots__ = ("transform", "reduced", "zero_rank", "depth", "nonzero_block_independent", "nonresonance_scope")
+
+    def __init__(self, transform: RowFiniteIntMatrix, reduced: Finite, zero_rank: int, depth: int,
+                 nonzero_block_independent: bool, nonresonance_scope: str):
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "reduced", reduced)  # (0_d, omega-bar)
+        object.__setattr__(self, "zero_rank", zero_rank)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "nonzero_block_independent", nonzero_block_independent)
+        # "depth": the kernel is trivial for integer vectors supported on 1..depth;
+        # "global": additionally the vector has no coordinates beyond depth
+        object.__setattr__(self, "nonresonance_scope", nonresonance_scope)
 
     def to_json(self) -> dict:
         return {

@@ -16,11 +16,10 @@ and as Fractions only by the library's views of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _Record
 from .exact_linalg import format_rational, parse_rational
 from .frequency import SigmaSequence
 
@@ -29,16 +28,18 @@ Pair = tuple[int, int]
 Pairs = Sequence[Pair]
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(_Record):
     """A truncated point on the torus: wholly exact or wholly float.
 
     Exact angles are fractions of a turn in [0,1); float angles are radians
     in [0, 2*pi).
     """
 
-    angles: tuple
-    exact: bool
+    __slots__ = ("angles", "exact")
+
+    def __init__(self, angles: tuple, exact: bool):
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def depth(self) -> int:
@@ -63,18 +64,18 @@ class TorusPoint:
         return list(self.angles)
 
 
-@dataclass(frozen=True)
-class SolenoidCoords:
+class SolenoidCoords(_Record):
     """(tau, digits): tau in [0,1) exact, digit n_j in {0, ..., a_j - 1}."""
 
-    tau: Fraction
-    digits: tuple[int, ...]
+    __slots__ = ("tau", "digits")
 
-    def __post_init__(self):
-        if not isinstance(self.tau, Fraction):
-            object.__setattr__(self, "tau", Fraction(self.tau))
-        if not 0 <= self.tau < 1:
-            raise ValidationError(f"tau must lie in [0,1), got {self.tau}")
+    def __init__(self, tau: Fraction, digits: tuple[int, ...]):
+        if not isinstance(tau, Fraction):
+            tau = Fraction(tau)
+        if not 0 <= tau < 1:
+            raise ValidationError(f"tau must lie in [0,1), got {tau}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "digits", digits)
 
     @property
     def depth(self) -> int:
@@ -209,16 +210,16 @@ def local_chart(a: SigmaSequence, theta: TorusPoint) -> tuple[Fraction, tuple[in
 # Product metric
 
 
-@dataclass(frozen=True)
-class GeometricWeights:
+class GeometricWeights(_Record):
     """Weights rho_k = r**k for 0 < r < 1 (summable by construction)."""
 
-    r: Fraction = Fraction(1, 2)
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        if not 0 < self.r < 1:
+    def __init__(self, r: Fraction = Fraction(1, 2)):
+        r = Fraction(r)
+        if not 0 < r < 1:
             raise ValidationError("geometric weight ratio must satisfy 0 < r < 1")
+        object.__setattr__(self, "r", r)
 
     def weight(self, k: int) -> Fraction:
         return self.r**k

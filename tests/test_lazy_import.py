@@ -3,7 +3,11 @@
 (which the package does not use) out of ``sys.modules``; the exact
 subcommands load neither numpy nor mpmath, the closed-form averages
 (``average``, ``equidistribution``) load mpmath alone, and ``simulate`` loads
-both.  Every float name of the package (``kronflow._DYNAMICS_EXPORTS``) still
+both.  ``import kronflow``, ``import kronflow.cli`` and every exact
+subcommand also leave out ``dataclasses`` and the ``inspect`` it imports:
+the records on the CLI's import path are ``__slots__`` classes, and only
+``kronflow.dynamics``, which the float subcommands load, keeps dataclasses.
+Every float name of the package (``kronflow._DYNAMICS_EXPORTS``) still
 resolves to the ``kronflow.dynamics`` object, and a removed name raises
 AttributeError."""
 
@@ -22,7 +26,7 @@ import {module}
 if "{module}" == "kronflow.cli":
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert kronflow.cli.main(["reduce", "--nu", "4,6,10"]) == 0
-for name in ("numpy", "mpmath", "csv"):
+for name in ("numpy", "mpmath", "csv") + (() if "{module}" == "kronflow.dynamics" else ("dataclasses", "inspect")):
     assert name not in sys.modules, name + " loaded"
 
 import kronflow
@@ -56,8 +60,8 @@ def run(*argv):
         assert kronflow.cli.main(list(argv)) == 0, argv
 
 
-def loaded():
-    return [name for name in ("mpmath", "numpy") if name in sys.modules]
+def loaded(names=("mpmath", "numpy")):
+    return [name for name in names if name in sys.modules]
 
 
 run("classify", spec, "--depth", "2")
@@ -69,7 +73,8 @@ run("solenoid", "coords", "--a", "1,2", "--theta", "1/4,5/8")
 run("solenoid", "times", "--a", "1,2", "--tau", "1/4", "--digits", "1")
 run("bo", bo, "--depth", "4")
 run("iso", spec, spec, "--depth", "2")
-assert loaded() == [], "exact subcommands loaded " + str(loaded())
+exact = loaded(("mpmath", "numpy", "dataclasses", "inspect"))
+assert exact == [], "exact subcommands loaded " + str(exact)
 run("average", spec, "--poly", poly, "--depth", "2")
 run("equidistribution", spec, "--nu", "1,-1", "--depth", "2")
 assert loaded() == ["mpmath"], "closed-form averages loaded " + str(loaded())

@@ -1,0 +1,146 @@
+"""The package's immutable records (``errors._Record`` subclasses) behave as
+values: ``copy.copy``, ``copy.deepcopy`` and ``pickle`` give an equal object
+with the same hash and repr, the repr is ``Name(field=value, ...)`` over the
+public fields, equality is type-strict, and assigning or deleting an
+attribute raises AttributeError."""
+
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from kronflow.benjamin_ono import BoModuleReport, bo_tail_module
+from kronflow.classification import (
+    BaerType,
+    ModuleComponent,
+    ModuleDescriptor,
+    SupernaturalNumber,
+    decompose_module,
+)
+from kronflow.errors import _Record
+from kronflow.exact_linalg import IntVecFin
+from kronflow.frequency import (
+    BoRule,
+    Finite,
+    Generator,
+    ProductConstruction,
+    RationalSequenceSpec,
+    SigmaSequence,
+    SolenoidRule,
+    SubgroupOfQSpec,
+    parse_frequency_spec,
+)
+from kronflow.resonance_reduction import (
+    FlowReduction,
+    ReductionCertificate,
+    ResonanceBasis,
+    reduce_flow,
+    reduce_vector,
+    resonance_basis,
+)
+from kronflow.solenoid_geometry import GeometricWeights, SolenoidCoords, TorusPoint, to_coordinates
+
+HALVING = {"kind": "solenoid", "generator": "1", "a": {"prefix": [1, 2], "tail": {"constant": 2}}}
+BO = {"kind": "bo", "beta": {"name": "beta", "kind": "opaque"},
+      "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}}
+PRODUCT = {"kind": "product", "components": [{"free": "1"}, {"qa": {"prefix": [1], "tail": {"constant": 2}}}]}
+FINITE = {"kind": "finite", "terms": [{"1": "1"}, {"sqrt2": "1/2", "1": "-3"}, {"pi": "2"}]}
+
+
+def _records() -> dict:
+    halving, bo, product, finite = map(parse_frequency_spec, (HALVING, BO, PRODUCT, FINITE))
+    theta = TorusPoint.exact_point(["1/4", "5/8", "5/16"])
+    module = decompose_module(product, 8)
+    return {
+        "Generator": Generator("b", "opaque", None, "0." + "3" * 40),
+        "SigmaSequence": halving.a,
+        "RationalSequenceSpec": bo.s,
+        "SubgroupOfQSpec free": product.components[0][1],
+        "SubgroupOfQSpec qa": product.components[1][1],
+        "Finite": finite,
+        "SolenoidRule": halving,
+        "BoRule": bo,
+        "ProductConstruction": product,
+        "SupernaturalNumber": SupernaturalNumber.from_exponents({2: 3, 5: float("inf")}),
+        "BaerType": module.components[1].baer,
+        "ModuleComponent": module.components[1],
+        "ModuleDescriptor": module,
+        "ResonanceBasis": resonance_basis(halving, 4),
+        "ReductionCertificate": reduce_vector(IntVecFin({1: 4, 2: 6, 3: 10})),
+        "FlowReduction": reduce_flow(product, 6),
+        "TorusPoint": theta,
+        "SolenoidCoords": to_coordinates(SigmaSequence((1, 2, 2), "constant", (2,)), theta),
+        "GeometricWeights": GeometricWeights(F(1, 3)),
+        "BoModuleReport": bo_tail_module(bo, 5),
+    }
+
+
+RECORDS = _records()
+
+
+def _hash(x):
+    """The hash, or the type of the error hashing raises (a record holding
+    a matrix or a dict is unhashable)."""
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return type(exc)
+
+
+def test_every_record_is_listed():
+    classes = {type(r) for r in RECORDS.values()}
+    assert classes == {BaerType, BoModuleReport, BoRule, Finite, FlowReduction, Generator, GeometricWeights,
+                       ModuleComponent, ModuleDescriptor, ProductConstruction, RationalSequenceSpec,
+                       ReductionCertificate, ResonanceBasis, SigmaSequence, SolenoidCoords, SolenoidRule,
+                       SubgroupOfQSpec, SupernaturalNumber, TorusPoint}
+    assert all(issubclass(cls, _Record) for cls in classes)
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_copies_and_pickles_are_equal_values(name):
+    record = RECORDS[name]
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record and not twin != record
+        assert _hash(twin) == _hash(record)
+        assert repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_fields_are_read_only(name):
+    record = RECORDS[name]
+    before = repr(record)
+    for field in (*type(record)._fields, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert not hasattr(record, "__dict__")
+    assert repr(record) == before
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_repr_names_the_public_fields_in_order(name):
+    record = RECORDS[name]
+    fields = type(record)._fields
+    body = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+    assert repr(record) == f"{type(record).__name__}({body})"
+    assert not any(f.startswith("_") for f in fields)
+
+
+def test_private_caches_stay_out_of_eq_hash_and_repr():
+    n = RECORDS["SupernaturalNumber"]
+    assert type(n)._fields == ("pairs",)
+    assert "_profile" not in repr(n) and n.profile() == copy.deepcopy(n).profile()
+    assert hash(n) == hash((n.pairs,))
+    assert Generator._fields == ("name", "kind", "param", "value_digits")
+
+
+def test_equality_is_type_strict():
+    weights = GeometricWeights(F(1, 3))
+    assert weights == GeometricWeights("1/3") and hash(weights) == hash(GeometricWeights(F(1, 3)))
+    assert weights != (F(1, 3),) and weights != F(1, 3)
+    assert TorusPoint((F(1, 2),), True) != TorusPoint((F(1, 2),), False)
+    assert RationalSequenceSpec() == RationalSequenceSpec((), 0, F(1, 2))
+    assert SubgroupOfQSpec(F(1)) != SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))

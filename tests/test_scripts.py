@@ -82,16 +82,21 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
 
 def test_depth_sweep_cold_start(tmp_path, monkeypatch, depth_sweep):
     """``depth_sweep.cold_start`` with one interpreter per entry: each cold
-    call has a time, and the exact calls load neither mpmath nor numpy, the
-    closed-form averages mpmath alone, and ``simulate`` both."""
+    call has a time and an excess over the bare interpreter of its round, the
+    exact calls load none of mpmath, numpy and dataclasses, the closed-form
+    averages mpmath and (through ``dynamics``) dataclasses, and ``simulate``
+    all three."""
     monkeypatch.setattr(depth_sweep, "COLD_RUNS", 1)
     entries = depth_sweep.cold_start(tmp_path)
-    assert [(e["call"], e["mpmath"], e["numpy"]) for e in entries] == [
-        ("import kronflow.cli", False, False),
-        ("kron reduce --nu 4,6", False, False),
-        ("kron classify halving --depth 16", False, False),
-        ("kron average t3", True, False),
-        ("kron equidistribution t3", True, False),
-        ("kron simulate t3", True, True),
+    assert [(e["call"], e["mpmath"], e["numpy"], e["dataclasses"]) for e in entries] == [
+        ("python -c pass", False, False, False),
+        ("import kronflow.cli", False, False, False),
+        ("kron reduce --nu 4,6", False, False, False),
+        ("kron classify halving --depth 16", False, False, False),
+        ("kron average t3", True, False, True),
+        ("kron equidistribution t3", True, False, True),
+        ("kron simulate t3", True, True, True),
     ]
-    assert all(set(e) == {"call", "median_ms", "mpmath", "numpy"} and e["median_ms"] > 0 for e in entries)
+    assert all(set(e) == {"call", "median_ms", "excess_ms", "mpmath", "numpy", "dataclasses"}
+               and e["median_ms"] > 0 for e in entries)
+    assert entries[0]["excess_ms"] == 0
