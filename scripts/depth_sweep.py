@@ -37,7 +37,11 @@ beta declared as a 48-digit numeral (the README's own beta has no numeric
 value, so ``bo`` itself cannot be simulated), and ``factorial-sqrt2``, the
 factorial rule on sqrt2.  Each runs with ``--steps 200 --t1 1e6`` from the
 origin; its stdout echoes the ``--out`` path, a temporary file, so its rows
-record the bytes and sha256 of the CSV instead.
+record the bytes and sha256 of the CSV instead.  ``kron reduce`` runs on a
+seeded stratified nu of n = 8, 16, 32 and 64 entries, family
+``stratified``, its ``depth`` column holding n: entry k is drawn from the
+k-th of n equal sub-ranges of [1, 1000], with a drawn sign, and the entries
+are shuffled, so the trail's length follows n and not the draw.
 
 The ``cold_start`` block times what a single ``kron`` call pays before it
 works: the median wall time, over 11 fresh interpreters, of a bare ``python
@@ -87,6 +91,7 @@ from kronflow.frequency import SigmaSequence
 
 COMMANDS = ("resonance", "reduce-flow")
 DEPTHS = tuple(2**k for k in range(4, 11))
+REDUCE_SIZES = (8, 16, 32, 64)
 COLD_RUNS = 11
 
 
@@ -131,6 +136,16 @@ SOLENOID_SEQUENCES = {
     "factorial": {"prefix": [1], "tail": "increment"},
     "halving": {"prefix": [1, 2], "tail": {"constant": 2}},
 }
+
+
+def _stratified_nu(n: int) -> list[int]:
+    """n entries of size <= 1000, one from each of n equal sub-ranges of [1,
+    1000], with seeded signs, in seeded order."""
+    rng = random.Random(n)
+    lows = [1 + 1000 * k // n for k in range(n + 1)]
+    nu = [rng.choice((-1, 1)) * rng.randrange(lo, hi) for lo, hi in zip(lows, lows[1:])]
+    rng.shuffle(nu)
+    return nu
 
 
 def _solenoid_argv(op: str, seq: dict, depth: int, scaled: bool = False) -> list[str]:
@@ -217,6 +232,8 @@ def sweep(workdir: Path) -> list[dict]:
                                            "--steps", "200", "--t1", "1e6",
                                            "--out", str(workdir / f"{family}-{depth}.csv")])
               for family in SIMULATE_FAMILIES for depth in DEPTHS]
+    cases += [("reduce", "stratified", n, ["reduce", "--nu=" + ",".join(map(str, _stratified_nu(n)))])
+              for n in REDUCE_SIZES]
     runs = [[_run(argv) for *_, argv in cases] for _ in range(3)]
     rows = []
     for k, (command, family, depth, argv) in enumerate(cases):
@@ -235,7 +252,7 @@ def sweep(workdir: Path) -> list[dict]:
         }
         if command == "reduce-flow":
             row["hermite_ops"] = _hermite_ops(argv)
-        prev = rows[-1] if rows and depth > DEPTHS[0] else None
+        prev = rows[-1] if rows and rows[-1]["command"] == command and rows[-1]["family"] == family else None
         if prev is not None:
             row["time_growth"] = round(row["best_ms"] / prev["best_ms"], 2)
             row["peak_growth"] = round(row["tracemalloc_peak_bytes"] / prev["tracemalloc_peak_bytes"], 2)

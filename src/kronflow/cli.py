@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
 import warnings
-from json.encoder import INFINITY as _INF, encode_basestring_ascii
+from json.encoder import INFINITY as _INF, c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .benjamin_ono import bo_report
@@ -41,22 +42,53 @@ def _float(x: float) -> str:
 # str, int and float are found by isinstance in _encode
 _LEAF = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
          bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+_STR, _DICT = {str}, {dict}
+# the least length of a list of records that json's C encoder writes, a
+# shorter list being as fast on the recursive path; none without the encoder
+_C_RECORDS = 8 if c_make_encoder else sys.maxsize
+
+
+@functools.cache
+def _record_encoder(rec: str):
+    """json's C encoder of a list of flat records whose keys sit on lines
+    ``rec``: sorted keys, no indent, each comma followed by ``rec``."""
+    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "," + rec, True, False, True)
+
+
+def _flat_records(x) -> bool:
+    """Whether the nonempty sequence x holds only flat records: nonempty
+    dicts with exact-``str`` keys and values of an exact scalar type.  The
+    first record's values are tried first, so a list of nested dicts fails
+    fast."""
+    return (type(x[0]) is dict and _LEAF.keys() >= set(map(type, x[0].values()))
+            and set(map(type, x)) == _DICT and all(x)
+            and _LEAF.keys() >= set(map(type, itertools.chain.from_iterable(map(dict.values, x))))
+            and set(map(type, itertools.chain.from_iterable(x))) == _STR)
 
 
 def _encode(x, nl: str, out: list[str]) -> None:
     """Append x to ``out`` in the bytes of ``json.dumps(x, sort_keys=True,
     indent=2)``; ``nl`` is a newline plus the indent of x's line.  Keys must
-    be ``str``: another key, like a value of any other type, is a TypeError."""
+    be ``str``: another key, like a value of any other type, is a TypeError.
+
+    A list or tuple of at least ``_C_RECORDS`` flat records (see
+    ``_flat_records``) is one call of json's C encoder, whose comma
+    separator is a newline plus the keys' indent ``rec``; one
+    ``str.replace`` then puts each record boundary ``},`` rec ``{`` on its
+    own lines.  The bytes are json.dumps's because
+    ``encode_basestring_ascii`` escapes every control character, so a raw
+    newline comes only from a separator, and a record's values are scalars,
+    so a separator followed by ``{`` starts a record and nothing else."""
     leaf = _LEAF.get(type(x))
     if leaf:
         out.append(leaf(x))
     elif isinstance(x, dict):
         inner = nl + "  "
-        sep = "{" + inner
+        sep, comma = "{" + inner, "," + inner
         for k in sorted(x):  # encode_basestring_ascii raises TypeError on a non-str key
             out.append(sep + encode_basestring_ascii(k) + ": ")
             _encode(x[k], inner, out)
-            sep = "," + inner
+            sep = comma
         out.append(nl + "}" if x else "{}")
     elif isinstance(x, (list, tuple)):
         inner = nl + "  "
@@ -64,11 +96,17 @@ def _encode(x, nl: str, out: list[str]) -> None:
         if len(kinds) == 1 and (leaf := _LEAF.get(kinds.pop())):
             out.append("[" + inner + ("," + inner).join(map(leaf, x)) + nl + "]")
             return
-        sep = "[" + inner
+        if len(x) >= _C_RECORDS and _flat_records(x):
+            rec = inner + "  "
+            text = "".join(_record_encoder(rec)(x, 0))[2:-2]  # without the outer "[{" and "}]"
+            out.append("[" + inner + "{" + rec + text.replace("}," + rec + "{", inner + "}," + inner + "{" + rec)
+                       + inner + "}" + nl + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
         for v in x:
             out.append(sep)
             _encode(v, inner, out)
-            sep = "," + inner
+            sep = comma
         out.append(nl + "]" if x else "[]")
     else:
         leaf = next((_LEAF[t] for t in (str, int, float) if isinstance(x, t)), None)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exact_linalg import IntVecFin, parse_list, parse_rational
-from .frequency import FrequencyVector, Generator, _value_at, integer_rows, working_bits
+from .frequency import FrequencyVector, Generator, _value_at, clamp_depth, integer_rows, working_bits
 from .resonance_reduction import resonance_basis
 from .solenoid_geometry import TorusPoint
 
@@ -252,22 +252,47 @@ def haar_average(p: TrigPolynomial) -> Fraction:
     return next((re for nu, (re, _) in p.items() if nu.is_zero()), Fraction(0))
 
 
-def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin) -> tuple[bool, float]:
+class _OmegaTable:
+    """The integer table of omega_1..omega_depth, read once for all the
+    monomials of one request, and the fixed point of each set of generators
+    that a value made from it has needed, made the first time it is needed:
+    a generator that no monomial needs is never evaluated."""
+
+    __slots__ = ("depth", "rows", "_fixed")
+
+    def __init__(self, fv: FrequencyVector, depth: int):
+        self.depth = depth
+        self.rows = integer_rows(fv, depth)
+        self._fixed: dict[tuple, tuple[list, int]] = {}
+
+    def fixed_point(self, gens: tuple[Generator, ...], bits: int) -> tuple[list, int]:
+        """``_fixed_point`` of the rows of ``gens``, a subsequence of the table's."""
+        fixed = self._fixed.get((bits, gens))
+        if fixed is None:
+            fixed = self._fixed[bits, gens] = _fixed_point({g: self.rows[g] for g in gens}, bits)
+        return fixed
+
+
+def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin, table: _OmegaTable | None = None) -> tuple[bool, float]:
     """(resonant?, float value of nu . omega).
 
     Resonance is decided in integers on the table of omega_1..omega_n, n =
     nu.max_index(): sum_j nu_j x_gj = 0 on every generator's row.  The value
     is made from the same integers by ``_to_double``; a non-resonant nu whose
     value rounds to 0 (by cancellation or underflow), or overflows a double,
-    is an error.
+    is an error.  ``table``, one request's table of fv at an index of at
+    least n, is read instead of a new one.  Its rows are scaled otherwise
+    than the table at n, but each entry over its scale is the same rational,
+    and both the value and the cancellation test are the same at any scale.
     """
-    rows = integer_rows(fv, nu.max_index())
-    sums = {g: n for g, (_, row) in rows.items() if (n := sum(v * row.get(j, 0) for j, v in nu.items()))}
+    if table is None or nu.max_index() > table.depth:
+        table = _OmegaTable(fv, nu.max_index())
+    sums = {g: n for g, (_, row) in table.rows.items() if (n := sum(v * row.get(j, 0) for j, v in nu.items()))}
     if not sums:
         return True, 0.0
     bits = working_bits()
-    table, denominator = _fixed_point({g: rows[g] for g in sums}, bits)
-    value = _to_double([n * f for n, (_, f) in zip(sums.values(), table)], denominator, bits)
+    factors, denominator = table.fixed_point(tuple(sums), bits)
+    value = _to_double([n * f for n, (_, f) in zip(sums.values(), factors)], denominator, bits)
     if not value:
         shown = {str(i): v for i, v in nu.items()}  # in index order, whatever order nu was built in
         raise ValidationError(f"omega . nu for non-resonant nu {shown} rounds to 0 at {bits} bits; raise --precision")
@@ -319,13 +344,17 @@ def _phases_and_frequencies(
     0.0 exactly when nu = 0 or nu is resonant.  Every window is checked
     first, then every monomial against the depth of theta0, and only then is
     any frequency evaluated, once per nonzero monomial; |w| T must neither
-    overflow a double nor, for w != 0, underflow to 0 for any pair."""
+    overflow a double nor, for w != 0, underflow to 0 for any pair.  The
+    frequencies read one ``_OmegaTable``, at the largest index the monomials
+    touch, clamped to the length of a finite vector."""
     for t_final in t_finals:
         _check_window(t_final)
     for nu in nus:
         _check_within(nu, theta0.depth)
+    top = max((nu.max_index() for nu in nus), default=0)
+    table = _OmegaTable(fv, clamp_depth(fv, top)) if top else None
     pairs = [
-        (1.0 + 0.0j, 0.0) if nu.is_zero() else (cmath.exp(1j * _phase_at(nu, theta0)), nu_dot_omega(fv, nu)[1])
+        (1.0 + 0.0j, 0.0) if nu.is_zero() else (cmath.exp(1j * _phase_at(nu, theta0)), nu_dot_omega(fv, nu, table)[1])
         for nu in nus
     ]
     w_max = max((abs(w) for _, w in pairs), default=0.0)

@@ -262,13 +262,34 @@ class RowFiniteIntMatrix:
             for k in vec:
                 vec[k] = -vec[k]
 
-    def add_multiple(self, i: int, j: int, c: int) -> None:
-        """Row op row_i += c * row_j; the inverse gets column op col_j -= c * col_i."""
-        self._check(i, j)
-        if i == j:
-            raise ValidationError("add_multiple requires distinct rows")
-        _combine(self.rows[i - 1], self.rows[j - 1], 1, c)
-        _combine(self.inverse_cols[j - 1], self.inverse_cols[i - 1], 1, -c)
+    def add_to_rows(self, targets: Sequence[int], j: int, c: int) -> None:
+        """Row ops row_i += c * row_j for each i of ``targets``, none of them
+        j; the inverse gets the one column op col_j -= c * (sum of the col_i).
+        One call serves a whole run of the reduction trail, up to every row
+        of the block, so the sums are written out here: a ``_combine`` call
+        per row costs more than the few entries it touches."""
+        self._check(j, *targets)
+        if j in targets:
+            raise ValidationError("add_to_rows requires target rows other than the source row")
+        if not c:
+            return
+        src = self.rows[j - 1].items()
+        for i in targets:
+            row = self.rows[i - 1]
+            for k, v in src:
+                w = row.get(k, 0) + c * v
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+        col = self.inverse_cols[j - 1]
+        for i in targets:
+            for k, v in self.inverse_cols[i - 1].items():
+                w = col.get(k, 0) - c * v
+                if w:
+                    col[k] = w
+                else:
+                    del col[k]
 
     # -- access
 

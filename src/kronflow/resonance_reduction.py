@@ -199,8 +199,9 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
     A normalized pass (v1 <= v2 <= ... <= vk) is followed by q = v2 // v1
     passes that need no swap or negate: the next normalization is a no-op
     exactly while v2 - v1 >= v1, a tie keeping v1 first.  The q passes are
-    one ``subtract_head`` record and one row operation row_i -= q * row_1
-    per row, and their q pass sums s - p (k - 1) v1 are filled in directly.
+    one ``subtract_head`` record and one ``add_to_rows`` on the transform,
+    rows 2..k -= q * row 1, and their q pass sums s - p (k - 1) v1 are
+    filled in directly.
 
     ``steps`` holds the records ``kron reduce`` prints, each with ``op`` and
     ``pass``: a ``swap`` exchanges rows ``i`` and ``j`` and a ``negate``
@@ -220,16 +221,18 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
         # normalization: move support to the front, sorted ascending by |.|,
         # stable with ties kept in current index order
         order = sorted(support, key=lambda i: (abs(vec[i - 1]), i))
-        for pos in range(len(order)):
-            target, src = pos + 1, order[pos]
+        # entries are named by their index at the pass start: where[e] is the
+        # index entry e was swapped to, and at[i] the entry swapped to index i
+        where: dict[int, int] = {}
+        at: dict[int, int] = {}
+        for target, entry in enumerate(order, 1):
+            src = where.get(entry, entry)
             if src != target:
                 vec[target - 1], vec[src - 1] = vec[src - 1], vec[target - 1]
                 transform.swap(target, src)
                 steps.append({"op": "swap", "pass": pass_index, "i": target, "j": src})
-                # the entry displaced from `target` now lives at `src`
-                for q in range(pos + 1, len(order)):
-                    if order[q] == target:
-                        order[q] = src
+                displaced = at.get(target, target)  # the entry that was at `target` now lives at `src`
+                where[displaced], at[src] = src, displaced
         k = len(order)
         for i in range(1, k + 1):
             if vec[i - 1] < 0:
@@ -246,9 +249,8 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
         repeat = vec[1] // head
         drop = (k - 1) * head  # > 0, so the run's own sums decrease strictly
         pass_sums.extend(range(total, total - repeat * drop, -drop))
-        for i in range(2, k + 1):
-            vec[i - 1] -= repeat * head
-            transform.add_multiple(i, 1, -repeat)
+        vec[1:k] = [v - repeat * head for v in vec[1:k]]
+        transform.add_to_rows(range(2, k + 1), 1, -repeat)
         steps.append({"op": "subtract_head", "pass": pass_index, "repeat": repeat, "rows": k})
         pass_index += repeat
 

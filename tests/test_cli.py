@@ -740,9 +740,9 @@ def test_simulate_overflow_message(tmp_path, capsys, spec_text, depth, t1, messa
 def test_average_and_equidistribution_evaluate_each_nu_once(tmp_path, capsys, monkeypatch):
     calls = []
 
-    def counting(fv, nu):
+    def counting(fv, nu, table=None):
         calls.append(nu)
-        return nu_dot_omega(fv, nu)
+        return nu_dot_omega(fv, nu, table)
 
     nu_dot_omega = dynamics.nu_dot_omega
     monkeypatch.setattr(dynamics, "nu_dot_omega", counting)

@@ -238,6 +238,56 @@ def test_nu_dot_omega_at_a_high_index_holds_only_its_table():
     assert not resonant and value == 1.0 + 2.0**-4999
 
 
+BO_VALUED = parse_frequency_spec({
+    "kind": "bo",
+    "generators": [{"name": "beta", "kind": "opaque", "value": "0.318309886183790671537767526745028724068919"}],
+    "beta": "beta",
+    "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}},
+})
+# 20 cosines, so 40 monomials +-nu, at indices up to 124
+COSINES_40 = [IntVecFin({k: 1, 40 + k: 2, 64 + 3 * k: -1}) for k in range(1, 21)]
+
+
+def test_time_average_reads_one_table_for_all_monomials(monkeypatch):
+    from kronflow import dynamics
+
+    p = TrigPolynomial.from_table({})
+    for nu in COSINES_40:
+        p = p + TrigPolynomial.cosine(nu)
+    assert len(p.coeffs) == 40
+    depths = []
+    integer_rows = dynamics.integer_rows
+    monkeypatch.setattr(dynamics, "integer_rows", lambda fv, depth: depths.append(depth) or integer_rows(fv, depth))
+    rows = time_average(BO_VALUED, p, TorusPoint.origin(128), [100.0, 10000.0])
+    assert depths == [124]
+    assert all(envelope is not None for _, envelope in rows)
+
+
+def test_monomial_past_a_finite_vector_is_refused_as_before():
+    """A start point deeper than a finite vector: the request's table stops
+    at the vector's length, and a monomial past it raises the error of its
+    own table, after the monomials before it."""
+    nus = [IntVecFin({1: 1, 2: -1}), IntVecFin({3: 1})]
+    with pytest.raises(ValidationError, match="index 3 beyond finite vector of length 2"):
+        equidistribution_report(SQRT2, nus, [100.0], TorusPoint.origin(3))
+
+
+@pytest.mark.parametrize("fv", [BO_VALUED, SQRT23, rational_vector(["1", "1/2", "1/3", "1/5", "1/7"])])
+def test_nu_dot_omega_on_a_deeper_table_is_the_same(fv):
+    """A request's one table, at its largest index, gives each monomial the
+    verdict and double of the monomial's own table, though a BO or finite
+    row's scale depends on the depth it is read to."""
+    from kronflow.dynamics import _OmegaTable
+    from kronflow.frequency import clamp_depth
+
+    rng = random.Random(33)
+    nus = [IntVecFin({rng.randint(1, 6): rng.randint(-5, 5) for _ in range(3)}) for _ in range(60)]
+    nus = [nu for nu in nus if not nu.is_zero() and nu.max_index() <= clamp_depth(fv, 6)]
+    table = _OmegaTable(fv, clamp_depth(fv, 124))
+    for nu in nus:
+        assert nu_dot_omega(fv, nu, table) == nu_dot_omega(fv, nu)
+
+
 # -- polynomial plumbing
 
 

@@ -289,7 +289,7 @@ def test_compose_identity_law():
     # operation on the identity is the elementary matrix with its inverse
     assert RowFiniteIntMatrix.identity() == RowFiniteIntMatrix.identity(3)
     b = RowFiniteIntMatrix.identity(2)
-    b.add_multiple(2, 1, 3)
+    b.add_to_rows([2], 1, 3)
     assert b.to_json() == {
         "dimension": 2,
         "rows": {"1": {"1": 1}, "2": {"1": 3, "2": 1}},
@@ -307,14 +307,15 @@ def test_compose_swap_involution():
 
 def test_compose_elementary_inverse_pair():
     m = RowFiniteIntMatrix.identity(2)
-    m.add_multiple(2, 1, -1)
-    m.add_multiple(2, 1, 1)
+    m.add_to_rows([2], 1, -1)
+    m.add_to_rows([2], 1, 1)
     assert m.to_json() == RowFiniteIntMatrix.identity(2).to_json()
 
 
 def test_row_operations_reject_bad_rows():
     m = RowFiniteIntMatrix.identity(3)
-    for op in (lambda: m.add_multiple(2, 2, 1), lambda: m.swap(0, 1), lambda: m.negate(4)):
+    for op in (lambda: m.add_to_rows([2], 2, 1), lambda: m.add_to_rows([3, 1], 1, 1), lambda: m.add_to_rows([2, 4], 1, 1),
+               lambda: m.swap(0, 1), lambda: m.negate(4)):
         with pytest.raises(ValidationError):
             op()
     assert m == RowFiniteIntMatrix.identity(3)
@@ -334,7 +335,8 @@ def elementary_products(draw):
             out.negate(i)
         else:
             j = draw(st.integers(1, n).filter(lambda x: x != i))
-            out.add_multiple(i, j, draw(st.integers(-3, 3)))
+            targets = draw(st.lists(st.integers(1, n).filter(lambda x: x != j), max_size=3))
+            out.add_to_rows([i, *targets], j, draw(st.integers(-3, 3)))
     return out
 
 
@@ -361,17 +363,19 @@ def test_inverse_undoes_apply(mat, vals):
 
 @st.composite
 def row_operation_sequences(draw):
-    """n <= 12 and up to 40 operations (op, i, j, c); add_multiple may name
-    one row twice, which must be refused."""
+    """n <= 12 and up to 40 operations (op, i, j, c, rest); add_to_rows
+    acts on the target rows [i, *rest], which may hold j, and then must be
+    refused, or name a row more than once."""
     n = draw(st.integers(1, 12))
     index = st.integers(1, n)
-    ops = st.tuples(st.sampled_from(["swap", "negate", "add_multiple"]), index, index, st.integers(-4, 4))
+    ops = st.tuples(st.sampled_from(["swap", "negate", "add_to_rows"]), index, index, st.integers(-4, 4),
+                    st.lists(index, max_size=4))
     return n, draw(st.lists(ops, max_size=40))
 
 
 def _dense_row_operation(a, b, op, i, j, c):
     """The row operation on dense rows a of A and b of A^-1, mirrored on b's
-    columns."""
+    columns; an add_to_rows is one of these per target row."""
     i, j = i - 1, j - 1
     if op == "swap":
         a[i], a[j] = a[j], a[i]
@@ -394,13 +398,19 @@ def test_sparse_row_operations_match_dense_lists(seq, vals):
     m = RowFiniteIntMatrix.identity(n)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     a, b = [list(row) for row in eye], [list(row) for row in eye]
-    for op, i, j, c in ops:
-        if op == "add_multiple" and i == j:
-            with pytest.raises(ValidationError):
-                m.add_multiple(i, j, c)
-            continue
-        getattr(m, op)(*((i,) if op == "negate" else (i, j) if op == "swap" else (i, j, c)))
-        _dense_row_operation(a, b, op, i, j, c)
+    for op, i, j, c, rest in ops:
+        if op == "add_to_rows":
+            targets = [i, *rest]
+            if j in targets:
+                with pytest.raises(ValidationError):
+                    m.add_to_rows(targets, j, c)
+                continue
+            m.add_to_rows(targets, j, c)
+            for t in targets:
+                _dense_row_operation(a, b, op, t, j, c)
+        else:
+            getattr(m, op)(*((i,) if op == "negate" else (i, j)))
+            _dense_row_operation(a, b, op, i, j, c)
         assert verify_inverse(m)
     doc = m.to_json()
     assert doc["dimension"] == n
@@ -421,7 +431,7 @@ def test_matrix_json_roundtrip():
     # row_2 -= 4 row_1 after swapping rows 1 and 3
     m = RowFiniteIntMatrix.identity(3)
     m.swap(1, 3)
-    m.add_multiple(2, 1, -4)
+    m.add_to_rows([2], 1, -4)
     doc = m.to_json()
     assert json.loads(json.dumps(doc)) == doc == {
         "dimension": 3,

@@ -148,6 +148,32 @@ def _expand_runs(steps: list[dict]) -> list[dict]:
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-60, 60), min_size=1, max_size=8).filter(any))
 def test_run_trail_expands_to_the_literal_trail(vals):
+    _assert_literal_trail(vals)
+
+
+@st.composite
+def stratified_vectors(draw):
+    """16 to 30 entries of size <= 1000, one from each of n equal sub-ranges
+    of [1, 1000] in a drawn order with drawn signs (as the benchmark's
+    ``reduce`` requests draw them), or n entries drawn freely from
+    [-1000, 1000]."""
+    n = draw(st.integers(16, 30))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n).filter(any))
+    lows = [1 + 1000 * k // n for k in range(n + 1)]
+    vals = [draw(st.sampled_from((-1, 1))) * draw(st.integers(lo, hi - 1)) for lo, hi in zip(lows, lows[1:])]
+    return draw(st.permutations(vals))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stratified_vectors())
+def test_run_trail_expands_to_the_literal_trail_at_workload_size(vals):
+    _assert_literal_trail(vals)
+
+
+def _assert_literal_trail(vals):
+    """reduce_vector's trail, pass sums, rows, inverse rows and head are the
+    literal reduction's, its runs expanded."""
     nu = IntVecFin.from_list(vals)
     cert = reduce_vector(nu)
     want = literal_reduction(nu.to_list(nu.max_index()))
@@ -286,7 +312,7 @@ def test_apply_swap():
 
 def test_apply_addrow():
     theta = TorusPoint.exact_point(["1/4", "1/3"])
-    out = apply_automorphism(_elementary(2, "add_multiple", 2, 1, -1), theta)
+    out = apply_automorphism(_elementary(2, "add_to_rows", [2], 1, -1), theta)
     assert out.angles == (F(1, 4), F(1, 12))
 
 
@@ -342,7 +368,7 @@ def test_apply_automorphism_float_points():
     import math
 
     th = TorusPoint.float_point([0.5, 1.25])
-    out = apply_automorphism(_elementary(2, "add_multiple", 2, 1, -1), th)
+    out = apply_automorphism(_elementary(2, "add_to_rows", [2], 1, -1), th)
     assert not out.exact
     assert abs(out.angles[0] - 0.5) < 1e-15
     assert abs(out.angles[1] - 0.75) < 1e-15

@@ -48,8 +48,9 @@ def depth_sweep():
 
 
 def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
-    """``depth_sweep.sweep`` at depths 16 and 32: every row has its documented
-    fields, the d32 rows their growth over d16, and the outputs and the
+    """``depth_sweep.sweep`` at depths 16 and 32 (``reduce`` at its own sizes
+    8 to 64): every row has its documented fields, each row past the first
+    size its growth over the size before, and the outputs and the
     ``reduce-flow`` Hermite work counts are the same on a second sweep."""
     monkeypatch.setattr(depth_sweep, "DEPTHS", (16, 32))
     sweeps = []
@@ -58,14 +59,15 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
         sweeps.append(depth_sweep.sweep(tmp_path / name))
     first, second = sweeps
     assert {row["command"] for row in first} == {
-        "resonance", "reduce-flow", "bo", "solenoid member", "solenoid coords", "solenoid times", "simulate"}
+        "resonance", "reduce-flow", "bo", "solenoid member", "solenoid coords", "solenoid times", "simulate",
+        "reduce"}
     for row in first:
         fields = {"command", "family", "depth", "best_ms", "tracemalloc_peak_bytes"}
         fields |= {"csv_bytes", "csv_sha256"} if row["command"] == "simulate" else {"stdout_bytes", "stdout_sha256"}
         if row["command"] == "reduce-flow":
             fields.add("hermite_ops")
             assert row["hermite_ops"] > 0, row
-        if row["depth"] == 32:
+        if row["depth"] > (8 if row["command"] == "reduce" else 16):
             fields |= {"time_growth", "peak_growth"}
             if row["command"] == "reduce-flow":
                 fields.add("hermite_growth")
@@ -76,6 +78,8 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     simulated = [(row["family"], row["depth"]) for row in first if row["command"] == "simulate"]
     assert simulated == [(family, depth) for family in ("halving", "product", "mixed", "bo-valued", "factorial-sqrt2")
                          for depth in (16, 32)]
+    reduced = [(row["family"], row["depth"]) for row in first if row["command"] == "reduce"]
+    assert reduced == [("stratified", n) for n in (8, 16, 32, 64)]
     for key in ("csv_sha256", "stdout_sha256", "hermite_ops"):
         assert [row.get(key) for row in first] == [row.get(key) for row in second]
 
