@@ -9,7 +9,6 @@ malformed argument) is a validation error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
@@ -17,6 +16,7 @@ import os
 import sys
 import warnings
 from json.encoder import INFINITY as _INF, c_make_encoder, encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .benjamin_ono import bo_report
@@ -320,88 +320,172 @@ def _cmd_iso(args) -> None:
     })
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors are validation errors (exit 1,
-    one ``error:`` line), not argparse's exit 2 with a usage banner; the
-    subparsers are built from the same class."""
+# -- the grammar
 
-    def error(self, message: str):
-        raise ValidationError(message)
+_DEPTH = {"--depth": {"type": int, "default": DEFAULT_DEPTH}}
+_T = {"--T": {"type": float, "nargs": "+", "default": [100.0, 1000.0, 10000.0]}}
+
+# The one declaration of kron's command line: the top-level options, then
+# per subcommand its handler, its help, its positionals and its options.
+# Each positional (by dest) and each option (by flag) carries the keywords
+# of its argparse ``add_argument`` call: ``type``, ``default``,
+# ``required``, ``choices``, ``help``, and ``nargs="+"`` or
+# ``action="append"``.  build_parser builds argparse's parser from it, and
+# _read_argv reads a well-formed argv from it.
+_OPTIONS = {"--precision": {"type": int, "help": "mantissa bits (>= 64); env KRON_PRECISION"}}
+_COMMANDS = {
+    "classify": (_cmd_classify, "module decomposition and orbit-closure descriptor", {"spec": {}}, _DEPTH),
+    "resonance": (_cmd_resonance, "basis of the integer relations", {"spec": {}}, _DEPTH),
+    "reduce": (_cmd_reduce, "collapse an integer vector to (gcd, 0, ...)", {}, {"--nu": {"required": True}}),
+    "reduce-flow": (_cmd_reduce_flow, "conjugate to zero block + kernel-free block", {"spec": {}}, _DEPTH),
+    "simulate": (_cmd_simulate, "sample a float trajectory to CSV", {"spec": {}}, {
+        "--t0": {"type": float, "default": 0.0},
+        "--t1": {"type": float, "required": True},
+        "--steps": {"type": int, "required": True},
+        **_DEPTH,
+        "--theta0": {"help": "comma list of rationals (turns)"},
+        "--out": {"required": True},
+    }),
+    "average": (_cmd_average, "closed-form time average of a polynomial", {"spec": {}}, {
+        "--poly": {"required": True}, **_T, **_DEPTH, "--theta0": {},
+    }),
+    "equidistribution": (_cmd_equidistribution, "decay table for monomials", {"spec": {}}, {
+        "--nu": {"action": "append", "required": True, "help": "comma list; repeatable"}, **_T, **_DEPTH, "--theta0": {},
+    }),
+    "solenoid": (_cmd_solenoid, "membership, coordinates, approximating times",
+                 {"solenoid_op": {"choices": ["member", "coords", "times"]}}, {
+        "--a": {"required": True, "help": "comma list (prefix) or JSON sequence"},
+        "--theta": {"help": "comma list of rationals (turns)"},
+        "--tau": {},
+        "--digits": {},
+    }),
+    "bo": (_cmd_bo, "integrable-flow classification report", {"spec": {}}, _DEPTH),
+    "iso": (_cmd_iso, "are the orbit closures homeomorphic?", {"spec1": {}, "spec2": {}}, _DEPTH),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _dest(flag: str) -> str:
+    """The dest argparse gives an option flag."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def build_parser():
+    """kron's argparse parser, built from ``_COMMANDS``: the source of every
+    usage error message and of ``--help``.  argparse is imported here, so a
+    call that ``_read_argv`` reads never loads it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argparse parser whose usage errors are validation errors (exit
+        1, one ``error:`` line), not argparse's exit 2 with a usage banner;
+        the subparsers are built from the same class."""
+
+        def error(self, message: str):
+            raise ValidationError(message)
+
     parser = _Parser(prog="kron", description=__doc__)
-    parser.add_argument("--precision", type=int, default=None, help="mantissa bits (>= 64); env KRON_PRECISION")
+    for flag, keywords in _OPTIONS.items():
+        parser.add_argument(flag, **keywords)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (fn, summary, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("classify", _cmd_classify, help="module decomposition and orbit-closure descriptor")
-    p.add_argument("spec")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    p = add("resonance", _cmd_resonance, help="basis of the integer relations")
-    p.add_argument("spec")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    p = add("reduce", _cmd_reduce, help="collapse an integer vector to (gcd, 0, ...)")
-    p.add_argument("--nu", required=True)
-
-    p = add("reduce-flow", _cmd_reduce_flow, help="conjugate to zero block + kernel-free block")
-    p.add_argument("spec")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    p = add("simulate", _cmd_simulate, help="sample a float trajectory to CSV")
-    p.add_argument("spec")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--theta0", default=None, help="comma list of rationals (turns)")
-    p.add_argument("--out", required=True)
-
-    p = add("average", _cmd_average, help="closed-form time average of a polynomial")
-    p.add_argument("spec")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--T", type=float, nargs="+", default=[100.0, 1000.0, 10000.0])
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--theta0", default=None)
-
-    p = add("equidistribution", _cmd_equidistribution, help="decay table for monomials")
-    p.add_argument("spec")
-    p.add_argument("--nu", action="append", required=True, help="comma list; repeatable")
-    p.add_argument("--T", type=float, nargs="+", default=[100.0, 1000.0, 10000.0])
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--theta0", default=None)
-
-    p = add("solenoid", _cmd_solenoid, help="membership, coordinates, approximating times")
-    p.add_argument("solenoid_op", choices=["member", "coords", "times"])
-    p.add_argument("--a", required=True, help="comma list (prefix) or JSON sequence")
-    p.add_argument("--theta", default=None, help="comma list of rationals (turns)")
-    p.add_argument("--tau", default=None)
-    p.add_argument("--digits", default=None)
-
-    p = add("bo", _cmd_bo, help="integrable-flow classification report")
-    p.add_argument("spec")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
-    p = add("iso", _cmd_iso, help="are the orbit closures homeomorphic?")
-    p.add_argument("spec1")
-    p.add_argument("spec2")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-
+        for name_or_flag, keywords in (positionals | options).items():
+            p.add_argument(name_or_flag, **keywords)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call, built on the first.  Sharing it is
-    safe: parsing makes a fresh namespace, ``--nu`` appends to a new list, and
-    no handler mutates a parsed value such as the ``--T`` default."""
+def _parser():
+    """The parser of every ``main`` call that ``_read_argv`` declines (a
+    usage error, ``--help``, or a form the reader leaves to argparse), built
+    on the first such call.  Sharing it is safe: parsing makes a fresh
+    namespace, ``--nu`` appends to a new list, and no handler mutates a
+    parsed value such as the ``--T`` default."""
     return build_parser()
+
+
+def _value(keywords: dict, text: str):
+    """text converted as argparse converts an argument of these keywords;
+    ValueError where argparse rejects it."""
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _read(argv: list[str], k: int, options: dict, limit: int) -> tuple[dict, list[str], int]:
+    """Read argv from index k until the end or its ``limit``-th positional:
+    each option's value into a dict under the option's dest.  Returns the
+    dict, the positionals (the tokens not starting with "-" that no option
+    took) and the index after the last token read.  Raises ValueError on a
+    token argparse might read another way and on a value it rejects."""
+    values: dict = {}
+    positionals: list[str] = []
+    while k < len(argv) and len(positionals) < limit:
+        token = argv[k]
+        k += 1
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None:  # -h, --help, --, -, an abbreviation, a negative number, an unknown option
+            raise ValueError(token)
+        dest = _dest(flag)
+        if keywords.get("nargs") == "+":
+            end = next((j for j in range(k, len(argv)) if argv[j].startswith("-")), len(argv))
+            if eq or end == k:  # no value, or --T=v, which argparse reads as one value
+                raise ValueError(token)
+            values[dest] = [_value(keywords, value) for value in argv[k:end]]
+            k = end
+            continue
+        if not eq:
+            if k == len(argv) or argv[k].startswith("-"):
+                raise ValueError(token)
+            text = argv[k]
+            k += 1
+        elif text == "--":  # argparse drops a "--" value
+            raise ValueError(token)
+        if keywords.get("action") == "append":
+            values.setdefault(dest, []).append(_value(keywords, text))
+        else:
+            values[dest] = _value(keywords, text)
+    return values, positionals, k
+
+
+def _read_argv(argv: list) -> SimpleNamespace | None:
+    """The namespace of ``build_parser().parse_args(argv)``, read from
+    ``_COMMANDS`` in one pass, or None: argparse then reads argv, so it
+    alone writes usage errors and ``--help``.
+
+    The reader accepts ``str`` tokens only: the exact top-level options, an
+    exact subcommand name, then that subcommand's exact options and its
+    positionals in any order, as many positionals as it declares, and every
+    required option.  An option takes ``--opt=value`` or the next token if
+    that does not start with "-"; an ``nargs="+"`` option takes the tokens
+    up to the next one that does, at least one, and has no ``=`` form.  Any
+    other token starting with "-" (``-h``, ``--``, an abbreviation, a
+    negative number), a value argparse rejects and a missing required option
+    are left to argparse."""
+    if not all(isinstance(token, str) for token in argv):
+        return None
+    try:
+        top, head, k = _read(argv, 0, _OPTIONS, 1)
+        if not head or head[0] not in _COMMANDS:
+            return None
+        fn, _, positionals, options = _COMMANDS[head[0]]
+        values, tokens, _ = _read(argv, k, options, len(argv))
+        if len(tokens) != len(positionals) or any(
+                keywords.get("required") and _dest(flag) not in values for flag, keywords in options.items()):
+            return None
+        return SimpleNamespace(**{
+            **{_dest(flag): keywords.get("default") for flag, keywords in (_OPTIONS | options).items()},
+            **top, "command": head[0], "fn": fn, **values,
+            **{dest: _value(keywords, token) for (dest, keywords), token in zip(positionals.items(), tokens)},
+        })
+    except ValueError:
+        return None
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -409,13 +493,14 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact integers of any size, read and written, for this call only
     with warnings.catch_warnings():  # restores the caller's filters and display on return
         warnings.simplefilter("always", UserWarning)  # the library's warnings: each one, on every call
         warnings.showwarning = _show_warning
         try:
-            args = _parser().parse_args(argv)
+            args = _read_argv(argv) or _parser().parse_args(argv)
             print(f"kronflow {__version__}", file=sys.stderr)
             args.precision = _precision(args)  # checked for every subcommand, used by the float ones
             args.fn(args)

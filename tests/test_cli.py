@@ -101,8 +101,9 @@ def test_every_subcommand_prints_the_depth_it_used(tmp_path, capsys):
 
 
 def test_shared_parser_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
-    """main reuses one parser: appended --nu lists, the --T default and
-    --precision must not carry from one call into the next."""
+    """main reads each argv afresh (cli._read_argv, or the one argparse
+    parser it shares between calls): appended --nu lists, the --T default
+    and --precision must not carry from one call into the next."""
     monkeypatch.delenv("KRON_PRECISION", raising=False)
     for name, text in (("s2.json", SQRT_SPEC), ("sol.json", SOLENOID_SPEC), ("cancel.json", CANCEL_SPEC)):
         (tmp_path / name).write_text(text)

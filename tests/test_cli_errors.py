@@ -177,6 +177,8 @@ USAGE_ERRORS = {
                            "'resonance', 'reduce', 'reduce-flow', 'simulate', 'average', 'equidistribution', "
                            "'solenoid', 'bo', 'iso')"),
     "no subcommand": ([], "the following arguments are required: command"),
+    # a value that begins with "-" and is not a negative number reads as an option; --nu=-1,2 is read
+    "--nu value starting with -": (["reduce", "--nu", "-1,2"], "argument --nu: expected one argument"),
 }
 
 

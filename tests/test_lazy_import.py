@@ -7,6 +7,8 @@ both.  ``import kronflow``, ``import kronflow.cli`` and every exact
 subcommand also leave out ``dataclasses`` and the ``inspect`` it imports:
 the records on the CLI's import path are ``__slots__`` classes, and only
 ``kronflow.dynamics``, which the float subcommands load, keeps dataclasses.
+None of the three imports, nor ``kron reduce`` read by ``cli._read_argv``,
+loads ``argparse``: only a usage error or ``--help`` builds its parser.
 Every float name of the package (``kronflow._DYNAMICS_EXPORTS``) still
 resolves to the ``kronflow.dynamics`` object, and a removed name raises
 AttributeError."""
@@ -26,7 +28,7 @@ import {module}
 if "{module}" == "kronflow.cli":
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert kronflow.cli.main(["reduce", "--nu", "4,6,10"]) == 0
-for name in ("numpy", "mpmath", "csv") + (() if "{module}" == "kronflow.dynamics" else ("dataclasses", "inspect")):
+for name in ("numpy", "mpmath", "csv", "argparse") + (() if "{module}" == "kronflow.dynamics" else ("dataclasses", "inspect")):
     assert name not in sys.modules, name + " loaded"
 
 import kronflow

@@ -1,7 +1,8 @@
 """The README's CLI block, run in-process on the README's example finite spec:
 every line of a spec-taking subcommand (``classify``, ``resonance``,
 ``reduce-flow``, ``simulate``, ``iso``) exits 0 and prints JSON, whatever
-depth it asks for."""
+depth it asks for.  Every line of the block is read by ``cli._read_argv``,
+without argparse."""
 
 import json
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kronflow.cli import main
+from kronflow.cli import _read_argv, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SUBCOMMANDS = ("classify", "resonance", "reduce-flow", "simulate", "iso")
@@ -40,3 +41,9 @@ def test_readme_cli_line_exits_zero(subcommand, tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert code == 0, (argv, captured.err)
         json.loads(captured.out)
+
+
+def test_readme_cli_lines_are_read_without_argparse():
+    lines = _cli_lines()
+    assert len(lines) == 12
+    assert [argv for argv in lines if _read_argv(argv) is None] == []
