@@ -47,8 +47,8 @@ The ``cold_start`` block times what a single ``kron`` call pays before it
 works: the median wall time, over 11 fresh interpreters, of a bare ``python
 -c pass``, of ``import kronflow.cli`` and of one ``kron`` call each
 (``reduce --nu 4,6``, ``classify`` on halving at depth 16, and ``average``,
-``equidistribution`` and ``simulate`` on T^3), with whether mpmath, numpy and
-dataclasses were loaded at the end.  Each entry's ``excess_ms`` is the median
+``equidistribution`` and ``simulate`` on T^3), with whether mpmath, numpy,
+dataclasses and argparse were loaded at the end.  Each entry's ``excess_ms`` is the median
 over the rounds of its time less the bare interpreter's in the same round:
 what kronflow adds to the interpreter and ``site``, a figure that a host's
 drift between runs moves far less than the raw medians.  Each interpreter
@@ -263,7 +263,7 @@ def sweep(workdir: Path) -> list[dict]:
 
 
 # the libraries whose loading each cold call reports
-COLD_LIBS = ("mpmath", "numpy", "dataclasses")
+COLD_LIBS = ("mpmath", "numpy", "dataclasses", "argparse")
 # a kron call in a fresh interpreter (none for the bare import), then the
 # libraries it loaded, as the last line of stderr
 COLD_PROBE = f"""import sys

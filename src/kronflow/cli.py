@@ -9,7 +9,6 @@ malformed argument) is a validation error.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -46,13 +45,6 @@ _STR, _DICT = {str}, {dict}
 # the least length of a list of records that json's C encoder writes, a
 # shorter list being as fast on the recursive path; none without the encoder
 _C_RECORDS = 8 if c_make_encoder else sys.maxsize
-
-
-@functools.cache
-def _record_encoder(rec: str):
-    """json's C encoder of a list of flat records whose keys sit on lines
-    ``rec``: sorted keys, no indent, each comma followed by ``rec``."""
-    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "," + rec, True, False, True)
 
 
 def _flat_records(x) -> bool:
@@ -97,8 +89,9 @@ def _encode(x, nl: str, out: list[str]) -> None:
             out.append("[" + inner + ("," + inner).join(map(leaf, x)) + nl + "]")
             return
         if len(x) >= _C_RECORDS and _flat_records(x):
-            rec = inner + "  "
-            text = "".join(_record_encoder(rec)(x, 0))[2:-2]  # without the outer "[{" and "}]"
+            rec = inner + "  "  # the keys' lines; sorted keys, no indent, each comma followed by rec
+            encoder = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", "," + rec, True, False, True)
+            text = "".join(encoder(x, 0))[2:-2]  # without the outer "[{" and "}]"
             out.append("[" + inner + "{" + rec + text.replace("}," + rec + "{", inner + "}," + inner + "{" + rec)
                        + inner + "}" + nl + "]")
             return
@@ -323,7 +316,7 @@ def _cmd_iso(args) -> None:
 # -- the grammar
 
 _DEPTH = {"--depth": {"type": int, "default": DEFAULT_DEPTH}}
-_T = {"--T": {"type": float, "nargs": "+", "default": [100.0, 1000.0, 10000.0]}}
+_T = {"--T": {"type": float, "nargs": "+", "default": (100.0, 1000.0, 10000.0)}}
 
 # The one declaration of kron's command line: the top-level options, then
 # per subcommand its handler, its help, its positionals and its options.
@@ -395,14 +388,18 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser of every ``main`` call that ``_read_argv`` declines (a
-    usage error, ``--help``, or a form the reader leaves to argparse), built
-    on the first such call.  Sharing it is safe: parsing makes a fresh
-    namespace, ``--nu`` appends to a new list, and no handler mutates a
-    parsed value such as the ``--T`` default."""
-    return build_parser()
+def _parse_args(argv: list):
+    """``build_parser().parse_args(argv)``, for an argv that ``_read_argv``
+    declines.  argparse drops a ``--`` value (``--depth=--``) and stores
+    ``[]``, or appends ``[]`` to an ``append`` list: that option is missing
+    its value, a usage error in argparse's own words."""
+    args = build_parser().parse_args(argv)
+    for flag, keywords in (_OPTIONS | _COMMANDS[args.command][3]).items():
+        value = getattr(args, _dest(flag))
+        if value == [] or keywords.get("action") == "append" and [] in (value or ()):
+            wanted = "at least one argument" if keywords.get("nargs") == "+" else "one argument"
+            raise ValidationError(f"argument {flag}: expected {wanted}")
+    return args
 
 
 def _value(keywords: dict, text: str):
@@ -500,7 +497,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", UserWarning)  # the library's warnings: each one, on every call
         warnings.showwarning = _show_warning
         try:
-            args = _read_argv(argv) or _parser().parse_args(argv)
+            args = _read_argv(argv) or _parse_args(argv)
             print(f"kronflow {__version__}", file=sys.stderr)
             args.precision = _precision(args)  # checked for every subcommand, used by the float ones
             args.fn(args)

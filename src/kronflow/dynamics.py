@@ -156,21 +156,41 @@ def _single_generator(fv: FrequencyVector, depth: int):
     return [Fraction(row.get(j, 0), scale) for j in range(1, depth + 1)]
 
 
-def _fixed_point(rows: Mapping[Generator, tuple[int, dict[int, int]]], bits: int) -> tuple[list, int]:
-    """([(row_g, F_g)], D) in the table's order, omega_j = sum_g row_g[j] F_g /
-    D: g's number at bits + 64 bits is m_g 2^e_g, S = lcm(s_g), e = min(0, e_g),
-    D = S 2^-e, F_g = (S / s_g) m_g 2^(e_g - e).  A generator beyond
-    2^+-GENERATOR_RANGE is an error."""
-    numbers = []
-    for gen in rows:
-        sign, man, exp, size = _value_at(gen, bits + 64)._mpf_
-        if man and abs(exp + size) > GENERATOR_RANGE:
-            raise ValidationError(f"generator {gen.name!r} is beyond 2^+-{GENERATOR_RANGE} for the float paths")
-        numbers.append((-int(man) if sign else int(man), exp))
-    scale = math.lcm(*(s for s, _ in rows.values()))
-    low = min([0] + [exp for _, exp in numbers])
-    table = [(row, (scale // s * man) << (exp - low)) for (s, row), (man, exp) in zip(rows.values(), numbers)]
-    return table, scale << -low
+class _OmegaTable:
+    """The integer table of omega_1..omega_depth, read once for one request,
+    and the one memo of a generator's number: each generator's number at
+    each width, evaluated the first time a value made from the table needs
+    it, so a generator that no value needs is never evaluated.  The memo
+    lives as long as the request's table."""
+
+    __slots__ = ("depth", "rows", "_numbers")
+
+    def __init__(self, fv: FrequencyVector, depth: int):
+        self.depth = depth
+        self.rows = integer_rows(fv, depth)
+        self._numbers: dict[tuple[int, Generator], tuple[int, int]] = {}
+
+    def _number(self, gen: Generator, bits: int) -> tuple[int, int]:
+        """(m, e) with gen's number at ``bits`` of mantissa m 2^e; a generator
+        beyond 2^+-GENERATOR_RANGE is an error."""
+        number = self._numbers.get((bits, gen))
+        if number is None:
+            sign, man, exp, size = _value_at(gen, bits)._mpf_
+            if man and abs(exp + size) > GENERATOR_RANGE:
+                raise ValidationError(f"generator {gen.name!r} is beyond 2^+-{GENERATOR_RANGE} for the float paths")
+            number = self._numbers[bits, gen] = (-int(man) if sign else int(man), exp)
+        return number
+
+    def fixed_point(self, gens: tuple[Generator, ...], bits: int) -> tuple[list, int]:
+        """([(row_g, F_g)], D) for the rows of ``gens``, a subsequence of the
+        table's, with omega_j = sum_g row_g[j] F_g / D: where g's entry is
+        (s_g, row_g) and its number at bits + 64 bits is m_g 2^e_g, S =
+        lcm(s_g), e = min(0, e_g), D = S 2^-e, F_g = (S / s_g) m_g 2^(e_g - e)."""
+        numbers = [self._number(g, bits + 64) for g in gens]
+        scale = math.lcm(*(self.rows[g][0] for g in gens))
+        low = min([0] + [exp for _, exp in numbers])
+        return [(self.rows[g][1], (scale // self.rows[g][0] * man) << (exp - low))
+                for g, (man, exp) in zip(gens, numbers)], scale << -low
 
 
 def _to_double(terms: list[int], denominator: int, bits: int) -> float | None:
@@ -194,10 +214,11 @@ def _float_omegas(fv: FrequencyVector, depth: int) -> np.ndarray:
     import numpy as np
 
     bits = working_bits()
-    table, denominator = _fixed_point(integer_rows(fv, depth), bits)
+    table = _OmegaTable(fv, depth)
+    factors, denominator = table.fixed_point(tuple(table.rows), bits)
     omegas = [0.0] * depth
     for j in range(1, depth + 1):
-        terms = [row[j] * f for row, f in table if j in row]
+        terms = [row[j] * f for row, f in factors if j in row]
         if terms:
             value = _to_double(terms, denominator, bits)
             if value is None:
@@ -250,27 +271,6 @@ def haar_average(p: TrigPolynomial) -> Fraction:
     """The invariant average: constant-term extraction (all other monomials
     integrate to zero); the reality condition makes the constant term real."""
     return next((re for nu, (re, _) in p.items() if nu.is_zero()), Fraction(0))
-
-
-class _OmegaTable:
-    """The integer table of omega_1..omega_depth, read once for all the
-    monomials of one request, and the fixed point of each set of generators
-    that a value made from it has needed, made the first time it is needed:
-    a generator that no monomial needs is never evaluated."""
-
-    __slots__ = ("depth", "rows", "_fixed")
-
-    def __init__(self, fv: FrequencyVector, depth: int):
-        self.depth = depth
-        self.rows = integer_rows(fv, depth)
-        self._fixed: dict[tuple, tuple[list, int]] = {}
-
-    def fixed_point(self, gens: tuple[Generator, ...], bits: int) -> tuple[list, int]:
-        """``_fixed_point`` of the rows of ``gens``, a subsequence of the table's."""
-        fixed = self._fixed.get((bits, gens))
-        if fixed is None:
-            fixed = self._fixed[bits, gens] = _fixed_point({g: self.rows[g] for g in gens}, bits)
-        return fixed
 
 
 def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin, table: _OmegaTable | None = None) -> tuple[bool, float]:

@@ -28,8 +28,9 @@ class _Record:
     """Base of the package's immutable value records.
 
     A record lists its public fields in ``__slots__`` in constructor order,
-    then any private caches (a leading underscore), and its ``__init__`` sets
-    them with ``object.__setattr__``.  From the public fields this base gives
+    then any private slots (a leading underscore), which hold only values
+    its ``__init__`` derives from the fields, and its ``__init__`` sets them
+    all with ``object.__setattr__``.  From the public fields this base gives
     type-strict equality, the hash of their tuple, the repr ``Name(field=value,
     ...)``, and copies and pickles rebuilt through the constructor; assigning
     or deleting an attribute raises AttributeError.  Records use it, not

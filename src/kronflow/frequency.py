@@ -58,10 +58,10 @@ class Generator(_Record):
     classification is needed).
     """
 
-    # outside the fields, so eq, repr and ordering ignore them: the hash of
-    # the fields, and the number at each mantissa width; copies and pickles
-    # rebuild both, since a string's hash differs between processes
-    __slots__ = ("name", "kind", "param", "value_digits", "_hash", "_floats")
+    # outside the fields, so eq, repr and ordering ignore it: the hash of the
+    # fields, which copies and pickles rebuild, since a string's hash differs
+    # between processes
+    __slots__ = ("name", "kind", "param", "value_digits", "_hash")
 
     def __init__(self, name: str, kind: str, param: int | None = None, value_digits: str | None = None):
         if kind == "sqrt_prime":
@@ -90,13 +90,12 @@ class Generator(_Record):
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "value_digits", value_digits)
         object.__setattr__(self, "_hash", hash((name, kind, param, value_digits)))
-        object.__setattr__(self, "_floats", {})
 
     def __hash__(self) -> int:
         return self._hash
 
     def float_value(self) -> mpmath.mpf:
-        """The number at ``working_bits()`` of mantissa, kept on the instance."""
+        """The number at ``working_bits()`` of mantissa, computed afresh."""
         return _value_at(self, working_bits())
 
     def __lt__(self, other: "Generator") -> bool:
@@ -107,24 +106,20 @@ class Generator(_Record):
 
 
 def _value_at(gen: Generator, bits: int) -> mpmath.mpf:
-    """``gen``'s number at ``bits`` of mantissa, kept on the instance per width."""
-    value = gen._floats.get(bits)
-    if value is None:
-        if gen.kind == "opaque" and gen.value_digits is None:
-            raise ValidationError(f"generator {gen.name!r} is opaque with no declared numeric value")
-        import mpmath
+    """``gen``'s number at ``bits`` of mantissa, computed afresh and kept
+    nowhere; the unit is the exact ``mpf(1)`` at every width."""
+    import mpmath
 
-        with mpmath.workprec(bits):
-            if gen.kind == "rational_unit":
-                value = mpmath.mpf(1)
-            elif gen.kind == "sqrt_prime":
-                value = mpmath.sqrt(gen.param)
-            elif gen.kind == "pi_power":
-                value = mpmath.pi ** gen.param
-            else:
-                value = mpmath.mpf(gen.value_digits)
-        gen._floats[bits] = value
-    return value
+    if gen.kind == "rational_unit":
+        return mpmath.mpf(1)
+    if gen.kind == "opaque" and gen.value_digits is None:
+        raise ValidationError(f"generator {gen.name!r} is opaque with no declared numeric value")
+    with mpmath.workprec(bits):
+        if gen.kind == "sqrt_prime":
+            return mpmath.sqrt(gen.param)
+        if gen.kind == "pi_power":
+            return mpmath.pi ** gen.param
+        return mpmath.mpf(gen.value_digits)
 
 
 UNIT = Generator("1", "rational_unit")

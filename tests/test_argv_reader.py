@@ -148,7 +148,7 @@ def test_reader_declines(argv):
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["kron", "reduce", "--nu", "4,6"])
-    monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("argparse read a well-formed argv"))
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("argparse read a well-formed argv"))
     assert cli.main() == 0
     assert json.loads(capsys.readouterr().out)["gcd"] == 2
 

@@ -101,9 +101,9 @@ def test_every_subcommand_prints_the_depth_it_used(tmp_path, capsys):
 
 
 def test_shared_parser_does_not_leak_between_calls(tmp_path, capsys, monkeypatch):
-    """main reads each argv afresh (cli._read_argv, or the one argparse
-    parser it shares between calls): appended --nu lists, the --T default
-    and --precision must not carry from one call into the next."""
+    """main reads each argv afresh (cli._read_argv, or an argparse parser
+    built for that call): appended --nu lists, the --T default and
+    --precision must not carry from one call into the next."""
     monkeypatch.delenv("KRON_PRECISION", raising=False)
     for name, text in (("s2.json", SQRT_SPEC), ("sol.json", SOLENOID_SPEC), ("cancel.json", CANCEL_SPEC)):
         (tmp_path / name).write_text(text)
@@ -855,7 +855,7 @@ def test_bo_simulate_reads_beta_once_per_width(tmp_path, capsys, monkeypatch):
     fv = parse_frequency_spec(BO_VALUED_SPEC)
     first = dynamics.sample_trajectory(fv, TorusPoint.origin(16), 0.0, 1e6, 20)
     assert dynamics.sample_trajectory(fv, TorusPoint.origin(16), 0.0, 1e6, 20) == first
-    assert widths == [128, 264, 128, 128]  # the library's spec object keeps beta between calls
+    assert widths == [128, 264, 128, 128, 128]  # each library call reads beta once per width
 
 
 # omega_2 - omega_1 = 10^-31 exactly: below the near-resonance floor

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from kronflow.cli import main
+from kronflow.cli import _COMMANDS, _OPTIONS, main
 from kronflow.errors import ValidationError
 from kronflow.frequency import SigmaSequence, parse_frequency_spec
 
@@ -191,6 +191,43 @@ def test_usage_error_is_a_validation_error(capsys, argv, message):
     assert code == 1 and captured.out == ""
     assert captured.err.splitlines() == ["error: " + message]
     assert "usage:" not in captured.err and "Traceback" not in captured.err
+
+
+# a value for each required option and positional that a "--flag=--" case
+# holds besides its flag; the files need not exist, the usage error comes first
+REQUIRED = {"--nu": "1,2", "--t1": "1", "--steps": "3", "--out": "O", "--poly": "P", "--a": "1,2"}
+POSITIONALS = {"spec": "S", "spec1": "S", "spec2": "S", "solenoid_op": "member"}
+
+
+def _dash_dash_cases():
+    """(argv, flag): ``--flag=--`` for each top-level option and for each
+    option of each subcommand, with the subcommand's other required options
+    present."""
+    for flag in _OPTIONS:
+        yield [f"{flag}=--", "reduce", "--nu", "4,6"], flag
+    for name, (_, _, positionals, options) in _COMMANDS.items():
+        head = [name, *(POSITIONALS[dest] for dest in positionals)]
+        for flag in options:
+            others = [token for other, keywords in options.items() if keywords.get("required") and other != flag
+                      for token in (other, REQUIRED[other])]
+            yield [*head, *others, f"{flag}=--"], flag
+
+
+DASH_DASH = [*_dash_dash_cases(), (["classify", "S", "--dep=--"], "--depth"),
+             (["equidistribution", "S", "--nu", "1", "--nu=--"], "--nu")]
+
+
+@pytest.mark.parametrize("argv, flag", DASH_DASH, ids=[" ".join(argv) for argv, _ in DASH_DASH])
+def test_dash_dash_value_is_a_missing_value(capsys, argv, flag):
+    """argparse drops the "--" of ``--flag=--`` and stores ``[]`` (or appends
+    it to an ``append`` list): exit 1 with argparse's own words for a missing
+    value, naming the declared flag even for an abbreviation, and no version
+    header."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    wanted = "at least one argument" if flag == "--T" else "one argument"
+    assert captured.err.splitlines() == [f"error: argument {flag}: expected {wanted}"]
 
 
 def test_help_still_exits_0(capsys):

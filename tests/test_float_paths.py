@@ -172,9 +172,8 @@ def test_each_omega_evaluated_once_per_call(monkeypatch):
 
 
 def test_float_omegas_read_the_width_once_per_omega(monkeypatch):
-    """Once the generators' values are kept, ``_float_omegas`` on the BO d16
-    spec reads ``working_bits`` once per call, not once per omega_j or per
-    generator of its two-generator map."""
+    """``_float_omegas`` on the BO d16 spec reads ``working_bits`` once per
+    call, not once per omega_j or per generator of its two-generator map."""
     import kronflow.frequency as frequency
 
     expected = dynamics._float_omegas(BO_OPAQUE, 16)

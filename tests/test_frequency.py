@@ -339,7 +339,7 @@ def test_generator_validation():
         assert abs(ok.float_value() - ref) < 1e-30
 
 
-# -- generator values, kept per instance and per mantissa width
+# -- generator values, computed afresh at each mantissa width
 
 OPAQUE_DIGITS = "0.318309886183790671537767526745028724068919"
 

@@ -89,7 +89,7 @@ def test_depth_sweep_cold_start(tmp_path, monkeypatch, depth_sweep):
     call has a time and an excess over the bare interpreter of its round, the
     exact calls load none of mpmath, numpy and dataclasses, the closed-form
     averages mpmath and (through ``dynamics``) dataclasses, and ``simulate``
-    all three."""
+    all three; no call loads argparse, since every argv is well formed."""
     monkeypatch.setattr(depth_sweep, "COLD_RUNS", 1)
     entries = depth_sweep.cold_start(tmp_path)
     assert [(e["call"], e["mpmath"], e["numpy"], e["dataclasses"]) for e in entries] == [
@@ -101,6 +101,7 @@ def test_depth_sweep_cold_start(tmp_path, monkeypatch, depth_sweep):
         ("kron equidistribution t3", True, False, True),
         ("kron simulate t3", True, True, True),
     ]
-    assert all(set(e) == {"call", "median_ms", "excess_ms", "mpmath", "numpy", "dataclasses"}
+    assert not any(e["argparse"] for e in entries)
+    assert all(set(e) == {"call", "median_ms", "excess_ms", "mpmath", "numpy", "dataclasses", "argparse"}
                and e["median_ms"] > 0 for e in entries)
     assert entries[0]["excess_ms"] == 0
