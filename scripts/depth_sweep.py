@@ -43,6 +43,15 @@ seeded stratified nu of n = 8, 16, 32 and 64 entries, family
 k-th of n equal sub-ranges of [1, 1000], with a drawn sign, and the entries
 are shuffled, so the trail's length follows n and not the draw.
 
+The ``minimality_probe`` rows call the library's probe on T^3 = (1, sqrt2,
+sqrt3) at depth 3 (family ``t3-planted``: a target planted on the orbit at
+t = 200, each turn rounded to 1e-9, at epsilon 1e-2, 3e-3 and 1e-3 with
+t_max 1e4; family ``t3-no-hit``: the target (1/2, 1/3, 1/7) at epsilon 1e-4
+with t_max 1e3, which no sample hits), with their best-of-3 ``best_ms``, the
+result's ``hit`` and ``samples``, and ``evaluated``: the grid indices whose
+distance the probe computed, counted in one more untimed run by wrapping
+``dynamics._probe_candidates``.
+
 The ``cold_start`` block times what a single ``kron`` call pays before it
 works: the median wall time, over 11 fresh interpreters, of a bare ``python
 -c pass``, of ``import kronflow.cli`` and of one ``kron`` call each
@@ -85,13 +94,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import kronflow
-from kronflow import exact_linalg
+from kronflow import dynamics, exact_linalg
 from kronflow.cli import main
-from kronflow.frequency import SigmaSequence
+from kronflow.frequency import SigmaSequence, parse_frequency_spec
+from kronflow.solenoid_geometry import TorusPoint
 
 COMMANDS = ("resonance", "reduce-flow")
 DEPTHS = tuple(2**k for k in range(4, 11))
 REDUCE_SIZES = (8, 16, 32, 64)
+# (family, epsilon, t_max) of each minimality_probe row
+PROBE_CASES = (("t3-planted", 1e-2, 1e4), ("t3-planted", 3e-3, 1e4), ("t3-planted", 1e-3, 1e4),
+               ("t3-no-hit", 1e-4, 1e3))
 COLD_RUNS = 11
 
 
@@ -213,6 +226,57 @@ def _hermite_ops(argv: list[str]) -> int:
     return count
 
 
+def _probe_target(family: str) -> list[Fraction]:
+    """The target of a ``minimality_probe`` row: (1/2, 1/3, 1/7), or the
+    orbit of 0 at t = 200 from the probe's own doubles, each turn rounded to
+    1e-9, which the grid sample nearest t = 200 is within epsilon of."""
+    if family == "t3-no-hit":
+        return [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)]
+    omegas = dynamics._float_omegas(parse_frequency_spec(json.dumps(T3)), 3)
+    return [Fraction(round(float(200.0 * w / dynamics.TAU % 1.0) * 10**9), 10**9) for w in omegas]
+
+
+def _probe(family: str, eps: float, t_max: float):
+    """(seconds, result) of one probe call."""
+    fv, target = parse_frequency_spec(json.dumps(T3)), TorusPoint.exact_point(_probe_target(family))
+    start = time.perf_counter()
+    result = dynamics.minimality_probe(fv, target, 3, eps, t_max)
+    return time.perf_counter() - start, result
+
+
+def _evaluated(family: str, eps: float, t_max: float) -> int:
+    """The grid indices ``dynamics._probe_candidates`` yields in one probe
+    call, wrapped for that call."""
+    count = 0
+    candidates = dynamics._probe_candidates
+
+    def counting(*args):
+        nonlocal count
+        for ks in candidates(*args):
+            count += ks.size
+            yield ks
+
+    dynamics._probe_candidates = counting
+    try:
+        _probe(family, eps, t_max)
+    finally:
+        dynamics._probe_candidates = candidates
+    return count
+
+
+def probe_rows() -> list[dict]:
+    """One row per PROBE_CASES entry, timed like the sweep's rows: best of
+    three rounds that each run every case once."""
+    runs = [[_probe(*case) for case in PROBE_CASES] for _ in range(3)]
+    rows = []
+    for k, (family, eps, t_max) in enumerate(PROBE_CASES):
+        result = runs[0][k][1]
+        rows.append({"command": "minimality_probe", "family": family, "depth": 3, "epsilon": eps, "t_max": t_max,
+                     "best_ms": round(min(r[k][0] for r in runs) * 1e3, 3), "hit": result.hit,
+                     "samples": result.samples, "evaluated": _evaluated(family, eps, t_max)})
+    return rows
+
+
 def sweep(workdir: Path) -> list[dict]:
     """One row per (command, family, depth).  The three timed rounds each run
     every row once, so a slow spell of the host spoils at most one run of a
@@ -259,7 +323,7 @@ def sweep(workdir: Path) -> list[dict]:
             if command == "reduce-flow":
                 row["hermite_growth"] = round(row["hermite_ops"] / prev["hermite_ops"], 2)
         rows.append(row)
-    return rows
+    return rows + probe_rows()
 
 
 # the libraries whose loading each cold call reports

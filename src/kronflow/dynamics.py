@@ -14,7 +14,7 @@ The float paths (flow, trajectory sampling, quadrature, the minimality probe)
 read the integer table of omega_1..omega_N once per call, make each omega_j a
 double in fixed point, and form the angles (Theta0 + omega t) mod 2*pi for
 all sample times at once as numpy arrays; the probe forms them only for the
-samples whose first angle is near the target's.  numpy is imported inside
+samples whose first two angles are near the target's.  numpy is imported inside
 those paths only, so the closed-form averages (``time_average``,
 ``equidistribution_report``) and ``import kronflow.dynamics`` never load it.
 """
@@ -25,10 +25,9 @@ import cmath
 import math
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, _Record
 from .exact_linalg import IntVecFin, parse_list, parse_rational
 from .frequency import FrequencyVector, Generator, _value_at, clamp_depth, integer_rows, working_bits
 from .resonance_reduction import resonance_basis
@@ -48,16 +47,15 @@ _TERM_FIELDS = {"const": (), "cos": ("scale",), "sin": ("scale",), "nu": ("re", 
 # Trigonometric polynomials with the reality constraint
 
 
-@dataclass(frozen=True)
-class TrigPolynomial:
+class TrigPolynomial(_Record):
     """Finite sum  p(theta) = sum_nu a_nu exp(i nu . Theta)  with
     a_nu = conj(a_{-nu}), stored as exact (real, imag) rational pairs."""
 
-    coeffs: tuple[tuple[IntVecFin, tuple[Fraction, Fraction]], ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        table = dict(self.coeffs)
-        if len(table) < len(self.coeffs):
+    def __init__(self, coeffs: tuple[tuple[IntVecFin, tuple[Fraction, Fraction]], ...]):
+        table = dict(coeffs)
+        if len(table) < len(coeffs):
             raise ValidationError("a monomial is repeated: give each nu one coefficient")
         for nu, (re, im) in table.items():
             mirror = table.get(-nu)
@@ -509,27 +507,29 @@ def equidistribution_report(
 # Minimality probe
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    hit: bool
-    time: float | None
-    distance: float
-    samples: int
+def _rounding_margin(a: float, g: float, n_samples: int) -> float:
+    """A bound, far above a few ulps of the largest phase, on the float
+    rounding of k * step * turn - g and of a window's bounds on it."""
+    return (n_samples * abs(a) + abs(g) + 1.0) * 2.0 ** -46
 
 
-def _probe_candidates(a: float, g: float, radius: float, n_samples: int):
+def _probe_candidates(a: float, g: float, radius: float, n_samples: int, second: tuple[float, float] | None = None):
     """Grid indices 0 <= k < n_samples, in increasing order and in the probe's
     doubling blocks, that include every k whose first angle k * a - g (in
     turns, computed as the probe computes it) lies within ``radius`` of an
-    integer.  Yields one index array per block, possibly empty, or nothing
-    when no sample is near."""
+    integer and, given ``second`` = (b, g2), whose second angle k * b - g2
+    lies within 2 * radius of one.  Yields one index array per block,
+    possibly empty, or nothing when no sample is near."""
     import numpy as np
 
+    if second is not None:
+        b, g2 = second
+        r2 = 2.0 * radius + _rounding_margin(b, g2, n_samples)
+        if not r2 < 0.5:  # every second angle is near (or b is not finite)
+            second = None
     if a < 0:  # ||k a - g|| = ||k |a| + g||
         a, g = -a, -g
-    # float rounding of k * step * turn - g and of the run bounds below stays
-    # far inside a few ulps of the largest phase
-    r = radius + (n_samples * a + abs(g) + 1.0) * 2.0 ** -46
+    r = radius + _rounding_margin(a, g, n_samples)
     off = g % 1.0
     whole = r >= 0.5 or (a == 0.0 and min(off, 1.0 - off) <= r)
     if a == 0.0 and not whole:  # every sample has the first angle of t = 0
@@ -551,6 +551,11 @@ def _probe_candidates(a: float, g: float, radius: float, n_samples: int):
                     hi = np.clip(np.floor((g + m + r) / a), start - 1, end - 1).astype(np.int64)
                 lo[1:] = np.maximum(lo[1:], hi[:-1] + 1)
                 sizes = np.maximum(hi - lo + 1, 0)
+                if second is not None:
+                    # the second angle is linear in k, so on the run it spans
+                    # the segment between its values at the ends
+                    ends = lo * b - g2, hi * b - g2
+                    sizes[np.floor(np.maximum(*ends) + r2) < np.ceil(np.minimum(*ends) - r2)] = 0
                 firsts = np.cumsum(sizes) - sizes
                 yield np.repeat(lo - firsts, sizes) + np.arange(int(sizes.sum()))
         start += chunk
@@ -572,20 +577,29 @@ def minimality_probe(
     hit, ``samples`` is k + 1 for the first hit; without one it is the grid
     size and (time, distance) is the first sample of least distance.  Either
     way ``samples`` is the grid index reached, not the number of samples
-    evaluated: only samples near the target's first angle are.  The distance
-    is d = sum_k 2^-(k+1) delta_k, delta_k the circular distance of angle k in
-    turns, so d < epsilon forces delta_1 < 2 epsilon; the first angle advances
-    by a fixed a = step * omega_1 / 2 pi per sample, so for each wrap m the
-    samples with delta_1 <= r form one run of indices k in (g_1 + m -+ r) / a.
-    Non-resonance forces omega_1 != 0 (else e_1 is a relation); if its float
-    still rounds to 0, the window holds every index or none.  The runs are
-    scanned in index order with r = 2 epsilon plus a rounding margin, so the
-    first hit ends the scan; without a hit r widens to twice the least
-    distance found and the runs are scanned again, so no sample outside them
-    can be closer.  Each candidate's distance is the same float expression as
-    on the full grid, so the result does not depend on the window.
+    evaluated: only samples near the target's first two angles are.  The
+    distance is d = sum_k 2^-(k+1) delta_k, delta_k the circular distance of
+    angle k in turns, so d >= delta_1 / 2 and d >= delta_2 / 4: d < epsilon
+    forces delta_1 < 2 epsilon and delta_2 < 4 epsilon.  The first angle
+    advances by a fixed a = step * omega_1 / 2 pi per sample, so for each wrap
+    m the samples with delta_1 <= r form one run of indices k in (g_1 + m -+
+    r) / a.  Non-resonance forces omega_1 != 0 (else e_1 is a relation); if
+    its float still rounds to 0, the window holds every index or none.  At
+    depth >= 2 a run is kept only if the second angle's phase k b - g_2, b =
+    step * omega_2 / 2 pi, comes within r_2 = 2 r of an integer somewhere on
+    it: the phase is linear in k, so on the run it spans the segment between
+    its values at the two ends.  The runs are scanned in index order with r =
+    2 epsilon, r and r_2 each plus a rounding margin, so the first hit ends
+    the scan.  Without a hit, r doubles, but to no more than twice the least
+    distance found, and the runs are scanned again until that distance is at
+    most r / 2: a sample outside the runs has delta_1 > r or delta_2 > 2 r,
+    so d > r / 2 either way, and none can be closer.  Each candidate's
+    distance is the same float expression as on the full grid, so the result
+    does not depend on the window.
     """
     import numpy as np
+
+    from .probe_result import ProbeResult
 
     _require_finite(epsilon, "epsilon")
     if epsilon <= 0:
@@ -618,10 +632,11 @@ def minimality_probe(
 
     turns = omegas / TAU
     n_samples = int(t_max / step) + 1
+    second = (step * turns[1], tgt[1]) if depth > 1 else None
     radius = 2.0 * epsilon
     while True:
         best_d, best_t = math.inf, None
-        for ks in _probe_candidates(step * turns[0], tgt[0], radius, n_samples):
+        for ks in _probe_candidates(step * turns[0], tgt[0], radius, n_samples, second):
             if not ks.size:
                 continue
             ts = (ks * step)[:, None]
@@ -634,10 +649,19 @@ def minimality_probe(
             idx = int(np.argmin(dists))
             if dists[idx] < best_d:
                 best_d, best_t = float(dists[idx]), float(ts[idx, 0])
-        # a sample outside the runs has delta_1 > radius, so d > radius / 2
+        # a sample outside the runs has delta_1 > radius or delta_2 > 2 radius,
+        # so d > radius / 2
         if best_d <= radius / 2 or radius >= 1.0:
             return ProbeResult(False, best_t, best_d, n_samples)
-        radius = 2.0 * best_d if best_d < math.inf else 2.0 * radius
+        radius = 2.0 * min(best_d, radius)
+
+
+def __getattr__(name: str):
+    if name == "ProbeResult":
+        from .probe_result import ProbeResult
+
+        return ProbeResult
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
-from .errors import ValidationError, _Record
+from .errors import UnsupportedStructureError, ValidationError, _Record
 from .exact_linalg import IntVecFin, RowFiniteIntMatrix, gcd_of_vector, hermite_transform, integer_kernel
 from .frequency import (UNIT, BoRule, Finite, FrequencyVector, ProductConstruction,
                         RationalSequenceSpec, SolenoidRule, clamp_depth, finite_vector, integer_rows)
@@ -207,6 +208,8 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
     ``pass``: a ``swap`` exchanges rows ``i`` and ``j`` and a ``negate``
     flips the sign of row ``i``; a ``subtract_head`` is a run, rows
     2..``rows`` -= row 1 in each of the ``repeat`` passes from ``pass`` on.
+    A reduction whose passes a list cannot hold (more than ``sys.maxsize``)
+    is an UnsupportedStructureError.
     """
     if nu.is_zero():
         raise ValidationError("cannot reduce the zero vector")
@@ -248,6 +251,9 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
         head = vec[0]
         repeat = vec[1] // head
         drop = (k - 1) * head  # > 0, so the run's own sums decrease strictly
+        if len(pass_sums) + repeat > sys.maxsize:
+            raise UnsupportedStructureError(f"the reduction has at least {len(pass_sums) + repeat} passes, "
+                                            f"more than a list of pass sums holds ({sys.maxsize})")
         pass_sums.extend(range(total, total - repeat * drop, -drop))
         vec[1:k] = [v - repeat * head for v in vec[1:k]]
         transform.add_to_rows(range(2, k + 1), 1, -repeat)

@@ -9,7 +9,8 @@ from the literal one-subtraction-per-step reduction on plain lists,
 frequency coordinates from the per-index definition of each family,
 solenoid membership, coordinates and approximating times from the
 relations theta_j = a_{j+1} theta_{j+1} mod 1 in Fraction arithmetic,
-supernatural numbers from a per-class coverage state machine, and the
+the float frequencies from those coordinates and mpmath's own constants at
+200 bits, supernatural numbers from a per-class coverage state machine, and the
 ``simulate`` CSV from ``csv.writer`` with one format per cell.
 """
 
@@ -24,6 +25,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from kronflow.errors import ValidationError
@@ -348,6 +350,41 @@ def omega_by_index(fv, j: int) -> dict:
         return {g: Fraction(1, math.prod(spec.qa.term(i) for i in range(1, e + 1)))}
     rank = sum(1 for i in range(1, j + 1) if not reserved(i))
     return {free[rank - 1]: Fraction(1)} if rank <= len(free) else {}
+
+
+def _generator_number(gen):
+    """gen's number at the working precision, from mpmath's own constants."""
+    if gen.kind == "rational_unit":
+        return mpmath.mpf(1)
+    if gen.kind == "sqrt_prime":
+        return mpmath.sqrt(gen.param)
+    if gen.kind == "pi_power":
+        return mpmath.pi ** gen.param
+    return mpmath.mpf(gen.value_digits)
+
+
+def omega_values(fv, depth: int) -> list:
+    """omega_1..omega_depth as mpmath numbers at the working precision: the
+    sum over the ``omega_by_index`` coordinates of each coefficient times its
+    generator's number."""
+    return [sum((mpmath.mpf(c.numerator) / c.denominator * _generator_number(g)
+                 for g, c in omega_by_index(fv, j).items()), mpmath.mpf(0))
+            for j in range(1, depth + 1)]
+
+
+def float_omegas(fv, depth: int) -> list[float]:
+    """The doubles nearest omega_1..omega_depth, from 200-bit sums."""
+    with mpmath.workprec(200):
+        return [float(w) for w in omega_values(fv, depth)]
+
+
+def planted_target(fv, depth: int, t_star: float, offset: Fraction) -> TorusPoint:
+    """An exact target within ``offset`` turns per coordinate (plus the
+    1e-9 rounding of each turn) of the orbit of 0 at time t_star, from the
+    200-bit frequencies."""
+    with mpmath.workprec(200):
+        turns = [(w * t_star / (2 * mpmath.pi)) % 1 for w in omega_values(fv, depth)]
+    return TorusPoint.exact_point([Fraction(round(float(v) * 10**9), 10**9) + offset for v in turns])
 
 
 def lattice_witness(fv, n: int) -> dict:

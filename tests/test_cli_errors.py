@@ -4,7 +4,8 @@ malformed flags, unreadable or over-nested files, an unwritable ``--out``
 and a product component with both ``free`` and ``qa``; the same for a usage
 error, which argparse alone would end with its usage banner and exit 2.
 Also: exact integers past CPython's 4300-digit str conversion limit are read
-and written, and the limit is left as it was."""
+and written, and the limit is left as it was; a reduction with more passes
+than a list holds is exit 2 with one ``unsupported structure:`` line."""
 
 import contextlib
 import io
@@ -269,6 +270,20 @@ def _loads(text):
         return json.loads(text)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_reduce_with_more_passes_than_a_list_holds_is_unsupported(capsys):
+    """``--nu 10^38 - 1,3`` asks for one subtract run of (10^38 - 1) // 3
+    passes, more than ``sys.maxsize``: exit 2 with one ``unsupported
+    structure:`` line naming the count, where the literal ``pass_sums`` list
+    ended in an OverflowError traceback."""
+    code = main(["reduce", "--nu", "9" * 38 + ",3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        f"unsupported structure: the reduction has at least {(10**38 - 1) // 3} passes, "
+        f"more than a list of pass sums holds ({sys.maxsize})")
 
 
 def test_factorial_reduce_flow_past_4300_digits(tmp_path, capsys):

@@ -5,7 +5,6 @@ sample at a time."""
 import json
 from fractions import Fraction as F
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -21,9 +20,9 @@ from kronflow.dynamics import (
 )
 from kronflow.errors import ValidationError
 from kronflow.exact_linalg import IntVecFin
-from kronflow.frequency import coordinates, evaluate_float, integer_rows, parse_frequency_spec
+from kronflow.frequency import integer_rows, parse_frequency_spec
 from kronflow.solenoid_geometry import TorusPoint
-from oracles import flow_angles_per_sample, probe_single_chunk
+from oracles import float_omegas, flow_angles_per_sample, planted_target, probe_single_chunk
 
 T3 = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"},{"sqrt3":"1"}]}')
 FACTORIAL_SQRT2 = parse_frequency_spec(
@@ -43,12 +42,6 @@ POLY = (
 )
 
 
-def _omegas(fv, depth):
-    """The doubles nearest omega_1..omega_depth, from 200-bit sums."""
-    with mpmath.workprec(200):
-        return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
-
-
 def _start_points(depth):
     exact = TorusPoint.exact_point([F(3 * j + 1, 17) for j in range(depth)])
     floats = TorusPoint.float_point([0.25 + 0.7 * j for j in range(depth)])
@@ -61,7 +54,7 @@ def _start_points(depth):
     ids=["t3", "factorial-d8", "bo-d16"],
 )
 def test_trajectory_rows_equal_per_time_flow(fv, depth, t1):
-    omegas = _omegas(fv, depth)
+    omegas = float_omegas(fv, depth)
     for theta0 in _start_points(depth):
         for t0, t1_, steps in ((0.0, 10.0, 40), (7.0, t1, 50)):
             rows = sample_trajectory(fv, theta0, t0, t1_, steps)
@@ -80,7 +73,7 @@ def test_trajectory_validates_before_sampling():
 
 
 def test_quadrature_polynomial_matches_per_sample_loop():
-    omegas = _omegas(T3, 3)
+    omegas = float_omegas(T3, 3)
     for theta0 in _start_points(3):
         t_final, samples = 37.5, 2001
         ts = np.linspace(0.0, t_final, samples)
@@ -111,7 +104,7 @@ def test_quadrature_callable_observable():
 def _probe_oracle(fv, target, depth, eps, t_max):
     """The probe over all int(t_max / step) + 1 samples at once; keep t_max
     small, the oracle holds every sample in memory."""
-    omegas = _omegas(fv, depth)
+    omegas = float_omegas(fv, depth)
     step = eps / (4.0 * max(abs(w) for w in omegas))
     hit, time, dist, samples = probe_single_chunk(
         omegas, [float(v) for v in target.angles], eps, t_max, step
@@ -119,24 +112,15 @@ def _probe_oracle(fv, target, depth, eps, t_max):
     return dynamics.ProbeResult(hit, time, dist, samples)
 
 
-def _planted(fv, depth, t_star, offset):
-    """An exact target within ``offset`` turns per coordinate of the orbit at t_star."""
-    with mpmath.workprec(200):
-        turns = [
-            (evaluate_float(c) * t_star / (2 * mpmath.pi)) % 1 for c in coordinates(fv, depth)
-        ]
-    return TorusPoint.exact_point([F(round(float(v) * 10**9), 10**9) + offset for v in turns])
-
-
 def test_probe_hit_in_first_chunk():
-    target = _planted(T3, 3, 3.0, F(1, 10**4))
+    target = planted_target(T3, 3, 3.0, F(1, 10**4))
     res = minimality_probe(T3, target, 3, 1e-2, 20.0)
     assert res.hit and res.samples <= PROBE_FIRST_CHUNK
     assert res == _probe_oracle(T3, target, 3, 1e-2, 20.0)
 
 
 def test_probe_hit_after_several_doublings():
-    target = _planted(T3, 3, 200.0, F(1, 10**4))
+    target = planted_target(T3, 3, 200.0, F(1, 10**4))
     res = minimality_probe(T3, target, 3, 3e-3, 250.0)
     assert res.hit and res.samples > 7 * PROBE_FIRST_CHUNK
     assert res == _probe_oracle(T3, target, 3, 3e-3, 250.0)
@@ -166,7 +150,7 @@ def test_each_omega_evaluated_once_per_call(monkeypatch):
     time_average_quadrature(T3, POLY, TorusPoint.origin(3), 30.0, 4001)
     assert calls == [(T3, 3)]
     calls.clear()
-    minimality_probe(T3, _planted(T3, 3, 200.0, F(0)), 3, 1e-2, 1e4)
+    minimality_probe(T3, planted_target(T3, 3, 200.0, F(0)), 3, 1e-2, 1e4)
     assert calls == [(T3, 3)]
 
 

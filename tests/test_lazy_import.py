@@ -3,10 +3,10 @@
 (which the package does not use) out of ``sys.modules``; the exact
 subcommands load neither numpy nor mpmath, the closed-form averages
 (``average``, ``equidistribution``) load mpmath alone, and ``simulate`` loads
-both.  ``import kronflow``, ``import kronflow.cli`` and every exact
-subcommand also leave out ``dataclasses`` and the ``inspect`` it imports:
-the records on the CLI's import path are ``__slots__`` classes, and only
-``kronflow.dynamics``, which the float subcommands load, keeps dataclasses.
+both.  The three imports and every subcommand also leave out
+``dataclasses``, and all but ``simulate`` (whose numpy loads it) the
+``inspect`` it imports: the package's records are ``__slots__`` classes,
+and only ``minimality_probe`` loads its dataclass ``ProbeResult``.
 None of the three imports, nor ``kron reduce`` read by ``cli._read_argv``,
 loads ``argparse``: only a usage error or ``--help`` builds its parser.
 Every float name of the package (``kronflow._DYNAMICS_EXPORTS``) still
@@ -28,7 +28,7 @@ import {module}
 if "{module}" == "kronflow.cli":
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert kronflow.cli.main(["reduce", "--nu", "4,6,10"]) == 0
-for name in ("numpy", "mpmath", "csv", "argparse") + (() if "{module}" == "kronflow.dynamics" else ("dataclasses", "inspect")):
+for name in ("numpy", "mpmath", "csv", "argparse", "dataclasses", "inspect"):
     assert name not in sys.modules, name + " loaded"
 
 import kronflow
@@ -62,7 +62,7 @@ def run(*argv):
         assert kronflow.cli.main(list(argv)) == 0, argv
 
 
-def loaded(names=("mpmath", "numpy")):
+def loaded(names=("mpmath", "numpy", "dataclasses")):
     return [name for name in names if name in sys.modules]
 
 
@@ -79,7 +79,8 @@ exact = loaded(("mpmath", "numpy", "dataclasses", "inspect"))
 assert exact == [], "exact subcommands loaded " + str(exact)
 run("average", spec, "--poly", poly, "--depth", "2")
 run("equidistribution", spec, "--nu", "1,-1", "--depth", "2")
-assert loaded() == ["mpmath"], "closed-form averages loaded " + str(loaded())
+closed_form = loaded(("mpmath", "numpy", "dataclasses", "inspect"))
+assert closed_form == ["mpmath"], "closed-form averages loaded " + str(closed_form)
 run("simulate", spec, "--t1", "1", "--steps", "2", "--depth", "2", "--out", out)
 assert loaded() == ["mpmath", "numpy"], "simulate loaded " + str(loaded())
 """

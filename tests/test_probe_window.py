@@ -8,12 +8,12 @@ import math
 import time
 from fractions import Fraction as F
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kronflow.dynamics as dynamics
 from kronflow.dynamics import (
     ProbeResult,
     TrigPolynomial,
@@ -22,20 +22,14 @@ from kronflow.dynamics import (
     time_average_quadrature,
 )
 from kronflow.errors import ValidationError
-from kronflow.frequency import coordinates, evaluate_float, parse_frequency_spec
+from kronflow.frequency import parse_frequency_spec
 from kronflow.resonance_reduction import resonance_basis
 from kronflow.solenoid_geometry import TorusPoint
-from oracles import probe_single_chunk
+from oracles import float_omegas, planted_target, probe_single_chunk
 
 TAU = 2 * math.pi
 BUILTINS = ["1", "sqrt2", "sqrt3", "sqrt5", "pi", "pi^2"]
 T3 = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"},{"sqrt3":"1"}]}')
-
-
-def _omegas(fv, depth):
-    """The doubles nearest omega_1..omega_depth, from 200-bit sums."""
-    with mpmath.workprec(200):
-        return [float(evaluate_float(c)) for c in coordinates(fv, depth)]
 
 
 def _step(omegas, eps):
@@ -43,13 +37,13 @@ def _step(omegas, eps):
 
 
 def _turns_at(omegas, k, step):
-    """The probe's first-angle phase k * step * omega / 2 pi, as it computes it."""
+    """The probe's phases k * step * omega / 2 pi at sample k, as it computes them."""
     ts = (np.array([k]) * step)[:, None]
     return (ts * (np.array(omegas) / TAU)[None, :])[0]
 
 
 def _oracle(fv, target, depth, eps, t_max):
-    omegas = _omegas(fv, depth)
+    omegas = float_omegas(fv, depth)
     tgt = [float(v) for v in target.angles] if target.exact else [v / TAU for v in target.angles]
     return ProbeResult(*probe_single_chunk(omegas, tgt, eps, t_max, _step(omegas, eps)))
 
@@ -60,27 +54,33 @@ coordinate = st.dictionaries(st.sampled_from(BUILTINS), coefficient, min_size=1,
 
 @st.composite
 def probe_cases(draw):
-    depth = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["planted", "far", "far-second", "free"]))
+    depth = draw(st.integers(2 if mode == "far-second" else 1, 4))
     terms = [{g: str(c) for g, c in draw(coordinate).items()} for _ in range(depth)]
     fv = parse_frequency_spec(json.dumps({"kind": "finite", "terms": terms}))
     if not resonance_basis(fv, depth).is_trivial():
         draw(st.nothing())
-    mode = draw(st.sampled_from(["planted", "far", "free"]))
-    eps = draw(st.floats(1e-3, 0.2 if mode == "far" else 0.3))
-    omegas = _omegas(fv, depth)
+    eps = draw(st.floats(1e-3, {"far": 0.2, "far-second": 0.1}.get(mode, 0.3)))
+    omegas = float_omegas(fv, depth)
     step = _step(omegas, eps)
-    a = step * omegas[0] / TAU
-    if mode == "far":
-        # the first angle stays more than 2 eps from the target: no hit
-        n = draw(st.integers(0, min(120_000, int((0.5 - 2 * eps) / abs(a)) - 2)))
+    if mode in ("far", "far-second"):
+        # the first (second) angle stays more than 2 eps (4 eps) from the
+        # target, so every sample has d > eps: no hit
+        reach = (0.5 - 2 * eps, 0.5 - 4 * eps)[mode == "far-second"]
+        turn = step * omegas[mode == "far-second"] / TAU
+        n = draw(st.integers(0, min(120_000, int(reach / abs(turn)) - 2)))
     else:
         n = draw(st.integers(0, 120_000))
     t_max = n * step
-    if mode == "planted":
-        # a target on a grid sample's orbit point: that sample hits
+    if mode in ("planted", "far-second"):
+        # a target on a grid sample's orbit point, so that sample hits; for
+        # far-second, only in the first angle, the second angle at 1/2
         k = draw(st.integers(0, max(n - 1, 0)))
-        turns = _turns_at(omegas, k, step)
-        target = TorusPoint.exact_point([F(float(v)) % 1 for v in turns])
+        turns = [F(float(v)) % 1 for v in _turns_at(omegas, k, step)]
+        if mode == "far-second":
+            rest = draw(st.lists(st.fractions(0, 1, max_denominator=1000), min_size=depth - 2, max_size=depth - 2))
+            turns = [turns[0], F(1, 2)] + rest
+        target = TorusPoint.exact_point(turns)
     elif mode == "far":
         rest = draw(st.lists(st.fractions(0, 1, max_denominator=1000), min_size=depth - 1, max_size=depth - 1))
         target = TorusPoint.exact_point([F(1, 2)] + rest)
@@ -101,7 +101,7 @@ def test_probe_equals_full_grid_oracle(case):
     assert res == _oracle(fv, target, depth, eps, t_max)
     if mode == "planted":
         assert res.hit
-    elif mode == "far":
+    elif mode in ("far", "far-second"):
         assert not res.hit
 
 
@@ -123,7 +123,7 @@ def test_probe_window_edge(sign):
     first approach to the target."""
     fv = parse_frequency_spec(json.dumps({"kind": "finite", "terms": [{"sqrt2": sign}]}))
     eps = 1e-3
-    omegas = _omegas(fv, 1)
+    omegas = float_omegas(fv, 1)
     step = _step(omegas, eps)
     k0 = 20_000  # the first angle has moved less than one turn - 5 eps
     assert k0 * step * abs(omegas[0]) / TAU < 1 - 5 * eps
@@ -144,13 +144,109 @@ def test_probe_window_edge_at_large_phases(sign, k0):
     window needs its rounding margin to keep every sample that can hit."""
     fv = parse_frequency_spec(json.dumps({"kind": "finite", "terms": [{"sqrt2": sign}]}))
     eps = 1e-7
-    omegas = _omegas(fv, 1)
+    omegas = float_omegas(fv, 1)
     step = 0.37 * TAU / abs(omegas[0])
     t_max = (k0 + 1) * step
     for target in _edge_targets(omegas, k0, step, eps):
         res = minimality_probe(fv, target, 1, eps, t_max, step)
         want = probe_single_chunk(omegas, [float(v) for v in target.angles], eps, t_max, step)
         assert res == ProbeResult(*want)
+
+
+def _second_angle_spec(c2, depth, slow=False):
+    """omega = (1, c2 sqrt2, sqrt3 / 7)[:depth], the third divided by 1e9 if
+    ``slow``.  With |c2| = 3 and the default step the second angle outruns
+    the first enough that the sample after k0 comes nearer the target."""
+    terms = [{"1": "1"}, {"sqrt2": c2}, {"sqrt3": "1/7000000000" if slow else "1/7"}][:depth]
+    return parse_frequency_spec(json.dumps({"kind": "finite", "terms": terms}))
+
+
+def _second_edge_targets(omegas, k0, step, eps):
+    """Exact targets on the probe's phases at sample k0 (delta = 0) but for the
+    second angle, whose turn is 4 eps (2 radius at the first scan) ahead of
+    its motion, moved on by -6..6 ulps of that turn; so at k0 the exact
+    delta_2 and 4 d are 4 eps plus j ulps."""
+    phases = _turns_at(omegas, k0, step)
+    ahead = math.copysign(1.0, omegas[1])
+    edge = F(float(phases[1])) + ahead * F(4 * eps)
+    unit = F(float(np.spacing(float(abs(edge)))))
+    for j in range(-6, 7):
+        turns = [F(float(v)) % 1 for v in phases]
+        turns[1] = (edge + ahead * j * unit) % 1
+        yield TorusPoint.exact_point(turns)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("c2", ["3", "-3"])
+def test_probe_second_angle_edge(c2, depth):
+    """delta_1 = 0 and delta_2 a few ulps either side of 2 radius at sample
+    k0: the two-angle window keeps k0, which hits exactly when delta_2 < 4
+    eps, and otherwise the next sample hits.  With the default step, k0 is
+    the first approach to the target."""
+    fv = _second_angle_spec(c2, depth)
+    eps = 1e-3
+    omegas = float_omegas(fv, depth)
+    step = _step(omegas, eps)
+    k0 = 20_000  # the first angle has moved less than one turn - 5 eps
+    assert k0 * step * abs(omegas[0]) / TAU < 1 - 5 * eps
+    t_max = (k0 + 50) * step
+    first_hits = set()
+    for target in _second_edge_targets(omegas, k0, step, eps):
+        res = minimality_probe(fv, target, depth, eps, t_max)
+        assert res == _oracle(fv, target, depth, eps, t_max)
+        first_hits.add(res.samples)
+    assert first_hits == {k0 + 1, k0 + 2}  # both sides of the edge were probed
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("c2", ["1/1000000", "-1/1000000"])
+def test_probe_second_angle_edge_at_large_phases(c2, depth):
+    """The same edge with 0.37 first-angle turns per sample: each first-angle
+    run is one sample, and the first angle, at 7.4e4 turns by k0, returns
+    to within rounding every 100 samples, while the second moves 2.6 eps
+    nearer the target (and the third about 1e-8 turns).  So k0 + 100 hits
+    whenever k0 does not.  Ahead of a positive omega_2 the target's second
+    turn lies above the phase, and the probe's reduction mod 1 rounds
+    delta_2 to a multiple of 2^-53, which at this eps can fall below 4 eps:
+    k0 hits where its exact delta_2 is an ulp above 4 eps, so a window
+    without its rounding margin, or with r_2 below 2 radius, finds k0 + 100
+    first."""
+    fv = _second_angle_spec(c2, depth, slow=True)
+    eps, k0 = 2e-5, 200_003
+    omegas = float_omegas(fv, depth)
+    step = 0.37 * TAU / abs(omegas[0])
+    t_max = (k0 + 1000) * step
+    first_hits = set()
+    for target in _second_edge_targets(omegas, k0, step, eps):
+        res = minimality_probe(fv, target, depth, eps, t_max, step)
+        want = probe_single_chunk(omegas, [float(v) for v in target.angles], eps, t_max, step)
+        assert res == ProbeResult(*want)
+        first_hits.add(res.samples)
+    assert first_hits == {k0 + 1, k0 + 101}  # both sides of the edge were probed
+
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-3, 3e-3])
+def test_second_angle_cuts_the_samples_evaluated(monkeypatch, eps):
+    """On a T^3 planted target the two-angle window yields at most a quarter
+    of the indices that the first-angle window alone yields, for the same
+    result."""
+    target = planted_target(T3, 3, 200.0, F(0))
+    real = dynamics._probe_candidates
+    yielded = {}
+
+    def counting(one_angle):
+        def candidates(a, g, radius, n_samples, second=None):
+            for ks in real(a, g, radius, n_samples, None if one_angle else second):
+                yielded[one_angle] = yielded.get(one_angle, 0) + ks.size
+                yield ks
+        return candidates
+
+    results = []
+    for one_angle in (False, True):
+        monkeypatch.setattr(dynamics, "_probe_candidates", counting(one_angle))
+        results.append(minimality_probe(T3, target, 3, eps, 1e4))
+    assert results[0] == results[1] and results[0].hit
+    assert 4 * yielded[False] <= yielded[True]
 
 
 TINY = "1.23456789012345678901234567890123"
@@ -177,7 +273,7 @@ def test_probe_roadmap_case_under_one_second():
     res = minimality_probe(T3, target, 3, 1e-3, 1e5)
     assert time.perf_counter() - start < 1.0
     assert res.hit and res.distance < 1e-3 and res.time <= 1e5
-    step = _step(_omegas(T3, 3), 1e-3)
+    step = _step(float_omegas(T3, 3), 1e-3)
     assert res.time == (res.samples - 1) * step
 
 
@@ -186,7 +282,7 @@ def test_probe_no_hit_on_a_large_grid_is_fast():
     start = time.perf_counter()
     res = minimality_probe(T3, target, 3, 1e-4, 1e3)
     assert time.perf_counter() - start < 3.0
-    step = _step(_omegas(T3, 3), 1e-4)
+    step = _step(float_omegas(T3, 3), 1e-4)
     assert not res.hit and res.distance >= 1e-4
     assert res.samples == int(1e3 / step) + 1 and res.time <= 1e3
 

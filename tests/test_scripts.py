@@ -49,9 +49,11 @@ def depth_sweep():
 
 def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     """``depth_sweep.sweep`` at depths 16 and 32 (``reduce`` at its own sizes
-    8 to 64): every row has its documented fields, each row past the first
-    size its growth over the size before, and the outputs and the
-    ``reduce-flow`` Hermite work counts are the same on a second sweep."""
+    8 to 64, ``minimality_probe`` at its own targets): every row has its
+    documented fields, each row past the first size its growth over the size
+    before, and the outputs, the ``reduce-flow`` Hermite work counts and the
+    probes' grid and evaluated sample counts are the same on a second
+    sweep."""
     monkeypatch.setattr(depth_sweep, "DEPTHS", (16, 32))
     sweeps = []
     for name in ("first", "second"):
@@ -60,8 +62,18 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
     first, second = sweeps
     assert {row["command"] for row in first} == {
         "resonance", "reduce-flow", "bo", "solenoid member", "solenoid coords", "solenoid times", "simulate",
-        "reduce"}
+        "reduce", "minimality_probe"}
+    probes = [row for row in first if row["command"] == "minimality_probe"]
+    assert [(row["family"], row["epsilon"], row["t_max"], row["hit"]) for row in probes] == [
+        ("t3-planted", 1e-2, 1e4, True), ("t3-planted", 3e-3, 1e4, True), ("t3-planted", 1e-3, 1e4, True),
+        ("t3-no-hit", 1e-4, 1e3, False)]
+    for row in probes:
+        assert set(row) == {"command", "family", "depth", "epsilon", "t_max", "best_ms", "hit", "samples",
+                            "evaluated"}, row
+        assert 0 < row["evaluated"] <= row["samples"] and row["best_ms"] > 0
     for row in first:
+        if row["command"] == "minimality_probe":
+            continue
         fields = {"command", "family", "depth", "best_ms", "tracemalloc_peak_bytes"}
         fields |= {"csv_bytes", "csv_sha256"} if row["command"] == "simulate" else {"stdout_bytes", "stdout_sha256"}
         if row["command"] == "reduce-flow":
@@ -80,7 +92,7 @@ def test_depth_sweep_rows(tmp_path, monkeypatch, depth_sweep):
                          for depth in (16, 32)]
     reduced = [(row["family"], row["depth"]) for row in first if row["command"] == "reduce"]
     assert reduced == [("stratified", n) for n in (8, 16, 32, 64)]
-    for key in ("csv_sha256", "stdout_sha256", "hermite_ops"):
+    for key in ("csv_sha256", "stdout_sha256", "hermite_ops", "samples", "evaluated"):
         assert [row.get(key) for row in first] == [row.get(key) for row in second]
 
 
@@ -88,8 +100,8 @@ def test_depth_sweep_cold_start(tmp_path, monkeypatch, depth_sweep):
     """``depth_sweep.cold_start`` with one interpreter per entry: each cold
     call has a time and an excess over the bare interpreter of its round, the
     exact calls load none of mpmath, numpy and dataclasses, the closed-form
-    averages mpmath and (through ``dynamics``) dataclasses, and ``simulate``
-    all three; no call loads argparse, since every argv is well formed."""
+    averages mpmath alone, and ``simulate`` mpmath and numpy; no call loads
+    dataclasses, nor argparse, since every argv is well formed."""
     monkeypatch.setattr(depth_sweep, "COLD_RUNS", 1)
     entries = depth_sweep.cold_start(tmp_path)
     assert [(e["call"], e["mpmath"], e["numpy"], e["dataclasses"]) for e in entries] == [
@@ -97,9 +109,9 @@ def test_depth_sweep_cold_start(tmp_path, monkeypatch, depth_sweep):
         ("import kronflow.cli", False, False, False),
         ("kron reduce --nu 4,6", False, False, False),
         ("kron classify halving --depth 16", False, False, False),
-        ("kron average t3", True, False, True),
-        ("kron equidistribution t3", True, False, True),
-        ("kron simulate t3", True, True, True),
+        ("kron average t3", True, False, False),
+        ("kron equidistribution t3", True, False, False),
+        ("kron simulate t3", True, True, False),
     ]
     assert not any(e["argparse"] for e in entries)
     assert all(set(e) == {"call", "median_ms", "excess_ms", "mpmath", "numpy", "dataclasses", "argparse"}
