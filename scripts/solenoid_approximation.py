@@ -18,10 +18,9 @@ from kronflow import (
     SolenoidCoords,
     SolenoidRule,
     TorusPoint,
-    approximating_times,
     flow,
-    from_coordinates,
     product_metric,
+    times_and_target,
 )
 
 
@@ -36,13 +35,15 @@ def main() -> None:
     tau = Fraction(rng.randint(0, 119), 120)
     digits = tuple(rng.randrange(a.term(j)) for j in range(2, args.depth + 1))
     coords = SolenoidCoords(tau, digits)
-    target = from_coordinates(a, coords)
+    times, target_pairs = times_and_target(a, coords)
+    target = TorusPoint.exact_point([Fraction(p, q) for p, q in target_pairs])
     weights = GeometricWeights(Fraction(1, 2))
     rule, origin = SolenoidRule(UNIT, a), TorusPoint.origin(args.depth)
 
     print(f"target tau={tau}, digits={digits}")
     print(f"{'k':>3} {'t_k (turns)':>16} {'matching coords':>16} {'d_rho residual':>16} {'tail 2^-k':>12}")
-    for k, t in enumerate(approximating_times(a, coords), start=1):
+    for k, (p, q) in enumerate(times, start=1):
+        t = Fraction(p, q)
         moved = flow(rule, origin, t)
         matched = sum(1 for x, y in zip(moved.angles, target.angles) if x == y)
         residual, _tail = product_metric(weights, moved, target)

@@ -28,8 +28,6 @@ from .frequency import (
     SubgroupOfQSpec,
     build_product_vector,
     clamp_depth,
-    coordinates,
-    evaluate_float,
     finite_vector,
     parse_frequency_spec,
     pi_power_generator,
@@ -61,8 +59,6 @@ from .solenoid_geometry import (
     GeometricWeights,
     SolenoidCoords,
     TorusPoint,
-    approximating_times,
-    from_coordinates,
     is_member,
     local_chart,
     product_metric,

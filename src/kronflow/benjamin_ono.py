@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .classification import (
@@ -166,23 +166,10 @@ class BoModuleReport(_Record):
         object.__setattr__(self, "full_support", full_support)
         object.__setattr__(self, "depth", depth)
 
-    def _scaled_sigmas(self) -> Iterator[int]:
-        return itertools.accumulate(self.scaled_tail_sums)
-
-    @property
-    def sigma_values(self) -> tuple[Fraction, ...]:
-        """sigma_1..sigma_N"""
-        return tuple(Fraction(x, self.scale) for x in self._scaled_sigmas())
-
-    @property
-    def tail_sums(self) -> tuple[Fraction, ...]:
-        """g_1..g_(N-1)"""
-        return tuple(Fraction(g, self.scale) for g in self.scaled_tail_sums[1:])
-
     def to_json(self) -> dict:
         return {
             "depth": self.depth,
-            "sigma": _texts(self._scaled_sigmas(), self.scale),
+            "sigma": _texts(itertools.accumulate(self.scaled_tail_sums), self.scale),
             "tail_sums": _texts(self.scaled_tail_sums[1:], self.scale),
             "r_type": self.r_type.to_json() if self.r_type else "trivial",
             "r_free": bool(self.r_type and is_free(self.r_type)),

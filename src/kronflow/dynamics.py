@@ -66,9 +66,6 @@ class TrigPolynomial(_Record):
         ordered = sorted(table.items(), key=lambda kv: tuple(kv[0].items()))
         object.__setattr__(self, "coeffs", tuple(ordered))
 
-    def items(self):
-        return self.coeffs
-
     @classmethod
     def from_table(
         cls, table: Mapping[IntVecFin, tuple[Fraction, Fraction]]
@@ -233,6 +230,7 @@ def _flow_angles(fv: FrequencyVector, theta0: TorusPoint, ts) -> np.ndarray:
     max |omega_j| times that |t| must not overflow a double."""
     import numpy as np
 
+    clamp_depth(fv, theta0.depth)  # a point of depth 0 is an error
     base = np.array(theta0.to_radians())
     omegas = _float_omegas(fv, theta0.depth)
     ts = np.asarray(ts, dtype=float)
@@ -248,8 +246,10 @@ def flow(fv: FrequencyVector, theta0: TorusPoint, t) -> TorusPoint:
     Exact when theta0 is exact, t is rational, and the coordinates sit on a
     single generator; the rational t is then measured in turns of that
     generator's scale (t = 1 advances the first unit-frequency angle by one
-    full turn).  Otherwise floats, with t in radian time.
+    full turn).  Otherwise floats, with t in radian time.  A point of depth 0
+    is an error on both branches.
     """
+    clamp_depth(fv, theta0.depth)
     if theta0.exact and isinstance(t, (int, Fraction)):
         coeffs = _single_generator(fv, theta0.depth)
         if coeffs is not None:
@@ -268,7 +268,7 @@ def flow(fv: FrequencyVector, theta0: TorusPoint, t) -> TorusPoint:
 def haar_average(p: TrigPolynomial) -> Fraction:
     """The invariant average: constant-term extraction (all other monomials
     integrate to zero); the reality condition makes the constant term real."""
-    return next((re for nu, (re, _) in p.items() if nu.is_zero()), Fraction(0))
+    return next((re for nu, (re, _) in p.coeffs if nu.is_zero()), Fraction(0))
 
 
 def nu_dot_omega(fv: FrequencyVector, nu: IntVecFin, table: _OmegaTable | None = None) -> tuple[bool, float]:
@@ -407,9 +407,9 @@ def time_average(
     None when one of them is resonant, since that term never decays.
     """
     t_finals = [float(t_final) for t_final in t_finals]
-    nus = [nu for nu, _ in p.items()]
+    nus = [nu for nu, _ in p.coeffs]
     pairs = _phases_and_frequencies(fv, nus, theta0, t_finals)
-    coeffs = [_coefficient(re, im) for _, (re, im) in p.items()]
+    coeffs = [_coefficient(re, im) for _, (re, im) in p.coeffs]
     bounded = all(w != 0.0 or nu.is_zero() for nu, (_, w) in zip(nus, pairs))
     rows = []
     for t_final in t_finals:
@@ -430,7 +430,7 @@ def _polynomial_values(p: TrigPolynomial, angles: np.ndarray) -> np.ndarray:
 
     depth = angles.shape[1]
     total = np.zeros(len(angles), dtype=complex)
-    for nu, (re, im) in p.items():
+    for nu, (re, im) in p.coeffs:
         phase = np.zeros(len(angles))
         _check_within(nu, depth)
         for j, v in nu.items():
@@ -441,7 +441,7 @@ def _polynomial_values(p: TrigPolynomial, angles: np.ndarray) -> np.ndarray:
 
 def evaluate_polynomial(p: TrigPolynomial, theta: TorusPoint) -> float:
     total = 0.0 + 0.0j
-    for nu, (re, im) in p.items():
+    for nu, (re, im) in p.coeffs:
         total += _coefficient(re, im) * cmath.exp(1j * _phase_at(nu, theta))
     return total.real
 

@@ -5,8 +5,8 @@ three rule-based infinite families (solenoidal product rule, the quadratic
 integrable-flow rule, and the prime-power product construction), held as one
 integer table (``integer_rows``).  A generator's number is made on demand via
 mpmath, at the caller's working precision (``mpmath.workprec``), never below
-64 bits; mpmath is imported only then (``working_bits``, ``float_value``,
-``evaluate_float``), so the exact operations never load it.
+64 bits; mpmath is imported only then (``working_bits``, ``_value_at``), so
+the exact operations never load it.
 
 Rational independence of the declared generators is an axiom of the input.
 The built-in kinds (the rational unit, square roots of distinct primes, and
@@ -16,7 +16,6 @@ generators are trusted as declared.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -93,10 +92,6 @@ class Generator(_Record):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def float_value(self) -> mpmath.mpf:
-        """The number at ``working_bits()`` of mantissa, computed afresh."""
-        return _value_at(self, working_bits())
 
     def __lt__(self, other: "Generator") -> bool:
         """By kind, then param, then name: the order of the rows of a
@@ -218,7 +213,9 @@ class SigmaSequence(_Record):
         return head + odd_indexed_primes(m)
 
     def partial_product(self, j: int) -> int:
-        """a_1 ... a_j (1 for j = 0)."""
+        """a_1 ... a_j (1 for j = 0).  No path of the library calls it, but the
+        benchmark's tracer (``perfbench/spans.py``) wraps it by name, so it
+        stays; ``tests/test_trace_harness.py`` guards that."""
         return math.prod(self.terms(j))
 
     def prefix_prime_exponents(self) -> dict[int, int]:
@@ -401,9 +398,6 @@ class SubgroupOfQSpec(_Record):
 # ---------------------------------------------------------------------------
 # Frequency vectors: one family object each
 
-CoordMap = dict[Generator, Fraction]
-
-
 def _freeze_coords(coords: Mapping[Generator, Fraction]) -> tuple[tuple[Generator, Fraction], ...]:
     items = [(g, c) for g, c in coords.items() if c != 0]
     items.sort(key=lambda gc: gc[0])
@@ -494,22 +488,6 @@ def rational_vector(values: Sequence[Fraction | int | str]) -> Finite:
 # Operations
 
 
-def coordinates(fv: FrequencyVector, depth: int) -> list[CoordMap]:
-    """Exact coordinates of omega_1..omega_depth, one map {generator: nonzero
-    Fraction} per index: a view of ``integer_rows``, each entry over its scale."""
-    maps: list[CoordMap] = [{} for _ in range(depth)]
-    for gen, (scale, row) in integer_rows(fv, depth).items():
-        for j, x in row.items():
-            maps[j - 1][gen] = Fraction(x, scale)
-    return maps
-
-
-def _check_depth(depth: int) -> None:
-    """The depth rule of ``coordinates`` and ``integer_rows``, on every family."""
-    if depth < 0:
-        raise ValidationError(f"frequency depth must be >= 0, got {depth}")
-
-
 def _finite_terms(fv: FrequencyVector, depth: int) -> tuple:
     """The first ``depth`` terms (depth >= 0) of a finite vector; any other
     family is unknown."""
@@ -549,7 +527,8 @@ def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, 
     ... a_m, {j_t: a_(t+1) ... a_m}), one reversed running product; a BO
     rule's are (1, j^2) and (D, -2 D sigma_j) from ``scaled_sigmas``; a finite
     vector's row is scaled by the lcm of its denominators."""
-    _check_depth(depth)
+    if depth < 0:
+        raise ValidationError(f"frequency depth must be >= 0, got {depth}")
     if isinstance(fv, (SolenoidRule, ProductConstruction)):
         rows = {}
         for gen, (indices, terms) in _chains(fv, depth).items():
@@ -568,20 +547,6 @@ def integer_rows(fv: FrequencyVector, depth: int) -> dict[Generator, tuple[int, 
         scale = math.lcm(*(x.denominator for _, x in row))
         rows[g] = (scale, {j: x.numerator * (scale // x.denominator) for j, x in row})
     return rows
-
-
-def evaluate_float(coords: Mapping[Generator, Fraction]) -> mpmath.mpf:
-    """The real number sum_g c_g * g of one exact coordinate map, at
-    ``working_bits()`` of mantissa, read once.  A precision context is
-    entered only when the caller's precision is below that floor."""
-    import mpmath
-
-    bits = working_bits()
-    with mpmath.workprec(bits) if mpmath.mp.prec != bits else contextlib.nullcontext():
-        total = mpmath.mpf(0)
-        for gen, c in coords.items():
-            total += mpmath.mpf(c.numerator) / c.denominator * _value_at(gen, bits)
-        return +total
 
 
 # ---------------------------------------------------------------------------

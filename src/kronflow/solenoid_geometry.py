@@ -9,8 +9,7 @@ back, and the associated approximating times land on the target in the first
 k coordinates exactly.  Membership and coordinates check the relations on
 integer pairs (p_j, q_j), theta_j = p_j / q_j: an exact point's Fractions, or
 the pairs the CLI reads, which are neither reduced nor made Fractions.  The
-approximating times and their target are made as reduced integer pairs too,
-and as Fractions only by the library's views of them.
+approximating times and their target are made as reduced integer pairs too.
 """
 
 from __future__ import annotations
@@ -184,18 +183,6 @@ def times_and_target(a: SigmaSequence, coords: SolenoidCoords) -> tuple[list[Pai
     if _digits(terms, target) != list(coords.digits):
         raise ValidationError("internal error: reconstructed point fails membership")
     return times, target
-
-
-def from_coordinates(a: SigmaSequence, coords: SolenoidCoords) -> TorusPoint:
-    """Unique member with the given coordinates: the target of
-    ``times_and_target``, as Fractions."""
-    return TorusPoint(tuple(Fraction(p, q) for p, q in times_and_target(a, coords)[1]), True)
-
-
-def approximating_times(a: SigmaSequence, coords: SolenoidCoords) -> list[Fraction]:
-    """Times t_1..t_N (in turns) whose flow points match the target in the
-    first k coordinates: those of ``times_and_target``, as Fractions."""
-    return [Fraction(p, q) for p, q in times_and_target(a, coords)[0]]
 
 
 def local_chart(a: SigmaSequence, theta: TorusPoint) -> tuple[Fraction, tuple[int, ...]]:

@@ -243,7 +243,7 @@ def transform_polynomial(p, matrix):
 
     doc = matrix.to_json()
     table = {}
-    for nu, coeff in p.items():
+    for nu, coeff in p.coeffs:
         n = max(doc["dimension"], nu.max_index())
         rows = dense_rows(doc, "rows", n)
         image = [sum(v * rows[i - 1][j] for i, v in nu.items()) for j in range(n)]
@@ -350,6 +350,12 @@ def omega_by_index(fv, j: int) -> dict:
         return {g: Fraction(1, math.prod(spec.qa.term(i) for i in range(1, e + 1)))}
     rank = sum(1 for i in range(1, j + 1) if not reserved(i))
     return {free[rank - 1]: Fraction(1)} if rank <= len(free) else {}
+
+
+def omega_columns(fv, depth: int) -> list[dict]:
+    """omega_1..omega_depth by ``omega_by_index``, each without its zero
+    coordinates."""
+    return [{g: c for g, c in omega_by_index(fv, j).items() if c} for j in range(1, depth + 1)]
 
 
 def _generator_number(gen):
@@ -763,17 +769,17 @@ def average_rows_as_first_written(fv, poly, theta0: TorusPoint, t_finals) -> lis
     one of them is resonant."""
     from kronflow.dynamics import nu_dot_omega
 
-    omega_nus = {nu: nu_dot_omega(fv, nu) for nu, _ in poly.items() if not nu.is_zero()}
+    omega_nus = {nu: nu_dot_omega(fv, nu) for nu, _ in poly.coeffs if not nu.is_zero()}
     rows = []
     for t_final in t_finals:
         total = 0.0 + 0.0j
-        for nu, (re, im) in poly.items():
+        for nu, (re, im) in poly.coeffs:
             a = complex(re) + 1j * complex(im)
             total += a * _window_average_as_first_written(nu, omega_nus.get(nu), theta0, t_final)
         if abs(total.imag) > 1e-12:
             raise ValidationError("reality violated: average has a nonzero imaginary part")
         envelope = 0.0
-        for nu, (re, im) in poly.items():
+        for nu, (re, im) in poly.coeffs:
             if nu.is_zero():
                 continue
             resonant, w = omega_nus[nu]

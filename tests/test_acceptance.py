@@ -39,10 +39,9 @@ from kronflow.solenoid_geometry import (
     GeometricWeights,
     SolenoidCoords,
     TorusPoint,
-    approximating_times,
-    from_coordinates,
     is_member,
     product_metric,
+    times_and_target,
     to_coordinates,
 )
 from oracles import (
@@ -118,7 +117,7 @@ def test_criterion_3_solenoid_geometry():
             tau = F(rng.randint(0, 119), 120)
             digits = tuple(rng.randrange(a.term(j)) for j in range(2, depth + 1))
             coords = SolenoidCoords(tau, digits)
-            pt = from_coordinates(a, coords)
+            pt = TorusPoint.exact_point([F(p, q) for p, q in times_and_target(a, coords)[1]])
             assert to_coordinates(a, pt) == coords
             roundtrips += 1
         for _ in range(334):
@@ -129,9 +128,10 @@ def test_criterion_3_solenoid_geometry():
             tau = F(rng.randint(0, 119), 120)
             digits = tuple(rng.randrange(a.term(j)) for j in range(2, depth + 1))
             coords = SolenoidCoords(tau, digits)
-            target = from_coordinates(a, coords)
-            for k, t in enumerate(approximating_times(a, coords), start=1):
-                moved = flow(rule, origin, t)
+            times, target = times_and_target(a, coords)
+            target = TorusPoint.exact_point([F(p, q) for p, q in target])
+            for k, (p, q) in enumerate(times, start=1):
+                moved = flow(rule, origin, F(p, q))
                 assert moved.angles[:k] == target.angles[:k]
                 residual, _tail = product_metric(weights, moved, target)
                 assert residual <= F(1, 2**k)  # sum_{j>k} 2^-j
@@ -274,11 +274,13 @@ def test_criterion_7_integrable_flow():
     unit, beta_part = decompose_module(dyadic, 41).components
     assert unit.free and not beta_part.free
     assert beta_part.baer.lam.resolve(2) == INF and beta_part.baer.lam.resolve(3) == 0
+    doc = rep.to_json()
+    sigmas, tails = [F(x) for x in doc["sigma"]], [F(x) for x in doc["tail_sums"]]
     for n in range(1, 41):  # telescoping identity, exact
-        assert rep.tail_sums[n - 1] == rep.sigma_values[n] - rep.sigma_values[n - 1]
+        assert tails[n - 1] == sigmas[n] - sigmas[n - 1]
     for j in range(1, 42):  # closed form vs 60-term partial-sum oracle, exact
         oracle = sigma_by_partial_sums(dyadic.s.term, j, F(1, 2), F(1, 2), cutoff=60)
-        assert rep.sigma_values[j - 1] == oracle
+        assert sigmas[j - 1] == oracle
     zero = BoRule(beta, RationalSequenceSpec(()))
     md = decompose_module(parse_frequency_spec({"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, "s": {"prefix": []}}), 8)
     assert md.rank == 1 and md.components[0].baer.i == 1 and md.is_free

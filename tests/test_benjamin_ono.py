@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections.abc import Iterable
 from fractions import Fraction as F
@@ -29,8 +30,7 @@ from kronflow.frequency import (
     BoRule,
     Generator,
     RationalSequenceSpec,
-    coordinates,
-    finite_vector,
+    integer_rows,
     parse_frequency_spec,
 )
 from oracles import sigma_by_partial_sums
@@ -68,35 +68,35 @@ def test_sigma_prefix_only_example():
 # -- truncated frequencies
 
 
+def _beta_coordinates(fv, n) -> list[F]:
+    """The beta coordinates of omega_1..omega_n, read off the integer table,
+    after checking its unit row (1, j^2)."""
+    table = integer_rows(fv, n)
+    assert table[UNIT] == (1, {j: j * j for j in range(1, n + 1)})
+    scale, row = table[BETA]
+    return [F(row.get(j, 0), scale) for j in range(1, n + 1)]
+
+
 def test_frequencies_zero_actions():
-    fv = finite_vector(coordinates(ZERO, 4))
-    assert coordinates(fv, 4) == [
-        {UNIT: F(1)},
-        {UNIT: F(4)},
-        {UNIT: F(9)},
-        {UNIT: F(16)},
-    ]
+    assert _beta_coordinates(ZERO, 4) == [0] * 4
 
 
 def test_frequencies_dyadic():
-    fv = finite_vector(coordinates(DYADIC, 5))
-    for j, coords in enumerate(coordinates(fv, 5), 1):
-        assert coords[UNIT] == j * j
-        assert coords[BETA] == -2 * (2 - F(2) ** (1 - j))
+    assert _beta_coordinates(DYADIC, 5) == [-2 * (2 - F(2) ** (1 - j)) for j in range(1, 6)]
 
 
 def test_frequencies_prefix_only():
-    fv = finite_vector(coordinates(PREFIX_ONLY, 3))
-    assert coordinates(fv, 3) == [{UNIT: F(j * j), BETA: F(-2, 3)} for j in (1, 2, 3)]
+    assert _beta_coordinates(PREFIX_ONLY, 3) == [F(-2, 3)] * 3
 
 
 # -- tail sums and telescoping
 
 
 def test_telescoping_identity():
-    rep = bo_tail_module(DYADIC, 42)
+    doc = bo_tail_module(DYADIC, 42).to_json()
+    sigmas, tails = [F(x) for x in doc["sigma"]], [F(x) for x in doc["tail_sums"]]
     for n in range(1, 41):
-        assert rep.tail_sums[n - 1] == rep.sigma_values[n] - rep.sigma_values[n - 1]
+        assert tails[n - 1] == sigmas[n] - sigmas[n - 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +111,8 @@ def test_tail_module_sigma_table_matches_closed_form(prefix, c, m, depth):
     table no longer calls."""
     s = RationalSequenceSpec(tuple(prefix), c, F(1, m))
     rep = bo_tail_module(BoRule(BETA, s), depth)
-    assert list(rep.sigma_values) == [s.sigma(j) for j in range(1, depth + 1)]
+    sigmas = itertools.accumulate(rep.scaled_tail_sums)
+    assert [F(x, rep.scale) for x in sigmas] == [s.sigma(j) for j in range(1, depth + 1)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -133,8 +134,7 @@ def test_tail_module_json_prints_the_closed_forms(prefix, c, r, depth):
 def test_tail_module_json_makes_no_fraction_per_entry(monkeypatch):
     """The printed tables come from the integers: building the report and
     writing it make as many Fractions at depth 128 as at depth 16 (those of R's
-    presentation), and only the views ``sigma_values`` and ``tail_sums`` make
-    one per entry."""
+    presentation)."""
     rule = BoRule(BETA, RationalSequenceSpec((F(2, 3), F(5, 4)), F(3, 2), F(1, 6)))
     made = []
     original = F.__new__
@@ -147,13 +147,9 @@ def test_tail_module_json_makes_no_fraction_per_entry(monkeypatch):
     counts = []
     for depth in (16, 128):
         made.clear()
-        rep = bo_tail_module(rule, depth)
-        doc = rep.to_json()
+        bo_tail_module(rule, depth).to_json()
         counts.append(len(made))
     assert counts[0] == counts[1]
-    made.clear()
-    assert [str(x) for x in rep.sigma_values + rep.tail_sums] == doc["sigma"] + doc["tail_sums"]
-    assert len(made) == 128 + 127
 
 
 def _over_scale(table: tuple[int, Iterable[int]]) -> list[F]:
@@ -221,17 +217,17 @@ def test_long_prefix_reads_no_closed_form_per_index(monkeypatch):
 
 def test_tail_sums_positive_decreasing():
     rep = bo_tail_module(DYADIC, 30)
-    gs = rep.tail_sums
+    gs = rep.scaled_tail_sums[1:]  # D g_1, ..., D g_29, D > 0
     assert all(g > 0 for g in gs)
     assert all(a > b for a, b in zip(gs, gs[1:]))
-    assert gs[-1] < F(1, 10**7)
+    assert F(gs[-1], rep.scale) < F(1, 10**7)
 
 
 def test_triadic_tail_sums():
     # s_k = 2*3^-k: g_n = 3^-n
     rep = bo_tail_module(TRIADIC2, 10)
     for n in range(1, 10):
-        assert rep.tail_sums[n - 1] == F(1, 3**n)
+        assert F(rep.scaled_tail_sums[n], rep.scale) == F(1, 3**n)
 
 
 # -- the subgroup R

@@ -108,7 +108,7 @@ def test_cli_payloads_match_the_closed_form_bit_for_bit(files, case):
     code, out = _kron("average", spec, "--poly", files("poly.json", json.dumps(doc)), *common)
     assert code == 0
     if rows is not None:
-        haar = next((re for nu, (re, _) in poly.items() if nu.is_zero()), F(0))
+        haar = next((re for nu, (re, _) in poly.coeffs if nu.is_zero()), F(0))
         assert out == _payload_bytes({"haar": str(haar), "rows": rows})
     nus = [IntVecFin.from_list(nu) for nu in monomials]
     code, out = _kron("equidistribution", spec, *("--nu=" + ",".join(map(str, nu)) for nu in monomials), *common)

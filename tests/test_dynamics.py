@@ -141,7 +141,7 @@ def test_average_decays_within_envelope():
     windows = (1e3, 1e4, 1e5)
     for t_final, (value, reported) in zip(windows, time_average(SQRT2, p, TorusPoint.origin(2), windows)):
         envelope = 0.0
-        for nu, (re, im) in p.items():
+        for nu, (re, im) in p.coeffs:
             if nu.is_zero():
                 continue
             resonant, w = nu_dot_omega(SQRT2, nu)
@@ -315,7 +315,7 @@ def test_transform_polynomial_indices():
     swap.swap(1, 2)
     p = TrigPolynomial.cosine(IntVecFin({1: 1}))
     q = transform_polynomial(p, swap)
-    assert dict(q.items()) == dict(TrigPolynomial.cosine(IntVecFin({2: 1})).items())
+    assert dict(q.coeffs) == dict(TrigPolynomial.cosine(IntVecFin({2: 1})).coeffs)
 
 
 def test_reality_of_averages():

@@ -72,6 +72,22 @@ def test_trajectory_validates_before_sampling():
         sample_trajectory(T3, TorusPoint.origin(3), 1.0, 0.0, 4)
 
 
+def test_flow_sampling_quadrature_and_probe_refuse_depth_0():
+    """The depth rule of ``clamp_depth``: flow on both branches, trajectory
+    sampling, the quadrature and the probe refuse a start point of depth 0."""
+    origin = TorusPoint.origin(0)
+    calls = [
+        lambda: flow(T3, origin, 1),
+        lambda: flow(T3, origin, 1.0),
+        lambda: sample_trajectory(T3, origin, 0.0, 1.0, 4),
+        lambda: time_average_quadrature(T3, POLY, origin, 1.0, 5),
+        lambda: minimality_probe(T3, origin, 0, 0.1, 10.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^depth must be >= 1, got 0$"):
+            call()
+
+
 def test_quadrature_polynomial_matches_per_sample_loop():
     omegas = float_omegas(T3, 3)
     for theta0 in _start_points(3):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kronflow import dynamics
 from kronflow.errors import ValidationError
 from kronflow.frequency import (
     UNIT,
@@ -25,8 +26,6 @@ from kronflow.frequency import (
     SolenoidRule,
     SubgroupOfQSpec,
     build_product_vector,
-    coordinates,
-    evaluate_float,
     finite_vector,
     integer_rows,
     parse_frequency_spec,
@@ -35,7 +34,14 @@ from kronflow.frequency import (
 )
 from kronflow import primes
 from kronflow.primes import is_prime, prime_index
-from oracles import omega_by_index, sigma_by_partial_sums, weighted_total
+from kronflow.solenoid_geometry import TorusPoint
+from oracles import omega_by_index, omega_columns, sigma_by_partial_sums, weighted_total
+
+
+def _entries(fv, n) -> dict:
+    """{(generator, j): its nonzero coordinate in omega_j}: each entry of
+    ``integer_rows(fv, n)`` over its row's scale."""
+    return {(g, j): F(x, scale) for g, (scale, row) in integer_rows(fv, n).items() for j, x in row.items()}
 
 
 # -- parsing examples
@@ -46,18 +52,18 @@ def test_parse_solenoid_halving():
         '{"kind":"solenoid","generator":"1","a":{"prefix":[1,2],"tail":{"constant":2}}}'
     )
     # omega_j = 2^(1-j)
-    assert coordinates(fv, 7) == [{UNIT: F(2) ** (1 - j)} for j in range(1, 8)]
+    assert _entries(fv, 7) == {(UNIT, j): F(2) ** (1 - j) for j in range(1, 8)}
 
 
 def test_parse_finite():
     fv = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"1":"1/2"},{"1":"1/3"}]}')
-    assert [c[UNIT] for c in coordinates(fv, 3)] == [F(1), F(1, 2), F(1, 3)]
+    assert _entries(fv, 3) == {(UNIT, 1): F(1), (UNIT, 2): F(1, 2), (UNIT, 3): F(1, 3)}
 
 
 def test_parse_factorial_rule():
     fv = parse_frequency_spec('{"kind":"solenoid","a":{"prefix":[1],"tail":"increment"}}')
     # omega_j = 1/j!
-    assert coordinates(fv, 7) == [{UNIT: F(1, math.factorial(j))} for j in range(1, 8)]
+    assert _entries(fv, 7) == {(UNIT, j): F(1, math.factorial(j)) for j in range(1, 8)}
 
 
 def test_parse_errors_name_the_field():
@@ -77,12 +83,12 @@ def test_parse_errors_name_the_field():
 def test_coordinates_solenoid():
     a = SigmaSequence((1, 2), "constant", (2,))
     fv = SolenoidRule(UNIT, a)
-    assert coordinates(fv, 3)[2] == {UNIT: F(1, 4)}
+    assert _entries(fv, 3)[UNIT, 3] == F(1, 4)
 
 
 def test_coordinates_finite_sqrt2():
     fv = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
-    assert coordinates(fv, 2)[1] == {sqrt_prime_generator(2): F(1)}
+    assert _entries(fv, 2) == {(UNIT, 1): F(1), (sqrt_prime_generator(2), 2): F(1)}
 
 
 def test_coordinates_quadratic_rule_derived():
@@ -94,7 +100,8 @@ def test_coordinates_quadratic_rule_derived():
     fv = parse_frequency_spec(
         {"kind": "bo", "beta": {"name": "beta", "kind": "opaque"}, "s": {"prefix": [], "tail": {"c": "1/2", "r": "1/2"}}}
     )
-    assert coordinates(fv, 2)[1] == {UNIT: F(4), beta: F(-3)}
+    entries = _entries(fv, 2)
+    assert (entries[UNIT, 2], entries[beta, 2]) == (F(4), F(-3))
 
 
 # -- the coordinate table against the per-index definitions
@@ -126,13 +133,10 @@ subgroup_specs = st.one_of(
 )
 
 
-def _nonzero(coords: dict) -> dict:
-    """A coordinate map without its zero entries, which the table leaves out."""
-    return {g: c for g, c in coords.items() if c}
-
-
 def _assert_table_matches_definition(fv, n):
-    assert coordinates(fv, n) == [_nonzero(omega_by_index(fv, j)) for j in range(1, n + 1)]
+    """The table holds each nonzero coordinate of the per-index definition,
+    and no other entry."""
+    assert _entries(fv, n) == {(g, j): c for j, col in enumerate(omega_columns(fv, n), 1) for g, c in col.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -159,7 +163,7 @@ def test_finite_table_matches_definition(values, data):
     fv = rational_vector(values)
     _assert_table_matches_definition(fv, data.draw(st.integers(0, len(values))))
     with pytest.raises(ValidationError, match=f"index {len(values) + 1} beyond finite vector of length {len(values)}"):
-        coordinates(fv, len(values) + 1)
+        integer_rows(fv, len(values) + 1)
 
 
 finite_vectors = st.lists(
@@ -200,24 +204,10 @@ def test_integer_rows_over_their_scales_are_the_coordinates(fv, data):
     {"kind": "bo", "s": {"prefix": ["1/3"], "tail": {"c": "1/2", "r": "1/2"}}},
 ], ids=["finite", "solenoid", "product", "bo"])
 def test_integer_rows_rejects_a_negative_depth(spec):
-    """The integer table and the coordinate maps share one depth rule on every family."""
+    """The integer table has one depth rule on every family."""
     fv = parse_frequency_spec(spec)
-    for table in (integer_rows, coordinates):
-        with pytest.raises(ValidationError, match=r"^frequency depth must be >= 0, got -3$"):
-            table(fv, -3)
-
-
-# -- evaluate_float examples
-
-
-def test_evaluate_float_values():
-    with mpmath.workprec(90):
-        fv = rational_vector(["1", "1/2", "1/3"])
-        assert abs(evaluate_float(coordinates(fv, 3)[2]) - mpmath.mpf(1) / 3) < 1e-18
-        fact = parse_frequency_spec('{"kind":"solenoid","a":{"prefix":[1],"tail":"increment"}}')
-        assert abs(evaluate_float(coordinates(fact, 4)[3]) - mpmath.mpf(1) / 24) < 1e-18
-        fv2 = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
-        assert abs(evaluate_float(coordinates(fv2, 2)[1]) - mpmath.sqrt(2)) < 1e-18
+    with pytest.raises(ValidationError, match=r"^frequency depth must be >= 0, got -3$"):
+        integer_rows(fv, -3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -226,35 +216,39 @@ def test_evaluate_float_values():
         lambda q: q != 0
     )
 )
-def test_evaluate_float_relative_error(q):
-    fv = rational_vector([q])
-    approx = evaluate_float(coordinates(fv, 1)[0])
-    exact = mpmath.mpf(q.numerator) / q.denominator
-    assert abs(approx - exact) <= abs(exact) * mpmath.mpf(2) ** -50
+def test_rational_omega_is_the_nearest_double(q):
+    """On the unit, whose number is the exact 1, the float paths give a
+    rational omega as the double nearest it."""
+    assert dynamics._float_omegas(rational_vector([q]), 1).tolist() == [float(q)]
 
 
 # -- truncation to a finite vector
 
 
+def _truncated(fv, n):
+    """The first n frequencies of fv as a ``Finite``."""
+    return finite_vector(omega_columns(fv, n))
+
+
 def test_truncate_solenoid():
     a = SigmaSequence((1, 2), "constant", (2,))
-    t = finite_vector(coordinates(SolenoidRule(UNIT, a), 3))
-    assert [c[UNIT] for c in coordinates(t, 3)] == [F(1), F(1, 2), F(1, 4)]
+    t = _truncated(SolenoidRule(UNIT, a), 3)
+    assert _entries(t, 3) == {(UNIT, 1): F(1), (UNIT, 2): F(1, 2), (UNIT, 3): F(1, 4)}
 
 
 def test_truncate_quadratic_zero_actions():
     fv = parse_frequency_spec({"kind": "bo", "beta": {"name": "b", "kind": "opaque"}, "s": {"prefix": []}})
-    t = finite_vector(coordinates(fv, 3))
-    assert coordinates(t, 3) == [{UNIT: F(1)}, {UNIT: F(4)}, {UNIT: F(9)}]
+    t = _truncated(fv, 3)
+    assert _entries(t, 3) == {(UNIT, 1): F(1), (UNIT, 2): F(4), (UNIT, 3): F(9)}
 
 
 def test_truncate_product_placement_derived():
     # single non-free component Z[1/2]: entries sqrt2 / prod(a) at indices 2^N
     fv = build_product_vector([SubgroupOfQSpec(qa=SigmaSequence((1, 2), "constant", (2,)))])
-    t = finite_vector(coordinates(fv, 4))
+    t = _truncated(fv, 4)
     s2 = sqrt_prime_generator(2)
     # j = 2^1: prod a = 1; j = 2^2: prod a = 2; j = 1 and 3 hold nothing
-    assert coordinates(t, 4) == [{}, {s2: F(1)}, {}, {s2: F(1, 2)}]
+    assert _entries(t, 4) == {(s2, 2): F(1), (s2, 4): F(1, 2)}
 
 
 @settings(max_examples=25, deadline=None)
@@ -263,7 +257,7 @@ def test_truncate_preserves_coordinates(n_extra, j_probe):
     a = SigmaSequence((1,), "increment")
     fv = SolenoidRule(UNIT, a)
     depth = max(n_extra, j_probe)
-    assert coordinates(finite_vector(coordinates(fv, depth)), j_probe) == coordinates(fv, j_probe)
+    assert _entries(_truncated(fv, depth), j_probe) == _entries(fv, j_probe)
 
 
 # -- structural invariants
@@ -273,10 +267,8 @@ def test_truncate_preserves_coordinates(n_extra, j_probe):
 def test_solenoid_defining_relation(j):
     a = SigmaSequence((1, 3, 2), "periodic", (2, 5))
     fv = SolenoidRule(UNIT, a)
-    table = coordinates(fv, j + 1)
-    lhs = table[j - 1][UNIT]
-    rhs = a.term(j + 1) * table[j][UNIT]
-    assert lhs == rhs
+    table = _entries(fv, j + 1)
+    assert table[UNIT, j] == a.term(j + 1) * table[UNIT, j + 1]
 
 
 @settings(max_examples=80, deadline=None)
@@ -330,13 +322,11 @@ def test_generator_validation():
         Generator("x", "opaque", None, "1.23")  # too few digits
     with pytest.raises(ValidationError, match="'x'.*not a decimal numeral"):
         Generator("x", "opaque", None, "123456789012345678901234567890abc")
-    for numeral in ("-1.234567890123456789012345678901", ".123456789012345678901234567890", "1.23456789012345678901234567890e-5"):
+    for numeral in ("-1.234567890123456789012345678901", ".123456789012345678901234567890",
+                    "1.23456789012345678901234567890e-5", "1.2345678901234567890123456789012345"):
+        fv = finite_vector([{Generator("x", "opaque", None, numeral): F(1)}])
         with mpmath.workprec(120):
-            assert Generator("x", "opaque", None, numeral).float_value() == mpmath.mpf(numeral)
-    ok = Generator("g", "opaque", None, "1.2345678901234567890123456789012345")
-    with mpmath.workprec(120):
-        ref = mpmath.mpf("1.2345678901234567890123456789012345")
-        assert abs(ok.float_value() - ref) < 1e-30
+            assert dynamics._float_omegas(fv, 1).tolist() == [float(numeral)]
 
 
 # -- generator values, computed afresh at each mantissa width
@@ -355,28 +345,42 @@ def _generators_and_fresh_values():
     ]
 
 
-def test_generator_value_is_the_fresh_one_at_each_width():
+def test_generator_value_is_the_fresh_one_at_each_width(monkeypatch):
+    """A float path takes each generator's number once per call, at the
+    working width plus 64 guard bits: mpmath's fresh value at that width, the
+    unit the exact 1, an opaque numeral read at that width."""
     gens = _generators_and_fresh_values()
-    coords = {gen: F(-5, 7 + k) for k, (gen, _) in enumerate(gens)}
-    sums = {}
+    fv = finite_vector([{gen: F(-5, 7 + k)} for k, (gen, _) in enumerate(gens)])
+    read, value_at = [], dynamics._value_at
+
+    def spy(gen, bits):
+        read.append((gen, bits, value_at(gen, bits)))
+        return read[-1][2]
+
+    monkeypatch.setattr(dynamics, "_value_at", spy)
+    values = {}
     for bits in (64, 200, 64, 30, 200):  # 30 is below the floor, so it reads 64
+        read.clear()
         with mpmath.workprec(bits):
-            for gen, fresh in gens:
-                with mpmath.workprec(max(bits, 64)):
-                    want = fresh()
-                assert gen.float_value()._mpf_ == want._mpf_, (gen, bits)
-            total = evaluate_float(coords)
+            dynamics._float_omegas(fv, len(gens))
             assert mpmath.mp.prec == bits
-        assert sums.setdefault(max(bits, 64), total._mpf_) == total._mpf_
-    assert sums[64] != sums[200]
+        width = max(bits, 64) + 64
+        assert [(gen, b) for gen, b, _ in read] == [(gen, width) for gen, _ in gens]
+        for (gen, fresh), (_, _, got) in zip(gens, read):
+            with mpmath.workprec(width):
+                want = fresh()
+            assert got._mpf_ == want._mpf_, (gen, bits)
+            assert values.setdefault((gen, width), got._mpf_) == got._mpf_
+    assert values[UNIT, 128] == values[UNIT, 264] == mpmath.mpf(1)._mpf_
+    assert values[gens[3][0], 128] != values[gens[3][0], 264]
 
 
 def test_opaque_generator_without_a_value_raises_on_every_call():
-    gen = Generator("b", "opaque")
+    fv = finite_vector([{UNIT: F(1)}, {Generator("b", "opaque"): F(1)}])
     for bits in (64, 64, 200):
         with mpmath.workprec(bits):
             with pytest.raises(ValidationError, match="^generator 'b' is opaque with no declared numeric value$"):
-                gen.float_value()
+                dynamics.flow(fv, TorusPoint.float_point([0.0, 0.0]), 1.0)
 
 
 def test_kept_values_leave_eq_hash_repr_and_order_alone():
@@ -385,8 +389,7 @@ def test_kept_values_leave_eq_hash_repr_and_order_alone():
     before = [(hash(g), repr(g)) for g in gens], sorted(reversed(gens))
     for bits in (64, 200):
         with mpmath.workprec(bits):
-            for g in gens[:-1]:
-                g.float_value()
+            dynamics._float_omegas(finite_vector([{g: F(1)} for g in gens[:-1]]), len(gens) - 1)
     assert ([(hash(g), repr(g)) for g in gens], sorted(reversed(gens))) == before
     assert list(inspect.signature(Generator).parameters) == ["name", "kind", "param", "value_digits"]
     for g in gens:
@@ -446,10 +449,3 @@ def test_weighted_total_matches_series():
     s80 = spec.term(80)
     remainder = s80 * (80 / (1 - r) + r / (1 - r) ** 2)
     assert weighted_total(spec) == partial + remainder
-
-
-def test_evaluate_float_follows_working_precision():
-    fv = parse_frequency_spec('{"kind":"finite","terms":[{"1":"1"},{"sqrt2":"1"}]}')
-    with mpmath.workprec(200):
-        err = abs(evaluate_float(coordinates(fv, 2)[1]) - mpmath.sqrt(2))
-        assert err <= mpmath.mpf(2) ** -190

@@ -24,7 +24,6 @@ from kronflow.frequency import (
     SubgroupOfQSpec,
     build_product_vector,
     clamp_depth,
-    coordinates,
     integer_rows,
     parse_frequency_spec,
     rational_vector,
@@ -46,6 +45,7 @@ from oracles import (
     dot_fractions,
     euclid_gcd,
     literal_reduction,
+    omega_columns,
     rational_rank,
     span_contains_all,
     verify_inverse,
@@ -208,7 +208,7 @@ def test_reduce_flow_nonresonant():
     red = reduce_flow(fv, 2)
     assert red.zero_rank == 0
     assert red.transform == RowFiniteIntMatrix.identity(2)
-    assert coordinates(red.reduced, 2) == coordinates(fv, 2)
+    assert red.reduced.terms == fv.terms
     assert red.nonresonance_scope == "global"
 
 
@@ -216,7 +216,7 @@ def test_reduce_flow_harmonic_prefix():
     fv = rational_vector(["1", "1/2", "1/3"])
     red = reduce_flow(fv, 3)
     assert red.zero_rank == 2
-    first, second, tail = coordinates(red.reduced, 3)
+    first, second, tail = map(dict, red.reduced.terms)
     assert first == {} and second == {}
     assert set(tail) == {UNIT} and tail[UNIT] != 0
     _assert_exact_transform(fv, red)
@@ -228,7 +228,7 @@ def test_reduce_flow_repeated_entry():
     )
     red = reduce_flow(fv, 3)
     assert red.zero_rank == 1
-    assert coordinates(red.reduced, 1) == [{}]
+    assert red.reduced.terms[0] == ()
     assert red.nonzero_block_independent
     _assert_exact_transform(fv, red)
 
@@ -236,8 +236,9 @@ def test_reduce_flow_repeated_entry():
 def _assert_exact_transform(fv, red):
     """coordinate matrix of the reduced vector equals A times the original."""
     depth = red.depth
-    cols = coordinates(fv, depth)
-    reduced = coordinates(red.reduced, depth)
+    cols = omega_columns(fv, depth)
+    reduced = [dict(term) for term in red.reduced.terms]
+    assert len(reduced) == depth
     gens = set()
     for c in cols:
         gens |= set(c)
@@ -261,7 +262,7 @@ def test_reduce_flow_random_rational(vals):
     red = reduce_flow(fv, depth)
     _assert_exact_transform(fv, red)
     assert verify_inverse(red.transform)
-    assert coordinates(red.reduced, red.zero_rank) == [{}] * red.zero_rank
+    assert red.reduced.terms[: red.zero_rank] == ((),) * red.zero_rank
     # nonzero block has trivial kernel at this depth
     tail = resonance_basis(red.reduced, depth)
     assert all(max(v.support()) <= red.zero_rank for v in tail.vectors)
@@ -342,7 +343,7 @@ def test_reduce_flow_full_rank_rule():
     fv = SolenoidRule(UNIT, a)
     red = reduce_flow(fv, 4)
     assert red.zero_rank == 3
-    *zeros, last = coordinates(red.reduced, 4)
+    *zeros, last = map(dict, red.reduced.terms)
     assert zeros == [{}, {}, {}]
     assert last[UNIT] != 0
     _assert_exact_transform(fv, red)
@@ -361,7 +362,7 @@ def test_reduce_flow_support_away_from_first_column():
 def test_reduce_flow_zero_vector_fully_resonant():
     red = reduce_flow(rational_vector(["0", "0"]), 2)
     assert red.zero_rank == 2
-    assert coordinates(red.reduced, 2) == [{}, {}]
+    assert red.reduced.terms == ((), ())
 
 
 def test_apply_automorphism_float_points():
@@ -420,7 +421,7 @@ DEEP_SPECS = {
 
 
 def _coordinate_rows(fv, depth):
-    cols = coordinates(fv, depth)
+    cols = omega_columns(fv, depth)
     gens = sorted({g for col in cols for g in col}, key=str)
     return [[col.get(g, F(0)) for col in cols] for g in gens]
 
@@ -529,7 +530,7 @@ def test_sequence_basis_spans_the_dense_hermite_kernel(doc, depth):
     """The adjacent relations and the dense oracle's Hermite kernel span one
     lattice, and ``reduce_flow``'s transform is the oracle's."""
     fv = parse_frequency_spec(doc)
-    cols = coordinates(fv, depth)
+    cols = omega_columns(fv, depth)
     rows = [[col.get(g, F(0)) for col in cols] for g in sorted({g for col in cols for g in col})]
     dense = dense_hermite_transform(rows) if rows else None
     kernel = [IntVecFin.from_list(r) for r in dense.rows[: dense.zero_rank]] if dense else [
@@ -645,7 +646,7 @@ def test_bo_basis_spans_the_dense_hermite_kernel(fv, depth):
     """The head and the shifts span the lattice of the dense oracle's Hermite
     kernel: each vector reduces to zero against the kernel, and each kernel
     vector against an echelon basis of their span."""
-    cols = coordinates(fv, depth)
+    cols = omega_columns(fv, depth)
     dense = dense_hermite_transform([[col.get(g, F(0)) for col in cols] for g in (UNIT, BETA)])
     kernel = [IntVecFin.from_list(r) for r in dense.rows[: dense.zero_rank]]
     basis = resonance_basis(fv, depth).vectors
@@ -830,21 +831,13 @@ TABLE_SPECS = {
 
 
 @pytest.mark.parametrize("family", list(TABLE_SPECS))
-def test_exact_paths_read_no_coordinate_maps(monkeypatch, family):
-    """``coordinates`` raises in every module that holds it, and every exact
-    path still answers at depths 1, 2 and 16:
-    each reads ``integer_rows`` (BO's R its integer tail sums) alone."""
-    import kronflow
-    from kronflow import benjamin_ono, classification, dynamics, frequency
-    from kronflow import resonance_reduction as rr
+def test_exact_paths_read_no_coordinate_maps(family):
+    """Every exact path answers at depths 1, 2 and 16 on each family from
+    ``integer_rows`` (BO's R from its integer tail sums), the one table of
+    the frequencies the library holds."""
     from kronflow.benjamin_ono import bo_report
     from kronflow.classification import decompose_module
 
-    def forbidden(*args):
-        raise AssertionError("an exact path built the coordinate maps")
-
-    for module in (kronflow, frequency, rr, classification, benjamin_ono, dynamics):
-        monkeypatch.setattr(module, "coordinates", forbidden, raising=False)
     fv = parse_frequency_spec(TABLE_SPECS[family])
     for depth in (1, 2, 16):
         assert resonance_basis(fv, depth).truncation_depth == clamp_depth(fv, depth)

@@ -19,9 +19,7 @@ from kronflow.solenoid_geometry import (
     GeometricWeights,
     SolenoidCoords,
     TorusPoint,
-    approximating_times,
     circle_distance,
-    from_coordinates,
     is_member,
     local_chart,
     product_metric,
@@ -83,28 +81,32 @@ def test_origin_coordinates():
     assert c.tau == 0 and c.digits == (0, 0)
 
 
+def _target(a, coords) -> TorusPoint:
+    """The target of ``times_and_target`` as an exact point."""
+    return TorusPoint.exact_point([F(p, q) for p, q in times_and_target(a, coords)[1]])
+
+
 def test_from_coordinates_example():
-    pt = from_coordinates(A12, SolenoidCoords(F(1, 4), (1,)))
-    assert pt.angles == (F(1, 4), F(5, 8))
+    assert times_and_target(A12, SolenoidCoords(F(1, 4), (1,)))[1] == [(1, 4), (5, 8)]
 
 
 def test_from_coordinates_origin():
-    assert from_coordinates(A12, SolenoidCoords(F(0), (0,))) == TorusPoint.origin(2)
+    assert _target(A12, SolenoidCoords(F(0), (0,))) == TorusPoint.origin(2)
 
 
 def test_from_coordinates_a123():
     # frozen by symbolic evaluation of the reconstruction formula plus the
     # membership cross-check: theta = (1/2, 3/4, 11/12)
-    pt = from_coordinates(A123, SolenoidCoords(F(1, 2), (1, 2)))
-    assert pt.angles == (F(1, 2), F(3, 4), F(11, 12))
-    assert is_member(A123, pt)
+    target = times_and_target(A123, SolenoidCoords(F(1, 2), (1, 2)))[1]
+    assert target == [(1, 2), (3, 4), (11, 12)]
+    assert is_member(A123, target)
     # a_2 theta_2 - theta_1 = n_2 and a_3 theta_3 - theta_2 = n_3
     assert 2 * F(3, 4) - F(1, 2) == 1 and 3 * F(11, 12) - F(3, 4) == 2
 
 
 def test_digit_out_of_range():
     with pytest.raises(ValidationError):
-        from_coordinates(A12, SolenoidCoords(F(0), (2,)))
+        times_and_target(A12, SolenoidCoords(F(0), (2,)))
 
 
 @st.composite
@@ -120,9 +122,9 @@ def test_bijection_roundtrip(data):
     a = data.draw(st.sampled_from([A122, A123, SigmaSequence((1,), "increment")]))
     depth = data.draw(st.integers(2, 7))
     coords = data.draw(coords_for(a, depth))
-    pt = from_coordinates(a, coords)
+    pt = _target(a, coords)
     assert to_coordinates(a, pt) == coords
-    again = from_coordinates(a, to_coordinates(a, pt))
+    again = _target(a, to_coordinates(a, pt))
     assert again == pt
 
 
@@ -140,16 +142,20 @@ def test_digit_ranges_from_members(data):
 # -- approximating times
 
 
+def _times(a, coords) -> list[F]:
+    """The times of ``times_and_target`` as Fractions."""
+    return [F(p, q) for p, q in times_and_target(a, coords)[0]]
+
+
 def test_times_example():
-    ts = approximating_times(A12, SolenoidCoords(F(1, 4), (1,)))
-    assert ts == [F(1, 4), F(5, 4)]
+    ts = times_and_target(A12, SolenoidCoords(F(1, 4), (1,)))[0]
+    assert ts == [(1, 4), (5, 4)]
     # flow check: omega_2 * t_2 = (1/2)(5/4) = 5/8
-    assert (F(1, 2) * ts[1]) % 1 == F(5, 8)
+    assert (F(1, 2) * F(*ts[1])) % 1 == F(5, 8)
 
 
 def test_times_origin():
-    ts = approximating_times(A122, SolenoidCoords(F(0), (0, 0)))
-    assert ts == [F(0), F(0), F(0)]
+    assert times_and_target(A122, SolenoidCoords(F(0), (0, 0)))[0] == [(0, 1)] * 3
 
 
 def test_times_telescoping():
@@ -157,7 +163,7 @@ def test_times_telescoping():
     a = A123
     for k in (2, 3, 4):
         digits = tuple(1 if j == k else 0 for j in range(2, 6))
-        ts = approximating_times(a, SolenoidCoords(F(0), digits))
+        ts = _times(a, SolenoidCoords(F(0), digits))
         assert ts[k - 1] - ts[k - 2] == a.partial_product(k - 1)
 
 
@@ -168,8 +174,8 @@ def test_times_match_prefix_exactly():
         depth = 6
         digits = tuple(rng.randrange(a.term(j)) for j in range(2, depth + 1))
         coords = SolenoidCoords(F(rng.randint(0, 11), 12), digits)
-        target = from_coordinates(a, coords)
-        for k, t in enumerate(approximating_times(a, coords), start=1):
+        target = _target(a, coords)
+        for k, t in enumerate(_times(a, coords), start=1):
             moved = flow(SolenoidRule(UNIT, a), TorusPoint.origin(depth), t)
             assert moved.angles[:k] == target.angles[:k]
 
@@ -210,6 +216,13 @@ def _outcome(fn, *args):
         return ("error", str(exc))
 
 
+def _fraction_times_and_target(a, coords):
+    """The Fraction oracle's times and target as (p, q) pairs."""
+    times = fraction_approximating_times(a, coords)
+    target = fraction_from_coordinates(a, coords).angles
+    return [(t.numerator, t.denominator) for t in times], [(x.numerator, x.denominator) for x in target]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_path_matches_fraction_oracle(data):
@@ -230,12 +243,11 @@ def test_integer_path_matches_fraction_oracle(data):
         return
     coords = SolenoidCoords(tau, tuple(digits))
 
-    assert _outcome(approximating_times, a, coords) == _outcome(fraction_approximating_times, a, coords)
-    target = _outcome(from_coordinates, a, coords)
-    assert target == _outcome(fraction_from_coordinates, a, coords)
+    outcome = _outcome(times_and_target, a, coords)
+    assert outcome == _outcome(_fraction_times_and_target, a, coords)
     if case == "digit out of range":
         return
-    angles = list(target.angles)
+    angles = [F(p, q) for p, q in outcome[1]]
     if case == "perturbed":
         k = data.draw(st.integers(0, depth - 1))
         # an odd numerator over an even denominator is never an integer shift
@@ -303,9 +315,8 @@ def test_cli_times_print_the_fraction_oracle(data):
 
 def test_relations_build_no_fractions(monkeypatch):
     """On a factorial member at depth 512, membership, digit extraction and
-    the integer times and target make no Fraction, and the Fraction view of
-    the reconstruction one per coordinate; the Fraction path made several per
-    relation."""
+    the integer times and target make no Fraction; the Fraction path made
+    several per relation."""
     a = SigmaSequence((1,), "increment")
     depth = 512
     coords = SolenoidCoords(F(5, 7), tuple((j * j + 1) % j for j in range(2, depth + 1)))
@@ -320,9 +331,6 @@ def test_relations_build_no_fractions(monkeypatch):
     monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
     assert is_member(a, point) and made == []
     assert to_coordinates(a, point) == coords and made == []
-    assert from_coordinates(a, coords) == point
-    assert len(made) <= depth
-    made.clear()
     times, target = times_and_target(a, coords)
     assert made == [] and target == [(x.numerator, x.denominator) for x in point.angles]
 
@@ -341,8 +349,8 @@ def test_chart_excludes_zero_slice():
 
 
 def test_chart_product_structure():
-    p1 = from_coordinates(A12, SolenoidCoords(F(1, 4), (1,)))
-    p2 = from_coordinates(A12, SolenoidCoords(F(1, 3), (1,)))
+    p1 = _target(A12, SolenoidCoords(F(1, 4), (1,)))
+    p2 = _target(A12, SolenoidCoords(F(1, 3), (1,)))
     t1, d1 = local_chart(A12, p1)
     t2, d2 = local_chart(A12, p2)
     assert d1 == d2 and t1 != t2
