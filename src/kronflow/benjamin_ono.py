@@ -152,19 +152,12 @@ def baer_contains(t: BaerType, x: Fraction) -> bool:
 
 class BoModuleReport(_Record):
     """The sigma and tail-sum tables as one integer table over the common
-    denominator of ``RationalSequenceSpec.scaled_tail_sums``: D g_0, ...,
-    D g_(N-1), whose running sums are D sigma_1, ..., D sigma_N."""
+    denominator D = ``scale`` of ``RationalSequenceSpec.scaled_tail_sums``:
+    D g_0, ..., D g_(N-1), whose running sums are D sigma_1, ..., D sigma_N.
+    ``r_type`` is None when R = {0}; ``module`` is the frequency module, read
+    off the same R."""
 
     __slots__ = ("scale", "scaled_tail_sums", "r_type", "module", "full_support", "depth")
-
-    def __init__(self, scale: int, scaled_tail_sums: tuple[int, ...], r_type: BaerType | None,
-                 module: ModuleDescriptor, full_support: bool, depth: int):
-        object.__setattr__(self, "scale", scale)  # D
-        object.__setattr__(self, "scaled_tail_sums", scaled_tail_sums)  # D g_0, ..., D g_(N-1)
-        object.__setattr__(self, "r_type", r_type)  # None when R = {0}
-        object.__setattr__(self, "module", module)  # the frequency module, read off the same R
-        object.__setattr__(self, "full_support", full_support)
-        object.__setattr__(self, "depth", depth)
 
     def to_json(self) -> dict:
         return {

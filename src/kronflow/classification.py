@@ -24,7 +24,6 @@ from .frequency import (
     BoRule,
     Finite,
     FrequencyVector,
-    Generator,
     ProductConstruction,
     SigmaSequence,
     SolenoidRule,
@@ -106,7 +105,6 @@ class SupernaturalNumber(_Record):
             if hit:
                 kept.append((pset, exp))
                 covered |= hit
-        object.__setattr__(self, "pairs", tuple(kept))
         odd_a, even_a = _first_exponent(kept, odd_probe), _first_exponent(kept, even_probe)
         if odd_a is None or even_a is None:
             raise ValidationError("prime-set pairs leave infinitely many primes unassigned")
@@ -118,6 +116,7 @@ class SupernaturalNumber(_Record):
             if e != (odd_a if is_odd_indexed_prime(p) else even_a):
                 exceptions[p] = e
         object.__setattr__(self, "_profile", (odd_a, even_a, exceptions))
+        super().__init__(tuple(kept))
 
     def resolve(self, p: int):
         """Exponent assigned to the prime p (first matching pair)."""
@@ -168,8 +167,7 @@ class BaerType(_Record):
                 raise ValidationError(
                     f"index i = {i} is divisible by {p} which carries a positive exponent"
                 )
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "lam", lam)
+        super().__init__(i, lam)
 
     def to_json(self) -> dict:
         return {"i": self.i, "lambda": self.lam.to_json()}
@@ -293,10 +291,6 @@ def baer_to_qa(t: BaerType) -> SigmaSequence:
 class ModuleComponent(_Record):
     __slots__ = ("generator", "baer")
 
-    def __init__(self, generator: Generator, baer: BaerType):
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "baer", baer)
-
     @property
     def free(self) -> bool:
         return is_free(self.baer)
@@ -304,9 +298,6 @@ class ModuleComponent(_Record):
 
 class ModuleDescriptor(_Record):
     __slots__ = ("components",)
-
-    def __init__(self, components: tuple[ModuleComponent, ...]):
-        object.__setattr__(self, "components", components)
 
     @property
     def free_rank(self) -> int:

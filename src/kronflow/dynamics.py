@@ -64,7 +64,7 @@ class TrigPolynomial(_Record):
                     f"reality violated at {nu!r}: need a_nu = conj(a_(-nu))"
                 )
         ordered = sorted(table.items(), key=lambda kv: tuple(kv[0].items()))
-        object.__setattr__(self, "coeffs", tuple(ordered))
+        super().__init__(tuple(ordered))
 
     @classmethod
     def from_table(
@@ -340,13 +340,14 @@ def _phases_and_frequencies(
 ) -> list[tuple[complex, float]]:
     """(exp(i nu . Theta0), w = nu . omega) for each nu of ``nus``, where w is
     0.0 exactly when nu = 0 or nu is resonant.  Every window is checked
-    first, then every monomial against the depth of theta0, and only then is
-    any frequency evaluated, once per nonzero monomial; |w| T must neither
-    overflow a double nor, for w != 0, underflow to 0 for any pair.  The
-    frequencies read one ``_OmegaTable``, at the largest index the monomials
-    touch, clamped to the length of a finite vector."""
+    first, then the depth of theta0 (at least 1) and every monomial against
+    it, and only then is any frequency evaluated, once per nonzero monomial;
+    |w| T must neither overflow a double nor, for w != 0, underflow to 0 for
+    any pair.  The frequencies read one ``_OmegaTable``, at the largest index
+    the monomials touch, clamped to the length of a finite vector."""
     for t_final in t_finals:
         _check_window(t_final)
+    clamp_depth(fv, theta0.depth)  # a point of depth 0 is an error
     for nu in nus:
         _check_within(nu, theta0.depth)
     top = max((nu.max_index() for nu in nus), default=0)

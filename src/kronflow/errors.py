@@ -29,25 +29,46 @@ class _Record:
 
     A record lists its public fields in ``__slots__`` in constructor order,
     then any private slots (a leading underscore), which hold only values
-    its ``__init__`` derives from the fields, and its ``__init__`` sets them
-    all with ``object.__setattr__``.  From the public fields this base gives
-    type-strict equality, the hash of their tuple, the repr ``Name(field=value,
-    ...)``, and copies and pickles rebuilt through the constructor; assigning
-    or deleting an attribute raises AttributeError.  Records use it, not
-    frozen dataclasses, because every ``kron`` call would pay at start-up for
-    importing ``dataclasses`` and for generating each class's methods.
+    derived from the fields.  This base's ``__init__`` is every record's
+    constructor: it binds positional and keyword arguments to the public
+    fields in slot order and sets them through the slot descriptors; a
+    missing, extra, unknown or repeated field raises a TypeError naming the
+    record.  A record that validates or normalises its fields, or has
+    defaults, defines an ``__init__`` that ends in ``super().__init__(...)``,
+    and sets a derived private slot with ``object.__setattr__``.  From the
+    public fields this base also gives type-strict equality, the hash of their
+    tuple, the repr ``Name(field=value, ...)``, and copies and pickles rebuilt
+    through the constructor; assigning or deleting an attribute raises
+    AttributeError.  Records use it, not frozen dataclasses, because every
+    ``kron`` call would pay at start-up for importing ``dataclasses`` and for
+    generating each class's methods.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # each public slot's descriptor setter, which writes past __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
         # the tuple of the public fields' values, read in C (attrgetter gives
         # a bare value for one name)
         get = operator.attrgetter(*fields)
         cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            fields = self._fields
+            rest = fields[len(args):]
+            if len(args) + len(kwargs) != len(fields) or not kwargs.keys() <= set(rest):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields ({', '.join(fields)}); got "
+                                f"{len(args)} by position and ({', '.join(kwargs)}) by keyword")
+            args += tuple(kwargs[name] for name in rest)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

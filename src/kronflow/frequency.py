@@ -84,11 +84,8 @@ class Generator(_Record):
                     )
         else:
             raise ValidationError(f"generator {name!r}: unknown kind {kind!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "value_digits", value_digits)
         object.__setattr__(self, "_hash", hash((name, kind, param, value_digits)))
+        super().__init__(name, kind, param, value_digits)
 
     def __hash__(self) -> int:
         return self._hash
@@ -180,9 +177,7 @@ class SigmaSequence(_Record):
                 raise ValidationError(f"{tail_kind} tail takes no parameters")
         else:
             raise ValidationError(f"unknown sequence tail {tail_kind!r}")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail_kind", tail_kind)
-        object.__setattr__(self, "tail_params", tail_params)
+        super().__init__(prefix, tail_kind, tail_params)
 
     def term(self, j: int) -> int:
         if j < 1:
@@ -262,15 +257,13 @@ class RationalSequenceSpec(_Record):
                  tail_r: Fraction = Fraction(1, 2)):
         prefix = tuple(Fraction(v) for v in prefix)
         tail_c, tail_r = Fraction(tail_c), Fraction(tail_r)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail_c", tail_c)
-        object.__setattr__(self, "tail_r", tail_r)
         if any(v < 0 for v in prefix):
             raise ValidationError("sequence prefix entries must be >= 0")
         if tail_c < 0:
             raise ValidationError("tail coefficient c must be >= 0")
         if tail_c > 0 and not (0 < tail_r < 1):
             raise ValidationError("tail ratio r must satisfy 0 < r < 1")
+        super().__init__(prefix, tail_c, tail_r)
 
     def term(self, k: int) -> Fraction:
         if k < 1:
@@ -379,8 +372,7 @@ class SubgroupOfQSpec(_Record):
             free_generator = Fraction(free_generator)
             if free_generator <= 0:
                 raise ValidationError("free subgroup generator must be positive")
-        object.__setattr__(self, "free_generator", free_generator)
-        object.__setattr__(self, "qa", qa)
+        super().__init__(free_generator, qa)
 
     @property
     def is_free(self) -> bool:
@@ -419,7 +411,7 @@ class Finite(_Record):
 
     def __init__(self, terms: tuple[tuple[tuple[Generator, Fraction], ...], ...]):
         _one_name_per_number(g for term in terms for g, _ in term)
-        object.__setattr__(self, "terms", terms)
+        super().__init__(terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -431,10 +423,6 @@ class Finite(_Record):
 class SolenoidRule(_Record):
     __slots__ = ("generator", "a")
 
-    def __init__(self, generator: Generator, a: SigmaSequence):
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "a", a)
-
 
 class BoRule(_Record):
     """omega_j = j^2 - 2 beta sigma_j for the actions gamma_k = beta * s_k,
@@ -445,8 +433,7 @@ class BoRule(_Record):
     def __init__(self, beta: Generator, s: RationalSequenceSpec):
         if beta.kind == "rational_unit":
             raise ValidationError("the quadratic-rule scale must be an irrational generator")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "s", s)
+        super().__init__(beta, s)
 
 
 class ProductConstruction(_Record):
@@ -460,7 +447,7 @@ class ProductConstruction(_Record):
             if gen in gens[:k]:
                 raise ValidationError(f"generator {gen.name!r} carries two product components")
         _one_name_per_number(gens)
-        object.__setattr__(self, "components", components)
+        super().__init__(components)
 
 
 FrequencyVector = Finite | SolenoidRule | BoRule | ProductConstruction

@@ -44,10 +44,6 @@ from .solenoid_geometry import TorusPoint
 class ResonanceBasis(_Record):
     __slots__ = ("vectors", "truncation_depth")
 
-    def __init__(self, vectors: tuple[IntVecFin, ...], truncation_depth: int):
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "truncation_depth", truncation_depth)
-
     @property
     def rank(self) -> int:
         return len(self.vectors)
@@ -169,14 +165,6 @@ def resonance_basis(fv: FrequencyVector, depth: int) -> ResonanceBasis:
 class ReductionCertificate(_Record):
     __slots__ = ("transform", "result", "steps", "pass_sums", "gcd")
 
-    def __init__(self, transform: RowFiniteIntMatrix, result: IntVecFin, steps: tuple[dict, ...],
-                 pass_sums: tuple[int, ...], gcd: int):
-        object.__setattr__(self, "transform", transform)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "pass_sums", pass_sums)
-        object.__setattr__(self, "gcd", gcd)
-
     def to_json(self) -> dict:
         return {
             "gcd": self.gcd,
@@ -274,18 +262,11 @@ def reduce_vector(nu: IntVecFin) -> ReductionCertificate:
 
 
 class FlowReduction(_Record):
-    __slots__ = ("transform", "reduced", "zero_rank", "depth", "nonzero_block_independent", "nonresonance_scope")
+    """``reduced`` is (0_d, omega-bar).  ``nonresonance_scope`` is "depth"
+    when the kernel is trivial for integer vectors supported on 1..depth, and
+    "global" when in addition the vector has no coordinates beyond depth."""
 
-    def __init__(self, transform: RowFiniteIntMatrix, reduced: Finite, zero_rank: int, depth: int,
-                 nonzero_block_independent: bool, nonresonance_scope: str):
-        object.__setattr__(self, "transform", transform)
-        object.__setattr__(self, "reduced", reduced)  # (0_d, omega-bar)
-        object.__setattr__(self, "zero_rank", zero_rank)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "nonzero_block_independent", nonzero_block_independent)
-        # "depth": the kernel is trivial for integer vectors supported on 1..depth;
-        # "global": additionally the vector has no coordinates beyond depth
-        object.__setattr__(self, "nonresonance_scope", nonresonance_scope)
+    __slots__ = ("transform", "reduced", "zero_rank", "depth", "nonzero_block_independent", "nonresonance_scope")
 
     def to_json(self) -> dict:
         return {

@@ -36,10 +36,6 @@ class TorusPoint(_Record):
 
     __slots__ = ("angles", "exact")
 
-    def __init__(self, angles: tuple, exact: bool):
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "exact", exact)
-
     @property
     def depth(self) -> int:
         return len(self.angles)
@@ -73,8 +69,7 @@ class SolenoidCoords(_Record):
             tau = Fraction(tau)
         if not 0 <= tau < 1:
             raise ValidationError(f"tau must lie in [0,1), got {tau}")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "digits", digits)
+        super().__init__(tau, digits)
 
     @property
     def depth(self) -> int:
@@ -206,7 +201,7 @@ class GeometricWeights(_Record):
         r = Fraction(r)
         if not 0 < r < 1:
             raise ValidationError("geometric weight ratio must satisfy 0 < r < 1")
-        object.__setattr__(self, "r", r)
+        super().__init__(r)
 
     def weight(self, k: int) -> Fraction:
         return self.r**k

@@ -325,17 +325,25 @@ def _nth_prime(n: int) -> int:
 
 def omega_by_index(fv, j: int) -> dict:
     """omega_j from its family's per-index definition: the j-th finite term;
-    1 / (a_1 ... a_j) for a solenoid; j^2 - 2 beta sigma_j with the closed-form
-    sigma for the quadratic rule; and for the product construction, the
-    layout read off the factorization of j (non-free component k on the
-    powers p_k^e, at 1 / (a_1 ... a_e); the free components, then nothing, on
-    the other indices in order)."""
+    1 / (a_1 ... a_j) for a solenoid; j^2 - 2 beta sigma_j for the quadratic
+    rule, with sigma_j = sum_k min(j,k) s_k summed by ``sigma_by_partial_sums``
+    over s_k written out here (the prefix, then c r^(k-L-1)); and for the
+    product construction, the layout read off the factorization of j
+    (non-free component k on the powers p_k^e, at 1 / (a_1 ... a_e); the free
+    components, then nothing, on the other indices in order)."""
     if isinstance(fv, Finite):
         return dict(fv.terms[j - 1])
     if isinstance(fv, SolenoidRule):
         return {fv.generator: Fraction(1, math.prod(fv.a.term(i) for i in range(1, j + 1)))}
     if isinstance(fv, BoRule):
-        return {UNIT: Fraction(j * j), fv.beta: -2 * fv.s.sigma(j)}
+        s = fv.s
+        L = len(s.prefix)
+
+        def s_k(k):
+            return s.prefix[k - 1] if k <= L else s.tail_c * s.tail_r ** (k - L - 1)
+
+        sigma = sigma_by_partial_sums(s_k, j, s.tail_c, s.tail_r, cutoff=max(j, L))
+        return {UNIT: Fraction(j * j), fv.beta: -2 * sigma}
     nonfree = [(g, spec) for g, spec in fv.components if not spec.is_free]
     free = [g for g, spec in fv.components if spec.is_free]
     owner = {_nth_prime(k): comp for k, comp in enumerate(nonfree, 1)}

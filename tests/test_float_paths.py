@@ -12,10 +12,12 @@ import kronflow.dynamics as dynamics
 from kronflow.dynamics import (
     PROBE_FIRST_CHUNK,
     TrigPolynomial,
+    equidistribution_report,
     evaluate_polynomial,
     flow,
     minimality_probe,
     sample_trajectory,
+    time_average,
     time_average_quadrature,
 )
 from kronflow.errors import ValidationError
@@ -74,7 +76,8 @@ def test_trajectory_validates_before_sampling():
 
 def test_flow_sampling_quadrature_and_probe_refuse_depth_0():
     """The depth rule of ``clamp_depth``: flow on both branches, trajectory
-    sampling, the quadrature and the probe refuse a start point of depth 0."""
+    sampling, the quadrature, the probe, the exact time average and the
+    equidistribution report refuse a start point of depth 0."""
     origin = TorusPoint.origin(0)
     calls = [
         lambda: flow(T3, origin, 1),
@@ -82,6 +85,8 @@ def test_flow_sampling_quadrature_and_probe_refuse_depth_0():
         lambda: sample_trajectory(T3, origin, 0.0, 1.0, 4),
         lambda: time_average_quadrature(T3, POLY, origin, 1.0, 5),
         lambda: minimality_probe(T3, origin, 0, 0.1, 10.0),
+        lambda: time_average(T3, TrigPolynomial.constant(3), origin, [1.0]),
+        lambda: equidistribution_report(T3, [IntVecFin()], [1.0], origin),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="^depth must be >= 1, got 0$"):

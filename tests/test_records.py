@@ -2,14 +2,22 @@
 values: ``copy.copy``, ``copy.deepcopy`` and ``pickle`` give an equal object
 with the same hash and repr, the repr is ``Name(field=value, ...)`` over the
 public fields, equality is type-strict, and assigning or deleting an
-attribute raises AttributeError."""
+attribute raises AttributeError.  Each record is rebuilt equal from its
+fields by position or by keyword, and a missing, extra, unknown or repeated
+field is a TypeError naming the record."""
 
+import ast
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import kronflow
 from kronflow.benjamin_ono import BoModuleReport, bo_tail_module
 from kronflow.classification import (
     BaerType,
@@ -18,6 +26,7 @@ from kronflow.classification import (
     SupernaturalNumber,
     decompose_module,
 )
+from kronflow.dynamics import TrigPolynomial
 from kronflow.errors import _Record
 from kronflow.exact_linalg import IntVecFin
 from kronflow.frequency import (
@@ -73,6 +82,7 @@ def _records() -> dict:
         "SolenoidCoords": to_coordinates(SigmaSequence((1, 2, 2), "constant", (2,)), theta),
         "GeometricWeights": GeometricWeights(F(1, 3)),
         "BoModuleReport": bo_tail_module(bo, 5),
+        "TrigPolynomial": TrigPolynomial.constant(F(1, 3)) + TrigPolynomial.sine(IntVecFin({1: 2, 3: -1}), F(2, 3)),
     }
 
 
@@ -88,13 +98,43 @@ def _hash(x):
         return type(exc)
 
 
+def _subclasses(cls) -> set:
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
+
+
 def test_every_record_is_listed():
-    classes = {type(r) for r in RECORDS.values()}
-    assert classes == {BaerType, BoModuleReport, BoRule, Finite, FlowReduction, Generator, GeometricWeights,
-                       ModuleComponent, ModuleDescriptor, ProductConstruction, RationalSequenceSpec,
-                       ReductionCertificate, ResonanceBasis, SigmaSequence, SolenoidCoords, SolenoidRule,
-                       SubgroupOfQSpec, SupernaturalNumber, TorusPoint}
-    assert all(issubclass(cls, _Record) for cls in classes)
+    for module in pkgutil.iter_modules(kronflow.__path__):
+        importlib.import_module(f"kronflow.{module.name}")
+    defined = {cls for cls in _subclasses(_Record) if cls.__module__.startswith("kronflow.")}
+    assert {type(r) for r in RECORDS.values()} == defined
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_rebuild_from_their_fields_by_position_and_keyword(name):
+    record = RECORDS[name]
+    cls = type(record)
+    fields = dict(zip(cls._fields, record._values))
+    for twin in (cls(*fields.values()), cls(**fields), cls(record._values[0], **dict(list(fields.items())[1:]))):
+        assert type(twin) is cls and twin == record and repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_missing_extra_unknown_or_repeated_fields_raise_naming_the_record(name):
+    record = RECORDS[name]
+    cls = type(record)
+    fields = dict(zip(cls._fields, record._values))
+    params = inspect.signature(cls.__init__).parameters
+    calls = [
+        ((*record._values, None), {}),  # extra
+        (record._values, {"no_such_field": None}),  # unknown
+        (record._values[:1], fields),  # the first field twice
+    ]
+    for field in fields:  # missing, unless the record's own constructor gives a default
+        if field not in params or params[field].default is inspect.Parameter.empty:
+            calls.append(((), {k: v for k, v in fields.items() if k != field}))
+    for args, kwargs in calls:
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            cls(*args, **kwargs)
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
@@ -144,3 +184,20 @@ def test_equality_is_type_strict():
     assert TorusPoint((F(1, 2),), True) != TorusPoint((F(1, 2),), False)
     assert RationalSequenceSpec() == RationalSequenceSpec((), 0, F(1, 2))
     assert SubgroupOfQSpec(F(1)) != SubgroupOfQSpec(qa=SigmaSequence((1,), "constant", (2,)))
+
+
+def test_public_fields_are_set_only_by_the_base_constructor():
+    """Each record declares its fields once, in ``__slots__``: outside
+    ``errors.py`` no ``object.__setattr__(self, "<field>", ...)`` sets a
+    public field; only derived private slots are set that way."""
+    package = Path(kronflow.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and not str(node.args[1].value).startswith("_")):
+                offenders.append(f"{path.name}:{node.lineno} sets {node.args[1].value!r}")
+    assert offenders == []
